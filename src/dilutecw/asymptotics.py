@@ -92,11 +92,16 @@ def eval_F(p: float, z: float) -> float:
 
     Written as log1p(p * expm1(z)): at small z the argument is ~ p z, so no
     cancellation, and at p = 1 the value degenerates to exactly z for z >= 0
-    up to rounding.
+    up to rounding.  Two ends need another form.  Above z = 700, p e^z nears
+    overflow, and F = z + log(p + (1 - p) e^-z) is used.  At p = 1 and z below
+    about -37, expm1(z) rounds to -1 and log1p has no answer, but F = z.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p!r}")
-    return math.log1p(p * math.expm1(z))
+    if z > 700.0:
+        return z + math.log(p + (1.0 - p) * math.exp(-z))
+    u = p * math.expm1(z)
+    return z if u == -1.0 else math.log1p(u)
 
 
 def taylor_coefficients_exact(p, max_order: int) -> list[Fraction]:

@@ -40,7 +40,7 @@ from .exact import (
     variance_ratio_detail,
 )
 from .graph import GraphSeed, read_graph, sample_graph, write_graph
-from .mcmc import ChainConfig, derive_seed, quenched_experiment, run_chain
+from .mcmc import ChainConfig, derive_seed, quenched_experiment, run_chain, sweep_kernel
 from .model import ModelParams
 from .testfunctions import parse_test_function
 
@@ -80,7 +80,8 @@ def _sanitize(obj):
     return obj
 
 
-def _emit(text: str, out: str | None, started: float) -> None:
+def _emit(text: str, out: str | None, started: float, meta: dict | None = None) -> None:
+    """Write the payload; with --out, also the sidecar of volatile facts plus ``meta``."""
     if out is None:
         sys.stdout.write(text)
         return
@@ -89,15 +90,16 @@ def _emit(text: str, out: str | None, started: float) -> None:
     sidecar = {
         "runtime_seconds": round(time.perf_counter() - started, 3),
         "written_at": datetime.now(timezone.utc).isoformat(),
+        **(meta or {}),
     }
     with open(out + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _emit_json(payload: dict, out: str | None, started: float) -> None:
+def _emit_json(payload: dict, out: str | None, started: float, meta: dict | None = None) -> None:
     text = json.dumps(_sanitize(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    _emit(text, out, started)
+    _emit(text, out, started, meta)
 
 
 def _config_echo(args, fields) -> dict:
@@ -117,12 +119,8 @@ def _load_or_sample_graph(args, params: ModelParams):
 
 def _cmd_graph_sample(args) -> int:
     params = _model_params(args)
-    try:
-        seed = GraphSeed(args.seed)
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
     started = time.perf_counter()
-    g = sample_graph(params, seed)
+    g = sample_graph(params, GraphSeed(args.seed))
     _log(f"sampled graph n={g.n} edges={g.edge_count()}")
     buf = io.StringIO()
     write_graph(g, buf)
@@ -217,6 +215,17 @@ def _cmd_asym_predict(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """argparse type of every --seed: an integer in [0, 2^64)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {value}")
+    return value
+
+
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -289,7 +298,7 @@ def _cmd_mcmc_run(args) -> int:
                 [seed_field, sample.replica_id, sample.first_sweep + j * sample.thin, repr(value)]
             )
     _log(f"retained {sum(len(s.values) for s in samples)} samples")
-    _emit(buf.getvalue(), args.out, started)
+    _emit(buf.getvalue(), args.out, started, {"sweep_kernel": sweep_kernel()})
     return 0
 
 
@@ -307,6 +316,12 @@ def _cmd_clt_experiment(args) -> int:
     if threads < 1:
         raise _UsageError(f"thread count must be positive, got {threads}")
     cfg = _chain_config(args, 0)
+    pooled = args.graphs * cfg.replicas * cfg.retained(params.n)
+    if pooled < 2:
+        raise _UsageError(
+            f"the pooled variance needs at least 2 retained samples, got {pooled} "
+            f"({args.graphs} graph(s) x {cfg.replicas} replica(s) x {cfg.retained(params.n)})"
+        )
     started = time.perf_counter()
     _log(f"{args.graphs} graphs at n={params.n}, {cfg.replicas} replica(s) each")
     record = quenched_experiment(
@@ -344,7 +359,7 @@ def _cmd_clt_experiment(args) -> int:
         },
         "exceed_fraction": record.exceed_fraction,
     }
-    _emit_json(payload, args.out, started)
+    _emit_json(payload, args.out, started, {"sweep_kernel": sweep_kernel()})
     return 0
 
 
@@ -374,13 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("graph-sample", help="sample a disorder graph to the text format")
     _add_model_flags(sub, beta=False)
     sub.set_defaults(beta=0.0)
-    sub.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+    sub.add_argument("--seed", type=_seed, default=0, help="64-bit master seed")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.set_defaults(func=_cmd_graph_sample)
 
     sub = commands.add_parser("exact-partition", help="enumerate one graph's partition sum and law")
     _add_model_flags(sub)
-    sub.add_argument("--seed", type=int, default=0, help="master seed when sampling the graph")
+    sub.add_argument("--seed", type=_seed, default=0, help="master seed when sampling the graph")
     sub.add_argument("--graph", default=None, help="read the graph from this file instead")
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=_cmd_exact_partition)
@@ -418,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("mcmc-run", help="Glauber chain samples as CSV")
     _add_model_flags(sub)
-    sub.add_argument("--seed", type=int, default=0, help="master seed (graph + chains)")
+    sub.add_argument("--seed", type=_seed, default=0, help="master seed (graph + chains)")
     sub.add_argument("--graph", default=None, help="read the graph from this file instead")
     _add_chain_flags(sub)
     sub.add_argument("--out", default=None)
@@ -429,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--graphs", type=int, required=True, help="number of disorder graphs")
     _add_chain_flags(sub)
     sub.add_argument("--epsilon", type=float, default=0.1, help="distance threshold")
-    sub.add_argument("--seed", type=int, default=0, help="master seed")
+    sub.add_argument("--seed", type=_seed, default=0, help="master seed")
     sub.add_argument(
         "--threads",
         type=int,

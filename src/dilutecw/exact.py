@@ -245,12 +245,15 @@ def variance_ratio_detail(params: ModelParams, g: TestFunction) -> tuple[float, 
     The exact value is nonnegative; rounding in the two log sums can push
     the computed value a hair below zero, in which case it is clamped to 0
     and the flag is set.  A value below -1e-9 means an actual inconsistency
-    and raises.
+    and raises.  A value beyond the largest double is returned as inf.
     """
     first = expected_partition_log(params, g)
     if first == -math.inf:
         raise ValueError("E[Z(g)] is zero, variance ratio undefined")
-    value = math.expm1(second_moment_log(params, g) - 2.0 * first)
+    try:
+        value = math.expm1(second_moment_log(params, g) - 2.0 * first)
+    except OverflowError:
+        return math.inf, False
     if value >= 0.0:
         return value, False
     if value >= -1e-9:

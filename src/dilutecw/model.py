@@ -42,7 +42,7 @@ class ModelParams:
 
     Validation is strict: n must be a positive integer, p must lie in (0, 1]
     (p = 0 would make the energy scale 1/(2 n p) undefined), and beta must be
-    nonnegative.
+    finite and nonnegative.
     """
 
     n: int
@@ -54,8 +54,8 @@ class ModelParams:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p!r}")
-        if not self.beta >= 0.0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta!r}")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta!r}")
 
     @property
     def gamma(self) -> float:

@@ -33,6 +33,17 @@ def test_eval_F_against_high_precision():
                 assert eval_F(p, z) == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
+def test_eval_F_at_extreme_arguments():
+    # p e^z overflows above z ~ 709.8; F = z + log(p + (1 - p) e^-z) there
+    assert eval_F(0.5, 1e6) == pytest.approx(1e6 + math.log(0.5), rel=1e-15)
+    assert eval_F(0.3, 701.0) == pytest.approx(701.0 + math.log(0.3), rel=1e-15)
+    assert eval_F(1.0, 1e6) == 1e6
+    # at p = 1, expm1(z) rounds to -1 below z ~ -37, yet F(1, z) = z
+    assert eval_F(1.0, -50.0) == -50.0
+    assert eval_F(1.0, -1e6) == -1e6
+    assert eval_F(0.5, -1e6) == pytest.approx(math.log(0.5), rel=1e-15)
+
+
 def test_eval_F_fixed_point():
     assert eval_F(0.3, 0.0) == 0.0
     assert eval_F(1.0, 0.7) == pytest.approx(0.7, rel=1e-15)

@@ -309,3 +309,88 @@ def test_clt_experiment_threads_env(tmp_path, capsys, monkeypatch):
         "--graphs", "2", "--sweeps", "120", "--burnin", "40", "--seed", "5",
     )
     assert json.loads(out2) == payload
+
+
+def test_clt_experiment_threads_byte_identical(capsys):
+    args = (
+        "clt-experiment", "--n", "96", "--p", "0.5", "--beta", "0.5", "--graphs", "3",
+        "--sweeps", "150", "--replicas", "2", "--seed", "8",
+    )
+    code1, one, _ = run_cli(capsys, *args, "--threads", "1")
+    code2, two, _ = run_cli(capsys, *args, "--threads", "2")
+    assert code1 == code2 == 0
+    assert one == two
+
+
+def test_clt_experiment_single_sample_is_usage_error(capsys):
+    # one retained sample: the pooled variance has no denominator
+    code, out, err = run_cli(
+        capsys, "clt-experiment", "--n", "4", "--p", "0.5", "--beta", "0.5",
+        "--graphs", "1", "--sweeps", "21", "--seed", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "at least 2 retained samples" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ["-5", str(1 << 64)])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("graph-sample", "--n", "4", "--p", "0.5"),
+        ("exact-partition", "--n", "4", "--p", "0.5", "--beta", "0.5"),
+        ("mcmc-run", "--n", "4", "--p", "0.5", "--beta", "0.5", "--sweeps", "30"),
+        ("clt-experiment", "--n", "4", "--p", "0.5", "--beta", "0.5", "--graphs", "2",
+         "--sweeps", "30"),
+    ],
+    ids=lambda c: c[0] if isinstance(c, tuple) else None,
+)
+def test_seed_outside_64_bits_is_usage_error(command, seed, capsys):
+    code, out, err = run_cli(capsys, *command, "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err and "2^64" in err
+    # the largest 64-bit seed is accepted
+    code, _, _ = run_cli(capsys, *command, "--seed", str((1 << 64) - 1))
+    assert code == 0
+
+
+@pytest.mark.parametrize("beta", ["inf", "nan", "-inf"])
+def test_non_finite_beta_is_usage_error(beta, capsys):
+    code, out, err = run_cli(
+        capsys, "mcmc-run", "--n", "4", "--p", "0.5", "--beta", beta, "--sweeps", "30"
+    )
+    assert code == 2
+    assert out == ""
+    assert "beta" in err
+
+
+def test_exact_moments_huge_beta_is_finite(capsys):
+    # p e^z overflows a double here; the moments are still finite
+    for p in ("0.5", "1"):
+        code, out, err = run_cli(
+            capsys, "exact-moments", "--n", "4", "--p", p, "--beta", "1e6"
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert math.isfinite(payload["log_expected_partition"])
+        assert math.isfinite(payload["log_second_moment"])
+    # a variance ratio beyond the largest double is reported as infinite
+    code, out, err = run_cli(
+        capsys, "exact-moments", "--n", "30", "--p", "0.3", "--beta", "1e3"
+    )
+    assert code == 0, err
+    assert json.loads(out)["variance_ratio"] == "inf"
+
+
+def test_chain_sidecar_names_the_sweep_kernel(tmp_path, capsys):
+    out_path = tmp_path / "chain.csv"
+    code, _, _ = run_cli(
+        capsys, "mcmc-run", "--n", "16", "--p", "0.5", "--beta", "0.5", "--sweeps", "60",
+        "--out", str(out_path),
+    )
+    assert code == 0
+    meta = json.loads((tmp_path / "chain.csv.meta.json").read_text())
+    assert meta["sweep_kernel"] in ("c", "python")
+    assert "sweep_kernel" not in out_path.read_text()

@@ -37,6 +37,9 @@ def test_params_validation():
         ModelParams(n=4, p=1.2, beta=1.0)
     with pytest.raises(ValueError):
         ModelParams(n=4, p=0.5, beta=-0.1)
+    for beta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(n=4, p=0.5, beta=beta)
 
 
 def test_gamma():
