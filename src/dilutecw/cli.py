@@ -150,7 +150,7 @@ def _cmd_exact_partition(args) -> int:
             "weights": list(summary.law.weights),
         },
     }
-    _emit_json(payload, args.out, started)
+    _emit_json(payload, args.out, started, {"configs": 1 << params.n})
     return 0
 
 
@@ -158,10 +158,12 @@ def _cmd_exact_moments(args) -> int:
     params = _model_params(args)
     g = _test_function(args)
     started = time.perf_counter()
-    _log(f"first moment (n={params.n})")
-    first = expected_partition_log(params, g)
-    _log("second moment")
+    # second moment first: its capacity cap then refuses a huge n before the
+    # first moment's bigint sum over n + 1 classes starts
+    _log(f"second moment (n={params.n})")
     second = second_moment_log(params, g)
+    _log("first moment")
+    first = expected_partition_log(params, g)
     if first == -math.inf:
         ratio, clamped = None, False
     else:

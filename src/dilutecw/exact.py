@@ -38,17 +38,29 @@ the multinomial over the four site categories (s_i, t_i) in {++, +-, -+,
 --}; it vanishes unless all four are nonnegative integers.
 
 Quenched side.  For a fixed graph the partition sum is enumerated over all
-2^n configurations by a Gray-code walk: each step flips one site i, and the
-integer bilinear form s = sum eps[a,b] s_a s_b changes by
+2^n configurations as an exact histogram of (s, class) pairs with integer
+counts, where s = sum eps[a,b] s_a s_b is the integer bilinear form and the
+class is the number of up spins; the partition sum then needs one
+log-sum-exp over at most (n+1) * (number of distinct s values) terms, so it
+is exact up to the single final rounding.
 
-    delta s = -2 s_i * sum_{j != i} (eps[i,j] + eps[j,i]) s_j,
+The histogram is a split sum (meet in the middle).  With the sites split
+into a low half L (floor(n/2) sites) and a high half H, and W = eps + eps^T
+with a zero diagonal,
 
-an AND-and-popcount against the two precomputed symmetric neighbor masks of
-site i (weight-1 and weight-2 neighbors).  Instead of accumulating log-space
-sums on the fly, the walk builds an exact histogram of (class, s) pairs with
-integer counts; the partition sum then needs one log-sum-exp over at most
-(n+1) * (number of distinct s values) terms.  This is both faster in the
-loop and exact up to the single final rounding.
+    s = sum_a eps[a,a] + s_LL(sigma_L) + s_HH(sigma_H) + sigma_L^T W_LH sigma_H,
+
+where s_LL and s_HH are the inner forms (1/2) sigma^T W sigma of each half.
+The +-1 spin matrices of both halves, their inner forms and their classes
+are built once, and the histogram key (s + edges) * (n+1) + class of every
+configuration is then one entry of a float64 matrix product of the low rows
+[(n+1) sigma_L^T W_LH, low constant, 1] against the high rows [sigma_H, 1,
+high constant], taken a block of high configurations at a time and counted
+with a bincount.  Every product and partial sum is an integer of magnitude
+below (2 n^2 + 1)(n + 1), far under 2^53, so the float64 arithmetic is
+exact whatever order the matrix product sums in.  A block holds about 2^14
+keys (128 KB as float64 and as int64), which with both halves' rows keeps
+the working set near 1 MB at n = 22.
 """
 
 from __future__ import annotations
@@ -56,6 +68,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .asymptotics import eval_F
 from .errors import CapacityError
@@ -77,11 +91,22 @@ __all__ = [
     "enumerate_partition",
     "disorder_oracle",
     "MAX_ENUMERATION_N",
+    "MAX_MOMENT_N",
 ]
 
-# Gray-code enumeration runs at roughly a microsecond per configuration, so
-# 2^26 is already a couple of minutes; beyond that the caller must opt in.
-MAX_ENUMERATION_N = 26
+# Cost of one configuration in the split-sum enumeration on a 2-core x86-64
+# Xeon host: the benchmark's exact.enumerate_partition.ns_per_config reads
+# 6.3 ns at n = 22, and whole runs at n = 26 to 30 take 10 to 12 ns.
+_NS_PER_CONFIG = 10
+# 2^30 configurations take about 11 s and 30 MB; beyond that the caller must
+# opt in.
+MAX_ENUMERATION_N = 30
+# Keys per block of the split sum: 2^14 float64 and int64 entries, 128 KB each.
+_BLOCK_KEYS = 1 << 14
+
+# The pair sum of second_moment_log is O(n^3) terms with a bigint count each;
+# n = 200 takes about 15 s on that host, and the cost grows faster than n^3.
+MAX_MOMENT_N = 200
 
 _ORACLE_WORK_LIMIT = 1 << 21
 
@@ -214,9 +239,19 @@ def expected_partition_log(params: ModelParams, g: TestFunction) -> float:
     return _logsumexp(terms)
 
 
-def second_moment_log(params: ModelParams, g: TestFunction) -> float:
-    """log E[Z(g)^2] via the pair identity, an O(n^3) sum with exact counts."""
+def second_moment_log(
+    params: ModelParams, g: TestFunction, *, max_n: int = MAX_MOMENT_N
+) -> float:
+    """log E[Z(g)^2] via the pair identity, an O(n^3) sum with exact counts.
+
+    Refuses n beyond ``max_n`` (raise it explicitly to go bigger)."""
     n = params.n
+    if n > max_n:
+        raise CapacityError(
+            f"second moment over n={n} needs {(n + 1) ** 3} pair-count evaluations "
+            f"with bigint counts, above the cap max_n={max_n}; pass a larger max_n "
+            f"to override"
+        )
     c = moment_coefficients(params)
     log_g = _class_log_weights(n, g)
     base = n * n * c.b0
@@ -282,32 +317,57 @@ class QuenchedSummary:
     law: EmpiricalMeasure
 
 
-def _symmetric_masks(g: DisorderGraph) -> tuple[list[int], list[int], list[int]]:
-    """Per-site weight-1 and weight-2 neighbor masks and their base counts.
+def _spin_matrix(k: int) -> np.ndarray:
+    """All 2^k configurations of k sites as float64 rows of +-1; row t has
+    site i up iff bit i of t is set."""
+    return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) * 2.0 - 1.0
 
-    Mask bits cover j != i with eps[i,j] + eps[j,i] equal to 1 or 2; the base
-    count is popcount(w1) + 2 popcount(w2), the field when all neighbors are
-    down.
-    """
+
+def _interaction_histogram(g: DisorderGraph) -> dict[int, int]:
+    """Exact count of configurations per (s, class), keyed s * (n + 1) + class.
+
+    s is the interaction sum and class the number of up spins; the counts
+    come from the split sum described in the module docstring."""
     n = g.n
-    w1 = []
-    w2 = []
-    base = []
-    cols = [0] * n
-    for i, row in enumerate(g.rows):
-        for j in range(n):
-            if (row >> j) & 1:
-                cols[j] |= 1 << i
-    for i in range(n):
-        both = g.rows[i] | cols[i]
-        two = g.rows[i] & cols[i]
-        self_bit = 1 << i
-        one = (both & ~two) & ~self_bit
-        two &= ~self_bit
-        w1.append(one)
-        w2.append(two)
-        base.append(one.bit_count() + 2 * two.bit_count())
-    return w1, w2, base
+    width = n + 1
+    edges = g.edge_count()
+    eps = np.array(g.to_matrix(), dtype=np.float64)
+    w = eps + eps.T
+    np.fill_diagonal(w, 0.0)
+    low = n // 2
+    spins_l, spins_h = _spin_matrix(low), _spin_matrix(n - low)
+    inner_l = ((spins_l @ w[:low, :low]) * spins_l).sum(axis=1) / 2.0
+    inner_h = ((spins_h @ w[low:, low:]) * spins_h).sum(axis=1) / 2.0
+    class_l = (spins_l.sum(axis=1) + low) / 2.0
+    class_h = (spins_h.sum(axis=1) + n - low) / 2.0
+    # key = left row . right row, with s shifted by the edge count so the
+    # smallest possible key is 0
+    left = np.column_stack(
+        (
+            width * (spins_l @ w[:low, low:]),
+            (float(np.trace(eps)) + edges + inner_l) * width + class_l,
+            np.ones(spins_l.shape[0]),
+        )
+    )
+    right = np.column_stack((spins_h, np.ones(spins_h.shape[0]), inner_h * width + class_h))
+
+    # both row counts are powers of two, so the blocks tile the high rows
+    step = max(1, min(right.shape[0], _BLOCK_KEYS // left.shape[0]))
+    block = np.empty((left.shape[0], step))
+    keys = np.empty(block.shape, dtype=np.int64)
+    counts = np.zeros((2 * edges + 1) * width, dtype=np.int64)
+    for start in range(0, right.shape[0], step):
+        np.matmul(left, right[start : start + step].T, out=block)
+        keys[...] = block
+        part = np.bincount(keys.ravel())
+        counts[: part.size] += part
+
+    nonzero = np.flatnonzero(counts)
+    shift = edges * width
+    return {
+        key - shift: count
+        for key, count in zip(nonzero.tolist(), counts[nonzero].tolist())
+    }
 
 
 def enumerate_partition(
@@ -316,10 +376,10 @@ def enumerate_partition(
     *,
     max_n: int = MAX_ENUMERATION_N,
 ) -> QuenchedSummary:
-    """Exact log Z and magnetization law by Gray-code enumeration.
+    """Exact log Z and magnetization law by split-sum enumeration.
 
-    Cost is Theta(2^n) with a small constant; refuses n beyond ``max_n``
-    (raise it explicitly to go bigger)."""
+    Cost is Theta(2^n) at about _NS_PER_CONFIG ns a configuration; refuses n
+    beyond ``max_n`` (raise it explicitly to go bigger)."""
     n = g.n
     if params.n != n:
         raise ValueError(f"incompatible sizes: graph has n={n}, params have n={params.n}")
@@ -327,30 +387,12 @@ def enumerate_partition(
         steps = 1 << n
         raise CapacityError(
             f"enumeration over n={n} needs {steps} configurations "
-            f"(roughly {steps / 1e6:.0f} s at a microsecond each), above the "
-            f"cap max_n={max_n}; pass a larger max_n to override"
+            f"(roughly {steps * _NS_PER_CONFIG / 1e9:.0f} s at {_NS_PER_CONFIG} ns "
+            f"each), above the cap max_n={max_n}; pass a larger max_n to override"
         )
-    w1, w2, base = _symmetric_masks(g)
     gamma = params.gamma
-
-    # Exact histogram over (class, interaction sum): key = s * (n + 1) + c.
-    # The all-down start has s = edge count (every product s_a s_b is +1).
-    hist: dict[int, int] = {}
-    bits = 0
-    s = g.edge_count()
     width = n + 1
-    hist[s * width] = 1
-    for t in range(1, 1 << n):
-        i = (t & -t).bit_length() - 1
-        field = 2 * ((w1[i] & bits).bit_count() + 2 * (w2[i] & bits).bit_count()) - base[i]
-        # delta = -2 * s_i * field with s_i the pre-flip sign of site i
-        if (bits >> i) & 1:
-            s -= 2 * field
-        else:
-            s += 2 * field
-        bits ^= 1 << i
-        key = s * width + bits.bit_count()
-        hist[key] = hist.get(key, 0) + 1
+    hist = _interaction_histogram(g)
 
     class_terms: list[list[float]] = [[] for _ in range(n + 1)]
     for key in sorted(hist):

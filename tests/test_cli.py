@@ -2,12 +2,13 @@
 
 import json
 import math
+import time
 
 import pytest
 
 from dilutecw.cli import main
 from dilutecw.graph import read_graph
-from dilutecw.exact import expected_partition_log
+from dilutecw.exact import MAX_ENUMERATION_N, MAX_MOMENT_N, expected_partition_log
 from dilutecw.model import ModelParams
 from dilutecw.testfunctions import make_test_function
 
@@ -115,9 +116,61 @@ def test_exact_partition_bad_file_exit_4(tmp_path, capsys):
 
 def test_exact_partition_capacity_exit_3(capsys):
     code, _, err = run_cli(
-        capsys, "exact-partition", "--n", "30", "--p", "0.5", "--beta", "0.5"
+        capsys, "exact-partition", "--n", str(MAX_ENUMERATION_N + 1), "--p", "0.5",
+        "--beta", "0.5",
     )
     assert code == 3
+
+
+# exact-partition --n 18 --p 0.5 --beta 0.7 --seed 20260818 as recorded from
+# the earlier Gray-code walk, which the split sum reproduces bit for bit
+GOLDEN_18_LOG_Z = 13.016412994614663
+GOLDEN_18_WEIGHTS = [
+    0.0008532883762619444,
+    0.004493073845495067,
+    0.012838978551871778,
+    0.026517017760968955,
+    0.04443815864855321,
+    0.0642575821761988,
+    0.08317891923218565,
+    0.09863835244050405,
+    0.1086957273119958,
+    0.11217780331192954,
+    0.1086957273119958,
+    0.09863835244050405,
+    0.08317891923218565,
+    0.0642575821761988,
+    0.04443815864855321,
+    0.026517017760968955,
+    0.012838978551871778,
+    0.004493073845495067,
+    0.0008532883762619444,
+]
+
+
+def test_exact_partition_golden_n18(capsys):
+    code, out, _ = run_cli(
+        capsys, "exact-partition", "--n", "18", "--p", "0.5", "--beta", "0.7",
+        "--seed", "20260818",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["log_z"] == GOLDEN_18_LOG_Z
+    assert payload["law"]["weights"] == GOLDEN_18_WEIGHTS
+    assert payload["law"]["locations"] == [(2 * c - 18) / math.sqrt(18) for c in range(19)]
+
+
+def test_exact_partition_sidecar_counts_configs(tmp_path, capsys):
+    path = tmp_path / "z.json"
+    args = ("exact-partition", "--n", "9", "--p", "0.5", "--beta", "0.5", "--seed", "4")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, _, _ = run_cli(capsys, *args, "--out", str(path))
+    assert code == 0
+    assert path.read_text() == out
+    assert "configs" not in json.loads(out)
+    sidecar = json.loads((tmp_path / "z.json.meta.json").read_text())
+    assert sidecar["configs"] == 2**9
 
 
 def test_exact_moments_matches_library(capsys):
@@ -151,6 +204,19 @@ def test_exact_moments_bad_g_exit_2(capsys):
         capsys, "exact-moments", "--n", "4", "--p", "0.5", "--beta", "0.5", "--g", "nope"
     )
     assert code == 2
+
+
+def test_exact_moments_capacity_exit_3(capsys):
+    # the O(n^3) pair sum is refused before any moment sum starts
+    for n in (MAX_MOMENT_N + 1, 100000):
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "exact-moments", "--n", str(n), "--p", "0.5", "--beta", "0.5"
+        )
+        assert code == 3
+        assert out == ""
+        assert f"n={n}" in err and f"max_n={MAX_MOMENT_N}" in err
+        assert time.perf_counter() - started < 1.0
 
 
 def test_exact_oracle_agrees_with_moments(capsys):

@@ -1,5 +1,5 @@
 """Annealed identities against brute-force disorder averages, and the
-Gray-code enumeration against a per-configuration oracle."""
+split-sum enumeration against a per-configuration oracle."""
 
 import math
 
@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from dilutecw.errors import CapacityError
 from dilutecw.exact import (
+    MAX_ENUMERATION_N,
+    MAX_MOMENT_N,
+    _interaction_histogram,
     disorder_oracle,
     enumerate_partition,
     expected_partition_log,
@@ -29,8 +32,17 @@ ONE = make_test_function("one")
 GAUSS = make_test_function("gauss")
 
 
+def naive_histogram(g):
+    """Oracle: count every configuration by (s, class), keyed s * (n + 1) + class."""
+    hist = {}
+    for bits in range(1 << g.n):
+        key = interaction_sum(g, SpinConfig(n=g.n, bits=bits)) * (g.n + 1) + bits.bit_count()
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
 def naive_class_logs(g, params):
-    """Oracle: walk every configuration, no Gray code, no histogram."""
+    """Oracle: walk every configuration, no split, no histogram."""
     n = g.n
     gamma = params.gamma
     terms = [[] for _ in range(n + 1)]
@@ -261,9 +273,69 @@ def test_enumeration_spin_flip_symmetry():
 
 
 def test_enumeration_capacity():
-    params = ModelParams(n=27, p=0.5, beta=1.0)
+    n = MAX_ENUMERATION_N + 1
+    params = ModelParams(n=n, p=0.5, beta=1.0)
     with pytest.raises(CapacityError, match="max_n"):
-        enumerate_partition(DisorderGraph.empty(27), params)
+        enumerate_partition(DisorderGraph.empty(n), params)
+
+
+def _self_loops(n):
+    return DisorderGraph(n=n, rows=tuple(1 << i for i in range(n)))
+
+
+GRAPH_KINDS = {
+    "empty": DisorderGraph.empty,
+    "complete": DisorderGraph.complete,
+    "self-loops": _self_loops,
+    "sampled": lambda n: sample_graph(ModelParams(n=n, p=0.5, beta=1.0), GraphSeed(n)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRAPH_KINDS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 9])
+def test_split_histogram_small_and_odd_sizes(n, kind):
+    # n = 1 leaves the low half empty, n = 2 and 3 give it one site
+    g = GRAPH_KINDS[kind](n)
+    hist = _interaction_histogram(g)
+    assert hist == naive_histogram(g)
+    for beta in (0.0, 0.9):
+        params = ModelParams(n=n, p=0.5, beta=beta)
+        summary = enumerate_partition(g, params)
+        log_z, class_logs = naive_class_logs(g, params)
+        assert summary.log_z == pytest.approx(log_z, rel=1e-13, abs=1e-13)
+        for got, want in zip(summary.law.weights, class_logs):
+            assert got == pytest.approx(math.exp(want - log_z), abs=1e-13)
+
+
+def test_split_histogram_closed_forms():
+    # with only self-loops every configuration has s = n; on the complete
+    # graph s = (2c - n)^2 for the configurations of class c
+    for n in (1, 2, 5, 8):
+        width = n + 1
+        assert _interaction_histogram(_self_loops(n)) == {
+            n * width + c: math.comb(n, c) for c in range(n + 1)
+        }
+        assert _interaction_histogram(DisorderGraph.complete(n)) == {
+            (2 * c - n) ** 2 * width + c: math.comb(n, c) for c in range(n + 1)
+        }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=n, max_size=n)
+))
+def test_split_histogram_matches_per_configuration_count(rows):
+    g = DisorderGraph(n=len(rows), rows=tuple(rows))
+    assert _interaction_histogram(g) == naive_histogram(g)
+
+
+def test_second_moment_capacity():
+    params = ModelParams(n=MAX_MOMENT_N + 1, p=0.5, beta=0.5)
+    with pytest.raises(CapacityError, match=f"n={MAX_MOMENT_N + 1}.*max_n={MAX_MOMENT_N}"):
+        second_moment_log(params, ONE)
+    with pytest.raises(CapacityError, match="max_n=3"):
+        second_moment_log(ModelParams(n=4, p=0.5, beta=0.5), ONE, max_n=3)
+    assert math.isfinite(second_moment_log(ModelParams(n=4, p=0.5, beta=0.5), ONE, max_n=4))
 
 
 def test_disorder_oracle_capacity():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dilutecw import _csweep, mcmc
-from dilutecw.exact import _symmetric_masks, enumerate_partition
+from dilutecw.exact import enumerate_partition
 from dilutecw.graph import GraphSeed, sample_graph
 from dilutecw.mcmc import (
     ChainConfig,
@@ -26,14 +26,20 @@ from dilutecw.model import DisorderGraph, ModelParams, SpinConfig
 from dilutecw.stats import EmpiricalMeasure
 
 
-def test_update_tables_match_enumeration_masks():
-    # the chain's vectorized mask builder and the enumeration engine's
-    # pure-Python one must produce identical tables
+def test_update_tables_match_matrix_masks():
+    # masks read off the 0/1 matrix: bit j of w1[i] (w2[i]) is set when
+    # eps[i,j] + eps[j,i] is 1 (2), j != i; base is the field with all down
     params = ModelParams(n=13, p=0.45, beta=1.0)
     for seed in (1, 2, 3):
         g = sample_graph(params, GraphSeed(seed))
+        eps = g.to_matrix()
+        w1, w2, base = [], [], []
+        for i in range(g.n):
+            weight = [0 if j == i else eps[i][j] + eps[j][i] for j in range(g.n)]
+            w1.append(sum(1 << j for j in range(g.n) if weight[j] == 1))
+            w2.append(sum(1 << j for j in range(g.n) if weight[j] == 2))
+            base.append(sum(weight))
         tables = build_update_tables(g)
-        w1, w2, base = _symmetric_masks(g)
         assert mcmc._mask_ints(tables.w1) == w1
         assert mcmc._mask_ints(tables.w2) == w2
         assert tables.base.tolist() == base
