@@ -37,7 +37,7 @@ from .exact import (
     enumerate_partition,
     expected_partition_log,
     second_moment_log,
-    variance_ratio_detail,
+    variance_ratio_from_logs,
 )
 from .graph import GraphSeed, read_graph, sample_graph, write_graph
 from .mcmc import ChainConfig, derive_seed, quenched_experiment, run_chain, sweep_kernel
@@ -167,7 +167,7 @@ def _cmd_exact_moments(args) -> int:
     if first == -math.inf:
         ratio, clamped = None, False
     else:
-        ratio, clamped = variance_ratio_detail(params, g)
+        ratio, clamped = variance_ratio_from_logs(first, second)
     payload = {
         "command": "exact-moments",
         "artifact_version": __version__,

@@ -35,7 +35,11 @@ into (n+1)- and O(n^3)-term sums with exact integer counts:
                                     n3 = (n-k+l-m)/4,  n4 = (n-k-l+m)/4,
 
 the multinomial over the four site categories (s_i, t_i) in {++, +-, -+,
---}; it vanishes unless all four are nonnegative integers.
+--}; it vanishes unless all four are nonnegative integers.  The multinomial
+only depends on the multiset {n1, n2, n3, n4}, so the pair sum takes the log
+of each exact count once per 4-part partition of n (2,280 of them at n = 64)
+from a sorted table and evaluates the O(n^3) terms with numpy, one k class at
+a time, in the same floating-point order as the term-by-term sum.
 
 Quenched side.  For a fixed graph the partition sum is enumerated over all
 2^n configurations as an exact histogram of (s, class) pairs with integer
@@ -65,6 +69,7 @@ the working set near 1 MB at n = 22.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -87,11 +92,13 @@ __all__ = [
     "second_moment_log",
     "variance_ratio",
     "variance_ratio_detail",
+    "variance_ratio_from_logs",
     "QuenchedSummary",
     "enumerate_partition",
     "disorder_oracle",
     "MAX_ENUMERATION_N",
     "MAX_MOMENT_N",
+    "MAX_FIRST_MOMENT_N",
 ]
 
 # Cost of one configuration in the split-sum enumeration on a 2-core x86-64
@@ -104,9 +111,13 @@ MAX_ENUMERATION_N = 30
 # Keys per block of the split sum: 2^14 float64 and int64 entries, 128 KB each.
 _BLOCK_KEYS = 1 << 14
 
-# The pair sum of second_moment_log is O(n^3) terms with a bigint count each;
-# n = 200 takes about 15 s on that host, and the cost grows faster than n^3.
+# The pair sum of second_moment_log is O(n^3) numpy terms, each summed by
+# fsum, plus one bigint multinomial per 4-part partition of n; n = 200 takes
+# about 1.5 s on that host.
 MAX_MOMENT_N = 200
+# expected_partition_log takes n + 1 bigint binomials of up to n bits, so
+# its cost grows as n^3: 1.5 s at n = 5000 on that host, 14 s at n = 10^4.
+MAX_FIRST_MOMENT_N = 5000
 
 _ORACLE_WORK_LIMIT = 1 << 21
 
@@ -219,13 +230,20 @@ def _class_log_weights(n: int, g: TestFunction) -> list[float]:
     return out
 
 
-def expected_partition_log(params: ModelParams, g: TestFunction) -> float:
+def expected_partition_log(
+    params: ModelParams, g: TestFunction, *, max_n: int = MAX_FIRST_MOMENT_N
+) -> float:
     """log E[Z(g)]: sum over spin-sum classes of count * g * annealed weight.
 
     Returns -inf when g vanishes at every class atom (possible for a narrow
-    bump), since the weighted sum is then exactly zero.
-    """
+    bump), since the weighted sum is then exactly zero.  Refuses n beyond
+    ``max_n`` (raise it explicitly to go bigger)."""
     n = params.n
+    if n > max_n:
+        raise CapacityError(
+            f"first moment over n={n} needs {n + 1} binomial counts of up to {n} "
+            f"bits, above the cap max_n={max_n}; pass a larger max_n to override"
+        )
     c = moment_coefficients(params)
     log_g = _class_log_weights(n, g)
     terms = []
@@ -239,54 +257,92 @@ def expected_partition_log(params: ModelParams, g: TestFunction) -> float:
     return _logsumexp(terms)
 
 
+def _log_multinomial_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """log(n! / (a! b! c! d!)) for every partition a <= b <= c <= d of n.
+
+    Returns (keys, logs) with key (a (n+1) + b)(n+1) + c in ascending order.
+    Each log is math.log of the exact integer count, so it is the same float
+    as math.log(pair_spin_count(n, k, l, m)) for any (k, l, m) whose four
+    category counts are a permutation of (a, b, c, d)."""
+    width = n + 1
+    fact = [1]
+    for i in range(1, n + 1):
+        fact.append(fact[-1] * i)
+    keys, logs = [], []
+    for a in range(n // 4 + 1):
+        for b in range(a, (n - a) // 3 + 1):
+            for c in range(b, (n - a - b) // 2 + 1):
+                keys.append((a * width + b) * width + c)
+                count = fact[n] // (fact[a] * fact[b] * fact[c] * fact[n - a - b - c])
+                logs.append(math.log(count))
+    return np.array(keys, dtype=np.int64), np.array(logs)
+
+
 def second_moment_log(
     params: ModelParams, g: TestFunction, *, max_n: int = MAX_MOMENT_N
 ) -> float:
     """log E[Z(g)^2] via the pair identity, an O(n^3) sum with exact counts.
 
-    Refuses n beyond ``max_n`` (raise it explicitly to go bigger)."""
+    Every term is the float the scalar sum over (k, l, m) would give, in the
+    same operation order, and the final fsum rounds correctly, so the result
+    does not depend on the order the terms are visited in.  Refuses n beyond
+    ``max_n`` (raise it explicitly to go bigger)."""
     n = params.n
     if n > max_n:
         raise CapacityError(
-            f"second moment over n={n} needs {(n + 1) ** 3} pair-count evaluations "
-            f"with bigint counts, above the cap max_n={max_n}; pass a larger max_n "
-            f"to override"
+            f"second moment over n={n} needs {(n + 1) ** 3} pair terms, "
+            f"above the cap max_n={max_n}; pass a larger max_n to override"
         )
     c = moment_coefficients(params)
     log_g = _class_log_weights(n, g)
+    keys, log_counts = _log_multinomial_table(n)
+    width = n + 1
     base = n * n * c.b0
-    terms = []
-    for ck in range(n + 1):
-        if log_g[ck] == -math.inf:
-            continue
+    # classes cl of the second copy where g does not vanish, against n1, the
+    # number of sites up in both copies
+    live = np.array([cls for cls in range(n + 1) if log_g[cls] != -math.inf], dtype=np.int64)
+    cl = live[:, None]
+    n1 = np.arange(n + 1)[None, :]
+    spin_l = (2 * live - n).astype(np.float64)
+    partial_l = np.array(log_g)[live]
+    square_l = (c.b2 * spin_l) * spin_l
+
+    slabs = []
+    for ck in live.tolist():
         k = 2 * ck - n
-        partial = log_g[ck] + c.b1 * k * k
-        for cl in range(n + 1):
-            if log_g[cl] == -math.inf:
-                continue
-            l = 2 * cl - n
-            partial_kl = partial + log_g[cl] + c.b2 * l * l
-            for m in range(-n, n + 1, 2):
-                count = pair_spin_count(n, k, l, m)
-                if count == 0:
-                    continue
-                terms.append(base + partial_kl + math.log(count) + c.b12 * m * m)
-    return _logsumexp(terms)
+        partial_kl = ((log_g[ck] + c.b1 * k * k) + partial_l) + square_l
+        # categories ++, +-, -+, -- of the sites; m = n1 - n2 - n3 + n4
+        n2, n3, n4 = ck - n1, cl - n1, (n - ck) - cl + n1
+        rows, cols = np.nonzero((n2 >= 0) & (n3 >= 0) & (n4 >= 0))
+        parts = np.sort(
+            np.stack([np.broadcast_to(x, n4.shape)[rows, cols] for x in (n1, n2, n3, n4)], axis=1),
+            axis=1,
+        )
+        log_count = log_counts[
+            np.searchsorted(keys, (parts[:, 0] * width + parts[:, 1]) * width + parts[:, 2])
+        ]
+        m = (4 * cols + n - 2 * ck - 2 * live[rows]).astype(np.float64)
+        slabs.append(((base + partial_kl[rows]) + log_count) + (c.b12 * m) * m)
+    if not slabs:
+        return -math.inf
+    peak = max(float(slab.max()) for slab in slabs)
+    exps = (map(math.exp, (slab - peak).tolist()) for slab in slabs)
+    return peak + math.log(math.fsum(itertools.chain.from_iterable(exps)))
 
 
-def variance_ratio_detail(params: ModelParams, g: TestFunction) -> tuple[float, bool]:
-    """Relative annealed variance E[Z^2]/E[Z]^2 - 1, with a clamp flag.
+def variance_ratio_from_logs(first: float, second: float) -> tuple[float, bool]:
+    """Relative annealed variance E[Z^2]/E[Z]^2 - 1 from log E[Z] and
+    log E[Z^2], with a clamp flag.
 
     The exact value is nonnegative; rounding in the two log sums can push
     the computed value a hair below zero, in which case it is clamped to 0
     and the flag is set.  A value below -1e-9 means an actual inconsistency
     and raises.  A value beyond the largest double is returned as inf.
     """
-    first = expected_partition_log(params, g)
     if first == -math.inf:
         raise ValueError("E[Z(g)] is zero, variance ratio undefined")
     try:
-        value = math.expm1(second_moment_log(params, g) - 2.0 * first)
+        value = math.expm1(second - 2.0 * first)
     except OverflowError:
         return math.inf, False
     if value >= 0.0:
@@ -294,6 +350,13 @@ def variance_ratio_detail(params: ModelParams, g: TestFunction) -> tuple[float, 
     if value >= -1e-9:
         return 0.0, True
     raise ValueError(f"variance ratio {value} is negative beyond rounding tolerance")
+
+
+def variance_ratio_detail(params: ModelParams, g: TestFunction) -> tuple[float, bool]:
+    """variance_ratio_from_logs over both moments of (params, g); the second
+    moment goes first, so its capacity cap refuses a huge n at once."""
+    second = second_moment_log(params, g)
+    return variance_ratio_from_logs(expected_partition_log(params, g), second)
 
 
 def variance_ratio(params: ModelParams, g: TestFunction) -> float:

@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+import dilutecw.cli as cli
+import dilutecw.exact as exact
 from dilutecw.cli import main
 from dilutecw.graph import read_graph
 from dilutecw.exact import MAX_ENUMERATION_N, MAX_MOMENT_N, expected_partition_log
@@ -197,6 +199,50 @@ def test_exact_moments_bump_off_support(capsys):
     payload = json.loads(out)
     assert payload["log_expected_partition"] == "-inf"
     assert payload["variance_ratio"] is None
+
+
+def test_exact_moments_computes_each_moment_once(capsys, monkeypatch):
+    calls = []
+    for name in ("second_moment_log", "expected_partition_log"):
+        original = getattr(exact, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(exact, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    code, _, _ = run_cli(
+        capsys, "exact-moments", "--n", "12", "--p", "0.6", "--beta", "0.9", "--g", "gauss"
+    )
+    assert code == 0
+    assert calls == ["second_moment_log", "expected_partition_log"]
+
+
+# stdout of the term-by-term second moment, before the table-driven sum
+EXACT_MOMENTS_GOLDEN = """{
+  "artifact_version": "0.1.0",
+  "command": "exact-moments",
+  "config": {
+    "beta": 0.307,
+    "g": "gauss",
+    "n": 64,
+    "p": 0.5
+  },
+  "log_expected_partition": 43.876321405011694,
+  "log_second_moment": 87.75301333576836,
+  "variance_ratio": 0.00037059439811237404,
+  "variance_ratio_clamped": false
+}
+"""
+
+
+def test_exact_moments_golden_stdout(capsys):
+    code, out, _ = run_cli(
+        capsys, "exact-moments", "--n", "64", "--p", "0.5", "--beta", "0.307", "--g", "gauss"
+    )
+    assert code == 0
+    assert out == EXACT_MOMENTS_GOLDEN
 
 
 def test_exact_moments_bad_g_exit_2(capsys):

@@ -2,6 +2,7 @@
 split-sum enumeration against a per-configuration oracle."""
 
 import math
+import time
 
 import mpmath as mp
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from dilutecw.errors import CapacityError
 from dilutecw.exact import (
     MAX_ENUMERATION_N,
+    MAX_FIRST_MOMENT_N,
     MAX_MOMENT_N,
     _interaction_histogram,
     disorder_oracle,
@@ -23,10 +25,11 @@ from dilutecw.exact import (
     spin_count,
     variance_ratio,
     variance_ratio_detail,
+    variance_ratio_from_logs,
 )
 from dilutecw.graph import GraphSeed, sample_graph
 from dilutecw.model import DisorderGraph, ModelParams, SpinConfig, interaction_sum
-from dilutecw.testfunctions import make_test_function
+from dilutecw.testfunctions import make_test_function, parse_test_function
 
 ONE = make_test_function("one")
 GAUSS = make_test_function("gauss")
@@ -336,6 +339,107 @@ def test_second_moment_capacity():
     with pytest.raises(CapacityError, match="max_n=3"):
         second_moment_log(ModelParams(n=4, p=0.5, beta=0.5), ONE, max_n=3)
     assert math.isfinite(second_moment_log(ModelParams(n=4, p=0.5, beta=0.5), ONE, max_n=4))
+
+
+def test_first_moment_capacity():
+    params = ModelParams(n=MAX_FIRST_MOMENT_N + 1, p=0.5, beta=0.5)
+    started = time.perf_counter()
+    with pytest.raises(
+        CapacityError, match=f"n={MAX_FIRST_MOMENT_N + 1}.*max_n={MAX_FIRST_MOMENT_N}"
+    ):
+        expected_partition_log(params, ONE)
+    assert time.perf_counter() - started < 1.0
+    with pytest.raises(CapacityError, match="max_n=3"):
+        expected_partition_log(ModelParams(n=4, p=0.5, beta=0.5), ONE, max_n=3)
+    assert math.isfinite(expected_partition_log(ModelParams(n=4, p=0.5, beta=0.5), ONE, max_n=4))
+
+
+def scalar_second_moment_log(params, g):
+    """Oracle: the term-by-term pair sum over (k, l, m), one exact bigint
+    count per term, summed by the same log-sum-exp as the library."""
+    n = params.n
+    c = moment_coefficients(params)
+    log_g = [math.log(v) if v > 0 else -math.inf
+             for v in (g((2 * cls - n) / math.sqrt(n)) for cls in range(n + 1))]
+    base = n * n * c.b0
+    terms = []
+    for ck in range(n + 1):
+        if log_g[ck] == -math.inf:
+            continue
+        k = 2 * ck - n
+        partial = log_g[ck] + c.b1 * k * k
+        for cl in range(n + 1):
+            if log_g[cl] == -math.inf:
+                continue
+            l = 2 * cl - n
+            partial_kl = partial + log_g[cl] + c.b2 * l * l
+            for m in range(-n, n + 1, 2):
+                count = pair_spin_count(n, k, l, m)
+                if count == 0:
+                    continue
+                terms.append(base + partial_kl + math.log(count) + c.b12 * m * m)
+    if not terms:
+        return -math.inf
+    peak = max(terms)
+    return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
+
+
+# log E[Z(g)^2] as the term-by-term sum gave it, before the table-driven sum
+SECOND_MOMENT_GOLDEN = [
+    (64, 0.5, 0.307, "one", 89.11198267017114),
+    (64, 0.5, 0.307, "gauss", 87.75301333576836),
+    (13, 0.3, 1e3, "one", 43131.24822376337),
+    (13, 0.3, 1e3, "gauss", 43105.24822376337),
+    (1, 0.5, 0.8, "one", 2.477047921448284),
+    (1, 0.7, 0.4, "gauss", -0.18221127257039416),
+    (2, 0.5, 0.8, "one", 3.9765595738007726),
+    (2, 0.2, 1.5, "gauss", 6.765029184325298),
+    (7, 0.5, 0.5, "bump:0.3,0.5", 7.2048329008376335),
+]
+
+
+@pytest.mark.parametrize("n,p,beta,spec,want", SECOND_MOMENT_GOLDEN)
+def test_second_moment_golden(n, p, beta, spec, want):
+    assert second_moment_log(ModelParams(n=n, p=p, beta=beta), parse_test_function(spec)) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=24),
+    p=st.floats(min_value=0.01, max_value=1.0),
+    beta=st.one_of(st.floats(min_value=0.0, max_value=5.0), st.sampled_from([50.0, 1e3])),
+    spec=st.one_of(
+        st.sampled_from(["one", "gauss", "cosine"]),
+        st.tuples(
+            st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=0.05, max_value=4.0)
+        ).map(lambda cw: f"bump:{cw[0]!r},{cw[1]!r}"),
+    ),
+)
+def test_second_moment_matches_scalar_sum(n, p, beta, spec):
+    params = ModelParams(n=n, p=p, beta=beta)
+    g = parse_test_function(spec)
+    assert second_moment_log(params, g) == scalar_second_moment_log(params, g)
+
+
+def test_second_moment_vanishing_support():
+    # the bump misses every class atom, so there is no term at all
+    far = parse_test_function("bump:5,0.01")
+    assert second_moment_log(ModelParams(n=7, p=0.5, beta=0.5), far) == -math.inf
+    assert scalar_second_moment_log(ModelParams(n=7, p=0.5, beta=0.5), far) == -math.inf
+
+
+def test_variance_ratio_from_logs():
+    assert variance_ratio_from_logs(1.0, 2.5) == (math.expm1(0.5), False)
+    assert variance_ratio_from_logs(1.0, 2.0 - 1e-12) == (0.0, True)
+    assert variance_ratio_from_logs(0.0, 1e4) == (math.inf, False)
+    with pytest.raises(ValueError, match="negative"):
+        variance_ratio_from_logs(1.0, 1.0)
+    with pytest.raises(ValueError, match="zero"):
+        variance_ratio_from_logs(-math.inf, -math.inf)
+    params = ModelParams(n=10, p=0.4, beta=0.7)
+    assert variance_ratio_detail(params, GAUSS) == variance_ratio_from_logs(
+        expected_partition_log(params, GAUSS), second_moment_log(params, GAUSS)
+    )
 
 
 def test_disorder_oracle_capacity():
