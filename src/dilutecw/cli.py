@@ -87,6 +87,11 @@ def _emit(text: str, out: str | None, started: float, meta: dict | None = None) 
         return
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+    _write_sidecar(out, started, meta)
+
+
+def _write_sidecar(out: str, started: float, meta: dict | None = None) -> None:
+    """The ``.meta.json`` sidecar of an --out file: volatile facts plus ``meta``."""
     sidecar = {
         "runtime_seconds": round(time.perf_counter() - started, 3),
         "written_at": datetime.now(timezone.utc).isoformat(),
@@ -122,9 +127,14 @@ def _cmd_graph_sample(args) -> int:
     started = time.perf_counter()
     g = sample_graph(params, GraphSeed(args.seed))
     _log(f"sampled graph n={g.n} edges={g.edge_count()}")
-    buf = io.StringIO()
-    write_graph(g, buf)
-    _emit(buf.getvalue(), args.out, started)
+    # Straight to the destination, a block of rows at a time: the text of a
+    # large graph is never held whole.
+    if args.out is None:
+        write_graph(g, sys.stdout)
+        return 0
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        write_graph(g, fh)
+    _write_sidecar(args.out, started)
     return 0
 
 

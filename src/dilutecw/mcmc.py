@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import splitmix
 from .graph import GraphSeed, sample_graph
 from .model import DisorderGraph, ModelParams, SpinConfig
 from .stats import EmpiricalMeasure, NormalRef, ks_distance, levy_distance, summarize
@@ -51,17 +52,6 @@ __all__ = [
     "quenched_experiment",
 ]
 
-_MASK64 = (1 << 64) - 1
-_SM_GAMMA = 0x9E3779B97F4A7C15
-_SM_MIX1 = 0xBF58476D1CE4E5B9
-_SM_MIX2 = 0x94D049BB133111EB
-
-
-def _finalize(z: int) -> int:
-    z = (z ^ (z >> 30)) * _SM_MIX1 & _MASK64
-    z = (z ^ (z >> 27)) * _SM_MIX2 & _MASK64
-    return z ^ (z >> 31)
-
 
 def derive_seed(master: int, *indices: int) -> int:
     """Derive an independent 64-bit stream seed from a master seed and indices.
@@ -69,9 +59,9 @@ def derive_seed(master: int, *indices: int) -> int:
     Chained SplitMix64: each index advances the state by (index + 1) golden
     steps and refinalizes, so (seed, 1, 2) and (seed, 2, 1) land far apart.
     """
-    h = _finalize(master & _MASK64)
+    h = splitmix.finalize(master & splitmix.MASK64)
     for v in indices:
-        h = _finalize((h + (int(v) + 1) * _SM_GAMMA) & _MASK64)
+        h = splitmix.finalize((h + (int(v) + 1) * splitmix.GAMMA) & splitmix.MASK64)
     return h
 
 

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, determinism, output formats."""
 
+import hashlib
 import json
 import math
 import time
@@ -114,6 +115,87 @@ def test_exact_partition_bad_file_exit_4(tmp_path, capsys):
     )
     assert code == 4
     assert "line 3" in err
+
+
+def test_exact_partition_content_after_blank_line_exit_4(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("dilute-cw-graph v1 N=2\n01\n11\n\nGARBAGE\n")
+    code, _, err = run_cli(
+        capsys, "exact-partition", "--n", "2", "--p", "0.5", "--beta", "0.5",
+        "--graph", str(path),
+    )
+    assert code == 4
+    assert "line 5" in err
+
+
+def test_exact_partition_non_ascii_byte_exit_4(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"dilute-cw-graph v1 N=2\n01\n1\xc3\n")
+    code, _, err = run_cli(
+        capsys, "exact-partition", "--n", "2", "--p", "0.5", "--beta", "0.5",
+        "--graph", str(path),
+    )
+    assert code == 4
+    assert "line 3" in err
+    assert "row contains" in err
+    assert "Traceback" not in err
+
+
+# sha256 of `graph-sample --n N --p P --seed S` stdout, recorded from the
+# row-by-row sampler and writer that the block versions replaced.
+_GRAPH_SAMPLE_SHA256 = {
+    (1, 0.001, 7): "c6be0d9b1e43c55da381a7f9cbe7f0d4927824c046315bfb74780f92992be6f2",
+    (1, 0.001, 18446744073709551615): "c6be0d9b1e43c55da381a7f9cbe7f0d4927824c046315bfb74780f92992be6f2",
+    (1, 0.5, 7): "3647f3834e8fc7e61006aa8491540452bb76217c314e94f7e2c59a9f699f61fe",
+    (1, 0.5, 18446744073709551615): "c6be0d9b1e43c55da381a7f9cbe7f0d4927824c046315bfb74780f92992be6f2",
+    (1, 1.0, 7): "3647f3834e8fc7e61006aa8491540452bb76217c314e94f7e2c59a9f699f61fe",
+    (1, 1.0, 18446744073709551615): "3647f3834e8fc7e61006aa8491540452bb76217c314e94f7e2c59a9f699f61fe",
+    (7, 0.001, 7): "011a6489b1c42766cebd67af5991a88ef3ef88e93f60661516fbbe678cb0e3c2",
+    (7, 0.001, 18446744073709551615): "011a6489b1c42766cebd67af5991a88ef3ef88e93f60661516fbbe678cb0e3c2",
+    (7, 0.5, 7): "16aef3433545fde380565efee7dfa9b7d03c6238dfe5c33983c2c94fb62930f7",
+    (7, 0.5, 18446744073709551615): "77ff2ca18505d426379b98adcc307e3e272ce7031b4d994f9b9bc846f8669ab1",
+    (7, 1.0, 7): "025d29b2b29c01a96d63c7e72cbf7ef059e63f965b91fb721cb11236a616b86a",
+    (7, 1.0, 18446744073709551615): "025d29b2b29c01a96d63c7e72cbf7ef059e63f965b91fb721cb11236a616b86a",
+    (63, 0.001, 7): "2ea99bd82ee839af80141c3f92f0559b95d392fffc7c2988ce61d51fefcde9fe",
+    (63, 0.001, 18446744073709551615): "7e667d51002925abe6139da83f82e52a4f2c7ea9531ab059850f27c1f7515db8",
+    (63, 0.5, 7): "530c760bcd2a7da7f7363806dee2b394c02fde7435481775d914127ed9d72898",
+    (63, 0.5, 18446744073709551615): "0710bfd5c902fcc2df1eb78b0977581aaefb38a61273cc1a9e9d602c473c94c3",
+    (63, 1.0, 7): "b544e465b634b4ff66c6a1b8ee89a808375eabd15f2e88fbf68462160762df99",
+    (63, 1.0, 18446744073709551615): "b544e465b634b4ff66c6a1b8ee89a808375eabd15f2e88fbf68462160762df99",
+    (64, 0.001, 7): "ab79864ee17d02ba421a4d945cfd7ff17cbae176f72825383d41a36185a2e081",
+    (64, 0.001, 18446744073709551615): "2ac8cc36380dec379991426e8fbb59992301c61760e036cb6ae752593118370e",
+    (64, 0.5, 7): "4ac740eb15f4808c1f4218a57dab9ab1ff60371ed4af91b0163f79c294678ec0",
+    (64, 0.5, 18446744073709551615): "fda3429333c9afcb3a59e1537d3ec5bfe808c8d710328dd1cafde9e698d547b6",
+    (64, 1.0, 7): "854f9bc18b39c1ad1a47a95f1c3249405b94c8ad4a5285f4d805ec629da6d3b1",
+    (64, 1.0, 18446744073709551615): "854f9bc18b39c1ad1a47a95f1c3249405b94c8ad4a5285f4d805ec629da6d3b1",
+    (65, 0.001, 7): "f7146b95d87cef182701127324f1c3049ae9153ce8ed5f63acdebc31f1811ad9",
+    (65, 0.001, 18446744073709551615): "cf7d9c17bb2afea4d33ba78ddd65f3029fc8c203bde3eef70bf36557e635dc8f",
+    (65, 0.5, 7): "11d12158bb691d4e82bd55c59f5b0d58ec5358a9d25bd69a68edc5953ba92ca8",
+    (65, 0.5, 18446744073709551615): "835fe59d4fcf1e85915073da6eb37aa3df8074ff1548248f61856789514b126e",
+    (65, 1.0, 7): "ae1552562ae53118b9cd9235783aef41a4fd109288e76589b0bf19dff922bd8c",
+    (65, 1.0, 18446744073709551615): "ae1552562ae53118b9cd9235783aef41a4fd109288e76589b0bf19dff922bd8c",
+    (1000, 0.001, 7): "a3db52b9ac6387ffc6d6d3a542184059cee0f0817e1201bd0047c23699d28662",
+    (1000, 0.001, 18446744073709551615): "9fcca3142baf58f8a983e94171c77533678e39f3d7ccb7c6802d46dc32e5eb77",
+    (1000, 0.5, 7): "42c850bbf47dfcc049d8f5ccf750a58bbb57225cdd77a10e884d876ae93ba8ce",
+    (1000, 0.5, 18446744073709551615): "cb9a314b90ac35543361f92954ef499caf6f7df66a5233660791d6c865e2cef2",
+    (1000, 1.0, 7): "5cd8796f28cd091dd621bc68dde2f9e0ac2489e7e50bf9a4f2b52926530934c9",
+    (1000, 1.0, 18446744073709551615): "5cd8796f28cd091dd621bc68dde2f9e0ac2489e7e50bf9a4f2b52926530934c9",
+    (1500, 0.001, 7): "0daa3b06176b4324f61bc203eef60677fec40c3be674d5b07c6306ba36f50c24",
+    (1500, 0.001, 18446744073709551615): "bbf39185196f58427e3731e261bff3dd3145753a1d3b85849b1b2f12b5a3003f",
+    (1500, 0.5, 7): "5bdbd395c53c228c1631226428e4e6993e1128b4886edd962c15c6826c760147",
+    (1500, 0.5, 18446744073709551615): "1b307ac245be47b98b09653f01d974ccd9f416d721d75dad470862912a4e610c",
+    (1500, 1.0, 7): "2eedd10ca3011f6058f73e2aca9ad885b89af40688dccd435331b2c86ce69524",
+    (1500, 1.0, 18446744073709551615): "2eedd10ca3011f6058f73e2aca9ad885b89af40688dccd435331b2c86ce69524",
+}
+
+
+def test_graph_sample_golden_stdout(capsys):
+    for (n, p, seed), digest in _GRAPH_SAMPLE_SHA256.items():
+        code, out, _ = run_cli(
+            capsys, "graph-sample", "--n", str(n), "--p", repr(p), "--seed", str(seed)
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest, (n, p, seed)
 
 
 def test_exact_partition_capacity_exit_3(capsys):

@@ -1,11 +1,20 @@
 """Graph sampling determinism and the text round trip."""
 
+import contextlib
 import io
+import os
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dilutecw.graph as graph_module
+from dilutecw import splitmix
+from dilutecw.cli import main
 from dilutecw.errors import CapacityError, GraphFormatError
-from dilutecw.graph import GraphSeed, read_graph, sample_graph, write_graph
+from dilutecw.graph import DEFAULT_BIT_LIMIT, GraphSeed, read_graph, sample_graph, write_graph
 from dilutecw.model import DisorderGraph, ModelParams
 
 
@@ -112,3 +121,247 @@ def test_parse_errors_carry_line_numbers(text, lineno):
 def test_read_capacity_cap():
     with pytest.raises(CapacityError):
         read_graph(io.StringIO("dilute-cw-graph v1 N=100000\n"), bit_limit=1 << 20)
+
+
+def _oracle_read_graph(source) -> DisorderGraph:
+    """The line-by-line v1 reader that the block reader replaced, kept as the
+    reference: one readline, length check and character check per row."""
+    header = source.readline()
+    if header == "":
+        raise GraphFormatError("empty input, expected header", line=1)
+    header = header.rstrip("\n")
+    prefix = "dilute-cw-graph v1 N="
+    if not header.startswith(prefix):
+        raise GraphFormatError(f"bad header {header!r}, expected '{prefix}<n>'", line=1)
+    size_text = header[len(prefix):]
+    try:
+        n = int(size_text)
+    except ValueError:
+        raise GraphFormatError(f"bad size field {size_text!r} in header", line=1) from None
+    if n < 1:
+        raise GraphFormatError(f"declared size must be positive, got {n}", line=1)
+    if n * n > DEFAULT_BIT_LIMIT:
+        raise CapacityError(
+            f"declared size n={n} needs {n * n} bits, above the cap of {DEFAULT_BIT_LIMIT}"
+        )
+    rows = []
+    for i in range(n):
+        line = source.readline()
+        lineno = i + 2
+        if line == "":
+            raise GraphFormatError(f"file ends after {i} of {n} rows", line=lineno)
+        line = line.rstrip("\n")
+        if len(line) != n:
+            raise GraphFormatError(f"row has {len(line)} characters, expected {n}", line=lineno)
+        bad = set(line) - {"0", "1"}
+        if bad:
+            raise GraphFormatError(
+                f"row contains {sorted(bad)!r}, expected only '0'/'1'", line=lineno
+            )
+        rows.append(int(line[::-1], 2))
+    trailing = source.readline()
+    if trailing.strip():
+        raise GraphFormatError("unexpected content after last row", line=n + 2)
+    return DisorderGraph(n=n, rows=tuple(rows))
+
+
+def _outcome(read, source):
+    try:
+        return read(source)
+    except (GraphFormatError, CapacityError) as err:
+        return type(err).__name__, getattr(err, "line", None), str(err)
+
+
+def _expected(text: str):
+    """The oracle's outcome, plus the one rule the block reader adds: any
+    non-whitespace line after the last row is refused, not only the first."""
+    source = io.StringIO(text)
+    result = _outcome(_oracle_read_graph, source)
+    if isinstance(result, DisorderGraph):
+        # The oracle consumed line n + 2 when anything followed the rows.
+        for lineno, line in enumerate(iter(source.readline, ""), start=result.n + 3):
+            if line.strip():
+                message = f"line {lineno}: unexpected content after last row"
+                return "GraphFormatError", lineno, message
+    return result
+
+
+@contextlib.contextmanager
+def _block_cells(cells: int):
+    saved = graph_module._BLOCK_CELLS
+    graph_module._BLOCK_CELLS = cells
+    try:
+        yield
+    finally:
+        graph_module._BLOCK_CELLS = saved
+
+
+_STRAY = ["2", "x", " ", "\t", "\r", "\n", "\x00", "\x0c", "\xc3", "\xff", "é", "€", "\U0001f600"]
+
+
+@st.composite
+def graph_texts(draw, max_n=300):
+    """A valid v1 file, then up to three mutations of its text."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    cells = np.random.default_rng(draw(st.integers(0, 2**32))).integers(0, 2, size=(n, n))
+    rows = ["".join("01"[c] for c in row) for row in cells]
+    header = f"dilute-cw-graph v1 N={n}"
+    text = header + "\n" + "\n".join(rows) + "\n"
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(
+            ["truncate", "drop_rows", "extra_rows", "row_length", "stray", "crlf", "no_final_newline",
+             "header", "trailing"]
+        ))
+        if kind == "truncate":
+            text = text[: draw(st.integers(0, len(text)))]
+        elif kind == "drop_rows":
+            lines = text.split("\n")
+            text = "\n".join(lines[: max(0, len(lines) - draw(st.integers(1, 3)))])
+        elif kind == "extra_rows":
+            extra = draw(st.integers(1, 3))
+            length = draw(st.sampled_from([n, n - 1, n + 1]))
+            text += "".join("1" * max(length, 0) + "\n" for _ in range(extra))
+        elif kind == "row_length":
+            lines = text.split("\n")
+            at = draw(st.integers(1, max(1, len(lines) - 1)))
+            if at < len(lines):
+                cut = draw(st.integers(-2, 2))
+                lines[at] = lines[at][:cut] if cut < 0 else lines[at] + "0" * cut
+            text = "\n".join(lines)
+        elif kind == "stray" and text:
+            at = draw(st.integers(0, len(text) - 1))
+            text = text[:at] + draw(st.sampled_from(_STRAY)) + text[at + 1:]
+        elif kind == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif kind == "no_final_newline":
+            text = text.rstrip("\n")
+        elif kind == "header":
+            variant = draw(st.sampled_from(
+                [f"N= {n}", f"N=+{n}", f"N={n} ", "N=0", "N=-1", f"N={n + 1}", f"N={n - 1}",
+                 "N=", "N=1e3", "N=100000", f"n={n}", f"N={n}\r"]
+            ))
+            text = text.replace(f"N={n}", variant, 1)
+        elif kind == "trailing":
+            text += draw(st.sampled_from(["\n", " \n", "\n\n", "\t\r\n", "\nGARBAGE\n", "\n \nx"]))
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_texts(), st.sampled_from([1, 7, 500, 1 << 16]))
+def test_block_reader_matches_line_oracle(text, cells):
+    with _block_cells(cells):
+        assert _outcome(read_graph, io.StringIO(text)) == _expected(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_texts(max_n=40), st.sampled_from([1, 50, 1 << 16]))
+def test_block_reader_matches_line_oracle_on_files(text, cells):
+    # Through a path: universal newlines turn CRLF and lone CR into LF for
+    # both readers alike.  Text is kept to latin-1, one byte per character.
+    text = text.encode("latin-1", "replace").decode("latin-1")
+    with tempfile.TemporaryDirectory() as tmp, _block_cells(cells):
+        path = os.path.join(tmp, "g.txt")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("latin-1"))
+        with open(path, encoding="latin-1") as fh:
+            translated = fh.read()
+        assert _outcome(read_graph, path) == _expected(translated)
+
+
+def test_roundtrip_across_row_blocks(tmp_path):
+    # n = 1500 takes several row blocks in sampling, writing and reading.
+    params = ModelParams(n=1500, p=0.3, beta=1.0)
+    g = sample_graph(params, GraphSeed(5))
+    path = tmp_path / "g.txt"
+    write_graph(g, path)
+    assert read_graph(path) == g
+    with open(path) as fh:
+        assert _oracle_read_graph(fh) == g
+
+
+def test_sampling_matches_scalar_mix():
+    # Each cell against the scalar finalizer of its own counter.
+    n, p, seed = 37, 0.4, (1 << 64) - 5
+    g = sample_graph(ModelParams(n=n, p=p, beta=1.0), GraphSeed(seed))
+    thr = round(p * (1 << 53))
+    for i in range(n):
+        for j in range(n):
+            z = splitmix.finalize((seed + (i * n + j + 1) * splitmix.GAMMA) & splitmix.MASK64)
+            assert g.has_edge(i, j) == ((z >> 11) < thr)
+
+
+def test_write_matches_row_formatting():
+    g = sample_graph(ModelParams(n=70, p=0.5, beta=1.0), GraphSeed(3))
+    buf = io.StringIO()
+    with _block_cells(128):
+        write_graph(g, buf)
+    lines = [format(row, "070b")[::-1] for row in g.rows]
+    assert buf.getvalue() == "dilute-cw-graph v1 N=70\n" + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text,lineno",
+    [
+        ("dilute-cw-graph v1 N=2\n01\n11\n\nGARBAGE\n", 5),
+        ("dilute-cw-graph v1 N=2\n01\n11\n \n\t\n10\n", 6),
+        ("dilute-cw-graph v1 N=2\n01\n11\n\n\n\nx", 7),
+    ],
+)
+def test_content_after_blank_line_is_refused(text, lineno):
+    with pytest.raises(GraphFormatError, match="after last row") as err:
+        read_graph(io.StringIO(text))
+    assert err.value.line == lineno
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "dilute-cw-graph v1 N=2\n01\n11",
+        "dilute-cw-graph v1 N=2\n01\n11\n\n \n\t\n",
+        "dilute-cw-graph v1 N=2\r\n01\r\n11\r\n\r\n",
+    ],
+)
+def test_accepted_variants_from_a_file(text, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("ascii"))
+    assert read_graph(path) == DisorderGraph.from_matrix([[0, 1], [1, 1]])
+
+
+def test_non_ascii_byte_is_a_cell_error(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"dilute-cw-graph v1 N=2\n01\n1\xc3\n")
+    with pytest.raises(GraphFormatError, match="row contains") as err:
+        read_graph(path)
+    assert err.value.line == 3
+
+
+def _declared_size(text: str, default: int) -> int:
+    """The header's N when it is a small positive integer, else ``default``."""
+    header = text.split("\n", 1)[0]
+    try:
+        size = int(header.removeprefix("dilute-cw-graph v1 N="))
+    except ValueError:
+        return default
+    return size if 1 <= size <= 14 else default
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_texts(max_n=12), st.sampled_from(["utf-8", "latin-1"]))
+def test_cli_on_fuzzed_graph_files(text, encoding):
+    # Every graph file ends in a result (0) or a typed error: capacity (3)
+    # or bad graph file (4), never a traceback.  --n is the size the file
+    # declares, so a size mismatch (2) cannot arise.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        with open(path, "wb") as fh:
+            fh.write(text.encode(encoding, "replace"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([
+                "exact-partition", "--n", str(_declared_size(text, 1)), "--p", "0.5",
+                "--beta", "0.4", "--graph", path,
+            ])
+    assert code in (0, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 4:
+        assert "bad graph file" in err.getvalue()
