@@ -5,7 +5,7 @@ asymptotic predictions, and Glauber-dynamics Monte Carlo for the scaled
 magnetization, all sharing one set of core types.
 """
 
-from .errors import CapacityError, GraphFormatError
+from .errors import CapacityError, DomainError, GraphFormatError
 from .model import (
     DisorderGraph,
     ModelParams,
@@ -23,6 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
+    "DomainError",
     "GraphFormatError",
     "DisorderGraph",
     "ModelParams",

@@ -67,6 +67,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
+from .errors import DomainError
 from .model import ModelParams
 from .testfunctions import TestFunction
 
@@ -111,12 +112,12 @@ def taylor_coefficients_exact(p, max_order: int) -> list[Fraction]:
     stay exact; float inputs are taken at their binary value.
     """
     if not 1 <= max_order <= MAX_TAYLOR_ORDER:
-        raise ValueError(
+        raise DomainError(
             f"max_order must lie in [1, {MAX_TAYLOR_ORDER}], got {max_order}"
         )
     pq = Fraction(p)
     if not 0 < pq <= 1:
-        raise ValueError(f"p must lie in (0, 1], got {p!r}")
+        raise DomainError(f"p must lie in (0, 1], got {p!r}")
     k = max_order
     # u(z) = p (e^z - 1) truncated at order k
     factorial = Fraction(1)
@@ -158,15 +159,26 @@ def cosh_shorthand(params: ModelParams, which: str) -> float:
     B = -beta^2/4 + (N^2 p / 2) (cosh(beta/(Np)) - 1)
 
     cosh(x) - 1 is evaluated as 2 sinh(x/2)^2; both vanish at beta = 0.
+    A value beyond the largest double raises ValueError.
     """
     n, p, beta = params.n, params.p, params.beta
-    if which == "A":
-        x = beta / (2.0 * n * p)
-        return -beta * beta / 8.0 + n * n * p * 2.0 * math.sinh(x / 2.0) ** 2
-    if which == "B":
-        x = beta / (n * p)
-        return -beta * beta / 4.0 + n * n * p * math.sinh(x / 2.0) ** 2
-    raise ValueError(f"which must be 'A' or 'B', got {which!r}")
+    if which not in ("A", "B"):
+        raise ValueError(f"which must be 'A' or 'B', got {which!r}")
+    try:
+        if which == "A":
+            x = beta / (2.0 * n * p)
+            value = -beta * beta / 8.0 + n * n * p * 2.0 * math.sinh(x / 2.0) ** 2
+        else:
+            x = beta / (n * p)
+            value = -beta * beta / 4.0 + n * n * p * math.sinh(x / 2.0) ** 2
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise ValueError(
+            f"the growth shorthand {which} at n={n}, p={p!r}, beta={beta!r} "
+            "leaves the double range"
+        )
+    return value
 
 
 _HERMITE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -233,14 +245,14 @@ def predict_log_partition(
     beta < 1, and 'c' additionally requires g to be the constant function.
     """
     if variant not in ("a", "b", "c"):
-        raise ValueError(f"variant must be 'a', 'b', or 'c', got {variant!r}")
+        raise DomainError(f"variant must be 'a', 'b', or 'c', got {variant!r}")
     n, p, beta = params.n, params.p, params.beta
     if not beta < 1.0:
-        raise ValueError(f"predictions require beta < 1, got beta={beta}")
+        raise DomainError(f"predictions require beta < 1, got beta={beta}")
     nlog2 = n * math.log(2.0)
     if variant == "c":
         if g.name != "one":
-            raise ValueError("variant 'c' is the closed form for g = one only")
+            raise DomainError("variant 'c' is the closed form for g = one only")
         factor = 1.0 / math.sqrt(1.0 - beta)
         log_value = (1.0 - p) * beta * beta / (8.0 * p) + nlog2 - 0.5 * math.log1p(-beta)
         return AsymptoticPrediction(variant="c", log_value=log_value, gaussian_factor=factor)
@@ -267,11 +279,11 @@ def remainder_check(p: float, z: float, which: str) -> float:
     hence the extended working precision; p=1 and |z| up to 0.25 are in scope.
     """
     if which not in ("odd", "even"):
-        raise ValueError(f"which must be 'odd' or 'even', got {which!r}")
+        raise DomainError(f"which must be 'odd' or 'even', got {which!r}")
     if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p!r}")
+        raise DomainError(f"p must lie in (0, 1], got {p!r}")
     if not 0.0 < abs(z) <= 0.25:
-        raise ValueError(f"z must satisfy 0 < |z| <= 0.25, got {z!r}")
+        raise DomainError(f"z must satisfy 0 < |z| <= 0.25, got {z!r}")
     with mp.workdps(50):
         pm = mp.mpf(p)
         zm = mp.mpf(z)

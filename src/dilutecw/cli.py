@@ -10,6 +10,8 @@ anything volatile (wall-clock runtime, timestamps) goes to stderr and, when
 
 Exit codes: 0 success, 2 argument validation, 3 refused by a capacity cap,
 4 runtime failure (unparseable input file, numerical impossibility, I/O).
+Validation is argparse's types plus the library's own checks, which raise
+DomainError; the handlers here restate none of them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -31,7 +32,7 @@ from .asymptotics import (
     remainder_check,
     taylor_coefficients_exact,
 )
-from .errors import CapacityError, GraphFormatError
+from .errors import CapacityError, DomainError, GraphFormatError
 from .exact import (
     disorder_oracle,
     enumerate_partition,
@@ -47,26 +48,8 @@ from .testfunctions import parse_test_function
 _REMAINDER_GRID = (0.25, 0.125, 0.0625)
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _log(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
-
-
-def _model_params(args) -> ModelParams:
-    try:
-        return ModelParams(n=args.n, p=args.p, beta=args.beta)
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
-
-
-def _test_function(args):
-    try:
-        return parse_test_function(args.g)
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
 
 
 def _sanitize(obj):
@@ -123,7 +106,7 @@ def _load_or_sample_graph(args, params: ModelParams):
 
 
 def _cmd_graph_sample(args) -> int:
-    params = _model_params(args)
+    params = ModelParams(n=args.n, p=args.p, beta=args.beta)
     started = time.perf_counter()
     g = sample_graph(params, GraphSeed(args.seed))
     _log(f"sampled graph n={g.n} edges={g.edge_count()}")
@@ -139,13 +122,9 @@ def _cmd_graph_sample(args) -> int:
 
 
 def _cmd_exact_partition(args) -> int:
-    params = _model_params(args)
+    params = ModelParams(n=args.n, p=args.p, beta=args.beta)
     started = time.perf_counter()
     g, graph_seed = _load_or_sample_graph(args, params)
-    if g.n != params.n:
-        raise _UsageError(
-            f"graph file has n={g.n} but --n is {params.n}"
-        )
     _log(f"enumerating 2^{params.n} configurations")
     summary = enumerate_partition(g, params)
     payload = {
@@ -165,8 +144,8 @@ def _cmd_exact_partition(args) -> int:
 
 
 def _cmd_exact_moments(args) -> int:
-    params = _model_params(args)
-    g = _test_function(args)
+    params = ModelParams(n=args.n, p=args.p, beta=args.beta)
+    g = parse_test_function(args.g)
     started = time.perf_counter()
     # second moment first: its capacity cap then refuses a huge n before the
     # first moment's bigint sum over n + 1 classes starts
@@ -192,8 +171,8 @@ def _cmd_exact_moments(args) -> int:
 
 
 def _cmd_exact_oracle(args) -> int:
-    params = _model_params(args)
-    g = _test_function(args)
+    params = ModelParams(n=args.n, p=args.p, beta=args.beta)
+    g = parse_test_function(args.g)
     started = time.perf_counter()
     _log(f"brute-force disorder average over 2^{params.n * params.n} graphs")
     value = disorder_oracle(params, g, args.moment)
@@ -208,12 +187,8 @@ def _cmd_exact_oracle(args) -> int:
 
 
 def _cmd_asym_predict(args) -> int:
-    params = _model_params(args)
-    g = _test_function(args)
-    if not params.beta < 1.0:
-        raise _UsageError(f"predictions require beta < 1, got {params.beta}")
-    if args.variant == "c" and g.name != "one":
-        raise _UsageError("variant 'c' is only defined for --g one")
+    params = ModelParams(n=args.n, p=args.p, beta=args.beta)
+    g = parse_test_function(args.g)
     started = time.perf_counter()
     prediction = predict_log_partition(params, g, args.variant)
     payload = {
@@ -246,16 +221,11 @@ def _rational(text: str) -> Fraction:
 
 
 def _cmd_series_check(args) -> int:
-    if not 0 < args.p <= 1:
-        raise _UsageError(f"p must lie in (0, 1], got {args.p}")
     started = time.perf_counter()
-    p_float = float(args.p)
-    try:
-        exact = taylor_coefficients_exact(args.p, args.max_order)
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
+    # the exact coefficients check p in (0, 1] before it is rounded to a float
+    exact = taylor_coefficients_exact(args.p, args.max_order)
     remainders = {
-        which: {repr(z): remainder_check(p_float, z, which) for z in _REMAINDER_GRID}
+        which: {repr(z): remainder_check(float(args.p), z, which) for z in _REMAINDER_GRID}
         for which in ("odd", "even")
     }
     payload = {
@@ -271,30 +241,20 @@ def _cmd_series_check(args) -> int:
 
 
 def _chain_config(args, chain_seed: int) -> ChainConfig:
-    try:
-        return ChainConfig(
-            sweeps=args.sweeps,
-            burn_in=args.burnin,
-            thin=args.thin,
-            replicas=args.replicas,
-            chain_seed=chain_seed,
-        )
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
+    return ChainConfig(
+        sweeps=args.sweeps,
+        burn_in=args.burnin,
+        thin=args.thin,
+        replicas=args.replicas,
+        chain_seed=chain_seed,
+    )
 
 
 def _cmd_mcmc_run(args) -> int:
-    params = _model_params(args)
+    params = ModelParams(n=args.n, p=args.p, beta=args.beta)
     cfg = _chain_config(args, derive_seed(args.seed, 2))
     started = time.perf_counter()
     g, graph_seed = _load_or_sample_graph(args, params)
-    if g.n != params.n:
-        raise _UsageError(f"graph file has n={g.n} but --n is {params.n}")
-    if cfg.retained(params.n) < 1:
-        raise _UsageError(
-            f"no samples would be retained (sweeps={cfg.sweeps}, "
-            f"burn_in={cfg.resolved_burn_in(params.n)}, thin={cfg.thin})"
-        )
     _log(
         f"running {cfg.replicas} replica(s), {cfg.sweeps} sweeps each "
         f"(burn-in {cfg.resolved_burn_in(params.n)}, thin {cfg.thin})"
@@ -315,25 +275,8 @@ def _cmd_mcmc_run(args) -> int:
 
 
 def _cmd_clt_experiment(args) -> int:
-    params = _model_params(args)
-    if not params.beta < 1.0:
-        raise _UsageError(f"the Gaussian reference requires beta < 1, got {params.beta}")
-    if args.graphs < 1:
-        raise _UsageError(f"--graphs must be positive, got {args.graphs}")
-    if not args.epsilon > 0:
-        raise _UsageError(f"--epsilon must be positive, got {args.epsilon}")
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("DILUTECW_THREADS", "1"))
-    if threads < 1:
-        raise _UsageError(f"thread count must be positive, got {threads}")
+    params = ModelParams(n=args.n, p=args.p, beta=args.beta)
     cfg = _chain_config(args, 0)
-    pooled = args.graphs * cfg.replicas * cfg.retained(params.n)
-    if pooled < 2:
-        raise _UsageError(
-            f"the pooled variance needs at least 2 retained samples, got {pooled} "
-            f"({args.graphs} graph(s) x {cfg.replicas} replica(s) x {cfg.retained(params.n)})"
-        )
     started = time.perf_counter()
     _log(f"{args.graphs} graphs at n={params.n}, {cfg.replicas} replica(s) each")
     record = quenched_experiment(
@@ -342,7 +285,7 @@ def _cmd_clt_experiment(args) -> int:
         args.graphs,
         master_seed=args.seed,
         epsilon=args.epsilon,
-        threads=threads,
+        threads=args.threads,
     )
     payload = {
         "command": "clt-experiment",
@@ -457,12 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_chain_flags(sub)
     sub.add_argument("--epsilon", type=float, default=0.1, help="distance threshold")
     sub.add_argument("--seed", type=_seed, default=0, help="master seed")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads over graphs (default env DILUTECW_THREADS or 1)",
-    )
+    sub.add_argument("--threads", type=int, default=1, help="worker threads over graphs")
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=_cmd_clt_experiment)
 
@@ -477,7 +415,7 @@ def main(argv=None) -> int:
         return int(exit_.code or 0)
     try:
         return args.func(args)
-    except _UsageError as err:
+    except DomainError as err:
         _log(f"error: {err}")
         return 2
     except CapacityError as err:

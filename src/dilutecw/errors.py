@@ -11,6 +11,16 @@ class CapacityError(RuntimeError):
     """
 
 
+class DomainError(ValueError):
+    """A caller-supplied argument lies outside the domain the library covers.
+
+    Raised by the checks on model, chain, seed and test-function parameters
+    and on the arguments of the chain, enumeration, oracle, series and
+    prediction entry points; the CLI maps it to exit 2.  A plain ValueError
+    instead reports a failed internal invariant or a numerical impossibility.
+    """
+
+
 class GraphFormatError(ValueError):
     """A graph file could not be parsed.
 

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import eval_F
-from .errors import CapacityError
+from .errors import CapacityError, DomainError
 from .model import DisorderGraph, ModelParams
 from .stats import EmpiricalMeasure
 from .testfunctions import TestFunction
@@ -91,7 +91,6 @@ __all__ = [
     "expected_partition_log",
     "second_moment_log",
     "variance_ratio",
-    "variance_ratio_detail",
     "variance_ratio_from_logs",
     "QuenchedSummary",
     "enumerate_partition",
@@ -352,15 +351,12 @@ def variance_ratio_from_logs(first: float, second: float) -> tuple[float, bool]:
     raise ValueError(f"variance ratio {value} is negative beyond rounding tolerance")
 
 
-def variance_ratio_detail(params: ModelParams, g: TestFunction) -> tuple[float, bool]:
-    """variance_ratio_from_logs over both moments of (params, g); the second
-    moment goes first, so its capacity cap refuses a huge n at once."""
-    second = second_moment_log(params, g)
-    return variance_ratio_from_logs(expected_partition_log(params, g), second)
-
-
 def variance_ratio(params: ModelParams, g: TestFunction) -> float:
-    value, clamped = variance_ratio_detail(params, g)
+    """variance_ratio_from_logs over both moments of (params, g), with a
+    warning when it clamps; the second moment goes first, so its capacity cap
+    refuses a huge n at once."""
+    second = second_moment_log(params, g)
+    value, clamped = variance_ratio_from_logs(expected_partition_log(params, g), second)
     if clamped:
         warnings.warn("variance ratio clamped to 0 from slightly negative", stacklevel=2)
     return value
@@ -445,7 +441,7 @@ def enumerate_partition(
     beyond ``max_n`` (raise it explicitly to go bigger)."""
     n = g.n
     if params.n != n:
-        raise ValueError(f"incompatible sizes: graph has n={n}, params have n={params.n}")
+        raise DomainError(f"incompatible sizes: graph has n={n}, params have n={params.n}")
     if n > max_n:
         steps = 1 << n
         raise CapacityError(
@@ -488,7 +484,7 @@ def disorder_oracle(
     the default).
     """
     if moment not in ("first", "second"):
-        raise ValueError(f"moment must be 'first' or 'second', got {moment!r}")
+        raise DomainError(f"moment must be 'first' or 'second', got {moment!r}")
     n, p = params.n, params.p
     cells = n * n
     if (1 << (cells + n)) > work_limit:
@@ -514,23 +510,33 @@ def disorder_oracle(
             raise ValueError(f"test function {g.label()} is negative at an atom")
         g_values.append(value)
 
-    exp_table = [math.exp(gamma * s) for s in range(-cells, cells + 1)]
     edge_prob = [p**e * (1.0 - p) ** (cells - e) for e in range(cells + 1)]
     power = 1 if moment == "first" else 2
     contributions = []
-    for graph_bits in range(1 << cells):
-        edges = graph_bits.bit_count()
-        weight = edge_prob[edges]
-        if weight == 0.0:
-            continue
-        z = 0.0
-        for mask, g_val in zip(sign_masks, g_values):
-            if g_val == 0.0:
+    # The sum runs in plain doubles, so a weight, a partition sum or its
+    # square can leave the double range; that is an error, not a result.
+    try:
+        exp_table = [math.exp(gamma * s) for s in range(-cells, cells + 1)]
+        for graph_bits in range(1 << cells):
+            edges = graph_bits.bit_count()
+            weight = edge_prob[edges]
+            if weight == 0.0:
                 continue
-            s = 2 * (graph_bits & mask).bit_count() - edges
-            z += g_val * exp_table[s + cells]
-        contributions.append(weight * z**power)
-    total = math.fsum(contributions)
+            z = 0.0
+            for mask, g_val in zip(sign_masks, g_values):
+                if g_val == 0.0:
+                    continue
+                s = 2 * (graph_bits & mask).bit_count() - edges
+                z += g_val * exp_table[s + cells]
+            contributions.append(weight * z**power)
+        total = math.fsum(contributions)
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise ValueError(
+            f"the brute-force {moment} moment at n={n}, gamma={gamma!r} leaves the "
+            "double range; the closed-form moments work in log space"
+        )
     if total == 0.0:
         return -math.inf
     return math.log(total)

@@ -18,9 +18,10 @@ The text format is deliberately dumb so other tools can read it:
     ...
     <row n-1>
 
-Character j of row i is the indicator of edge (i, j).  A path is read with
-universal newlines, so a CRLF file reads as an LF one.  The last row may lack
-its newline, and only whitespace may follow it.
+The size <n> is ASCII digits and nothing else.  Character j of row i is the
+indicator of edge (i, j).  A path is read with universal newlines, so a CRLF
+file reads as an LF one.  The last row may lack its newline, and only
+whitespace may follow it.
 
 Sampling, writing and reading all run as numpy passes over blocks of whole
 rows (``_BLOCK_CELLS`` cells each): one block of counters is mixed, compared
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import splitmix
-from .errors import CapacityError, GraphFormatError
+from .errors import CapacityError, DomainError, GraphFormatError
 from .model import DisorderGraph, ModelParams
 
 __all__ = ["GraphSeed", "sample_graph", "write_graph", "read_graph", "DEFAULT_BIT_LIMIT"]
@@ -63,9 +64,9 @@ class GraphSeed:
 
     def __post_init__(self):
         if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool):
-            raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
+            raise DomainError(f"master_seed must be an integer, got {self.master_seed!r}")
         if not 0 <= self.master_seed < (1 << 64):
-            raise ValueError(f"master_seed must fit in 64 bits, got {self.master_seed}")
+            raise DomainError(f"master_seed must fit in 64 bits, got {self.master_seed}")
 
 
 def bernoulli_threshold(p: float) -> int:
@@ -154,6 +155,10 @@ def _read_header(source, bit_limit: int) -> int:
         )
     size_text = header[len(_HEADER_PREFIX):]
     try:
+        # ASCII digits only: int() alone also takes a sign, spaces, digit
+        # underscores and the digits of other scripts
+        if not (size_text.isascii() and size_text.isdigit()):
+            raise ValueError
         n = int(size_text)
     except ValueError:
         raise GraphFormatError(f"bad size field {size_text!r} in header", line=1) from None

@@ -34,7 +34,8 @@ import numpy as np
 
 from . import splitmix
 from .graph import GraphSeed, sample_graph
-from .model import DisorderGraph, ModelParams, SpinConfig
+from .errors import DomainError
+from .model import DisorderGraph, ModelParams
 from .stats import EmpiricalMeasure, NormalRef, ks_distance, levy_distance, summarize
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
     "build_update_tables",
     "default_burn_in",
     "derive_seed",
-    "local_field",
     "run_chain",
     "sweep_kernel",
     "GraphRun",
@@ -93,15 +93,15 @@ class ChainConfig:
 
     def __post_init__(self):
         if self.sweeps < 1:
-            raise ValueError(f"sweeps must be positive, got {self.sweeps}")
+            raise DomainError(f"sweeps must be positive, got {self.sweeps}")
         if self.burn_in is not None and self.burn_in < 0:
-            raise ValueError(f"burn_in must be nonnegative, got {self.burn_in}")
+            raise DomainError(f"burn_in must be nonnegative, got {self.burn_in}")
         if self.thin < 1:
-            raise ValueError(f"thin must be positive, got {self.thin}")
+            raise DomainError(f"thin must be positive, got {self.thin}")
         if self.replicas < 1:
-            raise ValueError(f"replicas must be positive, got {self.replicas}")
+            raise DomainError(f"replicas must be positive, got {self.replicas}")
         if not 0 <= self.chain_seed < (1 << 64):
-            raise ValueError(f"chain_seed must fit in 64 bits, got {self.chain_seed}")
+            raise DomainError(f"chain_seed must fit in 64 bits, got {self.chain_seed}")
 
     def resolved_burn_in(self, n: int) -> int:
         return default_burn_in(n) if self.burn_in is None else self.burn_in
@@ -223,36 +223,6 @@ def _mask_ints(masks: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in masks]
 
 
-def local_field(g: DisorderGraph, sigma: SpinConfig, i: int, params: ModelParams) -> float:
-    """The field h_i = S_i / (2 n p) seen by site i in configuration sigma.
-
-    The energy cost of flipping site i is 2 s_i h_i.  This walks the masks
-    directly; the chain itself uses the same arithmetic through precomputed
-    tables.
-    """
-    if g.n != sigma.n or g.n != params.n:
-        raise ValueError(
-            f"incompatible sizes: graph n={g.n}, spins n={sigma.n}, params n={params.n}"
-        )
-    if not 0 <= i < g.n:
-        raise ValueError(f"site index {i} out of range for n={g.n}")
-    self_bit = 1 << i
-    col = 0
-    for j, row in enumerate(g.rows):
-        if (row >> i) & 1:
-            col |= 1 << j
-    both = (g.rows[i] | col) & ~self_bit
-    two = (g.rows[i] & col) & ~self_bit
-    one = both & ~two
-    bits = sigma.bits
-    s = (
-        2 * ((one & bits).bit_count() + 2 * (two & bits).bit_count())
-        - one.bit_count()
-        - 2 * two.bit_count()
-    )
-    return s / (2.0 * params.n * params.p)
-
-
 def _plus_probabilities(params: ModelParams, n: int) -> list[float]:
     """P(new spin = +1) indexed by S_i + 2n, S_i in [-2n, 2n]."""
     rate = params.beta / (params.n * params.p)
@@ -369,16 +339,16 @@ def run_chain(
     function of (graph, params, cfg).
     """
     if g.n != params.n:
-        raise ValueError(f"incompatible sizes: graph n={g.n}, params n={params.n}")
+        raise DomainError(f"incompatible sizes: graph n={g.n}, params n={params.n}")
     if cfg.retained(g.n) < 1:
-        raise ValueError(
+        raise DomainError(
             f"no samples retained: sweeps={cfg.sweeps}, "
             f"burn_in={cfg.resolved_burn_in(g.n)}, thin={cfg.thin}"
         )
     if tables is None:
         tables = build_update_tables(g)
     elif tables.n != g.n:
-        raise ValueError(f"incompatible sizes: tables n={tables.n}, graph n={g.n}")
+        raise DomainError(f"incompatible sizes: tables n={tables.n}, graph n={g.n}")
     from . import _csweep
 
     sweep_block = _block_sweep(tables, _plus_probabilities(params, g.n), _csweep.load())
@@ -461,16 +431,16 @@ def quenched_experiment(
     identical to the sequential order either way.
     """
     if not params.beta < 1.0:
-        raise ValueError(f"Gaussian reference requires beta < 1, got {params.beta}")
+        raise DomainError(f"Gaussian reference requires beta < 1, got {params.beta}")
     if n_graphs < 1:
-        raise ValueError(f"n_graphs must be positive, got {n_graphs}")
+        raise DomainError(f"n_graphs must be positive, got {n_graphs}")
     if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+        raise DomainError(f"epsilon must be positive, got {epsilon}")
     if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
+        raise DomainError(f"threads must be positive, got {threads}")
     pooled = n_graphs * cfg.replicas * cfg.retained(params.n)
     if pooled < 2:
-        raise ValueError(f"the pooled variance needs at least 2 retained samples, got {pooled}")
+        raise DomainError(f"the pooled variance needs at least 2 retained samples, got {pooled}")
     reference = NormalRef(mean=0.0, variance=1.0 / (1.0 - params.beta))
     if threads == 1:
         runs = [

@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import DomainError
+
 __all__ = [
     "ModelParams",
     "SpinConfig",
@@ -42,7 +44,9 @@ class ModelParams:
 
     Validation is strict: n must be a positive integer, p must lie in (0, 1]
     (p = 0 would make the energy scale 1/(2 n p) undefined), and beta must be
-    finite and nonnegative.
+    finite and nonnegative.  The log Gibbs weights reach n^2 gamma in size
+    and the second moment doubles them, so 2 beta n / p, four times that
+    bound, must be a finite double.  Every failure is a DomainError.
     """
 
     n: int
@@ -51,11 +55,20 @@ class ModelParams:
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+            raise DomainError(f"n must be a positive integer, got {self.n!r}")
         if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must lie in (0, 1], got {self.p!r}")
+            raise DomainError(f"p must lie in (0, 1], got {self.p!r}")
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValueError(f"beta must be finite and nonnegative, got {self.beta!r}")
+            raise DomainError(f"beta must be finite and nonnegative, got {self.beta!r}")
+        try:
+            scale = 2.0 * self.beta * self.n / self.p
+        except OverflowError:  # n itself is beyond the double range
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise DomainError(
+                f"2 beta n / p is beyond the double range at n={self.n}, p={self.p!r}, "
+                f"beta={self.beta!r}, so the log Gibbs weights would overflow"
+            )
 
     @property
     def gamma(self) -> float:

@@ -39,7 +39,6 @@ import numpy as np
 __all__ = [
     "EmpiricalMeasure",
     "NormalRef",
-    "normal_cdf",
     "ks_distance",
     "levy_distance",
     "m_plus",
@@ -134,10 +133,6 @@ class NormalRef:
     def cdf(self, t: float) -> float:
         u = (t - self.mean) / math.sqrt(self.variance)
         return 0.5 * math.erfc(-u / math.sqrt(2.0))
-
-
-def normal_cdf(t: float, ref: NormalRef) -> float:
-    return ref.cdf(t)
 
 
 def ks_distance(measure: EmpiricalMeasure, ref: NormalRef) -> float:

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import DomainError
+
 __all__ = ["TestFunction", "make_test_function", "parse_test_function", "REGISTRY_NAMES"]
 
 REGISTRY_NAMES = ("one", "gauss", "cosine", "bump")
@@ -34,16 +36,24 @@ class TestFunction:
 
     def __post_init__(self):
         if self.name not in REGISTRY_NAMES:
-            raise ValueError(
+            raise DomainError(
                 f"unknown test function {self.name!r}, expected one of {REGISTRY_NAMES}"
             )
         if self.name == "bump":
             if len(self.params) != 2:
-                raise ValueError("bump takes exactly two parameters: center, width")
-            if not self.params[1] > 0:
-                raise ValueError(f"bump width must be positive, got {self.params[1]}")
+                raise DomainError("bump takes exactly two parameters: center, width")
+            center, width = self.params
+            if not width > 0:
+                raise DomainError(f"bump width must be positive, got {width}")
+            # false for a non-finite center or width, and for a support whose
+            # ends or length overflow a double
+            if not math.isfinite((center + width) - (center - width)):
+                raise DomainError(
+                    f"bump support [center - width, center + width] must have finite "
+                    f"ends and length, got center, width = {self.params}"
+                )
         elif self.params:
-            raise ValueError(f"{self.name} takes no parameters")
+            raise DomainError(f"{self.name} takes no parameters")
 
     def __call__(self, x: float) -> float:
         if self.name == "one":
@@ -96,5 +106,5 @@ def parse_test_function(spec: str) -> TestFunction:
     try:
         params = tuple(float(v) for v in tail.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse parameters in test function spec {spec!r}") from None
+        raise DomainError(f"cannot parse parameters in test function spec {spec!r}") from None
     return make_test_function(name, *params)

@@ -1,11 +1,15 @@
 """CLI contract: exit codes, determinism, output formats."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dilutecw.cli as cli
 import dilutecw.exact as exact
@@ -139,6 +143,20 @@ def test_exact_partition_non_ascii_byte_exit_4(tmp_path, capsys):
     assert "line 3" in err
     assert "row contains" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("size", [" +2 ", "+2", "0_2", "2 "])
+def test_exact_partition_header_size_digits_only_exit_4(size, tmp_path, capsys):
+    # int() alone reads each of these as 2
+    path = tmp_path / "g.txt"
+    path.write_text(f"dilute-cw-graph v1 N={size}\n01\n11\n")
+    code, out, err = run_cli(
+        capsys, "exact-partition", "--n", "2", "--p", "0.5", "--beta", "0.5",
+        "--graph", str(path),
+    )
+    assert code == 4
+    assert out == ""
+    assert "bad size field" in err and "line 1" in err
 
 
 # sha256 of `graph-sample --n N --p P --seed S` stdout, recorded from the
@@ -489,22 +507,6 @@ def test_clt_experiment_beta_validation(capsys):
     assert "beta" in err
 
 
-def test_clt_experiment_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DILUTECW_THREADS", "2")
-    code, out, _ = run_cli(
-        capsys, "clt-experiment", "--n", "16", "--p", "0.5", "--beta", "0.4",
-        "--graphs", "2", "--sweeps", "120", "--burnin", "40", "--seed", "5",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    monkeypatch.delenv("DILUTECW_THREADS")
-    code, out2, _ = run_cli(
-        capsys, "clt-experiment", "--n", "16", "--p", "0.5", "--beta", "0.4",
-        "--graphs", "2", "--sweeps", "120", "--burnin", "40", "--seed", "5",
-    )
-    assert json.loads(out2) == payload
-
-
 def test_clt_experiment_threads_byte_identical(capsys):
     args = (
         "clt-experiment", "--n", "96", "--p", "0.5", "--beta", "0.5", "--graphs", "3",
@@ -578,6 +580,69 @@ def test_exact_moments_huge_beta_is_finite(capsys):
     assert json.loads(out)["variance_ratio"] == "inf"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exact-oracle", "--n", "2", "--p", "1e-320", "--beta", "0.5", "--moment", "second"),
+        ("exact-moments", "--n", "10", "--p", "0.5", "--beta", "1e307"),
+        ("exact-partition", "--n", "6", "--p", "1e-320", "--beta", "0.5"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_log_weight_overflow_is_domain_error(argv, capsys):
+    # 2 beta n / p is beyond the largest double
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "double range" in err
+
+
+@pytest.mark.parametrize("spec", ["bump:0,inf", "bump:nan,1", "bump:1e308,1e308"])
+def test_non_finite_bump_is_domain_error(spec, capsys):
+    code, out, err = run_cli(
+        capsys, "exact-moments", "--n", "4", "--p", "0.5", "--beta", "0.5", "--g", spec
+    )
+    assert code == 2
+    assert out == ""
+    assert "bump" in err
+
+
+def test_exact_oracle_overflow_is_typed_error(capsys):
+    for moment, beta in (("first", "400"), ("second", "200")):
+        code, out, err = run_cli(
+            capsys, "exact-oracle", "--n", "2", "--p", "0.5", "--beta", beta,
+            "--moment", moment,
+        )
+        assert code == 4
+        assert out == ""
+        assert "double range" in err
+        assert "Traceback" not in err
+    # one step inside the range the value is unchanged
+    code, out, _ = run_cli(
+        capsys, "exact-oracle", "--n", "2", "--p", "0.5", "--beta", "200", "--moment", "first"
+    )
+    assert code == 0
+    assert json.loads(out)["log_value"] == 397.92055845832016
+
+
+def test_asym_predict_overflow_is_typed_error(capsys):
+    # cosh(beta / (2 n p)) is beyond the largest double
+    code, out, err = run_cli(
+        capsys, "asym-predict", "--n", "2", "--p", "1e-4", "--beta", "0.5", "--variant", "a"
+    )
+    assert code == 4
+    assert out == ""
+    assert "double range" in err
+
+
+def test_series_check_p_rounding_to_zero_is_domain_error(capsys):
+    # 1e-400 is a positive rational, but the remainders take it as the float 0.0
+    code, out, err = run_cli(capsys, "series-check", "--p", "1e-400")
+    assert code == 2
+    assert out == ""
+    assert "p must lie in (0, 1]" in err
+
+
 def test_chain_sidecar_names_the_sweep_kernel(tmp_path, capsys):
     out_path = tmp_path / "chain.csv"
     code, _, _ = run_cli(
@@ -588,3 +653,73 @@ def test_chain_sidecar_names_the_sweep_kernel(tmp_path, capsys):
     meta = json.loads((tmp_path / "chain.csv.meta.json").read_text())
     assert meta["sweep_kernel"] in ("c", "python")
     assert "sweep_kernel" not in out_path.read_text()
+
+
+# Extreme spellings of a real number, for p, beta, epsilon and bump parameters.
+_EXTREMES = ["1e-320", "1e-10", "1e308", "inf", "-inf", "nan", "0", "-0.5", "-1", "0.5", "1", "2"]
+_REALS = st.one_of(st.sampled_from(_EXTREMES), st.floats(-1e3, 1e3).map(repr))
+_TEST_FUNCTIONS = st.one_of(
+    st.sampled_from(["one", "gauss", "cosine", "nope", "bump:1", "bump:a,b"]),
+    st.tuples(_REALS, _REALS).map(lambda cw: f"bump:{cw[0]},{cw[1]}"),
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    """Arguments for one of the eight commands, every size kept small: n <= 10
+    for chains and enumeration, n <= 3 for the oracle, sweeps <= 200, and at
+    most two threads."""
+    command = draw(st.sampled_from([
+        "graph-sample", "exact-partition", "exact-moments", "exact-oracle",
+        "asym-predict", "series-check", "mcmc-run", "clt-experiment",
+    ]))
+    if command == "series-check":
+        p = draw(st.one_of(_REALS, st.sampled_from(["1/3", "5/4", "1e-400", "1e400", "-1/2"])))
+        order = draw(st.integers(-1, 20))
+        return [command, "--p", p, "--max-order", str(order)]
+    n_max = {"exact-oracle": 3, "asym-predict": 1000}.get(command, 10)
+    argv = [command, "--n", str(draw(st.integers(-1, n_max))), "--p", draw(_REALS)]
+    if command != "graph-sample":
+        argv += ["--beta", draw(_REALS)]
+    if command in ("exact-moments", "exact-oracle", "asym-predict"):
+        argv += ["--g", draw(_TEST_FUNCTIONS)]
+    if command == "exact-oracle":
+        argv += ["--moment", draw(st.sampled_from(["first", "second"]))]
+    if command == "asym-predict":
+        argv += ["--variant", draw(st.sampled_from(["a", "b", "c"]))]
+    if command in ("mcmc-run", "clt-experiment"):
+        argv += ["--sweeps", str(draw(st.integers(-1, 200))),
+                 "--thin", str(draw(st.integers(0, 4))),
+                 "--replicas", str(draw(st.integers(0, 2)))]
+        burn_in = draw(st.one_of(st.none(), st.integers(-1, 60)))
+        if burn_in is not None:
+            argv += ["--burnin", str(burn_in)]
+    if command == "clt-experiment":
+        argv += ["--graphs", str(draw(st.integers(-1, 3))),
+                 "--epsilon", draw(_REALS),
+                 "--threads", draw(st.sampled_from(["1", "2"]))]
+    return argv
+
+
+def _strings(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _strings(item)
+    elif isinstance(value, str):
+        yield value
+
+
+@settings(max_examples=400, deadline=None)
+@given(cli_argvs())
+def test_cli_arguments_end_in_a_result_or_a_typed_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and argv[0] not in ("graph-sample", "mcmc-run"):
+        assert "nan" not in list(_strings(json.loads(out.getvalue()))), argv
+    if code == 0 and argv[0] == "mcmc-run":
+        assert "nan" not in out.getvalue()

@@ -1,0 +1,92 @@
+"""Which failures are DomainError (a caller's argument is out of domain) and
+which stay plain ValueError (an internal invariant or the numerics failed)."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from dilutecw import DomainError
+from dilutecw.asymptotics import (
+    cosh_shorthand,
+    predict_log_partition,
+    remainder_check,
+    taylor_coefficients_exact,
+)
+from dilutecw.exact import disorder_oracle, enumerate_partition, variance_ratio_from_logs
+from dilutecw.graph import GraphSeed
+from dilutecw.mcmc import ChainConfig, SpinUpdateTables, quenched_experiment, run_chain
+from dilutecw.model import DisorderGraph, ModelParams
+from dilutecw.testfunctions import make_test_function, parse_test_function
+
+HALF = ModelParams(n=4, p=0.5, beta=0.5)
+ONE = make_test_function("one")
+CFG = ChainConfig(sweeps=30, burn_in=10)
+
+_DOMAIN_CASES = {
+    "n_zero": lambda: ModelParams(n=0, p=0.5, beta=0.5),
+    "p_zero": lambda: ModelParams(n=4, p=0.0, beta=0.5),
+    "beta_nan": lambda: ModelParams(n=4, p=0.5, beta=math.nan),
+    "log_weights_overflow": lambda: ModelParams(n=2, p=1e-320, beta=0.5),
+    "n_beyond_doubles": lambda: ModelParams(n=1 << 1100, p=0.5, beta=0.5),
+    "sweeps_zero": lambda: ChainConfig(sweeps=0),
+    "thin_zero": lambda: ChainConfig(sweeps=10, thin=0),
+    "seed_negative": lambda: GraphSeed(-1),
+    "unknown_g": lambda: make_test_function("nope"),
+    "bump_infinite_width": lambda: make_test_function("bump", 0.0, math.inf),
+    "bump_nan_center": lambda: make_test_function("bump", math.nan, 1.0),
+    "bump_support_overflows": lambda: make_test_function("bump", 1e308, 1e308),
+    "g_unparseable": lambda: parse_test_function("bump:x,1"),
+    "chain_size_mismatch": lambda: run_chain(DisorderGraph.empty(3), HALF, CFG),
+    "chain_retains_nothing": lambda: run_chain(
+        DisorderGraph.empty(4), HALF, ChainConfig(sweeps=5, burn_in=10)
+    ),
+    "enumeration_size_mismatch": lambda: enumerate_partition(DisorderGraph.empty(3), HALF),
+    "experiment_beta": lambda: quenched_experiment(
+        ModelParams(n=4, p=0.5, beta=1.0), CFG, 1, master_seed=0
+    ),
+    "experiment_graphs": lambda: quenched_experiment(HALF, CFG, 0, master_seed=0),
+    "experiment_epsilon": lambda: quenched_experiment(
+        HALF, CFG, 1, master_seed=0, epsilon=math.nan
+    ),
+    "experiment_threads": lambda: quenched_experiment(HALF, CFG, 1, master_seed=0, threads=0),
+    "experiment_pooled": lambda: quenched_experiment(
+        HALF, ChainConfig(sweeps=11, burn_in=10), 1, master_seed=0
+    ),
+    "predict_variant": lambda: predict_log_partition(HALF, ONE, "d"),
+    "predict_beta": lambda: predict_log_partition(ModelParams(n=4, p=0.5, beta=1.0), ONE, "a"),
+    "predict_c_needs_one": lambda: predict_log_partition(HALF, make_test_function("gauss"), "c"),
+    "taylor_order": lambda: taylor_coefficients_exact(Fraction(1, 2), 0),
+    "taylor_p": lambda: taylor_coefficients_exact(Fraction(5, 4), 3),
+    "remainder_which": lambda: remainder_check(0.5, 0.1, "both"),
+    "remainder_p": lambda: remainder_check(0.0, 0.1, "odd"),
+    "remainder_z": lambda: remainder_check(0.5, 0.5, "odd"),
+    "oracle_moment": lambda: disorder_oracle(ModelParams(n=2, p=0.5, beta=0.5), ONE, "third"),
+}
+
+
+@pytest.mark.parametrize("call", _DOMAIN_CASES.values(), ids=_DOMAIN_CASES.keys())
+def test_argument_checks_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+_NUMERIC_CASES = {
+    "negative_variance_ratio": lambda: variance_ratio_from_logs(1.0, 1.0),
+    "table_layout": lambda: SpinUpdateTables(
+        n=1,
+        w1=np.zeros((1, 1), dtype="<u8"),
+        w2=np.zeros((1, 1), dtype="<u8"),
+        base=np.zeros(1, dtype=np.int32),
+    ),
+    "oracle_overflow": lambda: disorder_oracle(ModelParams(n=2, p=0.5, beta=400.0), ONE, "first"),
+    "shorthand_overflow": lambda: cosh_shorthand(ModelParams(n=2, p=1e-4, beta=0.5), "A"),
+}
+
+
+@pytest.mark.parametrize("call", _NUMERIC_CASES.values(), ids=_NUMERIC_CASES.keys())
+def test_internal_and_numeric_failures_stay_plain_value_error(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError

@@ -24,7 +24,6 @@ from dilutecw.exact import (
     second_moment_log,
     spin_count,
     variance_ratio,
-    variance_ratio_detail,
     variance_ratio_from_logs,
 )
 from dilutecw.graph import GraphSeed, sample_graph
@@ -180,7 +179,9 @@ def test_moments_at_beta_zero():
     params = ModelParams(n=9, p=0.6, beta=0.0)
     assert expected_partition_log(params, ONE) == pytest.approx(9 * math.log(2), rel=1e-15)
     assert second_moment_log(params, ONE) == pytest.approx(18 * math.log(2), rel=1e-15)
-    value, clamped = variance_ratio_detail(params, ONE)
+    value, clamped = variance_ratio_from_logs(
+        expected_partition_log(params, ONE), second_moment_log(params, ONE)
+    )
     assert value == 0.0
 
 
@@ -208,7 +209,7 @@ def test_variance_ratio_bump_off_support_raises():
     far = make_test_function("bump", 50.0, 0.1)
     assert expected_partition_log(params, far) == -math.inf
     with pytest.raises(ValueError, match="zero"):
-        variance_ratio_detail(params, far)
+        variance_ratio(params, far)
 
 
 class _NegativeStub:
@@ -437,9 +438,9 @@ def test_variance_ratio_from_logs():
     with pytest.raises(ValueError, match="zero"):
         variance_ratio_from_logs(-math.inf, -math.inf)
     params = ModelParams(n=10, p=0.4, beta=0.7)
-    assert variance_ratio_detail(params, GAUSS) == variance_ratio_from_logs(
+    assert variance_ratio(params, GAUSS) == variance_ratio_from_logs(
         expected_partition_log(params, GAUSS), second_moment_log(params, GAUSS)
-    )
+    )[0]
 
 
 def test_disorder_oracle_capacity():

@@ -110,6 +110,9 @@ def test_text_format_orientation():
         ("dilute-cw-graph v1 N=2\n011\n11\n", 2),
         ("dilute-cw-graph v1 N=2\n01\n1x\n", 3),
         ("dilute-cw-graph v1 N=2\n01\n11\n10\n", 4),
+        # int() alone reads each of these sizes as 2
+        *((f"dilute-cw-graph v1 N={size}\n01\n11\n", 1)
+          for size in ("\u0662", " 2", "+2", "0_2", "2 ", "2\r")),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno):
@@ -173,8 +176,16 @@ def _outcome(read, source):
 
 
 def _expected(text: str):
-    """The oracle's outcome, plus the one rule the block reader adds: any
-    non-whitespace line after the last row is refused, not only the first."""
+    """The oracle's outcome, plus the two rules the block reader adds: the
+    header's size field is ASCII digits only, where the oracle's int() also
+    takes a sign, spaces and underscores, and any non-whitespace line after
+    the last row is refused, not only the first."""
+    prefix = "dilute-cw-graph v1 N="
+    header = text.split("\n", 1)[0]
+    size_text = header.removeprefix(prefix)
+    if header.startswith(prefix) and not (size_text.isascii() and size_text.isdigit()):
+        message = f"line 1: bad size field {size_text!r} in header"
+        return "GraphFormatError", 1, message
     source = io.StringIO(text)
     result = _outcome(_oracle_read_graph, source)
     if isinstance(result, DisorderGraph):

@@ -17,7 +17,6 @@ from dilutecw.mcmc import (
     build_update_tables,
     default_burn_in,
     derive_seed,
-    local_field,
     quenched_experiment,
     run_chain,
     sweep_kernel,
@@ -52,30 +51,6 @@ def test_update_tables_layout_is_checked():
         mcmc.SpinUpdateTables(n=70, w1=tables.w1, w2=tables.w2[:, :1], base=tables.base)
     with pytest.raises(ValueError, match="base"):
         mcmc.SpinUpdateTables(n=70, w1=tables.w1, w2=tables.w2, base=tables.base.astype(np.int32))
-
-
-def test_local_field_against_neighbor_loop():
-    params = ModelParams(n=9, p=0.5, beta=1.0)
-    g = sample_graph(params, GraphSeed(21))
-    sigma = SpinConfig(n=9, bits=0b101100110)
-    signs = sigma.to_signs()
-    for i in range(9):
-        s = sum(
-            (g.has_edge(i, j) + g.has_edge(j, i)) * signs[j]
-            for j in range(9)
-            if j != i
-        )
-        assert local_field(g, sigma, i, params) == pytest.approx(s / (2 * 9 * 0.5))
-
-
-def test_local_field_errors():
-    params = ModelParams(n=4, p=0.5, beta=1.0)
-    g = DisorderGraph.complete(4)
-    sigma = SpinConfig.all_up(4)
-    with pytest.raises(ValueError, match="site index"):
-        local_field(g, sigma, 4, params)
-    with pytest.raises(ValueError, match="incompatible"):
-        local_field(g, SpinConfig.all_up(5), 0, params)
 
 
 def _compiled():
