@@ -9,6 +9,23 @@ after every sweep, so the Python side only turns counts into magnetizations.
 ctypes releases the interpreter lock for the length of the call, so chains on
 different threads run on different cores.
 
+Counting a site's field with wide vector loads pays off only when those loads
+need not wait for the state word that the site before it has just written.
+So the kernel splits the sweep into blocks of the 64 sites that share one
+state word w.  While a block updates, no other word changes, so it first
+counts each of its sites' field over every word but w.  Those counts do not
+depend on each other, so they pipeline and vectorise.  A serial pass then
+updates the block in order against word w alone, held in a register.  The
+counts are integers, so the split changes no bit of the result.
+
+One body is compiled three ways, each exported on its own
+(``sweep_block_<path>``, ``PATHS``): with AVX-512 VPOPCNTDQ, where GCC turns
+the counting loop into ``vpopcntq`` at ``-O3``; with the scalar ``popcnt``
+instruction; and plain.  ``sweep_block`` takes the fastest path the CPU
+runs, found with ``__builtin_cpu_supports``, and ``sweep_path()`` names it.
+The first two exist only on x86-64.  No ``-march`` flag is passed, so the one
+library runs on any host of its architecture.
+
 The first chain a process runs compiles the source with the system C compiler
 (``COMMAND``) into ``${XDG_CACHE_HOME:-~/.cache}/dilutecw/sweep-<hash>.so``,
 where the hash covers the source and the command, so an edit to either builds
@@ -29,33 +46,52 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 SOURCE = r"""
 #include <stdint.h>
 
-#if defined(__x86_64__)
-__attribute__((target_clones("popcnt", "default")))
-#endif
-void sweep_block(int64_t n, int64_t words, const uint64_t *w1, const uint64_t *w2,
-                 const int64_t *base, const double *plus, const double *uniforms,
-                 int64_t sweeps, uint64_t *bits, int64_t *up)
+#define SWEEP_ARGS int64_t n, int64_t words, const uint64_t *w1, const uint64_t *w2, \
+                   const int64_t *base, const double *plus, const double *uniforms, \
+                   int64_t sweeps, uint64_t *bits, int64_t *up
+#define SWEEP_PASS n, words, w1, w2, base, plus, uniforms, sweeps, bits, up
+
+/* Sites 64w .. 64w+63 share state word w, and while they update no other
+   word changes.  So each block first counts, for every one of its sites, the
+   field over all words but w (word w is cleared meanwhile); these counts are
+   independent of each other and of the updates.  The serial pass then only
+   adds the popcounts against word w, held in a register. */
+static inline __attribute__((always_inline)) void sweep_body(SWEEP_ARGS)
 {
+    int64_t outer[64];
     for (int64_t t = 0; t < sweeps; t++, uniforms += n) {
-        for (int64_t i = 0; i < n; i++) {
-            const uint64_t *one = w1 + i * words, *two = w2 + i * words;
-            int64_t c1 = 0, c2 = 0;
-            for (int64_t k = 0; k < words; k++) {
-                c1 += __builtin_popcountll(one[k] & bits[k]);
-                c2 += __builtin_popcountll(two[k] & bits[k]);
+        for (int64_t w = 0; w < words; w++) {
+            int64_t lo = 64 * w, hi = lo + 64 < n ? lo + 64 : n;
+            uint64_t word = bits[w];
+            bits[w] = 0;
+            for (int64_t i = lo; i < hi; i++) {
+                const uint64_t *one = w1 + i * words, *two = w2 + i * words;
+                /* 64-bit sums: 8 words to an AVX-512 vector, not 16 */
+                uint64_t c1 = 0, c2 = 0;
+                for (int64_t k = 0; k < words; k++) {
+                    c1 += (uint64_t)__builtin_popcountll(one[k] & bits[k]);
+                    c2 += (uint64_t)__builtin_popcountll(two[k] & bits[k]);
+                }
+                outer[i - lo] = (int64_t)(c1 + 2 * c2);
             }
-            int64_t s = 2 * (c1 + 2 * c2) - base[i];
-            uint64_t bit = (uint64_t)1 << (i & 63);
-            if (uniforms[i] < plus[s + 2 * n])
-                bits[i >> 6] |= bit;
-            else
-                bits[i >> 6] &= ~bit;
+            for (int64_t i = lo; i < hi; i++) {
+                int64_t c = outer[i - lo] + __builtin_popcountll(w1[i * words + w] & word)
+                            + 2 * __builtin_popcountll(w2[i * words + w] & word);
+                int64_t s = 2 * c - base[i];
+                uint64_t bit = (uint64_t)1 << (i & 63);
+                if (uniforms[i] < plus[s + 2 * n])
+                    word |= bit;
+                else
+                    word &= ~bit;
+            }
+            bits[w] = word;
         }
         int64_t count = 0;
         for (int64_t k = 0; k < words; k++)
@@ -63,12 +99,68 @@ void sweep_block(int64_t n, int64_t words, const uint64_t *w1, const uint64_t *w
         up[t] = count;
     }
 }
+
+#if defined(__x86_64__)
+__attribute__((target("avx512f,avx512vpopcntdq")))
+void sweep_block_avx512vpopcntdq(SWEEP_ARGS) { sweep_body(SWEEP_PASS); }
+
+__attribute__((target("popcnt")))
+void sweep_block_popcnt(SWEEP_ARGS) { sweep_body(SWEEP_PASS); }
+#endif
+
+void sweep_block_generic(SWEEP_ARGS) { sweep_body(SWEEP_PASS); }
+
+/* The path sweep_block takes on this CPU, fastest first. */
+static int path_index(void)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vpopcntdq"))
+        return 0;
+    if (__builtin_cpu_supports("popcnt"))
+        return 1;
+#endif
+    return 2;
+}
+
+const char *sweep_path(void)
+{
+    static const char *const names[] = {"avx512vpopcntdq", "popcnt", "generic"};
+    return names[path_index()];
+}
+
+void sweep_block(SWEEP_ARGS)
+{
+    switch (path_index()) {
+#if defined(__x86_64__)
+    case 0:
+        sweep_block_avx512vpopcntdq(SWEEP_PASS);
+        break;
+    case 1:
+        sweep_block_popcnt(SWEEP_PASS);
+        break;
+#endif
+    default:
+        sweep_block_generic(SWEEP_PASS);
+    }
+}
 """
 
-COMMAND = ("cc", "-O2", "-shared", "-fPIC")
+COMMAND = ("cc", "-O3", "-shared", "-fPIC")
+
+# The paths of the kernel, fastest first.  sweep_path() names the first one
+# this CPU runs; a CPU that runs a path also runs every path after it.
+PATHS = ("avx512vpopcntdq", "popcnt", "generic")
+
+
+class _Library(NamedTuple):
+    sweep: Callable  # sweep_block, which runs on ``path``
+    path: str
+    paths: dict  # name -> that path's own entry point, for every path this CPU runs
+
 
 _lock = threading.Lock()
-_loaded: list = []  # holds the result of the first load()
+_loaded: list = []  # holds the _Library, or None, of the first load
 
 
 def library_path() -> Path:
@@ -94,13 +186,8 @@ def _build(path: Path) -> None:
             os.remove(tmp)
 
 
-def _open():
-    if sys.byteorder != "little":
-        raise OSError("the kernel reads the masks as little-endian words")
-    path = library_path()
-    if not path.exists():
-        _build(path)
-    fn = ctypes.CDLL(str(path)).sweep_block
+def _bind(fn):
+    """The checked Python entry to one kernel function of the SWEEP_ARGS signature."""
     fn.restype = None
     fn.argtypes = [ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 5,
                    ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
@@ -131,18 +218,54 @@ def _open():
     return sweep
 
 
-def load():
-    """The compiled block sweep, or None when it cannot be had.
+def _open() -> _Library:
+    if sys.byteorder != "little":
+        raise OSError("the kernel reads the masks as little-endian words")
+    path = library_path()
+    if not path.exists():
+        _build(path)
+    lib = ctypes.CDLL(str(path))
+    lib.sweep_path.restype = ctypes.c_char_p
+    lib.sweep_path.argtypes = []
+    chosen = lib.sweep_path().decode()
+    runnable = PATHS[PATHS.index(chosen):]
+    return _Library(
+        sweep=_bind(lib.sweep_block),
+        path=chosen,
+        paths={name: _bind(getattr(lib, f"sweep_block_{name}")) for name in runnable},
+    )
 
-    Built or loaded once per process; later calls return the same answer.
-    """
+
+def _library() -> _Library | None:
+    """The loaded library, or None when it cannot be had; built or loaded once
+    per process, so later calls return the same answer."""
     with _lock:
         if not _loaded:
             try:
-                sweep = _open()
+                library = _open()
             except OSError as err:
-                sweep = None
+                library = None
                 print(f"note: compiled sweep unavailable ({err}); using the Python sweep",
                       file=sys.stderr, flush=True)
-            _loaded.append(sweep)
+            _loaded.append(library)
         return _loaded[0]
+
+
+def load():
+    """The compiled block sweep, or None when it cannot be had."""
+    library = _library()
+    return None if library is None else library.sweep
+
+
+def path() -> str | None:
+    """The path ``load()``'s sweep runs on this CPU (one of PATHS), or None
+    when there is no compiled sweep."""
+    library = _library()
+    return None if library is None else library.path
+
+
+def paths() -> dict:
+    """Name -> checked sweep for each path this CPU runs, fastest first; empty
+    when there is no compiled sweep."""
+    library = _library()
+    return {} if library is None else dict(library.paths)

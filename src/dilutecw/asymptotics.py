@@ -183,6 +183,10 @@ def cosh_shorthand(params: ModelParams, which: str) -> float:
 
 _HERMITE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# exp(-x^2 / 2) underflows to 0 beyond |x| = 38.6, and on a panel of 8 sigma
+# the 128-node rule integrates the Gaussian weight to rounding level
+_WEIGHT_REACH = 38.6
+_PANEL_SIGMAS = 8.0
 
 
 def gaussian_expectation(g: TestFunction, beta: float, *, nodes: int = 128) -> float:
@@ -197,7 +201,12 @@ def gaussian_expectation(g: TestFunction, beta: float, *, nodes: int = 128) -> f
     (the nodes straddle the support edges where g is not analytic), so for
     those the integral is instead taken over the support interval with
     Gauss-Legendre nodes, which see a smooth integrand flat at both
-    endpoints.
+    endpoints.  The interval is first clipped to |x| <= _WEIGHT_REACH sigma,
+    sigma = 1/sqrt(1 - beta), beyond which the Gaussian weight underflows to
+    0, and is then split into equal panels no wider than _PANEL_SIGMAS sigma,
+    each with its own ``nodes`` nodes, so that a bump much wider than sigma
+    still puts its nodes where the weight lives.  A support no wider than
+    _PANEL_SIGMAS sigma stays one panel.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
@@ -215,16 +224,25 @@ def gaussian_expectation(g: TestFunction, beta: float, *, nodes: int = 128) -> f
             x = math.sqrt(2.0) * ti * scale
             acc += wi * g(x) * math.exp(alpha * x * x)
         return scale * acc / math.sqrt(math.pi)
-    lo, hi = support
+    sigma = 1.0 / math.sqrt(1.0 - beta)
+    lo = max(support[0], -_WEIGHT_REACH * sigma)
+    hi = min(support[1], _WEIGHT_REACH * sigma)
+    if not lo < hi:
+        return 0.0
     if nodes not in _LEGENDRE_CACHE:
         _LEGENDRE_CACHE[nodes] = np.polynomial.legendre.leggauss(nodes)
     t, w = _LEGENDRE_CACHE[nodes]
-    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    panels = math.ceil((hi - lo) / (_PANEL_SIGMAS * sigma))
+    edges = [lo + (hi - lo) * k / panels for k in range(panels)] + [hi]
     acc = 0.0
-    for ti, wi in zip(t, w):
-        x = mid + half * ti
-        acc += wi * g(x) * math.exp(-(1.0 - beta) * x * x / 2.0)
-    return half * acc / math.sqrt(2.0 * math.pi)
+    for a, b in zip(edges, edges[1:]):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        part = 0.0
+        for ti, wi in zip(t, w):
+            x = mid + half * ti
+            part += wi * g(x) * math.exp(-(1.0 - beta) * x * x / 2.0)
+        acc += half * part
+    return acc / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)

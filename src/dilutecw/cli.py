@@ -41,7 +41,14 @@ from .exact import (
     variance_ratio_from_logs,
 )
 from .graph import GraphSeed, read_graph, sample_graph, write_graph
-from .mcmc import ChainConfig, derive_seed, quenched_experiment, run_chain, sweep_kernel
+from .mcmc import (
+    ChainConfig,
+    derive_seed,
+    quenched_experiment,
+    run_chain,
+    sweep_kernel,
+    sweep_path,
+)
 from .model import ModelParams
 from .testfunctions import parse_test_function
 
@@ -250,6 +257,12 @@ def _chain_config(args, chain_seed: int) -> ChainConfig:
     )
 
 
+def _sweep_meta() -> dict:
+    """The sidecar's record of which sweep ran; "sweep_path" only when compiled."""
+    path = sweep_path()
+    return {"sweep_kernel": sweep_kernel(), **({} if path is None else {"sweep_path": path})}
+
+
 def _cmd_mcmc_run(args) -> int:
     params = ModelParams(n=args.n, p=args.p, beta=args.beta)
     cfg = _chain_config(args, derive_seed(args.seed, 2))
@@ -270,7 +283,7 @@ def _cmd_mcmc_run(args) -> int:
                 [seed_field, sample.replica_id, sample.first_sweep + j * sample.thin, repr(value)]
             )
     _log(f"retained {sum(len(s.values) for s in samples)} samples")
-    _emit(buf.getvalue(), args.out, started, {"sweep_kernel": sweep_kernel()})
+    _emit(buf.getvalue(), args.out, started, _sweep_meta())
     return 0
 
 
@@ -314,7 +327,7 @@ def _cmd_clt_experiment(args) -> int:
         },
         "exceed_fraction": record.exceed_fraction,
     }
-    _emit_json(payload, args.out, started, {"sweep_kernel": sweep_kernel()})
+    _emit_json(payload, args.out, started, _sweep_meta())
     return 0
 
 

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -329,19 +330,43 @@ def second_moment_log(
     return peak + math.log(math.fsum(itertools.chain.from_iterable(exps)))
 
 
+# Rounding budget of variance_ratio_from_logs.  Each log moment is taken to
+# lie within _LOG_MOMENT_ROUNDING of its own size from its exact value: four
+# units of rounding, where the error measured at n = 10, p = 0.5 against the
+# exact large-beta limit 100 log 2 stayed under a third of that for beta =
+# 1e4 ... 1e12.  second - 2 first cancels the moments but not their errors.
+# LOG_RATIO_TOLERANCE is the most error accepted in log(1 + ratio), which is
+# about the relative error of 1 + ratio: six significant digits.
+LOG_RATIO_TOLERANCE = 1e-6
+_LOG_MOMENT_ROUNDING = 4 * sys.float_info.epsilon
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+
+
 def variance_ratio_from_logs(first: float, second: float) -> tuple[float, bool]:
     """Relative annealed variance E[Z^2]/E[Z]^2 - 1 from log E[Z] and
     log E[Z^2], with a clamp flag.
 
-    The exact value is nonnegative; rounding in the two log sums can push
-    the computed value a hair below zero, in which case it is clamped to 0
-    and the flag is set.  A value below -1e-9 means an actual inconsistency
-    and raises.  A value beyond the largest double is returned as inf.
+    The ratio is expm1 of second - 2 first, whose rounding error is bounded
+    by _LOG_MOMENT_ROUNDING (|second| + 2 |first|).  When that bound exceeds
+    LOG_RATIO_TOLERANCE the ratio is lost to cancellation and ValueError is
+    raised; at n = 10, p = 0.5 this happens between beta = 1e7 and 1e8.  A
+    ratio beyond the largest double even after that error is returned as
+    inf.  The exact value is nonnegative; rounding can push the computed
+    value a hair below zero, in which case it is clamped to 0 and the flag is
+    set.  A value below -1e-9 means an actual inconsistency and raises.
     """
     if first == -math.inf:
         raise ValueError("E[Z(g)] is zero, variance ratio undefined")
+    log_ratio = second - 2.0 * first
+    rounding = _LOG_MOMENT_ROUNDING * (abs(second) + 2.0 * abs(first))
+    if rounding > LOG_RATIO_TOLERANCE and log_ratio - rounding <= _LOG_DOUBLE_MAX:
+        raise ValueError(
+            f"variance ratio lost to cancellation: log(1 + ratio) = {log_ratio!r} from "
+            f"log moments {first!r} and {second!r} may be off by {rounding:.3g}, "
+            f"above the tolerance {LOG_RATIO_TOLERANCE}"
+        )
     try:
-        value = math.expm1(second - 2.0 * first)
+        value = math.expm1(log_ratio)
     except OverflowError:
         return math.inf, False
     if value >= 0.0:

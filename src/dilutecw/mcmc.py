@@ -13,7 +13,10 @@ integer values -2n .. 2n, the acceptance probabilities come from one
 precomputed table per (graph shape, beta).  That keeps the inner loop at two
 masked popcounts, one table lookup, and one comparison per site.  The loop
 runs compiled (``_csweep``) when a C compiler is at hand and in Python
-(``_sweep_bits``) otherwise; both give bit-identical chains.
+(``_sweep_bits``) otherwise; both give bit-identical chains.  The compiled
+sweep counts each block of 64 sites' field over the other state words first,
+then updates the block in order against its own word; ``sweep_kernel`` and
+``sweep_path`` name which sweep, and which compiled path, a process runs.
 
 Randomness is replayable by construction.  A chain seed plus replica index
 derives two 64-bit streams (initial state, dynamics) through repeated
@@ -47,6 +50,7 @@ __all__ = [
     "derive_seed",
     "run_chain",
     "sweep_kernel",
+    "sweep_path",
     "GraphRun",
     "ExperimentRecord",
     "quenched_experiment",
@@ -281,6 +285,14 @@ def sweep_kernel() -> str:
     from . import _csweep
 
     return "python" if _csweep.load() is None else "c"
+
+
+def sweep_path() -> str | None:
+    """Which compiled path chains run in this process ("avx512vpopcntdq",
+    "popcnt" or "generic"), or None when they run the Python sweep."""
+    from . import _csweep
+
+    return _csweep.path()
 
 
 # Uniforms are drawn from the generator in blocks of about this many (whole

@@ -166,6 +166,31 @@ def test_gaussian_expectation_bump_against_quadrature(center, width):
         assert gaussian_expectation(g, beta) == pytest.approx(want, rel=1e-8)
 
 
+@pytest.mark.parametrize("width", [1e3, 1e4, 1e6])
+def test_gaussian_expectation_wide_bump(width):
+    # With sigma^2 = 1/(1 - beta) and g = 1 - u^2 - u^4/2 + O(u^6), u = x/w,
+    # the factor is sigma (1 - sigma^2/w^2 - 3 sigma^4/(2 w^4)) up to a
+    # relative O(sigma^6/w^6): below 1e-15 here.  It tends to 1/sqrt(1 - beta)
+    # only as fast as sigma^2/w^2 (1e-5 at w = 1e3, beta = 0.9).
+    g = make_test_function("bump", 0.0, width)
+    for beta in (0.0, 0.5, 0.9):
+        sigma2 = 1 / (1 - beta)
+        want = math.sqrt(sigma2) * (1 - sigma2 / width**2 - 1.5 * sigma2**2 / width**4)
+        assert gaussian_expectation(g, beta) == pytest.approx(want, rel=1e-9)
+
+
+def test_gaussian_expectation_wide_off_centre_bump():
+    # on [-60, 60] the bump is smooth and the weight outside it below e^-180
+    g = make_test_function("bump", 300.0, 1000.0)
+    for beta in (0.0, 0.5, 0.9):
+        with mp.workdps(30):
+            want = mp.quad(
+                lambda x: mp.exp(1 - 1 / (1 - ((x - 300) / 1000) ** 2) - (1 - beta) * x * x / 2),
+                mp.linspace(-60, 60, 13),
+            ) / mp.sqrt(2 * mp.pi)
+        assert gaussian_expectation(g, beta) == pytest.approx(float(want), rel=1e-9)
+
+
 def test_gaussian_expectation_validation():
     with pytest.raises(ValueError):
         gaussian_expectation(ONE, 1.0)

@@ -655,6 +655,79 @@ def test_chain_sidecar_names_the_sweep_kernel(tmp_path, capsys):
     assert "sweep_kernel" not in out_path.read_text()
 
 
+def test_asym_predict_wide_bump_factor(capsys):
+    # sigma (1 - sigma^2/w^2) at sigma^2 = 2, w = 1000: the bump's own
+    # curvature, not the quadrature, keeps it below sqrt(2)
+    code, out, _ = run_cli(
+        capsys, "asym-predict", "--n", "20", "--p", "0.5", "--beta", "0.5",
+        "--g", "bump:0,1000", "--variant", "a",
+    )
+    assert code == 0
+    assert json.loads(out)["gaussian_factor"] == pytest.approx(math.sqrt(2) * (1 - 2e-6), rel=1e-9)
+
+
+@pytest.mark.parametrize("beta, code", [("1e3", 0), ("1e15", 4), ("1e17", 4)])
+def test_exact_moments_refuses_a_cancelled_variance_ratio(beta, code, capsys):
+    got, out, err = run_cli(capsys, "exact-moments", "--n", "10", "--p", "0.5", "--beta", beta)
+    assert got == code, err
+    if code == 0:
+        # the large-beta limit: 2^100 from the two ground states of 10 spins
+        assert json.loads(out)["variance_ratio"] == pytest.approx(2.0**100, rel=1e-9)
+    else:
+        assert out == "" and "lost to cancellation" in err
+
+
+def test_chain_sidecar_names_the_sweep_path(tmp_path, capsys, monkeypatch):
+    from dilutecw import _csweep, mcmc
+
+    argv = ("--n", "70", "--p", "0.5", "--beta", "0.5", "--sweeps", "30", "--burnin", "2")
+    for python_only in (False, True):
+        if python_only:
+            monkeypatch.setattr(_csweep, "_loaded", [None])
+        for command, extra in (("mcmc-run", ()), ("clt-experiment", ("--graphs", "2"))):
+            out_path = tmp_path / f"{command}-{python_only}.out"
+            code, _, _ = run_cli(capsys, command, *argv, *extra, "--out", str(out_path))
+            assert code == 0
+            meta = json.loads(out_path.with_name(out_path.name + ".meta.json").read_text())
+            assert meta.get("sweep_path") == mcmc.sweep_path()
+            assert "sweep_path" not in out_path.read_text()
+            if meta["sweep_kernel"] == "c":
+                assert meta["sweep_path"] in _csweep.PATHS
+            else:
+                assert "sweep_path" not in meta
+
+
+# sha256 of the `mcmc-run` CSV and the `clt-experiment` stdout at the
+# arguments below, recorded from the one-site-at-a-time compiled sweep that
+# the block-split sweep replaced.
+_CHAIN_ARGS = ("--p", "0.5", "--sweeps", "24", "--burnin", "4", "--seed", "11")
+_CHAIN_SHA256 = {
+    ("mcmc-run", 65): "88497eba972b21cd36aee3d063c0e43a93f301f61d6268654d8f582a80f05549",
+    ("mcmc-run", 1024): "3a1475e45734ed94e38685b28cc8c745a7d4d8f110c121f1142568fa675b4d2c",
+    ("mcmc-run", 4100): "7acfef07a80426c4424c6ba53d42d00e84177f61f2c9052746278d2670eb3344",
+    ("clt-experiment", 65): "613c596eb6918514fc080f4b393d2007763047020fb636f281ba0740017262c3",
+    ("clt-experiment", 1024): "8881e05fff52afe7d1d2defe062e32e05c1b908d33e0454af9990eb94418250d",
+    ("clt-experiment", 4100): "27ea45642b092d1b7c43ec42209f56a75dee115df5bd85a8b3219b9a5d05dbaf",
+}
+
+
+@pytest.mark.parametrize("command, n", sorted(_CHAIN_SHA256))
+def test_chain_golden_output(command, n, tmp_path, capsys):
+    if command == "mcmc-run":
+        out_path = tmp_path / "chain.csv"
+        code, _, _ = run_cli(
+            capsys, command, "--n", str(n), "--beta", "1.5", "--replicas", "2", *_CHAIN_ARGS,
+            "--out", str(out_path),
+        )
+        text = out_path.read_text()
+    else:
+        code, text, _ = run_cli(
+            capsys, command, "--n", str(n), "--beta", "0.5", "--graphs", "2", *_CHAIN_ARGS
+        )
+    assert code == 0
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == _CHAIN_SHA256[command, n]
+
+
 # Extreme spellings of a real number, for p, beta, epsilon and bump parameters.
 _EXTREMES = ["1e-320", "1e-10", "1e308", "inf", "-inf", "nan", "0", "-0.5", "-1", "0.5", "1", "2"]
 _REALS = st.one_of(st.sampled_from(_EXTREMES), st.floats(-1e3, 1e3).map(repr))

@@ -74,6 +74,7 @@ def test_argument_checks_raise_domain_error(call):
 
 _NUMERIC_CASES = {
     "negative_variance_ratio": lambda: variance_ratio_from_logs(1.0, 1.0),
+    "cancelled_variance_ratio": lambda: variance_ratio_from_logs(1e16, 2e16 + 68.0),
     "table_layout": lambda: SpinUpdateTables(
         n=1,
         w1=np.zeros((1, 1), dtype="<u8"),

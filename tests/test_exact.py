@@ -437,6 +437,13 @@ def test_variance_ratio_from_logs():
         variance_ratio_from_logs(1.0, 1.0)
     with pytest.raises(ValueError, match="zero"):
         variance_ratio_from_logs(-math.inf, -math.inf)
+    # both logs near 1e16 are each uncertain by several units of 1, which
+    # second - 2 first does not cancel; a ratio past the double range is
+    # still inf, however uncertain its log
+    with pytest.raises(ValueError, match="cancellation"):
+        variance_ratio_from_logs(1e16, 2e16 + 68.0)
+    assert variance_ratio_from_logs(1e16, 2e16 + 1e4) == (math.inf, False)
+    assert variance_ratio_from_logs(1e4, 2e4 + 1.0) == (math.expm1(1.0), False)
     params = ModelParams(n=10, p=0.4, beta=0.7)
     assert variance_ratio(params, GAUSS) == variance_ratio_from_logs(
         expected_partition_log(params, GAUSS), second_moment_log(params, GAUSS)

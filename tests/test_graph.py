@@ -348,7 +348,8 @@ def test_non_ascii_byte_is_a_cell_error(tmp_path):
 
 def _declared_size(text: str, default: int) -> int:
     """The header's N when it is a small positive integer, else ``default``."""
-    header = text.split("\n", 1)[0]
+    # the reader's universal newlines end a line at "\r" as well as "\n"
+    header = text.replace("\r", "\n").split("\n", 1)[0]
     try:
         size = int(header.removeprefix("dilute-cw-graph v1 N="))
     except ValueError:

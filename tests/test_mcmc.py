@@ -1,5 +1,6 @@
 """Chain correctness: field arithmetic, replayability, stationarity."""
 
+import functools
 import math
 import os
 import subprocess
@@ -8,6 +9,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilutecw import _csweep, mcmc
 from dilutecw.exact import enumerate_partition
@@ -20,6 +23,7 @@ from dilutecw.mcmc import (
     quenched_experiment,
     run_chain,
     sweep_kernel,
+    sweep_path,
 )
 from dilutecw.model import DisorderGraph, ModelParams, SpinConfig
 from dilutecw.stats import EmpiricalMeasure
@@ -339,6 +343,93 @@ def test_supercritical_chain_magnetizes():
     per_site = [v / math.sqrt(256) for v in samples[0].values]
     mean_abs = sum(abs(v) for v in per_site) / len(per_site)
     assert mean_abs > 0.6
+
+
+# Word boundaries, and word counts on either side of a multiple of 8 (one
+# AVX-512 vector of words), so the vectorised loops run their tails.
+_PATH_SIZES = [1, 2, 63, 64, 65, 127, 128, 129, 511, 512, 513, 1000, 1024, 4100]
+
+
+@functools.lru_cache(maxsize=None)
+def _path_case(n, graph, beta):
+    """(tables, plus, initial state, uniforms) for three sweeps, and what the
+    Python sweep makes of them: (final state bytes, up-spin counts)."""
+    if graph == "complete":
+        g, p = DisorderGraph.complete(n), 1.0
+    elif graph == "empty":
+        g, p = DisorderGraph.empty(n), 0.5
+    else:
+        p = 0.5
+        g = sample_graph(ModelParams(n=n, p=p, beta=0.0), GraphSeed(n))
+    tables = build_update_tables(g)
+    plus = mcmc._plus_probabilities(ModelParams(n=n, p=p, beta=beta), n)
+    rng = np.random.default_rng(n)
+    state = np.frombuffer(rng.bytes(8 * tables.w1.shape[1]), dtype=mcmc._WORD).copy()
+    state[-1] &= np.uint64((1 << (n - 64 * (state.size - 1))) - 1)
+    uniforms = rng.random(3 * n)
+    want_state = state.copy()
+    want_up = mcmc._python_sweeps(tables, plus)(want_state, uniforms)
+    return tables, np.array(plus), state, uniforms, (want_state.tobytes(), want_up)
+
+
+def _host_path(name):
+    """The compiled sweep of one kernel path, or skip when this host cannot run it."""
+    _compiled()
+    sweep = _csweep.paths().get(name)
+    if sweep is None:
+        pytest.skip(f"this CPU does not run the {name} path")
+    return sweep
+
+
+def _run_path(sweep, tables, plus, state, uniforms):
+    state = state.copy()
+    up = sweep(tables.w1, tables.w2, tables.base, plus, state, uniforms)
+    return state.tobytes(), up
+
+
+@pytest.mark.parametrize("path", _csweep.PATHS)
+@pytest.mark.parametrize(
+    "n, graph, beta",
+    [(n, "p=0.5", beta) for n in _PATH_SIZES for beta in (0.0, 0.5, 1.5, 1e3)]
+    + [(n, graph, 1.5) for n in _PATH_SIZES for graph in ("complete", "empty")],
+)
+def test_every_kernel_path_matches_python_sweep(path, n, graph, beta):
+    sweep = _host_path(path)
+    tables, plus, state, uniforms, want = _path_case(n, graph, beta)
+    assert _run_path(sweep, tables, plus, state, uniforms) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    p=st.sampled_from([0.01, 0.3, 0.5, 0.9, 1.0]),
+    beta=st.sampled_from([0.0, 0.2, 0.9, 1.1, 4.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+    sweeps=st.integers(1, 3),
+)
+def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
+    paths = _csweep.paths()
+    if not paths:
+        pytest.skip("no compiled sweep on this host")
+    params = ModelParams(n=n, p=p, beta=beta)
+    tables = build_update_tables(sample_graph(params, GraphSeed(seed)))
+    plus = mcmc._plus_probabilities(params, n)
+    rng = np.random.default_rng(seed)
+    spins = rng.integers(0, 2, size=n, dtype=np.uint8)
+    state = np.zeros(tables.w1.shape[1], dtype=mcmc._WORD)
+    state.view(np.uint8)[: (n + 7) // 8] = np.packbits(spins, bitorder="little")
+    uniforms = rng.random(sweeps * n)
+    want = state.copy()
+    want_up = mcmc._python_sweeps(tables, plus)(want, uniforms)
+    for name, sweep in paths.items():
+        got = _run_path(sweep, tables, np.array(plus), state, uniforms)
+        assert got == (want.tobytes(), want_up), name
+
+
+def test_sweep_path_is_the_fastest_path_the_cpu_runs():
+    _compiled()
+    assert sweep_path() == _csweep.path() == next(iter(_csweep.paths()))
+    assert list(_csweep.paths()) == list(_csweep.PATHS[_csweep.PATHS.index(sweep_path()):])
 
 
 def test_kernel_rejects_mismatched_buffers():
