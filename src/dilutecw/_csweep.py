@@ -1,4 +1,4 @@
-"""The heat-bath sweep compiled to C, built on first use.
+"""The heat-bath sweep and the setup of each graph compiled to C, built on first use.
 
 ``sweep_block`` below does exactly what ``mcmc._sweep_bits`` does, one sweep
 after another: the same weight-1 and weight-2 masks, the same table of
@@ -26,14 +26,30 @@ runs, found with ``__builtin_cpu_supports``, and ``sweep_path()`` names it.
 The first two exist only on x86-64.  No ``-march`` flag is passed, so the one
 library runs on any host of its architecture.
 
-The first chain a process runs compiles the source with the system C compiler
-(``COMMAND``) into ``${XDG_CACHE_HOME:-~/.cache}/dilutecw/sweep-<hash>.so``,
-where the hash covers the source and the command, so an edit to either builds
-a new library.  The library is written to a temporary file and renamed into
-place, which makes concurrent first runs safe.  Later runs only load it.
+The same library holds the setup of every sampled graph, each function the
+twin of a numpy or Python one that stays as its test oracle and fallback, and
+bit-identical to it:
+
+* ``sample_rows`` (``graph._sample_rows``) writes rows of the graph as mask
+  words, one SplitMix64 mix per cell.  It is compiled with AVX-512 DQ, where
+  GCC mixes a word's 64 cells in vector lanes with ``vpmullq``, and plainly
+  (``sample_rows_<path>``, ``SAMPLE_PATHS``), and picks its own path:
+  VPOPCNTDQ does not imply DQ.
+* ``build_masks`` (``mcmc._numpy_masks``) turns the out-edge rows into the
+  symmetric weight-1 and weight-2 masks and ``base`` by a 64 x 64 block bit
+  transpose.
+* ``plus_table`` (``mcmc._plus_loop``) fills P(spin up) with libm ``exp``,
+  the function ``math.exp`` calls, so every entry is the same double.
+
+The first graph or chain a process makes compiles the source with the system
+C compiler (``COMMAND``) into
+``${XDG_CACHE_HOME:-~/.cache}/dilutecw/sweep-<hash>.so``, where the hash
+covers the source and the command, so an edit to either builds a new library.
+The library is written to a temporary file and renamed into place, which
+makes concurrent first runs safe.  Later runs only load it.
 When there is no compiler, the cache cannot be written, or the library does
-not load, ``load`` prints one note to stderr and returns None, and chains run
-the Python sweep instead.
+not load, ``library`` prints one note to stderr and returns None, and graphs,
+masks, tables and chains come from the numpy and Python twins instead.
 """
 
 from __future__ import annotations
@@ -51,6 +67,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 
 #define SWEEP_ARGS int64_t n, int64_t words, const uint64_t *w1, const uint64_t *w2, \
@@ -144,19 +161,156 @@ void sweep_block(SWEEP_ARGS)
         sweep_block_generic(SWEEP_PASS);
     }
 }
+
+#define SAMPLE_ARGS int64_t n, uint64_t seed, uint64_t threshold, int64_t start, int64_t rows, \
+                    uint64_t *out
+#define SAMPLE_PASS n, seed, threshold, start, rows, out
+
+/* Rows start .. start+rows-1 of the graph as mask words: bit j of row i is
+   set iff the SplitMix64 finalizer of seed + (i n + 1) gamma + j gamma, shifted
+   right by 11, is below threshold.  Cells past n in the last word stay clear.
+   The 64 cells of a word are independent lanes, which GCC vectorises with
+   vpmullq where AVX-512 DQ is on; it does so only while b and hit are 64-bit
+   (an int b or a bool hit left the loop scalar at -O3 with GCC 12). */
+static inline __attribute__((always_inline)) void sample_body(SAMPLE_ARGS)
+{
+    const uint64_t gamma = 0x9E3779B97F4A7C15u;
+    int64_t words = (n + 63) / 64;
+    for (int64_t r = 0; r < rows; r++, out += words) {
+        uint64_t z0 = seed + ((uint64_t)(start + r) * (uint64_t)n + 1) * gamma;
+        for (int64_t w = 0; w < words; w++, z0 += 64 * gamma) {
+            uint64_t word = 0;
+            for (uint64_t b = 0; b < 64; b++) {
+                uint64_t z = z0 + b * gamma;
+                z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9u;
+                z = (z ^ (z >> 27)) * 0x94D049BB133111EBu;
+                z ^= z >> 31;
+                uint64_t hit = (z >> 11) < threshold;
+                word |= hit << b;
+            }
+            int64_t left = n - 64 * w;
+            out[w] = left < 64 ? word & (((uint64_t)1 << left) - 1) : word;
+        }
+    }
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx512f,avx512dq")))
+void sample_rows_avx512dq(SAMPLE_ARGS) { sample_body(SAMPLE_PASS); }
+#endif
+
+void sample_rows_generic(SAMPLE_ARGS) { sample_body(SAMPLE_PASS); }
+
+/* VPOPCNTDQ does not imply DQ, so the sampler has a test of its own. */
+static int sample_index(void)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq"))
+        return 0;
+#endif
+    return 1;
+}
+
+const char *sample_path(void)
+{
+    static const char *const names[] = {"avx512dq", "generic"};
+    return names[sample_index()];
+}
+
+void sample_rows(SAMPLE_ARGS)
+{
+#if defined(__x86_64__)
+    if (sample_index() == 0) {
+        sample_rows_avx512dq(SAMPLE_PASS);
+        return;
+    }
+#endif
+    sample_rows_generic(SAMPLE_PASS);
+}
+
+/* Hacker's Delight's 64 x 64 bit-matrix transpose, bit c of word r to bit r
+   of word c: six rounds, each swapping the off-diagonal j x j sub-blocks. */
+static void transpose64(uint64_t *a)
+{
+    static const uint64_t masks[6] = {
+        0x00000000FFFFFFFFu, 0x0000FFFF0000FFFFu, 0x00FF00FF00FF00FFu,
+        0x0F0F0F0F0F0F0F0Fu, 0x3333333333333333u, 0x5555555555555555u,
+    };
+    for (int round = 0, j = 32; round < 6; round++, j >>= 1)
+        for (int lo = 0; lo < 64; lo += 2 * j)
+            for (int k = lo; k < lo + j; k++) {
+                uint64_t swap = ((a[k] >> j) ^ a[k + j]) & masks[round];
+                a[k] ^= swap << j;
+                a[k + j] ^= swap;
+            }
+}
+
+/* The symmetric masks of the out-edge rows: in-edge rows by block transpose
+   (block (J, I) of the transpose is block (I, J) transposed, held in w2 until
+   the second pass), then w1 = out ^ in, w2 = out & in, the diagonal cleared,
+   and base[i] = popcount(w1[i]) + 2 popcount(w2[i]). */
+void build_masks(int64_t n, const uint64_t *out, uint64_t *w1, uint64_t *w2, int64_t *base)
+{
+    int64_t words = (n + 63) / 64;
+    uint64_t block[64];
+    for (int64_t I = 0; I < words; I++)
+        for (int64_t J = 0; J < words; J++) {
+            for (int64_t r = 0; r < 64; r++)
+                block[r] = 64 * I + r < n ? out[(64 * I + r) * words + J] : 0;
+            transpose64(block);
+            for (int64_t c = 0; c < 64 && 64 * J + c < n; c++)
+                w2[(64 * J + c) * words + I] = block[c];
+        }
+    for (int64_t i = 0; i < n; i++) {
+        int64_t count = 0;
+        for (int64_t k = 0; k < words; k++) {
+            uint64_t keep = k == i / 64 ? ~((uint64_t)1 << (i & 63)) : ~(uint64_t)0;
+            uint64_t o = out[i * words + k], in = w2[i * words + k];
+            uint64_t one = (o ^ in) & keep, two = o & in & keep;
+            w1[i * words + k] = one;
+            w2[i * words + k] = two;
+            count += __builtin_popcountll(one) + 2 * __builtin_popcountll(two);
+        }
+        base[i] = count;
+    }
+}
+
+/* P(spin up) indexed by S + 2n, S in [-2n, 2n]: libm exp, which math.exp
+   calls, with the exponent clamped to [-700, 700] as Python's max and min
+   clamp it (a NaN passes through both). */
+void plus_table(int64_t n, double rate, double *plus)
+{
+    for (int64_t s = -2 * n; s <= 2 * n; s++) {
+        double x = -rate * (double)s;
+        if (-700.0 > x)
+            x = -700.0;
+        if (700.0 < x)
+            x = 700.0;
+        plus[s + 2 * n] = 1.0 / (1.0 + exp(x));
+    }
+}
 """
 
 COMMAND = ("cc", "-O3", "-shared", "-fPIC")
 
-# The paths of the kernel, fastest first.  sweep_path() names the first one
+# The paths of the sweep, fastest first.  sweep_path() names the first one
 # this CPU runs; a CPU that runs a path also runs every path after it.
 PATHS = ("avx512vpopcntdq", "popcnt", "generic")
+
+# The paths of the graph sampler, in the same order; sample_path() names one.
+SAMPLE_PATHS = ("avx512dq", "generic")
 
 
 class _Library(NamedTuple):
     sweep: Callable  # sweep_block, which runs on ``path``
     path: str
     paths: dict  # name -> that path's own entry point, for every path this CPU runs
+    sample: Callable  # sample_rows, which runs on ``sample_path``
+    sample_path: str
+    sample_paths: dict  # as ``paths``, for the sampler
+    masks: Callable  # build_masks
+    plus: Callable  # plus_table
 
 
 _lock = threading.Lock()
@@ -176,7 +330,8 @@ def _build(path: Path) -> None:
     os.close(fd)
     try:
         done = subprocess.run(
-            [*COMMAND, "-x", "c", "-", "-o", tmp], input=SOURCE, capture_output=True, text=True
+            [*COMMAND, "-x", "c", "-", "-lm", "-o", tmp],
+            input=SOURCE, capture_output=True, text=True,
         )
         if done.returncode != 0:
             raise OSError(f"{COMMAND[0]} exited {done.returncode}: {done.stderr.strip()[-300:]}")
@@ -184,6 +339,14 @@ def _build(path: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def _check(*buffers) -> None:
+    """The kernel trusts every length, so every buffer is checked before a call:
+    each (array, dtype, shape) must match and be contiguous."""
+    for array, dtype, shape in buffers:
+        if array.dtype != dtype or array.shape != shape or not array.flags.c_contiguous:
+            raise ValueError(f"kernel buffer {array.dtype} {array.shape} is not {dtype} {shape}")
 
 
 def _bind(fn):
@@ -198,17 +361,14 @@ def _bind(fn):
         indexed by S_i + 2n, ``state`` one row of mask words."""
         n, words = w1.shape
         up = np.empty(uniforms.size // n, dtype=np.int64)
-        # the kernel trusts every length, so every buffer is checked here
-        for array, dtype, shape in (
+        _check(
             (w1, "<u8", (n, (n + 63) // 64)),
             (w2, "<u8", (n, words)),
             (base, np.int64, (n,)),
             (plus, np.float64, (4 * n + 1,)),
             (state, "<u8", (words,)),
             (uniforms, np.float64, (up.size * n,)),
-        ):
-            if array.dtype != dtype or array.shape != shape or not array.flags.c_contiguous:
-                raise ValueError(f"kernel buffer {array.dtype} {array.shape} is not {dtype} {shape}")
+        )
         if not state.flags.writeable:
             raise ValueError("kernel state is read-only")
         fn(n, words, w1.ctypes.data, w2.ctypes.data, base.ctypes.data, plus.ctypes.data,
@@ -218,6 +378,66 @@ def _bind(fn):
     return sweep
 
 
+def _bind_sample(fn):
+    """The checked Python entry to one kernel function of the SAMPLE_ARGS signature."""
+    fn.restype = None
+    fn.argtypes = [ctypes.c_int64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64,
+                   ctypes.c_int64, ctypes.c_void_p]
+
+    def sample(n: int, seed: int, threshold: int, start: int, out: np.ndarray) -> None:
+        """Write rows start .. start + len(out) - 1 of the n-site graph of
+        (seed, threshold) into ``out`` as mask words (see graph.sample_graph)."""
+        rows = out.shape[0]
+        _check((out, "<u8", (rows, (n + 63) // 64)))
+        if not out.flags.writeable:
+            raise ValueError("kernel output is read-only")
+        if not (0 <= start <= start + rows <= n and 0 <= seed < 1 << 64
+                and 0 <= threshold <= 1 << 53):
+            raise ValueError(f"rows {start}+{rows} of n={n}, seed {seed}, threshold {threshold}")
+        fn(n, seed, threshold, start, rows, out.ctypes.data)
+
+    return sample
+
+
+def _bind_masks(fn):
+    fn.restype = None
+    fn.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 4]
+
+    def masks(out_rows: np.ndarray):
+        """(w1, w2, base) of SpinUpdateTables from the out-edge rows, an
+        (n, ceil(n / 64)) array of mask words."""
+        n = out_rows.shape[0]
+        _check((out_rows, "<u8", (n, (n + 63) // 64)))
+        w1, w2 = np.empty_like(out_rows), np.empty_like(out_rows)
+        base = np.empty(n, dtype=np.int64)
+        fn(n, out_rows.ctypes.data, w1.ctypes.data, w2.ctypes.data, base.ctypes.data)
+        return w1, w2, base
+
+    return masks
+
+
+def _bind_plus(fn):
+    fn.restype = None
+    fn.argtypes = [ctypes.c_int64, ctypes.c_double, ctypes.c_void_p]
+
+    def plus(n: int, rate: float) -> np.ndarray:
+        """P(spin up) = 1 / (1 + exp(-rate S)), S indexed by S + 2n."""
+        table = np.empty(4 * n + 1, dtype=np.float64)
+        fn(n, rate, table.ctypes.data)
+        return table
+
+    return plus
+
+
+def _chosen(lib, name: str, every: tuple) -> tuple[str, tuple]:
+    """The path ``lib.<name>()`` names, and it with every path after it."""
+    getter = getattr(lib, name)
+    getter.restype = ctypes.c_char_p
+    getter.argtypes = []
+    chosen = getter().decode()
+    return chosen, every[every.index(chosen):]
+
+
 def _open() -> _Library:
     if sys.byteorder != "little":
         raise OSError("the kernel reads the masks as little-endian words")
@@ -225,47 +445,53 @@ def _open() -> _Library:
     if not path.exists():
         _build(path)
     lib = ctypes.CDLL(str(path))
-    lib.sweep_path.restype = ctypes.c_char_p
-    lib.sweep_path.argtypes = []
-    chosen = lib.sweep_path().decode()
-    runnable = PATHS[PATHS.index(chosen):]
+    chosen, runnable = _chosen(lib, "sweep_path", PATHS)
+    sample_chosen, sample_runnable = _chosen(lib, "sample_path", SAMPLE_PATHS)
     return _Library(
         sweep=_bind(lib.sweep_block),
         path=chosen,
         paths={name: _bind(getattr(lib, f"sweep_block_{name}")) for name in runnable},
+        sample=_bind_sample(lib.sample_rows),
+        sample_path=sample_chosen,
+        sample_paths={
+            name: _bind_sample(getattr(lib, f"sample_rows_{name}")) for name in sample_runnable
+        },
+        masks=_bind_masks(lib.build_masks),
+        plus=_bind_plus(lib.plus_table),
     )
 
 
-def _library() -> _Library | None:
+def library() -> _Library | None:
     """The loaded library, or None when it cannot be had; built or loaded once
     per process, so later calls return the same answer."""
     with _lock:
         if not _loaded:
             try:
-                library = _open()
+                loaded = _open()
             except OSError as err:
-                library = None
-                print(f"note: compiled sweep unavailable ({err}); using the Python sweep",
+                loaded = None
+                print(f"note: compiled kernels unavailable ({err}); "
+                      "sampling, masks and sweeps run in numpy and Python",
                       file=sys.stderr, flush=True)
-            _loaded.append(library)
+            _loaded.append(loaded)
         return _loaded[0]
 
 
 def load():
     """The compiled block sweep, or None when it cannot be had."""
-    library = _library()
-    return None if library is None else library.sweep
+    loaded = library()
+    return None if loaded is None else loaded.sweep
 
 
 def path() -> str | None:
     """The path ``load()``'s sweep runs on this CPU (one of PATHS), or None
     when there is no compiled sweep."""
-    library = _library()
-    return None if library is None else library.path
+    loaded = library()
+    return None if loaded is None else loaded.path
 
 
 def paths() -> dict:
     """Name -> checked sweep for each path this CPU runs, fastest first; empty
     when there is no compiled sweep."""
-    library = _library()
-    return {} if library is None else dict(library.paths)
+    loaded = library()
+    return {} if loaded is None else dict(loaded.paths)

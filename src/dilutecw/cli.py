@@ -40,7 +40,7 @@ from .exact import (
     second_moment_log,
     variance_ratio_from_logs,
 )
-from .graph import GraphSeed, read_graph, sample_graph, write_graph
+from .graph import GraphSeed, read_graph, sample_graph, sample_path, write_graph
 from .mcmc import (
     ChainConfig,
     derive_seed,
@@ -124,7 +124,7 @@ def _cmd_graph_sample(args) -> int:
         return 0
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_graph(g, fh)
-    _write_sidecar(args.out, started)
+    _write_sidecar(args.out, started, _sample_meta())
     return 0
 
 
@@ -257,10 +257,21 @@ def _chain_config(args, chain_seed: int) -> ChainConfig:
     )
 
 
-def _sweep_meta() -> dict:
-    """The sidecar's record of which sweep ran; "sweep_path" only when compiled."""
+def _sample_meta() -> dict:
+    """The sidecar's record of which compiled sampler ran, empty on the numpy one."""
+    path = sample_path()
+    return {} if path is None else {"sample_path": path}
+
+
+def _sweep_meta(sampled: bool) -> dict:
+    """The sidecar's record of which sweep ran, "sweep_path" only when
+    compiled, plus ``_sample_meta`` when the run ``sampled`` its graphs."""
     path = sweep_path()
-    return {"sweep_kernel": sweep_kernel(), **({} if path is None else {"sweep_path": path})}
+    return {
+        "sweep_kernel": sweep_kernel(),
+        **({} if path is None else {"sweep_path": path}),
+        **(_sample_meta() if sampled else {}),
+    }
 
 
 def _cmd_mcmc_run(args) -> int:
@@ -283,7 +294,7 @@ def _cmd_mcmc_run(args) -> int:
                 [seed_field, sample.replica_id, sample.first_sweep + j * sample.thin, repr(value)]
             )
     _log(f"retained {sum(len(s.values) for s in samples)} samples")
-    _emit(buf.getvalue(), args.out, started, _sweep_meta())
+    _emit(buf.getvalue(), args.out, started, _sweep_meta(sampled=graph_seed is not None))
     return 0
 
 
@@ -327,7 +338,7 @@ def _cmd_clt_experiment(args) -> int:
         },
         "exceed_fraction": record.exceed_fraction,
     }
-    _emit_json(payload, args.out, started, _sweep_meta())
+    _emit_json(payload, args.out, started, _sweep_meta(sampled=True))
     return 0
 
 

@@ -23,11 +23,15 @@ indicator of edge (i, j).  A path is read with universal newlines, so a CRLF
 file reads as an LF one.  The last row may lack its newline, and only
 whitespace may follow it.
 
-Sampling, writing and reading all run as numpy passes over blocks of whole
-rows (``_BLOCK_CELLS`` cells each): one block of counters is mixed, compared
-and bit-packed at a time, and one block of text is formatted, or read and
-checked, at a time.  When a block fails its checks, only its first bad row is
-parsed again as a line, for the error message and line number.
+Sampling, writing and reading all run over blocks of whole rows
+(``_BLOCK_CELLS`` cells each): one block of counters is mixed, compared and
+packed into 64-bit words at a time, and one block of text is formatted, or
+read and checked, at a time.  The mixing runs compiled (``_csweep``'s
+``sample_rows``) when a C compiler is at hand and in numpy (``_sample_rows``,
+its test oracle) otherwise; both give the same graph bit for bit, and
+``sample_path`` names the compiled path.  When a block of text fails its
+checks, only its first bad row is parsed again as a line, for the error
+message and line number.
 """
 
 from __future__ import annotations
@@ -41,7 +45,9 @@ from . import splitmix
 from .errors import CapacityError, DomainError, GraphFormatError
 from .model import DisorderGraph, ModelParams
 
-__all__ = ["GraphSeed", "sample_graph", "write_graph", "read_graph", "DEFAULT_BIT_LIMIT"]
+__all__ = [
+    "GraphSeed", "sample_graph", "sample_path", "write_graph", "read_graph", "DEFAULT_BIT_LIMIT",
+]
 
 # Refuse to materialize adjacency matrices beyond this many bits (2^33 bits
 # = 1 GiB packed); sample_graph and read_graph both honor it.
@@ -78,11 +84,29 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_CELLS // n)
 
 
-def _pack_rows(bits: np.ndarray) -> list[int]:
-    """The rows of a 2-D array of 0/1 cells as integers, cell j as bit j."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    data, width = packed.tobytes(), packed.shape[1]
+def _int_rows(packed: np.ndarray) -> list[int]:
+    """The rows of a 2-D array of little-endian packed bits as integers."""
+    data, width = packed.tobytes(), packed.shape[1] * packed.itemsize
     return [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
+
+
+def _sample_rows(n: int, seed: int, threshold: int, start: int, out: np.ndarray) -> None:
+    """The numpy twin of the compiled ``sample_rows``: rows start ..
+    start + len(out) - 1 into ``out`` as ``uint64`` mask words."""
+    gamma = np.uint64(splitmix.GAMMA)
+    # Edge (i, j) mixes seed + (i*n + j + 1) * gamma, where the +1 keeps
+    # counter 0 from collapsing to the bare seed.  Split as
+    # (seed + (i*n + 1) * gamma) + j * gamma: one term per row, one per column.
+    counters = np.arange(start, start + out.shape[0], dtype=np.uint64) * np.uint64(n) + np.uint64(1)
+    row_base = counters * gamma + np.uint64(seed)
+    z = row_base[:, None] + np.arange(n, dtype=np.uint64) * gamma
+    shifted = np.empty_like(z)
+    splitmix.finalize_array(z, shifted)
+    # the top 53 bits decide the edge
+    np.right_shift(z, 11, out=shifted)
+    packed = np.packbits(shifted < np.uint64(threshold), axis=1, bitorder="little")
+    out[:] = 0
+    out.view(np.uint8)[:, :packed.shape[1]] = packed
 
 
 def sample_graph(
@@ -98,28 +122,28 @@ def sample_graph(
             f"adjacency matrix needs {n * n} bits, above the cap of {bit_limit}; "
             "pass a larger bit_limit to override"
         )
-    thr = np.uint64(bernoulli_threshold(params.p))
-    gamma = np.uint64(splitmix.GAMMA)
-    # Edge (i, j) mixes seed + (i*n + j + 1) * gamma, where the +1 keeps
-    # counter 0 from collapsing to the bare seed.  Split as
-    # (seed + (i*n + 1) * gamma) + j * gamma: one term per row, one per column.
-    col_steps = np.arange(n, dtype=np.uint64) * gamma
+    from . import _csweep
+
+    library = _csweep.library()
+    sample = _sample_rows if library is None else library.sample
+    threshold = bernoulli_threshold(params.p)
     step = _block_rows(n)
-    z = np.empty((min(step, n), n), dtype=np.uint64)
-    shifted = np.empty_like(z)
-    hits = np.empty(z.shape, dtype=bool)
+    block = np.empty((min(step, n), (n + 63) // 64), dtype="<u8")
     rows: list[int] = []
     for start in range(0, n, step):
         k = min(step, n - start)
-        counters = np.arange(start, start + k, dtype=np.uint64) * np.uint64(n) + np.uint64(1)
-        row_base = counters * gamma + np.uint64(seed.master_seed)
-        np.add(row_base[:, None], col_steps, out=z[:k])
-        splitmix.finalize_array(z[:k], shifted[:k])
-        # the top 53 bits decide the edge
-        np.right_shift(z[:k], 11, out=shifted[:k])
-        np.less(shifted[:k], thr, out=hits[:k])
-        rows += _pack_rows(hits[:k])
+        sample(n, seed.master_seed, threshold, start, block[:k])
+        rows += _int_rows(block[:k])
     return DisorderGraph(n=n, rows=tuple(rows))
+
+
+def sample_path() -> str | None:
+    """Which compiled sampler path ``sample_graph`` runs in this process
+    ("avx512dq" or "generic"), or None when it runs the numpy sampler."""
+    from . import _csweep
+
+    library = _csweep.library()
+    return None if library is None else library.sample_path
 
 
 def write_graph(g: DisorderGraph, destination) -> None:
@@ -217,7 +241,7 @@ def read_graph(source, *, bit_limit: int = DEFAULT_BIT_LIMIT) -> DisorderGraph:
         cells = lines[:, :n]
         bad = (lines[:, n] != ord("\n")) | ((cells | 1) != ord("1")).any(axis=1)
         good = int(bad.argmax()) if bad.any() else whole
-        rows += _pack_rows(cells[:good] & 1)
+        rows += _int_rows(np.packbits(cells[:good] & 1, axis=1, bitorder="little"))
         if good < want:
             # Row i is malformed or cut short.  Rows before it were whole
             # lines, so its line starts here and runs to the next newline.

@@ -17,6 +17,9 @@ runs compiled (``_csweep``) when a C compiler is at hand and in Python
 sweep counts each block of 64 sites' field over the other state words first,
 then updates the block in order against its own word; ``sweep_kernel`` and
 ``sweep_path`` name which sweep, and which compiled path, a process runs.
+The masks and the table come from the same library when it loads
+(``build_masks``, ``plus_table``) and from their numpy and Python twins
+(``_numpy_masks``, ``_plus_loop``) otherwise, bit for bit the same.
 
 Randomness is replayable by construction.  A chain seed plus replica index
 derives two 64-bit streams (initial state, dynamics) through repeated
@@ -197,20 +200,13 @@ def _transpose_bits(rows: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1).reshape(64 * w, w)
 
 
-def build_update_tables(g: DisorderGraph) -> SpinUpdateTables:
-    """Build the symmetric neighbor masks from packed rows and columns.
-
-    The out-edge rows and the in-edge columns combine bitwise: weight 2
-    where both are set, weight 1 where exactly one is.
-    """
-    n = g.n
-    words = (n + 63) // 64
-    out_rows = np.zeros((64 * words, words), dtype=_WORD)
-    out_rows[:n] = np.frombuffer(
-        b"".join(row.to_bytes(8 * words, "little") for row in g.rows), dtype=_WORD
-    ).reshape(n, words)
-    in_rows = _transpose_bits(out_rows)[:n]
-    out_rows = out_rows[:n]
+def _numpy_masks(out_rows: np.ndarray):
+    """The numpy twin of the compiled ``build_masks``: (w1, w2, base) from the
+    (n, words) out-edge rows."""
+    n, words = out_rows.shape
+    padded = np.zeros((64 * words, words), dtype=_WORD)
+    padded[:n] = out_rows
+    in_rows = _transpose_bits(padded)[:n]
     w1 = (out_rows ^ in_rows).astype(_WORD, copy=False)
     w2 = (out_rows & in_rows).astype(_WORD, copy=False)
     sites = np.arange(n)
@@ -219,6 +215,25 @@ def build_update_tables(g: DisorderGraph) -> SpinUpdateTables:
     w2[sites, sites >> 6] &= off_diagonal
     base = _BYTE_BITS[w1.view(np.uint8)].sum(axis=1, dtype=np.int64)
     base += 2 * _BYTE_BITS[w2.view(np.uint8)].sum(axis=1, dtype=np.int64)
+    return w1, w2, base
+
+
+def build_update_tables(g: DisorderGraph) -> SpinUpdateTables:
+    """Build the symmetric neighbor masks from packed rows and columns.
+
+    The out-edge rows and the in-edge columns combine bitwise: weight 2
+    where both are set, weight 1 where exactly one is.
+    """
+    from . import _csweep
+
+    n = g.n
+    words = (n + 63) // 64
+    out_rows = np.frombuffer(
+        b"".join(row.to_bytes(8 * words, "little") for row in g.rows), dtype=_WORD
+    ).reshape(n, words)
+    library = _csweep.library()
+    build = _numpy_masks if library is None else library.masks
+    w1, w2, base = build(out_rows)
     return SpinUpdateTables(n=n, w1=w1, w2=w2, base=base)
 
 
@@ -227,14 +242,24 @@ def _mask_ints(masks: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in masks]
 
 
-def _plus_probabilities(params: ModelParams, n: int) -> list[float]:
-    """P(new spin = +1) indexed by S_i + 2n, S_i in [-2n, 2n]."""
-    rate = params.beta / (params.n * params.p)
+def _plus_loop(rate: float, n: int) -> list[float]:
+    """The Python twin of the compiled ``plus_table``."""
     table = []
     for s in range(-2 * n, 2 * n + 1):
         exponent = min(max(-rate * s, -700.0), 700.0)
         table.append(1.0 / (1.0 + math.exp(exponent)))
     return table
+
+
+def _plus_probabilities(params: ModelParams, n: int) -> np.ndarray:
+    """P(new spin = +1) indexed by S_i + 2n, S_i in [-2n, 2n]."""
+    from . import _csweep
+
+    rate = params.beta / (params.n * params.p)
+    library = _csweep.library()
+    if library is None:
+        return np.array(_plus_loop(rate, n))
+    return library.plus(n, rate)
 
 
 def _sweep_bits(bits, n, w1, w2, base, plus, offset, uniforms):
@@ -251,9 +276,10 @@ def _sweep_bits(bits, n, w1, w2, base, plus, offset, uniforms):
     return bits
 
 
-def _python_sweeps(tables: SpinUpdateTables, plus: list[float]):
+def _python_sweeps(tables: SpinUpdateTables, plus: np.ndarray):
     """The Python twin of the compiled block sweep, built on _sweep_bits."""
     n = tables.n
+    plus = plus.tolist()
     w1, w2 = _mask_ints(tables.w1), _mask_ints(tables.w2)
     base = tables.base.tolist()
     offset = 2 * n
@@ -271,13 +297,13 @@ def _python_sweeps(tables: SpinUpdateTables, plus: list[float]):
     return sweep
 
 
-def _block_sweep(tables: SpinUpdateTables, plus: list[float], kernel):
+def _block_sweep(tables: SpinUpdateTables, plus: np.ndarray, kernel):
     """A function (state, uniforms) -> up-spin counts that runs len(uniforms) / n
     sweeps on the packed ``state`` in place: the compiled ``kernel``, or the
     Python sweep when ``kernel`` is None."""
     if kernel is None:
         return _python_sweeps(tables, plus)
-    return functools.partial(kernel, tables.w1, tables.w2, tables.base, np.array(plus))
+    return functools.partial(kernel, tables.w1, tables.w2, tables.base, plus)
 
 
 def sweep_kernel() -> str:

@@ -124,8 +124,9 @@ def test_c04_subcritical_clt_at_four_thousand_sites():
     started = time.perf_counter()
     params = ModelParams(n=4096, p=0.5, beta=0.5)
     cfg = ChainConfig(sweeps=5640, burn_in=640, thin=1, replicas=1)
+    # results are identical at any thread count; two threads halve the wait
     record = quenched_experiment(
-        params, cfg, 10, master_seed=20260822, epsilon=0.1
+        params, cfg, 10, master_seed=20260822, epsilon=0.1, threads=2
     )
     elapsed = time.perf_counter() - started
 

@@ -697,6 +697,35 @@ def test_chain_sidecar_names_the_sweep_path(tmp_path, capsys, monkeypatch):
                 assert "sweep_path" not in meta
 
 
+def test_sidecars_name_the_sample_path(tmp_path, capsys, monkeypatch):
+    from dilutecw import _csweep, graph
+
+    model = ("--n", "70", "--p", "0.5")
+    chain = ("--beta", "0.5", "--sweeps", "30", "--burnin", "2")
+    graph_file = tmp_path / "g.txt"
+    runs = (
+        ("graph-sample", (), True),
+        ("mcmc-run", chain, True),
+        ("clt-experiment", (*chain, "--graphs", "2"), True),
+        # a graph read from its file samples nothing
+        ("mcmc-run", (*chain, "--graph", str(graph_file)), False),
+    )
+    for python_only in (False, True):
+        if python_only:
+            monkeypatch.setattr(_csweep, "_loaded", [None])
+        for k, (command, extra, sampled) in enumerate(runs):
+            out_path = graph_file if k == 0 else tmp_path / f"{command}-{k}-{python_only}.out"
+            code, _, _ = run_cli(capsys, command, *model, *extra, "--out", str(out_path))
+            assert code == 0
+            meta = json.loads(out_path.with_name(out_path.name + ".meta.json").read_text())
+            assert "sample_path" not in out_path.read_text()
+            if sampled and not python_only:
+                assert meta["sample_path"] == graph.sample_path()
+                assert meta["sample_path"] in _csweep.SAMPLE_PATHS
+            else:
+                assert "sample_path" not in meta
+
+
 # sha256 of the `mcmc-run` CSV and the `clt-experiment` stdout at the
 # arguments below, recorded from the one-site-at-a-time compiled sweep that
 # the block-split sweep replaced.

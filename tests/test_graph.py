@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dilutecw.graph as graph_module
-from dilutecw import splitmix
+from dilutecw import _csweep, splitmix
 from dilutecw.cli import main
 from dilutecw.errors import CapacityError, GraphFormatError
 from dilutecw.graph import DEFAULT_BIT_LIMIT, GraphSeed, read_graph, sample_graph, write_graph
@@ -299,6 +299,86 @@ def test_sampling_matches_scalar_mix():
         for j in range(n):
             z = splitmix.finalize((seed + (i * n + j + 1) * splitmix.GAMMA) & splitmix.MASK64)
             assert g.has_edge(i, j) == ((z >> 11) < thr)
+
+
+def _sampled_words(sample, n, p, seed, start=0, stop=None):
+    """Rows start .. stop - 1 of a graph as mask words, by ``sample`` (the
+    signature of graph._sample_rows), one row block at a time."""
+    stop = n if stop is None else stop
+    out = np.empty((stop - start, (n + 63) // 64), dtype="<u8")
+    step = graph_module._block_rows(n)
+    threshold = graph_module.bernoulli_threshold(p)
+    for at in range(start, stop, step):
+        sample(n, seed, threshold, at, out[at - start:at - start + step])
+    return out
+
+
+def _sampler_path(name):
+    """The compiled sampler of one path, or skip when this host cannot run it."""
+    library = _csweep.library()
+    if library is None:
+        pytest.skip("no compiled kernels on this host")
+    sample = library.sample_paths.get(name)
+    if sample is None:
+        pytest.skip(f"this CPU does not run the {name} sampler")
+    return sample
+
+
+@pytest.mark.parametrize("path", _csweep.SAMPLE_PATHS)
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 1000, 1500, 4100])
+def test_every_sampler_path_matches_numpy_sampler(path, n):
+    # n = 1500 and 4100 span many row blocks
+    sample = _sampler_path(path)
+    for p in (1e-3, 0.3, 0.5, 1.0):
+        for seed in (0, 7, (1 << 64) - 1):
+            want = _sampled_words(graph_module._sample_rows, n, p, seed)
+            assert _sampled_words(sample, n, p, seed).tobytes() == want.tobytes(), (p, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    p=st.one_of(st.sampled_from([1e-3, 0.5, 1.0]), st.floats(1e-6, 1.0)),
+    seed=st.integers(0, (1 << 64) - 1),
+    data=st.data(),
+)
+def test_sampler_paths_match_numpy_sampler_property(n, p, seed, data):
+    library = _csweep.library()
+    if library is None:
+        pytest.skip("no compiled kernels on this host")
+    # any run of rows regenerates on its own
+    start = data.draw(st.integers(0, n - 1))
+    stop = data.draw(st.integers(start + 1, n))
+    want = _sampled_words(graph_module._sample_rows, n, p, seed, start, stop).tobytes()
+    for name, sample in library.sample_paths.items():
+        assert _sampled_words(sample, n, p, seed, start, stop).tobytes() == want, name
+
+
+def test_sample_graph_matches_numpy_fallback(monkeypatch):
+    params = ModelParams(n=1500, p=0.3, beta=1.0)
+    compiled = sample_graph(params, GraphSeed(11))
+    monkeypatch.setattr(_csweep, "_loaded", [None])
+    assert graph_module.sample_path() is None
+    assert sample_graph(params, GraphSeed(11)) == compiled
+
+
+def test_sampler_rejects_bad_arguments():
+    library = _csweep.library()
+    if library is None:
+        pytest.skip("no compiled kernels on this host")
+    out = np.zeros((4, 2), dtype="<u8")
+    library.sample(70, 0, 1 << 52, 66, out)
+    for n, seed, threshold, start, bad in (
+        (70, 0, 1 << 52, 67, out),  # rows past n
+        (70, 0, 1 << 52, -1, out),
+        (70, -1, 1 << 52, 0, out),
+        (70, 0, (1 << 53) + 1, 0, out),
+        (70, 0, 1 << 52, 0, np.zeros((4, 1), dtype="<u8")),
+        (70, 0, 1 << 52, 0, np.zeros((4, 2), dtype=np.int64)),
+        (70, 0, 1 << 52, 0, np.zeros((4, 4), dtype="<u8")[:, ::2]),
+    ):
+        with pytest.raises(ValueError):
+            library.sample(n, seed, threshold, start, bad)
 
 
 def test_write_matches_row_formatting():

@@ -1,6 +1,7 @@
 """Chain correctness: field arithmetic, replayability, stationarity."""
 
 import functools
+import io
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from dilutecw import _csweep, mcmc
 from dilutecw.exact import enumerate_partition
-from dilutecw.graph import GraphSeed, sample_graph
+from dilutecw.graph import GraphSeed, read_graph, sample_graph, sample_path, write_graph
 from dilutecw.mcmc import (
     ChainConfig,
     build_update_tables,
@@ -161,6 +162,8 @@ def test_block_size_does_not_change_the_chain(monkeypatch):
 def test_loader_failure_falls_back_to_identical_output(breakage, tmp_path, monkeypatch, capsys):
     params = ModelParams(n=70, p=0.5, beta=0.7)
     g = sample_graph(params, GraphSeed(5))
+    tables = build_update_tables(g)
+    plus = mcmc._plus_probabilities(params, 70)
     cfg = ChainConfig(sweeps=60, burn_in=10, replicas=2, chain_seed=6)
     want = run_chain(g, params, cfg)
 
@@ -175,11 +178,82 @@ def test_loader_failure_falls_back_to_identical_output(breakage, tmp_path, monke
         path.parent.mkdir(parents=True)
         path.write_bytes(b"not a shared library")
     capsys.readouterr()
+    assert sample_graph(params, GraphSeed(5)) == g
+    _assert_same_tables(build_update_tables(g), tables)
+    assert mcmc._plus_probabilities(params, 70).tobytes() == plus.tobytes()
     assert run_chain(g, params, cfg) == want
     assert run_chain(g, params, cfg) == want
     notes = capsys.readouterr().err.splitlines()
-    assert len(notes) == 1 and notes[0].startswith("note: compiled sweep unavailable (")
+    assert len(notes) == 1 and notes[0].startswith("note: compiled kernels unavailable (")
     assert sweep_kernel() == "python"
+    assert sample_path() is None
+
+
+def _assert_same_tables(got, want):
+    assert got.n == want.n
+    for name in ("w1", "w2", "base"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _mask_graph(kind, n):
+    """A graph for the mask builders: empty, complete, self-loops only,
+    sampled at p = 1e-3, 0.3 or 0.5, or sampled and read back from its text."""
+    if kind == "empty":
+        return DisorderGraph.empty(n)
+    if kind == "complete":
+        return DisorderGraph.complete(n)
+    if kind == "loops":
+        return DisorderGraph(n=n, rows=tuple(1 << i for i in range(n)))
+    g = sample_graph(ModelParams(n=n, p=float(kind.split("=")[-1]), beta=1.0), GraphSeed(n))
+    if not kind.startswith("file"):
+        return g
+    buf = io.StringIO()
+    write_graph(g, buf)
+    buf.seek(0)
+    return read_graph(buf)
+
+
+@pytest.mark.parametrize(
+    "kind", ["empty", "complete", "loops", "p=1e-3", "p=0.3", "p=0.5", "file p=0.2"]
+)
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 300, 1000])
+def test_compiled_masks_match_numpy_builder(kind, n):
+    library = _csweep.library()
+    if library is None:
+        pytest.skip("no compiled kernels on this host")
+    g = _mask_graph(kind, n)
+    words = (n + 63) // 64
+    out_rows = np.frombuffer(
+        b"".join(row.to_bytes(8 * words, "little") for row in g.rows), dtype=mcmc._WORD
+    ).reshape(n, words)
+    got = mcmc.SpinUpdateTables(n, *library.masks(out_rows))
+    _assert_same_tables(got, mcmc.SpinUpdateTables(n, *mcmc._numpy_masks(out_rows)))
+    _assert_same_tables(build_update_tables(g), got)
+
+
+def test_mask_builder_rejects_mismatched_rows():
+    library = _csweep.library()
+    if library is None:
+        pytest.skip("no compiled kernels on this host")
+    for bad in (np.zeros((70, 1), dtype=mcmc._WORD), np.zeros((70, 2), dtype=np.int64),
+                np.zeros((70, 4), dtype=mcmc._WORD)[:, ::2]):
+        with pytest.raises(ValueError, match="kernel buffer"):
+            library.masks(bad)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 1024, 4096])
+def test_compiled_flip_table_matches_python_loop(n):
+    library = _csweep.library()
+    if library is None:
+        pytest.skip("no compiled kernels on this host")
+    for p in (1e-3, 0.3, 0.5, 1.0):
+        for beta in (0.0, 0.5, 1.5, 1e3, 1e6):
+            rate = beta / (n * p)
+            want = np.array(mcmc._plus_loop(rate, n))
+            assert library.plus(n, rate).tobytes() == want.tobytes(), (p, beta)
+            params = ModelParams(n=n, p=p, beta=beta)
+            assert mcmc._plus_probabilities(params, n).tobytes() == want.tobytes(), (p, beta)
 
 
 def test_compiled_library_is_cached(tmp_path, monkeypatch):
