@@ -476,22 +476,3 @@ def library() -> _Library | None:
             _loaded.append(loaded)
         return _loaded[0]
 
-
-def load():
-    """The compiled block sweep, or None when it cannot be had."""
-    loaded = library()
-    return None if loaded is None else loaded.sweep
-
-
-def path() -> str | None:
-    """The path ``load()``'s sweep runs on this CPU (one of PATHS), or None
-    when there is no compiled sweep."""
-    loaded = library()
-    return None if loaded is None else loaded.path
-
-
-def paths() -> dict:
-    """Name -> checked sweep for each path this CPU runs, fastest first; empty
-    when there is no compiled sweep."""
-    loaded = library()
-    return {} if loaded is None else dict(loaded.paths)

@@ -24,14 +24,14 @@ file reads as an LF one.  The last row may lack its newline, and only
 whitespace may follow it.
 
 Sampling, writing and reading all run over blocks of whole rows
-(``_BLOCK_CELLS`` cells each): one block of counters is mixed, compared and
-packed into 64-bit words at a time, and one block of text is formatted, or
-read and checked, at a time.  The mixing runs compiled (``_csweep``'s
-``sample_rows``) when a C compiler is at hand and in numpy (``_sample_rows``,
-its test oracle) otherwise; both give the same graph bit for bit, and
-``sample_path`` names the compiled path.  When a block of text fails its
-checks, only its first bad row is parsed again as a line, for the error
-message and line number.
+(``_BLOCK_CELLS`` cells each) of the graph's ``words``: one block of counters
+is mixed, compared and packed into its rows at a time, and one block of text
+is formatted from them, or read, checked and packed into them, at a time.
+The mixing runs compiled (``_csweep``'s ``sample_rows``) when a C compiler is
+at hand and in numpy (``_sample_rows``, its test oracle) otherwise; both give
+the same graph bit for bit, and ``sample_path`` names the compiled path.
+When a block of text fails its checks, only its first bad row is parsed again
+as a line, for the error message and line number.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import splitmix
 from .errors import CapacityError, DomainError, GraphFormatError
-from .model import DisorderGraph, ModelParams
+from .model import _WORD, DisorderGraph, ModelParams, _pack_rows
 
 __all__ = [
     "GraphSeed", "sample_graph", "sample_path", "write_graph", "read_graph", "DEFAULT_BIT_LIMIT",
@@ -84,12 +84,6 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_CELLS // n)
 
 
-def _int_rows(packed: np.ndarray) -> list[int]:
-    """The rows of a 2-D array of little-endian packed bits as integers."""
-    data, width = packed.tobytes(), packed.shape[1] * packed.itemsize
-    return [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
-
-
 def _sample_rows(n: int, seed: int, threshold: int, start: int, out: np.ndarray) -> None:
     """The numpy twin of the compiled ``sample_rows``: rows start ..
     start + len(out) - 1 into ``out`` as ``uint64`` mask words."""
@@ -104,9 +98,7 @@ def _sample_rows(n: int, seed: int, threshold: int, start: int, out: np.ndarray)
     splitmix.finalize_array(z, shifted)
     # the top 53 bits decide the edge
     np.right_shift(z, 11, out=shifted)
-    packed = np.packbits(shifted < np.uint64(threshold), axis=1, bitorder="little")
-    out[:] = 0
-    out.view(np.uint8)[:, :packed.shape[1]] = packed
+    _pack_rows(shifted < np.uint64(threshold), out)
 
 
 def sample_graph(
@@ -128,13 +120,10 @@ def sample_graph(
     sample = _sample_rows if library is None else library.sample
     threshold = bernoulli_threshold(params.p)
     step = _block_rows(n)
-    block = np.empty((min(step, n), (n + 63) // 64), dtype="<u8")
-    rows: list[int] = []
+    words = np.empty((n, (n + 63) // 64), dtype=_WORD)
     for start in range(0, n, step):
-        k = min(step, n - start)
-        sample(n, seed.master_seed, threshold, start, block[:k])
-        rows += _int_rows(block[:k])
-    return DisorderGraph(n=n, rows=tuple(rows))
+        sample(n, seed.master_seed, threshold, start, words[start:start + step])
+    return DisorderGraph(n, words)
 
 
 def sample_path() -> str | None:
@@ -154,15 +143,12 @@ def write_graph(g: DisorderGraph, destination) -> None:
         return
     n = g.n
     destination.write(f"{_HEADER_PREFIX}{n}\n")
-    row_bytes = (n + 7) // 8
     step = _block_rows(n)
     text = np.empty((min(step, n), n + 1), dtype=np.uint8)
     text[:, n] = ord("\n")
     for start in range(0, n, step):
-        block = g.rows[start:start + step]
-        data = b"".join(row.to_bytes(row_bytes, "little") for row in block)
-        packed = np.frombuffer(data, dtype=np.uint8).reshape(len(block), row_bytes)
-        lines = text[:len(block)]
+        packed = g.words[start:start + step].view(np.uint8)
+        lines = text[:len(packed)]
         bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
         np.add(bits, ord("0"), out=lines[:, :n])
         destination.write(lines.tobytes().decode("ascii"))
@@ -195,8 +181,8 @@ def _read_header(source, bit_limit: int) -> int:
     return n
 
 
-def _parse_row(line: str, i: int, n: int) -> int:
-    """Row i from its text line, newline included; raises on a malformed line."""
+def _parse_row(line: str, i: int, n: int) -> np.ndarray:
+    """Row i's 0/1 cells from its text line, newline included; raises on a malformed line."""
     lineno = i + 2
     if line == "":
         raise GraphFormatError(f"file ends after {i} of {n} rows", line=lineno)
@@ -210,7 +196,7 @@ def _parse_row(line: str, i: int, n: int) -> int:
         raise GraphFormatError(
             f"row contains {sorted(bad)!r}, expected only '0'/'1'", line=lineno
         )
-    return int(line[::-1], 2)
+    return np.frombuffer(line.encode("ascii"), dtype=np.uint8) & 1
 
 
 def read_graph(source, *, bit_limit: int = DEFAULT_BIT_LIMIT) -> DisorderGraph:
@@ -230,7 +216,7 @@ def read_graph(source, *, bit_limit: int = DEFAULT_BIT_LIMIT) -> DisorderGraph:
     n = _read_header(source, bit_limit)
     width = n + 1
     step = _block_rows(n)
-    rows: list[int] = []
+    words = np.empty((n, (n + 63) // 64), dtype=_WORD)
     for start in range(0, n, step):
         want = min(step, n - start)
         chunk = source.read(want * width)
@@ -241,7 +227,7 @@ def read_graph(source, *, bit_limit: int = DEFAULT_BIT_LIMIT) -> DisorderGraph:
         cells = lines[:, :n]
         bad = (lines[:, n] != ord("\n")) | ((cells | 1) != ord("1")).any(axis=1)
         good = int(bad.argmax()) if bad.any() else whole
-        rows += _int_rows(np.packbits(cells[:good] & 1, axis=1, bitorder="little"))
+        _pack_rows(cells[:good] & 1, words[start:start + good])
         if good < want:
             # Row i is malformed or cut short.  Rows before it were whole
             # lines, so its line starts here and runs to the next newline.
@@ -249,11 +235,11 @@ def read_graph(source, *, bit_limit: int = DEFAULT_BIT_LIMIT) -> DisorderGraph:
             rest = chunk[good * width:]
             end = rest.find("\n")
             line = rest[: end + 1] if end >= 0 else rest + source.readline()
-            rows.append(_parse_row(line, i, n))
+            _pack_rows(_parse_row(line, i, n)[None], words[i:i + 1])
             # A row passes here only as the file's last text, without newline.
             if i + 1 < n:
                 raise GraphFormatError(f"file ends after {i + 1} of {n} rows", line=i + 3)
     for lineno, line in enumerate(iter(source.readline, ""), start=n + 2):
         if line.strip():
             raise GraphFormatError("unexpected content after last row", line=lineno)
-    return DisorderGraph(n=n, rows=tuple(rows))
+    return DisorderGraph(n, words)

@@ -19,7 +19,8 @@ then updates the block in order against its own word; ``sweep_kernel`` and
 ``sweep_path`` name which sweep, and which compiled path, a process runs.
 The masks and the table come from the same library when it loads
 (``build_masks``, ``plus_table``) and from their numpy and Python twins
-(``_numpy_masks``, ``_plus_loop``) otherwise, bit for bit the same.
+(``_numpy_masks``, ``_plus_loop``) otherwise, bit for bit the same.  Both
+mask builders read ``DisorderGraph.words`` as they are.
 
 Randomness is replayable by construction.  A chain seed plus replica index
 derives two 64-bit streams (initial state, dynamics) through repeated
@@ -41,7 +42,7 @@ import numpy as np
 from . import splitmix
 from .graph import GraphSeed, sample_graph
 from .errors import DomainError
-from .model import DisorderGraph, ModelParams
+from .model import _BYTE_BITS, _WORD, DisorderGraph, ModelParams
 from .stats import EmpiricalMeasure, NormalRef, ks_distance, levy_distance, summarize
 
 __all__ = [
@@ -133,10 +134,6 @@ class MagnetizationSample:
     values: tuple[float, ...]
 
 
-# Mask rows are bitsets over the sites, packed into little-endian 64-bit words.
-_WORD = np.dtype("<u8")
-
-
 @dataclass(frozen=True, eq=False)
 class SpinUpdateTables:
     """Per-site neighbor masks for the heat-bath field.
@@ -180,7 +177,6 @@ _TRANSPOSE_ROUNDS = tuple(
         (1, 0x5555555555555555),
     )
 )
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def _transpose_bits(rows: np.ndarray) -> np.ndarray:
@@ -219,22 +215,16 @@ def _numpy_masks(out_rows: np.ndarray):
 
 
 def build_update_tables(g: DisorderGraph) -> SpinUpdateTables:
-    """Build the symmetric neighbor masks from packed rows and columns.
+    """Build the symmetric neighbor masks from the rows (``g.words``) and columns.
 
     The out-edge rows and the in-edge columns combine bitwise: weight 2
     where both are set, weight 1 where exactly one is.
     """
     from . import _csweep
 
-    n = g.n
-    words = (n + 63) // 64
-    out_rows = np.frombuffer(
-        b"".join(row.to_bytes(8 * words, "little") for row in g.rows), dtype=_WORD
-    ).reshape(n, words)
     library = _csweep.library()
     build = _numpy_masks if library is None else library.masks
-    w1, w2, base = build(out_rows)
-    return SpinUpdateTables(n=n, w1=w1, w2=w2, base=base)
+    return SpinUpdateTables(g.n, *build(g.words))
 
 
 def _mask_ints(masks: np.ndarray) -> list[int]:
@@ -310,7 +300,7 @@ def sweep_kernel() -> str:
     """Which sweep chains run in this process: "c" (compiled) or "python"."""
     from . import _csweep
 
-    return "python" if _csweep.load() is None else "c"
+    return "python" if _csweep.library() is None else "c"
 
 
 def sweep_path() -> str | None:
@@ -318,7 +308,8 @@ def sweep_path() -> str | None:
     "popcnt" or "generic"), or None when they run the Python sweep."""
     from . import _csweep
 
-    return _csweep.path()
+    library = _csweep.library()
+    return None if library is None else library.path
 
 
 # Uniforms are drawn from the generator in blocks of about this many (whole
@@ -389,7 +380,9 @@ def run_chain(
         raise DomainError(f"incompatible sizes: tables n={tables.n}, graph n={g.n}")
     from . import _csweep
 
-    sweep_block = _block_sweep(tables, _plus_probabilities(params, g.n), _csweep.load())
+    library = _csweep.library()
+    kernel = None if library is None else library.sweep
+    sweep_block = _block_sweep(tables, _plus_probabilities(params, g.n), kernel)
     return [
         _run_replica(tables, sweep_block, cfg, replica_id, graph_seed)
         for replica_id in range(cfg.replicas)

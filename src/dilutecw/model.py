@@ -13,16 +13,18 @@ its logarithm is materialized here since downstream code works in log space.
 
 Representation choices are geared towards popcount arithmetic: a spin
 configuration is a single Python integer whose bit i is set iff sigma_i = +1,
-and a graph is one integer per site holding that site's out-edge row.  The
-bilinear form sum_{i,j} eps[i,j] sigma_i sigma_j then reduces to n AND-and-
-popcount operations, which is what makes full enumeration and Monte Carlo
-sweeps affordable at the sizes this package targets.
+and a graph is an (n, ceil(n / 64)) array of little-endian 64-bit words, one
+row of words per site holding that site's out-edges.  That is the layout the
+graph sampler writes, the text format is packed from and the neighbour-mask
+builder reads, so a graph passes between them without conversion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -129,66 +131,105 @@ class SpinConfig:
         return [1 if (self.bits >> i) & 1 else -1 for i in range(self.n)]
 
 
-@dataclass(frozen=True)
-class DisorderGraph:
-    """Directed graph on n sites with loops, one bit row per site.
+# Graph rows and masks are bitsets over the sites, packed into little-endian 64-bit words.
+_WORD = np.dtype("<u8")
 
-    ``rows[i]`` holds the out-edges of site i: bit j is 1 iff the edge
-    (i, j) is present.  Rows are plain integers so row-times-spin inner
-    products reduce to AND + popcount.
+# Set bits of each byte value (numpy before 2.0 has no bitwise_count).
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _pack_rows(cells: np.ndarray, out: np.ndarray) -> None:
+    """Pack the cells of k graph rows, a (k, n) array where nonzero means an
+    edge, into ``out``, their (k, ceil(n / 64)) words."""
+    packed = np.packbits(cells, axis=1, bitorder="little")
+    view = out.view(np.uint8)
+    view[:, :packed.shape[1]] = packed
+    view[:, packed.shape[1]:] = 0
+
+
+@dataclass(frozen=True, eq=False)
+class DisorderGraph:
+    """Directed graph on n sites with loops, one row of 64-bit words per site.
+
+    ``words`` is a C-contiguous little-endian ``uint64`` array of shape
+    (n, ceil(n / 64)): the edge (i, j) is present iff bit j % 64 of
+    ``words[i, j // 64]`` is set, and no bit past column n - 1 is.  The
+    graph keeps a read-only view of the array it is given, without a copy.
+    Two graphs are equal when they have the same n and the same edges.
     """
 
     n: int
-    rows: tuple[int, ...]
+    words: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
-        top = 1 << self.n
-        for i, row in enumerate(self.rows):
-            if not 0 <= row < top:
-                raise ValueError(f"row {i} has bits beyond column {self.n - 1}")
+        words, shape = self.words, (self.n, (self.n + 63) // 64)
+        if not (isinstance(words, np.ndarray) and words.dtype == _WORD
+                and words.shape == shape and words.flags.c_contiguous):
+            got = f"{getattr(words, 'dtype', type(words).__name__)} {getattr(words, 'shape', '')}"
+            raise ValueError(f"words must be a C-contiguous {_WORD.str} array of shape {shape}, "
+                             f"not {got}")
+        if self.n % 64:
+            spill = words[:, -1] >> np.uint64(self.n % 64)
+            if spill.any():
+                raise ValueError(f"row {int(spill.argmax())} has bits beyond column {self.n - 1}")
+        frozen = words.view()
+        frozen.flags.writeable = False
+        object.__setattr__(self, "words", frozen)
+
+    def __eq__(self, other):
+        if not isinstance(other, DisorderGraph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.words, other.words)
+
+    def __hash__(self):
+        return hash((self.n, self.words.tobytes()))
 
     @classmethod
     def empty(cls, n: int) -> "DisorderGraph":
-        return cls(n=n, rows=(0,) * n)
+        return cls(n, np.zeros((n, (n + 63) // 64), dtype=_WORD))
 
     @classmethod
     def complete(cls, n: int) -> "DisorderGraph":
         """All n^2 edges present, loops included."""
-        full = (1 << n) - 1
-        return cls(n=n, rows=(full,) * n)
+        words = np.full((n, (n + 63) // 64), np.iinfo(np.uint64).max, dtype=_WORD)
+        words[:, -1] >>= np.uint64(-n % 64)
+        return cls(n, words)
 
     @classmethod
     def from_matrix(cls, matrix) -> "DisorderGraph":
-        """Build from a square 0/1 matrix (nested sequences or ndarray)."""
-        rows = []
-        n = len(matrix)
-        for i in range(n):
-            row = matrix[i]
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-            bits = 0
-            for j in range(n):
-                v = int(row[j])
-                if v not in (0, 1):
-                    raise ValueError(f"entry ({i}, {j}) is {row[j]!r}, expected 0 or 1")
-                bits |= v << j
-            rows.append(bits)
-        return cls(n=n, rows=tuple(rows))
+        """Build from a square matrix (nested sequences or ndarray) whose every
+        entry is 0 or 1; booleans count as 0 and 1."""
+        cells = np.asarray(matrix)
+        if cells.ndim != 2 or cells.shape[0] != cells.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {cells.shape}")
+        if cells.dtype.kind not in "biuf":
+            raise ValueError(f"entries must be 0 or 1, got an array of {cells.dtype}")
+        bad = (cells != 0) & (cells != 1)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"entry ({i}, {j}) is {cells[i, j].item()!r}, expected 0 or 1")
+        n = cells.shape[0]
+        words = np.empty((n, (n + 63) // 64), dtype=_WORD)
+        _pack_rows(cells == 1, words)
+        return cls(n, words)
 
     def has_edge(self, i: int, j: int) -> bool:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise ValueError(f"edge index ({i}, {j}) out of range for n={self.n}")
-        return bool((self.rows[i] >> j) & 1)
+        return bool((int(self.words[i, j >> 6]) >> (j & 63)) & 1)
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
+        # np.take, not fancy indexing: 2.9 against 6.2 ms at n = 4096
+        return int(np.take(_BYTE_BITS, self.words.view(np.uint8)).sum(dtype=np.int64))
+
+    def _cells(self) -> np.ndarray:
+        """The adjacency matrix as an (n, n) array of 0/1 bytes."""
+        return np.unpackbits(self.words.view(np.uint8), axis=1, count=self.n, bitorder="little")
 
     def to_matrix(self) -> list[list[int]]:
-        return [[(row >> j) & 1 for j in range(self.n)] for row in self.rows]
+        return self._cells().tolist()
 
 
 def _check_sizes(g: DisorderGraph, sigma: SpinConfig, tau: SpinConfig | None = None):
@@ -201,16 +242,12 @@ def _check_sizes(g: DisorderGraph, sigma: SpinConfig, tau: SpinConfig | None = N
 def interaction_sum(g: DisorderGraph, sigma: SpinConfig) -> int:
     """Exact integer value of sum_{i,j} eps[i,j] * sigma_i * sigma_j.
 
-    Row i contributes sigma_i * sum_j eps[i,j] sigma_j, and the inner sum
-    over a row with popcounts is 2*|row AND sigma| - |row|.
+    Computed as s . (eps s) over the unpacked matrix in int64, exact since
+    the sum is at most n^2 in size.
     """
     _check_sizes(g, sigma)
-    bits = sigma.bits
-    total = 0
-    for i, row in enumerate(g.rows):
-        inner = 2 * (row & bits).bit_count() - row.bit_count()
-        total += inner if (bits >> i) & 1 else -inner
-    return total
+    s = np.array(sigma.to_signs(), dtype=np.int64)
+    return int(s @ (g._cells().astype(np.int64) @ s))
 
 
 def hamiltonian(g: DisorderGraph, sigma: SpinConfig, params: ModelParams) -> float:

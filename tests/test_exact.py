@@ -5,6 +5,7 @@ import math
 import time
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -284,7 +285,7 @@ def test_enumeration_capacity():
 
 
 def _self_loops(n):
-    return DisorderGraph(n=n, rows=tuple(1 << i for i in range(n)))
+    return DisorderGraph.from_matrix(np.eye(n, dtype=np.uint8))
 
 
 GRAPH_KINDS = {
@@ -329,7 +330,8 @@ def test_split_histogram_closed_forms():
     lambda n: st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=n, max_size=n)
 ))
 def test_split_histogram_matches_per_configuration_count(rows):
-    g = DisorderGraph(n=len(rows), rows=tuple(rows))
+    n = len(rows)
+    g = DisorderGraph.from_matrix([[(row >> j) & 1 for j in range(n)] for row in rows])
     assert _interaction_histogram(g) == naive_histogram(g)
 
 

@@ -161,11 +161,11 @@ def _oracle_read_graph(source) -> DisorderGraph:
             raise GraphFormatError(
                 f"row contains {sorted(bad)!r}, expected only '0'/'1'", line=lineno
             )
-        rows.append(int(line[::-1], 2))
+        rows.append([int(c) for c in line])
     trailing = source.readline()
     if trailing.strip():
         raise GraphFormatError("unexpected content after last row", line=n + 2)
-    return DisorderGraph(n=n, rows=tuple(rows))
+    return DisorderGraph.from_matrix(rows)
 
 
 def _outcome(read, source):
@@ -386,7 +386,7 @@ def test_write_matches_row_formatting():
     buf = io.StringIO()
     with _block_cells(128):
         write_graph(g, buf)
-    lines = [format(row, "070b")[::-1] for row in g.rows]
+    lines = ["".join(map(str, row)) for row in g.to_matrix()]
     assert buf.getvalue() == "dilute-cw-graph v1 N=70\n" + "\n".join(lines) + "\n"
 
 

@@ -58,17 +58,21 @@ def test_update_tables_layout_is_checked():
         mcmc.SpinUpdateTables(n=70, w1=tables.w1, w2=tables.w2, base=tables.base.astype(np.int32))
 
 
-def _compiled():
-    kernel = _csweep.load()
-    if kernel is None:
+def _library():
+    library = _csweep.library()
+    if library is None:
         pytest.skip("no compiled sweep on this host")
-    return kernel
+    return library
+
+
+def _compiled():
+    return _library().sweep
 
 
 def _sweep_kernels():
     """None, which selects the Python sweep, and the compiled kernel where it builds."""
-    kernel = _csweep.load()
-    return [None] if kernel is None else [None, kernel]
+    library = _csweep.library()
+    return [None] if library is None else [None, library.sweep]
 
 
 def _one_sweep_each(sigma, g, params, seed):
@@ -204,7 +208,7 @@ def _mask_graph(kind, n):
     if kind == "complete":
         return DisorderGraph.complete(n)
     if kind == "loops":
-        return DisorderGraph(n=n, rows=tuple(1 << i for i in range(n)))
+        return DisorderGraph.from_matrix(np.eye(n, dtype=np.uint8))
     g = sample_graph(ModelParams(n=n, p=float(kind.split("=")[-1]), beta=1.0), GraphSeed(n))
     if not kind.startswith("file"):
         return g
@@ -223,12 +227,8 @@ def test_compiled_masks_match_numpy_builder(kind, n):
     if library is None:
         pytest.skip("no compiled kernels on this host")
     g = _mask_graph(kind, n)
-    words = (n + 63) // 64
-    out_rows = np.frombuffer(
-        b"".join(row.to_bytes(8 * words, "little") for row in g.rows), dtype=mcmc._WORD
-    ).reshape(n, words)
-    got = mcmc.SpinUpdateTables(n, *library.masks(out_rows))
-    _assert_same_tables(got, mcmc.SpinUpdateTables(n, *mcmc._numpy_masks(out_rows)))
+    got = mcmc.SpinUpdateTables(n, *library.masks(g.words))
+    _assert_same_tables(got, mcmc.SpinUpdateTables(n, *mcmc._numpy_masks(g.words)))
     _assert_same_tables(build_update_tables(g), got)
 
 
@@ -260,13 +260,13 @@ def test_compiled_library_is_cached(tmp_path, monkeypatch):
     _compiled()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_csweep, "_loaded", [])
-    assert _csweep.load() is not None
+    assert _csweep.library() is not None
     path = _csweep.library_path()
     assert path.parent == tmp_path / "dilutecw" and path.name.startswith("sweep-")
     assert [p.name for p in path.parent.iterdir()] == [path.name]
     stamp = path.stat().st_mtime_ns
     monkeypatch.setattr(_csweep, "_loaded", [])
-    assert _csweep.load() is not None
+    assert _csweep.library() is not None
     assert path.stat().st_mtime_ns == stamp
 
 
@@ -448,8 +448,7 @@ def _path_case(n, graph, beta):
 
 def _host_path(name):
     """The compiled sweep of one kernel path, or skip when this host cannot run it."""
-    _compiled()
-    sweep = _csweep.paths().get(name)
+    sweep = _library().paths.get(name)
     if sweep is None:
         pytest.skip(f"this CPU does not run the {name} path")
     return sweep
@@ -482,8 +481,8 @@ def test_every_kernel_path_matches_python_sweep(path, n, graph, beta):
     sweeps=st.integers(1, 3),
 )
 def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
-    paths = _csweep.paths()
-    if not paths:
+    library = _csweep.library()
+    if library is None:
         pytest.skip("no compiled sweep on this host")
     params = ModelParams(n=n, p=p, beta=beta)
     tables = build_update_tables(sample_graph(params, GraphSeed(seed)))
@@ -495,15 +494,15 @@ def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
     uniforms = rng.random(sweeps * n)
     want = state.copy()
     want_up = mcmc._python_sweeps(tables, plus)(want, uniforms)
-    for name, sweep in paths.items():
+    for name, sweep in library.paths.items():
         got = _run_path(sweep, tables, np.array(plus), state, uniforms)
         assert got == (want.tobytes(), want_up), name
 
 
 def test_sweep_path_is_the_fastest_path_the_cpu_runs():
-    _compiled()
-    assert sweep_path() == _csweep.path() == next(iter(_csweep.paths()))
-    assert list(_csweep.paths()) == list(_csweep.PATHS[_csweep.PATHS.index(sweep_path()):])
+    library = _library()
+    assert sweep_path() == library.path == next(iter(library.paths))
+    assert list(library.paths) == list(_csweep.PATHS[_csweep.PATHS.index(sweep_path()):])
 
 
 def test_kernel_rejects_mismatched_buffers():
@@ -533,7 +532,7 @@ def test_concurrent_first_loads_build_once(tmp_path, monkeypatch):
     build = _csweep._build
     monkeypatch.setattr(_csweep, "_build", lambda path: (builds.append(path), build(path)))
     seen = []
-    workers = [threading.Thread(target=lambda: seen.append(_csweep.load())) for _ in range(8)]
+    workers = [threading.Thread(target=lambda: seen.append(_csweep.library())) for _ in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

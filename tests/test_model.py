@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,11 +78,65 @@ def test_graph_constructors():
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        DisorderGraph(n=2, rows=(0, 0, 0))
-    with pytest.raises(ValueError):
-        DisorderGraph(n=2, rows=(4, 0))
-    with pytest.raises(ValueError):
         DisorderGraph.from_matrix([[0, 2], [0, 0]])
+    # entries were once truncated with int(), so this gave the rows 2 and 1
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is 0.5"):
+        DisorderGraph.from_matrix([[0.5, 1.9], [1, 0]])
+    for bad in ([[0, 1], [1, -1]], [[0, "1"], [1, 0]], [[0, 1], [1]], [[0, 1]], [[None]]):
+        with pytest.raises(ValueError):
+            DisorderGraph.from_matrix(bad)
+    assert DisorderGraph.from_matrix([[True, False], [True, True]]).to_matrix() == [[1, 0], [1, 1]]
+
+
+@st.composite
+def graph_matrices(draw):
+    """A 0/1 matrix as nested lists, n in 1 .. 130 so that rows of one, two and
+    three words and both sides of each word boundary occur, and spin bits."""
+    n = draw(st.one_of(st.integers(1, 130), st.sampled_from([63, 64, 65, 127, 128, 129])))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = (rng.random((n, n)) < density).astype(int).tolist()
+    return matrix, draw(st.integers(0, (1 << n) - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_matrices())
+def test_graph_words_match_nested_matrix(data):
+    matrix, bits = data
+    n = len(matrix)
+    g = DisorderGraph.from_matrix(matrix)
+    words = (n + 63) // 64
+    assert g.words.shape == (n, words) and g.words.dtype == np.dtype("<u8")
+    assert g.to_matrix() == matrix
+    assert DisorderGraph.from_matrix(g.to_matrix()) == g
+    assert all(g.has_edge(i, j) == bool(matrix[i][j]) for i in range(n) for j in range(n))
+    assert g.edge_count() == sum(map(sum, matrix))
+    signs = SpinConfig(n=n, bits=bits).to_signs()
+    want = sum(matrix[i][j] * signs[i] * signs[j] for i in range(n) for j in range(n))
+    assert interaction_sum(g, SpinConfig(n=n, bits=bits)) == want
+
+    assert not g.words.flags.writeable
+    with pytest.raises(ValueError):
+        g.words[0, 0] = 1
+    copy = g.words.copy()
+    assert DisorderGraph(n, copy) == g and hash(DisorderGraph(n, copy)) == hash(g)
+    if n % 64:
+        copy[n - 1, -1] |= np.uint64(1 << (n % 64))
+        with pytest.raises(ValueError, match="beyond column"):
+            DisorderGraph(n, copy)
+    bads = [
+        np.zeros((n, words + 1), dtype="<u8"),
+        np.zeros((n + 1, words), dtype="<u8"),
+        np.zeros(n * words, dtype="<u8"),
+        np.zeros((n, words), dtype=np.int64),
+        np.zeros((n, words), dtype=">u8"),
+        [[0] * words] * n,
+    ]
+    if n > 1:  # a single word is contiguous at any stride
+        bads.append(np.zeros((2 * n, words), dtype="<u8")[::2])
+    for bad in bads:
+        with pytest.raises(ValueError, match="words must be"):
+            DisorderGraph(n, bad)
 
 
 def test_hamiltonian_empty_graph_is_zero():
