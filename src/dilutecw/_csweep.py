@@ -1,13 +1,28 @@
-"""The heat-bath sweep and the setup of each graph compiled to C, built on first use.
+"""The heat-bath sweep and the setup of each graph as one set of kernels:
+compiled to C on first use, or their numpy and Python twins.
 
-``sweep_block`` below does exactly what ``mcmc._sweep_bits`` does, one sweep
-after another: the same weight-1 and weight-2 masks, the same table of
-P(spin up) and the same uniforms, compared in the same float64 arithmetic.
-A chain's output is therefore bit-identical whichever of the two runs it.
-The kernel takes the state as ``uint64`` words and writes the up-spin count
-after every sweep, so the Python side only turns counts into magnetizations.
-ctypes releases the interpreter lock for the length of the call, so chains on
-different threads run on different cores.
+``library()`` is the one place that chooses.  It returns a ``_Library`` of four
+kernels with fixed signatures, and every caller calls them without asking which
+set it got:
+
+* ``sample(n, seed, threshold, start, out)`` writes rows start ..
+  start + len(out) - 1 of the graph as mask words, one SplitMix64 mix per cell
+  (see ``graph.sample_graph``);
+* ``masks(out_rows) -> (w1, w2, base)`` turns the out-edge rows into the
+  symmetric weight-1 and weight-2 masks and the all-down field ``base``;
+* ``plus(n, rate) -> table`` fills P(spin up) = 1 / (1 + exp(-rate S)),
+  indexed by S + 2n;
+* ``sweep(w1, w2, base, plus, state, uniforms) -> counts`` runs
+  len(uniforms) / n heat-bath sweeps on the packed ``state`` in place and
+  returns the up-spin count after each.
+
+The compiled set is ``SOURCE`` below.  ``sweep_block`` does exactly what the
+Python twin ``_sweep_bits`` does, one sweep after another: the same weight-1
+and weight-2 masks, the same table of P(spin up) and the same uniforms,
+compared in the same float64 arithmetic.  A chain's output is therefore
+bit-identical whichever of the two runs it.  ctypes releases the interpreter
+lock for the length of a call, so chains on different threads run on
+different cores.
 
 Counting a site's field with wide vector loads pays off only when those loads
 need not wait for the state word that the site before it has just written.
@@ -22,24 +37,25 @@ One body is compiled three ways, each exported on its own
 (``sweep_block_<path>``, ``PATHS``): with AVX-512 VPOPCNTDQ, where GCC turns
 the counting loop into ``vpopcntq`` at ``-O3``; with the scalar ``popcnt``
 instruction; and plain.  ``sweep_block`` takes the fastest path the CPU
-runs, found with ``__builtin_cpu_supports``, and ``sweep_path()`` names it.
+runs, found with ``__builtin_cpu_supports``, and ``_Library.path`` names it.
 The first two exist only on x86-64.  No ``-march`` flag is passed, so the one
 library runs on any host of its architecture.
 
-The same library holds the setup of every sampled graph, each function the
-twin of a numpy or Python one that stays as its test oracle and fallback, and
-bit-identical to it:
+The same library holds the setup of every sampled graph, each function
+bit-identical to its twin:
 
-* ``sample_rows`` (``graph._sample_rows``) writes rows of the graph as mask
-  words, one SplitMix64 mix per cell.  It is compiled with AVX-512 DQ, where
+* ``sample_rows`` (twin ``_sample_rows``) is compiled with AVX-512 DQ, where
   GCC mixes a word's 64 cells in vector lanes with ``vpmullq``, and plainly
   (``sample_rows_<path>``, ``SAMPLE_PATHS``), and picks its own path:
   VPOPCNTDQ does not imply DQ.
-* ``build_masks`` (``mcmc._numpy_masks``) turns the out-edge rows into the
-  symmetric weight-1 and weight-2 masks and ``base`` by a 64 x 64 block bit
+* ``build_masks`` (twin ``_numpy_masks``) works by a 64 x 64 block bit
   transpose.
-* ``plus_table`` (``mcmc._plus_loop``) fills P(spin up) with libm ``exp``,
-  the function ``math.exp`` calls, so every entry is the same double.
+* ``plus_table`` (twin ``_plus_loop``) calls libm ``exp``, the function
+  ``math.exp`` calls, so every entry is the same double.
+
+The twins are the test oracles of the compiled kernels and, as ``_TWINS``,
+the set ``library()`` returns when nothing compiles or loads; its ``path``
+and ``sample_path`` are None and its ``paths`` and ``sample_paths`` empty.
 
 The first graph or chain a process makes compiles the source with the system
 C compiler (``COMMAND``) into
@@ -48,14 +64,14 @@ covers the source and the command, so an edit to either builds a new library.
 The library is written to a temporary file and renamed into place, which
 makes concurrent first runs safe.  Later runs only load it.
 When there is no compiler, the cache cannot be written, or the library does
-not load, ``library`` prints one note to stderr and returns None, and graphs,
-masks, tables and chains come from the numpy and Python twins instead.
+not load, ``library`` prints one note to stderr and returns ``_TWINS``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -65,6 +81,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from . import splitmix
+from .model import _BYTE_BITS, _WORD, _pack_rows
 
 SOURCE = r"""
 #include <math.h>
@@ -304,17 +323,151 @@ SAMPLE_PATHS = ("avx512dq", "generic")
 
 class _Library(NamedTuple):
     sweep: Callable  # sweep_block, which runs on ``path``
-    path: str
+    path: str | None  # None for the twins, as is sample_path
     paths: dict  # name -> that path's own entry point, for every path this CPU runs
     sample: Callable  # sample_rows, which runs on ``sample_path``
-    sample_path: str
+    sample_path: str | None
     sample_paths: dict  # as ``paths``, for the sampler
     masks: Callable  # build_masks
     plus: Callable  # plus_table
 
 
+# The numpy twin of the sampler mixes a block of whole rows holding about this
+# many cells at a time, so it never holds an n-by-n buffer of 64-bit words.
+# A block's mixing buffers (512 KiB each) stay in cache: on a 2-core Xeon with
+# 2 MiB of L2 per core, 2^20 cells ran sampling 1.7 times slower at n = 4096.
+_SAMPLE_CELLS = 1 << 16
+
+
+def _sample_rows(n: int, seed: int, threshold: int, start: int, out: np.ndarray) -> None:
+    """The numpy twin of ``sample_rows``: rows start .. start + len(out) - 1
+    into ``out`` as ``uint64`` mask words, a block of rows at a time."""
+    gamma = np.uint64(splitmix.GAMMA)
+    step = max(1, _SAMPLE_CELLS // n)
+    for at in range(0, out.shape[0], step):
+        block = out[at:at + step]
+        # Edge (i, j) mixes seed + (i*n + j + 1) * gamma, where the +1 keeps
+        # counter 0 from collapsing to the bare seed.  Split as
+        # (seed + (i*n + 1) * gamma) + j * gamma: one term per row, one per column.
+        counters = (np.arange(start + at, start + at + block.shape[0], dtype=np.uint64)
+                    * np.uint64(n) + np.uint64(1))
+        row_base = counters * gamma + np.uint64(seed)
+        z = row_base[:, None] + np.arange(n, dtype=np.uint64) * gamma
+        shifted = np.empty_like(z)
+        splitmix.finalize_array(z, shifted)
+        # the top 53 bits decide the edge
+        np.right_shift(z, 11, out=shifted)
+        _pack_rows(shifted < np.uint64(threshold), block)
+
+
+# Hacker's Delight's 64 x 64 bit-matrix transpose: six rounds, each swapping
+# the off-diagonal j x j sub-blocks selected by the mask.
+_TRANSPOSE_ROUNDS = tuple(
+    (j, np.uint64(mask))
+    for j, mask in (
+        (32, 0x00000000FFFFFFFF),
+        (16, 0x0000FFFF0000FFFF),
+        (8, 0x00FF00FF00FF00FF),
+        (4, 0x0F0F0F0F0F0F0F0F),
+        (2, 0x3333333333333333),
+        (1, 0x5555555555555555),
+    )
+)
+
+
+def _transpose_bits(rows: np.ndarray) -> np.ndarray:
+    """Transpose a square bit matrix held as (64 w, w) words, 64 rows a block.
+
+    Block (J, I) of the transpose is block (I, J) transposed, so the blocks
+    are reordered and then each is transposed in place, all at once.
+    """
+    w = rows.shape[1]
+    blocks = rows.reshape(w, 64, w).transpose(2, 0, 1).copy()
+    for j, mask in _TRANSPOSE_ROUNDS:
+        halves = blocks.reshape(w, w, 32 // j, 2, j)
+        low, high = halves[..., 0, :], halves[..., 1, :]
+        swap = ((low >> j) ^ high) & mask
+        low ^= swap << j
+        high ^= swap
+    return blocks.transpose(0, 2, 1).reshape(64 * w, w)
+
+
+def _numpy_masks(out_rows: np.ndarray):
+    """The numpy twin of ``build_masks``: (w1, w2, base) from the (n, words)
+    out-edge rows."""
+    n, words = out_rows.shape
+    padded = np.zeros((64 * words, words), dtype=_WORD)
+    padded[:n] = out_rows
+    in_rows = _transpose_bits(padded)[:n]
+    w1 = (out_rows ^ in_rows).astype(_WORD, copy=False)
+    w2 = (out_rows & in_rows).astype(_WORD, copy=False)
+    sites = np.arange(n)
+    off_diagonal = ~(np.uint64(1) << (sites & 63).astype(np.uint64))
+    w1[sites, sites >> 6] &= off_diagonal
+    w2[sites, sites >> 6] &= off_diagonal
+    base = _BYTE_BITS[w1.view(np.uint8)].sum(axis=1, dtype=np.int64)
+    base += 2 * _BYTE_BITS[w2.view(np.uint8)].sum(axis=1, dtype=np.int64)
+    return w1, w2, base
+
+
+def _plus_loop(n: int, rate: float) -> np.ndarray:
+    """The Python twin of ``plus_table``."""
+    table = []
+    for s in range(-2 * n, 2 * n + 1):
+        exponent = min(max(-rate * s, -700.0), 700.0)
+        table.append(1.0 / (1.0 + math.exp(exponent)))
+    return np.array(table)
+
+
+def _mask_ints(masks: np.ndarray) -> list[int]:
+    """The rows of a packed mask array as Python integers."""
+    return [int.from_bytes(row.tobytes(), "little") for row in masks]
+
+
+def _sweep_bits(bits, n, w1, w2, base, plus, offset, uniforms):
+    """One sequential heat-bath sweep on raw integer state; returns new bits."""
+    for i in range(n):
+        s = (
+            2 * ((w1[i] & bits).bit_count() + 2 * (w2[i] & bits).bit_count())
+            - base[i]
+        )
+        if uniforms[i] < plus[s + offset]:
+            bits |= 1 << i
+        else:
+            bits &= ~(1 << i)
+    return bits
+
+
+def _python_sweeps(w1, w2, base, plus, state, uniforms) -> list[int]:
+    """The Python twin of ``sweep_block``, built on _sweep_bits."""
+    n = w1.shape[0]
+    plus = plus.tolist()
+    w1, w2 = _mask_ints(w1), _mask_ints(w2)
+    base = base.tolist()
+    offset = 2 * n
+    bits = int.from_bytes(state.tobytes(), "little")
+    flat = uniforms.tolist()
+    up = []
+    for start in range(0, len(flat), n):
+        bits = _sweep_bits(bits, n, w1, w2, base, plus, offset, flat[start : start + n])
+        up.append(bits.bit_count())
+    state[:] = np.frombuffer(bits.to_bytes(state.nbytes, "little"), dtype=_WORD)
+    return up
+
+
+_TWINS = _Library(
+    sweep=_python_sweeps,
+    path=None,
+    paths={},
+    sample=_sample_rows,
+    sample_path=None,
+    sample_paths={},
+    masks=_numpy_masks,
+    plus=_plus_loop,
+)
+
 _lock = threading.Lock()
-_loaded: list = []  # holds the _Library, or None, of the first load
+_loaded: list = []  # holds the _Library of the first load, compiled or _TWINS
 
 
 def library_path() -> Path:
@@ -461,18 +614,17 @@ def _open() -> _Library:
     )
 
 
-def library() -> _Library | None:
-    """The loaded library, or None when it cannot be had; built or loaded once
-    per process, so later calls return the same answer."""
+def library() -> _Library:
+    """The compiled kernels, or ``_TWINS`` when they cannot be had; built or
+    loaded once per process, so later calls return the same set."""
     with _lock:
         if not _loaded:
             try:
                 loaded = _open()
             except OSError as err:
-                loaded = None
+                loaded = _TWINS
                 print(f"note: compiled kernels unavailable ({err}); "
                       "sampling, masks and sweeps run in numpy and Python",
                       file=sys.stderr, flush=True)
             _loaded.append(loaded)
         return _loaded[0]
-

@@ -40,15 +40,8 @@ from .exact import (
     second_moment_log,
     variance_ratio_from_logs,
 )
-from .graph import GraphSeed, read_graph, sample_graph, sample_path, write_graph
-from .mcmc import (
-    ChainConfig,
-    derive_seed,
-    quenched_experiment,
-    run_chain,
-    sweep_kernel,
-    sweep_path,
-)
+from .graph import GraphSeed, read_graph, sample_graph, write_graph
+from .mcmc import ChainConfig, derive_seed, quenched_experiment, run_chain
 from .model import ModelParams
 from .testfunctions import parse_test_function
 
@@ -124,7 +117,7 @@ def _cmd_graph_sample(args) -> int:
         return 0
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_graph(g, fh)
-    _write_sidecar(args.out, started, _sample_meta())
+    _write_sidecar(args.out, started, _kernel_meta(False, True))
     return 0
 
 
@@ -257,21 +250,21 @@ def _chain_config(args, chain_seed: int) -> ChainConfig:
     )
 
 
-def _sample_meta() -> dict:
-    """The sidecar's record of which compiled sampler ran, empty on the numpy one."""
-    path = sample_path()
-    return {} if path is None else {"sample_path": path}
+def _kernel_meta(swept: bool, sampled: bool) -> dict:
+    """The sidecar's record of the kernels that ran: "sweep_kernel" ("c" or
+    "python") and "sweep_path" when the run ``swept``, "sample_path" when it
+    ``sampled`` its graphs.  The twins have no path, so the paths are left out
+    when they ran."""
+    from ._csweep import library
 
-
-def _sweep_meta(sampled: bool) -> dict:
-    """The sidecar's record of which sweep ran, "sweep_path" only when
-    compiled, plus ``_sample_meta`` when the run ``sampled`` its graphs."""
-    path = sweep_path()
-    return {
-        "sweep_kernel": sweep_kernel(),
-        **({} if path is None else {"sweep_path": path}),
-        **(_sample_meta() if sampled else {}),
-    }
+    kernels = library()
+    record = {}
+    if swept:
+        record["sweep_kernel"] = "c" if kernels.path else "python"
+        record["sweep_path"] = kernels.path
+    if sampled:
+        record["sample_path"] = kernels.sample_path
+    return {key: value for key, value in record.items() if value is not None}
 
 
 def _cmd_mcmc_run(args) -> int:
@@ -294,7 +287,7 @@ def _cmd_mcmc_run(args) -> int:
                 [seed_field, sample.replica_id, sample.first_sweep + j * sample.thin, repr(value)]
             )
     _log(f"retained {sum(len(s.values) for s in samples)} samples")
-    _emit(buf.getvalue(), args.out, started, _sweep_meta(sampled=graph_seed is not None))
+    _emit(buf.getvalue(), args.out, started, _kernel_meta(True, graph_seed is not None))
     return 0
 
 
@@ -338,7 +331,7 @@ def _cmd_clt_experiment(args) -> int:
         },
         "exceed_fraction": record.exceed_fraction,
     }
-    _emit_json(payload, args.out, started, _sweep_meta(sampled=True))
+    _emit_json(payload, args.out, started, _kernel_meta(True, True))
     return 0
 
 

@@ -23,15 +23,13 @@ indicator of edge (i, j).  A path is read with universal newlines, so a CRLF
 file reads as an LF one.  The last row may lack its newline, and only
 whitespace may follow it.
 
-Sampling, writing and reading all run over blocks of whole rows
-(``_BLOCK_CELLS`` cells each) of the graph's ``words``: one block of counters
-is mixed, compared and packed into its rows at a time, and one block of text
-is formatted from them, or read, checked and packed into them, at a time.
-The mixing runs compiled (``_csweep``'s ``sample_rows``) when a C compiler is
-at hand and in numpy (``_sample_rows``, its test oracle) otherwise; both give
-the same graph bit for bit, and ``sample_path`` names the compiled path.
-When a block of text fails its checks, only its first bad row is parsed again
-as a line, for the error message and line number.
+Sampling is one call of ``_csweep.library().sample``, the compiled sampler or
+its numpy twin, which give the same graph bit for bit, over the graph's
+``words``.  Writing and reading run over blocks of whole rows
+(``_BLOCK_CELLS`` cells each): one block of text is formatted from the rows,
+or read, checked and packed into them, at a time.  When a block of text fails
+its checks, only its first bad row is parsed again as a line, for the error
+message and line number.
 """
 
 from __future__ import annotations
@@ -41,13 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import splitmix
 from .errors import CapacityError, DomainError, GraphFormatError
 from .model import _WORD, DisorderGraph, ModelParams, _pack_rows
 
-__all__ = [
-    "GraphSeed", "sample_graph", "sample_path", "write_graph", "read_graph", "DEFAULT_BIT_LIMIT",
-]
+__all__ = ["GraphSeed", "sample_graph", "write_graph", "read_graph", "DEFAULT_BIT_LIMIT"]
 
 # Refuse to materialize adjacency matrices beyond this many bits (2^33 bits
 # = 1 GiB packed); sample_graph and read_graph both honor it.
@@ -55,10 +50,8 @@ DEFAULT_BIT_LIMIT = 1 << 33
 
 _HEADER_PREFIX = "dilute-cw-graph v1 N="
 
-# Sampling and text I/O work on blocks of whole rows holding about this many
-# cells, so no n-by-n buffer of words, bytes or text is ever held.  A block's
-# 64-bit mixing buffers (512 KiB each) stay in cache: on a 2-core Xeon with
-# 2 MiB of L2 per core, 2^20 cells ran sampling 1.7 times slower at n = 4096.
+# Text I/O works on blocks of whole rows holding about this many cells, so no
+# n-by-n buffer of bytes or text is ever held.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -84,23 +77,6 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_CELLS // n)
 
 
-def _sample_rows(n: int, seed: int, threshold: int, start: int, out: np.ndarray) -> None:
-    """The numpy twin of the compiled ``sample_rows``: rows start ..
-    start + len(out) - 1 into ``out`` as ``uint64`` mask words."""
-    gamma = np.uint64(splitmix.GAMMA)
-    # Edge (i, j) mixes seed + (i*n + j + 1) * gamma, where the +1 keeps
-    # counter 0 from collapsing to the bare seed.  Split as
-    # (seed + (i*n + 1) * gamma) + j * gamma: one term per row, one per column.
-    counters = np.arange(start, start + out.shape[0], dtype=np.uint64) * np.uint64(n) + np.uint64(1)
-    row_base = counters * gamma + np.uint64(seed)
-    z = row_base[:, None] + np.arange(n, dtype=np.uint64) * gamma
-    shifted = np.empty_like(z)
-    splitmix.finalize_array(z, shifted)
-    # the top 53 bits decide the edge
-    np.right_shift(z, 11, out=shifted)
-    _pack_rows(shifted < np.uint64(threshold), out)
-
-
 def sample_graph(
     params: ModelParams,
     seed: GraphSeed,
@@ -114,25 +90,11 @@ def sample_graph(
             f"adjacency matrix needs {n * n} bits, above the cap of {bit_limit}; "
             "pass a larger bit_limit to override"
         )
-    from . import _csweep
+    from ._csweep import library
 
-    library = _csweep.library()
-    sample = _sample_rows if library is None else library.sample
-    threshold = bernoulli_threshold(params.p)
-    step = _block_rows(n)
     words = np.empty((n, (n + 63) // 64), dtype=_WORD)
-    for start in range(0, n, step):
-        sample(n, seed.master_seed, threshold, start, words[start:start + step])
+    library().sample(n, seed.master_seed, bernoulli_threshold(params.p), 0, words)
     return DisorderGraph(n, words)
-
-
-def sample_path() -> str | None:
-    """Which compiled sampler path ``sample_graph`` runs in this process
-    ("avx512dq" or "generic"), or None when it runs the numpy sampler."""
-    from . import _csweep
-
-    library = _csweep.library()
-    return None if library is None else library.sample_path
 
 
 def write_graph(g: DisorderGraph, destination) -> None:

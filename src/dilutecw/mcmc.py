@@ -11,16 +11,13 @@ the current value.  S_i is an AND-and-popcount against two per-site masks
 (weight-1 and weight-2 symmetric neighbors), and since S_i only takes the
 integer values -2n .. 2n, the acceptance probabilities come from one
 precomputed table per (graph shape, beta).  That keeps the inner loop at two
-masked popcounts, one table lookup, and one comparison per site.  The loop
-runs compiled (``_csweep``) when a C compiler is at hand and in Python
-(``_sweep_bits``) otherwise; both give bit-identical chains.  The compiled
-sweep counts each block of 64 sites' field over the other state words first,
-then updates the block in order against its own word; ``sweep_kernel`` and
-``sweep_path`` name which sweep, and which compiled path, a process runs.
-The masks and the table come from the same library when it loads
-(``build_masks``, ``plus_table``) and from their numpy and Python twins
-(``_numpy_masks``, ``_plus_loop``) otherwise, bit for bit the same.  Both
-mask builders read ``DisorderGraph.words`` as they are.
+masked popcounts, one table lookup, and one comparison per site.  The masks,
+the table and the sweep are kernels of ``_csweep.library()``: compiled where a
+C compiler is at hand (``build_masks``, ``plus_table``, ``sweep_block``), their
+numpy and Python twins otherwise, bit for bit the same.  The compiled sweep
+counts each block of 64 sites' field over the other state words first, then
+updates the block in order against its own word.  The mask builders read
+``DisorderGraph.words`` as they are.
 
 Randomness is replayable by construction.  A chain seed plus replica index
 derives two 64-bit streams (initial state, dynamics) through repeated
@@ -42,7 +39,7 @@ import numpy as np
 from . import splitmix
 from .graph import GraphSeed, sample_graph
 from .errors import DomainError
-from .model import _BYTE_BITS, _WORD, DisorderGraph, ModelParams
+from .model import _WORD, DisorderGraph, ModelParams
 from .stats import EmpiricalMeasure, NormalRef, ks_distance, levy_distance, summarize
 
 __all__ = [
@@ -53,8 +50,6 @@ __all__ = [
     "default_burn_in",
     "derive_seed",
     "run_chain",
-    "sweep_kernel",
-    "sweep_path",
     "GraphRun",
     "ExperimentRecord",
     "quenched_experiment",
@@ -164,152 +159,22 @@ class SpinUpdateTables:
                 )
 
 
-# Hacker's Delight's 64 x 64 bit-matrix transpose: six rounds, each swapping
-# the off-diagonal j x j sub-blocks selected by the mask.
-_TRANSPOSE_ROUNDS = tuple(
-    (j, np.uint64(mask))
-    for j, mask in (
-        (32, 0x00000000FFFFFFFF),
-        (16, 0x0000FFFF0000FFFF),
-        (8, 0x00FF00FF00FF00FF),
-        (4, 0x0F0F0F0F0F0F0F0F),
-        (2, 0x3333333333333333),
-        (1, 0x5555555555555555),
-    )
-)
-
-
-def _transpose_bits(rows: np.ndarray) -> np.ndarray:
-    """Transpose a square bit matrix held as (64 w, w) words, 64 rows a block.
-
-    Block (J, I) of the transpose is block (I, J) transposed, so the blocks
-    are reordered and then each is transposed in place, all at once.
-    """
-    w = rows.shape[1]
-    blocks = rows.reshape(w, 64, w).transpose(2, 0, 1).copy()
-    for j, mask in _TRANSPOSE_ROUNDS:
-        halves = blocks.reshape(w, w, 32 // j, 2, j)
-        low, high = halves[..., 0, :], halves[..., 1, :]
-        swap = ((low >> j) ^ high) & mask
-        low ^= swap << j
-        high ^= swap
-    return blocks.transpose(0, 2, 1).reshape(64 * w, w)
-
-
-def _numpy_masks(out_rows: np.ndarray):
-    """The numpy twin of the compiled ``build_masks``: (w1, w2, base) from the
-    (n, words) out-edge rows."""
-    n, words = out_rows.shape
-    padded = np.zeros((64 * words, words), dtype=_WORD)
-    padded[:n] = out_rows
-    in_rows = _transpose_bits(padded)[:n]
-    w1 = (out_rows ^ in_rows).astype(_WORD, copy=False)
-    w2 = (out_rows & in_rows).astype(_WORD, copy=False)
-    sites = np.arange(n)
-    off_diagonal = ~(np.uint64(1) << (sites & 63).astype(np.uint64))
-    w1[sites, sites >> 6] &= off_diagonal
-    w2[sites, sites >> 6] &= off_diagonal
-    base = _BYTE_BITS[w1.view(np.uint8)].sum(axis=1, dtype=np.int64)
-    base += 2 * _BYTE_BITS[w2.view(np.uint8)].sum(axis=1, dtype=np.int64)
-    return w1, w2, base
-
-
 def build_update_tables(g: DisorderGraph) -> SpinUpdateTables:
     """Build the symmetric neighbor masks from the rows (``g.words``) and columns.
 
     The out-edge rows and the in-edge columns combine bitwise: weight 2
     where both are set, weight 1 where exactly one is.
     """
-    from . import _csweep
+    from ._csweep import library
 
-    library = _csweep.library()
-    build = _numpy_masks if library is None else library.masks
-    return SpinUpdateTables(g.n, *build(g.words))
-
-
-def _mask_ints(masks: np.ndarray) -> list[int]:
-    """The rows of a packed mask array as Python integers."""
-    return [int.from_bytes(row.tobytes(), "little") for row in masks]
-
-
-def _plus_loop(rate: float, n: int) -> list[float]:
-    """The Python twin of the compiled ``plus_table``."""
-    table = []
-    for s in range(-2 * n, 2 * n + 1):
-        exponent = min(max(-rate * s, -700.0), 700.0)
-        table.append(1.0 / (1.0 + math.exp(exponent)))
-    return table
+    return SpinUpdateTables(g.n, *library().masks(g.words))
 
 
 def _plus_probabilities(params: ModelParams, n: int) -> np.ndarray:
     """P(new spin = +1) indexed by S_i + 2n, S_i in [-2n, 2n]."""
-    from . import _csweep
+    from ._csweep import library
 
-    rate = params.beta / (params.n * params.p)
-    library = _csweep.library()
-    if library is None:
-        return np.array(_plus_loop(rate, n))
-    return library.plus(n, rate)
-
-
-def _sweep_bits(bits, n, w1, w2, base, plus, offset, uniforms):
-    """One sequential heat-bath sweep on raw integer state; returns new bits."""
-    for i in range(n):
-        s = (
-            2 * ((w1[i] & bits).bit_count() + 2 * (w2[i] & bits).bit_count())
-            - base[i]
-        )
-        if uniforms[i] < plus[s + offset]:
-            bits |= 1 << i
-        else:
-            bits &= ~(1 << i)
-    return bits
-
-
-def _python_sweeps(tables: SpinUpdateTables, plus: np.ndarray):
-    """The Python twin of the compiled block sweep, built on _sweep_bits."""
-    n = tables.n
-    plus = plus.tolist()
-    w1, w2 = _mask_ints(tables.w1), _mask_ints(tables.w2)
-    base = tables.base.tolist()
-    offset = 2 * n
-
-    def sweep(state: np.ndarray, uniforms: np.ndarray) -> list[int]:
-        bits = int.from_bytes(state.tobytes(), "little")
-        flat = uniforms.tolist()
-        up = []
-        for start in range(0, len(flat), n):
-            bits = _sweep_bits(bits, n, w1, w2, base, plus, offset, flat[start : start + n])
-            up.append(bits.bit_count())
-        state[:] = np.frombuffer(bits.to_bytes(state.nbytes, "little"), dtype=_WORD)
-        return up
-
-    return sweep
-
-
-def _block_sweep(tables: SpinUpdateTables, plus: np.ndarray, kernel):
-    """A function (state, uniforms) -> up-spin counts that runs len(uniforms) / n
-    sweeps on the packed ``state`` in place: the compiled ``kernel``, or the
-    Python sweep when ``kernel`` is None."""
-    if kernel is None:
-        return _python_sweeps(tables, plus)
-    return functools.partial(kernel, tables.w1, tables.w2, tables.base, plus)
-
-
-def sweep_kernel() -> str:
-    """Which sweep chains run in this process: "c" (compiled) or "python"."""
-    from . import _csweep
-
-    return "python" if _csweep.library() is None else "c"
-
-
-def sweep_path() -> str | None:
-    """Which compiled path chains run in this process ("avx512vpopcntdq",
-    "popcnt" or "generic"), or None when they run the Python sweep."""
-    from . import _csweep
-
-    library = _csweep.library()
-    return None if library is None else library.path
+    return library().plus(n, params.beta / (params.n * params.p))
 
 
 # Uniforms are drawn from the generator in blocks of about this many (whole
@@ -359,7 +224,6 @@ def run_chain(
     cfg: ChainConfig,
     *,
     graph_seed: int | None = None,
-    tables: SpinUpdateTables | None = None,
 ) -> list[MagnetizationSample]:
     """Run every replica of the chain on one fixed graph.
 
@@ -374,15 +238,11 @@ def run_chain(
             f"no samples retained: sweeps={cfg.sweeps}, "
             f"burn_in={cfg.resolved_burn_in(g.n)}, thin={cfg.thin}"
         )
-    if tables is None:
-        tables = build_update_tables(g)
-    elif tables.n != g.n:
-        raise DomainError(f"incompatible sizes: tables n={tables.n}, graph n={g.n}")
-    from . import _csweep
+    from ._csweep import library
 
-    library = _csweep.library()
-    kernel = None if library is None else library.sweep
-    sweep_block = _block_sweep(tables, _plus_probabilities(params, g.n), kernel)
+    tables = build_update_tables(g)
+    plus = _plus_probabilities(params, g.n)
+    sweep_block = functools.partial(library().sweep, tables.w1, tables.w2, tables.base, plus)
     return [
         _run_replica(tables, sweep_block, cfg, replica_id, graph_seed)
         for replica_id in range(cfg.replicas)

@@ -1,10 +1,10 @@
 """The SplitMix64 mix (Steele, Lea, Flood 2014), scalar and vectorised.
 
 Chain seeding derives stream seeds with the scalar ``finalize``.  Graph
-sampling mixes one counter per adjacency cell in the compiled sampler
-(``_csweep``'s ``sample_rows``); ``finalize_array`` is the numpy mix of the
-sampler's test oracle and of its fallback when nothing is compiled.  All three
-apply the same finalizer to 64-bit values, so they agree bit for bit.
+sampling mixes one counter per adjacency cell in ``_csweep``'s sampler:
+compiled (``sample_rows``), or its numpy twin ``_sample_rows``, which mixes
+with ``finalize_array``.  All three apply the same finalizer to 64-bit
+values, so they agree bit for bit.
 """
 
 from __future__ import annotations

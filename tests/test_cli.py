@@ -678,18 +678,18 @@ def test_exact_moments_refuses_a_cancelled_variance_ratio(beta, code, capsys):
 
 
 def test_chain_sidecar_names_the_sweep_path(tmp_path, capsys, monkeypatch):
-    from dilutecw import _csweep, mcmc
+    from dilutecw import _csweep
 
     argv = ("--n", "70", "--p", "0.5", "--beta", "0.5", "--sweeps", "30", "--burnin", "2")
     for python_only in (False, True):
         if python_only:
-            monkeypatch.setattr(_csweep, "_loaded", [None])
+            monkeypatch.setattr(_csweep, "_loaded", [_csweep._TWINS])
         for command, extra in (("mcmc-run", ()), ("clt-experiment", ("--graphs", "2"))):
             out_path = tmp_path / f"{command}-{python_only}.out"
             code, _, _ = run_cli(capsys, command, *argv, *extra, "--out", str(out_path))
             assert code == 0
             meta = json.loads(out_path.with_name(out_path.name + ".meta.json").read_text())
-            assert meta.get("sweep_path") == mcmc.sweep_path()
+            assert meta.get("sweep_path") == _csweep.library().path
             assert "sweep_path" not in out_path.read_text()
             if meta["sweep_kernel"] == "c":
                 assert meta["sweep_path"] in _csweep.PATHS
@@ -698,7 +698,7 @@ def test_chain_sidecar_names_the_sweep_path(tmp_path, capsys, monkeypatch):
 
 
 def test_sidecars_name_the_sample_path(tmp_path, capsys, monkeypatch):
-    from dilutecw import _csweep, graph
+    from dilutecw import _csweep
 
     model = ("--n", "70", "--p", "0.5")
     chain = ("--beta", "0.5", "--sweeps", "30", "--burnin", "2")
@@ -712,7 +712,7 @@ def test_sidecars_name_the_sample_path(tmp_path, capsys, monkeypatch):
     )
     for python_only in (False, True):
         if python_only:
-            monkeypatch.setattr(_csweep, "_loaded", [None])
+            monkeypatch.setattr(_csweep, "_loaded", [_csweep._TWINS])
         for k, (command, extra, sampled) in enumerate(runs):
             out_path = graph_file if k == 0 else tmp_path / f"{command}-{k}-{python_only}.out"
             code, _, _ = run_cli(capsys, command, *model, *extra, "--out", str(out_path))
@@ -720,7 +720,7 @@ def test_sidecars_name_the_sample_path(tmp_path, capsys, monkeypatch):
             meta = json.loads(out_path.with_name(out_path.name + ".meta.json").read_text())
             assert "sample_path" not in out_path.read_text()
             if sampled and not python_only:
-                assert meta["sample_path"] == graph.sample_path()
+                assert meta["sample_path"] == _csweep.library().sample_path
                 assert meta["sample_path"] in _csweep.SAMPLE_PATHS
             else:
                 assert "sample_path" not in meta

@@ -291,19 +291,26 @@ def test_roundtrip_across_row_blocks(tmp_path):
 
 
 def test_sampling_matches_scalar_mix():
-    # Each cell against the scalar finalizer of its own counter.
+    # Each cell against the scalar finalizer of its own counter, by
+    # sample_graph and by every kernel set's sampler.
     n, p, seed = 37, 0.4, (1 << 64) - 5
-    g = sample_graph(ModelParams(n=n, p=p, beta=1.0), GraphSeed(seed))
     thr = round(p * (1 << 53))
-    for i in range(n):
-        for j in range(n):
-            z = splitmix.finalize((seed + (i * n + j + 1) * splitmix.GAMMA) & splitmix.MASK64)
-            assert g.has_edge(i, j) == ((z >> 11) < thr)
+    graphs = [sample_graph(ModelParams(n=n, p=p, beta=1.0), GraphSeed(seed))]
+    library = _csweep.library()
+    for kernels in [library] if library is _csweep._TWINS else [library, _csweep._TWINS]:
+        words = np.empty((n, 1), dtype="<u8")
+        kernels.sample(n, seed, thr, 0, words)
+        graphs.append(DisorderGraph(n, words))
+    for g in graphs:
+        for i in range(n):
+            for j in range(n):
+                z = splitmix.finalize((seed + (i * n + j + 1) * splitmix.GAMMA) & splitmix.MASK64)
+                assert g.has_edge(i, j) == ((z >> 11) < thr)
 
 
 def _sampled_words(sample, n, p, seed, start=0, stop=None):
     """Rows start .. stop - 1 of a graph as mask words, by ``sample`` (the
-    signature of graph._sample_rows), one row block at a time."""
+    signature of _csweep._sample_rows), one row block at a time."""
     stop = n if stop is None else stop
     out = np.empty((stop - start, (n + 63) // 64), dtype="<u8")
     step = graph_module._block_rows(n)
@@ -316,7 +323,7 @@ def _sampled_words(sample, n, p, seed, start=0, stop=None):
 def _sampler_path(name):
     """The compiled sampler of one path, or skip when this host cannot run it."""
     library = _csweep.library()
-    if library is None:
+    if library is _csweep._TWINS:
         pytest.skip("no compiled kernels on this host")
     sample = library.sample_paths.get(name)
     if sample is None:
@@ -331,7 +338,7 @@ def test_every_sampler_path_matches_numpy_sampler(path, n):
     sample = _sampler_path(path)
     for p in (1e-3, 0.3, 0.5, 1.0):
         for seed in (0, 7, (1 << 64) - 1):
-            want = _sampled_words(graph_module._sample_rows, n, p, seed)
+            want = _sampled_words(_csweep._sample_rows, n, p, seed)
             assert _sampled_words(sample, n, p, seed).tobytes() == want.tobytes(), (p, seed)
 
 
@@ -344,12 +351,12 @@ def test_every_sampler_path_matches_numpy_sampler(path, n):
 )
 def test_sampler_paths_match_numpy_sampler_property(n, p, seed, data):
     library = _csweep.library()
-    if library is None:
+    if library is _csweep._TWINS:
         pytest.skip("no compiled kernels on this host")
     # any run of rows regenerates on its own
     start = data.draw(st.integers(0, n - 1))
     stop = data.draw(st.integers(start + 1, n))
-    want = _sampled_words(graph_module._sample_rows, n, p, seed, start, stop).tobytes()
+    want = _sampled_words(_csweep._sample_rows, n, p, seed, start, stop).tobytes()
     for name, sample in library.sample_paths.items():
         assert _sampled_words(sample, n, p, seed, start, stop).tobytes() == want, name
 
@@ -357,14 +364,14 @@ def test_sampler_paths_match_numpy_sampler_property(n, p, seed, data):
 def test_sample_graph_matches_numpy_fallback(monkeypatch):
     params = ModelParams(n=1500, p=0.3, beta=1.0)
     compiled = sample_graph(params, GraphSeed(11))
-    monkeypatch.setattr(_csweep, "_loaded", [None])
-    assert graph_module.sample_path() is None
+    monkeypatch.setattr(_csweep, "_loaded", [_csweep._TWINS])
+    assert _csweep.library().sample_path is None
     assert sample_graph(params, GraphSeed(11)) == compiled
 
 
 def test_sampler_rejects_bad_arguments():
     library = _csweep.library()
-    if library is None:
+    if library is _csweep._TWINS:
         pytest.skip("no compiled kernels on this host")
     out = np.zeros((4, 2), dtype="<u8")
     library.sample(70, 0, 1 << 52, 66, out)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from dilutecw import _csweep, mcmc
 from dilutecw.exact import enumerate_partition
-from dilutecw.graph import GraphSeed, read_graph, sample_graph, sample_path, write_graph
+from dilutecw.graph import GraphSeed, read_graph, sample_graph, write_graph
 from dilutecw.mcmc import (
     ChainConfig,
     build_update_tables,
@@ -23,8 +23,6 @@ from dilutecw.mcmc import (
     derive_seed,
     quenched_experiment,
     run_chain,
-    sweep_kernel,
-    sweep_path,
 )
 from dilutecw.model import DisorderGraph, ModelParams, SpinConfig
 from dilutecw.stats import EmpiricalMeasure
@@ -43,10 +41,12 @@ def test_update_tables_match_matrix_masks():
             w1.append(sum(1 << j for j in range(g.n) if weight[j] == 1))
             w2.append(sum(1 << j for j in range(g.n) if weight[j] == 2))
             base.append(sum(weight))
-        tables = build_update_tables(g)
-        assert mcmc._mask_ints(tables.w1) == w1
-        assert mcmc._mask_ints(tables.w2) == w2
-        assert tables.base.tolist() == base
+        for kernels in _kernel_sets():
+            tables = mcmc.SpinUpdateTables(g.n, *kernels.masks(g.words))
+            assert _csweep._mask_ints(tables.w1) == w1
+            assert _csweep._mask_ints(tables.w2) == w2
+            assert tables.base.tolist() == base
+        _assert_same_tables(build_update_tables(g), tables)
 
 
 def test_update_tables_layout_is_checked():
@@ -60,8 +60,8 @@ def test_update_tables_layout_is_checked():
 
 def _library():
     library = _csweep.library()
-    if library is None:
-        pytest.skip("no compiled sweep on this host")
+    if library is _csweep._TWINS:
+        pytest.skip("no compiled kernels on this host")
     return library
 
 
@@ -69,23 +69,23 @@ def _compiled():
     return _library().sweep
 
 
-def _sweep_kernels():
-    """None, which selects the Python sweep, and the compiled kernel where it builds."""
+def _kernel_sets():
+    """Every kernel set this host has: the compiled one where it loads, and the twins."""
     library = _csweep.library()
-    return [None] if library is None else [None, library.sweep]
+    return [library] if library is _csweep._TWINS else [library, _csweep._TWINS]
 
 
 def _one_sweep_each(sigma, g, params, seed):
-    """One sweep from sigma with the uniforms of rng(seed), by the Python
-    sweep and by the compiled kernel: the new bits from each."""
-    tables = build_update_tables(g)
-    plus = mcmc._plus_probabilities(params, g.n)
+    """One sweep from sigma with the uniforms of rng(seed), by each kernel
+    set's masks, flip table and sweep: the new bits from each."""
     results = []
-    for kernel in _sweep_kernels():
-        words = tables.w1.shape[1]
+    for kernels in _kernel_sets():
+        w1, w2, base = kernels.masks(g.words)
+        plus = kernels.plus(g.n, params.beta / (params.n * params.p))
+        words = w1.shape[1]
         state = np.frombuffer(sigma.bits.to_bytes(8 * words, "little"), dtype=mcmc._WORD).copy()
         uniforms = np.random.default_rng(seed).random(g.n)
-        up = mcmc._block_sweep(tables, plus, kernel)(state, uniforms)
+        up = kernels.sweep(w1, w2, base, plus, state, uniforms)
         bits = int.from_bytes(state.tobytes(), "little")
         assert up == [bits.bit_count()]
         results.append(bits)
@@ -100,7 +100,7 @@ def test_beta_zero_sweep_is_fair_coins():
     u = np.random.default_rng(42).random(11)
     want = sum(1 << i for i in range(11) if u[i] < 0.5)
     bits = _one_sweep_each(SpinConfig.all_down(11), g, params, 42)
-    assert bits == [want] * len(_sweep_kernels())
+    assert bits == [want] * len(_kernel_sets())
 
 
 def test_empty_graph_sweep_is_fair_coins_any_beta():
@@ -109,7 +109,7 @@ def test_empty_graph_sweep_is_fair_coins_any_beta():
     u = np.random.default_rng(9).random(10)
     want = sum(1 << i for i in range(10) if u[i] < 0.5)
     bits = _one_sweep_each(SpinConfig.all_up(10), g, params, 9)
-    assert bits == [want] * len(_sweep_kernels())
+    assert bits == [want] * len(_kernel_sets())
 
 
 def test_sweep_is_pure():
@@ -125,15 +125,16 @@ def test_sweep_is_pure():
     assert sigma.bits == 0b10110001
     # neither sweep writes to the shared tables
     plus = mcmc._plus_probabilities(params, 8)
-    for kernel in _sweep_kernels():
+    for kernels in _kernel_sets():
         state = np.zeros(1, dtype=mcmc._WORD)
-        mcmc._block_sweep(tables, plus, kernel)(state, np.random.default_rng(5).random(24))
+        kernels.sweep(tables.w1, tables.w2, tables.base, plus, state,
+                      np.random.default_rng(5).random(24))
     for after, want in zip((tables.w1, tables.w2, tables.base), before):
         assert np.array_equal(after, want)
 
 
 def _python_only(monkeypatch):
-    monkeypatch.setattr(_csweep, "_loaded", [None])
+    monkeypatch.setattr(_csweep, "_loaded", [_csweep._TWINS])
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.5])
@@ -146,9 +147,9 @@ def test_compiled_chain_is_bit_identical_to_python(n, beta, monkeypatch):
     # blocks of 7 sweeps, so the run crosses several block boundaries
     monkeypatch.setattr(mcmc, "_BLOCK_UNIFORMS", 7 * n + 3)
     compiled = run_chain(g, params, cfg)
-    assert sweep_kernel() == "c"
+    assert _csweep.library() is not _csweep._TWINS
     _python_only(monkeypatch)
-    assert sweep_kernel() == "python"
+    assert _csweep.library() is _csweep._TWINS
     assert run_chain(g, params, cfg) == compiled
     assert [len(s.values) for s in compiled] == [12, 12]
 
@@ -189,8 +190,8 @@ def test_loader_failure_falls_back_to_identical_output(breakage, tmp_path, monke
     assert run_chain(g, params, cfg) == want
     notes = capsys.readouterr().err.splitlines()
     assert len(notes) == 1 and notes[0].startswith("note: compiled kernels unavailable (")
-    assert sweep_kernel() == "python"
-    assert sample_path() is None
+    assert _csweep.library() is _csweep._TWINS
+    assert _csweep.library().path is None and _csweep.library().sample_path is None
 
 
 def _assert_same_tables(got, want):
@@ -223,19 +224,15 @@ def _mask_graph(kind, n):
 )
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 300, 1000])
 def test_compiled_masks_match_numpy_builder(kind, n):
-    library = _csweep.library()
-    if library is None:
-        pytest.skip("no compiled kernels on this host")
+    library = _library()
     g = _mask_graph(kind, n)
     got = mcmc.SpinUpdateTables(n, *library.masks(g.words))
-    _assert_same_tables(got, mcmc.SpinUpdateTables(n, *mcmc._numpy_masks(g.words)))
+    _assert_same_tables(got, mcmc.SpinUpdateTables(n, *_csweep._numpy_masks(g.words)))
     _assert_same_tables(build_update_tables(g), got)
 
 
 def test_mask_builder_rejects_mismatched_rows():
-    library = _csweep.library()
-    if library is None:
-        pytest.skip("no compiled kernels on this host")
+    library = _library()
     for bad in (np.zeros((70, 1), dtype=mcmc._WORD), np.zeros((70, 2), dtype=np.int64),
                 np.zeros((70, 4), dtype=mcmc._WORD)[:, ::2]):
         with pytest.raises(ValueError, match="kernel buffer"):
@@ -244,13 +241,11 @@ def test_mask_builder_rejects_mismatched_rows():
 
 @pytest.mark.parametrize("n", [1, 7, 64, 1024, 4096])
 def test_compiled_flip_table_matches_python_loop(n):
-    library = _csweep.library()
-    if library is None:
-        pytest.skip("no compiled kernels on this host")
+    library = _library()
     for p in (1e-3, 0.3, 0.5, 1.0):
         for beta in (0.0, 0.5, 1.5, 1e3, 1e6):
             rate = beta / (n * p)
-            want = np.array(mcmc._plus_loop(rate, n))
+            want = _csweep._plus_loop(n, rate)
             assert library.plus(n, rate).tobytes() == want.tobytes(), (p, beta)
             params = ModelParams(n=n, p=p, beta=beta)
             assert mcmc._plus_probabilities(params, n).tobytes() == want.tobytes(), (p, beta)
@@ -260,13 +255,13 @@ def test_compiled_library_is_cached(tmp_path, monkeypatch):
     _compiled()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_csweep, "_loaded", [])
-    assert _csweep.library() is not None
+    assert _csweep.library() is not _csweep._TWINS
     path = _csweep.library_path()
     assert path.parent == tmp_path / "dilutecw" and path.name.startswith("sweep-")
     assert [p.name for p in path.parent.iterdir()] == [path.name]
     stamp = path.stat().st_mtime_ns
     monkeypatch.setattr(_csweep, "_loaded", [])
-    assert _csweep.library() is not None
+    assert _csweep.library() is not _csweep._TWINS
     assert path.stat().st_mtime_ns == stamp
 
 
@@ -442,7 +437,7 @@ def _path_case(n, graph, beta):
     state[-1] &= np.uint64((1 << (n - 64 * (state.size - 1))) - 1)
     uniforms = rng.random(3 * n)
     want_state = state.copy()
-    want_up = mcmc._python_sweeps(tables, plus)(want_state, uniforms)
+    want_up = _csweep._python_sweeps(tables.w1, tables.w2, tables.base, plus, want_state, uniforms)
     return tables, np.array(plus), state, uniforms, (want_state.tobytes(), want_up)
 
 
@@ -481,9 +476,7 @@ def test_every_kernel_path_matches_python_sweep(path, n, graph, beta):
     sweeps=st.integers(1, 3),
 )
 def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
-    library = _csweep.library()
-    if library is None:
-        pytest.skip("no compiled sweep on this host")
+    library = _library()
     params = ModelParams(n=n, p=p, beta=beta)
     tables = build_update_tables(sample_graph(params, GraphSeed(seed)))
     plus = mcmc._plus_probabilities(params, n)
@@ -493,7 +486,7 @@ def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
     state.view(np.uint8)[: (n + 7) // 8] = np.packbits(spins, bitorder="little")
     uniforms = rng.random(sweeps * n)
     want = state.copy()
-    want_up = mcmc._python_sweeps(tables, plus)(want, uniforms)
+    want_up = _csweep._python_sweeps(tables.w1, tables.w2, tables.base, plus, want, uniforms)
     for name, sweep in library.paths.items():
         got = _run_path(sweep, tables, np.array(plus), state, uniforms)
         assert got == (want.tobytes(), want_up), name
@@ -501,8 +494,8 @@ def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
 
 def test_sweep_path_is_the_fastest_path_the_cpu_runs():
     library = _library()
-    assert sweep_path() == library.path == next(iter(library.paths))
-    assert list(library.paths) == list(_csweep.PATHS[_csweep.PATHS.index(sweep_path()):])
+    assert library.path == next(iter(library.paths))
+    assert list(library.paths) == list(_csweep.PATHS[_csweep.PATHS.index(library.path):])
 
 
 def test_kernel_rejects_mismatched_buffers():
@@ -544,4 +537,4 @@ def test_concurrent_first_loads_build_once(tmp_path, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert len(builds) == 1
-    assert len(seen) == 8 and seen[0] is not None and all(s is seen[0] for s in seen)
+    assert len(seen) == 8 and seen[0] is not _csweep._TWINS and all(s is seen[0] for s in seen)
