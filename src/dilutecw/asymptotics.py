@@ -73,7 +73,6 @@ from .testfunctions import TestFunction
 
 __all__ = [
     "eval_F",
-    "taylor_coefficients",
     "taylor_coefficients_exact",
     "MAX_TAYLOR_ORDER",
     "cosh_shorthand",
@@ -145,11 +144,6 @@ def taylor_coefficients_exact(p, max_order: int) -> list[Fraction]:
         for i in range(k + 1):
             series[i] += sign * upow[i]
     return series[1:]
-
-
-def taylor_coefficients(p: float, max_order: int) -> list[float]:
-    """Float view of taylor_coefficients_exact."""
-    return [float(c) for c in taylor_coefficients_exact(p, max_order)]
 
 
 def cosh_shorthand(params: ModelParams, which: str) -> float:

@@ -86,7 +86,6 @@ from .testfunctions import TestFunction
 __all__ = [
     "MomentCoefficients",
     "moment_coefficients",
-    "expected_weight_log",
     "spin_count",
     "pair_spin_count",
     "expected_partition_log",
@@ -154,20 +153,6 @@ def moment_coefficients(params: ModelParams) -> MomentCoefficients:
         b2=pair_odd,
         b12=pair_even,
     )
-
-
-def _check_class(n: int, k: int, name: str = "k"):
-    if (n + k) % 2 != 0:
-        raise ValueError(f"{name}={k} has the wrong parity for n={n}")
-    if not -n <= k <= n:
-        raise ValueError(f"{name}={k} out of range for n={n}")
-
-
-def expected_weight_log(params: ModelParams, k: int) -> float:
-    """log E exp(-beta H) for one configuration with spin sum k: n^2 a0 + a1 k^2."""
-    _check_class(params.n, k)
-    c = moment_coefficients(params)
-    return params.n * params.n * c.a0 + c.a1 * k * k
 
 
 def spin_count(n: int, k: int) -> int:

@@ -16,15 +16,17 @@ the table and the sweep are kernels of ``_csweep.library()``: compiled where a
 C compiler is at hand (``build_masks``, ``plus_table``, ``sweep_block``), their
 numpy and Python twins otherwise, bit for bit the same.  The compiled sweep
 counts each block of 64 sites' field over the other state words first, then
-updates the block in order against its own word.  The mask builders read
-``DisorderGraph.words`` as they are.
+updates the block in order against its own word.  ``run_chain`` sweeps its
+replicas in groups of up to four (``_csweep.GROUP``) that share each pass over
+the masks, and draws their uniforms into one bounded buffer that every group
+reuses.  The mask builders read ``DisorderGraph.words`` as they are.
 
 Randomness is replayable by construction.  A chain seed plus replica index
 derives two 64-bit streams (initial state, dynamics) through repeated
 SplitMix64 finalizer application; every uniform then comes from a
-numpy Generator seeded with the derived value.  Replicas are therefore
-independent of each other and of how many run, and rerunning any subset
-reproduces it bit for bit.
+numpy Generator seeded with the derived value, one per replica whatever
+group it sweeps in.  Replicas are therefore independent of each other and of
+how many run, and rerunning any subset reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -177,45 +179,12 @@ def _plus_probabilities(params: ModelParams, n: int) -> np.ndarray:
     return library().plus(n, params.beta / (params.n * params.p))
 
 
-# Uniforms are drawn from the generator in blocks of about this many (whole
-# sweeps, at least one), which amortizes the numpy and kernel calls without
-# holding a large buffer.  Block size does not change the stream.
+# Each replica's uniforms are drawn from its generator in blocks of about
+# this many for the largest group (whole sweeps, at least one), into one
+# buffer every group reuses.  That amortizes the numpy and kernel calls and
+# bounds the buffer at this many uniforms or GROUP * n, whichever is more,
+# for any number of replicas.  Block size does not change the stream.
 _BLOCK_UNIFORMS = 1 << 20
-
-
-def _run_replica(
-    tables: SpinUpdateTables,
-    sweep_block,
-    cfg: ChainConfig,
-    replica_id: int,
-    graph_seed: int | None,
-) -> MagnetizationSample:
-    n = tables.n
-    init_rng = np.random.default_rng(derive_seed(cfg.chain_seed, replica_id, 0))
-    dyn_rng = np.random.default_rng(derive_seed(cfg.chain_seed, replica_id, 1))
-    spins = init_rng.integers(0, 2, size=n, dtype=np.uint8)
-    state = np.zeros(tables.w1.shape[1], dtype=_WORD)
-    state.view(np.uint8)[: (n + 7) // 8] = np.packbits(spins, bitorder="little")
-
-    burn_in = cfg.resolved_burn_in(n)
-    root = math.sqrt(n)
-    values = []
-    sweep = 0
-    remaining = cfg.sweeps
-    while remaining > 0:
-        block = min(remaining, max(1, _BLOCK_UNIFORMS // n))
-        for up in sweep_block(state, dyn_rng.random(block * n)):
-            sweep += 1
-            if sweep > burn_in and (sweep - burn_in) % cfg.thin == 0:
-                values.append((2 * up - n) / root)
-        remaining -= block
-    return MagnetizationSample(
-        graph_seed=graph_seed,
-        replica_id=replica_id,
-        first_sweep=burn_in + cfg.thin,
-        thin=cfg.thin,
-        values=tuple(values),
-    )
 
 
 def run_chain(
@@ -229,7 +198,9 @@ def run_chain(
 
     Returns one MagnetizationSample per replica, in replica order; the
     replica streams are derived from cfg.chain_seed, so the result is a pure
-    function of (graph, params, cfg).
+    function of (graph, params, cfg).  Replicas are swept in groups of up to
+    ``_csweep.GROUP``, which share each pass over the masks; a replica's
+    values do not depend on the group it ran in.
     """
     if g.n != params.n:
         raise DomainError(f"incompatible sizes: graph n={g.n}, params n={params.n}")
@@ -238,15 +209,53 @@ def run_chain(
             f"no samples retained: sweeps={cfg.sweeps}, "
             f"burn_in={cfg.resolved_burn_in(g.n)}, thin={cfg.thin}"
         )
-    from ._csweep import library
+    from ._csweep import GROUP, library
 
+    n = g.n
     tables = build_update_tables(g)
-    plus = _plus_probabilities(params, g.n)
+    plus = _plus_probabilities(params, n)
     sweep_block = functools.partial(library().sweep, tables.w1, tables.w2, tables.base, plus)
-    return [
-        _run_replica(tables, sweep_block, cfg, replica_id, graph_seed)
-        for replica_id in range(cfg.replicas)
-    ]
+    burn_in = cfg.resolved_burn_in(n)
+    root = math.sqrt(n)
+    # the largest group sets the size of the buffers every group reuses
+    most = min(GROUP, cfg.replicas)
+    block = min(cfg.sweeps, max(1, _BLOCK_UNIFORMS // (most * n)))
+    buffer = np.empty(most * block * n)
+    all_states = np.empty((most, tables.w1.shape[1]), dtype=_WORD)
+    samples = []
+    for first in range(0, cfg.replicas, GROUP):
+        ids = range(first, min(first + GROUP, cfg.replicas))
+        states = all_states[: len(ids)]
+        states.fill(0)
+        dyn_rngs = []
+        for state, replica_id in zip(states, ids):
+            init_rng = np.random.default_rng(derive_seed(cfg.chain_seed, replica_id, 0))
+            spins = init_rng.integers(0, 2, size=n, dtype=np.uint8)
+            state.view(np.uint8)[: (n + 7) // 8] = np.packbits(spins, bitorder="little")
+            dyn_rngs.append(np.random.default_rng(derive_seed(cfg.chain_seed, replica_id, 1)))
+        values = [[] for _ in ids]
+        sweep = 0
+        while sweep < cfg.sweeps:
+            step = min(block, cfg.sweeps - sweep)
+            uniforms = buffer[: len(ids) * step * n].reshape(len(ids), step * n)
+            for dyn_rng, row in zip(dyn_rngs, uniforms):
+                dyn_rng.random(out=row)
+            for kept, counts in zip(values, sweep_block(states, uniforms)):
+                for t, up in enumerate(counts, sweep + 1):
+                    if t > burn_in and (t - burn_in) % cfg.thin == 0:
+                        kept.append((2 * up - n) / root)
+            sweep += step
+        samples.extend(
+            MagnetizationSample(
+                graph_seed=graph_seed,
+                replica_id=replica_id,
+                first_sweep=burn_in + cfg.thin,
+                thin=cfg.thin,
+                values=tuple(kept),
+            )
+            for replica_id, kept in zip(ids, values)
+        )
+    return samples
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from dilutecw.exact import (
     disorder_oracle,
     enumerate_partition,
     expected_partition_log,
-    expected_weight_log,
     moment_coefficients,
     pair_spin_count,
     second_moment_log,
@@ -85,15 +84,6 @@ def test_coefficients_against_high_precision():
 def test_coefficients_at_beta_zero_vanish():
     c = moment_coefficients(ModelParams(n=7, p=0.4, beta=0.0))
     assert c.a0 == 0.0 and c.a1 == 0.0 and c.b0 == 0.0 and c.b1 == 0.0
-
-
-def test_expected_weight_log_parity_error():
-    params = ModelParams(n=4, p=0.5, beta=1.0)
-    with pytest.raises(ValueError, match="parity"):
-        expected_weight_log(params, 3)
-    with pytest.raises(ValueError, match="range"):
-        expected_weight_log(params, 6)
-    assert expected_weight_log(ModelParams(n=4, p=0.5, beta=0.0), 2) == 0.0
 
 
 def test_spin_count_values():
@@ -192,7 +182,9 @@ def test_single_copy_consistency():
     for n, p, beta, k in [(5, 0.6, 0.8, 3), (8, 0.3, 0.4, -2), (4, 1.0, 1.2, 0)]:
         c = moment_coefficients(ModelParams(n=n, p=p, beta=beta))
         paired = n * n * c.b0 + (c.b1 + c.b2) * k * k + c.b12 * n * n
-        doubled = expected_weight_log(ModelParams(n=n, p=p, beta=2 * beta), k)
+        # the one-copy exponent n^2 a0 + a1 k^2 at 2 beta
+        d = moment_coefficients(ModelParams(n=n, p=p, beta=2 * beta))
+        doubled = n * n * d.a0 + d.a1 * k * k
         assert paired == pytest.approx(doubled, rel=1e-14)
 
 

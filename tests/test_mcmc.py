@@ -1,5 +1,6 @@
 """Chain correctness: field arithmetic, replayability, stationarity."""
 
+import dataclasses
 import functools
 import io
 import math
@@ -84,10 +85,10 @@ def _one_sweep_each(sigma, g, params, seed):
         plus = kernels.plus(g.n, params.beta / (params.n * params.p))
         words = w1.shape[1]
         state = np.frombuffer(sigma.bits.to_bytes(8 * words, "little"), dtype=mcmc._WORD).copy()
-        uniforms = np.random.default_rng(seed).random(g.n)
-        up = kernels.sweep(w1, w2, base, plus, state, uniforms)
+        uniforms = np.random.default_rng(seed).random((1, g.n))
+        up = kernels.sweep(w1, w2, base, plus, state[None], uniforms)
         bits = int.from_bytes(state.tobytes(), "little")
-        assert up == [bits.bit_count()]
+        assert up == [[bits.bit_count()]]
         results.append(bits)
     return results
 
@@ -126,9 +127,9 @@ def test_sweep_is_pure():
     # neither sweep writes to the shared tables
     plus = mcmc._plus_probabilities(params, 8)
     for kernels in _kernel_sets():
-        state = np.zeros(1, dtype=mcmc._WORD)
-        kernels.sweep(tables.w1, tables.w2, tables.base, plus, state,
-                      np.random.default_rng(5).random(24))
+        states = np.zeros((1, 1), dtype=mcmc._WORD)
+        kernels.sweep(tables.w1, tables.w2, tables.base, plus, states,
+                      np.random.default_rng(5).random((1, 24)))
     for after, want in zip((tables.w1, tables.w2, tables.base), before):
         assert np.array_equal(after, want)
 
@@ -143,15 +144,16 @@ def test_compiled_chain_is_bit_identical_to_python(n, beta, monkeypatch):
     _compiled()
     params = ModelParams(n=n, p=0.5, beta=beta)
     g = sample_graph(params, GraphSeed(n))
-    cfg = ChainConfig(sweeps=40, burn_in=3, thin=3, replicas=2, chain_seed=n)
-    # blocks of 7 sweeps, so the run crosses several block boundaries
-    monkeypatch.setattr(mcmc, "_BLOCK_UNIFORMS", 7 * n + 3)
+    cfg = ChainConfig(sweeps=40, burn_in=3, thin=3, replicas=6, chain_seed=n)
+    # groups of 4 and 2 replicas, each in blocks of 7 sweeps, so the run
+    # crosses a group boundary and several block boundaries
+    monkeypatch.setattr(mcmc, "_BLOCK_UNIFORMS", _csweep.GROUP * 7 * n + 3)
     compiled = run_chain(g, params, cfg)
     assert _csweep.library() is not _csweep._TWINS
     _python_only(monkeypatch)
     assert _csweep.library() is _csweep._TWINS
     assert run_chain(g, params, cfg) == compiled
-    assert [len(s.values) for s in compiled] == [12, 12]
+    assert [len(s.values) for s in compiled] == [12] * 6
 
 
 def test_block_size_does_not_change_the_chain(monkeypatch):
@@ -322,6 +324,11 @@ def test_run_chain_is_deterministic():
         assert len(sample.values) == 75
         assert sample.first_sweep == 52
     assert first[0].values != first[1].values
+    # 6 replicas cross a group boundary; no replica depends on its group
+    six = run_chain(g, params, dataclasses.replace(cfg, replicas=6))
+    assert [s.replica_id for s in six] == list(range(6))
+    assert six[:2] == run_chain(g, params, dataclasses.replace(cfg, replicas=2))
+    assert six[:3] == first
 
 
 def test_run_chain_seed_sensitivity():
@@ -419,10 +426,31 @@ def test_supercritical_chain_magnetizes():
 _PATH_SIZES = [1, 2, 63, 64, 65, 127, 128, 129, 511, 512, 513, 1000, 1024, 4100]
 
 
+def _one_at_a_time(tables, plus, states, uniforms):
+    """The Python sweep of each row of ``states`` by a call of its own: (final
+    states, up-spin counts), each a list of rows."""
+    finals, counts = [], []
+    for state, row in zip(states, uniforms):
+        final = state[None].copy()
+        counts += _csweep._python_sweeps(tables.w1, tables.w2, tables.base, plus, final, row[None])
+        finals.append(final[0].tobytes())
+    return finals, counts
+
+
+def _assert_groups_match(sweep, tables, plus, states, uniforms, want):
+    """The first r rows swept together, for r = 1 .. GROUP, give the first r
+    rows of ``want``, the rows swept one at a time."""
+    for r in range(1, _csweep.GROUP + 1):
+        got = states[:r].copy()
+        up = sweep(tables.w1, tables.w2, tables.base, plus, got, uniforms[:r])
+        assert ([row.tobytes() for row in got], up) == (want[0][:r], want[1][:r]), r
+
+
 @functools.lru_cache(maxsize=None)
 def _path_case(n, graph, beta):
-    """(tables, plus, initial state, uniforms) for three sweeps, and what the
-    Python sweep makes of them: (final state bytes, up-spin counts)."""
+    """(tables, plus, GROUP initial states, their uniforms) for three sweeps,
+    and what the Python sweep makes of each state on its own, checked to be
+    what it makes of them as groups."""
     if graph == "complete":
         g, p = DisorderGraph.complete(n), 1.0
     elif graph == "empty":
@@ -433,12 +461,14 @@ def _path_case(n, graph, beta):
     tables = build_update_tables(g)
     plus = mcmc._plus_probabilities(ModelParams(n=n, p=p, beta=beta), n)
     rng = np.random.default_rng(n)
-    state = np.frombuffer(rng.bytes(8 * tables.w1.shape[1]), dtype=mcmc._WORD).copy()
-    state[-1] &= np.uint64((1 << (n - 64 * (state.size - 1))) - 1)
-    uniforms = rng.random(3 * n)
-    want_state = state.copy()
-    want_up = _csweep._python_sweeps(tables.w1, tables.w2, tables.base, plus, want_state, uniforms)
-    return tables, np.array(plus), state, uniforms, (want_state.tobytes(), want_up)
+    words = tables.w1.shape[1]
+    states = np.frombuffer(rng.bytes(8 * words * _csweep.GROUP), dtype=mcmc._WORD)
+    states = states.reshape(_csweep.GROUP, words).copy()
+    states[:, -1] &= np.uint64((1 << (n - 64 * (words - 1))) - 1)
+    uniforms = rng.random((_csweep.GROUP, 3 * n))
+    want = _one_at_a_time(tables, plus, states, uniforms)
+    _assert_groups_match(_csweep._python_sweeps, tables, plus, states, uniforms, want)
+    return tables, plus, states, uniforms, want
 
 
 def _host_path(name):
@@ -449,12 +479,6 @@ def _host_path(name):
     return sweep
 
 
-def _run_path(sweep, tables, plus, state, uniforms):
-    state = state.copy()
-    up = sweep(tables.w1, tables.w2, tables.base, plus, state, uniforms)
-    return state.tobytes(), up
-
-
 @pytest.mark.parametrize("path", _csweep.PATHS)
 @pytest.mark.parametrize(
     "n, graph, beta",
@@ -463,8 +487,7 @@ def _run_path(sweep, tables, plus, state, uniforms):
 )
 def test_every_kernel_path_matches_python_sweep(path, n, graph, beta):
     sweep = _host_path(path)
-    tables, plus, state, uniforms, want = _path_case(n, graph, beta)
-    assert _run_path(sweep, tables, plus, state, uniforms) == want
+    _assert_groups_match(sweep, *_path_case(n, graph, beta))
 
 
 @settings(max_examples=60, deadline=None)
@@ -481,15 +504,14 @@ def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
     tables = build_update_tables(sample_graph(params, GraphSeed(seed)))
     plus = mcmc._plus_probabilities(params, n)
     rng = np.random.default_rng(seed)
-    spins = rng.integers(0, 2, size=n, dtype=np.uint8)
-    state = np.zeros(tables.w1.shape[1], dtype=mcmc._WORD)
-    state.view(np.uint8)[: (n + 7) // 8] = np.packbits(spins, bitorder="little")
-    uniforms = rng.random(sweeps * n)
-    want = state.copy()
-    want_up = _csweep._python_sweeps(tables.w1, tables.w2, tables.base, plus, want, uniforms)
+    spins = rng.integers(0, 2, size=(_csweep.GROUP, n), dtype=np.uint8)
+    states = np.zeros((_csweep.GROUP, tables.w1.shape[1]), dtype=mcmc._WORD)
+    states.view(np.uint8)[:, : (n + 7) // 8] = np.packbits(spins, axis=1, bitorder="little")
+    uniforms = rng.random((_csweep.GROUP, sweeps * n))
+    want = _one_at_a_time(tables, plus, states, uniforms)
+    _assert_groups_match(_csweep._python_sweeps, tables, plus, states, uniforms, want)
     for name, sweep in library.paths.items():
-        got = _run_path(sweep, tables, np.array(plus), state, uniforms)
-        assert got == (want.tobytes(), want_up), name
+        _assert_groups_match(sweep, tables, plus, states, uniforms, want)
 
 
 def test_sweep_path_is_the_fastest_path_the_cpu_runs():
@@ -499,21 +521,34 @@ def test_sweep_path_is_the_fastest_path_the_cpu_runs():
 
 
 def test_kernel_rejects_mismatched_buffers():
-    kernel = _compiled()
+    # on every path and on the twin, which refuses what the kernel refuses
     tables = build_update_tables(DisorderGraph.complete(70))
     params = ModelParams(n=70, p=1.0, beta=0.5)
     plus = np.array(mcmc._plus_probabilities(params, 70))
-    state = np.zeros(2, dtype=mcmc._WORD)
-    good = (tables.w1, tables.w2, tables.base, plus, state, np.zeros(140))
-    assert len(kernel(*good)) == 2
-    for k, bad in enumerate((
-        tables.w1[:, :1], tables.w2[:69], tables.base[:-1], plus[:-1],
-        np.zeros(1, dtype=mcmc._WORD), np.zeros(140, dtype=np.float32),
-    )):
-        args = list(good)
-        args[k] = bad
-        with pytest.raises(ValueError, match="kernel buffer"):
-            kernel(*args)
+    states = np.zeros((2, 2), dtype=mcmc._WORD)
+    good = (tables.w1, tables.w2, tables.base, plus, states, np.zeros((2, 140)))
+    for sweep in (*_library().paths.values(), _csweep._TWINS.sweep):
+        assert [len(up) for up in sweep(*good)] == [2, 2]
+        for k, bad in (
+            (0, tables.w1[:, :1]), (1, tables.w2[:69]), (2, tables.base[:-1]), (3, plus[:-1]),
+            (4, np.zeros((2, 1), dtype=mcmc._WORD)), (4, np.zeros(2, dtype=mcmc._WORD)),
+            (4, np.zeros((2, 2), dtype=mcmc._WORD).T), (5, np.zeros((2, 140), dtype=np.float32)),
+            (5, np.zeros(280)), (5, np.zeros((1, 280))), (5, np.zeros((2, 141))),
+        ):
+            args = list(good)
+            args[k] = bad
+            with pytest.raises(ValueError, match="kernel buffer"):
+                sweep(*args)
+        frozen = states.copy()
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            sweep(*good[:4], frozen, good[5])
+        # a group is 1 to GROUP replicas
+        for r in (0, _csweep.GROUP + 1):
+            args = list(good)
+            args[4:] = np.zeros((r, 2), dtype=mcmc._WORD), np.zeros((r, 140))
+            with pytest.raises(ValueError, match="replicas together"):
+                sweep(*args)
 
 
 def test_concurrent_first_loads_build_once(tmp_path, monkeypatch):

@@ -1,12 +1,14 @@
 """Core type behavior, checked against a naive double-loop energy oracle."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dilutecw import model
 from dilutecw.model import (
     DisorderGraph,
     ModelParams,
@@ -111,6 +113,9 @@ def test_graph_words_match_nested_matrix(data):
     assert DisorderGraph.from_matrix(g.to_matrix()) == g
     assert all(g.has_edge(i, j) == bool(matrix[i][j]) for i in range(n) for j in range(n))
     assert g.edge_count() == sum(map(sum, matrix))
+    # the row counts in blocks of one or two rows, as in whole
+    with mock.patch.object(model, "_COUNT_CELLS", 128):
+        assert model._row_bits(g.words).tolist() == [sum(row) for row in matrix]
     signs = SpinConfig(n=n, bits=bits).to_signs()
     want = sum(matrix[i][j] * signs[i] * signs[j] for i in range(n) for j in range(n))
     assert interaction_sum(g, SpinConfig(n=n, bits=bits)) == want
