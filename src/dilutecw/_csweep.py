@@ -18,7 +18,7 @@ set it got:
   the (r, sweeps n) ``uniforms``, and returns the up-spin count after each
   sweep, one list per row.
 
-The compiled set is ``SOURCE`` below.  ``sweep_block`` does to each replica
+The compiled set is ``SOURCE`` below.  Its sweep does to each replica
 exactly what the Python twin ``_sweep_bits`` does, one sweep after another:
 the same weight-1 and weight-2 masks, the same table of P(spin up) and the
 same uniforms, compared in the same float64 arithmetic.  A chain's output is
@@ -44,20 +44,23 @@ n = 4096 (p = 0.5, beta = 1.5) the ``avx512vpopcntdq`` path takes 53-57 ns
 per site update at r = 1 and 36-38 ns per replica-site at r = 2, against
 53-57 for two one-replica calls.
 
-One body is compiled three ways, each exported on its own
-(``sweep_block_<path>``, ``PATHS``): with AVX-512 VPOPCNTDQ, where GCC turns
-the counting loop into ``vpopcntq`` at ``-O3``; with the scalar ``popcnt``
-instruction; and plain.  ``sweep_block`` takes the fastest path the CPU
-runs, found with ``__builtin_cpu_supports``, and ``_Library.path`` names it.
-The first two exist only on x86-64.  No ``-march`` flag is passed, so the one
-library runs on any host of its architecture.
+One body is compiled three ways, each exported as ``sweep_block_<path>``:
+with AVX-512 VPOPCNTDQ, where GCC turns the counting loop into ``vpopcntq``
+at ``-O3``; with the scalar ``popcnt`` instruction; and plain.  The first two
+exist only on x86-64.  No ``-march`` flag is passed, so the one library runs
+on any host of its architecture.  ``PATHS`` is the one table of them: each
+path, fastest first, with the CPU features it needs.  The library exports a
+single probe, ``cpu_features``, which sets one bit per entry of ``FEATURES``
+with ``__builtin_cpu_supports``.  ``library()`` reads it once at load and
+binds every path of the table whose features the CPU has (``paths``); the
+first of them is ``path``, the one ``sweep`` runs.
 
 The same library holds the setup of every sampled graph, each function
 bit-identical to its twin:
 
-* ``sample_rows`` (twin ``_sample_rows``) is compiled with AVX-512 DQ, where
-  GCC mixes a word's 64 cells in vector lanes with ``vpmullq``, and plainly
-  (``sample_rows_<path>``, ``SAMPLE_PATHS``), and picks its own path:
+* ``sample_rows_<path>`` (twin ``_sample_rows``) is compiled with AVX-512 DQ,
+  where GCC mixes a word's 64 cells in vector lanes with ``vpmullq``, and
+  plainly.  ``SAMPLE_PATHS`` is its table, read against the same probe:
   VPOPCNTDQ does not imply DQ.
 * ``build_masks`` (twin ``_numpy_masks``) works by a 64 x 64 block bit
   transpose.
@@ -71,7 +74,9 @@ and ``sample_path`` are None and its ``paths`` and ``sample_paths`` empty.
 The first graph or chain a process makes compiles the source with the system
 C compiler (``COMMAND``) into
 ``${XDG_CACHE_HOME:-~/.cache}/dilutecw/sweep-<hash>.so``, where the hash
-covers the source and the command, so an edit to either builds a new library.
+covers the source, the command and the machine architecture: an edit to
+the source or the command builds a new library, and a cache shared by hosts
+of two architectures holds one library for each.
 The library is written to a temporary file and renamed into place, which
 makes concurrent first runs safe.  Later runs only load it.
 When there is no compiler, the cache cannot be written, or the library does
@@ -84,6 +89,7 @@ import ctypes
 import hashlib
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -95,6 +101,21 @@ import numpy as np
 
 from . import splitmix
 from .model import _WORD, _pack_rows, _row_bits
+
+# The paths of the sweep (sweep_block_<path> in SOURCE), fastest first, each
+# with the CPU features it needs; the library runs the first one whose
+# features the CPU has.
+PATHS = {
+    "avx512vpopcntdq": {"avx512f", "avx512vpopcntdq"},
+    "popcnt": {"popcnt"},
+    "generic": set(),
+}
+
+# The paths of the graph sampler (sample_rows_<path>), in the same form.
+SAMPLE_PATHS = {"avx512dq": {"avx512f", "avx512dq"}, "generic": set()}
+
+# Bit k of the probe cpu_features() is set when the CPU has FEATURES[k].
+FEATURES = tuple(sorted(set().union(*PATHS.values(), *SAMPLE_PATHS.values())))
 
 SOURCE = r"""
 #include <math.h>
@@ -188,41 +209,6 @@ void sweep_block_popcnt(SWEEP_ARGS) { SWEEP_GROUPS }
 
 void sweep_block_generic(SWEEP_ARGS) { SWEEP_GROUPS }
 
-/* The path sweep_block takes on this CPU, fastest first. */
-static int path_index(void)
-{
-#if defined(__x86_64__)
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vpopcntdq"))
-        return 0;
-    if (__builtin_cpu_supports("popcnt"))
-        return 1;
-#endif
-    return 2;
-}
-
-const char *sweep_path(void)
-{
-    static const char *const names[] = {"avx512vpopcntdq", "popcnt", "generic"};
-    return names[path_index()];
-}
-
-void sweep_block(SWEEP_ARGS)
-{
-    switch (path_index()) {
-#if defined(__x86_64__)
-    case 0:
-        sweep_block_avx512vpopcntdq(SWEEP_PASS(r));
-        break;
-    case 1:
-        sweep_block_popcnt(SWEEP_PASS(r));
-        break;
-#endif
-    default:
-        sweep_block_generic(SWEEP_PASS(r));
-    }
-}
-
 #define SAMPLE_ARGS int64_t n, uint64_t seed, uint64_t threshold, int64_t start, int64_t rows, \
                     uint64_t *out
 #define SAMPLE_PASS n, seed, threshold, start, rows, out
@@ -261,34 +247,6 @@ void sample_rows_avx512dq(SAMPLE_ARGS) { sample_body(SAMPLE_PASS); }
 #endif
 
 void sample_rows_generic(SAMPLE_ARGS) { sample_body(SAMPLE_PASS); }
-
-/* VPOPCNTDQ does not imply DQ, so the sampler has a test of its own. */
-static int sample_index(void)
-{
-#if defined(__x86_64__)
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq"))
-        return 0;
-#endif
-    return 1;
-}
-
-const char *sample_path(void)
-{
-    static const char *const names[] = {"avx512dq", "generic"};
-    return names[sample_index()];
-}
-
-void sample_rows(SAMPLE_ARGS)
-{
-#if defined(__x86_64__)
-    if (sample_index() == 0) {
-        sample_rows_avx512dq(SAMPLE_PASS);
-        return;
-    }
-#endif
-    sample_rows_generic(SAMPLE_PASS);
-}
 
 /* Hacker's Delight's 64 x 64 bit-matrix transpose, bit c of word r to bit r
    of word c: six rounds, each swapping the off-diagonal j x j sub-blocks. */
@@ -351,16 +309,25 @@ void plus_table(int64_t n, double rate, double *plus)
         plus[s + 2 * n] = 1.0 / (1.0 + exp(x));
     }
 }
-"""
+
+/* Bit k set when this CPU has feature k of FEATURES, 0 off x86-64.
+   __builtin_cpu_supports takes only a literal, so the tests are written out
+   from FEATURES, one a line. */
+int64_t cpu_features(void)
+{
+    int64_t bits = 0;
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+@FEATURE_TESTS@
+#endif
+    return bits;
+}
+""".replace("@FEATURE_TESTS@", "\n".join(
+    f'    bits |= (int64_t)(__builtin_cpu_supports("{name}") != 0) << {k};'
+    for k, name in enumerate(FEATURES)
+))
 
 COMMAND = ("cc", "-O3", "-shared", "-fPIC")
-
-# The paths of the sweep, fastest first.  sweep_path() names the first one
-# this CPU runs; a CPU that runs a path also runs every path after it.
-PATHS = ("avx512vpopcntdq", "popcnt", "generic")
-
-# The paths of the graph sampler, in the same order; sample_path() names one.
-SAMPLE_PATHS = ("avx512dq", "generic")
 
 # The most replicas one sweep call runs together (GROUP in SOURCE).  Each mask
 # word the counting loop loads serves every replica of the group, and the
@@ -369,10 +336,10 @@ GROUP = 4
 
 
 class _Library(NamedTuple):
-    sweep: Callable  # sweep_block, which runs on ``path``
-    path: str | None  # None for the twins, as is sample_path
+    sweep: Callable  # paths[path]
+    path: str | None  # the first of ``paths``; None for the twins, as is sample_path
     paths: dict  # name -> that path's own entry point, for every path this CPU runs
-    sample: Callable  # sample_rows, which runs on ``sample_path``
+    sample: Callable  # sample_paths[sample_path]
     sample_path: str | None
     sample_paths: dict  # as ``paths``, for the sampler
     masks: Callable  # build_masks
@@ -387,7 +354,7 @@ _SAMPLE_CELLS = 1 << 16
 
 
 def _sample_rows(n: int, seed: int, threshold: int, start: int, out: np.ndarray) -> None:
-    """The numpy twin of ``sample_rows``: rows start .. start + len(out) - 1
+    """The numpy twin of ``sample_rows_<path>``: rows start .. start + len(out) - 1
     into ``out`` as ``uint64`` mask words, a block of rows at a time."""
     gamma = np.uint64(splitmix.GAMMA)
     step = max(1, _SAMPLE_CELLS // n)
@@ -484,7 +451,7 @@ def _sweep_bits(bits, n, w1, w2, base, plus, offset, uniforms):
 
 
 def _python_sweeps(w1, w2, base, plus, states, uniforms) -> list[list[int]]:
-    """The Python twin of ``sweep_block``: _sweep_bits on each row of
+    """The Python twin of ``sweep_block_<path>``: _sweep_bits on each row of
     ``states`` with the same row of ``uniforms``."""
     _sweep_shape(w1, w2, base, plus, states, uniforms)
     n = w1.shape[0]
@@ -521,9 +488,12 @@ _loaded: list = []  # holds the _Library of the first load, compiled or _TWINS
 
 
 def library_path() -> Path:
-    """Where the compiled library of this source and command is cached."""
+    """Where the compiled library of this source and command is cached, for
+    this machine's architecture: a cache shared with a host of another one
+    must not hand either a library it cannot load."""
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    digest = hashlib.sha256("\0".join((SOURCE, *COMMAND)).encode()).hexdigest()
+    key = (SOURCE, *COMMAND, platform.machine())
+    digest = hashlib.sha256("\0".join(key).encode()).hexdigest()
     return Path(cache) / "dilutecw" / f"sweep-{digest}.so"
 
 
@@ -646,13 +616,10 @@ def _bind_plus(fn):
     return plus
 
 
-def _chosen(lib, name: str, every: tuple) -> tuple[str, tuple]:
-    """The path ``lib.<name>()`` names, and it with every path after it."""
-    getter = getattr(lib, name)
-    getter.restype = ctypes.c_char_p
-    getter.argtypes = []
-    chosen = getter().decode()
-    return chosen, every[every.index(chosen):]
+def _runnable(table: dict, features: set) -> list[str]:
+    """The paths of ``table`` (PATHS or SAMPLE_PATHS) that a CPU with
+    ``features`` runs, fastest first."""
+    return [name for name, needs in table.items() if needs <= features]
 
 
 def _open() -> _Library:
@@ -662,17 +629,25 @@ def _open() -> _Library:
     if not path.exists():
         _build(path)
     lib = ctypes.CDLL(str(path))
-    chosen, runnable = _chosen(lib, "sweep_path", PATHS)
-    sample_chosen, sample_runnable = _chosen(lib, "sample_path", SAMPLE_PATHS)
+    lib.cpu_features.restype = ctypes.c_int64
+    lib.cpu_features.argtypes = []
+    bits = lib.cpu_features()
+    features = {name for k, name in enumerate(FEATURES) if bits >> k & 1}
+    paths = {
+        name: _bind(getattr(lib, f"sweep_block_{name}")) for name in _runnable(PATHS, features)
+    }
+    sample_paths = {
+        name: _bind_sample(getattr(lib, f"sample_rows_{name}"))
+        for name in _runnable(SAMPLE_PATHS, features)
+    }
+    path, sample_path = next(iter(paths)), next(iter(sample_paths))
     return _Library(
-        sweep=_bind(lib.sweep_block),
-        path=chosen,
-        paths={name: _bind(getattr(lib, f"sweep_block_{name}")) for name in runnable},
-        sample=_bind_sample(lib.sample_rows),
-        sample_path=sample_chosen,
-        sample_paths={
-            name: _bind_sample(getattr(lib, f"sample_rows_{name}")) for name in sample_runnable
-        },
+        sweep=paths[path],
+        path=path,
+        paths=paths,
+        sample=sample_paths[sample_path],
+        sample_path=sample_path,
+        sample_paths=sample_paths,
         masks=_bind_masks(lib.build_masks),
         plus=_bind_plus(lib.plus_table),
     )

@@ -60,6 +60,7 @@ All three require beta < 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,15 +176,28 @@ def cosh_shorthand(params: ModelParams, which: str) -> float:
     return value
 
 
-_HERMITE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Nodes of each Gauss rule in gaussian_expectation.  The rules are built on
+# first use, since hermgauss(128) alone takes tens of milliseconds.
+_NODES = 128
+
+
+@functools.cache
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.hermite.hermgauss(_NODES)
+
+
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_NODES)
+
+
 # exp(-x^2 / 2) underflows to 0 beyond |x| = 38.6, and on a panel of 8 sigma
 # the 128-node rule integrates the Gaussian weight to rounding level
 _WEIGHT_REACH = 38.6
 _PANEL_SIGMAS = 8.0
 
 
-def gaussian_expectation(g: TestFunction, beta: float, *, nodes: int = 128) -> float:
+def gaussian_expectation(g: TestFunction, beta: float) -> float:
     """E[g(xi) exp(beta xi^2 / 2)] for standard normal xi, 0 <= beta < 1.
 
     The integrand g(x) exp(-(1 - beta) x^2 / 2) carries a total quadratic
@@ -198,19 +212,15 @@ def gaussian_expectation(g: TestFunction, beta: float, *, nodes: int = 128) -> f
     endpoints.  The interval is first clipped to |x| <= _WEIGHT_REACH sigma,
     sigma = 1/sqrt(1 - beta), beyond which the Gaussian weight underflows to
     0, and is then split into equal panels no wider than _PANEL_SIGMAS sigma,
-    each with its own ``nodes`` nodes, so that a bump much wider than sigma
+    each with its own ``_NODES`` nodes, so that a bump much wider than sigma
     still puts its nodes where the weight lives.  A support no wider than
     _PANEL_SIGMAS sigma stays one panel.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
-    if nodes < 2:
-        raise ValueError(f"nodes must be at least 2, got {nodes}")
     support = g.support
     if support is None:
-        if nodes not in _HERMITE_CACHE:
-            _HERMITE_CACHE[nodes] = np.polynomial.hermite.hermgauss(nodes)
-        t, w = _HERMITE_CACHE[nodes]
+        t, w = _hermite_rule()
         alpha = g.quadratic_decay
         scale = 1.0 / math.sqrt(1.0 - beta + 2.0 * alpha)
         acc = 0.0
@@ -223,9 +233,7 @@ def gaussian_expectation(g: TestFunction, beta: float, *, nodes: int = 128) -> f
     hi = min(support[1], _WEIGHT_REACH * sigma)
     if not lo < hi:
         return 0.0
-    if nodes not in _LEGENDRE_CACHE:
-        _LEGENDRE_CACHE[nodes] = np.polynomial.legendre.leggauss(nodes)
-    t, w = _LEGENDRE_CACHE[nodes]
+    t, w = _legendre_rule()
     panels = math.ceil((hi - lo) / (_PANEL_SIGMAS * sigma))
     edges = [lo + (hi - lo) * k / panels for k in range(panels)] + [hi]
     acc = 0.0

@@ -104,8 +104,8 @@ __all__ = [
 # Xeon host: the benchmark's exact.enumerate_partition.ns_per_config reads
 # 6.3 ns at n = 22, and whole runs at n = 26 to 30 take 10 to 12 ns.
 _NS_PER_CONFIG = 10
-# 2^30 configurations take about 11 s and 30 MB; beyond that the caller must
-# opt in.
+# 2^30 configurations take about 11 s and 30 MB; beyond that enumeration is
+# refused.
 MAX_ENUMERATION_N = 30
 # Keys per block of the split sum: 2^14 float64 and int64 entries, 128 KB each.
 _BLOCK_KEYS = 1 << 14
@@ -118,6 +118,7 @@ MAX_MOMENT_N = 200
 # its cost grows as n^3: 1.5 s at n = 5000 on that host, 14 s at n = 10^4.
 MAX_FIRST_MOMENT_N = 5000
 
+# The brute-force oracle's cap on 2^(n^2 + n) weight evaluations: n = 4 passes.
 _ORACLE_WORK_LIMIT = 1 << 21
 
 
@@ -439,25 +440,20 @@ def _interaction_histogram(g: DisorderGraph) -> dict[int, int]:
     }
 
 
-def enumerate_partition(
-    g: DisorderGraph,
-    params: ModelParams,
-    *,
-    max_n: int = MAX_ENUMERATION_N,
-) -> QuenchedSummary:
+def enumerate_partition(g: DisorderGraph, params: ModelParams) -> QuenchedSummary:
     """Exact log Z and magnetization law by split-sum enumeration.
 
     Cost is Theta(2^n) at about _NS_PER_CONFIG ns a configuration; refuses n
-    beyond ``max_n`` (raise it explicitly to go bigger)."""
+    beyond ``MAX_ENUMERATION_N``."""
     n = g.n
     if params.n != n:
         raise DomainError(f"incompatible sizes: graph has n={n}, params have n={params.n}")
-    if n > max_n:
+    if n > MAX_ENUMERATION_N:
         steps = 1 << n
         raise CapacityError(
             f"enumeration over n={n} needs {steps} configurations "
             f"(roughly {steps * _NS_PER_CONFIG / 1e9:.0f} s at {_NS_PER_CONFIG} ns "
-            f"each), above the cap max_n={max_n}; pass a larger max_n to override"
+            f"each), above the cap max_n={MAX_ENUMERATION_N}"
         )
     gamma = params.gamma
     width = n + 1
@@ -478,29 +474,23 @@ def enumerate_partition(
     return QuenchedSummary(log_z=log_z, free_energy_per_site=free_energy, law=law)
 
 
-def disorder_oracle(
-    params: ModelParams,
-    g: TestFunction,
-    moment: str,
-    *,
-    work_limit: int = _ORACLE_WORK_LIMIT,
-) -> float:
+def disorder_oracle(params: ModelParams, g: TestFunction, moment: str) -> float:
     """Brute-force log E[Z(g)] or log E[Z(g)^2] over every graph realization.
 
     Sums P(graph) * Z(g)^m over all 2^(n^2) graphs, each partition sum taken
     over all 2^n configurations, independently of every closed-form identity
     in this module; this is the reference the identities are tested against.
-    The work grows as 2^(n^2 + n), so only tiny n pass the cap (n = 4 with
-    the default).
+    The work grows as 2^(n^2 + n), so only tiny n pass the cap
+    ``_ORACLE_WORK_LIMIT`` (n = 4).
     """
     if moment not in ("first", "second"):
         raise DomainError(f"moment must be 'first' or 'second', got {moment!r}")
     n, p = params.n, params.p
     cells = n * n
-    if (1 << (cells + n)) > work_limit:
+    if (1 << (cells + n)) > _ORACLE_WORK_LIMIT:
         raise CapacityError(
             f"disorder average over n={n} needs 2^{cells + n} weight "
-            f"evaluations, above the cap of {work_limit}"
+            f"evaluations, above the cap of {_ORACLE_WORK_LIMIT}"
         )
     gamma = params.gamma
     root = math.sqrt(n)

@@ -13,10 +13,12 @@ integer values -2n .. 2n, the acceptance probabilities come from one
 precomputed table per (graph shape, beta).  That keeps the inner loop at two
 masked popcounts, one table lookup, and one comparison per site.  The masks,
 the table and the sweep are kernels of ``_csweep.library()``: compiled where a
-C compiler is at hand (``build_masks``, ``plus_table``, ``sweep_block``), their
-numpy and Python twins otherwise, bit for bit the same.  The compiled sweep
-counts each block of 64 sites' field over the other state words first, then
-updates the block in order against its own word.  ``run_chain`` sweeps its
+C compiler is at hand (``build_masks``, ``plus_table``, ``sweep_block_<path>``),
+their numpy and Python twins otherwise, bit for bit the same.  The library
+probes the CPU once at load and sweeps on the fastest path of
+``_csweep.PATHS`` that the CPU runs.  The compiled sweep counts each block of
+64 sites' field over the other state words first, then updates the block in
+order against its own word.  ``run_chain`` sweeps its
 replicas in groups of up to four (``_csweep.GROUP``) that share each pass over
 the masks, and draws their uniforms into one bounded buffer that every group
 reuses.  The mask builders read ``DisorderGraph.words`` as they are.
@@ -139,26 +141,14 @@ class SpinUpdateTables:
     of the row is bit j % 64 of word j // 64) marks the neighbors j with
     eps[i,j] + eps[j,i] equal to 1 and 2; ``base[i]`` is the field offset
     when every neighbor is down.  Scale-free: tables depend on the graph only.
+    Built by ``build_update_tables``; the sweep kernels check the layout of
+    these buffers on every call.
     """
 
     n: int
     w1: np.ndarray
     w2: np.ndarray
     base: np.ndarray
-
-    def __post_init__(self):
-        # the compiled sweep reads these buffers raw, so their layout is checked
-        shape = (self.n, (self.n + 63) // 64)
-        for name, array, want, dtype in (
-            ("w1", self.w1, shape, _WORD),
-            ("w2", self.w2, shape, _WORD),
-            ("base", self.base, (self.n,), np.dtype(np.int64)),
-        ):
-            if array.shape != want or array.dtype != dtype or not array.flags.c_contiguous:
-                raise ValueError(
-                    f"{name} must be a contiguous {dtype} array of shape {want}, "
-                    f"got {array.dtype} {array.shape}"
-                )
 
 
 def build_update_tables(g: DisorderGraph) -> SpinUpdateTables:

@@ -175,15 +175,19 @@ def _levy_ok_atomic(m1: EmpiricalMeasure, m2: EmpiricalMeasure, eps: float) -> b
     return True
 
 
-def levy_distance(measure: EmpiricalMeasure, other, *, tol: float = 1e-6) -> float:
+# Absolute tolerances of the bisections in levy_distance and m_plus.
+_LEVY_TOL = 1e-6
+_M_PLUS_TOL = 1e-12
+
+
+def levy_distance(measure: EmpiricalMeasure, other) -> float:
     """Levy distance from an atomic measure to a NormalRef or another measure.
 
-    Bisection to absolute tolerance ``tol``; the returned value is the upper
-    end of the final bracket, so the two-sided condition certifiably holds at
-    it.  eps = 1 always satisfies the condition, which seeds the bracket.
+    Bisection to absolute tolerance ``_LEVY_TOL``; the returned value is the
+    upper end of the final bracket, so the two-sided condition certifiably
+    holds at it.  eps = 1 always satisfies the condition, which seeds the
+    bracket.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     if isinstance(other, NormalRef):
         ok = lambda eps: _levy_ok_normal(measure, other, eps)
     elif isinstance(other, EmpiricalMeasure):
@@ -193,7 +197,7 @@ def levy_distance(measure: EmpiricalMeasure, other, *, tol: float = 1e-6) -> flo
     lo, hi = 0.0, 1.0
     if ok(lo):
         return 0.0
-    while hi - lo > tol:
+    while hi - lo > _LEVY_TOL:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             hi = mid
@@ -202,12 +206,12 @@ def levy_distance(measure: EmpiricalMeasure, other, *, tol: float = 1e-6) -> flo
     return hi
 
 
-def m_plus(beta: float, *, tol: float = 1e-12) -> float:
+def m_plus(beta: float) -> float:
     """Largest solution of z = tanh(beta z) in [0, 1].
 
     Zero for beta <= 1; for beta > 1 the positive root is bracketed in (0, 1)
-    and bisected: f(z) = tanh(beta z) - z is positive just right of zero
-    (slope beta - 1 > 0) and negative at z = 1.
+    and bisected to ``_M_PLUS_TOL``: f(z) = tanh(beta z) - z is positive just
+    right of zero (slope beta - 1 > 0) and negative at z = 1.
     """
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta!r}")
@@ -216,7 +220,7 @@ def m_plus(beta: float, *, tol: float = 1e-12) -> float:
     lo, hi = 1e-8, 1.0
     if math.tanh(beta * lo) - lo <= 0:
         return 0.0
-    while hi - lo > tol:
+    while hi - lo > _M_PLUS_TOL:
         mid = 0.5 * (lo + hi)
         if math.tanh(beta * mid) - mid > 0:
             lo = mid

@@ -195,8 +195,6 @@ def test_gaussian_expectation_validation():
         gaussian_expectation(ONE, 1.0)
     with pytest.raises(ValueError):
         gaussian_expectation(ONE, -0.1)
-    with pytest.raises(ValueError):
-        gaussian_expectation(ONE, 0.5, nodes=1)
 
 
 def test_predict_variant_c_value():

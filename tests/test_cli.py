@@ -719,7 +719,7 @@ def test_sidecars_name_the_sample_path(tmp_path, capsys, monkeypatch):
             assert code == 0
             meta = json.loads(out_path.with_name(out_path.name + ".meta.json").read_text())
             assert "sample_path" not in out_path.read_text()
-            if sampled and not python_only:
+            if sampled and _csweep.library().sample_path is not None:
                 assert meta["sample_path"] == _csweep.library().sample_path
                 assert meta["sample_path"] in _csweep.SAMPLE_PATHS
             else:

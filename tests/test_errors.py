@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dilutecw import DomainError
+from dilutecw._csweep import library
 from dilutecw.asymptotics import (
     cosh_shorthand,
     predict_log_partition,
@@ -16,7 +17,7 @@ from dilutecw.asymptotics import (
 )
 from dilutecw.exact import disorder_oracle, enumerate_partition, variance_ratio_from_logs
 from dilutecw.graph import GraphSeed
-from dilutecw.mcmc import ChainConfig, SpinUpdateTables, quenched_experiment, run_chain
+from dilutecw.mcmc import ChainConfig, quenched_experiment, run_chain
 from dilutecw.model import DisorderGraph, ModelParams
 from dilutecw.testfunctions import make_test_function, parse_test_function
 
@@ -75,11 +76,14 @@ def test_argument_checks_raise_domain_error(call):
 _NUMERIC_CASES = {
     "negative_variance_ratio": lambda: variance_ratio_from_logs(1.0, 1.0),
     "cancelled_variance_ratio": lambda: variance_ratio_from_logs(1e16, 2e16 + 68.0),
-    "table_layout": lambda: SpinUpdateTables(
-        n=1,
-        w1=np.zeros((1, 1), dtype="<u8"),
-        w2=np.zeros((1, 1), dtype="<u8"),
-        base=np.zeros(1, dtype=np.int32),
+    # the sweep kernel, compiled or twin, refuses a table of the wrong layout
+    "table_layout": lambda: library().sweep(
+        np.zeros((1, 1), dtype="<u8"),
+        np.zeros((1, 1), dtype="<u8"),
+        np.zeros(1, dtype=np.int32),
+        np.zeros(5),
+        np.zeros((1, 1), dtype="<u8"),
+        np.zeros((1, 1)),
     ),
     "oracle_overflow": lambda: disorder_oracle(ModelParams(n=2, p=0.5, beta=400.0), ONE, "first"),
     "shorthand_overflow": lambda: cosh_shorthand(ModelParams(n=2, p=1e-4, beta=0.5), "A"),

@@ -1,5 +1,6 @@
 """Chain correctness: field arithmetic, replayability, stationarity."""
 
+import ctypes
 import dataclasses
 import functools
 import io
@@ -48,15 +49,6 @@ def test_update_tables_match_matrix_masks():
             assert _csweep._mask_ints(tables.w2) == w2
             assert tables.base.tolist() == base
         _assert_same_tables(build_update_tables(g), tables)
-
-
-def test_update_tables_layout_is_checked():
-    tables = build_update_tables(DisorderGraph.complete(70))
-    assert tables.w1.shape == tables.w2.shape == (70, 2)
-    with pytest.raises(ValueError, match="w2"):
-        mcmc.SpinUpdateTables(n=70, w1=tables.w1, w2=tables.w2[:, :1], base=tables.base)
-    with pytest.raises(ValueError, match="base"):
-        mcmc.SpinUpdateTables(n=70, w1=tables.w1, w2=tables.w2, base=tables.base.astype(np.int32))
 
 
 def _library():
@@ -514,10 +506,51 @@ def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
         _assert_groups_match(sweep, tables, plus, states, uniforms, want)
 
 
+def _probed_features():
+    """The features of ``_csweep.FEATURES`` that the loaded library's probe reports."""
+    lib = ctypes.CDLL(str(_csweep.library_path()))
+    lib.cpu_features.restype = ctypes.c_int64
+    bits = lib.cpu_features()
+    assert 0 <= bits < 1 << len(_csweep.FEATURES)
+    return {name for k, name in enumerate(_csweep.FEATURES) if bits >> k & 1}
+
+
 def test_sweep_path_is_the_fastest_path_the_cpu_runs():
     library = _library()
-    assert library.path == next(iter(library.paths))
-    assert list(library.paths) == list(_csweep.PATHS[_csweep.PATHS.index(library.path):])
+    features = _probed_features()
+    for table, paths, path in (
+        (_csweep.PATHS, library.paths, library.path),
+        (_csweep.SAMPLE_PATHS, library.sample_paths, library.sample_path),
+    ):
+        want = [name for name, needs in table.items() if needs <= features]
+        assert list(paths) == want and path == want[0]
+    assert library.sweep is library.paths[library.path]
+    assert library.sample is library.sample_paths[library.sample_path]
+
+
+def test_paths_follow_the_table_on_any_cpu():
+    # without running such a CPU: each path needs every feature it lists
+    runnable = _csweep._runnable
+    assert runnable(_csweep.PATHS, {"popcnt"}) == ["popcnt", "generic"]
+    assert runnable(_csweep.PATHS, set()) == ["generic"]
+    assert runnable(_csweep.PATHS, {"avx512vpopcntdq"}) == ["generic"]
+    assert runnable(_csweep.PATHS, set(_csweep.FEATURES)) == list(_csweep.PATHS)
+    assert runnable(_csweep.SAMPLE_PATHS, {"avx512f", "avx512vpopcntdq", "popcnt"}) == ["generic"]
+    assert runnable(_csweep.SAMPLE_PATHS, set()) == ["generic"]
+    # every feature a path needs is probed, and every path is exported
+    for table, prefix in ((_csweep.PATHS, "sweep_block_"), (_csweep.SAMPLE_PATHS, "sample_rows_")):
+        assert list(table)[-1] == "generic" and not table["generic"]
+        for name, needs in table.items():
+            assert needs <= set(_csweep.FEATURES)
+            assert f"void {prefix}{name}(" in _csweep.SOURCE
+
+
+def test_cache_key_covers_the_machine(monkeypatch):
+    # hosts of two architectures that share a cache each build their own library
+    here = _csweep.library_path()
+    monkeypatch.setattr(_csweep.platform, "machine", lambda: "some-other-machine")
+    there = _csweep.library_path()
+    assert there != here and there.parent == here.parent
 
 
 def test_kernel_rejects_mismatched_buffers():
