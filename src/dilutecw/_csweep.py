@@ -12,19 +12,23 @@ set it got:
   symmetric weight-1 and weight-2 masks and the all-down field ``base``;
 * ``plus(n, rate) -> table`` fills P(spin up) = 1 / (1 + exp(-rate S)),
   indexed by S + 2n;
-* ``sweep(w1, w2, base, plus, states, uniforms) -> counts`` runs a group of
-  r = 1 .. ``GROUP`` replicas: uniforms.shape[1] / n heat-bath sweeps on each
-  row of the packed (r, words) ``states`` in place, row g drawing on row g of
-  the (r, sweeps n) ``uniforms``, and returns the up-spin count after each
-  sweep, one list per row.
+* ``sweep(w1, w2, base, plus, states, rngs, sweeps) -> counts`` runs a group
+  of r = 1 .. ``GROUP`` replicas: ``sweeps`` heat-bath sweeps on each row of
+  the packed (r, words) ``states`` in place, row g drawing its uniforms from
+  the PCG64 in row g of the (r, 4) ``uint64`` ``rngs`` (see ``rng_row``) and
+  leaving it advanced by sweeps n draws, and returns the up-spin count after
+  each sweep, one list per row.
 
 The compiled set is ``SOURCE`` below.  Its sweep does to each replica
 exactly what the Python twin ``_sweep_bits`` does, one sweep after another:
 the same weight-1 and weight-2 masks, the same table of P(spin up) and the
-same uniforms, compared in the same float64 arithmetic.  A chain's output is
-therefore bit-identical whichever of the two runs it, and whichever group a
-replica runs in.  ctypes releases the interpreter lock for the length of a
-call, so chains on different threads run on different cores.
+same PCG64 stream, compared in the same float64 arithmetic.  The kernel
+steps numpy's PCG64 itself (the 128-bit LCG and its XSL-RR output) and forms
+each uniform as ``Generator.random`` does; the twin replays the row through
+numpy's own ``PCG64`` and ``Generator.random``, so numpy stays the oracle.  A
+chain's output is therefore bit-identical whichever of the two runs it, and
+whichever group a replica runs in.  ctypes releases the interpreter lock for
+the length of a call, so chains on different threads run on different cores.
 
 Counting a site's field with wide vector loads pays off only when those loads
 need not wait for the state word that the site before it has just written.
@@ -80,7 +84,11 @@ of two architectures holds one library for each.
 The library is written to a temporary file and renamed into place, which
 makes concurrent first runs safe.  Later runs only load it.
 When there is no compiler, the cache cannot be written, or the library does
-not load, ``library`` prints one note to stderr and returns ``_TWINS``.
+not load, ``library`` prints one note to stderr and returns ``_TWINS``.  The
+PCG64 step needs the compiler's ``__uint128_t`` (GCC and clang have it on
+64-bit targets); a compiler without it fails the build, with the same note.
+Only a build imports ``subprocess`` and ``tempfile``, so a process that loads
+a cached library never pays for them.
 """
 
 from __future__ import annotations
@@ -90,9 +98,7 @@ import hashlib
 import math
 import os
 import platform
-import subprocess
 import sys
-import tempfile
 import threading
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -126,23 +132,44 @@ SOURCE = r"""
 
 #define SWEEP_ARGS int64_t n, int64_t words, int64_t r, const uint64_t *w1, \
                    const uint64_t *w2, const int64_t *base, const double *plus, \
-                   const double *uniforms, int64_t sweeps, uint64_t *bits, int64_t *up
-#define SWEEP_PASS(group) n, words, group, w1, w2, base, plus, uniforms, sweeps, bits, up
+                   uint64_t *rng, int64_t sweeps, uint64_t *bits, int64_t *up
+#define SWEEP_PASS(group) n, words, group, w1, w2, base, plus, rng, sweeps, bits, up
+
+/* The next double of numpy's Generator.random on a PCG64: the 128-bit LCG
+   step, the XSL-RR output of the new state, then (v >> 11) * 2^-53.  Writing
+   the left shift as -rot & 63 keeps a rotation by 0 defined. */
+static inline __attribute__((always_inline)) double pcg64_random(__uint128_t *state,
+                                                                 __uint128_t inc)
+{
+    const __uint128_t mult = (__uint128_t)0x2360ED051FC65DA4u << 64 | 0x4385DF649FCCF645u;
+    *state = *state * mult + inc;
+    uint64_t v = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
+    unsigned rot = (unsigned)(*state >> 122);
+    v = (v >> rot) | (v << (-rot & 63));
+    return (double)(v >> 11) * 0x1.0p-53;
+}
 
 /* Sites 64w .. 64w+63 share state word w, and while they update no other
    word changes.  So each block first counts, for every one of its sites, the
    field over all words but w (word w is cleared meanwhile); these counts are
    independent of each other and of the updates.  The serial pass then only
-   adds the popcounts against word w, held in a register.  The r replicas of
-   a group (rows of bits, uniforms and up) share the counting loop: it loads
-   each mask word once and ANDs it with every replica's state.  r is a
-   literal at every call, so the loops over the group unroll, and r = 1 is
-   the one-replica loop. */
+   adds the popcounts against word w, held in a register, and draws the
+   replica's next double right before each comparison, so the generator's
+   multiply overlaps the counting.  The r replicas of a group (rows of bits,
+   rng and up) share the counting loop: it loads each mask word once and
+   ANDs it with every replica's state.  r is a literal at every call, so the
+   loops over the group unroll, and r = 1 is the one-replica loop.  Row g of
+   rng is replica g's PCG64 as state lo, state hi, inc lo, inc hi; its state
+   is written back on return. */
 static inline __attribute__((always_inline)) void sweep_body(SWEEP_ARGS)
 {
     int64_t outer[GROUP][64];
-    const int64_t stride = sweeps * n; /* one replica's uniforms */
-    for (int64_t t = 0; t < sweeps; t++, uniforms += n) {
+    __uint128_t state[GROUP], inc[GROUP];
+    for (int64_t g = 0; g < r; g++) {
+        state[g] = (__uint128_t)rng[4 * g + 1] << 64 | rng[4 * g];
+        inc[g] = (__uint128_t)rng[4 * g + 3] << 64 | rng[4 * g + 2];
+    }
+    for (int64_t t = 0; t < sweeps; t++) {
         for (int64_t w = 0; w < words; w++) {
             int64_t lo = 64 * w, hi = lo + 64 < n ? lo + 64 : n;
             uint64_t word[GROUP];
@@ -165,18 +192,19 @@ static inline __attribute__((always_inline)) void sweep_body(SWEEP_ARGS)
                     outer[g][i - lo] = (int64_t)(c1[g] + 2 * c2[g]);
             }
             for (int64_t g = 0; g < r; g++) {
-                const double *u = uniforms + g * stride;
+                __uint128_t s128 = state[g];
                 uint64_t x = word[g];
                 for (int64_t i = lo; i < hi; i++) {
                     int64_t c = outer[g][i - lo] + __builtin_popcountll(w1[i * words + w] & x)
                                 + 2 * __builtin_popcountll(w2[i * words + w] & x);
                     int64_t s = 2 * c - base[i];
                     uint64_t bit = (uint64_t)1 << (i & 63);
-                    if (u[i] < plus[s + 2 * n])
+                    if (pcg64_random(&s128, inc[g]) < plus[s + 2 * n])
                         x |= bit;
                     else
                         x &= ~bit;
                 }
+                state[g] = s128;
                 bits[g * words + w] = x;
             }
         }
@@ -186,6 +214,10 @@ static inline __attribute__((always_inline)) void sweep_body(SWEEP_ARGS)
                 count += __builtin_popcountll(bits[g * words + k]);
             up[g * sweeps + t] = count;
         }
+    }
+    for (int64_t g = 0; g < r; g++) {
+        rng[4 * g] = (uint64_t)state[g];
+        rng[4 * g + 1] = (uint64_t)(state[g] >> 64);
     }
 }
 
@@ -436,6 +468,26 @@ def _mask_ints(masks: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in masks]
 
 
+def rng_row(bit_generator: np.random.PCG64) -> list[int]:
+    """A PCG64 as the kernel holds it: state lo, state hi, inc lo, inc hi."""
+    state = bit_generator.state["state"]
+    return [state["state"] & splitmix.MASK64, state["state"] >> 64,
+            state["inc"] & splitmix.MASK64, state["inc"] >> 64]
+
+
+def _pcg64(row) -> np.random.PCG64:
+    """The PCG64 of a kernel rng row, the inverse of ``rng_row``."""
+    lo, hi, inc_lo, inc_hi = (int(v) for v in row)
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bit_generator
+
+
 def _sweep_bits(bits, n, w1, w2, base, plus, offset, uniforms):
     """One sequential heat-bath sweep on raw integer state; returns new bits."""
     for i in range(n):
@@ -450,24 +502,27 @@ def _sweep_bits(bits, n, w1, w2, base, plus, offset, uniforms):
     return bits
 
 
-def _python_sweeps(w1, w2, base, plus, states, uniforms) -> list[list[int]]:
-    """The Python twin of ``sweep_block_<path>``: _sweep_bits on each row of
-    ``states`` with the same row of ``uniforms``."""
-    _sweep_shape(w1, w2, base, plus, states, uniforms)
+def _python_sweeps(w1, w2, base, plus, states, rngs, sweeps) -> list[list[int]]:
+    """The Python twin of ``sweep_block_<path>``: ``sweeps`` _sweep_bits on each
+    row of ``states``, drawing on the same row of ``rngs`` through numpy's own
+    PCG64 and ``Generator.random``."""
+    _sweep_shape(w1, w2, base, plus, states, rngs, sweeps)
     n = w1.shape[0]
     plus = plus.tolist()
     w1, w2 = _mask_ints(w1), _mask_ints(w2)
     base = base.tolist()
     offset = 2 * n
     counts = []
-    for state, row in zip(states, uniforms):
+    for state, row in zip(states, rngs):
+        bit_generator = _pcg64(row)
+        draw = np.random.Generator(bit_generator).random
         bits = int.from_bytes(state.tobytes(), "little")
-        flat = row.tolist()
         up = []
-        for start in range(0, len(flat), n):
-            bits = _sweep_bits(bits, n, w1, w2, base, plus, offset, flat[start : start + n])
+        for _ in range(sweeps):
+            bits = _sweep_bits(bits, n, w1, w2, base, plus, offset, draw(n).tolist())
             up.append(bits.bit_count())
         state[:] = np.frombuffer(bits.to_bytes(state.nbytes, "little"), dtype=_WORD)
+        row[:] = rng_row(bit_generator)
         counts.append(up)
     return counts
 
@@ -498,6 +553,10 @@ def library_path() -> Path:
 
 
 def _build(path: Path) -> None:
+    # only a cache miss compiles, so only a cache miss pays for these imports
+    import subprocess
+    import tempfile
+
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=path.parent)
     os.close(fd)
@@ -522,27 +581,29 @@ def _check(*buffers) -> None:
             raise ValueError(f"kernel buffer {array.dtype} {array.shape} is not {dtype} {shape}")
 
 
-def _sweep_shape(w1, w2, base, plus, states, uniforms) -> tuple[int, int]:
-    """(replicas, sweeps) of a sweep call, once its buffers pass ``_check``:
-    both kernel sets refuse the same calls.  Masks and ``base`` as in
-    SpinUpdateTables, ``plus`` indexed by S_i + 2n, ``states`` an (r, words)
-    array of mask words with 1 <= r <= GROUP, ``uniforms`` (r, sweeps n)."""
+def _sweep_shape(w1, w2, base, plus, states, rngs, sweeps) -> int:
+    """The replicas r of a sweep call, once its arguments pass the checks that
+    both kernel sets make, so that they refuse the same calls.  Masks and
+    ``base`` as in SpinUpdateTables, ``plus`` indexed by S_i + 2n, ``states``
+    an (r, words) array of mask words with 1 <= r <= GROUP, ``rngs`` (r, 4)
+    rows of ``rng_row``, ``sweeps`` an integer >= 0."""
     n, words = w1.shape
     r = len(states)
     if not 1 <= r <= GROUP:
         raise ValueError(f"a sweep runs 1 to {GROUP} replicas together, got {r}")
-    sweeps = uniforms.size // (r * n)
+    if isinstance(sweeps, bool) or not isinstance(sweeps, (int, np.integer)) or sweeps < 0:
+        raise ValueError(f"sweeps must be an integer >= 0, got {sweeps!r}")
     _check(
         (w1, "<u8", (n, (n + 63) // 64)),
         (w2, "<u8", (n, words)),
         (base, np.int64, (n,)),
         (plus, np.float64, (4 * n + 1,)),
         (states, "<u8", (r, words)),
-        (uniforms, np.float64, (r, sweeps * n)),
+        (rngs, "<u8", (r, 4)),
     )
-    if not states.flags.writeable:
+    if not (states.flags.writeable and rngs.flags.writeable):
         raise ValueError("kernel state is read-only")
-    return r, sweeps
+    return r
 
 
 def _bind(fn):
@@ -551,15 +612,16 @@ def _bind(fn):
     fn.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 5,
                    ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
 
-    def sweep(w1, w2, base, plus, states, uniforms) -> list[list[int]]:
-        """Run uniforms.shape[1] / n sweeps on each row of ``states`` in place,
-        row g with row g of ``uniforms``; per row, the up-spin count after
-        each sweep.  The buffers as in ``_sweep_shape``."""
-        r, sweeps = _sweep_shape(w1, w2, base, plus, states, uniforms)
+    def sweep(w1, w2, base, plus, states, rngs, sweeps) -> list[list[int]]:
+        """Run ``sweeps`` sweeps on each row of ``states`` in place, row g
+        drawing on the PCG64 of row g of ``rngs`` and advancing it; per row,
+        the up-spin count after each sweep.  The arguments as in
+        ``_sweep_shape``."""
+        r = _sweep_shape(w1, w2, base, plus, states, rngs, sweeps)
         n, words = w1.shape
         up = np.empty((r, sweeps), dtype=np.int64)
         fn(n, words, r, w1.ctypes.data, w2.ctypes.data, base.ctypes.data, plus.ctypes.data,
-           uniforms.ctypes.data, sweeps, states.ctypes.data, up.ctypes.data)
+           rngs.ctypes.data, sweeps, states.ctypes.data, up.ctypes.data)
         return up.tolist()
 
     return sweep

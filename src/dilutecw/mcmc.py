@@ -18,17 +18,21 @@ their numpy and Python twins otherwise, bit for bit the same.  The library
 probes the CPU once at load and sweeps on the fastest path of
 ``_csweep.PATHS`` that the CPU runs.  The compiled sweep counts each block of
 64 sites' field over the other state words first, then updates the block in
-order against its own word.  ``run_chain`` sweeps its
-replicas in groups of up to four (``_csweep.GROUP``) that share each pass over
-the masks, and draws their uniforms into one bounded buffer that every group
-reuses.  The mask builders read ``DisorderGraph.words`` as they are.
+order against its own word, drawing each uniform from the replica's PCG64
+right before its comparison.  ``run_chain`` sweeps its replicas in groups of
+up to four (``_csweep.GROUP``) that share each pass over the masks, and hands
+the kernel each replica's generator state, not a buffer of uniforms.  The
+mask builders read ``DisorderGraph.words`` as they are.
 
 Randomness is replayable by construction.  A chain seed plus replica index
 derives two 64-bit streams (initial state, dynamics) through repeated
-SplitMix64 finalizer application; every uniform then comes from a
-numpy Generator seeded with the derived value, one per replica whatever
-group it sweeps in.  Replicas are therefore independent of each other and of
-how many run, and rerunning any subset reproduces it bit for bit.
+SplitMix64 finalizer application.  The initial spins come from
+``default_rng`` of the first, and every uniform of the dynamics is the next
+double of ``default_rng`` of the second, one stream per replica whatever group
+it sweeps in: the kernel steps that PCG64 stream itself, bit for bit as
+numpy's ``Generator.random`` would.  Replicas are therefore independent of
+each other and of how many run, and rerunning any subset reproduces it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -169,12 +173,11 @@ def _plus_probabilities(params: ModelParams, n: int) -> np.ndarray:
     return library().plus(n, params.beta / (params.n * params.p))
 
 
-# Each replica's uniforms are drawn from its generator in blocks of about
-# this many for the largest group (whole sweeps, at least one), into one
-# buffer every group reuses.  That amortizes the numpy and kernel calls and
-# bounds the buffer at this many uniforms or GROUP * n, whichever is more,
-# for any number of replicas.  Block size does not change the stream.
-_BLOCK_UNIFORMS = 1 << 20
+# Each kernel call runs about this many site updates for the largest group
+# (whole sweeps, at least one).  That amortizes the call and still bounds
+# it: Python sees Ctrl-C only between ctypes calls.  Block size does not
+# change the stream.
+_BLOCK_SITE_UPDATES = 1 << 20
 
 
 def run_chain(
@@ -199,7 +202,7 @@ def run_chain(
             f"no samples retained: sweeps={cfg.sweeps}, "
             f"burn_in={cfg.resolved_burn_in(g.n)}, thin={cfg.thin}"
         )
-    from ._csweep import GROUP, library
+    from ._csweep import GROUP, library, rng_row
 
     n = g.n
     tables = build_update_tables(g)
@@ -207,30 +210,30 @@ def run_chain(
     sweep_block = functools.partial(library().sweep, tables.w1, tables.w2, tables.base, plus)
     burn_in = cfg.resolved_burn_in(n)
     root = math.sqrt(n)
-    # the largest group sets the size of the buffers every group reuses
+    # the largest group sets the block length and the state buffer that
+    # every group reuses
     most = min(GROUP, cfg.replicas)
-    block = min(cfg.sweeps, max(1, _BLOCK_UNIFORMS // (most * n)))
-    buffer = np.empty(most * block * n)
+    block = min(cfg.sweeps, max(1, _BLOCK_SITE_UPDATES // (most * n)))
     all_states = np.empty((most, tables.w1.shape[1]), dtype=_WORD)
     samples = []
     for first in range(0, cfg.replicas, GROUP):
         ids = range(first, min(first + GROUP, cfg.replicas))
         states = all_states[: len(ids)]
         states.fill(0)
-        dyn_rngs = []
         for state, replica_id in zip(states, ids):
             init_rng = np.random.default_rng(derive_seed(cfg.chain_seed, replica_id, 0))
             spins = init_rng.integers(0, 2, size=n, dtype=np.uint8)
             state.view(np.uint8)[: (n + 7) // 8] = np.packbits(spins, bitorder="little")
-            dyn_rngs.append(np.random.default_rng(derive_seed(cfg.chain_seed, replica_id, 1)))
+        # the PCG64 of default_rng(derive_seed(chain_seed, id, 1)), one row a replica
+        rngs = np.array(
+            [rng_row(np.random.PCG64(derive_seed(cfg.chain_seed, i, 1))) for i in ids],
+            dtype=_WORD,
+        )
         values = [[] for _ in ids]
         sweep = 0
         while sweep < cfg.sweeps:
             step = min(block, cfg.sweeps - sweep)
-            uniforms = buffer[: len(ids) * step * n].reshape(len(ids), step * n)
-            for dyn_rng, row in zip(dyn_rngs, uniforms):
-                dyn_rng.random(out=row)
-            for kept, counts in zip(values, sweep_block(states, uniforms)):
+            for kept, counts in zip(values, sweep_block(states, rngs, step)):
                 for t, up in enumerate(counts, sweep + 1):
                     if t > burn_in and (t - burn_in) % cfg.thin == 0:
                         kept.append((2 * up - n) / root)

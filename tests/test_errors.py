@@ -83,7 +83,8 @@ _NUMERIC_CASES = {
         np.zeros(1, dtype=np.int32),
         np.zeros(5),
         np.zeros((1, 1), dtype="<u8"),
-        np.zeros((1, 1)),
+        np.zeros((1, 4), dtype="<u8"),
+        1,
     ),
     "oracle_overflow": lambda: disorder_oracle(ModelParams(n=2, p=0.5, beta=400.0), ONE, "first"),
     "shorthand_overflow": lambda: cosh_shorthand(ModelParams(n=2, p=1e-4, beta=0.5), "A"),

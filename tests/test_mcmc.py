@@ -68,17 +68,21 @@ def _kernel_sets():
     return [library] if library is _csweep._TWINS else [library, _csweep._TWINS]
 
 
+def _rng_rows(*seeds):
+    """Kernel rng rows of the PCG64 of default_rng(seed), one per seed."""
+    return np.array([_csweep.rng_row(np.random.PCG64(seed)) for seed in seeds], dtype=mcmc._WORD)
+
+
 def _one_sweep_each(sigma, g, params, seed):
-    """One sweep from sigma with the uniforms of rng(seed), by each kernel
-    set's masks, flip table and sweep: the new bits from each."""
+    """One sweep from sigma with the stream of default_rng(seed), by each
+    kernel set's masks, flip table and sweep: the new bits from each."""
     results = []
     for kernels in _kernel_sets():
         w1, w2, base = kernels.masks(g.words)
         plus = kernels.plus(g.n, params.beta / (params.n * params.p))
         words = w1.shape[1]
         state = np.frombuffer(sigma.bits.to_bytes(8 * words, "little"), dtype=mcmc._WORD).copy()
-        uniforms = np.random.default_rng(seed).random((1, g.n))
-        up = kernels.sweep(w1, w2, base, plus, state[None], uniforms)
+        up = kernels.sweep(w1, w2, base, plus, state[None], _rng_rows(seed), 1)
         bits = int.from_bytes(state.tobytes(), "little")
         assert up == [[bits.bit_count()]]
         results.append(bits)
@@ -120,8 +124,7 @@ def test_sweep_is_pure():
     plus = mcmc._plus_probabilities(params, 8)
     for kernels in _kernel_sets():
         states = np.zeros((1, 1), dtype=mcmc._WORD)
-        kernels.sweep(tables.w1, tables.w2, tables.base, plus, states,
-                      np.random.default_rng(5).random((1, 24)))
+        kernels.sweep(tables.w1, tables.w2, tables.base, plus, states, _rng_rows(5), 3)
     for after, want in zip((tables.w1, tables.w2, tables.base), before):
         assert np.array_equal(after, want)
 
@@ -139,7 +142,7 @@ def test_compiled_chain_is_bit_identical_to_python(n, beta, monkeypatch):
     cfg = ChainConfig(sweeps=40, burn_in=3, thin=3, replicas=6, chain_seed=n)
     # groups of 4 and 2 replicas, each in blocks of 7 sweeps, so the run
     # crosses a group boundary and several block boundaries
-    monkeypatch.setattr(mcmc, "_BLOCK_UNIFORMS", _csweep.GROUP * 7 * n + 3)
+    monkeypatch.setattr(mcmc, "_BLOCK_SITE_UPDATES", _csweep.GROUP * 7 * n + 3)
     compiled = run_chain(g, params, cfg)
     assert _csweep.library() is not _csweep._TWINS
     _python_only(monkeypatch)
@@ -153,7 +156,7 @@ def test_block_size_does_not_change_the_chain(monkeypatch):
     g = sample_graph(params, GraphSeed(2))
     cfg = ChainConfig(sweeps=50, burn_in=5, chain_seed=4)
     whole = run_chain(g, params, cfg)
-    monkeypatch.setattr(mcmc, "_BLOCK_UNIFORMS", 1)
+    monkeypatch.setattr(mcmc, "_BLOCK_SITE_UPDATES", 1)
     assert run_chain(g, params, cfg) == whole
 
 
@@ -271,6 +274,22 @@ def test_cli_import_builds_no_kernel(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_warm_library_load_imports_no_subprocess(tmp_path):
+    # only a cache miss compiles, so loading a cached library imports neither
+    # the compiler's subprocess module nor tempfile
+    _compiled()
+    assert _csweep.library_path().exists()
+    code = (
+        "import sys, numpy; before = set(sys.modules); "
+        "from dilutecw._csweep import _TWINS, library; assert library() is not _TWINS; "
+        "print(sorted({'subprocess', 'tempfile'} & (set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_derive_seed_spreads():
@@ -418,31 +437,36 @@ def test_supercritical_chain_magnetizes():
 _PATH_SIZES = [1, 2, 63, 64, 65, 127, 128, 129, 511, 512, 513, 1000, 1024, 4100]
 
 
-def _one_at_a_time(tables, plus, states, uniforms):
-    """The Python sweep of each row of ``states`` by a call of its own: (final
-    states, up-spin counts), each a list of rows."""
-    finals, counts = [], []
-    for state, row in zip(states, uniforms):
-        final = state[None].copy()
-        counts += _csweep._python_sweeps(tables.w1, tables.w2, tables.base, plus, final, row[None])
+def _one_at_a_time(tables, plus, states, rngs, sweeps):
+    """The Python sweep of each row of ``states`` and ``rngs`` by a call of its
+    own: (final states, final rng rows, up-spin counts), each a list of rows."""
+    finals, draws, counts = [], [], []
+    for state, row in zip(states, rngs):
+        final, rng = state[None].copy(), row[None].copy()
+        counts += _csweep._python_sweeps(
+            tables.w1, tables.w2, tables.base, plus, final, rng, sweeps
+        )
         finals.append(final[0].tobytes())
-    return finals, counts
+        draws.append(rng[0].tobytes())
+    return finals, draws, counts
 
 
-def _assert_groups_match(sweep, tables, plus, states, uniforms, want):
+def _assert_groups_match(sweep, tables, plus, states, rngs, sweeps, want):
     """The first r rows swept together, for r = 1 .. GROUP, give the first r
     rows of ``want``, the rows swept one at a time."""
     for r in range(1, _csweep.GROUP + 1):
-        got = states[:r].copy()
-        up = sweep(tables.w1, tables.w2, tables.base, plus, got, uniforms[:r])
-        assert ([row.tobytes() for row in got], up) == (want[0][:r], want[1][:r]), r
+        got, rng = states[:r].copy(), rngs[:r].copy()
+        up = sweep(tables.w1, tables.w2, tables.base, plus, got, rng, sweeps)
+        assert ([row.tobytes() for row in got], [row.tobytes() for row in rng], up) == tuple(
+            rows[:r] for rows in want
+        ), r
 
 
 @functools.lru_cache(maxsize=None)
 def _path_case(n, graph, beta):
-    """(tables, plus, GROUP initial states, their uniforms) for three sweeps,
-    and what the Python sweep makes of each state on its own, checked to be
-    what it makes of them as groups."""
+    """(tables, plus, GROUP initial states, their rng rows, three sweeps), and
+    what the Python sweep makes of each state on its own, checked to be what
+    it makes of them as groups."""
     if graph == "complete":
         g, p = DisorderGraph.complete(n), 1.0
     elif graph == "empty":
@@ -457,10 +481,10 @@ def _path_case(n, graph, beta):
     states = np.frombuffer(rng.bytes(8 * words * _csweep.GROUP), dtype=mcmc._WORD)
     states = states.reshape(_csweep.GROUP, words).copy()
     states[:, -1] &= np.uint64((1 << (n - 64 * (words - 1))) - 1)
-    uniforms = rng.random((_csweep.GROUP, 3 * n))
-    want = _one_at_a_time(tables, plus, states, uniforms)
-    _assert_groups_match(_csweep._python_sweeps, tables, plus, states, uniforms, want)
-    return tables, plus, states, uniforms, want
+    rngs = _rng_rows(*([n, g] for g in range(_csweep.GROUP)))
+    want = _one_at_a_time(tables, plus, states, rngs, 3)
+    _assert_groups_match(_csweep._python_sweeps, tables, plus, states, rngs, 3, want)
+    return tables, plus, states, rngs, 3, want
 
 
 def _host_path(name):
@@ -499,11 +523,107 @@ def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
     spins = rng.integers(0, 2, size=(_csweep.GROUP, n), dtype=np.uint8)
     states = np.zeros((_csweep.GROUP, tables.w1.shape[1]), dtype=mcmc._WORD)
     states.view(np.uint8)[:, : (n + 7) // 8] = np.packbits(spins, axis=1, bitorder="little")
-    uniforms = rng.random((_csweep.GROUP, sweeps * n))
-    want = _one_at_a_time(tables, plus, states, uniforms)
-    _assert_groups_match(_csweep._python_sweeps, tables, plus, states, uniforms, want)
+    rngs = _rng_rows(*([seed, g] for g in range(_csweep.GROUP)))
+    want = _one_at_a_time(tables, plus, states, rngs, sweeps)
+    _assert_groups_match(_csweep._python_sweeps, tables, plus, states, rngs, sweeps, want)
     for name, sweep in library.paths.items():
-        _assert_groups_match(sweep, tables, plus, states, uniforms, want)
+        _assert_groups_match(sweep, tables, plus, states, rngs, sweeps, want)
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_before(step_to: int, inc: int) -> np.random.PCG64:
+    """A numpy PCG64 whose next LCG step lands on ``step_to``: the step
+    inverted modulo 2^128."""
+    state = (step_to - inc) * pow(_PCG64_MULT, -1, 1 << 128) & _MASK128
+    assert (state * _PCG64_MULT + inc) & _MASK128 == step_to
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bit_generator
+
+
+def _replay_cases():
+    """PCG64s of seeds 0, 1 and 2^64 - 1, and of crafted states whose next
+    step's XSL-RR output rotates by 0 and by 63 (the top 6 bits of the state)."""
+    cases = [np.random.PCG64(seed) for seed in (0, 1, (1 << 64) - 1)]
+    inc = np.random.PCG64(7).state["state"]["inc"]
+    low = np.random.PCG64(8).state["state"]["state"] & ((1 << 122) - 1)
+    return cases + [_pcg64_before(rot << 122 | low, inc) for rot in (0, 63)]
+
+
+def _copy(bit_generator):
+    """A numpy PCG64 in the state of ``bit_generator``."""
+    copy = np.random.PCG64(0)
+    copy.state = bit_generator.state
+    return copy
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_kernel_replays_numpy_pcg64(case):
+    bit_generator = _replay_cases()[case]
+    row = np.array([_csweep.rng_row(bit_generator)], dtype=mcmc._WORD)
+    sweeps = 3
+    # each of the first eight doubles, one sweep at n = 1 apiece, through a
+    # field-independent table: u < u is false and u < nextafter(u, 2) is
+    # true, so the two spins pin u to the bit
+    draws = np.random.Generator(_copy(bit_generator)).random(8)
+    lone = build_update_tables(DisorderGraph.empty(1))
+    for sweep in (*_csweep.library().paths.values(), _csweep._TWINS.sweep):
+        for k, u in enumerate(draws):
+            at = np.array([_csweep.rng_row(_copy(bit_generator).advance(k))], dtype=mcmc._WORD)
+            for plus, want in ((u, 0), (np.nextafter(u, 2.0), 1)):
+                state, rng = np.zeros((1, 1), dtype=mcmc._WORD), at.copy()
+                assert sweep(lone.w1, lone.w2, lone.base, np.full(5, plus), state, rng, 1) == [
+                    [want]
+                ], k
+        # the stream advances by exactly sweeps n draws, as numpy's advance
+        for n in (1, 64, 130):
+            params = ModelParams(n=n, p=0.5, beta=0.9)
+            tables = build_update_tables(sample_graph(params, GraphSeed(n)))
+            plus = mcmc._plus_probabilities(params, n)
+            state = np.zeros((1, tables.w1.shape[1]), dtype=mcmc._WORD)
+            rng = row.copy()
+            sweep(tables.w1, tables.w2, tables.base, plus, state, rng, sweeps)
+            advanced = _copy(bit_generator).advance(sweeps * n)
+            lo, hi, inc_lo, inc_hi = (int(v) for v in rng[0])
+            assert {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo} == advanced.state["state"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 63, 64, 65, 130]),
+    generators=st.lists(
+        st.tuples(st.integers(0, _MASK128), st.integers(0, _MASK128)),
+        min_size=1, max_size=_csweep.GROUP,
+    ),
+    sweeps=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_group_calls_match_rows_one_at_a_time_on_any_pcg64_state(n, generators, sweeps, seed):
+    # r = 1 .. GROUP replicas, each with any 128-bit state and increment
+    r = len(generators)
+    params = ModelParams(n=n, p=0.5, beta=0.9)
+    tables = build_update_tables(sample_graph(params, GraphSeed(seed)))
+    plus = mcmc._plus_probabilities(params, n)
+    spins = np.random.default_rng(seed).integers(0, 2, size=(r, n), dtype=np.uint8)
+    states = np.zeros((r, tables.w1.shape[1]), dtype=mcmc._WORD)
+    states.view(np.uint8)[:, : (n + 7) // 8] = np.packbits(spins, axis=1, bitorder="little")
+    rngs = np.array(
+        [[s & (2**64 - 1), s >> 64, i & (2**64 - 1), i >> 64] for s, i in generators],
+        dtype=mcmc._WORD,
+    )
+    want = _one_at_a_time(tables, plus, states, rngs, sweeps)
+    for sweep in (*_csweep.library().paths.values(), _csweep._TWINS.sweep):
+        got, rng = states.copy(), rngs.copy()
+        up = sweep(tables.w1, tables.w2, tables.base, plus, got, rng, sweeps)
+        assert ([row.tobytes() for row in got], [row.tobytes() for row in rng], up) == want
 
 
 def _probed_features():
@@ -559,27 +679,35 @@ def test_kernel_rejects_mismatched_buffers():
     params = ModelParams(n=70, p=1.0, beta=0.5)
     plus = np.array(mcmc._plus_probabilities(params, 70))
     states = np.zeros((2, 2), dtype=mcmc._WORD)
-    good = (tables.w1, tables.w2, tables.base, plus, states, np.zeros((2, 140)))
-    for sweep in (*_library().paths.values(), _csweep._TWINS.sweep):
+    rngs = _rng_rows(1, 2)
+    good = (tables.w1, tables.w2, tables.base, plus, states, rngs, 2)
+    for sweep in (*_csweep.library().paths.values(), _csweep._TWINS.sweep):
         assert [len(up) for up in sweep(*good)] == [2, 2]
         for k, bad in (
             (0, tables.w1[:, :1]), (1, tables.w2[:69]), (2, tables.base[:-1]), (3, plus[:-1]),
             (4, np.zeros((2, 1), dtype=mcmc._WORD)), (4, np.zeros(2, dtype=mcmc._WORD)),
-            (4, np.zeros((2, 2), dtype=mcmc._WORD).T), (5, np.zeros((2, 140), dtype=np.float32)),
-            (5, np.zeros(280)), (5, np.zeros((1, 280))), (5, np.zeros((2, 141))),
+            (4, np.zeros((2, 2), dtype=mcmc._WORD).T),
+            (5, np.zeros((2, 3), dtype=mcmc._WORD)), (5, np.zeros((3, 4), dtype=mcmc._WORD)),
+            (5, rngs.astype(np.int64)), (5, rngs.astype(">u8")),
+            (5, np.zeros((2, 8), dtype=mcmc._WORD)[:, ::2]),
         ):
             args = list(good)
             args[k] = bad
             with pytest.raises(ValueError, match="kernel buffer"):
                 sweep(*args)
-        frozen = states.copy()
-        frozen.flags.writeable = False
-        with pytest.raises(ValueError, match="read-only"):
-            sweep(*good[:4], frozen, good[5])
+        for k in (4, 5):
+            args = list(good)
+            args[k] = good[k].copy()
+            args[k].flags.writeable = False
+            with pytest.raises(ValueError, match="read-only"):
+                sweep(*args)
+        for sweeps in (-1, np.int64(-1), 2.0, True, "2"):
+            with pytest.raises(ValueError, match="sweeps"):
+                sweep(*good[:6], sweeps)
         # a group is 1 to GROUP replicas
         for r in (0, _csweep.GROUP + 1):
             args = list(good)
-            args[4:] = np.zeros((r, 2), dtype=mcmc._WORD), np.zeros((r, 140))
+            args[4:6] = np.zeros((r, 2), dtype=mcmc._WORD), np.zeros((r, 4), dtype=mcmc._WORD)
             with pytest.raises(ValueError, match="replicas together"):
                 sweep(*args)
 
