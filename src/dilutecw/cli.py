@@ -41,7 +41,7 @@ from .exact import (
     variance_ratio_from_logs,
 )
 from .graph import GraphSeed, read_graph, sample_graph, write_graph
-from .mcmc import ChainConfig, derive_seed, quenched_experiment, run_chain
+from .mcmc import ChainConfig, check_chain_work, derive_seed, quenched_experiment, run_chain
 from .model import ModelParams
 from .testfunctions import parse_test_function
 
@@ -271,6 +271,7 @@ def _cmd_mcmc_run(args) -> int:
     params = ModelParams(n=args.n, p=args.p, beta=args.beta)
     cfg = _chain_config(args, derive_seed(args.seed, 2))
     started = time.perf_counter()
+    check_chain_work(params.n, cfg, 1)
     g, graph_seed = _load_or_sample_graph(args, params)
     _log(
         f"running {cfg.replicas} replica(s), {cfg.sweeps} sweeps each "

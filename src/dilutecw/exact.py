@@ -72,7 +72,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +89,6 @@ __all__ = [
     "pair_spin_count",
     "expected_partition_log",
     "second_moment_log",
-    "variance_ratio",
     "variance_ratio_from_logs",
     "QuenchedSummary",
     "enumerate_partition",
@@ -216,19 +214,17 @@ def _class_log_weights(n: int, g: TestFunction) -> list[float]:
     return out
 
 
-def expected_partition_log(
-    params: ModelParams, g: TestFunction, *, max_n: int = MAX_FIRST_MOMENT_N
-) -> float:
+def expected_partition_log(params: ModelParams, g: TestFunction) -> float:
     """log E[Z(g)]: sum over spin-sum classes of count * g * annealed weight.
 
     Returns -inf when g vanishes at every class atom (possible for a narrow
     bump), since the weighted sum is then exactly zero.  Refuses n beyond
-    ``max_n`` (raise it explicitly to go bigger)."""
+    ``MAX_FIRST_MOMENT_N``."""
     n = params.n
-    if n > max_n:
+    if n > MAX_FIRST_MOMENT_N:
         raise CapacityError(
             f"first moment over n={n} needs {n + 1} binomial counts of up to {n} "
-            f"bits, above the cap max_n={max_n}; pass a larger max_n to override"
+            f"bits, above the cap max_n={MAX_FIRST_MOMENT_N}"
         )
     c = moment_coefficients(params)
     log_g = _class_log_weights(n, g)
@@ -264,20 +260,18 @@ def _log_multinomial_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(keys, dtype=np.int64), np.array(logs)
 
 
-def second_moment_log(
-    params: ModelParams, g: TestFunction, *, max_n: int = MAX_MOMENT_N
-) -> float:
+def second_moment_log(params: ModelParams, g: TestFunction) -> float:
     """log E[Z(g)^2] via the pair identity, an O(n^3) sum with exact counts.
 
     Every term is the float the scalar sum over (k, l, m) would give, in the
     same operation order, and the final fsum rounds correctly, so the result
     does not depend on the order the terms are visited in.  Refuses n beyond
-    ``max_n`` (raise it explicitly to go bigger)."""
+    ``MAX_MOMENT_N``."""
     n = params.n
-    if n > max_n:
+    if n > MAX_MOMENT_N:
         raise CapacityError(
             f"second moment over n={n} needs {(n + 1) ** 3} pair terms, "
-            f"above the cap max_n={max_n}; pass a larger max_n to override"
+            f"above the cap max_n={MAX_MOMENT_N}"
         )
     c = moment_coefficients(params)
     log_g = _class_log_weights(n, g)
@@ -362,17 +356,6 @@ def variance_ratio_from_logs(first: float, second: float) -> tuple[float, bool]:
     raise ValueError(f"variance ratio {value} is negative beyond rounding tolerance")
 
 
-def variance_ratio(params: ModelParams, g: TestFunction) -> float:
-    """variance_ratio_from_logs over both moments of (params, g), with a
-    warning when it clamps; the second moment goes first, so its capacity cap
-    refuses a huge n at once."""
-    second = second_moment_log(params, g)
-    value, clamped = variance_ratio_from_logs(expected_partition_log(params, g), second)
-    if clamped:
-        warnings.warn("variance ratio clamped to 0 from slightly negative", stacklevel=2)
-    return value
-
-
 @dataclass(frozen=True)
 class QuenchedSummary:
     """Exact thermodynamics of one disorder realization.
@@ -401,7 +384,7 @@ def _interaction_histogram(g: DisorderGraph) -> dict[int, int]:
     n = g.n
     width = n + 1
     edges = g.edge_count()
-    eps = np.array(g.to_matrix(), dtype=np.float64)
+    eps = g._cells().astype(np.float64)
     w = eps + eps.T
     np.fill_diagonal(w, 0.0)
     low = n // 2
@@ -449,11 +432,11 @@ def enumerate_partition(g: DisorderGraph, params: ModelParams) -> QuenchedSummar
     if params.n != n:
         raise DomainError(f"incompatible sizes: graph has n={n}, params have n={params.n}")
     if n > MAX_ENUMERATION_N:
-        steps = 1 << n
+        # 2^n itself: as a float it overflows from n = 1024, and its decimal
+        # digits pass int's string conversion limit from about n = 14000
         raise CapacityError(
-            f"enumeration over n={n} needs {steps} configurations "
-            f"(roughly {steps * _NS_PER_CONFIG / 1e9:.0f} s at {_NS_PER_CONFIG} ns "
-            f"each), above the cap max_n={MAX_ENUMERATION_N}"
+            f"enumeration over n={n} needs 2^{n} configurations at about "
+            f"{_NS_PER_CONFIG} ns each, above the cap max_n={MAX_ENUMERATION_N}"
         )
     gamma = params.gamma
     width = n + 1

@@ -42,11 +42,11 @@ import numpy as np
 from .errors import CapacityError, DomainError, GraphFormatError
 from .model import _WORD, DisorderGraph, ModelParams, _pack_rows
 
-__all__ = ["GraphSeed", "sample_graph", "write_graph", "read_graph", "DEFAULT_BIT_LIMIT"]
+__all__ = ["GraphSeed", "sample_graph", "write_graph", "read_graph", "BIT_LIMIT"]
 
 # Refuse to materialize adjacency matrices beyond this many bits (2^33 bits
 # = 1 GiB packed); sample_graph and read_graph both honor it.
-DEFAULT_BIT_LIMIT = 1 << 33
+BIT_LIMIT = 1 << 33
 
 _HEADER_PREFIX = "dilute-cw-graph v1 N="
 
@@ -77,19 +77,13 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_CELLS // n)
 
 
-def sample_graph(
-    params: ModelParams,
-    seed: GraphSeed,
-    *,
-    bit_limit: int = DEFAULT_BIT_LIMIT,
-) -> DisorderGraph:
-    """Sample a directed Bernoulli(p) graph with loops, deterministically in the seed."""
+def sample_graph(params: ModelParams, seed: GraphSeed) -> DisorderGraph:
+    """Sample a directed Bernoulli(p) graph with loops, deterministically in the seed.
+
+    Refuses n^2 beyond ``BIT_LIMIT``."""
     n = params.n
-    if n * n > bit_limit:
-        raise CapacityError(
-            f"adjacency matrix needs {n * n} bits, above the cap of {bit_limit}; "
-            "pass a larger bit_limit to override"
-        )
+    if n * n > BIT_LIMIT:
+        raise CapacityError(f"adjacency matrix needs {n * n} bits, above the cap of {BIT_LIMIT}")
     from ._csweep import library
 
     words = np.empty((n, (n + 63) // 64), dtype=_WORD)
@@ -116,7 +110,7 @@ def write_graph(g: DisorderGraph, destination) -> None:
         destination.write(lines.tobytes().decode("ascii"))
 
 
-def _read_header(source, bit_limit: int) -> int:
+def _read_header(source) -> int:
     header = source.readline()
     if header == "":
         raise GraphFormatError("empty input, expected header", line=1)
@@ -136,9 +130,9 @@ def _read_header(source, bit_limit: int) -> int:
         raise GraphFormatError(f"bad size field {size_text!r} in header", line=1) from None
     if n < 1:
         raise GraphFormatError(f"declared size must be positive, got {n}", line=1)
-    if n * n > bit_limit:
+    if n * n > BIT_LIMIT:
         raise CapacityError(
-            f"declared size n={n} needs {n * n} bits, above the cap of {bit_limit}"
+            f"declared size n={n} needs {n * n} bits, above the cap of {BIT_LIMIT}"
         )
     return n
 
@@ -161,21 +155,21 @@ def _parse_row(line: str, i: int, n: int) -> np.ndarray:
     return np.frombuffer(line.encode("ascii"), dtype=np.uint8) & 1
 
 
-def read_graph(source, *, bit_limit: int = DEFAULT_BIT_LIMIT) -> DisorderGraph:
+def read_graph(source) -> DisorderGraph:
     """Parse the v1 text format from a path or a text file object.
 
     Raises GraphFormatError with a 1-based line number on malformed input
     (the header is line 1) and CapacityError when the declared size exceeds
-    ``bit_limit``.  The last row may lack its newline; after it only
+    ``BIT_LIMIT``.  The last row may lack its newline; after it only
     whitespace may follow.
     """
     if isinstance(source, (str, os.PathLike)):
         # latin-1 gives every byte one character, so a non-ASCII byte reaches
         # the cell check and is reported with its line number.
         with open(source, "r", encoding="latin-1") as fh:
-            return read_graph(fh, bit_limit=bit_limit)
+            return read_graph(fh)
 
-    n = _read_header(source, bit_limit)
+    n = _read_header(source)
     width = n + 1
     step = _block_rows(n)
     words = np.empty((n, (n + 63) // 64), dtype=_WORD)

@@ -40,13 +40,13 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import splitmix
 from .graph import GraphSeed, sample_graph
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .model import _WORD, DisorderGraph, ModelParams
 from .stats import EmpiricalMeasure, NormalRef, ks_distance, levy_distance, summarize
 
@@ -55,6 +55,7 @@ __all__ = [
     "MagnetizationSample",
     "SpinUpdateTables",
     "build_update_tables",
+    "check_chain_work",
     "default_burn_in",
     "derive_seed",
     "run_chain",
@@ -166,11 +167,25 @@ def build_update_tables(g: DisorderGraph) -> SpinUpdateTables:
     return SpinUpdateTables(g.n, *library().masks(g.words))
 
 
-def _plus_probabilities(params: ModelParams, n: int) -> np.ndarray:
-    """P(new spin = +1) indexed by S_i + 2n, S_i in [-2n, 2n]."""
-    from ._csweep import library
+# Caps on the chain work of one run_chain or quenched_experiment call.  2^40
+# site updates take hours at about 20 ns each; 2^24 retained values take about
+# 2 GB as Python floats plus their CSV text.
+MAX_SITE_UPDATES = 1 << 40
+MAX_RETAINED = 1 << 24
 
-    return library().plus(n, params.beta / (params.n * params.p))
+
+def check_chain_work(n: int, cfg: ChainConfig, graphs: int) -> None:
+    """Refuse, with CapacityError, chains on ``graphs`` graphs of n sites that
+    would make more than ``MAX_SITE_UPDATES`` site updates or retain more than
+    ``MAX_RETAINED`` values; callers check before any graph is sampled or swept."""
+    updates = graphs * cfg.replicas * cfg.sweeps * n
+    if updates > MAX_SITE_UPDATES:
+        raise CapacityError(
+            f"chains need {updates} site updates, above the cap of {MAX_SITE_UPDATES}"
+        )
+    retained = graphs * cfg.replicas * cfg.retained(n)
+    if retained > MAX_RETAINED:
+        raise CapacityError(f"chains retain {retained} values, above the cap of {MAX_RETAINED}")
 
 
 # Each kernel call runs about this many site updates for the largest group
@@ -202,11 +217,13 @@ def run_chain(
             f"no samples retained: sweeps={cfg.sweeps}, "
             f"burn_in={cfg.resolved_burn_in(g.n)}, thin={cfg.thin}"
         )
+    check_chain_work(g.n, cfg, 1)
     from ._csweep import GROUP, library, rng_row
 
     n = g.n
     tables = build_update_tables(g)
-    plus = _plus_probabilities(params, n)
+    # P(new spin = +1) indexed by S_i + 2n, S_i in [-2n, 2n]
+    plus = library().plus(n, params.beta / (n * params.p))
     sweep_block = functools.partial(library().sweep, tables.w1, tables.w2, tables.base, plus)
     burn_in = cfg.resolved_burn_in(n)
     root = math.sqrt(n)
@@ -285,13 +302,7 @@ def _one_graph_run(
 ) -> GraphRun:
     gseed = derive_seed(master_seed, 1, index)
     g = sample_graph(params, GraphSeed(gseed))
-    chain_cfg = ChainConfig(
-        sweeps=cfg.sweeps,
-        burn_in=cfg.burn_in,
-        thin=cfg.thin,
-        replicas=cfg.replicas,
-        chain_seed=derive_seed(master_seed, 2, index),
-    )
+    chain_cfg = replace(cfg, chain_seed=derive_seed(master_seed, 2, index))
     samples = run_chain(g, params, chain_cfg, graph_seed=gseed)
     pooled = [v for sample in samples for v in sample.values]
     stats = summarize(pooled)
@@ -334,6 +345,7 @@ def quenched_experiment(
     pooled = n_graphs * cfg.replicas * cfg.retained(params.n)
     if pooled < 2:
         raise DomainError(f"the pooled variance needs at least 2 retained samples, got {pooled}")
+    check_chain_work(params.n, cfg, n_graphs)
     reference = NormalRef(mean=0.0, variance=1.0 / (1.0 - params.beta))
     if threads == 1:
         runs = [

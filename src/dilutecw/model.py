@@ -248,27 +248,20 @@ class DisorderGraph:
         return self._cells().tolist()
 
 
-def _check_sizes(g: DisorderGraph, sigma: SpinConfig, tau: SpinConfig | None = None):
-    if g.n != sigma.n:
-        raise ValueError(f"incompatible sizes: graph has n={g.n}, spins have n={sigma.n}")
-    if tau is not None and tau.n != sigma.n:
-        raise ValueError(f"incompatible sizes: spins have n={sigma.n} and n={tau.n}")
-
-
 def interaction_sum(g: DisorderGraph, sigma: SpinConfig) -> int:
     """Exact integer value of sum_{i,j} eps[i,j] * sigma_i * sigma_j.
 
     Computed as s . (eps s) over the unpacked matrix in int64, exact since
     the sum is at most n^2 in size.
     """
-    _check_sizes(g, sigma)
+    if g.n != sigma.n:
+        raise ValueError(f"incompatible sizes: graph has n={g.n}, spins have n={sigma.n}")
     s = np.array(sigma.to_signs(), dtype=np.int64)
     return int(s @ (g._cells().astype(np.int64) @ s))
 
 
 def hamiltonian(g: DisorderGraph, sigma: SpinConfig, params: ModelParams) -> float:
     """Energy H(sigma) = -interaction_sum / (2 n p)."""
-    _check_sizes(g, sigma)
     if g.n != params.n:
         raise ValueError(f"incompatible sizes: graph has n={g.n}, params have n={params.n}")
     return -interaction_sum(g, sigma) / (2.0 * params.n * params.p)
@@ -292,7 +285,6 @@ def gibbs_log_weight(g: DisorderGraph, sigma: SpinConfig, params: ModelParams) -
     Equals gamma * interaction_sum with gamma = beta / (2 n p); computed that
     way so the integer bilinear form is scaled exactly once.
     """
-    _check_sizes(g, sigma)
     if g.n != params.n:
         raise ValueError(f"incompatible sizes: graph has n={g.n}, params have n={params.n}")
     return params.gamma * interaction_sum(g, sigma)

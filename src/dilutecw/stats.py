@@ -3,8 +3,7 @@
 The laws this package produces are finitely supported: at system size n the
 scaled magnetization takes the n+1 values (2c - n)/sqrt(n).  EmpiricalMeasure
 holds such a law as sorted atom locations with weights; distances against a
-Gaussian reference (or another atomic law) are what the verification
-experiments quote.
+Gaussian reference are what the verification experiments quote.
 
 Levy distance.  d_L(mu, nu) is the infimum of eps > 0 such that for all t
 
@@ -21,12 +20,7 @@ every atom x_i of G (cumulative weights C_i, C_0 = 0):
 Between atoms G is flat while the F terms move in the favorable direction,
 so violations are worst approaching an atom from the left (first inequality)
 or sitting on it (second); before the first atom and past the last one the
-conditions degenerate to 0 <= F and F <= 1.  When both measures are atomic
-the same flatness argument applies piecewise: each side of the condition is
-a right-continuous step function of t whose pieces all begin at an atom of
-one measure or at an atom of the other shifted by eps, so checking those
-points (atoms x_i of the first measure; atoms y_j +- eps of the second)
-covers the supremum.
+conditions degenerate to 0 <= F and F <= 1.
 """
 
 from __future__ import annotations
@@ -97,11 +91,6 @@ class EmpiricalMeasure:
         idx = int(np.searchsorted(self.locations, t, side="right"))
         return 0.0 if idx == 0 else float(self._cum[idx - 1])
 
-    def cdf_left(self, t: float) -> float:
-        """Left limit P(X < t)."""
-        idx = int(np.searchsorted(self.locations, t, side="left"))
-        return 0.0 if idx == 0 else float(self._cum[idx - 1])
-
     def mean(self) -> float:
         return float(np.dot(self.locations, self.weights))
 
@@ -161,45 +150,28 @@ def _levy_ok_normal(measure: EmpiricalMeasure, ref: NormalRef, eps: float) -> bo
         prev = cum
     return True
 
-def _levy_ok_atomic(m1: EmpiricalMeasure, m2: EmpiricalMeasure, eps: float) -> bool:
-    # F(t - eps) - eps <= G(t): pieces begin at atoms of G and at atoms of F
-    # shifted right by eps
-    for t in np.concatenate((m2.locations, m1.locations + eps)):
-        if m1.cdf(float(t) - eps) - eps > m2.cdf(float(t)) + 1e-15:
-            return False
-    # G(t) <= F(t + eps) + eps: pieces begin at atoms of G and at atoms of F
-    # shifted left by eps
-    for t in np.concatenate((m2.locations, m1.locations - eps)):
-        if m2.cdf(float(t)) > m1.cdf(float(t) + eps) + eps + 1e-15:
-            return False
-    return True
-
 
 # Absolute tolerances of the bisections in levy_distance and m_plus.
 _LEVY_TOL = 1e-6
 _M_PLUS_TOL = 1e-12
 
 
-def levy_distance(measure: EmpiricalMeasure, other) -> float:
-    """Levy distance from an atomic measure to a NormalRef or another measure.
+def levy_distance(measure: EmpiricalMeasure, ref: NormalRef) -> float:
+    """Levy distance from an atomic measure to a Gaussian reference.
 
     Bisection to absolute tolerance ``_LEVY_TOL``; the returned value is the
     upper end of the final bracket, so the two-sided condition certifiably
     holds at it.  eps = 1 always satisfies the condition, which seeds the
     bracket.
     """
-    if isinstance(other, NormalRef):
-        ok = lambda eps: _levy_ok_normal(measure, other, eps)
-    elif isinstance(other, EmpiricalMeasure):
-        ok = lambda eps: _levy_ok_atomic(measure, other, eps)
-    else:
-        raise TypeError(f"expected NormalRef or EmpiricalMeasure, got {type(other).__name__}")
+    if not isinstance(ref, NormalRef):
+        raise TypeError(f"expected NormalRef, got {type(ref).__name__}")
     lo, hi = 0.0, 1.0
-    if ok(lo):
+    if _levy_ok_normal(measure, ref, lo):
         return 0.0
     while hi - lo > _LEVY_TOL:
         mid = 0.5 * (lo + hi)
-        if ok(mid):
+        if _levy_ok_normal(measure, ref, mid):
             hi = mid
         else:
             lo = mid

@@ -25,7 +25,7 @@ from dilutecw.exact import (
     pair_spin_count,
     second_moment_log,
     spin_count,
-    variance_ratio,
+    variance_ratio_from_logs,
 )
 from dilutecw.graph import GraphSeed, sample_graph
 from dilutecw.mcmc import ChainConfig, derive_seed, quenched_experiment, run_chain
@@ -170,16 +170,15 @@ def test_c05_prediction_error_shrinks_with_system_size():
 
 def test_c06_variance_ratio_monotone_in_size_and_dilution():
     one = make_test_function("one")
-    by_n = [
-        variance_ratio(ModelParams(n=n, p=0.5, beta=0.5), one)
-        for n in (8, 12, 16, 20, 24)
-    ]
+
+    def ratio(params):
+        first, second = expected_partition_log(params, one), second_moment_log(params, one)
+        return variance_ratio_from_logs(first, second)[0]
+
+    by_n = [ratio(ModelParams(n=n, p=0.5, beta=0.5)) for n in (8, 12, 16, 20, 24)]
     for earlier, later in zip(by_n, by_n[1:]):
         assert later < earlier
-    by_p = [
-        variance_ratio(ModelParams(n=16, p=p, beta=0.5), one)
-        for p in (0.8, 0.5, 0.3, 0.2)
-    ]
+    by_p = [ratio(ModelParams(n=16, p=p, beta=0.5)) for p in (0.8, 0.5, 0.3, 0.2)]
     for earlier, later in zip(by_p, by_p[1:]):
         assert later > earlier
     _report(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import dilutecw.cli as cli
 import dilutecw.exact as exact
+from dilutecw import _csweep
 from dilutecw.cli import main
 from dilutecw.graph import read_graph
 from dilutecw.exact import MAX_ENUMERATION_N, MAX_MOMENT_N, expected_partition_log
@@ -217,11 +218,15 @@ def test_graph_sample_golden_stdout(capsys):
 
 
 def test_exact_partition_capacity_exit_3(capsys):
-    code, _, err = run_cli(
-        capsys, "exact-partition", "--n", str(MAX_ENUMERATION_N + 1), "--p", "0.5",
-        "--beta", "0.5",
-    )
-    assert code == 3
+    # 2^n is past the float range from n = 1024 and has over 4300 digits at
+    # n = 15000; the refusal names it without converting it
+    for n in (MAX_ENUMERATION_N + 1, 2000, 15000):
+        code, out, err = run_cli(
+            capsys, "exact-partition", "--n", str(n), "--p", "0.5", "--beta", "0.5",
+        )
+        assert code == 3
+        assert out == ""
+        assert f"needs 2^{n} configurations" in err
 
 
 # exact-partition --n 18 --p 0.5 --beta 0.7 --seed 20260818 as recorded from
@@ -528,6 +533,39 @@ def test_clt_experiment_single_sample_is_usage_error(capsys):
     assert out == ""
     assert "at least 2 retained samples" in err
     assert "Traceback" not in err
+
+
+# n = 4 chains past one cap each: (extra arguments, the count the message
+# names, the cap).  The clt-experiment cases stay under each cap per graph and
+# pass it only over both graphs.
+_PAST_CHAIN_CAPS = {
+    ("mcmc-run", "site updates"): (("--sweeps", str(10**13)), 4 * 10**13, 1 << 40),
+    ("mcmc-run", "values"): (
+        ("--sweeps", str((1 << 23) + 1), "--burnin", "0", "--replicas", "2"),
+        (1 << 24) + 2, 1 << 24,
+    ),
+    ("clt-experiment", "site updates"): (
+        ("--graphs", "2", "--sweeps", str(1 << 38), "--thin", str(1 << 15)), 1 << 41, 1 << 40,
+    ),
+    ("clt-experiment", "values"): (
+        ("--graphs", "2", "--sweeps", str((1 << 23) + 1), "--burnin", "0"),
+        (1 << 24) + 2, 1 << 24,
+    ),
+}
+
+
+@pytest.mark.parametrize("command, cap", sorted(_PAST_CHAIN_CAPS))
+def test_chain_past_a_work_cap_exit_3(command, cap, capsys, monkeypatch):
+    # sampling and sweeping both go through the kernel set, so reaching it
+    # fails the test: the caps are checked before either starts
+    monkeypatch.setattr(_csweep, "library", lambda: pytest.fail("kernel set reached"))
+    extra, count, limit = _PAST_CHAIN_CAPS[command, cap]
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--n", "4", "--p", "0.5", "--beta", "0.5", *extra)
+    assert code == 3
+    assert out == ""
+    assert f"{count} {cap}, above the cap of {limit}" in err
+    assert time.perf_counter() - started < 1.0
 
 
 @pytest.mark.parametrize("seed", ["-5", str(1 << 64)])

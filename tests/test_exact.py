@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dilutecw import exact
 from dilutecw.errors import CapacityError
 from dilutecw.exact import (
     MAX_ENUMERATION_N,
@@ -23,7 +24,6 @@ from dilutecw.exact import (
     pair_spin_count,
     second_moment_log,
     spin_count,
-    variance_ratio,
     variance_ratio_from_logs,
 )
 from dilutecw.graph import GraphSeed, sample_graph
@@ -192,7 +192,10 @@ def test_variance_ratio_nonnegative_grid():
     for n in (4, 10, 16):
         for p in (0.2, 0.7):
             for beta in (0.3, 0.8):
-                value = variance_ratio(ModelParams(n=n, p=p, beta=beta), ONE)
+                params = ModelParams(n=n, p=p, beta=beta)
+                value, _ = variance_ratio_from_logs(
+                    expected_partition_log(params, ONE), second_moment_log(params, ONE)
+                )
                 assert value >= 0.0
 
 
@@ -202,7 +205,9 @@ def test_variance_ratio_bump_off_support_raises():
     far = make_test_function("bump", 50.0, 0.1)
     assert expected_partition_log(params, far) == -math.inf
     with pytest.raises(ValueError, match="zero"):
-        variance_ratio(params, far)
+        variance_ratio_from_logs(
+            expected_partition_log(params, far), second_moment_log(params, far)
+        )
 
 
 class _NegativeStub:
@@ -327,16 +332,32 @@ def test_split_histogram_matches_per_configuration_count(rows):
     assert _interaction_histogram(g) == naive_histogram(g)
 
 
-def test_second_moment_capacity():
+def _assert_cap_read_at_call_time(moment, cap, monkeypatch):
+    """With the module's cap set to 4, n = 4 passes and n = 5 is refused before
+    the moment coefficients, the first step of either sum, are evaluated."""
+    calls = []
+    coefficients = exact.moment_coefficients
+
+    def counted(params):
+        calls.append(params.n)
+        return coefficients(params)
+
+    monkeypatch.setattr(exact, cap, 4)
+    monkeypatch.setattr(exact, "moment_coefficients", counted)
+    assert math.isfinite(moment(ModelParams(n=4, p=0.5, beta=0.5), ONE))
+    with pytest.raises(CapacityError, match="n=5.*max_n=4"):
+        moment(ModelParams(n=5, p=0.5, beta=0.5), ONE)
+    assert calls == [4]
+
+
+def test_second_moment_capacity(monkeypatch):
     params = ModelParams(n=MAX_MOMENT_N + 1, p=0.5, beta=0.5)
     with pytest.raises(CapacityError, match=f"n={MAX_MOMENT_N + 1}.*max_n={MAX_MOMENT_N}"):
         second_moment_log(params, ONE)
-    with pytest.raises(CapacityError, match="max_n=3"):
-        second_moment_log(ModelParams(n=4, p=0.5, beta=0.5), ONE, max_n=3)
-    assert math.isfinite(second_moment_log(ModelParams(n=4, p=0.5, beta=0.5), ONE, max_n=4))
+    _assert_cap_read_at_call_time(second_moment_log, "MAX_MOMENT_N", monkeypatch)
 
 
-def test_first_moment_capacity():
+def test_first_moment_capacity(monkeypatch):
     params = ModelParams(n=MAX_FIRST_MOMENT_N + 1, p=0.5, beta=0.5)
     started = time.perf_counter()
     with pytest.raises(
@@ -344,9 +365,7 @@ def test_first_moment_capacity():
     ):
         expected_partition_log(params, ONE)
     assert time.perf_counter() - started < 1.0
-    with pytest.raises(CapacityError, match="max_n=3"):
-        expected_partition_log(ModelParams(n=4, p=0.5, beta=0.5), ONE, max_n=3)
-    assert math.isfinite(expected_partition_log(ModelParams(n=4, p=0.5, beta=0.5), ONE, max_n=4))
+    _assert_cap_read_at_call_time(expected_partition_log, "MAX_FIRST_MOMENT_N", monkeypatch)
 
 
 def scalar_second_moment_log(params, g):
@@ -438,10 +457,6 @@ def test_variance_ratio_from_logs():
         variance_ratio_from_logs(1e16, 2e16 + 68.0)
     assert variance_ratio_from_logs(1e16, 2e16 + 1e4) == (math.inf, False)
     assert variance_ratio_from_logs(1e4, 2e4 + 1.0) == (math.expm1(1.0), False)
-    params = ModelParams(n=10, p=0.4, beta=0.7)
-    assert variance_ratio(params, GAUSS) == variance_ratio_from_logs(
-        expected_partition_log(params, GAUSS), second_moment_log(params, GAUSS)
-    )[0]
 
 
 def test_disorder_oracle_capacity():

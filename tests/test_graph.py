@@ -14,7 +14,7 @@ import dilutecw.graph as graph_module
 from dilutecw import _csweep, splitmix
 from dilutecw.cli import main
 from dilutecw.errors import CapacityError, GraphFormatError
-from dilutecw.graph import DEFAULT_BIT_LIMIT, GraphSeed, read_graph, sample_graph, write_graph
+from dilutecw.graph import BIT_LIMIT, GraphSeed, read_graph, sample_graph, write_graph
 from dilutecw.model import DisorderGraph, ModelParams
 
 
@@ -66,10 +66,22 @@ def test_single_edge_frequency_across_seeds():
     assert 400 < hits < 600
 
 
-def test_capacity_cap():
-    params = ModelParams(n=200, p=0.5, beta=1.0)
-    with pytest.raises(CapacityError, match="cap"):
-        sample_graph(params, GraphSeed(0), bit_limit=10_000)
+def test_capacity_cap(monkeypatch):
+    # with the cap at 16 bits, n = 4 passes and n = 5 is refused before the
+    # sampler is looked up
+    monkeypatch.setattr(graph_module, "BIT_LIMIT", 16)
+    lookups = []
+    library = _csweep.library
+
+    def counted():
+        lookups.append(1)
+        return library()
+
+    monkeypatch.setattr(_csweep, "library", counted)
+    assert sample_graph(ModelParams(n=4, p=0.5, beta=1.0), GraphSeed(0)).n == 4
+    with pytest.raises(CapacityError, match="25 bits, above the cap of 16"):
+        sample_graph(ModelParams(n=5, p=0.5, beta=1.0), GraphSeed(0))
+    assert lookups == [1]
 
 
 def test_roundtrip_through_text(tmp_path):
@@ -121,9 +133,13 @@ def test_parse_errors_carry_line_numbers(text, lineno):
     assert err.value.line == lineno
 
 
-def test_read_capacity_cap():
-    with pytest.raises(CapacityError):
-        read_graph(io.StringIO("dilute-cw-graph v1 N=100000\n"), bit_limit=1 << 20)
+def test_read_capacity_cap(monkeypatch):
+    # with the cap at 16 bits, n = 4 reads and n = 5 is refused at the header:
+    # its missing rows would otherwise be a GraphFormatError
+    monkeypatch.setattr(graph_module, "BIT_LIMIT", 16)
+    assert read_graph(io.StringIO("dilute-cw-graph v1 N=4\n" + "0110\n" * 4)).n == 4
+    with pytest.raises(CapacityError, match="n=5 needs 25 bits, above the cap of 16"):
+        read_graph(io.StringIO("dilute-cw-graph v1 N=5\n"))
 
 
 def _oracle_read_graph(source) -> DisorderGraph:
@@ -143,9 +159,9 @@ def _oracle_read_graph(source) -> DisorderGraph:
         raise GraphFormatError(f"bad size field {size_text!r} in header", line=1) from None
     if n < 1:
         raise GraphFormatError(f"declared size must be positive, got {n}", line=1)
-    if n * n > DEFAULT_BIT_LIMIT:
+    if n * n > BIT_LIMIT:
         raise CapacityError(
-            f"declared size n={n} needs {n * n} bits, above the cap of {DEFAULT_BIT_LIMIT}"
+            f"declared size n={n} needs {n * n} bits, above the cap of {BIT_LIMIT}"
         )
     rows = []
     for i in range(n):

@@ -16,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilutecw import _csweep, mcmc
+from dilutecw.errors import CapacityError
 from dilutecw.exact import enumerate_partition
 from dilutecw.graph import GraphSeed, read_graph, sample_graph, write_graph
 from dilutecw.mcmc import (
     ChainConfig,
     build_update_tables,
+    check_chain_work,
     default_burn_in,
     derive_seed,
     quenched_experiment,
@@ -66,6 +68,11 @@ def _kernel_sets():
     """Every kernel set this host has: the compiled one where it loads, and the twins."""
     library = _csweep.library()
     return [library] if library is _csweep._TWINS else [library, _csweep._TWINS]
+
+
+def _plus(params):
+    """The flip table run_chain sweeps with: P(new spin = +1) by field + 2n."""
+    return _csweep.library().plus(params.n, params.beta / (params.n * params.p))
 
 
 def _rng_rows(*seeds):
@@ -121,7 +128,7 @@ def test_sweep_is_pure():
     assert len(set(a)) == 1
     assert sigma.bits == 0b10110001
     # neither sweep writes to the shared tables
-    plus = mcmc._plus_probabilities(params, 8)
+    plus = _plus(params)
     for kernels in _kernel_sets():
         states = np.zeros((1, 1), dtype=mcmc._WORD)
         kernels.sweep(tables.w1, tables.w2, tables.base, plus, states, _rng_rows(5), 3)
@@ -165,7 +172,7 @@ def test_loader_failure_falls_back_to_identical_output(breakage, tmp_path, monke
     params = ModelParams(n=70, p=0.5, beta=0.7)
     g = sample_graph(params, GraphSeed(5))
     tables = build_update_tables(g)
-    plus = mcmc._plus_probabilities(params, 70)
+    plus = _plus(params)
     cfg = ChainConfig(sweeps=60, burn_in=10, replicas=2, chain_seed=6)
     want = run_chain(g, params, cfg)
 
@@ -182,7 +189,7 @@ def test_loader_failure_falls_back_to_identical_output(breakage, tmp_path, monke
     capsys.readouterr()
     assert sample_graph(params, GraphSeed(5)) == g
     _assert_same_tables(build_update_tables(g), tables)
-    assert mcmc._plus_probabilities(params, 70).tobytes() == plus.tobytes()
+    assert _plus(params).tobytes() == plus.tobytes()
     assert run_chain(g, params, cfg) == want
     assert run_chain(g, params, cfg) == want
     notes = capsys.readouterr().err.splitlines()
@@ -244,8 +251,6 @@ def test_compiled_flip_table_matches_python_loop(n):
             rate = beta / (n * p)
             want = _csweep._plus_loop(n, rate)
             assert library.plus(n, rate).tobytes() == want.tobytes(), (p, beta)
-            params = ModelParams(n=n, p=p, beta=beta)
-            assert mcmc._plus_probabilities(params, n).tobytes() == want.tobytes(), (p, beta)
 
 
 def test_compiled_library_is_cached(tmp_path, monkeypatch):
@@ -355,6 +360,24 @@ def test_run_chain_rejects_empty_retention():
     g = sample_graph(params, GraphSeed(3))
     with pytest.raises(ValueError, match="retained"):
         run_chain(g, params, ChainConfig(sweeps=10, burn_in=50))
+
+
+def test_chain_work_caps_at_their_bounds(monkeypatch):
+    updates, kept = mcmc.MAX_SITE_UPDATES, mcmc.MAX_RETAINED
+    check_chain_work(1, ChainConfig(sweeps=updates, burn_in=updates - 1), 1)
+    with pytest.raises(CapacityError, match=f"{updates + 1} site updates"):
+        check_chain_work(1, ChainConfig(sweeps=updates + 1, burn_in=updates), 1)
+    # the retained values count over every graph and replica
+    check_chain_work(2, ChainConfig(sweeps=kept // 4, burn_in=0, replicas=2), 2)
+    with pytest.raises(CapacityError, match=f"{kept + 4} values"):
+        check_chain_work(2, ChainConfig(sweeps=kept // 4 + 1, burn_in=0, replicas=2), 2)
+    # run_chain checks its own run against the caps as they are at call time
+    params = ModelParams(n=16, p=0.5, beta=0.5)
+    g = sample_graph(params, GraphSeed(3))
+    monkeypatch.setattr(mcmc, "MAX_SITE_UPDATES", 2 * 16 * 100)
+    assert len(run_chain(g, params, ChainConfig(sweeps=100, burn_in=10, replicas=2))) == 2
+    with pytest.raises(CapacityError, match="3232 site updates"):
+        run_chain(g, params, ChainConfig(sweeps=101, burn_in=10, replicas=2))
 
 
 def test_magnetization_values_are_scaled_sums():
@@ -475,7 +498,7 @@ def _path_case(n, graph, beta):
         p = 0.5
         g = sample_graph(ModelParams(n=n, p=p, beta=0.0), GraphSeed(n))
     tables = build_update_tables(g)
-    plus = mcmc._plus_probabilities(ModelParams(n=n, p=p, beta=beta), n)
+    plus = _plus(ModelParams(n=n, p=p, beta=beta))
     rng = np.random.default_rng(n)
     words = tables.w1.shape[1]
     states = np.frombuffer(rng.bytes(8 * words * _csweep.GROUP), dtype=mcmc._WORD)
@@ -518,7 +541,7 @@ def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
     library = _library()
     params = ModelParams(n=n, p=p, beta=beta)
     tables = build_update_tables(sample_graph(params, GraphSeed(seed)))
-    plus = mcmc._plus_probabilities(params, n)
+    plus = _plus(params)
     rng = np.random.default_rng(seed)
     spins = rng.integers(0, 2, size=(_csweep.GROUP, n), dtype=np.uint8)
     states = np.zeros((_csweep.GROUP, tables.w1.shape[1]), dtype=mcmc._WORD)
@@ -587,7 +610,7 @@ def test_kernel_replays_numpy_pcg64(case):
         for n in (1, 64, 130):
             params = ModelParams(n=n, p=0.5, beta=0.9)
             tables = build_update_tables(sample_graph(params, GraphSeed(n)))
-            plus = mcmc._plus_probabilities(params, n)
+            plus = _plus(params)
             state = np.zeros((1, tables.w1.shape[1]), dtype=mcmc._WORD)
             rng = row.copy()
             sweep(tables.w1, tables.w2, tables.base, plus, state, rng, sweeps)
@@ -611,7 +634,7 @@ def test_group_calls_match_rows_one_at_a_time_on_any_pcg64_state(n, generators, 
     r = len(generators)
     params = ModelParams(n=n, p=0.5, beta=0.9)
     tables = build_update_tables(sample_graph(params, GraphSeed(seed)))
-    plus = mcmc._plus_probabilities(params, n)
+    plus = _plus(params)
     spins = np.random.default_rng(seed).integers(0, 2, size=(r, n), dtype=np.uint8)
     states = np.zeros((r, tables.w1.shape[1]), dtype=mcmc._WORD)
     states.view(np.uint8)[:, : (n + 7) // 8] = np.packbits(spins, axis=1, bitorder="little")
@@ -677,7 +700,7 @@ def test_kernel_rejects_mismatched_buffers():
     # on every path and on the twin, which refuses what the kernel refuses
     tables = build_update_tables(DisorderGraph.complete(70))
     params = ModelParams(n=70, p=1.0, beta=0.5)
-    plus = np.array(mcmc._plus_probabilities(params, 70))
+    plus = np.array(_plus(params))
     states = np.zeros((2, 2), dtype=mcmc._WORD)
     rngs = _rng_rows(1, 2)
     good = (tables.w1, tables.w2, tables.base, plus, states, rngs, 2)
