@@ -34,6 +34,7 @@ from .asymptotics import (
 )
 from .errors import CapacityError, DomainError, GraphFormatError
 from .exact import (
+    check_enumeration,
     disorder_oracle,
     enumerate_partition,
     expected_partition_log,
@@ -124,6 +125,7 @@ def _cmd_graph_sample(args) -> int:
 def _cmd_exact_partition(args) -> int:
     params = ModelParams(n=args.n, p=args.p, beta=args.beta)
     started = time.perf_counter()
+    check_enumeration(params.n)
     g, graph_seed = _load_or_sample_graph(args, params)
     _log(f"enumerating 2^{params.n} configurations")
     summary = enumerate_partition(g, params)

@@ -91,6 +91,7 @@ __all__ = [
     "second_moment_log",
     "variance_ratio_from_logs",
     "QuenchedSummary",
+    "check_enumeration",
     "enumerate_partition",
     "disorder_oracle",
     "MAX_ENUMERATION_N",
@@ -423,6 +424,18 @@ def _interaction_histogram(g: DisorderGraph) -> dict[int, int]:
     }
 
 
+def check_enumeration(n: int) -> None:
+    """Refuse, with CapacityError, enumeration over n beyond
+    ``MAX_ENUMERATION_N``; callers check before any graph is sampled or read."""
+    if n > MAX_ENUMERATION_N:
+        # 2^n itself: as a float it overflows from n = 1024, and its decimal
+        # digits pass int's string conversion limit from about n = 14000
+        raise CapacityError(
+            f"enumeration over n={n} needs 2^{n} configurations at about "
+            f"{_NS_PER_CONFIG} ns each, above the cap max_n={MAX_ENUMERATION_N}"
+        )
+
+
 def enumerate_partition(g: DisorderGraph, params: ModelParams) -> QuenchedSummary:
     """Exact log Z and magnetization law by split-sum enumeration.
 
@@ -431,13 +444,7 @@ def enumerate_partition(g: DisorderGraph, params: ModelParams) -> QuenchedSummar
     n = g.n
     if params.n != n:
         raise DomainError(f"incompatible sizes: graph has n={n}, params have n={params.n}")
-    if n > MAX_ENUMERATION_N:
-        # 2^n itself: as a float it overflows from n = 1024, and its decimal
-        # digits pass int's string conversion limit from about n = 14000
-        raise CapacityError(
-            f"enumeration over n={n} needs 2^{n} configurations at about "
-            f"{_NS_PER_CONFIG} ns each, above the cap max_n={MAX_ENUMERATION_N}"
-        )
+    check_enumeration(n)
     gamma = params.gamma
     width = n + 1
     hist = _interaction_histogram(g)

@@ -25,14 +25,20 @@ the kernel each replica's generator state, not a buffer of uniforms.  The
 mask builders read ``DisorderGraph.words`` as they are.
 
 Randomness is replayable by construction.  A chain seed plus replica index
-derives two 64-bit streams (initial state, dynamics) through repeated
-SplitMix64 finalizer application.  The initial spins come from
-``default_rng`` of the first, and every uniform of the dynamics is the next
-double of ``default_rng`` of the second, one stream per replica whatever group
-it sweeps in: the kernel steps that PCG64 stream itself, bit for bit as
-numpy's ``Generator.random`` would.  Replicas are therefore independent of
-each other and of how many run, and rerunning any subset reproduces it bit
-for bit.
+derives two 64-bit seeds (initial state, dynamics) through repeated
+SplitMix64 finalizer application, and each seeds a PCG64 exactly as numpy's
+``PCG64(seed)`` does (``SeedSequence``, then ``set_seed``).  Spin k of the
+initial state is up when bit 7 of byte k of the first stream's 64-bit
+outputs, read low byte first, is set: numpy's ``default_rng(seed).integers(0,
+2, size=n, dtype=np.uint8)``.  Every uniform of the dynamics is the next
+double of the second stream, one stream per replica whatever group it sweeps
+in: the kernel steps that PCG64 itself, bit for bit as numpy's
+``Generator.random`` would.  ``pcg64`` does the seeding and the spin rule in
+integer arithmetic, so a chain on the compiled kernels never imports
+``numpy.random``; numpy is the test oracle, and the kernels' twins draw
+through numpy's own ``PCG64``.  Replicas are therefore independent of each
+other and of how many run, and rerunning any subset reproduces it bit for
+bit.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import splitmix
+from . import pcg64, splitmix
 from .graph import GraphSeed, sample_graph
 from .errors import CapacityError, DomainError
 from .model import _WORD, DisorderGraph, ModelParams
@@ -218,7 +224,7 @@ def run_chain(
             f"burn_in={cfg.resolved_burn_in(g.n)}, thin={cfg.thin}"
         )
     check_chain_work(g.n, cfg, 1)
-    from ._csweep import GROUP, library, rng_row
+    from ._csweep import GROUP, library
 
     n = g.n
     tables = build_update_tables(g)
@@ -238,13 +244,11 @@ def run_chain(
         states = all_states[: len(ids)]
         states.fill(0)
         for state, replica_id in zip(states, ids):
-            init_rng = np.random.default_rng(derive_seed(cfg.chain_seed, replica_id, 0))
-            spins = init_rng.integers(0, 2, size=n, dtype=np.uint8)
+            spins = pcg64.bit_spins(derive_seed(cfg.chain_seed, replica_id, 0), n)
             state.view(np.uint8)[: (n + 7) // 8] = np.packbits(spins, bitorder="little")
-        # the PCG64 of default_rng(derive_seed(chain_seed, id, 1)), one row a replica
+        # the PCG64 of derive_seed(chain_seed, id, 1), one row a replica
         rngs = np.array(
-            [rng_row(np.random.PCG64(derive_seed(cfg.chain_seed, i, 1))) for i in ids],
-            dtype=_WORD,
+            [pcg64.seed_row(derive_seed(cfg.chain_seed, i, 1)) for i in ids], dtype=_WORD
         )
         values = [[] for _ in ids]
         sweep = 0

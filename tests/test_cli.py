@@ -229,6 +229,20 @@ def test_exact_partition_capacity_exit_3(capsys):
         assert f"needs 2^{n} configurations" in err
 
 
+@pytest.mark.parametrize("source", [(), ("--graph", "never-read.txt")], ids=["sampled", "file"])
+def test_exact_partition_past_the_cap_builds_no_graph(source, capsys, monkeypatch):
+    # the cap is checked before the graph is sampled or read, which would
+    # take 32 MB at n = 16384 and 1 GiB just below graph.BIT_LIMIT
+    for name in ("sample_graph", "read_graph"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("graph built"))
+    code, out, err = run_cli(
+        capsys, "exact-partition", "--n", "16384", "--p", "0.5", "--beta", "0.5", *source
+    )
+    assert code == 3
+    assert out == ""
+    assert "needs 2^16384 configurations" in err
+
+
 # exact-partition --n 18 --p 0.5 --beta 0.7 --seed 20260818 as recorded from
 # the earlier Gray-code walk, which the split sum reproduces bit for bit
 GOLDEN_18_LOG_Z = 13.016412994614663

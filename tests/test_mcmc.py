@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilutecw import _csweep, mcmc
+from dilutecw import _csweep, mcmc, pcg64
 from dilutecw.errors import CapacityError
 from dilutecw.exact import enumerate_partition
 from dilutecw.graph import GraphSeed, read_graph, sample_graph, write_graph
@@ -553,15 +553,11 @@ def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
         _assert_groups_match(sweep, tables, plus, states, rngs, sweeps, want)
 
 
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
 def _pcg64_before(step_to: int, inc: int) -> np.random.PCG64:
     """A numpy PCG64 whose next LCG step lands on ``step_to``: the step
     inverted modulo 2^128."""
-    state = (step_to - inc) * pow(_PCG64_MULT, -1, 1 << 128) & _MASK128
-    assert (state * _PCG64_MULT + inc) & _MASK128 == step_to
+    state = (step_to - inc) * pow(pcg64.MULT, -1, 1 << 128) & pcg64.MASK128
+    assert (state * pcg64.MULT + inc) & pcg64.MASK128 == step_to
     bit_generator = np.random.PCG64(0)
     bit_generator.state = {
         "bit_generator": "PCG64",
@@ -586,6 +582,48 @@ def _copy(bit_generator):
     copy = np.random.PCG64(0)
     copy.state = bit_generator.state
     return copy
+
+
+def _assert_seeds_as_numpy(seed, n):
+    assert pcg64.seed_row(seed) == _csweep.rng_row(np.random.PCG64(seed))
+    want = np.random.default_rng(seed).integers(0, 2, size=n, dtype=np.uint8)
+    got = pcg64.bit_spins(seed, n)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# one entropy word for seeds below 2^32, two from 2^32 on
+@pytest.mark.parametrize("seed", [0, (1 << 32) - 1, 1 << 32, (1 << 64) - 1])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 300, 4096])
+def test_seeding_matches_numpy_at_entropy_word_edges(seed, n):
+    _assert_seeds_as_numpy(seed, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, (1 << 64) - 1), st.integers(1, 300))
+def test_seeding_matches_numpy(seed, n):
+    _assert_seeds_as_numpy(seed, n)
+
+
+def test_chain_commands_import_no_numpy_random():
+    """A chain seeds its spins and its kernel rows through ``pcg64``, so with
+    compiled kernels neither chain command imports numpy.random; the twins
+    draw through numpy's own PCG64.  numpy 1.x imports numpy.random together
+    with numpy, so there this passes trivially."""
+    _compiled()
+    code = """
+import contextlib, io, sys, numpy
+before = set(sys.modules)
+from dilutecw.cli import main
+args = ["--n", "70", "--p", "0.5", "--beta", "0.5", "--sweeps", "30", "--burnin", "5"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["mcmc-run", *args, "--replicas", "2"]),
+             main(["clt-experiment", *args, "--graphs", "2", "--threads", "2"])]
+print(codes, sorted({"numpy.random"} & (set(sys.modules) - before)))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0] []"
 
 
 @pytest.mark.parametrize("case", range(5))
@@ -623,7 +661,7 @@ def test_kernel_replays_numpy_pcg64(case):
 @given(
     n=st.sampled_from([1, 63, 64, 65, 130]),
     generators=st.lists(
-        st.tuples(st.integers(0, _MASK128), st.integers(0, _MASK128)),
+        st.tuples(st.integers(0, pcg64.MASK128), st.integers(0, pcg64.MASK128)),
         min_size=1, max_size=_csweep.GROUP,
     ),
     sweeps=st.integers(1, 3),
