@@ -6,16 +6,7 @@ magnetization, all sharing one set of core types.
 """
 
 from .errors import CapacityError, DomainError, GraphFormatError
-from .model import (
-    DisorderGraph,
-    ModelParams,
-    SpinConfig,
-    gibbs_log_weight,
-    hamiltonian,
-    interaction_sum,
-    magnetization_scaled,
-    overlap,
-)
+from .model import DisorderGraph, ModelParams
 from .graph import GraphSeed, read_graph, sample_graph, write_graph
 from .testfunctions import TestFunction, make_test_function, parse_test_function
 
@@ -27,12 +18,6 @@ __all__ = [
     "GraphFormatError",
     "DisorderGraph",
     "ModelParams",
-    "SpinConfig",
-    "gibbs_log_weight",
-    "hamiltonian",
-    "interaction_sum",
-    "magnetization_scaled",
-    "overlap",
     "GraphSeed",
     "read_graph",
     "sample_graph",

@@ -1,7 +1,8 @@
-"""The heat-bath sweep and the setup of each graph as one set of kernels:
-compiled to C on first use, or their numpy and Python twins.
+"""The heat-bath sweep, the setup of each graph and the exact enumeration's
+histogram as one set of kernels: compiled to C on first use, or their numpy
+and Python twins.
 
-``library()`` is the one place that chooses.  It returns a ``_Library`` of four
+``library()`` is the one place that chooses.  It returns a ``_Library`` of five
 kernels with fixed signatures, and every caller calls them without asking which
 set it got:
 
@@ -17,12 +18,14 @@ set it got:
   the packed (r, words) ``states`` in place, row g drawing its uniforms from
   the PCG64 in row g of the (r, 4) ``uint64`` ``rngs`` (see ``rng_row``) and
   leaving it advanced by sweeps n draws, and returns the up-spin count after
-  each sweep, one list per row.
+  each sweep, one list per row;
+* ``histogram(out_rows) -> counts`` counts the configurations of a graph of
+  at most 64 sites by (s, class) (see ``exact.enumerate_partition``).
 
 The compiled set is ``SOURCE`` below.  Its sweep does to each replica
-exactly what the Python twin ``_sweep_bits`` does, one sweep after another:
-the same weight-1 and weight-2 masks, the same table of P(spin up) and the
-same PCG64 stream, compared in the same float64 arithmetic.  The kernel
+exactly what the Python twin ``_twins._sweep_bits`` does, one sweep after
+another: the same weight-1 and weight-2 masks, the same table of P(spin up)
+and the same PCG64 stream, compared in the same float64 arithmetic.  The kernel
 steps numpy's PCG64 itself (the 128-bit LCG and its XSL-RR output) and forms
 each uniform as ``Generator.random`` does; the twin replays the row through
 numpy's own ``PCG64`` and ``Generator.random``, so numpy stays the oracle.  A
@@ -71,12 +74,18 @@ bit-identical to its twin:
 * ``plus_table`` (twin ``_plus_loop``) calls libm ``exp``, the function
   ``math.exp`` calls, so every entry is the same double.
 
-The twins are the test oracles of the compiled kernels and, as ``_TWINS``,
-the set ``library()`` returns when nothing compiles or loads; its ``path``
-and ``sample_path`` are None and its ``paths`` and ``sample_paths`` empty.
+So does the enumeration's ``interaction_histogram`` (twin
+``_numpy_histogram``), whose counts are exact integers either way.  It is
+compiled once, plainly: its inner loop is table loads and increments, with
+no popcount in it.
 
-The first graph or chain a process makes compiles the source with the system
-C compiler (``COMMAND``) into
+The twins, in ``_twins``, are the test oracles of the compiled kernels and,
+as ``_twins._TWINS``, the set ``library()`` returns when nothing compiles or
+loads; its ``path`` and ``sample_path`` are None and its ``paths`` and
+``sample_paths`` empty.  Only that fallback imports them.
+
+The first graph, chain or enumeration a process makes compiles the source
+with the system C compiler (``COMMAND``) into
 ``${XDG_CACHE_HOME:-~/.cache}/dilutecw/sweep-<hash>.so``, where the hash
 covers the source, the command and the machine architecture: an edit to
 the source or the command builds a new library, and a cache shared by hosts
@@ -84,7 +93,7 @@ of two architectures holds one library for each.
 The library is written to a temporary file and renamed into place, which
 makes concurrent first runs safe.  Later runs only load it.
 When there is no compiler, the cache cannot be written, or the library does
-not load, ``library`` prints one note to stderr and returns ``_TWINS``.  The
+not load, ``library`` prints one note to stderr and returns the twins.  The
 PCG64 step needs the compiler's ``__uint128_t`` (GCC and clang have it on
 64-bit targets); a compiler without it fails the build, with the same note.
 Only a build imports ``subprocess`` and ``tempfile``, so a process that loads
@@ -95,7 +104,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import math
 import os
 import platform
 import sys
@@ -105,8 +113,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import splitmix
-from .model import _WORD, _pack_rows, _row_bits
+from .model import _row_bits
 
 # The paths of the sweep (sweep_block_<path> in SOURCE), fastest first, each
 # with the CPU features it needs; the library runs the first one whose
@@ -342,6 +349,102 @@ void plus_table(int64_t n, double rate, double *plus)
     }
 }
 
+/* The field sum_{j in set} W_ij s_j on site i of the sites in set, where
+   the sites of x are up and the rest of set down (x lies in set), from the
+   weight-1 and weight-2 masks of W and their counts deg over set. */
+static int64_t field(uint64_t w1, uint64_t w2, int64_t deg, uint64_t x)
+{
+    return 2 * (__builtin_popcountll(w1 & x) + 2 * __builtin_popcountll(w2 & x)) - deg;
+}
+
+/* The sum of W_ij s_i s_j over the pairs i < j of the sites lo .. hi - 1,
+   where the sites of x are up and the rest down; deg[i] counts W over them. */
+static int64_t inner(const uint64_t *w1, const uint64_t *w2, const int64_t *deg, uint64_t x,
+                     int64_t lo, int64_t hi)
+{
+    int64_t twice = 0;
+    for (int64_t i = lo; i < hi; i++) {
+        int64_t f = field(w1[i], w2[i], deg[i], x);
+        twice += x >> i & 1 ? f : -f;
+    }
+    return twice / 2;
+}
+
+/* The configurations of an n-site graph, 1 <= n <= 64, counted by
+   (s + edges) (n + 1) + class, where s = sum eps[i,j] s_i s_j and class is
+   the number of up spins; bit j of rows[i] is the edge (i, j).  With
+   W = eps + eps^T off the diagonal, the low sites 0 .. n/2 - 1 spun by a and
+   the others spun by b,
+
+     s = trace + inner(a) + inner(b) + cross(a, b),
+
+   inner being the sum of W_ij s_i s_j over the pairs i < j of one half.
+   hkey[b] = inner(b) (n + 1) + class(b) is built once (2^high entries).  For
+   each a the cross term splits over the first h1 high sites and the other
+   h2: quarter[u] holds the part of the first (2^h1 entries, the low half's
+   own terms folded in) and quarter[2^h1 + v] that of the rest, so each
+   configuration costs two table loads and one increment.  Successive
+   configurations count into successive ones of the four copies of the
+   histogram (each size entries, zeroed by the caller), so repeated keys do
+   not wait on each other's store. */
+void interaction_histogram(int64_t n, const uint64_t *rows, int64_t edges, int64_t size,
+                           int64_t *hkey, int64_t *quarter, int64_t *copies)
+{
+    uint64_t w1[64], w2[64];
+    int64_t deg_low[64], deg_high[64], trace = 0, width = n + 1;
+    int64_t low = n / 2, high = n - low, h1 = high / 2, h2 = high - h1;
+    uint64_t low_sites = ((uint64_t)1 << low) - 1;
+    uint64_t high_sites = (n < 64 ? ((uint64_t)1 << n) - 1 : ~(uint64_t)0) & ~low_sites;
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t in = 0, self = (uint64_t)1 << i;
+        for (int64_t j = 0; j < n; j++)
+            in |= (rows[j] >> i & 1) << j;
+        w1[i] = (rows[i] ^ in) & ~self;
+        w2[i] = rows[i] & in & ~self;
+        trace += (int64_t)(rows[i] >> i & 1);
+        deg_low[i] = __builtin_popcountll(w1[i] & low_sites)
+                     + 2 * __builtin_popcountll(w2[i] & low_sites);
+        deg_high[i] = __builtin_popcountll(w1[i] & high_sites)
+                      + 2 * __builtin_popcountll(w2[i] & high_sites);
+    }
+    for (int64_t b = 0; b < (int64_t)1 << high; b++) {
+        uint64_t x = (uint64_t)b << low;
+        hkey[b] = inner(w1, w2, deg_high, x, low, n) * width + __builtin_popcountll(x);
+    }
+    int64_t *c0 = copies, *c1 = c0 + size, *c2 = c1 + size, *c3 = c2 + size;
+    int64_t *first = quarter, *rest = quarter + ((int64_t)1 << h1);
+    for (int64_t a = 0; a < (int64_t)1 << low; a++) {
+        uint64_t x = (uint64_t)a;
+        /* entry 0 of each quarter has all its sites down; putting site t
+           up adds 2 width field(t), which doubles the table built so far */
+        int64_t step[64];
+        first[0] = (trace + edges + inner(w1, w2, deg_low, x, 0, low)) * width
+                   + __builtin_popcountll(x);
+        rest[0] = 0;
+        for (int64_t t = 0; t < high; t++) {
+            step[t] = width * field(w1[low + t], w2[low + t], deg_low[low + t], x);
+            (t < h1 ? first : rest)[0] -= step[t];
+        }
+        for (int64_t t = 0; t < high; t++) {
+            int64_t *table = t < h1 ? first : rest, top = (int64_t)1 << (t < h1 ? t : t - h1);
+            for (int64_t u = 0; u < top; u++)
+                table[top + u] = table[u] + 2 * step[t];
+        }
+        for (int64_t v = 0; v < (int64_t)1 << h2; v++) {
+            const int64_t *keys = hkey + (v << h1);
+            int64_t base = rest[v], u = 0;
+            for (; u + 4 <= (int64_t)1 << h1; u += 4) {
+                c0[base + first[u] + keys[u]]++;
+                c1[base + first[u + 1] + keys[u + 1]]++;
+                c2[base + first[u + 2] + keys[u + 2]]++;
+                c3[base + first[u + 3] + keys[u + 3]]++;
+            }
+            for (; u < (int64_t)1 << h1; u++)
+                c0[base + first[u] + keys[u]]++;
+        }
+    }
+}
+
 /* Bit k set when this CPU has feature k of FEATURES, 0 off x86-64.
    __builtin_cpu_supports takes only a literal, so the tests are written out
    from FEATURES, one a line. */
@@ -376,170 +479,11 @@ class _Library(NamedTuple):
     sample_paths: dict  # as ``paths``, for the sampler
     masks: Callable  # build_masks
     plus: Callable  # plus_table
+    histogram: Callable  # interaction_histogram
 
-
-# The numpy twin of the sampler mixes a block of whole rows holding about this
-# many cells at a time, so it never holds an n-by-n buffer of 64-bit words.
-# A block's mixing buffers (512 KiB each) stay in cache: on a 2-core Xeon with
-# 2 MiB of L2 per core, 2^20 cells ran sampling 1.7 times slower at n = 4096.
-_SAMPLE_CELLS = 1 << 16
-
-
-def _sample_rows(n: int, seed: int, threshold: int, start: int, out: np.ndarray) -> None:
-    """The numpy twin of ``sample_rows_<path>``: rows start .. start + len(out) - 1
-    into ``out`` as ``uint64`` mask words, a block of rows at a time."""
-    gamma = np.uint64(splitmix.GAMMA)
-    step = max(1, _SAMPLE_CELLS // n)
-    for at in range(0, out.shape[0], step):
-        block = out[at:at + step]
-        # Edge (i, j) mixes seed + (i*n + j + 1) * gamma, where the +1 keeps
-        # counter 0 from collapsing to the bare seed.  Split as
-        # (seed + (i*n + 1) * gamma) + j * gamma: one term per row, one per column.
-        counters = (np.arange(start + at, start + at + block.shape[0], dtype=np.uint64)
-                    * np.uint64(n) + np.uint64(1))
-        row_base = counters * gamma + np.uint64(seed)
-        z = row_base[:, None] + np.arange(n, dtype=np.uint64) * gamma
-        shifted = np.empty_like(z)
-        splitmix.finalize_array(z, shifted)
-        # the top 53 bits decide the edge
-        np.right_shift(z, 11, out=shifted)
-        _pack_rows(shifted < np.uint64(threshold), block)
-
-
-# Hacker's Delight's 64 x 64 bit-matrix transpose: six rounds, each swapping
-# the off-diagonal j x j sub-blocks selected by the mask.
-_TRANSPOSE_ROUNDS = tuple(
-    (j, np.uint64(mask))
-    for j, mask in (
-        (32, 0x00000000FFFFFFFF),
-        (16, 0x0000FFFF0000FFFF),
-        (8, 0x00FF00FF00FF00FF),
-        (4, 0x0F0F0F0F0F0F0F0F),
-        (2, 0x3333333333333333),
-        (1, 0x5555555555555555),
-    )
-)
-
-
-def _transpose_bits(rows: np.ndarray) -> np.ndarray:
-    """Transpose a square bit matrix held as (64 w, w) words, 64 rows a block.
-
-    Block (J, I) of the transpose is block (I, J) transposed, so the blocks
-    are reordered and then each is transposed in place, all at once.
-    """
-    w = rows.shape[1]
-    blocks = rows.reshape(w, 64, w).transpose(2, 0, 1).copy()
-    for j, mask in _TRANSPOSE_ROUNDS:
-        halves = blocks.reshape(w, w, 32 // j, 2, j)
-        low, high = halves[..., 0, :], halves[..., 1, :]
-        swap = ((low >> j) ^ high) & mask
-        low ^= swap << j
-        high ^= swap
-    return blocks.transpose(0, 2, 1).reshape(64 * w, w)
-
-
-def _numpy_masks(out_rows: np.ndarray):
-    """The numpy twin of ``build_masks``: (w1, w2, base) from the (n, words)
-    out-edge rows."""
-    n, words = out_rows.shape
-    padded = np.zeros((64 * words, words), dtype=_WORD)
-    padded[:n] = out_rows
-    in_rows = _transpose_bits(padded)[:n]
-    w1 = (out_rows ^ in_rows).astype(_WORD, copy=False)
-    w2 = (out_rows & in_rows).astype(_WORD, copy=False)
-    sites = np.arange(n)
-    off_diagonal = ~(np.uint64(1) << (sites & 63).astype(np.uint64))
-    w1[sites, sites >> 6] &= off_diagonal
-    w2[sites, sites >> 6] &= off_diagonal
-    return w1, w2, _row_bits(w1) + 2 * _row_bits(w2)
-
-
-def _plus_loop(n: int, rate: float) -> np.ndarray:
-    """The Python twin of ``plus_table``."""
-    table = []
-    for s in range(-2 * n, 2 * n + 1):
-        exponent = min(max(-rate * s, -700.0), 700.0)
-        table.append(1.0 / (1.0 + math.exp(exponent)))
-    return np.array(table)
-
-
-def _mask_ints(masks: np.ndarray) -> list[int]:
-    """The rows of a packed mask array as Python integers."""
-    return [int.from_bytes(row.tobytes(), "little") for row in masks]
-
-
-def rng_row(bit_generator: np.random.PCG64) -> list[int]:
-    """A PCG64 as the kernel holds it: state lo, state hi, inc lo, inc hi."""
-    state = bit_generator.state["state"]
-    return [state["state"] & splitmix.MASK64, state["state"] >> 64,
-            state["inc"] & splitmix.MASK64, state["inc"] >> 64]
-
-
-def _pcg64(row) -> np.random.PCG64:
-    """The PCG64 of a kernel rng row, the inverse of ``rng_row``."""
-    lo, hi, inc_lo, inc_hi = (int(v) for v in row)
-    bit_generator = np.random.PCG64(0)
-    bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return bit_generator
-
-
-def _sweep_bits(bits, n, w1, w2, base, plus, offset, uniforms):
-    """One sequential heat-bath sweep on raw integer state; returns new bits."""
-    for i in range(n):
-        s = (
-            2 * ((w1[i] & bits).bit_count() + 2 * (w2[i] & bits).bit_count())
-            - base[i]
-        )
-        if uniforms[i] < plus[s + offset]:
-            bits |= 1 << i
-        else:
-            bits &= ~(1 << i)
-    return bits
-
-
-def _python_sweeps(w1, w2, base, plus, states, rngs, sweeps) -> list[list[int]]:
-    """The Python twin of ``sweep_block_<path>``: ``sweeps`` _sweep_bits on each
-    row of ``states``, drawing on the same row of ``rngs`` through numpy's own
-    PCG64 and ``Generator.random``."""
-    _sweep_shape(w1, w2, base, plus, states, rngs, sweeps)
-    n = w1.shape[0]
-    plus = plus.tolist()
-    w1, w2 = _mask_ints(w1), _mask_ints(w2)
-    base = base.tolist()
-    offset = 2 * n
-    counts = []
-    for state, row in zip(states, rngs):
-        bit_generator = _pcg64(row)
-        draw = np.random.Generator(bit_generator).random
-        bits = int.from_bytes(state.tobytes(), "little")
-        up = []
-        for _ in range(sweeps):
-            bits = _sweep_bits(bits, n, w1, w2, base, plus, offset, draw(n).tolist())
-            up.append(bits.bit_count())
-        state[:] = np.frombuffer(bits.to_bytes(state.nbytes, "little"), dtype=_WORD)
-        row[:] = rng_row(bit_generator)
-        counts.append(up)
-    return counts
-
-
-_TWINS = _Library(
-    sweep=_python_sweeps,
-    path=None,
-    paths={},
-    sample=_sample_rows,
-    sample_path=None,
-    sample_paths={},
-    masks=_numpy_masks,
-    plus=_plus_loop,
-)
 
 _lock = threading.Lock()
-_loaded: list = []  # holds the _Library of the first load, compiled or _TWINS
+_loaded: list = []  # holds the _Library of the first load, compiled or the twins
 
 
 def library_path() -> Path:
@@ -604,6 +548,16 @@ def _sweep_shape(w1, w2, base, plus, states, rngs, sweeps) -> int:
     if not (states.flags.writeable and rngs.flags.writeable):
         raise ValueError("kernel state is read-only")
     return r
+
+
+def _histogram_shape(out_rows: np.ndarray) -> tuple[int, int]:
+    """(n, edges) of a histogram call, once ``out_rows`` passes the checks that
+    both kernel sets make: the (n, 1) mask words of a graph of 1 to 64 sites."""
+    n = len(out_rows)
+    if not 1 <= n <= 64:
+        raise ValueError(f"the histogram takes 1 to 64 sites, one mask word a row, got {n}")
+    _check((out_rows, "<u8", (n, 1)))
+    return n, int(_row_bits(out_rows).sum())
 
 
 def _bind(fn):
@@ -678,6 +632,27 @@ def _bind_plus(fn):
     return plus
 
 
+def _bind_histogram(fn):
+    fn.restype = None
+    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                   *[ctypes.c_void_p] * 3]
+
+    def histogram(out_rows: np.ndarray) -> np.ndarray:
+        """The count of configurations at (s + edges) (n + 1) + class, from
+        the (n, 1) mask words of the graph (see ``_twins._numpy_histogram``)."""
+        n, edges = _histogram_shape(out_rows)
+        high = n - n // 2
+        size = (2 * edges + 1) * (n + 1)
+        hkey = np.empty(1 << high, dtype=np.int64)
+        quarter = np.empty((1 << high // 2) + (1 << (high - high // 2)), dtype=np.int64)
+        copies = np.zeros((4, size), dtype=np.int64)
+        fn(n, out_rows.ctypes.data, edges, size, hkey.ctypes.data, quarter.ctypes.data,
+           copies.ctypes.data)
+        return copies.sum(axis=0)
+
+    return histogram
+
+
 def _runnable(table: dict, features: set) -> list[str]:
     """The paths of ``table`` (PATHS or SAMPLE_PATHS) that a CPU with
     ``features`` runs, fastest first."""
@@ -712,20 +687,22 @@ def _open() -> _Library:
         sample_paths=sample_paths,
         masks=_bind_masks(lib.build_masks),
         plus=_bind_plus(lib.plus_table),
+        histogram=_bind_histogram(lib.interaction_histogram),
     )
 
 
 def library() -> _Library:
-    """The compiled kernels, or ``_TWINS`` when they cannot be had; built or
-    loaded once per process, so later calls return the same set."""
+    """The compiled kernels, or ``_twins._TWINS`` when they cannot be had;
+    built or loaded once per process, so later calls return the same set."""
     with _lock:
         if not _loaded:
             try:
                 loaded = _open()
             except OSError as err:
-                loaded = _TWINS
+                from ._twins import _TWINS as loaded
+
                 print(f"note: compiled kernels unavailable ({err}); "
-                      "sampling, masks and sweeps run in numpy and Python",
+                      "sampling, masks, sweeps and enumeration run in numpy and Python",
                       file=sys.stderr, flush=True)
             _loaded.append(loaded)
         return _loaded[0]

@@ -55,16 +55,14 @@ with a zero diagonal,
     s = sum_a eps[a,a] + s_LL(sigma_L) + s_HH(sigma_H) + sigma_L^T W_LH sigma_H,
 
 where s_LL and s_HH are the inner forms (1/2) sigma^T W sigma of each half.
-The +-1 spin matrices of both halves, their inner forms and their classes
-are built once, and the histogram key (s + edges) * (n+1) + class of every
-configuration is then one entry of a float64 matrix product of the low rows
-[(n+1) sigma_L^T W_LH, low constant, 1] against the high rows [sigma_H, 1,
-high constant], taken a block of high configurations at a time and counted
-with a bincount.  Every product and partial sum is an integer of magnitude
-below (2 n^2 + 1)(n + 1), far under 2^53, so the float64 arithmetic is
-exact whatever order the matrix product sums in.  A block holds about 2^14
-keys (128 KB as float64 and as int64), which with both halves' rows keeps
-the working set near 1 MB at n = 22.
+Each half's inner forms and classes are tabulated once, and the key
+(s + edges) * (n+1) + class of every configuration is then a sum of table
+entries.  The histogram is one call of ``_csweep.library().histogram``: the
+compiled kernel ``interaction_histogram``, which splits the cross term once
+more over two quarters of the high half, so that a configuration costs two
+table loads and one integer increment, or its numpy twin, which takes the
+cross term of a block of configurations as one exact float64 matrix product.
+Both give the same integer counts.
 """
 
 from __future__ import annotations
@@ -99,15 +97,13 @@ __all__ = [
     "MAX_FIRST_MOMENT_N",
 ]
 
-# Cost of one configuration in the split-sum enumeration on a 2-core x86-64
-# Xeon host: the benchmark's exact.enumerate_partition.ns_per_config reads
-# 6.3 ns at n = 22, and whole runs at n = 26 to 30 take 10 to 12 ns.
-_NS_PER_CONFIG = 10
-# 2^30 configurations take about 11 s and 30 MB; beyond that enumeration is
+# Cost of one configuration in the compiled split sum on a 2-core x86-64
+# Xeon host: enumerate_partition takes 1.6-1.8 ns a configuration at n = 22
+# and 1.0-1.3 ns at n = 26 to 30 (the numpy twin: 6-12 ns).
+_NS_PER_CONFIG = 2
+# 2^30 configurations take about 1.3 s and 40 MB; beyond that enumeration is
 # refused.
 MAX_ENUMERATION_N = 30
-# Keys per block of the split sum: 2^14 float64 and int64 entries, 128 KB each.
-_BLOCK_KEYS = 1 << 14
 
 # The pair sum of second_moment_log is O(n^3) numpy terms, each summed by
 # fsum, plus one bigint multinomial per 4-part partition of n; n = 200 takes
@@ -371,59 +367,6 @@ class QuenchedSummary:
     law: EmpiricalMeasure
 
 
-def _spin_matrix(k: int) -> np.ndarray:
-    """All 2^k configurations of k sites as float64 rows of +-1; row t has
-    site i up iff bit i of t is set."""
-    return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) * 2.0 - 1.0
-
-
-def _interaction_histogram(g: DisorderGraph) -> dict[int, int]:
-    """Exact count of configurations per (s, class), keyed s * (n + 1) + class.
-
-    s is the interaction sum and class the number of up spins; the counts
-    come from the split sum described in the module docstring."""
-    n = g.n
-    width = n + 1
-    edges = g.edge_count()
-    eps = g._cells().astype(np.float64)
-    w = eps + eps.T
-    np.fill_diagonal(w, 0.0)
-    low = n // 2
-    spins_l, spins_h = _spin_matrix(low), _spin_matrix(n - low)
-    inner_l = ((spins_l @ w[:low, :low]) * spins_l).sum(axis=1) / 2.0
-    inner_h = ((spins_h @ w[low:, low:]) * spins_h).sum(axis=1) / 2.0
-    class_l = (spins_l.sum(axis=1) + low) / 2.0
-    class_h = (spins_h.sum(axis=1) + n - low) / 2.0
-    # key = left row . right row, with s shifted by the edge count so the
-    # smallest possible key is 0
-    left = np.column_stack(
-        (
-            width * (spins_l @ w[:low, low:]),
-            (float(np.trace(eps)) + edges + inner_l) * width + class_l,
-            np.ones(spins_l.shape[0]),
-        )
-    )
-    right = np.column_stack((spins_h, np.ones(spins_h.shape[0]), inner_h * width + class_h))
-
-    # both row counts are powers of two, so the blocks tile the high rows
-    step = max(1, min(right.shape[0], _BLOCK_KEYS // left.shape[0]))
-    block = np.empty((left.shape[0], step))
-    keys = np.empty(block.shape, dtype=np.int64)
-    counts = np.zeros((2 * edges + 1) * width, dtype=np.int64)
-    for start in range(0, right.shape[0], step):
-        np.matmul(left, right[start : start + step].T, out=block)
-        keys[...] = block
-        part = np.bincount(keys.ravel())
-        counts[: part.size] += part
-
-    nonzero = np.flatnonzero(counts)
-    shift = edges * width
-    return {
-        key - shift: count
-        for key, count in zip(nonzero.tolist(), counts[nonzero].tolist())
-    }
-
-
 def check_enumeration(n: int) -> None:
     """Refuse, with CapacityError, enumeration over n beyond
     ``MAX_ENUMERATION_N``; callers check before any graph is sampled or read."""
@@ -445,14 +388,18 @@ def enumerate_partition(g: DisorderGraph, params: ModelParams) -> QuenchedSummar
     if params.n != n:
         raise DomainError(f"incompatible sizes: graph has n={n}, params have n={params.n}")
     check_enumeration(n)
+    from ._csweep import library
+
     gamma = params.gamma
     width = n + 1
-    hist = _interaction_histogram(g)
+    counts = library().histogram(g.words)
+    shift = g.edge_count() * width
 
     class_terms: list[list[float]] = [[] for _ in range(n + 1)]
-    for key in sorted(hist):
-        s_val, cls = divmod(key, width)
-        class_terms[cls].append(math.log(hist[key]) + gamma * s_val)
+    keys = np.flatnonzero(counts)
+    for key, count in zip(keys.tolist(), counts[keys].tolist()):
+        s_val, cls = divmod(key - shift, width)
+        class_terms[cls].append(math.log(count) + gamma * s_val)
     class_logs = [_logsumexp(terms) for terms in class_terms]
     log_z = _logsumexp(class_logs)
     root = math.sqrt(n)

@@ -8,13 +8,13 @@ a configuration sigma under disorder eps is
     H(sigma) = -(1 / (2 n p)) * sum_{i,j} eps[i, j] * sigma_i * sigma_j,
 
 with both orientations and the diagonal terms included in the double sum.
-The Gibbs weight at inverse temperature beta is exp(-beta * H(sigma)); only
-its logarithm is materialized here since downstream code works in log space.
+The Gibbs weight at inverse temperature beta is exp(-beta * H(sigma)).  No
+configuration is evaluated one at a time: the exact enumeration counts them
+all by energy and class, and the chains work on packed spin words.
 
-Representation choices are geared towards popcount arithmetic: a spin
-configuration is a single Python integer whose bit i is set iff sigma_i = +1,
-and a graph is an (n, ceil(n / 64)) array of little-endian 64-bit words, one
-row of words per site holding that site's out-edges.  That is the layout the
+Representation choices are geared towards popcount arithmetic: a graph is an
+(n, ceil(n / 64)) array of little-endian 64-bit words, one row of words per
+site holding that site's out-edges.  That is the layout the
 graph sampler writes, the text format is packed from and the neighbour-mask
 builder reads, so a graph passes between them without conversion.
 """
@@ -28,16 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "ModelParams",
-    "SpinConfig",
-    "DisorderGraph",
-    "interaction_sum",
-    "hamiltonian",
-    "magnetization_scaled",
-    "overlap",
-    "gibbs_log_weight",
-]
+__all__ = ["ModelParams", "DisorderGraph"]
 
 
 @dataclass(frozen=True)
@@ -76,59 +67,6 @@ class ModelParams:
     def gamma(self) -> float:
         """Coupling per edge: gamma = beta / (2 n p)."""
         return self.beta / (2.0 * self.n * self.p)
-
-
-@dataclass(frozen=True)
-class SpinConfig:
-    """Immutable spin configuration on n sites, bit-packed into one integer.
-
-    Bit i of ``bits`` is 1 iff sigma_i = +1.  Bits at positions >= n must be
-    zero; the constructor enforces this.
-    """
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"bits 0x{self.bits:x} out of range for n={self.n}")
-
-    @classmethod
-    def from_signs(cls, signs) -> "SpinConfig":
-        """Build from an iterable of +-1 values."""
-        bits = 0
-        n = 0
-        for i, s in enumerate(signs):
-            if s == 1:
-                bits |= 1 << i
-            elif s != -1:
-                raise ValueError(f"spin {i} is {s!r}, expected +1 or -1")
-            n = i + 1
-        if n == 0:
-            raise ValueError("empty spin sequence")
-        return cls(n=n, bits=bits)
-
-    @classmethod
-    def all_up(cls, n: int) -> "SpinConfig":
-        return cls(n=n, bits=(1 << n) - 1)
-
-    @classmethod
-    def all_down(cls, n: int) -> "SpinConfig":
-        return cls(n=n, bits=0)
-
-    def sign(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise ValueError(f"site index {i} out of range for n={self.n}")
-        return 1 if (self.bits >> i) & 1 else -1
-
-    def spin_sum(self) -> int:
-        """Total magnetization sum_i sigma_i = 2 * popcount - n."""
-        return 2 * self.bits.bit_count() - self.n
-
-    def to_signs(self) -> list[int]:
-        return [1 if (self.bits >> i) & 1 else -1 for i in range(self.n)]
 
 
 # Graph rows and masks are bitsets over the sites, packed into little-endian 64-bit words.
@@ -232,59 +170,9 @@ class DisorderGraph:
         _pack_rows(cells == 1, words)
         return cls(n, words)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise ValueError(f"edge index ({i}, {j}) out of range for n={self.n}")
-        return bool((int(self.words[i, j >> 6]) >> (j & 63)) & 1)
-
     def edge_count(self) -> int:
         return int(_row_bits(self.words).sum())
 
     def _cells(self) -> np.ndarray:
         """The adjacency matrix as an (n, n) array of 0/1 bytes."""
         return np.unpackbits(self.words.view(np.uint8), axis=1, count=self.n, bitorder="little")
-
-    def to_matrix(self) -> list[list[int]]:
-        return self._cells().tolist()
-
-
-def interaction_sum(g: DisorderGraph, sigma: SpinConfig) -> int:
-    """Exact integer value of sum_{i,j} eps[i,j] * sigma_i * sigma_j.
-
-    Computed as s . (eps s) over the unpacked matrix in int64, exact since
-    the sum is at most n^2 in size.
-    """
-    if g.n != sigma.n:
-        raise ValueError(f"incompatible sizes: graph has n={g.n}, spins have n={sigma.n}")
-    s = np.array(sigma.to_signs(), dtype=np.int64)
-    return int(s @ (g._cells().astype(np.int64) @ s))
-
-
-def hamiltonian(g: DisorderGraph, sigma: SpinConfig, params: ModelParams) -> float:
-    """Energy H(sigma) = -interaction_sum / (2 n p)."""
-    if g.n != params.n:
-        raise ValueError(f"incompatible sizes: graph has n={g.n}, params have n={params.n}")
-    return -interaction_sum(g, sigma) / (2.0 * params.n * params.p)
-
-
-def magnetization_scaled(sigma: SpinConfig) -> float:
-    """CLT-scaled magnetization (sum_i sigma_i) / sqrt(n)."""
-    return sigma.spin_sum() / math.sqrt(sigma.n)
-
-
-def overlap(sigma: SpinConfig, tau: SpinConfig) -> int:
-    """Integer overlap sum_i sigma_i tau_i = n - 2 * (number of disagreements)."""
-    if sigma.n != tau.n:
-        raise ValueError(f"incompatible sizes: spins have n={sigma.n} and n={tau.n}")
-    return sigma.n - 2 * (sigma.bits ^ tau.bits).bit_count()
-
-
-def gibbs_log_weight(g: DisorderGraph, sigma: SpinConfig, params: ModelParams) -> float:
-    """log of the unnormalized Gibbs weight, -beta * H(sigma).
-
-    Equals gamma * interaction_sum with gamma = beta / (2 n p); computed that
-    way so the integer bilinear form is scaled exactly once.
-    """
-    if g.n != params.n:
-        raise ValueError(f"incompatible sizes: graph has n={g.n}, params have n={params.n}")
-    return params.gamma * interaction_sum(g, sigma)

@@ -9,7 +9,7 @@ rather than in numpy's ``Generator.integers``, which NEP 19 leaves free to
 change.
 
 * ``seed_row(seed)`` is the state of ``PCG64(seed)`` as the sweep kernel holds
-  it (``_csweep.rng_row``): state lo, state hi, inc lo, inc hi.
+  it (``_twins.rng_row``): state lo, state hi, inc lo, inc hi.
 * ``bit_spins(seed, n)`` equals ``default_rng(seed).integers(0, 2, size=n,
   dtype=np.uint8)``.  For a range of two, Lemire's method never rejects and
   keeps the top bit of each byte, and numpy takes the bytes of each 32-bit

@@ -4,8 +4,8 @@ Chain seeding derives stream seeds with the scalar ``finalize``.  Graph
 sampling mixes one counter per adjacency cell in ``_csweep``'s sampler:
 compiled (``sample_rows_<path>``, the fastest path of ``_csweep.SAMPLE_PATHS``
 that the CPU runs, chosen once when the library loads), or its numpy twin
-``_sample_rows``, which mixes with ``finalize_array``.  All three apply the
-same finalizer to 64-bit values, so they agree bit for bit.
+``_twins._sample_rows``, which mixes with ``finalize_array``.  All three
+apply the same finalizer to 64-bit values, so they agree bit for bit.
 """
 
 from __future__ import annotations

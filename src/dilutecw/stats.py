@@ -82,10 +82,6 @@ class EmpiricalMeasure:
         loc, counts = np.unique(vals, return_counts=True)
         return cls(loc, counts / vals.size)
 
-    @property
-    def n_atoms(self) -> int:
-        return int(self.locations.size)
-
     def cdf(self, t: float) -> float:
         """Right-continuous distribution function P(X <= t)."""
         idx = int(np.searchsorted(self.locations, t, side="right"))
@@ -97,15 +93,6 @@ class EmpiricalMeasure:
     def variance(self) -> float:
         mu = self.mean()
         return float(np.dot((self.locations - mu) ** 2, self.weights))
-
-    def total_variation(self, other: "EmpiricalMeasure") -> float:
-        """Total variation distance to another atomic measure."""
-        locs = np.union1d(self.locations, other.locations)
-        a = np.zeros(locs.size)
-        b = np.zeros(locs.size)
-        a[np.searchsorted(locs, self.locations)] = self.weights
-        b[np.searchsorted(locs, other.locations)] = other.weights
-        return 0.5 * float(np.abs(a - b).sum())
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,10 @@ from dilutecw.exact import (
 )
 from dilutecw.graph import GraphSeed, sample_graph
 from dilutecw.mcmc import ChainConfig, derive_seed, quenched_experiment, run_chain
-from dilutecw.model import ModelParams, SpinConfig, gibbs_log_weight
+from dilutecw.model import ModelParams
 from dilutecw.stats import m_plus
 from dilutecw.testfunctions import make_test_function
+from helpers import SpinConfig, gibbs_log_weight
 
 
 def _report(num: int, detail: str) -> None:
@@ -299,4 +300,45 @@ def test_c10_chain_law_matches_enumerated_law():
         "TV vs enumerated law at n=8: "
         + ", ".join(f"beta={b}: {tv:.4f}" for b, tv in results)
         + f", {elapsed:.1f}s",
+    )
+
+
+def test_c11_sampled_graphs_reproduce_the_annealed_moments():
+    """Exact per-graph partition sums, averaged over sampled graphs, against
+    the closed-form annealed moments.
+
+    Z_G / E[Z] over graphs G drawn by ``sample_graph`` has mean 1 and
+    variance r = E[Z^2] / E[Z]^2 - 1.  The sampled side (enumeration of each
+    graph) shares no code with the moment sums.  Each gate is a two-sided
+    4-SE bound, the SE of the sample variance taken from the fourth central
+    moment; under the normal approximation each fails by chance with
+    probability about 6e-5.
+    """
+    started = time.perf_counter()
+    params = ModelParams(n=16, p=0.5, beta=0.5)
+    one = make_test_function("one")
+    first = expected_partition_log(params, one)
+    ratio, _ = variance_ratio_from_logs(first, second_moment_log(params, one))
+    graphs = 2000
+    values = [
+        math.exp(
+            enumerate_partition(sample_graph(params, GraphSeed(derive_seed(5, 1, i))), params).log_z
+            - first
+        )
+        for i in range(graphs)
+    ]
+    mean = math.fsum(values) / graphs
+    centred = [v - mean for v in values]
+    m2 = math.fsum(c * c for c in centred) / graphs
+    m4 = math.fsum(c**4 for c in centred) / graphs
+    variance = m2 * graphs / (graphs - 1)
+    se_mean = math.sqrt(variance / graphs)
+    se_var = math.sqrt((m4 - variance**2 * (graphs - 3) / (graphs - 1)) / graphs)
+    assert abs(mean - 1.0) <= 4 * se_mean
+    assert abs(variance - ratio) <= 4 * se_var
+    elapsed = time.perf_counter() - started
+    _report(
+        11,
+        f"{graphs} graphs at n=16: mean Z/EZ {mean:.4f} +- {se_mean:.4f}, "
+        f"variance {variance:.5f} +- {se_var:.5f} against r = {ratio:.5f}, {elapsed:.1f}s",
     )

@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 import dilutecw.cli as cli
 import dilutecw.exact as exact
-from dilutecw import _csweep
+from dilutecw import _csweep, _twins
 from dilutecw.cli import main
 from dilutecw.graph import read_graph
 from dilutecw.exact import MAX_ENUMERATION_N, MAX_MOMENT_N, expected_partition_log
@@ -279,6 +282,50 @@ def test_exact_partition_golden_n18(capsys):
     assert payload["log_z"] == GOLDEN_18_LOG_Z
     assert payload["law"]["weights"] == GOLDEN_18_WEIGHTS
     assert payload["law"]["locations"] == [(2 * c - 18) / math.sqrt(18) for c in range(19)]
+
+
+@pytest.mark.parametrize("source", ["sampled", "file"])
+def test_exact_partition_is_the_same_on_the_twins(source, tmp_path, capsys, monkeypatch):
+    # the compiled histogram and its numpy twin count the same integers, so
+    # every payload is byte-identical
+    runs = [("1", "1.0", "0.5"), ("2", "0.05", "1.3"), ("5", "0.5", "0"), ("16", "1.0", "0.5"),
+            ("20", "0.5", "1.3")]
+    outputs = []
+    for python_only in (False, True):
+        if python_only:
+            monkeypatch.setattr(_csweep, "_loaded", [_twins._TWINS])
+        for n, p, beta in runs:
+            argv = ["exact-partition", "--n", n, "--p", p, "--beta", beta, "--seed", "3"]
+            if source == "file":
+                graph = tmp_path / f"g{n}.txt"
+                if not graph.exists():
+                    assert run_cli(capsys, "graph-sample", "--n", n, "--p", p, "--seed", "5",
+                                   "--out", str(graph))[0] == 0
+                argv += ["--graph", str(graph)]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            outputs.append(out)
+    assert outputs[:len(runs)] == outputs[len(runs):]
+
+
+def test_enumeration_loads_the_kernels_on_first_use(tmp_path):
+    # importing the CLI and running a command that enumerates nothing load no
+    # kernel code; the first enumeration does, even of a graph read from a file
+    graph = tmp_path / "g.txt"
+    graph.write_text("dilute-cw-graph v1 N=3\n011\n000\n101\n")
+    code = (
+        "import sys, dilutecw.cli as cli; "
+        "loaded = lambda: 'dilutecw._csweep' in sys.modules; seen = [loaded()]; "
+        "cli.main(['exact-moments', '--n', '4', '--p', '0.5', '--beta', '0.5']); "
+        "seen.append(loaded()); "
+        f"cli.main(['exact-partition', '--n', '3', '--p', '0.5', '--beta', '0.5', "
+        f"'--graph', {str(graph)!r}]); "
+        "seen.append(loaded()); print(seen, file=sys.stderr)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip().splitlines()[-1] == "[False, False, True]"
 
 
 def test_exact_partition_sidecar_counts_configs(tmp_path, capsys):
@@ -735,7 +782,7 @@ def test_chain_sidecar_names_the_sweep_path(tmp_path, capsys, monkeypatch):
     argv = ("--n", "70", "--p", "0.5", "--beta", "0.5", "--sweeps", "30", "--burnin", "2")
     for python_only in (False, True):
         if python_only:
-            monkeypatch.setattr(_csweep, "_loaded", [_csweep._TWINS])
+            monkeypatch.setattr(_csweep, "_loaded", [_twins._TWINS])
         for command, extra in (("mcmc-run", ()), ("clt-experiment", ("--graphs", "2"))):
             out_path = tmp_path / f"{command}-{python_only}.out"
             code, _, _ = run_cli(capsys, command, *argv, *extra, "--out", str(out_path))
@@ -764,7 +811,7 @@ def test_sidecars_name_the_sample_path(tmp_path, capsys, monkeypatch):
     )
     for python_only in (False, True):
         if python_only:
-            monkeypatch.setattr(_csweep, "_loaded", [_csweep._TWINS])
+            monkeypatch.setattr(_csweep, "_loaded", [_twins._TWINS])
         for k, (command, extra, sampled) in enumerate(runs):
             out_path = graph_file if k == 0 else tmp_path / f"{command}-{k}-{python_only}.out"
             code, _, _ = run_cli(capsys, command, *model, *extra, "--out", str(out_path))

@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilutecw import exact
+from dilutecw import _csweep, _twins, exact
 from dilutecw.errors import CapacityError
 from dilutecw.exact import (
     MAX_ENUMERATION_N,
     MAX_FIRST_MOMENT_N,
     MAX_MOMENT_N,
-    _interaction_histogram,
     disorder_oracle,
     enumerate_partition,
     expected_partition_log,
@@ -27,8 +26,9 @@ from dilutecw.exact import (
     variance_ratio_from_logs,
 )
 from dilutecw.graph import GraphSeed, sample_graph
-from dilutecw.model import DisorderGraph, ModelParams, SpinConfig, interaction_sum
+from dilutecw.model import DisorderGraph, ModelParams
 from dilutecw.testfunctions import make_test_function, parse_test_function
+from helpers import SpinConfig, interaction_sum, kernel_sets
 
 ONE = make_test_function("one")
 GAUSS = make_test_function("gauss")
@@ -41,6 +41,14 @@ def naive_histogram(g):
         key = interaction_sum(g, SpinConfig(n=g.n, bits=bits)) * (g.n + 1) + bits.bit_count()
         hist[key] = hist.get(key, 0) + 1
     return hist
+
+
+def split_histogram(kernels, g):
+    """The histogram of one kernel set's split sum as {s * (n + 1) + class: count}."""
+    counts = kernels.histogram(g.words)
+    shift = g.edge_count() * (g.n + 1)
+    keys = np.flatnonzero(counts)
+    return dict(zip((keys - shift).tolist(), counts[keys].tolist()))
 
 
 def naive_class_logs(g, params):
@@ -269,9 +277,10 @@ def test_enumeration_spin_flip_symmetry():
     params = ModelParams(n=9, p=0.4, beta=1.1)
     g = sample_graph(params, GraphSeed(3))
     law = enumerate_partition(g, params).law
-    for i in range(law.n_atoms):
-        assert law.weights[i] == pytest.approx(law.weights[law.n_atoms - 1 - i], rel=1e-12)
-        assert law.locations[i] == pytest.approx(-law.locations[law.n_atoms - 1 - i])
+    atoms = law.locations.size
+    for i in range(atoms):
+        assert law.weights[i] == pytest.approx(law.weights[atoms - 1 - i], rel=1e-12)
+        assert law.locations[i] == pytest.approx(-law.locations[atoms - 1 - i])
 
 
 def test_enumeration_capacity():
@@ -295,31 +304,36 @@ GRAPH_KINDS = {
 
 @pytest.mark.parametrize("kind", sorted(GRAPH_KINDS))
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 9])
-def test_split_histogram_small_and_odd_sizes(n, kind):
-    # n = 1 leaves the low half empty, n = 2 and 3 give it one site
+def test_split_histogram_small_and_odd_sizes(n, kind, monkeypatch):
+    # n = 1 leaves the low half empty, n = 2 and 3 give it one site; the
+    # compiled kernel's quarter tables then hold one or two entries, and below
+    # n = 7 its four-way loop runs only its scalar tail
     g = GRAPH_KINDS[kind](n)
-    hist = _interaction_histogram(g)
-    assert hist == naive_histogram(g)
-    for beta in (0.0, 0.9):
-        params = ModelParams(n=n, p=0.5, beta=beta)
-        summary = enumerate_partition(g, params)
-        log_z, class_logs = naive_class_logs(g, params)
-        assert summary.log_z == pytest.approx(log_z, rel=1e-13, abs=1e-13)
-        for got, want in zip(summary.law.weights, class_logs):
-            assert got == pytest.approx(math.exp(want - log_z), abs=1e-13)
+    want = naive_histogram(g)
+    for kernels in kernel_sets():
+        assert split_histogram(kernels, g) == want
+        monkeypatch.setattr(_csweep, "_loaded", [kernels])
+        for beta in (0.0, 0.9):
+            params = ModelParams(n=n, p=0.5, beta=beta)
+            summary = enumerate_partition(g, params)
+            log_z, class_logs = naive_class_logs(g, params)
+            assert summary.log_z == pytest.approx(log_z, rel=1e-13, abs=1e-13)
+            for got, want_log in zip(summary.law.weights, class_logs):
+                assert got == pytest.approx(math.exp(want_log - log_z), abs=1e-13)
 
 
 def test_split_histogram_closed_forms():
     # with only self-loops every configuration has s = n; on the complete
     # graph s = (2c - n)^2 for the configurations of class c
-    for n in (1, 2, 5, 8):
-        width = n + 1
-        assert _interaction_histogram(_self_loops(n)) == {
-            n * width + c: math.comb(n, c) for c in range(n + 1)
-        }
-        assert _interaction_histogram(DisorderGraph.complete(n)) == {
-            (2 * c - n) ** 2 * width + c: math.comb(n, c) for c in range(n + 1)
-        }
+    for kernels in kernel_sets():
+        for n in (1, 2, 5, 8, 13):
+            width = n + 1
+            assert split_histogram(kernels, _self_loops(n)) == {
+                n * width + c: math.comb(n, c) for c in range(n + 1)
+            }
+            assert split_histogram(kernels, DisorderGraph.complete(n)) == {
+                (2 * c - n) ** 2 * width + c: math.comb(n, c) for c in range(n + 1)
+            }
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,7 +343,41 @@ def test_split_histogram_closed_forms():
 def test_split_histogram_matches_per_configuration_count(rows):
     n = len(rows)
     g = DisorderGraph.from_matrix([[(row >> j) & 1 for j in range(n)] for row in rows])
-    assert _interaction_histogram(g) == naive_histogram(g)
+    want = naive_histogram(g)
+    for kernels in kernel_sets():
+        assert split_histogram(kernels, g) == want
+
+
+@pytest.mark.parametrize("n, p", [(22, 0.5), (24, 1.0)])
+def test_compiled_histogram_matches_numpy_twin(n, p):
+    # at p = 1 all n^2 edges are present, so the histogram is at its longest
+    library = _csweep.library()
+    if library is _twins._TWINS:
+        pytest.skip("no compiled kernels on this host")
+    g = sample_graph(ModelParams(n=n, p=p, beta=1.0), GraphSeed(n))
+    got = library.histogram(g.words)
+    want = _twins._numpy_histogram(g.words)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape == ((2 * g.edge_count() + 1) * (n + 1),)
+    assert np.array_equal(got, want)
+    assert int(got.sum()) == 1 << n
+
+
+def test_histogram_rejects_mismatched_buffers():
+    # on the compiled kernel and on the twin, which refuses what the kernel refuses
+    good = sample_graph(ModelParams(n=9, p=0.5, beta=1.0), GraphSeed(9)).words
+    for kernels in kernel_sets():
+        assert int(kernels.histogram(good).sum()) == 1 << 9
+        for bad in (
+            good.astype(np.int64), good.astype(">u8"), good.ravel(),
+            np.zeros((9, 2), dtype="<u8"), np.zeros((18, 1), dtype="<u8")[::2],
+        ):
+            with pytest.raises(ValueError, match="kernel buffer"):
+                kernels.histogram(bad)
+        # one mask word a row holds 1 to 64 sites
+        for bad in (np.zeros((0, 1), dtype="<u8"), np.zeros((65, 2), dtype="<u8")):
+            with pytest.raises(ValueError, match="1 to 64 sites"):
+                kernels.histogram(bad)
 
 
 def _assert_cap_read_at_call_time(moment, cap, monkeypatch):

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dilutecw.graph as graph_module
-from dilutecw import _csweep, splitmix
+from dilutecw import _csweep, _twins, splitmix
 from dilutecw.cli import main
 from dilutecw.errors import CapacityError, GraphFormatError
 from dilutecw.graph import BIT_LIMIT, GraphSeed, read_graph, sample_graph, write_graph
 from dilutecw.model import DisorderGraph, ModelParams
+from helpers import kernel_sets
 
 
 def test_seed_validation():
@@ -62,7 +63,7 @@ def test_single_edge_frequency_across_seeds():
     # one fixed matrix entry over many seeds, to catch counter-mixing bugs
     # that a pooled count would hide
     params = ModelParams(n=5, p=0.5, beta=1.0)
-    hits = sum(sample_graph(params, GraphSeed(s)).has_edge(2, 3) for s in range(1000))
+    hits = sum(int(sample_graph(params, GraphSeed(s))._cells()[2, 3]) for s in range(1000))
     assert 400 < hits < 600
 
 
@@ -312,21 +313,21 @@ def test_sampling_matches_scalar_mix():
     n, p, seed = 37, 0.4, (1 << 64) - 5
     thr = round(p * (1 << 53))
     graphs = [sample_graph(ModelParams(n=n, p=p, beta=1.0), GraphSeed(seed))]
-    library = _csweep.library()
-    for kernels in [library] if library is _csweep._TWINS else [library, _csweep._TWINS]:
+    for kernels in kernel_sets():
         words = np.empty((n, 1), dtype="<u8")
         kernels.sample(n, seed, thr, 0, words)
         graphs.append(DisorderGraph(n, words))
     for g in graphs:
+        cells = g._cells()
         for i in range(n):
             for j in range(n):
                 z = splitmix.finalize((seed + (i * n + j + 1) * splitmix.GAMMA) & splitmix.MASK64)
-                assert g.has_edge(i, j) == ((z >> 11) < thr)
+                assert cells[i, j] == ((z >> 11) < thr)
 
 
 def _sampled_words(sample, n, p, seed, start=0, stop=None):
     """Rows start .. stop - 1 of a graph as mask words, by ``sample`` (the
-    signature of _csweep._sample_rows), one row block at a time."""
+    signature of _twins._sample_rows), one row block at a time."""
     stop = n if stop is None else stop
     out = np.empty((stop - start, (n + 63) // 64), dtype="<u8")
     step = graph_module._block_rows(n)
@@ -339,7 +340,7 @@ def _sampled_words(sample, n, p, seed, start=0, stop=None):
 def _sampler_path(name):
     """The compiled sampler of one path, or skip when this host cannot run it."""
     library = _csweep.library()
-    if library is _csweep._TWINS:
+    if library is _twins._TWINS:
         pytest.skip("no compiled kernels on this host")
     sample = library.sample_paths.get(name)
     if sample is None:
@@ -354,7 +355,7 @@ def test_every_sampler_path_matches_numpy_sampler(path, n):
     sample = _sampler_path(path)
     for p in (1e-3, 0.3, 0.5, 1.0):
         for seed in (0, 7, (1 << 64) - 1):
-            want = _sampled_words(_csweep._sample_rows, n, p, seed)
+            want = _sampled_words(_twins._sample_rows, n, p, seed)
             assert _sampled_words(sample, n, p, seed).tobytes() == want.tobytes(), (p, seed)
 
 
@@ -367,12 +368,12 @@ def test_every_sampler_path_matches_numpy_sampler(path, n):
 )
 def test_sampler_paths_match_numpy_sampler_property(n, p, seed, data):
     library = _csweep.library()
-    if library is _csweep._TWINS:
+    if library is _twins._TWINS:
         pytest.skip("no compiled kernels on this host")
     # any run of rows regenerates on its own
     start = data.draw(st.integers(0, n - 1))
     stop = data.draw(st.integers(start + 1, n))
-    want = _sampled_words(_csweep._sample_rows, n, p, seed, start, stop).tobytes()
+    want = _sampled_words(_twins._sample_rows, n, p, seed, start, stop).tobytes()
     for name, sample in library.sample_paths.items():
         assert _sampled_words(sample, n, p, seed, start, stop).tobytes() == want, name
 
@@ -380,14 +381,14 @@ def test_sampler_paths_match_numpy_sampler_property(n, p, seed, data):
 def test_sample_graph_matches_numpy_fallback(monkeypatch):
     params = ModelParams(n=1500, p=0.3, beta=1.0)
     compiled = sample_graph(params, GraphSeed(11))
-    monkeypatch.setattr(_csweep, "_loaded", [_csweep._TWINS])
+    monkeypatch.setattr(_csweep, "_loaded", [_twins._TWINS])
     assert _csweep.library().sample_path is None
     assert sample_graph(params, GraphSeed(11)) == compiled
 
 
 def test_sampler_rejects_bad_arguments():
     library = _csweep.library()
-    if library is _csweep._TWINS:
+    if library is _twins._TWINS:
         pytest.skip("no compiled kernels on this host")
     out = np.zeros((4, 2), dtype="<u8")
     library.sample(70, 0, 1 << 52, 66, out)
@@ -409,7 +410,7 @@ def test_write_matches_row_formatting():
     buf = io.StringIO()
     with _block_cells(128):
         write_graph(g, buf)
-    lines = ["".join(map(str, row)) for row in g.to_matrix()]
+    lines = ["".join(map(str, row)) for row in g._cells().tolist()]
     assert buf.getvalue() == "dilute-cw-graph v1 N=70\n" + "\n".join(lines) + "\n"
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilutecw import _csweep, mcmc, pcg64
+from dilutecw import _csweep, _twins, mcmc, pcg64
 from dilutecw.errors import CapacityError
 from dilutecw.exact import enumerate_partition
 from dilutecw.graph import GraphSeed, read_graph, sample_graph, write_graph
@@ -28,8 +28,9 @@ from dilutecw.mcmc import (
     quenched_experiment,
     run_chain,
 )
-from dilutecw.model import DisorderGraph, ModelParams, SpinConfig
+from dilutecw.model import DisorderGraph, ModelParams
 from dilutecw.stats import EmpiricalMeasure
+from helpers import SpinConfig, kernel_sets, total_variation
 
 
 def test_update_tables_match_matrix_masks():
@@ -38,36 +39,30 @@ def test_update_tables_match_matrix_masks():
     params = ModelParams(n=13, p=0.45, beta=1.0)
     for seed in (1, 2, 3):
         g = sample_graph(params, GraphSeed(seed))
-        eps = g.to_matrix()
+        eps = g._cells().tolist()
         w1, w2, base = [], [], []
         for i in range(g.n):
             weight = [0 if j == i else eps[i][j] + eps[j][i] for j in range(g.n)]
             w1.append(sum(1 << j for j in range(g.n) if weight[j] == 1))
             w2.append(sum(1 << j for j in range(g.n) if weight[j] == 2))
             base.append(sum(weight))
-        for kernels in _kernel_sets():
+        for kernels in kernel_sets():
             tables = mcmc.SpinUpdateTables(g.n, *kernels.masks(g.words))
-            assert _csweep._mask_ints(tables.w1) == w1
-            assert _csweep._mask_ints(tables.w2) == w2
+            assert _twins._mask_ints(tables.w1) == w1
+            assert _twins._mask_ints(tables.w2) == w2
             assert tables.base.tolist() == base
         _assert_same_tables(build_update_tables(g), tables)
 
 
 def _library():
     library = _csweep.library()
-    if library is _csweep._TWINS:
+    if library is _twins._TWINS:
         pytest.skip("no compiled kernels on this host")
     return library
 
 
 def _compiled():
     return _library().sweep
-
-
-def _kernel_sets():
-    """Every kernel set this host has: the compiled one where it loads, and the twins."""
-    library = _csweep.library()
-    return [library] if library is _csweep._TWINS else [library, _csweep._TWINS]
 
 
 def _plus(params):
@@ -77,14 +72,14 @@ def _plus(params):
 
 def _rng_rows(*seeds):
     """Kernel rng rows of the PCG64 of default_rng(seed), one per seed."""
-    return np.array([_csweep.rng_row(np.random.PCG64(seed)) for seed in seeds], dtype=mcmc._WORD)
+    return np.array([_twins.rng_row(np.random.PCG64(seed)) for seed in seeds], dtype=mcmc._WORD)
 
 
 def _one_sweep_each(sigma, g, params, seed):
     """One sweep from sigma with the stream of default_rng(seed), by each
     kernel set's masks, flip table and sweep: the new bits from each."""
     results = []
-    for kernels in _kernel_sets():
+    for kernels in kernel_sets():
         w1, w2, base = kernels.masks(g.words)
         plus = kernels.plus(g.n, params.beta / (params.n * params.p))
         words = w1.shape[1]
@@ -104,7 +99,7 @@ def test_beta_zero_sweep_is_fair_coins():
     u = np.random.default_rng(42).random(11)
     want = sum(1 << i for i in range(11) if u[i] < 0.5)
     bits = _one_sweep_each(SpinConfig.all_down(11), g, params, 42)
-    assert bits == [want] * len(_kernel_sets())
+    assert bits == [want] * len(kernel_sets())
 
 
 def test_empty_graph_sweep_is_fair_coins_any_beta():
@@ -113,7 +108,7 @@ def test_empty_graph_sweep_is_fair_coins_any_beta():
     u = np.random.default_rng(9).random(10)
     want = sum(1 << i for i in range(10) if u[i] < 0.5)
     bits = _one_sweep_each(SpinConfig.all_up(10), g, params, 9)
-    assert bits == [want] * len(_kernel_sets())
+    assert bits == [want] * len(kernel_sets())
 
 
 def test_sweep_is_pure():
@@ -129,7 +124,7 @@ def test_sweep_is_pure():
     assert sigma.bits == 0b10110001
     # neither sweep writes to the shared tables
     plus = _plus(params)
-    for kernels in _kernel_sets():
+    for kernels in kernel_sets():
         states = np.zeros((1, 1), dtype=mcmc._WORD)
         kernels.sweep(tables.w1, tables.w2, tables.base, plus, states, _rng_rows(5), 3)
     for after, want in zip((tables.w1, tables.w2, tables.base), before):
@@ -137,7 +132,7 @@ def test_sweep_is_pure():
 
 
 def _python_only(monkeypatch):
-    monkeypatch.setattr(_csweep, "_loaded", [_csweep._TWINS])
+    monkeypatch.setattr(_csweep, "_loaded", [_twins._TWINS])
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.5])
@@ -151,9 +146,9 @@ def test_compiled_chain_is_bit_identical_to_python(n, beta, monkeypatch):
     # crosses a group boundary and several block boundaries
     monkeypatch.setattr(mcmc, "_BLOCK_SITE_UPDATES", _csweep.GROUP * 7 * n + 3)
     compiled = run_chain(g, params, cfg)
-    assert _csweep.library() is not _csweep._TWINS
+    assert _csweep.library() is not _twins._TWINS
     _python_only(monkeypatch)
-    assert _csweep.library() is _csweep._TWINS
+    assert _csweep.library() is _twins._TWINS
     assert run_chain(g, params, cfg) == compiled
     assert [len(s.values) for s in compiled] == [12] * 6
 
@@ -194,7 +189,7 @@ def test_loader_failure_falls_back_to_identical_output(breakage, tmp_path, monke
     assert run_chain(g, params, cfg) == want
     notes = capsys.readouterr().err.splitlines()
     assert len(notes) == 1 and notes[0].startswith("note: compiled kernels unavailable (")
-    assert _csweep.library() is _csweep._TWINS
+    assert _csweep.library() is _twins._TWINS
     assert _csweep.library().path is None and _csweep.library().sample_path is None
 
 
@@ -231,7 +226,7 @@ def test_compiled_masks_match_numpy_builder(kind, n):
     library = _library()
     g = _mask_graph(kind, n)
     got = mcmc.SpinUpdateTables(n, *library.masks(g.words))
-    _assert_same_tables(got, mcmc.SpinUpdateTables(n, *_csweep._numpy_masks(g.words)))
+    _assert_same_tables(got, mcmc.SpinUpdateTables(n, *_twins._numpy_masks(g.words)))
     _assert_same_tables(build_update_tables(g), got)
 
 
@@ -249,7 +244,7 @@ def test_compiled_flip_table_matches_python_loop(n):
     for p in (1e-3, 0.3, 0.5, 1.0):
         for beta in (0.0, 0.5, 1.5, 1e3, 1e6):
             rate = beta / (n * p)
-            want = _csweep._plus_loop(n, rate)
+            want = _twins._plus_loop(n, rate)
             assert library.plus(n, rate).tobytes() == want.tobytes(), (p, beta)
 
 
@@ -257,13 +252,13 @@ def test_compiled_library_is_cached(tmp_path, monkeypatch):
     _compiled()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_csweep, "_loaded", [])
-    assert _csweep.library() is not _csweep._TWINS
+    assert _csweep.library() is not _twins._TWINS
     path = _csweep.library_path()
     assert path.parent == tmp_path / "dilutecw" and path.name.startswith("sweep-")
     assert [p.name for p in path.parent.iterdir()] == [path.name]
     stamp = path.stat().st_mtime_ns
     monkeypatch.setattr(_csweep, "_loaded", [])
-    assert _csweep.library() is not _csweep._TWINS
+    assert _csweep.library() is not _twins._TWINS
     assert path.stat().st_mtime_ns == stamp
 
 
@@ -283,13 +278,14 @@ def test_cli_import_builds_no_kernel(tmp_path):
 
 def test_warm_library_load_imports_no_subprocess(tmp_path):
     # only a cache miss compiles, so loading a cached library imports neither
-    # the compiler's subprocess module nor tempfile
+    # the compiler's subprocess module nor tempfile; and only the fallback
+    # imports the twins
     _compiled()
     assert _csweep.library_path().exists()
     code = (
         "import sys, numpy; before = set(sys.modules); "
-        "from dilutecw._csweep import _TWINS, library; assert library() is not _TWINS; "
-        "print(sorted({'subprocess', 'tempfile'} & (set(sys.modules) - before)))"
+        "from dilutecw._csweep import library; assert library().path is not None; "
+        "print(sorted({'subprocess', 'tempfile', 'dilutecw._twins'} & (set(sys.modules) - before)))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
@@ -400,7 +396,7 @@ def test_stationarity_small_system():
     cfg = ChainConfig(sweeps=300_300, burn_in=300, thin=1, chain_seed=123)
     samples = run_chain(g, params, cfg)
     emp = EmpiricalMeasure.from_samples(samples[0].values)
-    assert emp.total_variation(law) < 0.015
+    assert total_variation(emp, law) < 0.015
 
 
 def test_quenched_experiment_smoke():
@@ -466,7 +462,7 @@ def _one_at_a_time(tables, plus, states, rngs, sweeps):
     finals, draws, counts = [], [], []
     for state, row in zip(states, rngs):
         final, rng = state[None].copy(), row[None].copy()
-        counts += _csweep._python_sweeps(
+        counts += _twins._python_sweeps(
             tables.w1, tables.w2, tables.base, plus, final, rng, sweeps
         )
         finals.append(final[0].tobytes())
@@ -506,7 +502,7 @@ def _path_case(n, graph, beta):
     states[:, -1] &= np.uint64((1 << (n - 64 * (words - 1))) - 1)
     rngs = _rng_rows(*([n, g] for g in range(_csweep.GROUP)))
     want = _one_at_a_time(tables, plus, states, rngs, 3)
-    _assert_groups_match(_csweep._python_sweeps, tables, plus, states, rngs, 3, want)
+    _assert_groups_match(_twins._python_sweeps, tables, plus, states, rngs, 3, want)
     return tables, plus, states, rngs, 3, want
 
 
@@ -548,7 +544,7 @@ def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
     states.view(np.uint8)[:, : (n + 7) // 8] = np.packbits(spins, axis=1, bitorder="little")
     rngs = _rng_rows(*([seed, g] for g in range(_csweep.GROUP)))
     want = _one_at_a_time(tables, plus, states, rngs, sweeps)
-    _assert_groups_match(_csweep._python_sweeps, tables, plus, states, rngs, sweeps, want)
+    _assert_groups_match(_twins._python_sweeps, tables, plus, states, rngs, sweeps, want)
     for name, sweep in library.paths.items():
         _assert_groups_match(sweep, tables, plus, states, rngs, sweeps, want)
 
@@ -585,7 +581,7 @@ def _copy(bit_generator):
 
 
 def _assert_seeds_as_numpy(seed, n):
-    assert pcg64.seed_row(seed) == _csweep.rng_row(np.random.PCG64(seed))
+    assert pcg64.seed_row(seed) == _twins.rng_row(np.random.PCG64(seed))
     want = np.random.default_rng(seed).integers(0, 2, size=n, dtype=np.uint8)
     got = pcg64.bit_spins(seed, n)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -629,16 +625,16 @@ print(codes, sorted({"numpy.random"} & (set(sys.modules) - before)))
 @pytest.mark.parametrize("case", range(5))
 def test_kernel_replays_numpy_pcg64(case):
     bit_generator = _replay_cases()[case]
-    row = np.array([_csweep.rng_row(bit_generator)], dtype=mcmc._WORD)
+    row = np.array([_twins.rng_row(bit_generator)], dtype=mcmc._WORD)
     sweeps = 3
     # each of the first eight doubles, one sweep at n = 1 apiece, through a
     # field-independent table: u < u is false and u < nextafter(u, 2) is
     # true, so the two spins pin u to the bit
     draws = np.random.Generator(_copy(bit_generator)).random(8)
     lone = build_update_tables(DisorderGraph.empty(1))
-    for sweep in (*_csweep.library().paths.values(), _csweep._TWINS.sweep):
+    for sweep in (*_csweep.library().paths.values(), _twins._TWINS.sweep):
         for k, u in enumerate(draws):
-            at = np.array([_csweep.rng_row(_copy(bit_generator).advance(k))], dtype=mcmc._WORD)
+            at = np.array([_twins.rng_row(_copy(bit_generator).advance(k))], dtype=mcmc._WORD)
             for plus, want in ((u, 0), (np.nextafter(u, 2.0), 1)):
                 state, rng = np.zeros((1, 1), dtype=mcmc._WORD), at.copy()
                 assert sweep(lone.w1, lone.w2, lone.base, np.full(5, plus), state, rng, 1) == [
@@ -681,7 +677,7 @@ def test_group_calls_match_rows_one_at_a_time_on_any_pcg64_state(n, generators, 
         dtype=mcmc._WORD,
     )
     want = _one_at_a_time(tables, plus, states, rngs, sweeps)
-    for sweep in (*_csweep.library().paths.values(), _csweep._TWINS.sweep):
+    for sweep in (*_csweep.library().paths.values(), _twins._TWINS.sweep):
         got, rng = states.copy(), rngs.copy()
         up = sweep(tables.w1, tables.w2, tables.base, plus, got, rng, sweeps)
         assert ([row.tobytes() for row in got], [row.tobytes() for row in rng], up) == want
@@ -742,7 +738,7 @@ def test_kernel_rejects_mismatched_buffers():
     states = np.zeros((2, 2), dtype=mcmc._WORD)
     rngs = _rng_rows(1, 2)
     good = (tables.w1, tables.w2, tables.base, plus, states, rngs, 2)
-    for sweep in (*_csweep.library().paths.values(), _csweep._TWINS.sweep):
+    for sweep in (*_csweep.library().paths.values(), _twins._TWINS.sweep):
         assert [len(up) for up in sweep(*good)] == [2, 2]
         for k, bad in (
             (0, tables.w1[:, :1]), (1, tables.w2[:69]), (2, tables.base[:-1]), (3, plus[:-1]),
@@ -794,4 +790,4 @@ def test_concurrent_first_loads_build_once(tmp_path, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert len(builds) == 1
-    assert len(seen) == 8 and seen[0] is not _csweep._TWINS and all(s is seen[0] for s in seen)
+    assert len(seen) == 8 and seen[0] is not _twins._TWINS and all(s is seen[0] for s in seen)

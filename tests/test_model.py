@@ -1,4 +1,5 @@
-"""Core type behavior, checked against a naive double-loop energy oracle."""
+"""Core type behavior, and the per-configuration oracles of the tests checked
+against a naive double-loop energy."""
 
 import math
 from unittest import mock
@@ -9,16 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilutecw import model
-from dilutecw.model import (
-    DisorderGraph,
-    ModelParams,
-    SpinConfig,
-    gibbs_log_weight,
-    hamiltonian,
-    interaction_sum,
-    magnetization_scaled,
-    overlap,
-)
+from dilutecw.model import DisorderGraph, ModelParams
+from helpers import SpinConfig, gibbs_log_weight, interaction_sum
 
 
 def naive_hamiltonian(matrix, signs, n, p):
@@ -28,6 +21,11 @@ def naive_hamiltonian(matrix, signs, n, p):
         for j in range(n):
             total += matrix[i][j] * signs[i] * signs[j]
     return -total / (2.0 * n * p)
+
+
+def energy(g, sigma, params):
+    """H(sigma) = -interaction_sum / (2 n p), from the oracle's integer sum."""
+    return -interaction_sum(g, sigma) / (2.0 * params.n * params.p)
 
 
 def test_params_validation():
@@ -56,7 +54,6 @@ def test_spin_roundtrip():
     assert sigma.n == 5
     assert sigma.to_signs() == signs
     assert sigma.spin_sum() == sum(signs)
-    assert [sigma.sign(i) for i in range(5)] == signs
 
 
 def test_spin_validation():
@@ -74,8 +71,9 @@ def test_graph_constructors():
     assert DisorderGraph.empty(4).edge_count() == 0
     m = [[0, 1, 0], [1, 0, 1], [0, 0, 1]]
     g = DisorderGraph.from_matrix(m)
-    assert g.to_matrix() == m
-    assert g.has_edge(0, 1) and not g.has_edge(1, 1) and g.has_edge(2, 2)
+    cells = g._cells()
+    assert cells.tolist() == m
+    assert cells[0, 1] and not cells[1, 1] and cells[2, 2]
 
 
 def test_graph_validation():
@@ -87,7 +85,7 @@ def test_graph_validation():
     for bad in ([[0, 1], [1, -1]], [[0, "1"], [1, 0]], [[0, 1], [1]], [[0, 1]], [[None]]):
         with pytest.raises(ValueError):
             DisorderGraph.from_matrix(bad)
-    assert DisorderGraph.from_matrix([[True, False], [True, True]]).to_matrix() == [[1, 0], [1, 1]]
+    assert DisorderGraph.from_matrix([[True, False], [True, True]])._cells().tolist() == [[1, 0], [1, 1]]
 
 
 @st.composite
@@ -109,9 +107,11 @@ def test_graph_words_match_nested_matrix(data):
     g = DisorderGraph.from_matrix(matrix)
     words = (n + 63) // 64
     assert g.words.shape == (n, words) and g.words.dtype == np.dtype("<u8")
-    assert g.to_matrix() == matrix
-    assert DisorderGraph.from_matrix(g.to_matrix()) == g
-    assert all(g.has_edge(i, j) == bool(matrix[i][j]) for i in range(n) for j in range(n))
+    assert g._cells().tolist() == matrix
+    assert DisorderGraph.from_matrix(g._cells()) == g
+    # edge (i, j) is bit j % 64 of word j // 64 of row i
+    assert all((int(g.words[i, j >> 6]) >> (j & 63)) & 1 == matrix[i][j]
+               for i in range(n) for j in range(n))
     assert g.edge_count() == sum(map(sum, matrix))
     # the row counts in blocks of one or two rows, as in whole
     with mock.patch.object(model, "_COUNT_CELLS", 128):
@@ -148,7 +148,7 @@ def test_hamiltonian_empty_graph_is_zero():
     params = ModelParams(n=5, p=0.5, beta=1.0)
     g = DisorderGraph.empty(5)
     for bits in range(32):
-        assert hamiltonian(g, SpinConfig(n=5, bits=bits), params) == 0.0
+        assert energy(g, SpinConfig(n=5, bits=bits), params) == 0.0
 
 
 def test_hamiltonian_complete_graph():
@@ -156,11 +156,11 @@ def test_hamiltonian_complete_graph():
     # uniform configuration at n=4, p=0.5: H = -16 / (2*4*0.5) = -4.
     params = ModelParams(n=4, p=0.5, beta=1.0)
     g = DisorderGraph.complete(4)
-    assert hamiltonian(g, SpinConfig.all_up(4), params) == pytest.approx(-4.0)
-    assert hamiltonian(g, SpinConfig.all_down(4), params) == pytest.approx(-4.0)
+    assert energy(g, SpinConfig.all_up(4), params) == pytest.approx(-4.0)
+    assert energy(g, SpinConfig.all_down(4), params) == pytest.approx(-4.0)
     # mixed: spin sum 2 -> H = -4 / 4 = -1
     sigma = SpinConfig.from_signs([1, 1, 1, -1])
-    assert hamiltonian(g, sigma, params) == pytest.approx(-1.0)
+    assert energy(g, sigma, params) == pytest.approx(-1.0)
 
 
 def test_hamiltonian_small_oracle():
@@ -170,7 +170,7 @@ def test_hamiltonian_small_oracle():
     for bits in range(8):
         sigma = SpinConfig(n=3, bits=bits)
         want = naive_hamiltonian(matrix, sigma.to_signs(), 3, 0.4)
-        assert hamiltonian(g, sigma, params) == pytest.approx(want, abs=1e-14)
+        assert energy(g, sigma, params) == pytest.approx(want, abs=1e-14)
 
 
 def test_gibbs_log_weight_complete_n2():
@@ -186,25 +186,13 @@ def test_gibbs_log_weight_complete_n2():
 
 def test_gibbs_log_weight_matches_hamiltonian():
     params = ModelParams(n=6, p=0.5, beta=1.3)
-    g = DisorderGraph.from_matrix([[1 if (i * 7 + j * 3) % 5 < 2 else 0 for j in range(6)] for i in range(6)])
+    matrix = [[1 if (i * 7 + j * 3) % 5 < 2 else 0 for j in range(6)] for i in range(6)]
+    g = DisorderGraph.from_matrix(matrix)
     for bits in (0, 17, 42, 63):
         sigma = SpinConfig(n=6, bits=bits)
         assert gibbs_log_weight(g, sigma, params) == pytest.approx(
-            -params.beta * hamiltonian(g, sigma, params), abs=1e-13
+            -params.beta * naive_hamiltonian(matrix, sigma.to_signs(), 6, 0.5), abs=1e-13
         )
-
-
-def test_magnetization_scaled():
-    sigma = SpinConfig.from_signs([1, 1, -1, 1])
-    assert magnetization_scaled(sigma) == pytest.approx(2 / math.sqrt(4))
-    assert magnetization_scaled(SpinConfig.all_down(9)) == pytest.approx(-3.0)
-
-
-def test_overlap_extremes():
-    a = SpinConfig.from_signs([1, -1, 1, 1, -1])
-    b = SpinConfig(n=5, bits=a.bits ^ 31)
-    assert overlap(a, a) == 5
-    assert overlap(a, b) == -5
 
 
 def test_size_mismatch_errors():
@@ -212,9 +200,9 @@ def test_size_mismatch_errors():
     g = DisorderGraph.empty(4)
     sigma = SpinConfig.all_up(3)
     with pytest.raises(ValueError, match="incompatible sizes"):
-        hamiltonian(g, sigma, params)
+        interaction_sum(g, sigma)
     with pytest.raises(ValueError, match="incompatible sizes"):
-        overlap(sigma, SpinConfig.all_up(4))
+        gibbs_log_weight(g, SpinConfig.all_up(4), params)
     with pytest.raises(ValueError, match="incompatible sizes"):
         gibbs_log_weight(DisorderGraph.empty(3), sigma, ModelParams(n=4, p=0.5, beta=1.0))
 
@@ -242,17 +230,3 @@ def test_interaction_sum_matches_double_loop(data):
     signs = sigma.to_signs()
     want = sum(matrix[i][j] * signs[i] * signs[j] for i in range(n) for j in range(n))
     assert interaction_sum(g, sigma) == want
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=10),
-    st.integers(min_value=0, max_value=1023),
-    st.integers(min_value=0, max_value=1023),
-)
-def test_overlap_symmetric_and_bounded(n, abits, bbits):
-    a = SpinConfig(n=n, bits=abits & ((1 << n) - 1))
-    b = SpinConfig(n=n, bits=bbits & ((1 << n) - 1))
-    assert overlap(a, b) == overlap(b, a)
-    assert -n <= overlap(a, b) <= n
-    assert (overlap(a, b) - n) % 2 == 0
