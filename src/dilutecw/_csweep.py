@@ -1,8 +1,8 @@
-"""The heat-bath sweep, the setup of each graph and the exact enumeration's
-histogram as one set of kernels: compiled to C on first use, or their numpy
-and Python twins.
+"""The heat-bath sweep, the setup of each graph, the exact enumeration's
+histogram and the second moment's pair sum as one set of kernels: compiled to
+C on first use, or their numpy and Python twins.
 
-``library()`` is the one place that chooses.  It returns a ``_Library`` of five
+``library()`` is the one place that chooses.  It returns a ``_Library`` of seven
 kernels with fixed signatures, and every caller calls them without asking which
 set it got:
 
@@ -20,7 +20,12 @@ set it got:
   leaving it advanced by sweeps n draws, and returns the up-spin count after
   each sweep, one list per row;
 * ``histogram(out_rows) -> counts`` counts the configurations of a graph of
-  at most 64 sites by (s, class) (see ``exact.enumerate_partition``).
+  at most 64 sites by (s, class) (see ``exact.enumerate_partition``);
+* ``pair_sum(n, base, b1, b2, b12, log_g, log_counts) -> float`` is the log of
+  the sum of exp over the O(n^3) terms of the annealed pair sum (see
+  ``exact.second_moment_log``);
+* ``exact_sum(values) -> float`` sums nonnegative doubles, rounding once, to
+  the float ``math.fsum`` gives.
 
 The compiled set is ``SOURCE`` below.  Its sweep does to each replica
 exactly what the Python twin ``_twins._sweep_bits`` does, one sweep after
@@ -79,13 +84,25 @@ So does the enumeration's ``interaction_histogram`` (twin
 compiled once, plainly: its inner loop is table loads and increments, with
 no popcount in it.
 
+The second moment's ``pair_sum`` (twin ``_numpy_pair_sum``) builds every term
+in the twin's IEEE operation order, finds the peak in a first pass and in a
+second calls libm ``exp`` of each term less the peak.  It adds those doubles
+exactly: the 53-bit integer mantissa of each goes into a 128-bit bucket for
+its exponent, and the buckets fold into one integer, the exact sum times
+2^1074.  Python rounds that integer once by an int / int true division, which
+CPython rounds correctly, half to even, as ``math.fsum`` does for the twin; so
+both give the same float.  ``exact_sum`` (twin ``_fsum``) is that exact sum
+alone.  ``COMMAND`` passes ``-ffp-contract=off``: where the target has fused
+multiply-add in its baseline (aarch64), GCC's default would fuse x + (b m) m
+into one rounding where Python rounds twice.
+
 The twins, in ``_twins``, are the test oracles of the compiled kernels and,
 as ``_twins._TWINS``, the set ``library()`` returns when nothing compiles or
 loads; its ``path`` and ``sample_path`` are None and its ``paths`` and
 ``sample_paths`` empty.  Only that fallback imports them.
 
-The first graph, chain or enumeration a process makes compiles the source
-with the system C compiler (``COMMAND``) into
+The first graph, chain, enumeration or second moment a process makes
+compiles the source with the system C compiler (``COMMAND``) into
 ``${XDG_CACHE_HOME:-~/.cache}/dilutecw/sweep-<hash>.so``, where the hash
 covers the source, the command and the machine architecture: an edit to
 the source or the command builds a new library, and a cache shared by hosts
@@ -104,6 +121,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import platform
 import sys
@@ -133,6 +151,7 @@ FEATURES = tuple(sorted(set().union(*PATHS.values(), *SAMPLE_PATHS.values())))
 SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* The most replicas one call sweeps together; GROUP in _csweep.py. */
 #define GROUP 4
@@ -445,6 +464,121 @@ void interaction_histogram(int64_t n, const uint64_t *rows, int64_t edges, int64
     }
 }
 
+/* Exact sums of nonnegative doubles.  A double x is M 2^(e - 1075), M its
+   integer mantissa (with the hidden bit where the exponent field is nonzero)
+   and e its exponent field, taken as 1 for a subnormal.  bucket[e] adds the
+   M of its exponent in 128 bits, room for 2^75 of them.  fold_buckets then
+   adds every bucket[e] 2^(e - 1) into one little-endian integer of LIMBS
+   words, which is the exact sum times 2^1074; Python rounds it once. */
+#define BUCKETS 2047
+#define LIMBS 36
+
+static inline __attribute__((always_inline)) void bucket_add(unsigned __int128 *bucket, double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    uint64_t e = bits >> 52 & 0x7FF, mantissa = bits & (((uint64_t)1 << 52) - 1);
+    if (e)
+        mantissa |= (uint64_t)1 << 52;
+    else
+        e = 1;
+    bucket[e] += mantissa;
+}
+
+static void fold_buckets(const unsigned __int128 *bucket, uint64_t *limbs)
+{
+    for (int k = 0; k < LIMBS; k++)
+        limbs[k] = 0;
+    for (int e = 1; e < BUCKETS; e++) {
+        if (!bucket[e])
+            continue;
+        int at = (e - 1) / 64, off = (e - 1) % 64;
+        uint64_t lo = (uint64_t)bucket[e], hi = (uint64_t)(bucket[e] >> 64);
+        /* bucket[e] << off, in three words */
+        uint64_t part[3] = {lo << off, off ? hi << off | lo >> (64 - off) : hi,
+                            off ? hi >> (64 - off) : 0};
+        unsigned __int128 carry = 0;
+        for (int k = 0; at + k < LIMBS && (k < 3 || carry); k++) {
+            carry += (unsigned __int128)limbs[at + k] + (k < 3 ? part[k] : 0);
+            limbs[at + k] = (uint64_t)carry;
+            carry >>= 64;
+        }
+    }
+}
+
+/* The count doubles of x, each nonnegative and finite, summed exactly into
+   limbs (see fold_buckets). */
+void exact_sum(int64_t count, const double *x, uint64_t *limbs)
+{
+    unsigned __int128 bucket[BUCKETS] = {0};
+    for (int64_t i = 0; i < count; i++)
+        bucket_add(bucket, x[i]);
+    fold_buckets(bucket, limbs);
+}
+
+/* Every term of the annealed pair sum (see exact.second_moment_log), visited
+   as (class ck, class cl, n1) with the four category counts n1, ck - n1,
+   cl - n1, n - ck - cl + n1 nonnegative, and built in the same IEEE order as
+   the Python sum: ((base + (((log_g[ck] + (b1 k) k) + log_g[cl]) + (b2 l) l))
+   + log count) + (b12 m) m.  The count's log is looked up by the sorted
+   categories a <= b <= c at log_counts[offsets[a (n + 1) + b] + c - b].
+   Without bucket it counts the terms into *terms and returns the largest;
+   with it, it adds exp(t - peak) of every term to bucket and returns NaN if
+   one of them is NaN, else 0. */
+static double pair_terms(int64_t n, double base, double b1, double b2, double b12,
+                         const double *log_g, const int64_t *offsets, const double *log_counts,
+                         double peak, unsigned __int128 *bucket, int64_t *terms)
+{
+    double top = -INFINITY, nan = 0.0;
+    for (int64_t ck = 0; ck <= n; ck++) {
+        if (log_g[ck] == -INFINITY)
+            continue;
+        double k = (double)(2 * ck - n), part_k = log_g[ck] + (b1 * k) * k;
+        for (int64_t cl = 0; cl <= n; cl++) {
+            if (log_g[cl] == -INFINITY)
+                continue;
+            double l = (double)(2 * cl - n), head = base + ((part_k + log_g[cl]) + (b2 * l) * l);
+            int64_t first = ck + cl - n > 0 ? ck + cl - n : 0, last = ck < cl ? ck : cl;
+            for (int64_t n1 = first; n1 <= last; n1++) {
+                int64_t n2 = ck - n1, n3 = cl - n1, n4 = n - ck - cl + n1;
+                /* the three smallest of the four, in order */
+                int64_t p = n1 < n2 ? n1 : n2, q = n1 < n2 ? n2 : n1;
+                int64_t r = n3 < n4 ? n3 : n4, s = n3 < n4 ? n4 : n3;
+                int64_t a = p < r ? p : r, x = p < r ? r : p, y = q < s ? q : s;
+                int64_t b = x < y ? x : y, c = x < y ? y : x;
+                double m = (double)(4 * n1 + n - 2 * ck - 2 * cl);
+                double t = (head + log_counts[offsets[a * (n + 1) + b] + c - b]) + (b12 * m) * m;
+                if (!bucket) {
+                    top = t > top ? t : top;
+                    continue;
+                }
+                double term = exp(t - peak);
+                if (term != term)
+                    nan = term;
+                else
+                    bucket_add(bucket, term);
+            }
+            if (!bucket)
+                *terms += last - first + 1;
+        }
+    }
+    return bucket ? nan : top;
+}
+
+/* The pair sum as peak + log(sum of exp(t - peak)): the largest term into
+   *peak and the sum into limbs (see fold_buckets).  Returns the number of
+   terms, or -1 when an exp is NaN, as it is when a term is NaN or +inf. */
+int64_t pair_sum(int64_t n, double base, double b1, double b2, double b12, const double *log_g,
+                 const int64_t *offsets, const double *log_counts, double *peak, uint64_t *limbs)
+{
+    unsigned __int128 bucket[BUCKETS] = {0};
+    int64_t terms = 0;
+    *peak = pair_terms(n, base, b1, b2, b12, log_g, offsets, log_counts, 0.0, NULL, &terms);
+    double nan = pair_terms(n, base, b1, b2, b12, log_g, offsets, log_counts, *peak, bucket, NULL);
+    fold_buckets(bucket, limbs);
+    return nan != nan ? -1 : terms;
+}
+
 /* Bit k set when this CPU has feature k of FEATURES, 0 off x86-64.
    __builtin_cpu_supports takes only a literal, so the tests are written out
    from FEATURES, one a line. */
@@ -462,7 +596,7 @@ int64_t cpu_features(void)
     for k, name in enumerate(FEATURES)
 ))
 
-COMMAND = ("cc", "-O3", "-shared", "-fPIC")
+COMMAND = ("cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 # The most replicas one sweep call runs together (GROUP in SOURCE).  Each mask
 # word the counting loop loads serves every replica of the group, and the
@@ -480,6 +614,8 @@ class _Library(NamedTuple):
     masks: Callable  # build_masks
     plus: Callable  # plus_table
     histogram: Callable  # interaction_histogram
+    pair_sum: Callable  # pair_sum
+    exact_sum: Callable  # exact_sum
 
 
 _lock = threading.Lock()
@@ -558,6 +694,41 @@ def _histogram_shape(out_rows: np.ndarray) -> tuple[int, int]:
         raise ValueError(f"the histogram takes 1 to 64 sites, one mask word a row, got {n}")
     _check((out_rows, "<u8", (n, 1)))
     return n, int(_row_bits(out_rows).sum())
+
+
+def _pair_shape(n, log_g: np.ndarray, log_counts: np.ndarray) -> np.ndarray:
+    """The (n + 1, n + 1) index of a pair sum's table of log counts, once its
+    arguments pass the checks that both kernel sets make: ``log_g`` the n + 1
+    class log weights, ``log_counts`` one log count per partition a <= b <=
+    c <= d of n, ordered by a, then b, then c.  Row (a, b) of that table
+    starts at the index's entry (a, b), which is 0 where the row is empty."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    a, b = np.ogrid[:n + 1, :n + 1]
+    rows = np.where(a <= b, np.maximum((n - a - b) // 2 - b + 1, 0), 0)
+    ends = np.cumsum(rows).reshape(rows.shape)
+    _check((log_g, np.float64, (n + 1,)), (log_counts, np.float64, (int(ends[-1, -1]),)))
+    return np.where(rows > 0, ends - rows, 0)
+
+
+def _sum_shape(values: np.ndarray) -> None:
+    """The check both kernel sets make on the values of an exact sum: a
+    float64 vector of finite doubles, none with its sign bit set."""
+    _check((values, np.float64, (values.size,)))
+    if not np.isfinite(values).all() or np.signbit(values).any():
+        raise ValueError("an exact sum takes finite doubles of positive sign")
+
+
+# The words of an exact sum's integer, as the C kernel's LIMBS: the sum times
+# 2^_SUM_SCALE.
+_LIMBS = 36
+_SUM_SCALE = 1074
+
+
+def _rounded(limbs: np.ndarray) -> float:
+    """The exact sum held in ``limbs``, correctly rounded to a double: CPython's
+    int / int true division rounds once, half to even, as math.fsum does."""
+    return int.from_bytes(limbs.tobytes(), "little") / (1 << _SUM_SCALE)
 
 
 def _bind(fn):
@@ -653,6 +824,41 @@ def _bind_histogram(fn):
     return histogram
 
 
+def _bind_pair_sum(fn):
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [ctypes.c_int64, *[ctypes.c_double] * 4, *[ctypes.c_void_p] * 5]
+
+    def pair_sum(n, base, b1, b2, b12, log_g: np.ndarray, log_counts: np.ndarray) -> float:
+        """log of the sum of exp over every term of the annealed pair sum
+        (see ``_twins._numpy_pair_sum``); -inf when there is none."""
+        offsets = _pair_shape(n, log_g, log_counts)
+        peak = np.empty(1)
+        limbs = np.empty(_LIMBS, dtype=np.uint64)
+        terms = fn(n, base, b1, b2, b12, log_g.ctypes.data, offsets.ctypes.data,
+                   log_counts.ctypes.data, peak.ctypes.data, limbs.ctypes.data)
+        if terms == 0:
+            return -math.inf
+        if terms < 0:
+            return math.nan
+        return float(peak[0]) + math.log(_rounded(limbs))
+
+    return pair_sum
+
+
+def _bind_exact_sum(fn):
+    fn.restype = None
+    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+
+    def exact_sum(values: np.ndarray) -> float:
+        """The sum of ``values``, correctly rounded: the float math.fsum gives."""
+        _sum_shape(values)
+        limbs = np.empty(_LIMBS, dtype=np.uint64)
+        fn(len(values), values.ctypes.data, limbs.ctypes.data)
+        return _rounded(limbs)
+
+    return exact_sum
+
+
 def _runnable(table: dict, features: set) -> list[str]:
     """The paths of ``table`` (PATHS or SAMPLE_PATHS) that a CPU with
     ``features`` runs, fastest first."""
@@ -688,6 +894,8 @@ def _open() -> _Library:
         masks=_bind_masks(lib.build_masks),
         plus=_bind_plus(lib.plus_table),
         histogram=_bind_histogram(lib.interaction_histogram),
+        pair_sum=_bind_pair_sum(lib.pair_sum),
+        exact_sum=_bind_exact_sum(lib.exact_sum),
     )
 
 
@@ -702,7 +910,8 @@ def library() -> _Library:
                 from ._twins import _TWINS as loaded
 
                 print(f"note: compiled kernels unavailable ({err}); "
-                      "sampling, masks, sweeps and enumeration run in numpy and Python",
+                      "sampling, masks, sweeps, enumeration and the second moment's sum "
+                      "run in numpy and Python",
                       file=sys.stderr, flush=True)
             _loaded.append(loaded)
         return _loaded[0]

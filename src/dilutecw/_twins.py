@@ -2,24 +2,25 @@
 
 Each twin does what its kernel does, bit for bit: ``_sample_rows`` for
 ``sample_rows_<path>``, ``_numpy_masks`` for ``build_masks``, ``_plus_loop``
-for ``plus_table``, ``_python_sweeps`` for ``sweep_block_<path>`` and
-``_numpy_histogram`` for ``interaction_histogram``.  The sweep and histogram
+for ``plus_table``, ``_python_sweeps`` for ``sweep_block_<path>``,
+``_numpy_histogram`` for ``interaction_histogram``, ``_numpy_pair_sum`` for
+``pair_sum`` and ``_fsum`` for ``exact_sum``.  The sweep, histogram and sum
 twins refuse the calls their kernels refuse, through the same checks in
-``_csweep``.  They are the test
-oracles of the kernels and, as ``_TWINS``, the kernel set that
-``_csweep.library()`` returns when nothing compiles or loads.  They live
-apart from the loader so that a process on the compiled kernels never
-compiles or runs their code.
+``_csweep``.  They are the test oracles of the kernels and, as ``_TWINS``,
+the kernel set that ``_csweep.library()`` returns when nothing compiles or
+loads.  They live apart from the loader so that a process on the compiled
+kernels never compiles or runs their code.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from . import splitmix
-from ._csweep import _histogram_shape, _Library, _sweep_shape
+from ._csweep import _histogram_shape, _Library, _pair_shape, _sum_shape, _sweep_shape
 from .model import _WORD, _pack_rows, _row_bits
 
 
@@ -164,6 +165,49 @@ def _numpy_histogram(out_rows: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _numpy_pair_sum(n, base, b1, b2, b12, log_g: np.ndarray, log_counts: np.ndarray) -> float:
+    """The numpy twin of ``pair_sum``: every term of the annealed pair sum in
+    the kernel's operation order, a class of the first copy at a time, then
+    peak + log(fsum of exp(t - peak)) through math.exp, which calls libm's exp.
+    Each float is the kernel's, and both sums round once, correctly."""
+    offsets = _pair_shape(n, log_g, log_counts)
+    # classes cl of the second copy where g does not vanish, against n1, the
+    # number of sites up in both copies
+    live = np.flatnonzero(log_g != -math.inf)
+    cl = live[:, None]
+    n1 = np.arange(n + 1)[None, :]
+    spin_l = (2 * live - n).astype(np.float64)
+    partial_l = log_g[live]
+    square_l = (b2 * spin_l) * spin_l
+    log_g = log_g.tolist()
+
+    slabs = []
+    for ck in live.tolist():
+        k = 2 * ck - n
+        partial_kl = ((log_g[ck] + b1 * k * k) + partial_l) + square_l
+        # categories ++, +-, -+, -- of the sites; m = n1 - n2 - n3 + n4
+        n2, n3, n4 = ck - n1, cl - n1, (n - ck) - cl + n1
+        rows, cols = np.nonzero((n2 >= 0) & (n3 >= 0) & (n4 >= 0))
+        parts = np.sort(
+            np.stack([np.broadcast_to(x, n4.shape)[rows, cols] for x in (n1, n2, n3, n4)], axis=1),
+            axis=1,
+        )
+        log_count = log_counts[offsets[parts[:, 0], parts[:, 1]] + parts[:, 2] - parts[:, 1]]
+        m = (4 * cols + n - 2 * ck - 2 * live[rows]).astype(np.float64)
+        slabs.append(((base + partial_kl[rows]) + log_count) + (b12 * m) * m)
+    if not slabs:
+        return -math.inf
+    peak = max(float(slab.max()) for slab in slabs)
+    exps = (map(math.exp, (slab - peak).tolist()) for slab in slabs)
+    return peak + math.log(math.fsum(itertools.chain.from_iterable(exps)))
+
+
+def _fsum(values: np.ndarray) -> float:
+    """The twin of ``exact_sum``: math.fsum, which rounds the exact sum once."""
+    _sum_shape(values)
+    return math.fsum(values.tolist())
+
+
 def _mask_ints(masks: np.ndarray) -> list[int]:
     """The rows of a packed mask array as Python integers."""
     return [int.from_bytes(row.tobytes(), "little") for row in masks]
@@ -238,4 +282,6 @@ _TWINS = _Library(
     masks=_numpy_masks,
     plus=_plus_loop,
     histogram=_numpy_histogram,
+    pair_sum=_numpy_pair_sum,
+    exact_sum=_fsum,
 )

@@ -37,9 +37,14 @@ into (n+1)- and O(n^3)-term sums with exact integer counts:
 the multinomial over the four site categories (s_i, t_i) in {++, +-, -+,
 --}; it vanishes unless all four are nonnegative integers.  The multinomial
 only depends on the multiset {n1, n2, n3, n4}, so the pair sum takes the log
-of each exact count once per 4-part partition of n (2,280 of them at n = 64)
-from a sorted table and evaluates the O(n^3) terms with numpy, one k class at
-a time, in the same floating-point order as the term-by-term sum.
+of each exact count once per 4-part partition of n (2,280 of them at n = 64),
+each count reached from the one before it by an exact integer step.  The
+O(n^3) terms are one call of ``_csweep.library().pair_sum``: the compiled
+kernel ``pair_sum``, which builds each term in the same floating-point order
+as the term-by-term sum, takes libm's exp of it less the largest and adds
+the results exactly, or its numpy twin, which does the same a k class at a
+time and adds the exps with math.fsum.  Both sums round once, correctly, so
+both give the same float.
 
 Quenched side.  For a fixed graph the partition sum is enumerated over all
 2^n configurations as an exact histogram of (s, class) pairs with integer
@@ -67,7 +72,6 @@ Both give the same integer counts.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -105,9 +109,10 @@ _NS_PER_CONFIG = 2
 # refused.
 MAX_ENUMERATION_N = 30
 
-# The pair sum of second_moment_log is O(n^3) numpy terms, each summed by
-# fsum, plus one bigint multinomial per 4-part partition of n; n = 200 takes
-# about 1.5 s on that host.
+# The pair sum of second_moment_log is O(n^3) terms (1.37 M at n = 200), one
+# libm exp each in the compiled kernel, plus one bigint multinomial per 4-part
+# partition of n; n = 200 takes 0.075-0.09 s on that host, about half of it
+# the multinomials (the numpy twin: 0.7-1.2 s).
 MAX_MOMENT_N = 200
 # expected_partition_log takes n + 1 bigint binomials of up to n bits, so
 # its cost grows as n^3: 1.5 s at n = 5000 on that host, 14 s at n = 10^4.
@@ -236,33 +241,41 @@ def expected_partition_log(params: ModelParams, g: TestFunction) -> float:
     return _logsumexp(terms)
 
 
-def _log_multinomial_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """log(n! / (a! b! c! d!)) for every partition a <= b <= c <= d of n.
+def _log_multinomial_table(n: int) -> np.ndarray:
+    """log(n! / (a! b! c! d!)) for every partition a <= b <= c <= d of n,
+    ordered by a, then b, then c, the order that ``_csweep._pair_shape``
+    indexes.
 
-    Returns (keys, logs) with key (a (n+1) + b)(n+1) + c in ascending order.
-    Each log is math.log of the exact integer count, so it is the same float
-    as math.log(pair_spin_count(n, k, l, m)) for any (k, l, m) whose four
+    Each count comes from the one before it by an exact integer step, and
+    each log is math.log of that exact integer, so it is the same float as
+    math.log(pair_spin_count(n, k, l, m)) for any (k, l, m) whose four
     category counts are a permutation of (a, b, c, d)."""
-    width = n + 1
-    fact = [1]
-    for i in range(1, n + 1):
-        fact.append(fact[-1] * i)
-    keys, logs = [], []
+    logs = []
+    corner = 1  # the count of (a, a, a)
     for a in range(n // 4 + 1):
+        if a:
+            d = n - 3 * a + 3  # the fourth part of (a - 1, a - 1, a - 1)
+            corner = corner * d * (d - 1) * (d - 2) // (a * a * a)
+        row = corner  # the count of (a, b, b)
         for b in range(a, (n - a) // 3 + 1):
-            for c in range(b, (n - a - b) // 2 + 1):
-                keys.append((a * width + b) * width + c)
-                count = fact[n] // (fact[a] * fact[b] * fact[c] * fact[n - a - b - c])
+            if b > a:
+                d = n - a - 2 * b + 2  # the fourth part of (a, b - 1, b - 1)
+                row = row * d * (d - 1) // (b * b)
+            count = row
+            logs.append(math.log(count))
+            for c in range(b + 1, (n - a - b) // 2 + 1):
+                count = count * (n - a - b - c + 1) // c
                 logs.append(math.log(count))
-    return np.array(keys, dtype=np.int64), np.array(logs)
+    return np.array(logs)
 
 
 def second_moment_log(params: ModelParams, g: TestFunction) -> float:
     """log E[Z(g)^2] via the pair identity, an O(n^3) sum with exact counts.
 
     Every term is the float the scalar sum over (k, l, m) would give, in the
-    same operation order, and the final fsum rounds correctly, so the result
-    does not depend on the order the terms are visited in.  Refuses n beyond
+    same operation order, and the final sum rounds correctly, so the result
+    does not depend on the order the terms are visited in.  The terms are
+    summed by ``_csweep.library().pair_sum``.  Refuses n beyond
     ``MAX_MOMENT_N``."""
     n = params.n
     if n > MAX_MOMENT_N:
@@ -270,41 +283,11 @@ def second_moment_log(params: ModelParams, g: TestFunction) -> float:
             f"second moment over n={n} needs {(n + 1) ** 3} pair terms, "
             f"above the cap max_n={MAX_MOMENT_N}"
         )
-    c = moment_coefficients(params)
-    log_g = _class_log_weights(n, g)
-    keys, log_counts = _log_multinomial_table(n)
-    width = n + 1
-    base = n * n * c.b0
-    # classes cl of the second copy where g does not vanish, against n1, the
-    # number of sites up in both copies
-    live = np.array([cls for cls in range(n + 1) if log_g[cls] != -math.inf], dtype=np.int64)
-    cl = live[:, None]
-    n1 = np.arange(n + 1)[None, :]
-    spin_l = (2 * live - n).astype(np.float64)
-    partial_l = np.array(log_g)[live]
-    square_l = (c.b2 * spin_l) * spin_l
+    from ._csweep import library
 
-    slabs = []
-    for ck in live.tolist():
-        k = 2 * ck - n
-        partial_kl = ((log_g[ck] + c.b1 * k * k) + partial_l) + square_l
-        # categories ++, +-, -+, -- of the sites; m = n1 - n2 - n3 + n4
-        n2, n3, n4 = ck - n1, cl - n1, (n - ck) - cl + n1
-        rows, cols = np.nonzero((n2 >= 0) & (n3 >= 0) & (n4 >= 0))
-        parts = np.sort(
-            np.stack([np.broadcast_to(x, n4.shape)[rows, cols] for x in (n1, n2, n3, n4)], axis=1),
-            axis=1,
-        )
-        log_count = log_counts[
-            np.searchsorted(keys, (parts[:, 0] * width + parts[:, 1]) * width + parts[:, 2])
-        ]
-        m = (4 * cols + n - 2 * ck - 2 * live[rows]).astype(np.float64)
-        slabs.append(((base + partial_kl[rows]) + log_count) + (c.b12 * m) * m)
-    if not slabs:
-        return -math.inf
-    peak = max(float(slab.max()) for slab in slabs)
-    exps = (map(math.exp, (slab - peak).tolist()) for slab in slabs)
-    return peak + math.log(math.fsum(itertools.chain.from_iterable(exps)))
+    c = moment_coefficients(params)
+    log_g = np.array(_class_log_weights(n, g))
+    return library().pair_sum(n, n * n * c.b0, c.b1, c.b2, c.b12, log_g, _log_multinomial_table(n))
 
 
 # Rounding budget of variance_ratio_from_logs.  Each log moment is taken to

@@ -7,9 +7,11 @@ words.  These oracles do, straight from the graph's 0/1 matrix, so the tests
 can check both against them.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
 from dilutecw import _csweep, _twins
 
@@ -18,6 +20,14 @@ def kernel_sets():
     """Every kernel set this host has: the compiled one where it loads, and the twins."""
     library = _csweep.library()
     return [library] if library is _twins._TWINS else [library, _twins._TWINS]
+
+
+@contextmanager
+def kernels_in_use(kernels):
+    """Within the block, ``_csweep.library()`` returns ``kernels``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_csweep, "_loaded", [kernels])
+        yield
 
 
 @dataclass(frozen=True)

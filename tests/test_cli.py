@@ -309,23 +309,32 @@ def test_exact_partition_is_the_same_on_the_twins(source, tmp_path, capsys, monk
 
 
 def test_enumeration_loads_the_kernels_on_first_use(tmp_path):
-    # importing the CLI and running a command that enumerates nothing load no
-    # kernel code; the first enumeration does, even of a graph read from a file
+    # importing the CLI and running commands that sum no moments and enumerate
+    # nothing load no kernel code; the second moment does, and so does the
+    # first enumeration, even of a graph read from a file
     graph = tmp_path / "g.txt"
     graph.write_text("dilute-cw-graph v1 N=3\n011\n000\n101\n")
-    code = (
-        "import sys, dilutecw.cli as cli; "
-        "loaded = lambda: 'dilutecw._csweep' in sys.modules; seen = [loaded()]; "
-        "cli.main(['exact-moments', '--n', '4', '--p', '0.5', '--beta', '0.5']); "
-        "seen.append(loaded()); "
-        f"cli.main(['exact-partition', '--n', '3', '--p', '0.5', '--beta', '0.5', "
-        f"'--graph', {str(graph)!r}]); "
-        "seen.append(loaded()); print(seen, file=sys.stderr)"
-    )
+    model = ["--p", "0.5", "--beta", "0.5"]
+    runs = {
+        "exact-moments": [["series-check", "--p", "1/2"],
+                          ["asym-predict", "--n", "4", *model, "--variant", "a"],
+                          ["exact-moments", "--n", "4", *model]],
+        "exact-partition": [["exact-partition", "--n", "3", *model, "--graph", str(graph)]],
+    }
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stderr.strip().splitlines()[-1] == "[False, False, True]"
+    for last, commands in runs.items():
+        code = (
+            "import io, sys, contextlib, dilutecw.cli as cli; "
+            "loaded = lambda: 'dilutecw._csweep' in sys.modules; seen = [loaded()]\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    seen.append(loaded())\n"
+            "print(seen, file=sys.stderr)"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.strip().splitlines()[-1] == repr([False] * len(commands) + [True]), last
 
 
 def test_exact_partition_sidecar_counts_configs(tmp_path, capsys):

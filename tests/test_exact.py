@@ -2,6 +2,7 @@
 split-sum enumeration against a per-configuration oracle."""
 
 import math
+import sys
 import time
 
 import mpmath as mp
@@ -28,7 +29,7 @@ from dilutecw.exact import (
 from dilutecw.graph import GraphSeed, sample_graph
 from dilutecw.model import DisorderGraph, ModelParams
 from dilutecw.testfunctions import make_test_function, parse_test_function
-from helpers import SpinConfig, interaction_sum, kernel_sets
+from helpers import SpinConfig, interaction_sum, kernel_sets, kernels_in_use
 
 ONE = make_test_function("one")
 GAUSS = make_test_function("gauss")
@@ -462,7 +463,10 @@ SECOND_MOMENT_GOLDEN = [
 
 @pytest.mark.parametrize("n,p,beta,spec,want", SECOND_MOMENT_GOLDEN)
 def test_second_moment_golden(n, p, beta, spec, want):
-    assert second_moment_log(ModelParams(n=n, p=p, beta=beta), parse_test_function(spec)) == want
+    params, g = ModelParams(n=n, p=p, beta=beta), parse_test_function(spec)
+    for kernels in kernel_sets():
+        with kernels_in_use(kernels):
+            assert second_moment_log(params, g) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -480,14 +484,134 @@ def test_second_moment_golden(n, p, beta, spec, want):
 def test_second_moment_matches_scalar_sum(n, p, beta, spec):
     params = ModelParams(n=n, p=p, beta=beta)
     g = parse_test_function(spec)
-    assert second_moment_log(params, g) == scalar_second_moment_log(params, g)
+    want = scalar_second_moment_log(params, g)
+    for kernels in kernel_sets():
+        with kernels_in_use(kernels):
+            assert second_moment_log(params, g) == want
 
 
 def test_second_moment_vanishing_support():
     # the bump misses every class atom, so there is no term at all
     far = parse_test_function("bump:5,0.01")
-    assert second_moment_log(ModelParams(n=7, p=0.5, beta=0.5), far) == -math.inf
+    for kernels in kernel_sets():
+        with kernels_in_use(kernels):
+            assert second_moment_log(ModelParams(n=7, p=0.5, beta=0.5), far) == -math.inf
     assert scalar_second_moment_log(ModelParams(n=7, p=0.5, beta=0.5), far) == -math.inf
+
+
+def pair_sum_args(n, p, beta, spec):
+    """The arguments second_moment_log hands to ``pair_sum``."""
+    c = moment_coefficients(ModelParams(n=n, p=p, beta=beta))
+    log_g = np.array(exact._class_log_weights(n, parse_test_function(spec)))
+    return n, n * n * c.b0, c.b1, c.b2, c.b12, log_g, exact._log_multinomial_table(n)
+
+
+@pytest.mark.parametrize("n", [64, 100, 150, 200])
+def test_compiled_pair_sum_matches_numpy_twin(n):
+    library = _csweep.library()
+    if library is _twins._TWINS:
+        pytest.skip("no compiled kernels on this host")
+    for p, beta, spec in [(0.5, 0.5, "one"), (0.05, 1.3, "gauss"), (1.0, 0.9, "cosine"),
+                          (0.3, 2.0, "bump:0.3,0.5"), (0.5, 0.5, "bump:20,1")]:
+        args = pair_sum_args(n, p, beta, spec)
+        want = _twins._numpy_pair_sum(*args)
+        assert library.pair_sum(*args) == want
+        assert (want == -math.inf) == (spec == "bump:20,1")
+
+
+def test_log_multinomial_table_is_exact():
+    # every partition a <= b <= c <= d of n, at the index pair sums read it by
+    for n in (1, 2, 3, 4, 7, 12, 33):
+        logs = exact._log_multinomial_table(n)
+        offsets = _csweep._pair_shape(n, np.zeros(n + 1), logs)
+        seen = 0
+        for a in range(n + 1):
+            for b in range(a, n + 1):
+                for c in range(b, n + 1):
+                    d = n - a - b - c
+                    if d < c:
+                        continue
+                    count = math.comb(n, a) * math.comb(n - a, b) * math.comb(n - a - b, c)
+                    assert logs[offsets[a, b] + c - b] == math.log(count)
+                    seen += 1
+        assert seen == len(logs)
+
+
+def test_pair_sum_rejects_mismatched_buffers():
+    # on the compiled kernel and on the twin, which refuses what the kernel refuses
+    n, *weights, log_g, logs = pair_sum_args(9, 0.5, 0.5, "gauss")
+    for kernels in kernel_sets():
+        assert math.isfinite(kernels.pair_sum(n, *weights, log_g, logs))
+        for bad_g, bad_logs in (
+            (log_g[:-1], logs), (log_g.astype(np.float32), logs), (np.repeat(log_g, 2)[::2], logs),
+            (log_g, logs[:-1]), (log_g, np.append(logs, 0.0)), (log_g, logs.reshape(1, -1)),
+            (log_g, exact._log_multinomial_table(8)),
+        ):
+            with pytest.raises(ValueError, match="kernel buffer"):
+                kernels.pair_sum(n, *weights, bad_g, bad_logs)
+        for bad_n in (0, -3, 9.0, True):
+            with pytest.raises(ValueError, match="n must be"):
+                kernels.pair_sum(bad_n, *weights, log_g, logs)
+        # a NaN or infinite term makes the whole sum NaN, as fsum makes it
+        for base in (math.nan, math.inf):
+            with np.errstate(invalid="ignore"):
+                assert math.isnan(kernels.pair_sum(n, base, *weights[1:], log_g, logs))
+
+
+# Sums whose correct rounding a narrower or inexact sum gets wrong: ties at half
+# an ulp, either way of even and broken by a far smaller term, subnormals
+# alone and beside normals, and more terms of one exponent than a 64-bit word
+# holds 53-bit mantissas of (2^11).
+ADVERSARIAL_SUMS = [
+    [],
+    [0.0],
+    [1.0, 2.0**-53],
+    [1.0 + 2.0**-52, 2.0**-53],
+    [1.0, 2.0**-53, 2.0**-1074],
+    [2.0**-53, 1.0, 2.0**-1074, 0.0],
+    [1.0, 2.0**-54, 2.0**-54],
+    [5e-324] * 7,
+    [2.0**-1022 - 5e-324, 5e-324],
+    [2.0**-1022, 2.0**-1074, 2.0**-1075 * 3.0],
+    [math.ulp(0.0) * k for k in range(1, 2000)],
+    [1.0 - 2.0**-53] * (2**12 + 1),
+    [math.nextafter(2.0, 0.0)] * (2**13 + 3) + [2.0**-53],
+    [2.0**1023, 2.0**1023 * (1 - 2.0**-52), 2.0**-1074],
+    [1e308, 1e-308, 1e-320, 1.0, 3.0**-200],
+]
+
+
+@pytest.mark.parametrize("values", ADVERSARIAL_SUMS, ids=range(len(ADVERSARIAL_SUMS)))
+def test_exact_sum_rounds_as_fsum(values):
+    array = np.array(values, dtype=np.float64)
+    for kernels in kernel_sets():
+        got = kernels.exact_sum(array)
+        assert got == math.fsum(values) and math.copysign(1.0, got) == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.one_of(st.floats(min_value=0.0, max_value=1e300), st.floats(min_value=0.0, max_value=1e-300),
+              st.sampled_from([1.0, 2.0**-53, 5e-324])),
+    max_size=60,
+))
+def test_exact_sum_matches_fsum(values):
+    for kernels in kernel_sets():
+        assert kernels.exact_sum(np.array(values, dtype=np.float64)) == math.fsum(values)
+
+
+def test_exact_sum_refuses_what_it_cannot_sum():
+    for kernels in kernel_sets():
+        # past the largest double both sums overflow
+        with pytest.raises(OverflowError):
+            kernels.exact_sum(np.array([sys.float_info.max] * 2))
+        for bad in ([1.0, -1.0], [-0.0], [math.inf], [math.nan]):
+            with pytest.raises(ValueError, match="positive sign"):
+                kernels.exact_sum(np.array(bad))
+        for bad in (np.ones((2, 2)), np.ones(3, dtype=np.float32), np.ones(6)[::2],
+                    np.asarray(1.0)):
+            with pytest.raises(ValueError, match="kernel buffer"):
+                kernels.exact_sum(bad)
 
 
 def test_variance_ratio_from_logs():
