@@ -65,7 +65,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DomainError
@@ -91,18 +90,25 @@ MAX_TAYLOR_ORDER = 16
 def eval_F(p: float, z: float) -> float:
     """F(p, z) = log(1 - p + p e^z), stable for small z and p near 1.
 
-    Written as log1p(p * expm1(z)): at small z the argument is ~ p z, so no
-    cancellation, and at p = 1 the value degenerates to exactly z for z >= 0
-    up to rounding.  Two ends need another form.  Above z = 700, p e^z nears
-    overflow, and F = z + log(p + (1 - p) e^-z) is used.  At p = 1 and z below
-    about -37, expm1(z) rounds to -1 and log1p has no answer, but F = z.
+    Written as log1p(u) with u = p * expm1(z): at small z, u is ~ p z, so no
+    cancellation.  Three cases need another form.  At p = 1, F = z exactly.
+    Above z = 700, p e^z nears overflow, and F = z + log(p + (1 - p) e^-z)
+    is used.  Where u < -1/2, 1 + u can be far smaller than the rounding of
+    u, and log1p(u) keeps only a few digits (at p = 1 - 2^-52 and z = -35.7
+    it is off by 1e-3 relative), so F = log((1 - p) + p e^z) is used there:
+    u < -1/2 needs p > 1/2, where 1 - p is exact, and the sum of two
+    positive terms cancels nothing.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p!r}")
+    if p == 1.0:
+        return z
     if z > 700.0:
         return z + math.log(p + (1.0 - p) * math.exp(-z))
     u = p * math.expm1(z)
-    return z if u == -1.0 else math.log1p(u)
+    if u < -0.5:
+        return math.log((1.0 - p) + p * math.exp(z))
+    return math.log1p(u)
 
 
 def taylor_coefficients_exact(p, max_order: int) -> list[Fraction]:
@@ -304,6 +310,10 @@ def remainder_check(p: float, z: float, which: str) -> float:
         raise DomainError(f"p must lie in (0, 1], got {p!r}")
     if not 0.0 < abs(z) <= 0.25:
         raise DomainError(f"z must satisfy 0 < |z| <= 0.25, got {z!r}")
+    # mpmath costs tens of milliseconds to import, and only series-check
+    # comes here
+    import mpmath as mp
+
     with mp.workdps(50):
         pm = mp.mpf(p)
         zm = mp.mpf(z)

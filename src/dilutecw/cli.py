@@ -12,12 +12,18 @@ Exit codes: 0 success, 2 argument validation, 3 refused by a capacity cap,
 4 runtime failure (unparseable input file, numerical impossibility, I/O).
 Validation is argparse's types plus the library's own checks, which raise
 DomainError; the handlers here restate none of them.
+
+A process builds its parser once (``build_parser`` is cached) and every
+``main`` call reads that one parser: parsing does not change it, and the
+handlers it dispatches to look up the library's functions by module name at
+call time.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -352,7 +358,10 @@ def _add_chain_flags(sub):
     sub.add_argument("--replicas", type=int, default=1, help="independent replicas")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser of the eight commands, built on the first call
+    and only read after it."""
     parser = argparse.ArgumentParser(
         prog="dilutecw",
         description="Dilute mean-field Ising on directed random graphs: "

@@ -72,6 +72,7 @@ Both give the same integer counts.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -112,7 +113,8 @@ MAX_ENUMERATION_N = 30
 # The pair sum of second_moment_log is O(n^3) terms (1.37 M at n = 200), one
 # libm exp each in the compiled kernel, plus one bigint multinomial per 4-part
 # partition of n; n = 200 takes 0.075-0.09 s on that host, about half of it
-# the multinomials (the numpy twin: 0.7-1.2 s).
+# the multinomials, which a second call at the same n reuses (the numpy twin:
+# 0.7-1.2 s).
 MAX_MOMENT_N = 200
 # expected_partition_log takes n + 1 bigint binomials of up to n bits, so
 # its cost grows as n^3: 1.5 s at n = 5000 on that host, 14 s at n = 10^4.
@@ -241,6 +243,12 @@ def expected_partition_log(params: ModelParams, g: TestFunction) -> float:
     return _logsumexp(terms)
 
 
+# Tables kept by _log_multinomial_table: the one at n = 200 is 60k doubles
+# (0.5 MB) and takes 40 ms to build.
+_TABLES_KEPT = 8
+
+
+@functools.lru_cache(maxsize=_TABLES_KEPT)
 def _log_multinomial_table(n: int) -> np.ndarray:
     """log(n! / (a! b! c! d!)) for every partition a <= b <= c <= d of n,
     ordered by a, then b, then c, the order that ``_csweep._pair_shape``
@@ -249,7 +257,8 @@ def _log_multinomial_table(n: int) -> np.ndarray:
     Each count comes from the one before it by an exact integer step, and
     each log is math.log of that exact integer, so it is the same float as
     math.log(pair_spin_count(n, k, l, m)) for any (k, l, m) whose four
-    category counts are a permutation of (a, b, c, d)."""
+    category counts are a permutation of (a, b, c, d).  The last few tables
+    are kept, so each is built once per n; they are read-only."""
     logs = []
     corner = 1  # the count of (a, a, a)
     for a in range(n // 4 + 1):
@@ -266,7 +275,9 @@ def _log_multinomial_table(n: int) -> np.ndarray:
             for c in range(b + 1, (n - a - b) // 2 + 1):
                 count = count * (n - a - b - c + 1) // c
                 logs.append(math.log(count))
-    return np.array(logs)
+    table = np.array(logs)
+    table.flags.writeable = False
+    return table
 
 
 def second_moment_log(params: ModelParams, g: TestFunction) -> float:

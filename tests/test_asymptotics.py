@@ -1,6 +1,7 @@
 """Edge-generating function, Taylor structure, quadrature, predictions."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -25,11 +26,26 @@ COSINE = make_test_function("cosine")
 
 
 def test_eval_F_against_high_precision():
+    # a grid, then random points: uniform p, p = 1 - 2^-k and p = 1, with z
+    # uniform over the whole double range of e^z or spread over 33 decades;
+    # near p = 1 and far below z = 0, 1 - p + p e^z is tiny and log1p(p
+    # expm1(z)) alone keeps few digits (5e-3 relative at p = 1, z = -35.84)
+    points = [(p, z) for p in (0.05, 0.3, 0.5, 0.9, 1.0)
+              for z in (-2.0, -0.1, -1e-8, 1e-8, 0.1, 2.0)]
+    points += [(1.0, -35.7), (1.0 - 2.0**-52, -35.7), (1.0 - 2.0**-40, -35.7), (0.75, -745.0)]
+    rng = random.Random(20191)
+    for i in range(3000):
+        p = [rng.uniform(0.0, 1.0) or 1.0, 1.0 - 2.0 ** -rng.randint(1, 53), 1.0][i % 3]
+        if i % 2:
+            z = rng.uniform(-745.0, 745.0)
+        else:
+            z = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-30.0, math.log10(745.0))
+        points.append((p, z))
     with mp.workdps(50):
-        for p in (0.05, 0.3, 0.5, 0.9, 1.0):
-            for z in (-2.0, -0.1, -1e-8, 1e-8, 0.1, 2.0):
-                want = float(mp.log(1 - mp.mpf(p) + mp.mpf(p) * mp.e ** mp.mpf(z)))
-                assert eval_F(p, z) == pytest.approx(want, rel=1e-14, abs=1e-300)
+        for p, z in points:
+            want = float(mp.log(1 - mp.mpf(p) + mp.mpf(p) * mp.exp(mp.mpf(z))))
+            assert eval_F(p, z) == pytest.approx(want, rel=1e-15), (p, z)
+    assert eval_F(1.0, -35.7) == -35.7
 
 
 def test_eval_F_at_extreme_arguments():

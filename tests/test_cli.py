@@ -337,6 +337,94 @@ def test_enumeration_loads_the_kernels_on_first_use(tmp_path):
         assert done.stderr.strip().splitlines()[-1] == repr([False] * len(commands) + [True]), last
 
 
+def _in_fresh_process(code: str, *args: str) -> str:
+    """stdout of ``code`` run with ``args`` in a new interpreter that imports
+    this package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# main's exit code and stdout for each argv of the JSON list in argv[1], all
+# in one process, then the number of parsers that process built
+_CALLS_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+import dilutecw.cli as cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps([results, cli.build_parser.cache_info().misses]))
+"""
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path):
+    # each call's output equals a fresh process's, with usage errors, --help
+    # and --version in between; the process builds its parser once
+    graph = tmp_path / "g.txt"
+    graph.write_text("dilute-cw-graph v1 N=3\n011\n000\n101\n")
+    model = ["--p", "0.5", "--beta", "0.5"]
+    moments = ["exact-moments", "--n", "6", *model, "--g", "gauss"]
+    calls = [
+        moments,
+        ["exact-moments", "--n", "six", *model],
+        moments,
+        ["--help"],
+        ["asym-predict", "--n", "20", *model, "--variant", "a"],
+        ["exact-moments", "--help"],
+        ["series-check", "--p", "1/3", "--max-order", "4"],
+        ["--version"],
+        ["exact-partition", "--n", "3", *model, "--graph", str(graph)],
+        ["asym-predict", "--n", "20", *model, "--variant", "d"],
+        ["exact-oracle", "--n", "2", *model, "--moment", "second"],
+        [],
+        moments,
+    ]
+    results, parsers = json.loads(_in_fresh_process(_CALLS_IN_ONE_PROCESS, json.dumps(calls)))
+    assert parsers == 1
+    assert [code for code, _ in results] == [0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0]
+    assert results[0] == results[2] == results[-1]
+    # the first and last calls repeat the third
+    for argv, result in zip(calls[1:-1], results[1:-1]):
+        alone, _ = json.loads(_in_fresh_process(_CALLS_IN_ONE_PROCESS, json.dumps([argv])))
+        assert alone == [result], argv
+
+
+def test_only_series_check_imports_mpmath(tmp_path):
+    # mpmath serves remainder_check alone, so the other seven commands run
+    # without importing it, and series-check imports it
+    graph = tmp_path / "g.txt"
+    model = ["--p", "0.5", "--beta", "0.5"]
+    chain = ["--sweeps", "20", "--burnin", "5"]
+    calls = [
+        ["graph-sample", "--n", "5", "--p", "0.5", "--out", str(graph)],
+        ["exact-partition", "--n", "5", *model, "--graph", str(graph)],
+        ["exact-partition", "--n", "4", *model],
+        ["exact-moments", "--n", "5", *model, "--g", "cosine"],
+        ["exact-oracle", "--n", "2", *model, "--moment", "first"],
+        ["asym-predict", "--n", "20", *model, "--variant", "b"],
+        ["mcmc-run", "--n", "6", *model, *chain],
+        ["clt-experiment", "--n", "6", *model, *chain, "--graphs", "2"],
+        ["series-check", "--p", "1/3", "--max-order", "4"],
+    ]
+    code = f"""
+import contextlib, io, sys
+import dilutecw.cli as cli
+seen = ['mpmath' in sys.modules]
+for argv in {calls!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    seen.append('mpmath' in sys.modules)
+print(seen)
+"""
+    assert _in_fresh_process(code).strip() == repr([False] * len(calls) + [True])
+
+
 def test_exact_partition_sidecar_counts_configs(tmp_path, capsys):
     path = tmp_path / "z.json"
     args = ("exact-partition", "--n", "9", "--p", "0.5", "--beta", "0.5", "--seed", "4")

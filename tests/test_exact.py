@@ -537,6 +537,24 @@ def test_log_multinomial_table_is_exact():
         assert seen == len(logs)
 
 
+def test_log_multinomial_table_is_built_once_per_n():
+    # two second moments at one n share one read-only table and agree
+    exact._log_multinomial_table.cache_clear()
+    params, g = ModelParams(n=40, p=0.3, beta=0.7), parse_test_function("gauss")
+    first = second_moment_log(params, g)
+    assert second_moment_log(params, g) == first
+    info = exact._log_multinomial_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    table = exact._log_multinomial_table(40)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0.0
+    # a bounded number of tables is kept
+    for n in range(1, 2 * exact._TABLES_KEPT):
+        exact._log_multinomial_table(n)
+    assert exact._log_multinomial_table.cache_info().currsize == exact._TABLES_KEPT
+
+
 def test_pair_sum_rejects_mismatched_buffers():
     # on the compiled kernel and on the twin, which refuses what the kernel refuses
     n, *weights, log_g, logs = pair_sum_args(9, 0.5, 0.5, "gauss")
