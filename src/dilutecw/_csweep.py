@@ -21,7 +21,7 @@ set it got:
   each sweep, one list per row;
 * ``histogram(out_rows) -> counts`` counts the configurations of a graph of
   at most 64 sites by (s, class) (see ``exact.enumerate_partition``);
-* ``pair_sum(n, base, b1, b2, b12, log_g, log_counts) -> float`` is the log of
+* ``pair_sum(n, base, b1, b0, log_g, log_counts) -> float`` is the log of
   the sum of exp over the O(n^3) terms of the annealed pair sum (see
   ``exact.second_moment_log``);
 * ``exact_sum(values) -> float`` sums nonnegative doubles, rounding once, to
@@ -80,9 +80,10 @@ bit-identical to its twin:
   ``math.exp`` calls, so every entry is the same double.
 
 So does the enumeration's ``interaction_histogram`` (twin
-``_numpy_histogram``), whose counts are exact integers either way.  It is
-compiled once, plainly: its inner loop is table loads and increments, with
-no popcount in it.
+``_numpy_histogram``), whose counts are exact integers either way.  It takes
+its W = eps + eps^T from ``build_masks`` (the twin from ``_numpy_masks``), the
+one place each set derives it.  It is compiled once, plainly: its inner loop
+is table loads and increments, with no popcount in it.
 
 The second moment's ``pair_sum`` (twin ``_numpy_pair_sum``) builds every term
 in the twin's IEEE operation order, finds the peak in a first pass and in a
@@ -392,8 +393,8 @@ static int64_t inner(const uint64_t *w1, const uint64_t *w2, const int64_t *deg,
 /* The configurations of an n-site graph, 1 <= n <= 64, counted by
    (s + edges) (n + 1) + class, where s = sum eps[i,j] s_i s_j and class is
    the number of up spins; bit j of rows[i] is the edge (i, j).  With
-   W = eps + eps^T off the diagonal, the low sites 0 .. n/2 - 1 spun by a and
-   the others spun by b,
+   W = eps + eps^T off the diagonal (the masks of build_masks), the low sites
+   0 .. n/2 - 1 spun by a and the others spun by b,
 
      s = trace + inner(a) + inner(b) + cross(a, b),
 
@@ -413,18 +414,13 @@ void interaction_histogram(int64_t n, const uint64_t *rows, int64_t edges, int64
     int64_t deg_low[64], deg_high[64], trace = 0, width = n + 1;
     int64_t low = n / 2, high = n - low, h1 = high / 2, h2 = high - h1;
     uint64_t low_sites = ((uint64_t)1 << low) - 1;
-    uint64_t high_sites = (n < 64 ? ((uint64_t)1 << n) - 1 : ~(uint64_t)0) & ~low_sites;
+    /* deg_high first holds base, W counted over every site */
+    build_masks(n, rows, w1, w2, deg_high);
     for (int64_t i = 0; i < n; i++) {
-        uint64_t in = 0, self = (uint64_t)1 << i;
-        for (int64_t j = 0; j < n; j++)
-            in |= (rows[j] >> i & 1) << j;
-        w1[i] = (rows[i] ^ in) & ~self;
-        w2[i] = rows[i] & in & ~self;
         trace += (int64_t)(rows[i] >> i & 1);
         deg_low[i] = __builtin_popcountll(w1[i] & low_sites)
                      + 2 * __builtin_popcountll(w2[i] & low_sites);
-        deg_high[i] = __builtin_popcountll(w1[i] & high_sites)
-                      + 2 * __builtin_popcountll(w2[i] & high_sites);
+        deg_high[i] -= deg_low[i];
     }
     for (int64_t b = 0; b < (int64_t)1 << high; b++) {
         uint64_t x = (uint64_t)b << low;
@@ -519,13 +515,13 @@ void exact_sum(int64_t count, const double *x, uint64_t *limbs)
 /* Every term of the annealed pair sum (see exact.second_moment_log), visited
    as (class ck, class cl, n1) with the four category counts n1, ck - n1,
    cl - n1, n - ck - cl + n1 nonnegative, and built in the same IEEE order as
-   the Python sum: ((base + (((log_g[ck] + (b1 k) k) + log_g[cl]) + (b2 l) l))
-   + log count) + (b12 m) m.  The count's log is looked up by the sorted
+   the Python sum: ((base + (((log_g[ck] + (b1 k) k) + log_g[cl]) + (b1 l) l))
+   + log count) + (b0 m) m.  The count's log is looked up by the sorted
    categories a <= b <= c at log_counts[offsets[a (n + 1) + b] + c - b].
    Without bucket it counts the terms into *terms and returns the largest;
    with it, it adds exp(t - peak) of every term to bucket and returns NaN if
    one of them is NaN, else 0. */
-static double pair_terms(int64_t n, double base, double b1, double b2, double b12,
+static double pair_terms(int64_t n, double base, double b1, double b0,
                          const double *log_g, const int64_t *offsets, const double *log_counts,
                          double peak, unsigned __int128 *bucket, int64_t *terms)
 {
@@ -537,7 +533,7 @@ static double pair_terms(int64_t n, double base, double b1, double b2, double b1
         for (int64_t cl = 0; cl <= n; cl++) {
             if (log_g[cl] == -INFINITY)
                 continue;
-            double l = (double)(2 * cl - n), head = base + ((part_k + log_g[cl]) + (b2 * l) * l);
+            double l = (double)(2 * cl - n), head = base + ((part_k + log_g[cl]) + (b1 * l) * l);
             int64_t first = ck + cl - n > 0 ? ck + cl - n : 0, last = ck < cl ? ck : cl;
             for (int64_t n1 = first; n1 <= last; n1++) {
                 int64_t n2 = ck - n1, n3 = cl - n1, n4 = n - ck - cl + n1;
@@ -547,7 +543,7 @@ static double pair_terms(int64_t n, double base, double b1, double b2, double b1
                 int64_t a = p < r ? p : r, x = p < r ? r : p, y = q < s ? q : s;
                 int64_t b = x < y ? x : y, c = x < y ? y : x;
                 double m = (double)(4 * n1 + n - 2 * ck - 2 * cl);
-                double t = (head + log_counts[offsets[a * (n + 1) + b] + c - b]) + (b12 * m) * m;
+                double t = (head + log_counts[offsets[a * (n + 1) + b] + c - b]) + (b0 * m) * m;
                 if (!bucket) {
                     top = t > top ? t : top;
                     continue;
@@ -568,13 +564,13 @@ static double pair_terms(int64_t n, double base, double b1, double b2, double b1
 /* The pair sum as peak + log(sum of exp(t - peak)): the largest term into
    *peak and the sum into limbs (see fold_buckets).  Returns the number of
    terms, or -1 when an exp is NaN, as it is when a term is NaN or +inf. */
-int64_t pair_sum(int64_t n, double base, double b1, double b2, double b12, const double *log_g,
+int64_t pair_sum(int64_t n, double base, double b1, double b0, const double *log_g,
                  const int64_t *offsets, const double *log_counts, double *peak, uint64_t *limbs)
 {
     unsigned __int128 bucket[BUCKETS] = {0};
     int64_t terms = 0;
-    *peak = pair_terms(n, base, b1, b2, b12, log_g, offsets, log_counts, 0.0, NULL, &terms);
-    double nan = pair_terms(n, base, b1, b2, b12, log_g, offsets, log_counts, *peak, bucket, NULL);
+    *peak = pair_terms(n, base, b1, b0, log_g, offsets, log_counts, 0.0, NULL, &terms);
+    double nan = pair_terms(n, base, b1, b0, log_g, offsets, log_counts, *peak, bucket, NULL);
     fold_buckets(bucket, limbs);
     return nan != nan ? -1 : terms;
 }
@@ -664,7 +660,7 @@ def _check(*buffers) -> None:
 def _sweep_shape(w1, w2, base, plus, states, rngs, sweeps) -> int:
     """The replicas r of a sweep call, once its arguments pass the checks that
     both kernel sets make, so that they refuse the same calls.  Masks and
-    ``base`` as in SpinUpdateTables, ``plus`` indexed by S_i + 2n, ``states``
+    ``base`` as ``masks`` returns them, ``plus`` indexed by S_i + 2n, ``states``
     an (r, words) array of mask words with 1 <= r <= GROUP, ``rngs`` (r, 4)
     rows of ``rng_row``, ``sweeps`` an integer >= 0."""
     n, words = w1.shape
@@ -778,8 +774,8 @@ def _bind_masks(fn):
     fn.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 4]
 
     def masks(out_rows: np.ndarray):
-        """(w1, w2, base) of SpinUpdateTables from the out-edge rows, an
-        (n, ceil(n / 64)) array of mask words."""
+        """The symmetric masks (w1, w2) and the all-down field ``base`` of the
+        out-edge rows, an (n, ceil(n / 64)) array of mask words."""
         n = out_rows.shape[0]
         _check((out_rows, "<u8", (n, (n + 63) // 64)))
         w1, w2 = np.empty_like(out_rows), np.empty_like(out_rows)
@@ -826,15 +822,15 @@ def _bind_histogram(fn):
 
 def _bind_pair_sum(fn):
     fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64, *[ctypes.c_double] * 4, *[ctypes.c_void_p] * 5]
+    fn.argtypes = [ctypes.c_int64, *[ctypes.c_double] * 3, *[ctypes.c_void_p] * 5]
 
-    def pair_sum(n, base, b1, b2, b12, log_g: np.ndarray, log_counts: np.ndarray) -> float:
+    def pair_sum(n, base, b1, b0, log_g: np.ndarray, log_counts: np.ndarray) -> float:
         """log of the sum of exp over every term of the annealed pair sum
         (see ``_twins._numpy_pair_sum``); -inf when there is none."""
         offsets = _pair_shape(n, log_g, log_counts)
         peak = np.empty(1)
         limbs = np.empty(_LIMBS, dtype=np.uint64)
-        terms = fn(n, base, b1, b2, b12, log_g.ctypes.data, offsets.ctypes.data,
+        terms = fn(n, base, b1, b0, log_g.ctypes.data, offsets.ctypes.data,
                    log_counts.ctypes.data, peak.ctypes.data, limbs.ctypes.data)
         if terms == 0:
             return -math.inf

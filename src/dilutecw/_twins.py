@@ -131,10 +131,12 @@ def _numpy_histogram(out_rows: np.ndarray) -> np.ndarray:
     exact whatever order the product sums in."""
     n, edges = _histogram_shape(out_rows)
     width = n + 1
-    eps = np.unpackbits(out_rows.view(np.uint8), axis=1, count=n, bitorder="little")
-    eps = eps.astype(np.float64)
-    w = eps + eps.T
-    np.fill_diagonal(w, 0.0)
+    w1, w2, base = _numpy_masks(out_rows)
+    w1, w2 = (np.unpackbits(m.view(np.uint8), axis=1, count=n, bitorder="little")
+              for m in (w1, w2))
+    w = w1 + 2.0 * w2
+    # base sums W over a row, so its total counts each off-diagonal edge twice
+    trace = edges - int(base.sum()) // 2
     low = n // 2
     spins_l, spins_h = _spin_matrix(low), _spin_matrix(n - low)
     inner_l = ((spins_l @ w[:low, :low]) * spins_l).sum(axis=1) / 2.0
@@ -146,7 +148,7 @@ def _numpy_histogram(out_rows: np.ndarray) -> np.ndarray:
     left = np.column_stack(
         (
             width * (spins_l @ w[:low, low:]),
-            (float(np.trace(eps)) + edges + inner_l) * width + class_l,
+            (trace + edges + inner_l) * width + class_l,
             np.ones(spins_l.shape[0]),
         )
     )
@@ -165,7 +167,7 @@ def _numpy_histogram(out_rows: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _numpy_pair_sum(n, base, b1, b2, b12, log_g: np.ndarray, log_counts: np.ndarray) -> float:
+def _numpy_pair_sum(n, base, b1, b0, log_g: np.ndarray, log_counts: np.ndarray) -> float:
     """The numpy twin of ``pair_sum``: every term of the annealed pair sum in
     the kernel's operation order, a class of the first copy at a time, then
     peak + log(fsum of exp(t - peak)) through math.exp, which calls libm's exp.
@@ -178,7 +180,7 @@ def _numpy_pair_sum(n, base, b1, b2, b12, log_g: np.ndarray, log_counts: np.ndar
     n1 = np.arange(n + 1)[None, :]
     spin_l = (2 * live - n).astype(np.float64)
     partial_l = log_g[live]
-    square_l = (b2 * spin_l) * spin_l
+    square_l = (b1 * spin_l) * spin_l
     log_g = log_g.tolist()
 
     slabs = []
@@ -194,7 +196,7 @@ def _numpy_pair_sum(n, base, b1, b2, b12, log_g: np.ndarray, log_counts: np.ndar
         )
         log_count = log_counts[offsets[parts[:, 0], parts[:, 1]] + parts[:, 2] - parts[:, 1]]
         m = (4 * cols + n - 2 * ck - 2 * live[rows]).astype(np.float64)
-        slabs.append(((base + partial_kl[rows]) + log_count) + (b12 * m) * m)
+        slabs.append(((base + partial_kl[rows]) + log_count) + (b0 * m) * m)
     if not slabs:
         return -math.inf
     peak = max(float(slab.max()) for slab in slabs)

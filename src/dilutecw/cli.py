@@ -122,8 +122,7 @@ def _cmd_graph_sample(args) -> int:
     if args.out is None:
         write_graph(g, sys.stdout)
         return 0
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        write_graph(g, fh)
+    write_graph(g, args.out)
     _write_sidecar(args.out, started, _kernel_meta(False, True))
     return 0
 
@@ -281,21 +280,20 @@ def _cmd_mcmc_run(args) -> int:
     started = time.perf_counter()
     check_chain_work(params.n, cfg, 1)
     g, graph_seed = _load_or_sample_graph(args, params)
+    burn_in = cfg.resolved_burn_in(params.n)
     _log(
         f"running {cfg.replicas} replica(s), {cfg.sweeps} sweeps each "
-        f"(burn-in {cfg.resolved_burn_in(params.n)}, thin {cfg.thin})"
+        f"(burn-in {burn_in}, thin {cfg.thin})"
     )
-    samples = run_chain(g, params, cfg, graph_seed=graph_seed)
+    replicas = run_chain(g, params, cfg)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["graph_seed", "replica_id", "sweep_index", "m_scaled"])
-    for sample in samples:
-        seed_field = "" if sample.graph_seed is None else sample.graph_seed
-        for j, value in enumerate(sample.values):
-            writer.writerow(
-                [seed_field, sample.replica_id, sample.first_sweep + j * sample.thin, repr(value)]
-            )
-    _log(f"retained {sum(len(s.values) for s in samples)} samples")
+    seed_field = "" if graph_seed is None else graph_seed
+    for replica_id, values in enumerate(replicas):
+        for j, value in enumerate(values):
+            writer.writerow([seed_field, replica_id, burn_in + (j + 1) * cfg.thin, repr(value)])
+    _log(f"retained {sum(map(len, replicas))} samples")
     _emit(buf.getvalue(), args.out, started, _kernel_meta(True, graph_seed is not None))
     return 0
 

@@ -24,7 +24,8 @@ m = sum s_i t_i, each edge sees gamma * (s_i s_j + t_i t_j) in {-2gamma, 0,
 + m^2) / 4, and the three analogous counts replace the signs of k^2, l^2,
 m^2; solving the resulting four linear equations in the exponent yields the
 display.  Setting tau = sigma recovers the single-copy identity at 2 beta,
-since then m = n and b0 + b12 = a0(2 beta), b1 + b2 = a1(2 beta).)
+since then m = n and b0 + b12 = a0(2 beta), b1 + b2 = a1(2 beta).)  The
+code keeps b0 and b1 alone.
 
 Summing over configurations by spin-sum class turns the annealed moments
 into (n+1)- and O(n^3)-term sums with exact integer counts:
@@ -67,7 +68,8 @@ compiled kernel ``interaction_histogram``, which splits the cross term once
 more over two quarters of the high half, so that a configuration costs two
 table loads and one integer increment, or its numpy twin, which takes the
 cross term of a block of configurations as one exact float64 matrix product.
-Both give the same integer counts.
+Both give the same integer counts, and both take W from the chain's mask
+builder (``build_masks``, or the twin ``_numpy_masks``).
 """
 
 from __future__ import annotations
@@ -126,15 +128,12 @@ _ORACLE_WORK_LIMIT = 1 << 21
 
 @dataclass(frozen=True)
 class MomentCoefficients:
-    """Closed-form exponents of the annealed first and second moments."""
+    """Closed-form exponents of the annealed moments (b2 = b1, b12 = b0)."""
 
-    gamma: float
     a0: float
     a1: float
     b0: float
     b1: float
-    b2: float
-    b12: float
 
 
 def moment_coefficients(params: ModelParams) -> MomentCoefficients:
@@ -145,16 +144,11 @@ def moment_coefficients(params: ModelParams) -> MomentCoefficients:
     f_minus = eval_F(p, -gamma)
     f2_plus = eval_F(p, 2.0 * gamma)
     f2_minus = eval_F(p, -2.0 * gamma)
-    pair_even = (f2_plus + f2_minus) / 4.0
-    pair_odd = (f2_plus - f2_minus) / 4.0
     return MomentCoefficients(
-        gamma=gamma,
         a0=(f_plus + f_minus) / 2.0,
         a1=(f_plus - f_minus) / 2.0,
-        b0=pair_even,
-        b1=pair_odd,
-        b2=pair_odd,
-        b12=pair_even,
+        b0=(f2_plus + f2_minus) / 4.0,
+        b1=(f2_plus - f2_minus) / 4.0,
     )
 
 
@@ -298,7 +292,7 @@ def second_moment_log(params: ModelParams, g: TestFunction) -> float:
 
     c = moment_coefficients(params)
     log_g = np.array(_class_log_weights(n, g))
-    return library().pair_sum(n, n * n * c.b0, c.b1, c.b2, c.b12, log_g, _log_multinomial_table(n))
+    return library().pair_sum(n, n * n * c.b0, c.b1, c.b0, log_g, _log_multinomial_table(n))
 
 
 # Rounding budget of variance_ratio_from_logs.  Each log moment is taken to

@@ -94,7 +94,7 @@ def sample_graph(params: ModelParams, seed: GraphSeed) -> DisorderGraph:
 def write_graph(g: DisorderGraph, destination) -> None:
     """Write a graph in the v1 text format to a path or text file object."""
     if isinstance(destination, (str, os.PathLike)):
-        with open(destination, "w", encoding="ascii") as fh:
+        with open(destination, "w", encoding="ascii", newline="") as fh:
             write_graph(g, fh)
         return
     n = g.n

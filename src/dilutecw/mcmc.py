@@ -22,7 +22,9 @@ order against its own word, drawing each uniform from the replica's PCG64
 right before its comparison.  ``run_chain`` sweeps its replicas in groups of
 up to four (``_csweep.GROUP``) that share each pass over the masks, and hands
 the kernel each replica's generator state, not a buffer of uniforms.  The
-mask builders read ``DisorderGraph.words`` as they are.
+mask builders read ``DisorderGraph.words`` as they are.  ``run_chain``
+returns only what it computes, a tuple of retained values per replica: the
+caller knows each value's graph, replica and sweep from its own arguments.
 
 Randomness is replayable by construction.  A chain seed plus replica index
 derives two 64-bit seeds (initial state, dynamics) through repeated
@@ -58,8 +60,6 @@ from .stats import EmpiricalMeasure, NormalRef, ks_distance, levy_distance, summ
 
 __all__ = [
     "ChainConfig",
-    "MagnetizationSample",
-    "SpinUpdateTables",
     "build_update_tables",
     "check_chain_work",
     "default_burn_in",
@@ -129,48 +129,18 @@ class ChainConfig:
         return max(kept, 0)
 
 
-@dataclass(frozen=True)
-class MagnetizationSample:
-    """Retained scaled-magnetization values of one replica.
-
-    ``values[j]`` was recorded at sweep ``first_sweep + j * thin`` (1-based
-    sweep count).
-    """
-
-    graph_seed: int | None
-    replica_id: int
-    first_sweep: int
-    thin: int
-    values: tuple[float, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class SpinUpdateTables:
-    """Per-site neighbor masks for the heat-bath field.
+def build_update_tables(g: DisorderGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The neighbor masks (w1, w2) and field offsets ``base`` of the heat-bath field.
 
     Row i of ``w1`` and ``w2`` (shape (n, ceil(n / 64)), 64-bit words, bit j
     of the row is bit j % 64 of word j // 64) marks the neighbors j with
-    eps[i,j] + eps[j,i] equal to 1 and 2; ``base[i]`` is the field offset
-    when every neighbor is down.  Scale-free: tables depend on the graph only.
-    Built by ``build_update_tables``; the sweep kernels check the layout of
-    these buffers on every call.
-    """
-
-    n: int
-    w1: np.ndarray
-    w2: np.ndarray
-    base: np.ndarray
-
-
-def build_update_tables(g: DisorderGraph) -> SpinUpdateTables:
-    """Build the symmetric neighbor masks from the rows (``g.words``) and columns.
-
-    The out-edge rows and the in-edge columns combine bitwise: weight 2
-    where both are set, weight 1 where exactly one is.
+    eps[i,j] + eps[j,i] equal to 1 and 2: the out-edge rows (``g.words``) and
+    the in-edge columns combine bitwise.  ``base[i]`` is the field offset when
+    every neighbor is down.  The sweep kernels check the layout on every call.
     """
     from ._csweep import library
 
-    return SpinUpdateTables(g.n, *library().masks(g.words))
+    return library().masks(g.words)
 
 
 # Caps on the chain work of one run_chain or quenched_experiment call.  2^40
@@ -201,20 +171,16 @@ def check_chain_work(n: int, cfg: ChainConfig, graphs: int) -> None:
 _BLOCK_SITE_UPDATES = 1 << 20
 
 
-def run_chain(
-    g: DisorderGraph,
-    params: ModelParams,
-    cfg: ChainConfig,
-    *,
-    graph_seed: int | None = None,
-) -> list[MagnetizationSample]:
+def run_chain(g: DisorderGraph, params: ModelParams, cfg: ChainConfig) -> list[tuple[float, ...]]:
     """Run every replica of the chain on one fixed graph.
 
-    Returns one MagnetizationSample per replica, in replica order; the
-    replica streams are derived from cfg.chain_seed, so the result is a pure
-    function of (graph, params, cfg).  Replicas are swept in groups of up to
-    ``_csweep.GROUP``, which share each pass over the masks; a replica's
-    values do not depend on the group it ran in.
+    Returns the retained scaled magnetizations of each replica, one tuple per
+    replica in replica order: value j was recorded after sweep
+    burn_in + (j + 1) thin.  The replica streams are derived from
+    cfg.chain_seed, so the result is a pure function of (graph, params, cfg).
+    Replicas are swept in groups of up to ``_csweep.GROUP``, which share each
+    pass over the masks; a replica's values do not depend on the group it ran
+    in.
     """
     if g.n != params.n:
         raise DomainError(f"incompatible sizes: graph n={g.n}, params n={params.n}")
@@ -227,17 +193,17 @@ def run_chain(
     from ._csweep import GROUP, library
 
     n = g.n
-    tables = build_update_tables(g)
+    w1, w2, base = build_update_tables(g)
     # P(new spin = +1) indexed by S_i + 2n, S_i in [-2n, 2n]
     plus = library().plus(n, params.beta / (n * params.p))
-    sweep_block = functools.partial(library().sweep, tables.w1, tables.w2, tables.base, plus)
+    sweep_block = functools.partial(library().sweep, w1, w2, base, plus)
     burn_in = cfg.resolved_burn_in(n)
     root = math.sqrt(n)
     # the largest group sets the block length and the state buffer that
     # every group reuses
     most = min(GROUP, cfg.replicas)
     block = min(cfg.sweeps, max(1, _BLOCK_SITE_UPDATES // (most * n)))
-    all_states = np.empty((most, tables.w1.shape[1]), dtype=_WORD)
+    all_states = np.empty((most, w1.shape[1]), dtype=_WORD)
     samples = []
     for first in range(0, cfg.replicas, GROUP):
         ids = range(first, min(first + GROUP, cfg.replicas))
@@ -259,16 +225,7 @@ def run_chain(
                     if t > burn_in and (t - burn_in) % cfg.thin == 0:
                         kept.append((2 * up - n) / root)
             sweep += step
-        samples.extend(
-            MagnetizationSample(
-                graph_seed=graph_seed,
-                replica_id=replica_id,
-                first_sweep=burn_in + cfg.thin,
-                thin=cfg.thin,
-                values=tuple(kept),
-            )
-            for replica_id, kept in zip(ids, values)
-        )
+        samples.extend(map(tuple, values))
     return samples
 
 
@@ -293,7 +250,6 @@ class ExperimentRecord:
     """
 
     reference: NormalRef
-    epsilon: float
     runs: tuple[GraphRun, ...]
     pooled_count: int
     pooled_mean: float
@@ -307,8 +263,7 @@ def _one_graph_run(
     gseed = derive_seed(master_seed, 1, index)
     g = sample_graph(params, GraphSeed(gseed))
     chain_cfg = replace(cfg, chain_seed=derive_seed(master_seed, 2, index))
-    samples = run_chain(g, params, chain_cfg, graph_seed=gseed)
-    pooled = [v for sample in samples for v in sample.values]
+    pooled = [v for values in run_chain(g, params, chain_cfg) for v in values]
     stats = summarize(pooled)
     law = EmpiricalMeasure.from_samples(pooled)
     return GraphRun(
@@ -334,7 +289,8 @@ def quenched_experiment(
 
     The reference is the centered Gaussian with variance 1/(1 - beta), which
     requires beta < 1.  Graph seeds and chain seeds both derive from
-    ``master_seed``, so the whole experiment replays from one integer.
+    ``master_seed``, an integer in [0, 2^64), so the whole experiment replays
+    from one integer.
     ``threads`` > 1 distributes whole graphs over a thread pool; results are
     identical to the sequential order either way.
     """
@@ -346,6 +302,8 @@ def quenched_experiment(
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if threads < 1:
         raise DomainError(f"threads must be positive, got {threads}")
+    if not 0 <= master_seed < (1 << 64):
+        raise DomainError(f"master_seed must fit in 64 bits, got {master_seed}")
     pooled = n_graphs * cfg.replicas * cfg.retained(params.n)
     if pooled < 2:
         raise DomainError(f"the pooled variance needs at least 2 retained samples, got {pooled}")
@@ -373,7 +331,6 @@ def quenched_experiment(
     exceed = sum(1 for r in runs if r.levy > epsilon) / n_graphs
     return ExperimentRecord(
         reference=reference,
-        epsilon=epsilon,
         runs=tuple(runs),
         pooled_count=pooled_counts,
         pooled_mean=pooled_mean,

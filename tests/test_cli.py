@@ -18,8 +18,9 @@ import dilutecw.cli as cli
 import dilutecw.exact as exact
 from dilutecw import _csweep, _twins
 from dilutecw.cli import main
-from dilutecw.graph import read_graph
+from dilutecw.graph import GraphSeed, read_graph, sample_graph
 from dilutecw.exact import MAX_ENUMERATION_N, MAX_MOMENT_N, expected_partition_log
+from dilutecw.mcmc import ChainConfig, default_burn_in, derive_seed, run_chain
 from dilutecw.model import ModelParams
 from dilutecw.testfunctions import make_test_function
 
@@ -614,6 +615,31 @@ def test_mcmc_run_csv_deterministic(capsys):
     float(first[3])
     code2, out2, _ = run_cli(capsys, *args)
     assert out2 == out
+
+
+def test_mcmc_run_writes_every_row(capsys):
+    # 5 replicas cross the group boundary of 4; each row's replica and sweep
+    # come from the command's own arguments, its value from run_chain
+    seed, n, sweeps, thin, replicas = 6, 16, 70, 3, 5
+    code, out, _ = run_cli(
+        capsys, "mcmc-run", "--n", str(n), "--p", "0.5", "--beta", "0.5", "--seed", str(seed),
+        "--sweeps", str(sweeps), "--thin", str(thin), "--replicas", str(replicas),
+    )
+    assert code == 0
+    params = ModelParams(n=n, p=0.5, beta=0.5)
+    graph_seed = derive_seed(seed, 1)
+    cfg = ChainConfig(sweeps=sweeps, thin=thin, replicas=replicas, chain_seed=derive_seed(seed, 2))
+    chains = run_chain(sample_graph(params, GraphSeed(graph_seed)), params, cfg)
+    burn_in = default_burn_in(n)
+    want = [
+        [str(graph_seed), str(r), str(burn_in + (j + 1) * thin), repr(value)]
+        for r, values in enumerate(chains)
+        for j, value in enumerate(values)
+    ]
+    assert len(want) == replicas * ((sweeps - burn_in) // thin) == 50
+    lines = out.splitlines()
+    assert lines[0] == "graph_seed,replica_id,sweep_index,m_scaled"
+    assert [line.split(",") for line in lines[1:]] == want
 
 
 def test_mcmc_run_from_graph_file(tmp_path, capsys):

@@ -52,6 +52,9 @@ _DOMAIN_CASES = {
         HALF, CFG, 1, master_seed=0, epsilon=math.nan
     ),
     "experiment_threads": lambda: quenched_experiment(HALF, CFG, 1, master_seed=0, threads=0),
+    # derive_seed masks to 64 bits: 2^64 would replay seed 0, -1 seed 2^64 - 1
+    "experiment_seed_2_64": lambda: quenched_experiment(HALF, CFG, 1, master_seed=1 << 64),
+    "experiment_seed_negative": lambda: quenched_experiment(HALF, CFG, 1, master_seed=-1),
     "experiment_pooled": lambda: quenched_experiment(
         HALF, ChainConfig(sweeps=11, burn_in=10), 1, master_seed=0
     ),

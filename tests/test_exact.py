@@ -86,8 +86,6 @@ def test_coefficients_against_high_precision():
         assert c.a1 == pytest.approx(float(a1), rel=1e-15)
         assert c.b0 == pytest.approx(float(b0), rel=1e-15)
         assert c.b1 == pytest.approx(float(b1), rel=1e-15)
-    assert c.b2 == c.b1
-    assert c.b12 == c.b0
 
 
 def test_coefficients_at_beta_zero_vanish():
@@ -190,7 +188,7 @@ def test_single_copy_consistency():
     # reproduce the one-copy identity at inverse temperature 2 beta
     for n, p, beta, k in [(5, 0.6, 0.8, 3), (8, 0.3, 0.4, -2), (4, 1.0, 1.2, 0)]:
         c = moment_coefficients(ModelParams(n=n, p=p, beta=beta))
-        paired = n * n * c.b0 + (c.b1 + c.b2) * k * k + c.b12 * n * n
+        paired = n * n * c.b0 + (c.b1 + c.b1) * k * k + c.b0 * n * n
         # the one-copy exponent n^2 a0 + a1 k^2 at 2 beta
         d = moment_coefficients(ModelParams(n=n, p=p, beta=2 * beta))
         doubled = n * n * d.a0 + d.a1 * k * k
@@ -435,12 +433,12 @@ def scalar_second_moment_log(params, g):
             if log_g[cl] == -math.inf:
                 continue
             l = 2 * cl - n
-            partial_kl = partial + log_g[cl] + c.b2 * l * l
+            partial_kl = partial + log_g[cl] + c.b1 * l * l
             for m in range(-n, n + 1, 2):
                 count = pair_spin_count(n, k, l, m)
                 if count == 0:
                     continue
-                terms.append(base + partial_kl + math.log(count) + c.b12 * m * m)
+                terms.append(base + partial_kl + math.log(count) + c.b0 * m * m)
     if not terms:
         return -math.inf
     peak = max(terms)
@@ -503,7 +501,7 @@ def pair_sum_args(n, p, beta, spec):
     """The arguments second_moment_log hands to ``pair_sum``."""
     c = moment_coefficients(ModelParams(n=n, p=p, beta=beta))
     log_g = np.array(exact._class_log_weights(n, parse_test_function(spec)))
-    return n, n * n * c.b0, c.b1, c.b2, c.b12, log_g, exact._log_multinomial_table(n)
+    return n, n * n * c.b0, c.b1, c.b0, log_g, exact._log_multinomial_table(n)
 
 
 @pytest.mark.parametrize("n", [64, 100, 150, 200])

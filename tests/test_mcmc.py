@@ -47,10 +47,10 @@ def test_update_tables_match_matrix_masks():
             w2.append(sum(1 << j for j in range(g.n) if weight[j] == 2))
             base.append(sum(weight))
         for kernels in kernel_sets():
-            tables = mcmc.SpinUpdateTables(g.n, *kernels.masks(g.words))
-            assert _twins._mask_ints(tables.w1) == w1
-            assert _twins._mask_ints(tables.w2) == w2
-            assert tables.base.tolist() == base
+            tables = kernels.masks(g.words)
+            assert _twins._mask_ints(tables[0]) == w1
+            assert _twins._mask_ints(tables[1]) == w2
+            assert tables[2].tolist() == base
         _assert_same_tables(build_update_tables(g), tables)
 
 
@@ -116,7 +116,7 @@ def test_sweep_is_pure():
     g = sample_graph(params, GraphSeed(4))
     sigma = SpinConfig(n=8, bits=0b10110001)
     tables = build_update_tables(g)
-    before = (tables.w1.copy(), tables.w2.copy(), tables.base.copy())
+    before = tuple(table.copy() for table in tables)
     a = _one_sweep_each(sigma, g, params, 5)
     b = _one_sweep_each(sigma, g, params, 5)
     assert a == b
@@ -126,8 +126,8 @@ def test_sweep_is_pure():
     plus = _plus(params)
     for kernels in kernel_sets():
         states = np.zeros((1, 1), dtype=mcmc._WORD)
-        kernels.sweep(tables.w1, tables.w2, tables.base, plus, states, _rng_rows(5), 3)
-    for after, want in zip((tables.w1, tables.w2, tables.base), before):
+        kernels.sweep(*tables, plus, states, _rng_rows(5), 3)
+    for after, want in zip(tables, before):
         assert np.array_equal(after, want)
 
 
@@ -150,7 +150,7 @@ def test_compiled_chain_is_bit_identical_to_python(n, beta, monkeypatch):
     _python_only(monkeypatch)
     assert _csweep.library() is _twins._TWINS
     assert run_chain(g, params, cfg) == compiled
-    assert [len(s.values) for s in compiled] == [12] * 6
+    assert [len(values) for values in compiled] == [12] * 6
 
 
 def test_block_size_does_not_change_the_chain(monkeypatch):
@@ -194,9 +194,8 @@ def test_loader_failure_falls_back_to_identical_output(breakage, tmp_path, monke
 
 
 def _assert_same_tables(got, want):
-    assert got.n == want.n
-    for name in ("w1", "w2", "base"):
-        a, b = getattr(got, name), getattr(want, name)
+    assert len(got) == len(want) == 3
+    for name, a, b in zip(("w1", "w2", "base"), got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
@@ -225,8 +224,8 @@ def _mask_graph(kind, n):
 def test_compiled_masks_match_numpy_builder(kind, n):
     library = _library()
     g = _mask_graph(kind, n)
-    got = mcmc.SpinUpdateTables(n, *library.masks(g.words))
-    _assert_same_tables(got, mcmc.SpinUpdateTables(n, *_twins._numpy_masks(g.words)))
+    got = library.masks(g.words)
+    _assert_same_tables(got, _twins._numpy_masks(g.words))
     _assert_same_tables(build_update_tables(g), got)
 
 
@@ -331,14 +330,13 @@ def test_run_chain_is_deterministic():
     second = run_chain(g, params, cfg)
     assert first == second
     assert len(first) == 3
-    for replica_id, sample in enumerate(first):
-        assert sample.replica_id == replica_id
-        assert len(sample.values) == 75
-        assert sample.first_sweep == 52
-    assert first[0].values != first[1].values
+    for values in first:
+        assert isinstance(values, tuple)
+        assert len(values) == 75
+    assert first[0] != first[1]
     # 6 replicas cross a group boundary; no replica depends on its group
     six = run_chain(g, params, dataclasses.replace(cfg, replicas=6))
-    assert [s.replica_id for s in six] == list(range(6))
+    assert len(six) == 6
     assert six[:2] == run_chain(g, params, dataclasses.replace(cfg, replicas=2))
     assert six[:3] == first
 
@@ -348,7 +346,7 @@ def test_run_chain_seed_sensitivity():
     g = sample_graph(params, GraphSeed(3))
     a = run_chain(g, params, ChainConfig(sweeps=100, burn_in=10, chain_seed=1))
     b = run_chain(g, params, ChainConfig(sweeps=100, burn_in=10, chain_seed=2))
-    assert a[0].values != b[0].values
+    assert a[0] != b[0]
 
 
 def test_run_chain_rejects_empty_retention():
@@ -382,7 +380,7 @@ def test_magnetization_values_are_scaled_sums():
     g = sample_graph(params, GraphSeed(14))
     samples = run_chain(g, params, ChainConfig(sweeps=80, burn_in=20, chain_seed=2))
     root = math.sqrt(12)
-    for v in samples[0].values:
+    for v in samples[0]:
         k = round(v * root)
         assert abs(k * 1.0 / root - v) < 1e-12
         assert -12 <= k <= 12 and k % 2 == 0
@@ -395,7 +393,7 @@ def test_stationarity_small_system():
     law = enumerate_partition(g, params).law
     cfg = ChainConfig(sweeps=300_300, burn_in=300, thin=1, chain_seed=123)
     samples = run_chain(g, params, cfg)
-    emp = EmpiricalMeasure.from_samples(samples[0].values)
+    emp = EmpiricalMeasure.from_samples(samples[0])
     assert total_variation(emp, law) < 0.015
 
 
@@ -446,7 +444,7 @@ def test_supercritical_chain_magnetizes():
     g = sample_graph(params, GraphSeed(17))
     cfg = ChainConfig(sweeps=400, burn_in=200, chain_seed=31)
     samples = run_chain(g, params, cfg)
-    per_site = [v / math.sqrt(256) for v in samples[0].values]
+    per_site = [v / math.sqrt(256) for v in samples[0]]
     mean_abs = sum(abs(v) for v in per_site) / len(per_site)
     assert mean_abs > 0.6
 
@@ -462,9 +460,7 @@ def _one_at_a_time(tables, plus, states, rngs, sweeps):
     finals, draws, counts = [], [], []
     for state, row in zip(states, rngs):
         final, rng = state[None].copy(), row[None].copy()
-        counts += _twins._python_sweeps(
-            tables.w1, tables.w2, tables.base, plus, final, rng, sweeps
-        )
+        counts += _twins._python_sweeps(*tables, plus, final, rng, sweeps)
         finals.append(final[0].tobytes())
         draws.append(rng[0].tobytes())
     return finals, draws, counts
@@ -475,7 +471,7 @@ def _assert_groups_match(sweep, tables, plus, states, rngs, sweeps, want):
     rows of ``want``, the rows swept one at a time."""
     for r in range(1, _csweep.GROUP + 1):
         got, rng = states[:r].copy(), rngs[:r].copy()
-        up = sweep(tables.w1, tables.w2, tables.base, plus, got, rng, sweeps)
+        up = sweep(*tables, plus, got, rng, sweeps)
         assert ([row.tobytes() for row in got], [row.tobytes() for row in rng], up) == tuple(
             rows[:r] for rows in want
         ), r
@@ -496,7 +492,7 @@ def _path_case(n, graph, beta):
     tables = build_update_tables(g)
     plus = _plus(ModelParams(n=n, p=p, beta=beta))
     rng = np.random.default_rng(n)
-    words = tables.w1.shape[1]
+    words = tables[0].shape[1]
     states = np.frombuffer(rng.bytes(8 * words * _csweep.GROUP), dtype=mcmc._WORD)
     states = states.reshape(_csweep.GROUP, words).copy()
     states[:, -1] &= np.uint64((1 << (n - 64 * (words - 1))) - 1)
@@ -540,7 +536,7 @@ def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
     plus = _plus(params)
     rng = np.random.default_rng(seed)
     spins = rng.integers(0, 2, size=(_csweep.GROUP, n), dtype=np.uint8)
-    states = np.zeros((_csweep.GROUP, tables.w1.shape[1]), dtype=mcmc._WORD)
+    states = np.zeros((_csweep.GROUP, tables[0].shape[1]), dtype=mcmc._WORD)
     states.view(np.uint8)[:, : (n + 7) // 8] = np.packbits(spins, axis=1, bitorder="little")
     rngs = _rng_rows(*([seed, g] for g in range(_csweep.GROUP)))
     want = _one_at_a_time(tables, plus, states, rngs, sweeps)
@@ -637,7 +633,7 @@ def test_kernel_replays_numpy_pcg64(case):
             at = np.array([_twins.rng_row(_copy(bit_generator).advance(k))], dtype=mcmc._WORD)
             for plus, want in ((u, 0), (np.nextafter(u, 2.0), 1)):
                 state, rng = np.zeros((1, 1), dtype=mcmc._WORD), at.copy()
-                assert sweep(lone.w1, lone.w2, lone.base, np.full(5, plus), state, rng, 1) == [
+                assert sweep(*lone, np.full(5, plus), state, rng, 1) == [
                     [want]
                 ], k
         # the stream advances by exactly sweeps n draws, as numpy's advance
@@ -645,9 +641,9 @@ def test_kernel_replays_numpy_pcg64(case):
             params = ModelParams(n=n, p=0.5, beta=0.9)
             tables = build_update_tables(sample_graph(params, GraphSeed(n)))
             plus = _plus(params)
-            state = np.zeros((1, tables.w1.shape[1]), dtype=mcmc._WORD)
+            state = np.zeros((1, tables[0].shape[1]), dtype=mcmc._WORD)
             rng = row.copy()
-            sweep(tables.w1, tables.w2, tables.base, plus, state, rng, sweeps)
+            sweep(*tables, plus, state, rng, sweeps)
             advanced = _copy(bit_generator).advance(sweeps * n)
             lo, hi, inc_lo, inc_hi = (int(v) for v in rng[0])
             assert {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo} == advanced.state["state"]
@@ -670,7 +666,7 @@ def test_group_calls_match_rows_one_at_a_time_on_any_pcg64_state(n, generators, 
     tables = build_update_tables(sample_graph(params, GraphSeed(seed)))
     plus = _plus(params)
     spins = np.random.default_rng(seed).integers(0, 2, size=(r, n), dtype=np.uint8)
-    states = np.zeros((r, tables.w1.shape[1]), dtype=mcmc._WORD)
+    states = np.zeros((r, tables[0].shape[1]), dtype=mcmc._WORD)
     states.view(np.uint8)[:, : (n + 7) // 8] = np.packbits(spins, axis=1, bitorder="little")
     rngs = np.array(
         [[s & (2**64 - 1), s >> 64, i & (2**64 - 1), i >> 64] for s, i in generators],
@@ -679,7 +675,7 @@ def test_group_calls_match_rows_one_at_a_time_on_any_pcg64_state(n, generators, 
     want = _one_at_a_time(tables, plus, states, rngs, sweeps)
     for sweep in (*_csweep.library().paths.values(), _twins._TWINS.sweep):
         got, rng = states.copy(), rngs.copy()
-        up = sweep(tables.w1, tables.w2, tables.base, plus, got, rng, sweeps)
+        up = sweep(*tables, plus, got, rng, sweeps)
         assert ([row.tobytes() for row in got], [row.tobytes() for row in rng], up) == want
 
 
@@ -732,16 +728,16 @@ def test_cache_key_covers_the_machine(monkeypatch):
 
 def test_kernel_rejects_mismatched_buffers():
     # on every path and on the twin, which refuses what the kernel refuses
-    tables = build_update_tables(DisorderGraph.complete(70))
+    w1, w2, base = build_update_tables(DisorderGraph.complete(70))
     params = ModelParams(n=70, p=1.0, beta=0.5)
     plus = np.array(_plus(params))
     states = np.zeros((2, 2), dtype=mcmc._WORD)
     rngs = _rng_rows(1, 2)
-    good = (tables.w1, tables.w2, tables.base, plus, states, rngs, 2)
+    good = (w1, w2, base, plus, states, rngs, 2)
     for sweep in (*_csweep.library().paths.values(), _twins._TWINS.sweep):
         assert [len(up) for up in sweep(*good)] == [2, 2]
         for k, bad in (
-            (0, tables.w1[:, :1]), (1, tables.w2[:69]), (2, tables.base[:-1]), (3, plus[:-1]),
+            (0, w1[:, :1]), (1, w2[:69]), (2, base[:-1]), (3, plus[:-1]),
             (4, np.zeros((2, 1), dtype=mcmc._WORD)), (4, np.zeros(2, dtype=mcmc._WORD)),
             (4, np.zeros((2, 2), dtype=mcmc._WORD).T),
             (5, np.zeros((2, 3), dtype=mcmc._WORD)), (5, np.zeros((3, 4), dtype=mcmc._WORD)),
