@@ -13,9 +13,15 @@ near p = 0; the first few are
     c_3 = p (2 p^2 - 3 p + 1) / 6
     c_4 = p (-6 p^3 + 12 p^2 - 7 p + 1) / 24.
 
-``taylor_coefficients_exact`` computes them in rational arithmetic to any
-order up to a hard cap, by composing the exact series of p(e^z - 1) into the
-series of log(1 + u).
+They are the cumulants of a Bernoulli(p) edge over k!, which have the closed
+form
+
+    c_k = sum_{j=1..k} (-1)^(j-1) (j-1)! S(k, j) p^j / k!
+
+with S(k, j) the Stirling numbers of the second kind: F is log(1 + u) at
+u = p (e^z - 1), and the z^k coefficient of (e^z - 1)^j is j! S(k, j) / k!.
+``taylor_coefficients_exact`` evaluates it in integer arithmetic, exactly, to
+any order up to a hard cap.
 
 Growth shorthands.  With even-part cancellation against the p^2 z^2 / 2 term,
 the annealed log partition function at scale N grows like
@@ -82,8 +88,8 @@ __all__ = [
     "remainder_check",
 ]
 
-# Rational series composition is exact but its cost and the coefficient sizes
-# grow quickly; nothing downstream needs more than a handful of orders.
+# The coefficients are exact, but their size grows quickly with the order;
+# nothing downstream needs more than a handful of orders.
 MAX_TAYLOR_ORDER = 16
 
 
@@ -124,33 +130,20 @@ def taylor_coefficients_exact(p, max_order: int) -> list[Fraction]:
     pq = Fraction(p)
     if not 0 < pq <= 1:
         raise DomainError(f"p must lie in (0, 1], got {p!r}")
-    k = max_order
-    # u(z) = p (e^z - 1) truncated at order k
-    factorial = Fraction(1)
-    u = [Fraction(0)] * (k + 1)
-    for i in range(1, k + 1):
-        factorial *= i
-        u[i] = pq / factorial
-
-    def mul_truncated(a, b):
-        out = [Fraction(0)] * (k + 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(min(len(b), k + 1 - i)):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return out
-
-    # log(1 + u) = sum_{m>=1} (-1)^{m+1} u^m / m, truncated at order k
-    series = [Fraction(0)] * (k + 1)
-    upow = [Fraction(1)] + [Fraction(0)] * k
-    for m in range(1, k + 1):
-        upow = mul_truncated(upow, u)
-        sign = Fraction(1, m) if m % 2 else Fraction(-1, m)
-        for i in range(k + 1):
-            series[i] += sign * upow[i]
-    return series[1:]
+    # with p = a / b, k! b^k c_k = sum_j (-1)^(j-1) (j-1)! S(k, j) a^j b^(k-j)
+    a, b = pq.numerator, pq.denominator
+    stirling = [1]  # S(k, j) for j = 0 .. k, from k = 0
+    coefficients = []
+    for k in range(1, max_order + 1):
+        # S(k, j) = j S(k - 1, j) + S(k - 1, j - 1), with S(k - 1, k) = 0
+        last = stirling + [0]
+        stirling = [0] + [j * last[j] + last[j - 1] for j in range(1, k + 1)]
+        top = sum(
+            (-1) ** (j - 1) * math.factorial(j - 1) * stirling[j] * a**j * b ** (k - j)
+            for j in range(1, k + 1)
+        )
+        coefficients.append(Fraction(top, math.factorial(k) * b**k))
+    return coefficients
 
 
 def cosh_shorthand(params: ModelParams, which: str) -> float:
@@ -255,9 +248,9 @@ def gaussian_expectation(g: TestFunction, beta: float) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticPrediction:
-    """A predicted log partition value plus the Gaussian factor that entered it."""
+    """A predicted log partition value plus the Gaussian factor that entered it.
+    The fields are the ``asym-predict`` payload as they stand."""
 
-    variant: str
     log_value: float
     gaussian_factor: float
 
@@ -281,7 +274,7 @@ def predict_log_partition(
             raise DomainError("variant 'c' is the closed form for g = one only")
         factor = 1.0 / math.sqrt(1.0 - beta)
         log_value = (1.0 - p) * beta * beta / (8.0 * p) + nlog2 - 0.5 * math.log1p(-beta)
-        return AsymptoticPrediction(variant="c", log_value=log_value, gaussian_factor=factor)
+        return AsymptoticPrediction(log_value=log_value, gaussian_factor=factor)
     factor = gaussian_expectation(g, beta)
     if factor <= 0.0:
         raise ValueError(f"Gaussian factor is {factor}, cannot take its log")
@@ -289,9 +282,7 @@ def predict_log_partition(
         lead = cosh_shorthand(params, "A")
     else:
         lead = (1.0 - p) * beta * beta / (8.0 * p)
-    return AsymptoticPrediction(
-        variant=variant, log_value=lead + nlog2 + math.log(factor), gaussian_factor=factor
-    )
+    return AsymptoticPrediction(log_value=lead + nlog2 + math.log(factor), gaussian_factor=factor)
 
 
 def remainder_check(p: float, z: float, which: str) -> float:

@@ -2,11 +2,15 @@
 
 Eight subcommands map onto the library layers: graph-sample, exact-partition,
 exact-moments, exact-oracle, asym-predict, series-check, mcmc-run,
-clt-experiment.  Scalar results are emitted as JSON records that echo the
-resolved configuration and the package version; sample sequences are emitted
-as CSV.  Outputs are deterministic byte for byte given the same arguments:
-anything volatile (wall-clock runtime, timestamps) goes to stderr and, when
---out is used, to a separate <out>.meta.json sidecar.
+clt-experiment.  Scalar results are emitted as JSON records, all written by
+``_emit_json``: the command, the package version, and a "config" that echoes
+every parsed argument except --out and --threads (neither changes a
+payload), then the command's own fields.  ``clt-experiment`` and
+``asym-predict`` emit their library records as they stand (``asdict``).
+Sample sequences are emitted as CSV.  Outputs are deterministic byte for
+byte given the same arguments: anything volatile (wall-clock runtime,
+timestamps) goes to stderr and, when --out is used, to a separate
+<out>.meta.json sidecar.
 
 Exit codes: 0 success, 2 argument validation, 3 refused by a capacity cap,
 4 runtime failure (unparseable input file, numerical impossibility, I/O).
@@ -29,6 +33,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -60,13 +65,14 @@ def _log(message: str) -> None:
 
 
 def _sanitize(obj):
-    """Make a payload strict-JSON safe: non-finite floats become strings."""
+    """Make a payload strict-JSON safe: non-finite floats become strings, and
+    so do Fractions (``series-check --p 1/2`` echoes "1/2")."""
     if isinstance(obj, dict):
         return {key: _sanitize(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(value) for value in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
+    if isinstance(obj, Fraction) or isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
     return obj
 
 
@@ -92,13 +98,21 @@ def _write_sidecar(out: str, started: float, meta: dict | None = None) -> None:
         fh.write("\n")
 
 
-def _emit_json(payload: dict, out: str | None, started: float, meta: dict | None = None) -> None:
+# Arguments that change no payload, so the config echo leaves them out.
+_NOT_ECHOED = frozenset({"command", "func", "out", "threads"})
+
+
+def _emit_json(args, fields: dict, started: float, meta: dict | None = None) -> None:
+    """Write a command's JSON record: the command, the package version, every
+    argument but ``_NOT_ECHOED`` as "config", then the command's own ``fields``."""
+    payload = {
+        "command": args.command,
+        "artifact_version": __version__,
+        "config": {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED},
+        **fields,
+    }
     text = json.dumps(_sanitize(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    _emit(text, out, started, meta)
-
-
-def _config_echo(args, fields) -> dict:
-    return {name: getattr(args, name) for name in fields}
+    _emit(text, args.out, started, meta)
 
 
 def _load_or_sample_graph(args, params: ModelParams):
@@ -134,10 +148,7 @@ def _cmd_exact_partition(args) -> int:
     g, graph_seed = _load_or_sample_graph(args, params)
     _log(f"enumerating 2^{params.n} configurations")
     summary = enumerate_partition(g, params)
-    payload = {
-        "command": "exact-partition",
-        "artifact_version": __version__,
-        "config": _config_echo(args, ("n", "p", "beta", "seed", "graph")),
+    fields = {
         "graph_seed": graph_seed,
         "log_z": summary.log_z,
         "free_energy_per_site": summary.free_energy_per_site,
@@ -146,7 +157,7 @@ def _cmd_exact_partition(args) -> int:
             "weights": list(summary.law.weights),
         },
     }
-    _emit_json(payload, args.out, started, {"configs": 1 << params.n})
+    _emit_json(args, fields, started, {"configs": 1 << params.n})
     return 0
 
 
@@ -164,16 +175,13 @@ def _cmd_exact_moments(args) -> int:
         ratio, clamped = None, False
     else:
         ratio, clamped = variance_ratio_from_logs(first, second)
-    payload = {
-        "command": "exact-moments",
-        "artifact_version": __version__,
-        "config": _config_echo(args, ("n", "p", "beta", "g")),
+    fields = {
         "log_expected_partition": first,
         "log_second_moment": second,
         "variance_ratio": ratio,
         "variance_ratio_clamped": clamped,
     }
-    _emit_json(payload, args.out, started)
+    _emit_json(args, fields, started)
     return 0
 
 
@@ -183,13 +191,7 @@ def _cmd_exact_oracle(args) -> int:
     started = time.perf_counter()
     _log(f"brute-force disorder average over 2^{params.n * params.n} graphs")
     value = disorder_oracle(params, g, args.moment)
-    payload = {
-        "command": "exact-oracle",
-        "artifact_version": __version__,
-        "config": _config_echo(args, ("n", "p", "beta", "g", "moment")),
-        "log_value": value,
-    }
-    _emit_json(payload, args.out, started)
+    _emit_json(args, {"log_value": value}, started)
     return 0
 
 
@@ -198,14 +200,7 @@ def _cmd_asym_predict(args) -> int:
     g = parse_test_function(args.g)
     started = time.perf_counter()
     prediction = predict_log_partition(params, g, args.variant)
-    payload = {
-        "command": "asym-predict",
-        "artifact_version": __version__,
-        "config": _config_echo(args, ("n", "p", "beta", "g", "variant")),
-        "log_value": prediction.log_value,
-        "gaussian_factor": prediction.gaussian_factor,
-    }
-    _emit_json(payload, args.out, started)
+    _emit_json(args, asdict(prediction), started)
     return 0
 
 
@@ -235,15 +230,12 @@ def _cmd_series_check(args) -> int:
         which: {repr(z): remainder_check(float(args.p), z, which) for z in _REMAINDER_GRID}
         for which in ("odd", "even")
     }
-    payload = {
-        "command": "series-check",
-        "artifact_version": __version__,
-        "config": {"p": str(args.p), "max_order": args.max_order},
+    fields = {
         "coefficients": [float(c) for c in exact],
-        "coefficients_exact": [str(c) for c in exact],
+        "coefficients_exact": exact,
         "remainders": remainders,
     }
-    _emit_json(payload, args.out, started)
+    _emit_json(args, fields, started)
     return 0
 
 
@@ -311,34 +303,7 @@ def _cmd_clt_experiment(args) -> int:
         epsilon=args.epsilon,
         threads=args.threads,
     )
-    payload = {
-        "command": "clt-experiment",
-        "artifact_version": __version__,
-        "config": _config_echo(
-            args,
-            ("n", "p", "beta", "graphs", "sweeps", "burnin", "thin", "replicas",
-             "epsilon", "seed"),
-        ),
-        "reference": {"mean": record.reference.mean, "variance": record.reference.variance},
-        "per_graph": [
-            {
-                "graph_seed": run.graph_seed,
-                "n_samples": run.n_samples,
-                "sample_mean": run.sample_mean,
-                "sample_variance": run.sample_variance,
-                "levy": run.levy,
-                "ks": run.ks,
-            }
-            for run in record.runs
-        ],
-        "pooled": {
-            "count": record.pooled_count,
-            "mean": record.pooled_mean,
-            "variance": record.pooled_variance,
-        },
-        "exceed_fraction": record.exceed_fraction,
-    }
-    _emit_json(payload, args.out, started, _kernel_meta(True, True))
+    _emit_json(args, asdict(record), started, _kernel_meta(True, True))
     return 0
 
 

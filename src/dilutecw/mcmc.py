@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -56,7 +57,7 @@ from . import pcg64, splitmix
 from .graph import GraphSeed, sample_graph
 from .errors import CapacityError, DomainError
 from .model import _WORD, DisorderGraph, ModelParams
-from .stats import EmpiricalMeasure, NormalRef, ks_distance, levy_distance, summarize
+from .stats import EmpiricalMeasure, NormalRef, SampleSummary, ks_distance, levy_distance, summarize
 
 __all__ = [
     "ChainConfig",
@@ -76,8 +77,13 @@ def derive_seed(master: int, *indices: int) -> int:
 
     Chained SplitMix64: each index advances the state by (index + 1) golden
     steps and refinalizes, so (seed, 1, 2) and (seed, 2, 1) land far apart.
+    The master seed and every index must lie in [0, 2^64): reduced modulo
+    2^64, two different seeds would give one stream.
     """
-    h = splitmix.finalize(master & splitmix.MASK64)
+    for v in (master, *indices):
+        if not 0 <= v <= splitmix.MASK64:
+            raise DomainError(f"seeds and stream indices must lie in [0, 2^64), got {v}")
+    h = splitmix.finalize(master)
     for v in indices:
         h = splitmix.finalize((h + (int(v) + 1) * splitmix.GAMMA) & splitmix.MASK64)
     return h
@@ -166,12 +172,14 @@ def check_chain_work(n: int, cfg: ChainConfig, graphs: int) -> None:
 
 # Each kernel call runs about this many site updates for the largest group
 # (whole sweeps, at least one).  That amortizes the call and still bounds
-# it: Python sees Ctrl-C only between ctypes calls.  Block size does not
-# change the stream.
+# it: Python sees Ctrl-C, and run_chain its ``stop``, only between ctypes
+# calls.  Block size does not change the stream.
 _BLOCK_SITE_UPDATES = 1 << 20
 
 
-def run_chain(g: DisorderGraph, params: ModelParams, cfg: ChainConfig) -> list[tuple[float, ...]]:
+def run_chain(
+    g: DisorderGraph, params: ModelParams, cfg: ChainConfig, *, stop: threading.Event | None = None
+) -> list[tuple[float, ...]]:
     """Run every replica of the chain on one fixed graph.
 
     Returns the retained scaled magnetizations of each replica, one tuple per
@@ -180,7 +188,9 @@ def run_chain(g: DisorderGraph, params: ModelParams, cfg: ChainConfig) -> list[t
     cfg.chain_seed, so the result is a pure function of (graph, params, cfg).
     Replicas are swept in groups of up to ``_csweep.GROUP``, which share each
     pass over the masks; a replica's values do not depend on the group it ran
-    in.
+    in.  When ``stop`` is set, the chain raises KeyboardInterrupt before its
+    next kernel block: that is how a worker thread, which never sees Ctrl-C
+    itself, is ended.
     """
     if g.n != params.n:
         raise DomainError(f"incompatible sizes: graph n={g.n}, params n={params.n}")
@@ -219,6 +229,8 @@ def run_chain(g: DisorderGraph, params: ModelParams, cfg: ChainConfig) -> list[t
         values = [[] for _ in ids]
         sweep = 0
         while sweep < cfg.sweeps:
+            if stop is not None and stop.is_set():
+                raise KeyboardInterrupt
             step = min(block, cfg.sweeps - sweep)
             for kept, counts in zip(values, sweep_block(states, rngs, step)):
                 for t, up in enumerate(counts, sweep + 1):
@@ -247,33 +259,13 @@ class ExperimentRecord:
 
     ``exceed_fraction`` is the fraction of graphs whose Levy distance to the
     Gaussian reference exceeds the epsilon the experiment was called with.
+    The fields are the ``clt-experiment`` payload as they stand.
     """
 
     reference: NormalRef
-    runs: tuple[GraphRun, ...]
-    pooled_count: int
-    pooled_mean: float
-    pooled_variance: float
+    per_graph: tuple[GraphRun, ...]
+    pooled: SampleSummary
     exceed_fraction: float
-
-
-def _one_graph_run(
-    params: ModelParams, cfg: ChainConfig, master_seed: int, index: int, epsilon_ref: NormalRef
-) -> GraphRun:
-    gseed = derive_seed(master_seed, 1, index)
-    g = sample_graph(params, GraphSeed(gseed))
-    chain_cfg = replace(cfg, chain_seed=derive_seed(master_seed, 2, index))
-    pooled = [v for values in run_chain(g, params, chain_cfg) for v in values]
-    stats = summarize(pooled)
-    law = EmpiricalMeasure.from_samples(pooled)
-    return GraphRun(
-        graph_seed=gseed,
-        n_samples=stats.count,
-        sample_mean=stats.mean,
-        sample_variance=stats.variance,
-        levy=levy_distance(law, epsilon_ref),
-        ks=ks_distance(law, epsilon_ref),
-    )
 
 
 def quenched_experiment(
@@ -291,8 +283,10 @@ def quenched_experiment(
     requires beta < 1.  Graph seeds and chain seeds both derive from
     ``master_seed``, an integer in [0, 2^64), so the whole experiment replays
     from one integer.
-    ``threads`` > 1 distributes whole graphs over a thread pool; results are
-    identical to the sequential order either way.
+    Whole graphs go to a pool of ``threads`` worker threads; results are
+    identical to the sequential order at any thread count.  Any exception in
+    the calling thread, Ctrl-C included, stops every running chain before
+    its next kernel block.
     """
     if not params.beta < 1.0:
         raise DomainError(f"Gaussian reference requires beta < 1, got {params.beta}")
@@ -302,38 +296,44 @@ def quenched_experiment(
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if threads < 1:
         raise DomainError(f"threads must be positive, got {threads}")
-    if not 0 <= master_seed < (1 << 64):
-        raise DomainError(f"master_seed must fit in 64 bits, got {master_seed}")
     pooled = n_graphs * cfg.replicas * cfg.retained(params.n)
     if pooled < 2:
         raise DomainError(f"the pooled variance needs at least 2 retained samples, got {pooled}")
     check_chain_work(params.n, cfg, n_graphs)
     reference = NormalRef(mean=0.0, variance=1.0 / (1.0 - params.beta))
-    if threads == 1:
-        runs = [
-            _one_graph_run(params, cfg, master_seed, i, reference)
-            for i in range(n_graphs)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(
-                pool.map(
-                    lambda i: _one_graph_run(params, cfg, master_seed, i, reference),
-                    range(n_graphs),
-                )
-            )
-    pooled_counts = sum(r.n_samples for r in runs)
-    pooled_mean = sum(r.sample_mean * r.n_samples for r in runs) / pooled_counts
+    stop = threading.Event()
+
+    def graph_run(index: int) -> GraphRun:
+        gseed = derive_seed(master_seed, 1, index)
+        g = sample_graph(params, GraphSeed(gseed))
+        chain_cfg = replace(cfg, chain_seed=derive_seed(master_seed, 2, index))
+        samples = [v for values in run_chain(g, params, chain_cfg, stop=stop) for v in values]
+        stats = summarize(samples)
+        law = EmpiricalMeasure.from_samples(samples)
+        return GraphRun(
+            graph_seed=gseed,
+            n_samples=stats.count,
+            sample_mean=stats.mean,
+            sample_variance=stats.variance,
+            levy=levy_distance(law, reference),
+            ks=ks_distance(law, reference),
+        )
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        try:
+            runs = tuple(pool.map(graph_run, range(n_graphs)))
+        except BaseException:
+            # leaving the block joins the workers: end their chains first
+            stop.set()
+            raise
+    count = sum(r.n_samples for r in runs)
+    mean = sum(r.sample_mean * r.n_samples for r in runs) / count
     # pooled variance via the law of total variance over equal-weight samples
     within = sum((r.n_samples - 1) * r.sample_variance for r in runs)
-    between = sum(r.n_samples * (r.sample_mean - pooled_mean) ** 2 for r in runs)
-    pooled_variance = (within + between) / (pooled_counts - 1)
-    exceed = sum(1 for r in runs if r.levy > epsilon) / n_graphs
+    between = sum(r.n_samples * (r.sample_mean - mean) ** 2 for r in runs)
     return ExperimentRecord(
         reference=reference,
-        runs=tuple(runs),
-        pooled_count=pooled_counts,
-        pooled_mean=pooled_mean,
-        pooled_variance=pooled_variance,
-        exceed_fraction=exceed,
+        per_graph=runs,
+        pooled=SampleSummary(count=count, mean=mean, variance=(within + between) / (count - 1)),
+        exceed_fraction=sum(1 for r in runs if r.levy > epsilon) / n_graphs,
     )

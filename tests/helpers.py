@@ -9,6 +9,7 @@ can check both against them.
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,3 +107,31 @@ def total_variation(a, b) -> float:
     x[np.searchsorted(locs, a.locations)] = a.weights
     y[np.searchsorted(locs, b.locations)] = b.weights
     return 0.5 * float(np.abs(x - y).sum())
+
+
+def taylor_by_composition(p, k: int) -> list[Fraction]:
+    """Coefficients c_1 .. c_k of F(p, z) = log(1 - p + p e^z) in z, by
+    composing the exact series of u = p (e^z - 1) into that of log(1 + u),
+    truncated at order k."""
+    pq = Fraction(p)
+    factorial = Fraction(1)
+    u = [Fraction(0)] * (k + 1)
+    for i in range(1, k + 1):
+        factorial *= i
+        u[i] = pq / factorial
+
+    def mul_truncated(a, b):
+        out = [Fraction(0)] * (k + 1)
+        for i, ai in enumerate(a):
+            for j in range(k + 1 - i):
+                out[i + j] += ai * b[j]
+        return out
+
+    # log(1 + u) = sum_{m>=1} (-1)^{m+1} u^m / m
+    series = [Fraction(0)] * (k + 1)
+    upow = [Fraction(1)] + [Fraction(0)] * k
+    for m in range(1, k + 1):
+        upow = mul_truncated(upow, u)
+        for i in range(k + 1):
+            series[i] += Fraction((-1) ** (m + 1), m) * upow[i]
+    return series[1:]

@@ -132,16 +132,16 @@ def test_c04_subcritical_clt_at_four_thousand_sites():
 
     target = 1.0 / (1.0 - params.beta)
     assert record.reference.variance == target
-    for run in record.runs:
+    for run in record.per_graph:
         assert run.n_samples >= 5000
         assert 1.8 <= run.sample_variance <= 2.2
         assert run.levy <= 0.1
         assert run.ks <= 0.05
     assert record.exceed_fraction == 0.0
     assert elapsed < 1800.0
-    worst_levy = max(run.levy for run in record.runs)
-    worst_ks = max(run.ks for run in record.runs)
-    vars_seen = sorted(run.sample_variance for run in record.runs)
+    worst_levy = max(run.levy for run in record.per_graph)
+    worst_ks = max(run.ks for run in record.per_graph)
+    vars_seen = sorted(run.sample_variance for run in record.per_graph)
     _report(
         4,
         f"10 graphs, 5000 samples each: variance in "

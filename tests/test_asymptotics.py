@@ -19,6 +19,7 @@ from dilutecw.asymptotics import (
 )
 from dilutecw.model import ModelParams
 from dilutecw.testfunctions import make_test_function
+from helpers import taylor_by_composition
 
 ONE = make_test_function("one")
 GAUSS = make_test_function("gauss")
@@ -77,6 +78,20 @@ def test_taylor_closed_forms_exact():
         assert c[1] == p * (1 - p) / 2
         assert c[2] == p * (2 * p**2 - 3 * p + 1) / 6
         assert c[3] == p * (-6 * p**3 + 12 * p**2 - 7 * p + 1) / 24
+
+
+@pytest.mark.parametrize(
+    "p",
+    [Fraction(1, 2), Fraction(1, 3), Fraction(7, 100), 1, 0.4, 1e-300, 2.0**-1074,
+     1.0 - 2.0**-53, "0.35", "1e-9", Fraction(999_999, 1_000_000)],
+    ids=repr,
+)
+def test_taylor_closed_form_matches_series_composition(p):
+    # the cumulant formula against log(1 + u) composed with u = p (e^z - 1),
+    # Fraction for Fraction at every order
+    want = taylor_by_composition(p, MAX_TAYLOR_ORDER)
+    for order in range(1, MAX_TAYLOR_ORDER + 1):
+        assert taylor_coefficients_exact(p, order) == want[:order]
 
 
 def test_taylor_p_one_degenerates():

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -705,6 +706,90 @@ def test_clt_experiment_threads_byte_identical(capsys):
     code2, two, _ = run_cli(capsys, *args, "--threads", "2")
     assert code1 == code2 == 0
     assert one == two
+
+
+# Each JSON command's config echo: every argument but command, func, out and
+# threads, whatever the command; then the command's own fields.
+_MODEL = ("--n", "4", "--p", "0.5", "--beta", "0.5")
+ECHO = {
+    "exact-partition": (
+        _MODEL,
+        {"n", "p", "beta", "seed", "graph"},
+        {"graph_seed", "log_z", "free_energy_per_site", "law"},
+    ),
+    "exact-moments": (
+        _MODEL,
+        {"n", "p", "beta", "g"},
+        {"log_expected_partition", "log_second_moment", "variance_ratio", "variance_ratio_clamped"},
+    ),
+    "exact-oracle": (
+        ("--n", "2", "--p", "0.5", "--beta", "0.5", "--moment", "first"),
+        {"n", "p", "beta", "g", "moment"},
+        {"log_value"},
+    ),
+    "asym-predict": (
+        (*_MODEL, "--variant", "b"),
+        {"n", "p", "beta", "g", "variant"},
+        {"log_value", "gaussian_factor"},
+    ),
+    "series-check": (
+        ("--p", "1/2", "--max-order", "3"),
+        {"p", "max_order"},
+        {"coefficients", "coefficients_exact", "remainders"},
+    ),
+    "clt-experiment": (
+        (*_MODEL, "--graphs", "2", "--sweeps", "40", "--burnin", "10", "--threads", "2"),
+        {"n", "p", "beta", "graphs", "sweeps", "burnin", "thin", "replicas", "epsilon", "seed"},
+        {"reference", "per_graph", "pooled", "exceed_fraction"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ECHO)
+def test_json_payload_keys(command, capsys):
+    argv, config, fields = ECHO[command]
+    code, out, _ = run_cli(capsys, command, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"command", "artifact_version", "config"} | fields
+    assert payload["command"] == command
+    assert set(payload["config"]) == config
+
+
+def test_clt_experiment_record_fields(capsys):
+    code, out, _ = run_cli(capsys, "clt-experiment", *ECHO["clt-experiment"][0])
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload["reference"]) == {"mean", "variance"}
+    assert set(payload["pooled"]) == {"count", "mean", "variance"}
+    for run in payload["per_graph"]:
+        assert set(run) == {
+            "graph_seed", "n_samples", "sample_mean", "sample_variance", "levy", "ks"
+        }
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_clt_experiment_ends_soon_after_sigint(threads):
+    # each graph's chain runs for seconds; SIGINT once the chains are running
+    # must end the process within a few kernel blocks, on either thread count
+    argv = [
+        sys.executable, "-m", "dilutecw.cli", "clt-experiment", "--n", "4096", "--p", "0.5",
+        "--beta", "0.5", "--graphs", "2", "--sweeps", "60000", "--threads", threads,
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        assert "2 graphs at n=4096" in proc.stderr.readline().decode()
+        time.sleep(1.0)
+        sent = time.perf_counter()
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=5.0)
+        assert time.perf_counter() - sent < 5.0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert proc.returncode != 0
 
 
 def test_clt_experiment_single_sample_is_usage_error(capsys):

@@ -17,7 +17,7 @@ from dilutecw.asymptotics import (
 )
 from dilutecw.exact import disorder_oracle, enumerate_partition, variance_ratio_from_logs
 from dilutecw.graph import GraphSeed
-from dilutecw.mcmc import ChainConfig, quenched_experiment, run_chain
+from dilutecw.mcmc import ChainConfig, derive_seed, quenched_experiment, run_chain
 from dilutecw.model import DisorderGraph, ModelParams
 from dilutecw.testfunctions import make_test_function, parse_test_function
 
@@ -52,7 +52,11 @@ _DOMAIN_CASES = {
         HALF, CFG, 1, master_seed=0, epsilon=math.nan
     ),
     "experiment_threads": lambda: quenched_experiment(HALF, CFG, 1, master_seed=0, threads=0),
-    # derive_seed masks to 64 bits: 2^64 would replay seed 0, -1 seed 2^64 - 1
+    # modulo 2^64, 2^64 would replay seed 0 and -1 seed 2^64 - 1
+    "derive_seed_master_2_64": lambda: derive_seed(1 << 64),
+    "derive_seed_master_negative": lambda: derive_seed(-1),
+    "derive_seed_index_2_64": lambda: derive_seed(5, 1 << 64),
+    "derive_seed_index_negative": lambda: derive_seed(5, -1),
     "experiment_seed_2_64": lambda: quenched_experiment(HALF, CFG, 1, master_seed=1 << 64),
     "experiment_seed_negative": lambda: quenched_experiment(HALF, CFG, 1, master_seed=-1),
     "experiment_pooled": lambda: quenched_experiment(

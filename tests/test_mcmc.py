@@ -341,6 +341,17 @@ def test_run_chain_is_deterministic():
     assert six[:3] == first
 
 
+def test_run_chain_stops_between_kernel_blocks():
+    params = ModelParams(n=16, p=0.5, beta=0.5)
+    g = sample_graph(params, GraphSeed(3))
+    cfg = ChainConfig(sweeps=200, burn_in=50, replicas=2, chain_seed=9)
+    stop = threading.Event()
+    assert run_chain(g, params, cfg, stop=stop) == run_chain(g, params, cfg)
+    stop.set()
+    with pytest.raises(KeyboardInterrupt):
+        run_chain(g, params, cfg, stop=stop)
+
+
 def test_run_chain_seed_sensitivity():
     params = ModelParams(n=16, p=0.5, beta=0.5)
     g = sample_graph(params, GraphSeed(3))
@@ -402,9 +413,9 @@ def test_quenched_experiment_smoke():
     cfg = ChainConfig(sweeps=600, burn_in=100, thin=1, replicas=2)
     record = quenched_experiment(params, cfg, 2, master_seed=55, epsilon=0.2)
     assert record.reference.variance == pytest.approx(1 / 0.7)
-    assert len(record.runs) == 2
-    assert record.pooled_count == 2 * 2 * 500
-    for run in record.runs:
+    assert len(record.per_graph) == 2
+    assert record.pooled.count == 2 * 2 * 500
+    for run in record.per_graph:
         assert run.n_samples == 1000
         assert 0.0 <= run.levy <= run.ks + 1e-9
     assert 0.0 <= record.exceed_fraction <= 1.0

@@ -46,7 +46,13 @@ def test_from_samples_is_a_classmethod():
 
 
 def test_run_chain_keeps_the_parameters_the_work_counter_reads():
-    assert list(inspect.signature(mcmc.run_chain).parameters) == ["g", "params", "cfg"]
+    # g, params and cfg come first; the only other parameter is the
+    # keyword-only stop, unset by default
+    parameters = inspect.signature(mcmc.run_chain).parameters
+    assert list(parameters)[:3] == ["g", "params", "cfg"]
+    assert list(parameters)[3:] == ["stop"]
+    assert parameters["stop"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert parameters["stop"].default is None
 
 
 def test_work_counters_read_real_calls():
