@@ -1,8 +1,9 @@
 """The heat-bath sweep, the setup of each graph, the exact enumeration's
-histogram and the second moment's pair sum as one set of kernels: compiled to
-C on first use, or their numpy and Python twins.
+histogram, the second moment's pair sum and the Levy and KS distances to a
+Gaussian as one set of kernels: compiled to C on first use, or their numpy and
+Python twins.
 
-``library()`` is the one place that chooses.  It returns a ``_Library`` of seven
+``library()`` is the one place that chooses.  It returns a ``_Library`` of nine
 kernels with fixed signatures, and every caller calls them without asking which
 set it got:
 
@@ -25,7 +26,11 @@ set it got:
   the sum of exp over the O(n^3) terms of the annealed pair sum (see
   ``exact.second_moment_log``);
 * ``exact_sum(values) -> float`` sums nonnegative doubles, rounding once, to
-  the float ``math.fsum`` gives.
+  the float ``math.fsum`` gives;
+* ``levy(locations, cum, mean, sd, tol) -> float`` and
+  ``ks(locations, cum, mean, sd) -> float`` are the Levy and
+  Kolmogorov-Smirnov distances of the atoms at ``locations``, with cumulative
+  weights ``cum``, to N(mean, sd^2) (see ``stats.levy_distance``).
 
 The compiled set is ``SOURCE`` below.  Its sweep does to each replica
 exactly what the Python twin ``_twins._sweep_bits`` does, one sweep after
@@ -83,7 +88,17 @@ So does the enumeration's ``interaction_histogram`` (twin
 ``_numpy_histogram``), whose counts are exact integers either way.  It takes
 its W = eps + eps^T from ``build_masks`` (the twin from ``_numpy_masks``), the
 one place each set derives it.  It is compiled once, plainly: its inner loop
-is table loads and increments, with no popcount in it.
+is table loads and increments, with no popcount in it.  A global flip keeps
+s and maps class c to n - c, so from n = 2 on the kernel counts only the
+configurations with site 0 down, and its binder adds the class-reversed copy
+of that (s, class) table; the twin counts every configuration.
+
+The distances ``levy_normal`` and ``ks_normal`` (twins ``_levy_loop`` and
+``_ks_loop``) do the twins' IEEE operations in the twins' order and call libm
+``erfc`` and ``sqrt``, the functions ``math.erfc`` and ``math.sqrt`` call, so
+each returns the twin's double.  Where the twin takes Python's ``max``, the
+kernel keeps the earlier of two values unless the later compares greater, as
+``max`` does.
 
 The second moment's ``pair_sum`` (twin ``_numpy_pair_sum``) builds every term
 in the twin's IEEE operation order, finds the peak in a first pass and in a
@@ -102,8 +117,8 @@ as ``_twins._TWINS``, the set ``library()`` returns when nothing compiles or
 loads; its ``path`` and ``sample_path`` are None and its ``paths`` and
 ``sample_paths`` empty.  Only that fallback imports them.
 
-The first graph, chain, enumeration or second moment a process makes
-compiles the source with the system C compiler (``COMMAND``) into
+The first graph, chain, enumeration, second moment or distance a process
+makes compiles the source with the system C compiler (``COMMAND``) into
 ``${XDG_CACHE_HOME:-~/.cache}/dilutecw/sweep-<hash>.so``, where the hash
 covers the source, the command and the machine architecture: an edit to
 the source or the command builds a new library, and a cache shared by hosts
@@ -392,7 +407,9 @@ static int64_t inner(const uint64_t *w1, const uint64_t *w2, const int64_t *deg,
 
 /* The configurations of an n-site graph, 1 <= n <= 64, counted by
    (s + edges) (n + 1) + class, where s = sum eps[i,j] s_i s_j and class is
-   the number of up spins; bit j of rows[i] is the edge (i, j).  With
+   the number of up spins; bit j of rows[i] is the edge (i, j).  From n = 2
+   on, only those with site 0 down are counted: one of each pair that a
+   global flip maps onto each other.  With
    W = eps + eps^T off the diagonal (the masks of build_masks), the low sites
    0 .. n/2 - 1 spun by a and the others spun by b,
 
@@ -428,7 +445,8 @@ void interaction_histogram(int64_t n, const uint64_t *rows, int64_t edges, int64
     }
     int64_t *c0 = copies, *c1 = c0 + size, *c2 = c1 + size, *c3 = c2 + size;
     int64_t *first = quarter, *rest = quarter + ((int64_t)1 << h1);
-    for (int64_t a = 0; a < (int64_t)1 << low; a++) {
+    /* a even: site 0 down, where it is a low site (n >= 2) */
+    for (int64_t a = 0; a < (int64_t)1 << low; a += low ? 2 : 1) {
         uint64_t x = (uint64_t)a;
         /* entry 0 of each quarter has all its sites down; putting site t
            up adds 2 width field(t), which doubles the table built so far */
@@ -575,6 +593,66 @@ int64_t pair_sum(int64_t n, double base, double b1, double b0, const double *log
     return nan != nan ? -1 : terms;
 }
 
+/* N(mean, sd^2)'s distribution function at t in the operations of
+   stats._normal_cdf: libm erfc and sqrt, the functions math.erfc and
+   math.sqrt call, so every value is the double Python gives. */
+static double normal_cdf(double t, double mean, double sd)
+{
+    double u = (t - mean) / sd;
+    return 0.5 * erfc(-u / sqrt(2.0));
+}
+
+/* The Kolmogorov-Smirnov distance of the atoms loc[0 .. k-1], cumulative
+   weights cum, to N(mean, sd^2): both one-sided gaps at every atom.  Each
+   comparison is Python's max, which keeps the earlier of two values that
+   do not compare greater, a NaN included. */
+double ks_normal(int64_t k, const double *loc, const double *cum, double mean, double sd)
+{
+    double worst = 0.0, prev = 0.0;
+    for (int64_t i = 0; i < k; i++) {
+        double f = normal_cdf(loc[i], mean, sd), above = fabs(cum[i] - f), below = fabs(prev - f);
+        if (above > worst)
+            worst = above;
+        if (below > worst)
+            worst = below;
+        prev = cum[i];
+    }
+    return worst;
+}
+
+/* Whether the Levy condition holds at eps at every atom (see stats). */
+static int levy_holds(int64_t k, const double *loc, const double *cum, double mean, double sd,
+                      double eps)
+{
+    double prev = 0.0;
+    for (int64_t i = 0; i < k; i++) {
+        if (normal_cdf(loc[i] - eps, mean, sd) - eps > prev + 1e-15)
+            return 0;
+        if (cum[i] > normal_cdf(loc[i] + eps, mean, sd) + eps + 1e-15)
+            return 0;
+        prev = cum[i];
+    }
+    return 1;
+}
+
+/* The Levy distance of the same atoms to N(mean, sd^2): the bisection of
+   [0, 1] to width tol, returning the upper end of the last bracket. */
+double levy_normal(int64_t k, const double *loc, const double *cum, double mean, double sd,
+                   double tol)
+{
+    double lo = 0.0, hi = 1.0;
+    if (levy_holds(k, loc, cum, mean, sd, lo))
+        return 0.0;
+    while (hi - lo > tol) {
+        double mid = 0.5 * (lo + hi);
+        if (levy_holds(k, loc, cum, mean, sd, mid))
+            hi = mid;
+        else
+            lo = mid;
+    }
+    return hi;
+}
+
 /* Bit k set when this CPU has feature k of FEATURES, 0 off x86-64.
    __builtin_cpu_supports takes only a literal, so the tests are written out
    from FEATURES, one a line. */
@@ -612,6 +690,8 @@ class _Library(NamedTuple):
     histogram: Callable  # interaction_histogram
     pair_sum: Callable  # pair_sum
     exact_sum: Callable  # exact_sum
+    levy: Callable  # levy_normal
+    ks: Callable  # ks_normal
 
 
 _lock = threading.Lock()
@@ -715,6 +795,29 @@ def _sum_shape(values: np.ndarray) -> None:
         raise ValueError("an exact sum takes finite doubles of positive sign")
 
 
+def _distance_shape(locations: np.ndarray, cum: np.ndarray) -> int:
+    """The atoms k of a distance call, once its arguments pass the checks that
+    both kernel sets make: ``locations`` and their cumulative weights ``cum``
+    two float64 vectors of k >= 1 entries."""
+    k = len(locations)
+    if k < 1:
+        raise ValueError("a distance takes at least one atom")
+    _check((locations, np.float64, (k,)), (cum, np.float64, (k,)))
+    return k
+
+
+# The least bisection width of a Levy distance: from 2^-52 on, two adjacent
+# doubles in [0, 1] lie closer than the width, so the bisection ends.
+_LEAST_TOL = 2.0 ** -52
+
+
+def _levy_shape(locations: np.ndarray, cum: np.ndarray, tol: float) -> int:
+    """As ``_distance_shape``, with the check of the bisection's width."""
+    if not tol >= _LEAST_TOL:
+        raise ValueError(f"the bisection width must be at least 2^-52, got {tol!r}")
+    return _distance_shape(locations, cum)
+
+
 # The words of an exact sum's integer, as the C kernel's LIMBS: the sum times
 # 2^_SUM_SCALE.
 _LIMBS = 36
@@ -815,7 +918,11 @@ def _bind_histogram(fn):
         copies = np.zeros((4, size), dtype=np.int64)
         fn(n, out_rows.ctypes.data, edges, size, hkey.ctypes.data, quarter.ctypes.data,
            copies.ctypes.data)
-        return copies.sum(axis=0)
+        counts = copies.sum(axis=0).reshape(2 * edges + 1, n + 1)
+        if n > 1:
+            # the kernel counted one configuration of each global-flip pair
+            counts = counts + counts[:, ::-1]
+        return counts.ravel()
 
     return histogram
 
@@ -855,6 +962,28 @@ def _bind_exact_sum(fn):
     return exact_sum
 
 
+def _bind_distances(levy_fn, ks_fn):
+    """The checked Python entries to ``levy_normal`` and ``ks_normal``."""
+    levy_fn.restype = ks_fn.restype = ctypes.c_double
+    ks_fn.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 2, *[ctypes.c_double] * 2]
+    levy_fn.argtypes = [*ks_fn.argtypes, ctypes.c_double]
+
+    def levy(locations: np.ndarray, cum: np.ndarray, mean: float, sd: float, tol: float) -> float:
+        """The Levy distance of the atoms at ``locations``, cumulative weights
+        ``cum``, to N(mean, sd^2), bisected to width ``tol`` (see
+        ``_twins._levy_loop``)."""
+        k = _levy_shape(locations, cum, tol)
+        return levy_fn(k, locations.ctypes.data, cum.ctypes.data, mean, sd, tol)
+
+    def ks(locations: np.ndarray, cum: np.ndarray, mean: float, sd: float) -> float:
+        """The Kolmogorov-Smirnov distance of the same atoms to N(mean, sd^2)
+        (see ``_twins._ks_loop``)."""
+        k = _distance_shape(locations, cum)
+        return ks_fn(k, locations.ctypes.data, cum.ctypes.data, mean, sd)
+
+    return levy, ks
+
+
 def _runnable(table: dict, features: set) -> list[str]:
     """The paths of ``table`` (PATHS or SAMPLE_PATHS) that a CPU with
     ``features`` runs, fastest first."""
@@ -880,6 +1009,7 @@ def _open() -> _Library:
         for name in _runnable(SAMPLE_PATHS, features)
     }
     path, sample_path = next(iter(paths)), next(iter(sample_paths))
+    levy, ks = _bind_distances(lib.levy_normal, lib.ks_normal)
     return _Library(
         sweep=paths[path],
         path=path,
@@ -892,6 +1022,8 @@ def _open() -> _Library:
         histogram=_bind_histogram(lib.interaction_histogram),
         pair_sum=_bind_pair_sum(lib.pair_sum),
         exact_sum=_bind_exact_sum(lib.exact_sum),
+        levy=levy,
+        ks=ks,
     )
 
 
@@ -906,8 +1038,8 @@ def library() -> _Library:
                 from ._twins import _TWINS as loaded
 
                 print(f"note: compiled kernels unavailable ({err}); "
-                      "sampling, masks, sweeps, enumeration and the second moment's sum "
-                      "run in numpy and Python",
+                      "sampling, masks, sweeps, enumeration, the second moment's sum "
+                      "and the Levy and KS distances run in numpy and Python",
                       file=sys.stderr, flush=True)
             _loaded.append(loaded)
         return _loaded[0]

@@ -4,12 +4,14 @@ Each twin does what its kernel does, bit for bit: ``_sample_rows`` for
 ``sample_rows_<path>``, ``_numpy_masks`` for ``build_masks``, ``_plus_loop``
 for ``plus_table``, ``_python_sweeps`` for ``sweep_block_<path>``,
 ``_numpy_histogram`` for ``interaction_histogram``, ``_numpy_pair_sum`` for
-``pair_sum`` and ``_fsum`` for ``exact_sum``.  The sweep, histogram and sum
-twins refuse the calls their kernels refuse, through the same checks in
-``_csweep``.  They are the test oracles of the kernels and, as ``_TWINS``,
-the kernel set that ``_csweep.library()`` returns when nothing compiles or
-loads.  They live apart from the loader so that a process on the compiled
-kernels never compiles or runs their code.
+``pair_sum``, ``_fsum`` for ``exact_sum``, and ``_levy_loop`` and ``_ks_loop``
+for ``levy_normal`` and ``ks_normal``.  ``_numpy_histogram`` enumerates every
+configuration, where its kernel counts one of each global-flip pair.  The
+sweep, histogram, sum and distance twins refuse the calls their kernels
+refuse, through the same checks in ``_csweep``.  They are the test oracles of
+the kernels and, as ``_TWINS``, the kernel set that ``_csweep.library()``
+returns when nothing compiles or loads.  They live apart from the loader so
+that a process on the compiled kernels never compiles or runs their code.
 """
 
 from __future__ import annotations
@@ -20,8 +22,17 @@ import math
 import numpy as np
 
 from . import splitmix
-from ._csweep import _histogram_shape, _Library, _pair_shape, _sum_shape, _sweep_shape
+from ._csweep import (
+    _distance_shape,
+    _histogram_shape,
+    _levy_shape,
+    _Library,
+    _pair_shape,
+    _sum_shape,
+    _sweep_shape,
+)
 from .model import _WORD, _pack_rows, _row_bits
+from .stats import _normal_cdf
 
 
 # The numpy twin of the sampler mixes a block of whole rows holding about this
@@ -210,6 +221,48 @@ def _fsum(values: np.ndarray) -> float:
     return math.fsum(values.tolist())
 
 
+def _ks_loop(locations: np.ndarray, cum: np.ndarray, mean: float, sd: float) -> float:
+    """The Python twin of ``ks_normal``: both one-sided gaps to N(mean, sd^2)
+    at every atom."""
+    _distance_shape(locations, cum)
+    worst = 0.0
+    prev = 0.0
+    for loc, c in zip(locations.tolist(), cum.tolist()):
+        f = _normal_cdf(loc, mean, sd)
+        worst = max(worst, abs(c - f), abs(prev - f))
+        prev = c
+    return worst
+
+
+def _levy_holds(locations: list, cum: list, mean: float, sd: float, eps: float) -> bool:
+    prev = 0.0
+    for loc, c in zip(locations, cum):
+        if _normal_cdf(loc - eps, mean, sd) - eps > prev + 1e-15:
+            return False
+        if c > _normal_cdf(loc + eps, mean, sd) + eps + 1e-15:
+            return False
+        prev = c
+    return True
+
+
+def _levy_loop(locations: np.ndarray, cum: np.ndarray, mean: float, sd: float, tol: float) -> float:
+    """The Python twin of ``levy_normal``: the bisection of [0, 1] to width
+    ``tol``, returning the upper end of the last bracket (see
+    ``stats.levy_distance``)."""
+    _levy_shape(locations, cum, tol)
+    locations, cum = locations.tolist(), cum.tolist()
+    lo, hi = 0.0, 1.0
+    if _levy_holds(locations, cum, mean, sd, lo):
+        return 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _levy_holds(locations, cum, mean, sd, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _mask_ints(masks: np.ndarray) -> list[int]:
     """The rows of a packed mask array as Python integers."""
     return [int.from_bytes(row.tobytes(), "little") for row in masks]
@@ -286,4 +339,6 @@ _TWINS = _Library(
     histogram=_numpy_histogram,
     pair_sum=_numpy_pair_sum,
     exact_sum=_fsum,
+    levy=_levy_loop,
+    ks=_ks_loop,
 )

@@ -13,9 +13,13 @@ timestamps) goes to stderr and, when --out is used, to a separate
 <out>.meta.json sidecar.
 
 Exit codes: 0 success, 2 argument validation, 3 refused by a capacity cap,
-4 runtime failure (unparseable input file, numerical impossibility, I/O).
+4 runtime failure (unparseable input file, numerical impossibility, I/O),
+130 interrupted (Ctrl-C), each failure with one ``error:`` line on stderr.
 Validation is argparse's types plus the library's own checks, which raise
-DomainError; the handlers here restate none of them.
+DomainError; the handlers here restate none of them.  The one check of the
+CLI's own is on its output: ``series-check`` refuses a coefficient whose
+numerator or denominator has more decimal digits than Python converts to
+text (``sys.get_int_max_str_digits``).
 
 A process builds its parser once (``build_parser`` is cached) and every
 ``main`` call reads that one parser: parsing does not change it, and the
@@ -222,10 +226,28 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+def _check_printable(coefficients: list[Fraction]) -> None:
+    """Refuse, with DomainError, coefficients that Python cannot write as text:
+    int's string conversion stops at ``sys.get_int_max_str_digits()`` decimal
+    digits (4300 by default, 0 for no limit)."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        return
+    bound = 10**limit
+    for k, c in enumerate(coefficients, 1):
+        if abs(c.numerator) >= bound or c.denominator >= bound:
+            raise DomainError(
+                f"coefficient c_{k} has more than {limit} decimal digits, the limit of "
+                "Python's int-to-text conversion (sys.get_int_max_str_digits); "
+                "lower --max-order"
+            )
+
+
 def _cmd_series_check(args) -> int:
     started = time.perf_counter()
     # the exact coefficients check p in (0, 1] before it is rounded to a float
     exact = taylor_coefficients_exact(args.p, args.max_order)
+    _check_printable(exact)
     remainders = {
         which: {repr(z): remainder_check(float(args.p), z, which) for z in _REMAINDER_GRID}
         for which in ("odd", "even")
@@ -419,6 +441,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         _log(f"error: {err}")
         return 4
+    except KeyboardInterrupt:
+        _log("error: interrupted")
+        return 130
 
 
 if __name__ == "__main__":

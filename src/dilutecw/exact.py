@@ -104,11 +104,12 @@ __all__ = [
     "MAX_FIRST_MOMENT_N",
 ]
 
-# Cost of one configuration in the compiled split sum on a 2-core x86-64
-# Xeon host: enumerate_partition takes 1.6-1.8 ns a configuration at n = 22
-# and 1.0-1.3 ns at n = 26 to 30 (the numpy twin: 6-12 ns).
-_NS_PER_CONFIG = 2
-# 2^30 configurations take about 1.3 s and 40 MB; beyond that enumeration is
+# Cost of one configuration in the compiled split sum, which counts one of
+# each global-flip pair, on a 2-core x86-64 Xeon host: enumerate_partition
+# takes 0.6-0.8 ns a configuration at n = 22 and 0.4 ns at n = 30 (the numpy
+# twin: 6-12 ns).
+_NS_PER_CONFIG = 1
+# 2^30 configurations take about 0.4 s and 40 MB; beyond that enumeration is
 # refused.
 MAX_ENUMERATION_N = 30
 

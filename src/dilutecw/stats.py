@@ -21,6 +21,14 @@ Between atoms G is flat while the F terms move in the favorable direction,
 so violations are worst approaching an atom from the left (first inequality)
 or sitting on it (second); before the first atom and past the last one the
 conditions degenerate to 0 <= F and F <= 1.
+
+Both distances are kernels of ``_csweep.library()``: compiled where a C
+compiler is at hand (``levy_normal`` and ``ks_normal``), their Python twins in
+``_twins`` otherwise.  Each kernel does the twin's IEEE operations in the
+twin's order and calls libm ``erfc`` and ``sqrt``, the functions ``math.erfc``
+and ``math.sqrt`` call, so both give the same double.  The compiled kernels
+release the interpreter lock, so the distances of one graph do not hold up
+the chains and graph sampling of another thread.
 """
 
 from __future__ import annotations
@@ -107,8 +115,18 @@ class NormalRef:
             raise ValueError(f"variance must be positive, got {self.variance!r}")
 
     def cdf(self, t: float) -> float:
-        u = (t - self.mean) / math.sqrt(self.variance)
-        return 0.5 * math.erfc(-u / math.sqrt(2.0))
+        return _normal_cdf(t, self.mean, math.sqrt(self.variance))
+
+
+def _normal_cdf(t: float, mean: float, sd: float) -> float:
+    """N(mean, sd^2)'s distribution function at t.  The distance kernels
+    (``normal_cdf`` in ``_csweep.SOURCE``) repeat these operations in C."""
+    return 0.5 * math.erfc(-((t - mean) / sd) / math.sqrt(2.0))
+
+
+def _check_normal(ref) -> None:
+    if not isinstance(ref, NormalRef):
+        raise TypeError(f"expected NormalRef, got {type(ref).__name__}")
 
 
 def ks_distance(measure: EmpiricalMeasure, ref: NormalRef) -> float:
@@ -117,25 +135,10 @@ def ks_distance(measure: EmpiricalMeasure, ref: NormalRef) -> float:
     The supremum is attained at an atom, approaching from one side or the
     other, so both one-sided gaps are checked at every atom.
     """
-    worst = 0.0
-    prev = 0.0
-    for loc, cum in zip(measure.locations, measure._cum):
-        f = ref.cdf(float(loc))
-        worst = max(worst, abs(cum - f), abs(prev - f))
-        prev = cum
-    return worst
+    _check_normal(ref)
+    from ._csweep import library
 
-
-def _levy_ok_normal(measure: EmpiricalMeasure, ref: NormalRef, eps: float) -> bool:
-    prev = 0.0
-    for loc, cum in zip(measure.locations, measure._cum):
-        x = float(loc)
-        if ref.cdf(x - eps) - eps > prev + 1e-15:
-            return False
-        if cum > ref.cdf(x + eps) + eps + 1e-15:
-            return False
-        prev = cum
-    return True
+    return library().ks(measure.locations, measure._cum, float(ref.mean), math.sqrt(ref.variance))
 
 
 # Absolute tolerances of the bisections in levy_distance and m_plus.
@@ -151,18 +154,11 @@ def levy_distance(measure: EmpiricalMeasure, ref: NormalRef) -> float:
     holds at it.  eps = 1 always satisfies the condition, which seeds the
     bracket.
     """
-    if not isinstance(ref, NormalRef):
-        raise TypeError(f"expected NormalRef, got {type(ref).__name__}")
-    lo, hi = 0.0, 1.0
-    if _levy_ok_normal(measure, ref, lo):
-        return 0.0
-    while hi - lo > _LEVY_TOL:
-        mid = 0.5 * (lo + hi)
-        if _levy_ok_normal(measure, ref, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    _check_normal(ref)
+    from ._csweep import library
+
+    return library().levy(measure.locations, measure._cum, float(ref.mean),
+                          math.sqrt(ref.variance), _LEVY_TOL)
 
 
 def m_plus(beta: float) -> float:

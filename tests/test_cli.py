@@ -785,11 +785,43 @@ def test_clt_experiment_ends_soon_after_sigint(threads):
         proc.send_signal(signal.SIGINT)
         proc.wait(timeout=5.0)
         assert time.perf_counter() - sent < 5.0
+        rest = proc.stderr.read().decode()
     finally:
         proc.kill()
         proc.wait()
         proc.stderr.close()
-    assert proc.returncode != 0
+    assert proc.returncode == 130
+    assert rest.splitlines()[-1] == "error: interrupted"
+    assert "Traceback" not in rest
+
+
+# A command interrupted in its library call, and that call's name in cli.
+_INTERRUPTED = {
+    "clt-experiment": (
+        ("--n", "16", "--p", "0.5", "--beta", "0.5", "--graphs", "2", "--sweeps", "50"),
+        "quenched_experiment",
+    ),
+    "exact-partition": (("--n", "12", "--p", "0.5", "--beta", "0.5"), "enumerate_partition"),
+    "mcmc-run": (("--n", "16", "--p", "0.5", "--beta", "0.5", "--sweeps", "50"), "run_chain"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_INTERRUPTED))
+def test_ctrl_c_is_one_error_line_and_exit_130(command, tmp_path, capsys, monkeypatch):
+    # Ctrl-C raises KeyboardInterrupt wherever the main thread is; here the
+    # command's library call raises it, as a signal handler would
+    argv, name = _INTERRUPTED[command]
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, name, interrupted)
+    out_path = tmp_path / "out"
+    code, out, err = run_cli(capsys, command, *argv, "--out", str(out_path))
+    assert code == 130
+    assert out == ""
+    assert err.splitlines()[-1] == "error: interrupted"
+    assert not out_path.exists()
 
 
 def test_clt_experiment_single_sample_is_usage_error(capsys):
@@ -940,6 +972,25 @@ def test_asym_predict_overflow_is_typed_error(capsys):
     assert code == 4
     assert out == ""
     assert "double range" in err
+
+
+def test_series_check_refuses_coefficients_too_long_to_print(tmp_path, capsys):
+    # at p = 10^-300, c_15's denominator passes the 4300 decimal digits that
+    # Python converts to text by default; c_14's does not
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300:
+        pytest.skip("this interpreter's int-to-text limit is not the default 4300 digits")
+    code, out, _ = run_cli(capsys, "series-check", "--p", "1e-300", "--max-order", "14")
+    assert code == 0
+    assert json.loads(out)["coefficients_exact"][0] == "1/1" + "0" * 300
+    out_path = tmp_path / "series.json"
+    code, out, err = run_cli(
+        capsys, "series-check", "--p", "1e-300", "--max-order", "15", "--out", str(out_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert not out_path.exists()
+    assert err.startswith("error: coefficient c_15 has more than 4300 decimal digits")
+    assert "get_int_max_str_digits" in err
 
 
 def test_series_check_p_rounding_to_zero_is_domain_error(capsys):

@@ -347,9 +347,15 @@ def test_split_histogram_matches_per_configuration_count(rows):
         assert split_histogram(kernels, g) == want
 
 
-@pytest.mark.parametrize("n, p", [(22, 0.5), (24, 1.0)])
+@pytest.mark.parametrize("n, p", [
+    (1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0), (3, 0.5), (3, 1.0), (5, 0.5), (9, 1.0),
+    (13, 0.5), (21, 1.0), (22, 0.5), (23, 0.5), (24, 1.0),
+])
 def test_compiled_histogram_matches_numpy_twin(n, p):
-    # at p = 1 all n^2 edges are present, so the histogram is at its longest
+    # at p = 1 all n^2 edges are present, so the histogram is at its longest;
+    # the kernel counts one of each global-flip pair and the binder mirrors the
+    # classes, except at n = 1, where site 0 is the one high site and every
+    # configuration is counted, and the twin counts them all at every n
     library = _csweep.library()
     if library is _twins._TWINS:
         pytest.skip("no compiled kernels on this host")

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from dilutecw import stats
 from dilutecw.stats import (
     EmpiricalMeasure,
     NormalRef,
@@ -14,7 +17,7 @@ from dilutecw.stats import (
     m_plus,
     summarize,
 )
-from helpers import total_variation
+from helpers import kernel_sets, kernels_in_use, total_variation
 
 
 def test_measure_construction():
@@ -135,9 +138,81 @@ def test_levy_calibration_large_sample():
 def test_levy_type_error():
     # only a Gaussian reference is measured against, not another atomic law
     m = EmpiricalMeasure([0.0], [1.0])
-    for other in (3.0, m):
-        with pytest.raises(TypeError, match="expected NormalRef"):
-            levy_distance(m, other)
+    for distance in (levy_distance, ks_distance):
+        for other in (3.0, m):
+            with pytest.raises(TypeError, match="expected NormalRef"):
+                distance(m, other)
+
+
+@st.composite
+def atomic_laws(draw):
+    """An atomic law of 1 to 3000 atoms: the lattice (2c - n)/sqrt(n) of an
+    n-site magnetization, or random locations, with random weights, some of
+    them zero; and a Gaussian of random mean and variance."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=2999))
+        locations = (2 * np.arange(n + 1) - n) / math.sqrt(n)
+    else:
+        k = draw(st.integers(min_value=1, max_value=3000))
+        locations = np.unique(rng.normal(0.0, draw(st.floats(0.01, 5.0)), k))
+    weights = rng.random(locations.size) ** draw(st.sampled_from([1, 4, 20]))
+    weights[rng.random(locations.size) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    if not weights.any():
+        weights[rng.integers(weights.size)] = 1.0
+    law = EmpiricalMeasure(locations, weights / weights.sum())
+    ref = NormalRef(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.01, 10.0)))
+    return law, ref
+
+
+@settings(max_examples=80, deadline=None)
+@given(atomic_laws())
+def test_distances_are_the_same_on_every_kernel_set(case):
+    # the compiled kernels repeat the twins' IEEE operations in order and call
+    # the libm erfc and sqrt that math.erfc and math.sqrt call
+    law, ref = case
+    args = (law.locations, law._cum, ref.mean, math.sqrt(ref.variance))
+    got = [(kernels.levy(*args, stats._LEVY_TOL), kernels.ks(*args)) for kernels in kernel_sets()]
+    assert all(pair == got[0] for pair in got)
+    levy, ks = got[0]
+    assert 0.0 <= levy <= 1.0 and 0.0 <= ks <= 1.0
+    assert levy <= ks + stats._LEVY_TOL
+
+
+def test_distance_functions_use_the_library():
+    rng = np.random.default_rng(3)
+    law = EmpiricalMeasure.from_samples(rng.standard_normal(400).round(1))
+    ref = NormalRef(0.1, 2.0)
+    got = []
+    for kernels in kernel_sets():
+        with kernels_in_use(kernels):
+            got.append((levy_distance(law, ref), ks_distance(law, ref)))
+    assert all(pair == got[0] for pair in got)
+    assert all(type(value) is float for value in got[0])
+
+
+def test_distance_kernels_refuse_bad_buffers():
+    # the compiled kernels trust every length; the twins refuse the same calls
+    locations = np.array([-1.0, 0.0, 2.0])
+    cum = np.array([0.25, 0.75, 1.0])
+    for kernels in kernel_sets():
+        assert kernels.ks(locations, cum, 0.0, 1.0) == ks_distance(
+            EmpiricalMeasure(locations, [0.25, 0.5, 0.25]), NormalRef(0.0, 1.0))
+        for bad_loc, bad_cum in (
+            (locations.astype(np.float32), cum), (locations, cum[:2]),
+            (np.repeat(locations, 2)[::2], cum), (locations, cum.astype(">f8")),
+        ):
+            for call in (lambda: kernels.ks(bad_loc, bad_cum, 0.0, 1.0),
+                         lambda: kernels.levy(bad_loc, bad_cum, 0.0, 1.0, 1e-6)):
+                with pytest.raises(ValueError, match="kernel buffer"):
+                    call()
+        with pytest.raises(ValueError, match="at least one atom"):
+            kernels.ks(np.empty(0), np.empty(0), 0.0, 1.0)
+        # below 2^-52 two adjacent doubles can bracket the bisection forever
+        for tol in (2.0**-53, 0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="bisection width"):
+                kernels.levy(locations, cum, 0.0, 1.0, tol)
+        assert kernels.levy(locations, cum, 0.0, 1.0, 2.0**-52) > 0.0
 
 
 def test_m_plus_values():
