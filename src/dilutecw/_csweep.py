@@ -1,11 +1,11 @@
-"""The heat-bath sweep, the setup of each graph, the exact enumeration's
-histogram, the second moment's pair sum and the Levy and KS distances to a
-Gaussian as one set of kernels: compiled to C on first use, or their numpy and
-Python twins.
+"""The heat-bath sweep, the setup of each graph, the text of a graph file, the
+exact enumeration's histogram, the second moment's pair sum and the Levy and
+KS distances to a Gaussian as one set of kernels: compiled to C on first use,
+or their numpy and Python twins.
 
-``library()`` is the one place that chooses.  It returns a ``_Library`` of nine
-kernels with fixed signatures, and every caller calls them without asking which
-set it got:
+``library()`` is the one place that chooses.  It returns a ``_Library`` of
+eleven kernels with fixed signatures, and every caller calls them without
+asking which set it got:
 
 * ``sample(n, seed, threshold, start, out)`` writes rows start ..
   start + len(out) - 1 of the graph as mask words, one SplitMix64 mix per cell
@@ -30,7 +30,12 @@ set it got:
 * ``levy(locations, cum, mean, sd, tol) -> float`` and
   ``ks(locations, cum, mean, sd) -> float`` are the Levy and
   Kolmogorov-Smirnov distances of the atoms at ``locations``, with cumulative
-  weights ``cum``, to N(mean, sd^2) (see ``stats.levy_distance``).
+  weights ``cum``, to N(mean, sd^2) (see ``stats.levy_distance``);
+* ``format(words, text)`` writes k rows of mask words into the (k, n + 1)
+  bytes ``text`` as k lines of n '0' / '1' bytes and a newline, and
+  ``parse(text, words) -> int`` packs such lines into ``words``, returning
+  the first line that is not n cells and a newline, or k (see
+  ``graph.write_graph`` and ``graph.read_graph``).
 
 The compiled set is ``SOURCE`` below.  Its sweep does to each replica
 exactly what the Python twin ``_twins._sweep_bits`` does, one sweep after
@@ -79,19 +84,30 @@ bit-identical to its twin:
   where GCC mixes a word's 64 cells in vector lanes with ``vpmullq``, and
   plainly.  ``SAMPLE_PATHS`` is its table, read against the same probe:
   VPOPCNTDQ does not imply DQ.
-* ``build_masks`` (twin ``_numpy_masks``) works by a 64 x 64 block bit
-  transpose.
+* ``build_masks_<path>`` (twin ``_numpy_masks``) works by a 64 x 64 block
+  bit transpose whose six rounds shift by constants.  It is compiled once
+  for each path of ``PATHS``, so that its popcounts are an instruction
+  wherever the sweep's are, and ``masks`` is the one of ``path``.
 * ``plus_table`` (twin ``_plus_loop``) calls libm ``exp``, the function
   ``math.exp`` calls, so every entry is the same double.
 
 So does the enumeration's ``interaction_histogram`` (twin
 ``_numpy_histogram``), whose counts are exact integers either way.  It takes
-its W = eps + eps^T from ``build_masks`` (the twin from ``_numpy_masks``), the
-one place each set derives it.  It is compiled once, plainly: its inner loop
-is table loads and increments, with no popcount in it.  A global flip keeps
-s and maps class c to n - c, so from n = 2 on the kernel counts only the
-configurations with site 0 down, and its binder adds the class-reversed copy
-of that (s, class) table; the twin counts every configuration.
+its W = eps + eps^T from ``build_masks_generic`` (the twin from
+``_numpy_masks``), the one place each set derives it.  It is compiled once,
+plainly: its inner loop is table loads and increments, with no popcount in
+it.  A global flip keeps s and maps class c to n - c, so from n = 2 on the
+kernel counts only the configurations with site 0 down, and its binder adds
+the class-reversed copy of that (s, class) table; the twin counts every
+configuration.
+
+The text kernels ``format_text`` and ``parse_text`` (twins ``_numpy_format``
+and ``_numpy_parse``) take eight cells a step: a 256-entry table spreads a
+byte of a word into eight bytes, and one multiply gathers the low bits of
+eight bytes into one.  ``parse_text`` refuses a line exactly where its twin
+does, at a cell c with (c | 1) != '1' or a byte n other than '\n', and clears
+every bit past column n - 1.  It may write the words of the line it refuses;
+the twin leaves them as they were, and no caller reads them.
 
 The distances ``levy_normal`` and ``ks_normal`` (twins ``_levy_loop`` and
 ``_ks_loop``) do the twins' IEEE operations in the twins' order and call libm
@@ -117,9 +133,9 @@ as ``_twins._TWINS``, the set ``library()`` returns when nothing compiles or
 loads; its ``path`` and ``sample_path`` are None and its ``paths`` and
 ``sample_paths`` empty.  Only that fallback imports them.
 
-The first graph, chain, enumeration, second moment or distance a process
-makes compiles the source with the system C compiler (``COMMAND``) into
-``${XDG_CACHE_HOME:-~/.cache}/dilutecw/sweep-<hash>.so``, where the hash
+The first graph, graph file, chain, enumeration, second moment or distance a
+process makes compiles the source with the system C compiler (``COMMAND``)
+into ``${XDG_CACHE_HOME:-~/.cache}/dilutecw/sweep-<hash>.so``, where the hash
 covers the source, the command and the machine architecture: an edit to
 the source or the command builds a new library, and a cache shared by hosts
 of two architectures holds one library for each.
@@ -322,28 +338,39 @@ void sample_rows_avx512dq(SAMPLE_ARGS) { sample_body(SAMPLE_PASS); }
 
 void sample_rows_generic(SAMPLE_ARGS) { sample_body(SAMPLE_PASS); }
 
-/* Hacker's Delight's 64 x 64 bit-matrix transpose, bit c of word r to bit r
-   of word c: six rounds, each swapping the off-diagonal j x j sub-blocks. */
-static void transpose64(uint64_t *a)
+/* One round of Hacker's Delight's 64 x 64 bit-matrix transpose: swap the
+   off-diagonal j x j sub-blocks that mask selects.  Every call passes j and
+   mask as literals, so each round's shifts are constants. */
+static inline __attribute__((always_inline)) void transpose_round(uint64_t *a, int j,
+                                                                  uint64_t mask)
 {
-    static const uint64_t masks[6] = {
-        0x00000000FFFFFFFFu, 0x0000FFFF0000FFFFu, 0x00FF00FF00FF00FFu,
-        0x0F0F0F0F0F0F0F0Fu, 0x3333333333333333u, 0x5555555555555555u,
-    };
-    for (int round = 0, j = 32; round < 6; round++, j >>= 1)
-        for (int lo = 0; lo < 64; lo += 2 * j)
-            for (int k = lo; k < lo + j; k++) {
-                uint64_t swap = ((a[k] >> j) ^ a[k + j]) & masks[round];
-                a[k] ^= swap << j;
-                a[k + j] ^= swap;
-            }
+    for (int lo = 0; lo < 64; lo += 2 * j)
+        for (int k = lo; k < lo + j; k++) {
+            uint64_t swap = ((a[k] >> j) ^ a[k + j]) & mask;
+            a[k] ^= swap << j;
+            a[k + j] ^= swap;
+        }
 }
+
+/* The transpose, bit c of word r to bit r of word c, in its six rounds. */
+static inline __attribute__((always_inline)) void transpose64(uint64_t *a)
+{
+    transpose_round(a, 32, 0x00000000FFFFFFFFu);
+    transpose_round(a, 16, 0x0000FFFF0000FFFFu);
+    transpose_round(a, 8, 0x00FF00FF00FF00FFu);
+    transpose_round(a, 4, 0x0F0F0F0F0F0F0F0Fu);
+    transpose_round(a, 2, 0x3333333333333333u);
+    transpose_round(a, 1, 0x5555555555555555u);
+}
+
+#define MASK_ARGS int64_t n, const uint64_t *out, uint64_t *w1, uint64_t *w2, int64_t *base
+#define MASK_PASS n, out, w1, w2, base
 
 /* The symmetric masks of the out-edge rows: in-edge rows by block transpose
    (block (J, I) of the transpose is block (I, J) transposed, held in w2 until
    the second pass), then w1 = out ^ in, w2 = out & in, the diagonal cleared,
    and base[i] = popcount(w1[i]) + 2 popcount(w2[i]). */
-void build_masks(int64_t n, const uint64_t *out, uint64_t *w1, uint64_t *w2, int64_t *base)
+static inline __attribute__((always_inline)) void masks_body(MASK_ARGS)
 {
     int64_t words = (n + 63) / 64;
     uint64_t block[64];
@@ -367,6 +394,82 @@ void build_masks(int64_t n, const uint64_t *out, uint64_t *w1, uint64_t *w2, int
         }
         base[i] = count;
     }
+}
+
+/* One body per path of the sweep's table, so the popcounts of the second
+   pass are an instruction wherever the sweep's are. */
+#if defined(__x86_64__)
+__attribute__((target("avx512f,avx512vpopcntdq")))
+void build_masks_avx512vpopcntdq(MASK_ARGS) { masks_body(MASK_PASS); }
+
+__attribute__((target("popcnt")))
+void build_masks_popcnt(MASK_ARGS) { masks_body(MASK_PASS); }
+#endif
+
+void build_masks_generic(MASK_ARGS) { masks_body(MASK_PASS); }
+
+/* Rows of mask words as text: the n cells of each row as '0' / '1' bytes,
+   then '\n', row r at text + r (n + 1).  spread[b] is the eight bytes of the
+   eight cells of byte b: a multiply copies b into all eight lanes, the mask
+   keeps bit i in lane i, and adding 0x7F carries a set bit to the top of its
+   lane.  A whole word then takes eight table loads and eight stores. */
+void format_text(int64_t n, int64_t rows, const uint64_t *words, uint8_t *text)
+{
+    uint64_t spread[256];
+    for (uint64_t b = 0; b < 256; b++) {
+        uint64_t lanes = b * 0x0101010101010101u & 0x8040201008040201u;
+        spread[b] = ((lanes + 0x7F7F7F7F7F7F7F7Fu) >> 7 & 0x0101010101010101u)
+                    | 0x3030303030303030u;
+    }
+    int64_t nw = (n + 63) / 64, full = n / 64;
+    for (int64_t r = 0; r < rows; r++, words += nw, text += n + 1) {
+        for (int64_t w = 0; w < full; w++)
+            for (int b = 0; b < 8; b++)
+                memcpy(text + 64 * w + 8 * b, &spread[words[w] >> 8 * b & 0xFF], 8);
+        for (int64_t j = 64 * full; j < n; j++)
+            text[j] = (uint8_t)('0' + (words[full] >> (j & 63) & 1));
+        text[n] = '\n';
+    }
+}
+
+/* The inverse of format_text on rows lines of n + 1 bytes: packs each line
+   into its mask words, bits past column n - 1 clear, and returns the first
+   line that fails, or rows; the lines before it are packed.  Eight cells a
+   step, as x = the eight bytes ^ '0' in every lane: a cell is '0' or '1'
+   ((c | 1) == '1') exactly when its lane of x is 0 or 1, so one OR of every
+   x, with the newline's check in a bit above lane 0's, finds a bad line,
+   and on a good one a multiply gathers lane i's bit into bit 56 + i. */
+int64_t parse_text(int64_t n, int64_t rows, const uint8_t *text, uint64_t *words)
+{
+    int64_t nw = (n + 63) / 64, full = n / 64;
+    for (int64_t r = 0; r < rows; r++, words += nw, text += n + 1) {
+        uint64_t seen = (uint64_t)(text[n] != '\n') << 1;
+        for (int64_t w = 0; w < full; w++) {
+            uint64_t word = 0;
+            for (int b = 0; b < 8; b++) {
+                /* one load a group: a copy of the word's 64 bytes to the
+                   stack made GCC 12 reload them in halves */
+                uint64_t x;
+                memcpy(&x, text + 64 * w + 8 * b, 8);
+                x ^= 0x3030303030303030u;
+                seen |= x;
+                word |= x * 0x0102040810204080u >> 56 << 8 * b;
+            }
+            words[w] = word;
+        }
+        if (full < nw) {
+            uint64_t word = 0;
+            for (int64_t j = 64 * full; j < n; j++) {
+                uint64_t x = text[j] ^ (uint64_t)'0';
+                seen |= x;
+                word |= x << (j & 63);
+            }
+            words[full] = word;
+        }
+        if (seen & ~0x0101010101010101u)
+            return r;
+    }
+    return rows;
 }
 
 /* P(spin up) indexed by S + 2n, S in [-2n, 2n]: libm exp, which math.exp
@@ -432,7 +535,7 @@ void interaction_histogram(int64_t n, const uint64_t *rows, int64_t edges, int64
     int64_t low = n / 2, high = n - low, h1 = high / 2, h2 = high - h1;
     uint64_t low_sites = ((uint64_t)1 << low) - 1;
     /* deg_high first holds base, W counted over every site */
-    build_masks(n, rows, w1, w2, deg_high);
+    build_masks_generic(n, rows, w1, w2, deg_high);
     for (int64_t i = 0; i < n; i++) {
         trace += (int64_t)(rows[i] >> i & 1);
         deg_low[i] = __builtin_popcountll(w1[i] & low_sites)
@@ -692,6 +795,8 @@ class _Library(NamedTuple):
     exact_sum: Callable  # exact_sum
     levy: Callable  # levy_normal
     ks: Callable  # ks_normal
+    format: Callable  # format_text
+    parse: Callable  # parse_text
 
 
 _lock = threading.Lock()
@@ -804,6 +909,20 @@ def _distance_shape(locations: np.ndarray, cum: np.ndarray) -> int:
         raise ValueError("a distance takes at least one atom")
     _check((locations, np.float64, (k,)), (cum, np.float64, (k,)))
     return k
+
+
+def _text_shape(words: np.ndarray, text: np.ndarray, out: np.ndarray) -> tuple[int, int]:
+    """(k, n) of a format or parse call, once its arguments pass the checks
+    that both kernel sets make: ``text`` k lines of n + 1 bytes, n >= 1, as a
+    (k, n + 1) uint8 array, ``words`` their (k, ceil(n / 64)) mask words, and
+    ``out``, the one of them the call writes, writable."""
+    if text.ndim != 2 or text.shape[1] < 2:
+        raise ValueError(f"kernel buffer {text.dtype} {text.shape} is not k lines of n + 1 bytes")
+    k, n = text.shape[0], text.shape[1] - 1
+    _check((text, np.uint8, (k, n + 1)), (words, "<u8", (k, (n + 63) // 64)))
+    if not out.flags.writeable:
+        raise ValueError("kernel output is read-only")
+    return k, n
 
 
 # The least bisection width of a Levy distance: from 2^-52 on, two adjacent
@@ -984,6 +1103,29 @@ def _bind_distances(levy_fn, ks_fn):
     return levy, ks
 
 
+def _bind_text(format_fn, parse_fn):
+    """The checked Python entries to ``format_text`` and ``parse_text``."""
+    format_fn.restype = None
+    parse_fn.restype = ctypes.c_int64
+    format_fn.argtypes = parse_fn.argtypes = [ctypes.c_int64, ctypes.c_int64,
+                                              *[ctypes.c_void_p] * 2]
+
+    def format(words: np.ndarray, text: np.ndarray) -> None:
+        """Write the k rows of mask words ``words`` into ``text`` as k lines of
+        n '0' / '1' bytes and a newline (see ``_twins._numpy_format``)."""
+        k, n = _text_shape(words, text, text)
+        format_fn(n, k, words.ctypes.data, text.ctypes.data)
+
+    def parse(text: np.ndarray, words: np.ndarray) -> int:
+        """Check the k lines of ``text`` and pack them into ``words``; the
+        first line that is not n '0' / '1' bytes and a newline, or k (see
+        ``_twins._numpy_parse``)."""
+        k, n = _text_shape(words, text, words)
+        return parse_fn(n, k, text.ctypes.data, words.ctypes.data)
+
+    return format, parse
+
+
 def _runnable(table: dict, features: set) -> list[str]:
     """The paths of ``table`` (PATHS or SAMPLE_PATHS) that a CPU with
     ``features`` runs, fastest first."""
@@ -1010,6 +1152,7 @@ def _open() -> _Library:
     }
     path, sample_path = next(iter(paths)), next(iter(sample_paths))
     levy, ks = _bind_distances(lib.levy_normal, lib.ks_normal)
+    format_text, parse_text = _bind_text(lib.format_text, lib.parse_text)
     return _Library(
         sweep=paths[path],
         path=path,
@@ -1017,13 +1160,15 @@ def _open() -> _Library:
         sample=sample_paths[sample_path],
         sample_path=sample_path,
         sample_paths=sample_paths,
-        masks=_bind_masks(lib.build_masks),
+        masks=_bind_masks(getattr(lib, f"build_masks_{path}")),
         plus=_bind_plus(lib.plus_table),
         histogram=_bind_histogram(lib.interaction_histogram),
         pair_sum=_bind_pair_sum(lib.pair_sum),
         exact_sum=_bind_exact_sum(lib.exact_sum),
         levy=levy,
         ks=ks,
+        format=format_text,
+        parse=parse_text,
     )
 
 
@@ -1038,8 +1183,8 @@ def library() -> _Library:
                 from ._twins import _TWINS as loaded
 
                 print(f"note: compiled kernels unavailable ({err}); "
-                      "sampling, masks, sweeps, enumeration, the second moment's sum "
-                      "and the Levy and KS distances run in numpy and Python",
+                      "sampling, masks, sweeps, graph text, enumeration, the second "
+                      "moment's sum and the Levy and KS distances run in numpy and Python",
                       file=sys.stderr, flush=True)
             _loaded.append(loaded)
         return _loaded[0]

@@ -1,14 +1,16 @@
 """The numpy and Python twins of the compiled kernels in ``_csweep``.
 
 Each twin does what its kernel does, bit for bit: ``_sample_rows`` for
-``sample_rows_<path>``, ``_numpy_masks`` for ``build_masks``, ``_plus_loop``
-for ``plus_table``, ``_python_sweeps`` for ``sweep_block_<path>``,
-``_numpy_histogram`` for ``interaction_histogram``, ``_numpy_pair_sum`` for
-``pair_sum``, ``_fsum`` for ``exact_sum``, and ``_levy_loop`` and ``_ks_loop``
-for ``levy_normal`` and ``ks_normal``.  ``_numpy_histogram`` enumerates every
-configuration, where its kernel counts one of each global-flip pair.  The
-sweep, histogram, sum and distance twins refuse the calls their kernels
-refuse, through the same checks in ``_csweep``.  They are the test oracles of
+``sample_rows_<path>``, ``_numpy_masks`` for ``build_masks_<path>``,
+``_plus_loop`` for ``plus_table``, ``_python_sweeps`` for
+``sweep_block_<path>``, ``_numpy_histogram`` for ``interaction_histogram``,
+``_numpy_pair_sum`` for ``pair_sum``, ``_fsum`` for ``exact_sum``,
+``_levy_loop`` and ``_ks_loop`` for ``levy_normal`` and ``ks_normal``, and
+``_numpy_format`` and ``_numpy_parse`` for ``format_text`` and
+``parse_text``.  ``_numpy_histogram`` enumerates every configuration, where
+its kernel counts one of each global-flip pair.  The sweep, histogram, sum,
+distance and text twins refuse the calls their kernels refuse, through the
+same checks in ``_csweep``.  They are the test oracles of
 the kernels and, as ``_TWINS``, the kernel set that ``_csweep.library()``
 returns when nothing compiles or loads.  They live apart from the loader so
 that a process on the compiled kernels never compiles or runs their code.
@@ -30,6 +32,7 @@ from ._csweep import (
     _pair_shape,
     _sum_shape,
     _sweep_shape,
+    _text_shape,
 )
 from .model import _WORD, _pack_rows, _row_bits
 from .stats import _normal_cdf
@@ -263,6 +266,26 @@ def _levy_loop(locations: np.ndarray, cum: np.ndarray, mean: float, sd: float, t
     return hi
 
 
+def _numpy_format(words: np.ndarray, text: np.ndarray) -> None:
+    """The numpy twin of ``format_text``: each row's cells unpacked and added
+    to '0', then the newline."""
+    _, n = _text_shape(words, text, text)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+    np.add(bits, ord("0"), out=text[:, :n])
+    text[:, n] = ord("\n")
+
+
+def _numpy_parse(text: np.ndarray, words: np.ndarray) -> int:
+    """The numpy twin of ``parse_text``: the first line with a cell c where
+    (c | 1) != '1' or without its newline, or k; the lines before it packed."""
+    k, n = _text_shape(words, text, words)
+    cells = text[:, :n]
+    bad = (text[:, n] != ord("\n")) | ((cells | 1) != ord("1")).any(axis=1)
+    good = int(bad.argmax()) if bad.any() else k
+    _pack_rows(cells[:good] & 1, words[:good])
+    return good
+
+
 def _mask_ints(masks: np.ndarray) -> list[int]:
     """The rows of a packed mask array as Python integers."""
     return [int.from_bytes(row.tobytes(), "little") for row in masks]
@@ -341,4 +364,6 @@ _TWINS = _Library(
     exact_sum=_fsum,
     levy=_levy_loop,
     ks=_ks_loop,
+    format=_numpy_format,
+    parse=_numpy_parse,
 )

@@ -25,11 +25,20 @@ whitespace may follow it.
 
 Sampling is one call of ``_csweep.library().sample``, the compiled sampler or
 its numpy twin, which give the same graph bit for bit, over the graph's
-``words``.  Writing and reading run over blocks of whole rows
-(``_BLOCK_CELLS`` cells each): one block of text is formatted from the rows,
-or read, checked and packed into them, at a time.  When a block of text fails
-its checks, only its first bad row is parsed again as a line, for the error
-message and line number.
+``words``.  The text goes the same way, a block of whole rows at a time, so
+no n-by-n buffer of text is ever held:
+
+* writing: ``library().format`` turns a block of rows (``_WRITE_CELLS``
+  cells) into lines of '0' / '1' bytes in one reused buffer.  A path is
+  opened in binary mode and gets those bytes as they are; a text stream
+  (``graph-sample`` to stdout) gets their ASCII decoding, the same text.
+* reading: ``library().parse`` checks a block of encoded lines
+  (``_READ_CELLS`` cells) and packs them into the rows.  The lines still come
+  from a latin-1 text reader, not from the raw bytes: its universal newlines
+  make a CRLF or lone-CR file read as an LF one, and latin-1 gives every
+  byte one character, so a non-ASCII byte fails the cell check with its line
+  number.  When a block fails, only its first bad row is parsed again as a
+  line, for the error message and line number.
 """
 
 from __future__ import annotations
@@ -50,9 +59,12 @@ BIT_LIMIT = 1 << 33
 
 _HEADER_PREFIX = "dilute-cw-graph v1 N="
 
-# Text I/O works on blocks of whole rows holding about this many cells, so no
-# n-by-n buffer of bytes or text is ever held.
-_BLOCK_CELLS = 1 << 16
+# Text I/O works on blocks of whole rows holding about this many cells.  At
+# n = 4096 on a 2-core Xeon, writes were fastest from 2^19 to 2^21 cells
+# (2^17: 1.3 times slower), reads at 2^17 and 2^18 (2^16 and 2^19: 1.2 and
+# 1.4 times slower).
+_WRITE_CELLS = 1 << 20
+_READ_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -73,8 +85,9 @@ def bernoulli_threshold(p: float) -> int:
     return round(p * (1 << 53))
 
 
-def _block_rows(n: int) -> int:
-    return max(1, _BLOCK_CELLS // n)
+def _block_rows(n: int, cells: int) -> int:
+    """The rows of a block of about ``cells`` cells, at least one."""
+    return max(1, cells // n)
 
 
 def sample_graph(params: ModelParams, seed: GraphSeed) -> DisorderGraph:
@@ -91,23 +104,35 @@ def sample_graph(params: ModelParams, seed: GraphSeed) -> DisorderGraph:
     return DisorderGraph(n, words)
 
 
-def write_graph(g: DisorderGraph, destination) -> None:
-    """Write a graph in the v1 text format to a path or text file object."""
-    if isinstance(destination, (str, os.PathLike)):
-        with open(destination, "w", encoding="ascii", newline="") as fh:
-            write_graph(g, fh)
-        return
+def _text_blocks(g: DisorderGraph):
+    """The v1 text of ``g`` in bytes-like pieces: the header, then blocks of
+    ``_WRITE_CELLS`` cells of whole rows, each formatted by the kernel into
+    one buffer, which the next block overwrites."""
+    from ._csweep import library
+
+    format_rows = library().format
     n = g.n
-    destination.write(f"{_HEADER_PREFIX}{n}\n")
-    step = _block_rows(n)
+    yield f"{_HEADER_PREFIX}{n}\n".encode("ascii")
+    step = _block_rows(n, _WRITE_CELLS)
     text = np.empty((min(step, n), n + 1), dtype=np.uint8)
-    text[:, n] = ord("\n")
     for start in range(0, n, step):
-        packed = g.words[start:start + step].view(np.uint8)
-        lines = text[:len(packed)]
-        bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
-        np.add(bits, ord("0"), out=lines[:, :n])
-        destination.write(lines.tobytes().decode("ascii"))
+        lines = text[:min(step, n - start)]
+        format_rows(g.words[start:start + step], lines)
+        yield lines
+
+
+def write_graph(g: DisorderGraph, destination) -> None:
+    """Write a graph in the v1 text format to a path or text file object.
+
+    A path gets the kernel's bytes as they are; a text stream, their ASCII
+    decoding."""
+    if isinstance(destination, (str, os.PathLike)):
+        with open(destination, "wb") as fh:
+            for block in _text_blocks(g):
+                fh.write(block)
+        return
+    for block in _text_blocks(g):
+        destination.write(str(block, "ascii"))
 
 
 def _read_header(source) -> int:
@@ -170,8 +195,11 @@ def read_graph(source) -> DisorderGraph:
             return read_graph(fh)
 
     n = _read_header(source)
+    from ._csweep import library
+
+    parse_rows = library().parse
     width = n + 1
-    step = _block_rows(n)
+    step = _block_rows(n, _READ_CELLS)
     words = np.empty((n, (n + 63) // 64), dtype=_WORD)
     for start in range(0, n, step):
         want = min(step, n - start)
@@ -179,11 +207,8 @@ def read_graph(source) -> DisorderGraph:
         whole = len(chunk) // width
         # characters above U+00FF become '?', which fails the cell check
         lines = np.frombuffer(chunk.encode("latin-1", "replace"), dtype=np.uint8)
-        lines = lines[: whole * width].reshape(whole, width)
-        cells = lines[:, :n]
-        bad = (lines[:, n] != ord("\n")) | ((cells | 1) != ord("1")).any(axis=1)
-        good = int(bad.argmax()) if bad.any() else whole
-        _pack_rows(cells[:good] & 1, words[start:start + good])
+        good = parse_rows(lines[: whole * width].reshape(whole, width),
+                          words[start:start + whole])
         if good < want:
             # Row i is malformed or cut short.  Rows before it were whole
             # lines, so its line starts here and runs to the next newline.

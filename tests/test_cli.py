@@ -24,6 +24,7 @@ from dilutecw.exact import MAX_ENUMERATION_N, MAX_MOMENT_N, expected_partition_l
 from dilutecw.mcmc import ChainConfig, default_burn_in, derive_seed, run_chain
 from dilutecw.model import ModelParams
 from dilutecw.testfunctions import make_test_function
+from helpers import kernel_sets, kernels_in_use
 
 
 def run_cli(capsys, *argv):
@@ -44,22 +45,29 @@ def test_missing_command_is_usage_error(capsys):
 
 
 def test_graph_sample_stdout_and_file(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "graph-sample", "--n", "8", "--p", "0.5", "--seed", "3")
-    assert code == 0
-    assert out.startswith("dilute-cw-graph v1 N=8\n")
-    assert "edges=" in err
+    # --out writes the text kernel's bytes, stdout their ASCII decoding: the
+    # same text on every kernel set, at sizes around the word boundaries
+    for n in (1, 8, 63, 64, 65, 130):
+        argv = ("graph-sample", "--n", str(n), "--p", "0.5", "--seed", "3")
+        want = sample_graph(ModelParams(n=n, p=0.5, beta=1.0), GraphSeed(3))
+        texts = []
+        for kernels in kernel_sets():
+            with kernels_in_use(kernels):
+                code, out, err = run_cli(capsys, *argv)
+                assert code == 0
+                assert out.startswith(f"dilute-cw-graph v1 N={n}\n")
+                assert "edges=" in err
 
-    path = tmp_path / "g.txt"
-    code, out2, _ = run_cli(
-        capsys, "graph-sample", "--n", "8", "--p", "0.5", "--seed", "3", "--out", str(path)
-    )
-    assert code == 0
-    assert out2 == ""
-    assert path.read_text() == out
-    g = read_graph(path)
-    assert g.n == 8
-    # sidecar exists and is not part of the artifact
-    assert (tmp_path / "g.txt.meta.json").exists()
+                path = tmp_path / f"g{n}.txt"
+                code, out2, _ = run_cli(capsys, *argv, "--out", str(path))
+            assert code == 0
+            assert out2 == ""
+            assert path.read_bytes() == out.encode("ascii")
+            assert read_graph(path) == want
+            # sidecar exists and is not part of the artifact
+            assert (tmp_path / f"g{n}.txt.meta.json").exists()
+            texts.append(out)
+        assert texts == [texts[0]] * len(texts)
 
 
 def test_graph_sample_validation_exit_2(capsys):

@@ -15,8 +15,8 @@ from dilutecw import _csweep, _twins, splitmix
 from dilutecw.cli import main
 from dilutecw.errors import CapacityError, GraphFormatError
 from dilutecw.graph import BIT_LIMIT, GraphSeed, read_graph, sample_graph, write_graph
-from dilutecw.model import DisorderGraph, ModelParams
-from helpers import kernel_sets
+from dilutecw.model import DisorderGraph, ModelParams, _pack_rows
+from helpers import kernel_sets, kernels_in_use
 
 
 def test_seed_validation():
@@ -216,12 +216,12 @@ def _expected(text: str):
 
 @contextlib.contextmanager
 def _block_cells(cells: int):
-    saved = graph_module._BLOCK_CELLS
-    graph_module._BLOCK_CELLS = cells
-    try:
+    """Within the block, the writer's and the reader's blocks hold about
+    ``cells`` cells."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_WRITE_CELLS", cells)
+        patch.setattr(graph_module, "_READ_CELLS", cells)
         yield
-    finally:
-        graph_module._BLOCK_CELLS = saved
 
 
 _STRAY = ["2", "x", " ", "\t", "\r", "\n", "\x00", "\x0c", "\xc3", "\xff", "é", "€", "\U0001f600"]
@@ -293,7 +293,9 @@ def test_block_reader_matches_line_oracle_on_files(text, cells):
             fh.write(text.encode("latin-1"))
         with open(path, encoding="latin-1") as fh:
             translated = fh.read()
-        assert _outcome(read_graph, path) == _expected(translated)
+        for kernels in kernel_sets():
+            with kernels_in_use(kernels):
+                assert _outcome(read_graph, path) == _expected(translated)
 
 
 def test_roundtrip_across_row_blocks(tmp_path):
@@ -330,7 +332,7 @@ def _sampled_words(sample, n, p, seed, start=0, stop=None):
     signature of _twins._sample_rows), one row block at a time."""
     stop = n if stop is None else stop
     out = np.empty((stop - start, (n + 63) // 64), dtype="<u8")
-    step = graph_module._block_rows(n)
+    step = graph_module._block_rows(n, 1 << 16)
     threshold = graph_module.bernoulli_threshold(p)
     for at in range(start, stop, step):
         sample(n, seed, threshold, at, out[at - start:at - start + step])
@@ -405,13 +407,92 @@ def test_sampler_rejects_bad_arguments():
             library.sample(n, seed, threshold, start, bad)
 
 
-def test_write_matches_row_formatting():
+def test_write_matches_row_formatting(tmp_path):
+    # one row a block, through a text stream and through a path, on every
+    # kernel set
     g = sample_graph(ModelParams(n=70, p=0.5, beta=1.0), GraphSeed(3))
-    buf = io.StringIO()
-    with _block_cells(128):
-        write_graph(g, buf)
     lines = ["".join(map(str, row)) for row in g._cells().tolist()]
-    assert buf.getvalue() == "dilute-cw-graph v1 N=70\n" + "\n".join(lines) + "\n"
+    want = "dilute-cw-graph v1 N=70\n" + "\n".join(lines) + "\n"
+    path = tmp_path / "g.txt"
+    for kernels in kernel_sets():
+        buf = io.StringIO()
+        with kernels_in_use(kernels), _block_cells(128):
+            assert graph_module._block_rows(g.n, graph_module._WRITE_CELLS) == 1
+            write_graph(g, buf)
+            write_graph(g, path)
+        assert buf.getvalue() == want
+        assert path.read_bytes() == want.encode("ascii")
+
+
+# Bytes a corrupted cell or newline takes: the two cells and the newline
+# (which leave a cell or a newline valid only in their own place), their
+# neighbours under (c | 1), and bytes that differ from a cell in one high bit.
+_CORRUPT_BYTES = [0x30, 0x31, 0x0A, 0x0D, 0x20, 0x32, 0x33, 0x2F, 0x00, 0x01, 0x0B, 0x70, 0x71,
+                  0xB0, 0xB1, 0xFF]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from([1, 63, 64, 65, 127, 128, 129]), st.integers(1, 200)),
+    k=st.integers(1, 5),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_text_kernels_are_the_same_on_every_kernel_set(n, k, seed, data):
+    # format gives the same lines, and parse the same words and the same
+    # first bad row, with one byte of one row corrupted, on every kernel set
+    cells = np.random.default_rng(seed).integers(0, 2, size=(k, n), dtype=np.uint8)
+    words = np.empty((k, (n + 63) // 64), dtype="<u8")
+    _pack_rows(cells, words)
+    want = "".join("".join("01"[c] for c in row) + "\n" for row in cells.tolist()).encode()
+    row = data.draw(st.integers(0, k - 1))
+    column = data.draw(st.integers(0, n))  # column n is the newline
+    byte = data.draw(st.one_of(st.sampled_from(_CORRUPT_BYTES), st.integers(0, 255)))
+    valid = byte in (0x30, 0x31) if column < n else byte == 0x0A
+    first_bad = k if valid else row
+    for kernels in kernel_sets():
+        text = np.empty((k, n + 1), dtype=np.uint8)
+        kernels.format(words, text)
+        assert text.tobytes() == want
+        # every bit past column n - 1 is cleared, not left as it was
+        got = np.full_like(words, np.iinfo(np.uint64).max)
+        assert kernels.parse(text, got) == k
+        assert got.tobytes() == words.tobytes()
+        text[row, column] = byte
+        got = np.full_like(words, np.iinfo(np.uint64).max)
+        assert kernels.parse(text, got) == first_bad
+        expected = words.copy()
+        _pack_rows(text[:, :n] & 1, expected)
+        assert got[:first_bad].tobytes() == expected[:first_bad].tobytes()
+
+
+def test_text_kernels_refuse_bad_buffers():
+    # the compiled kernels trust every length; the twins refuse the same calls
+    words = np.zeros((3, 2), dtype="<u8")
+    text = np.zeros((3, 71), dtype=np.uint8)
+    for kernels in kernel_sets():
+        kernels.format(words, text)
+        assert kernels.parse(text, words) == 3
+        for bad_words, bad_text in (
+            (words.astype(np.int64), text), (words.astype(">u8"), text),
+            (words, text.astype(np.int8)), (words[:2], text), (words[:, :1], text),
+            (words, text[:, :65]), (np.zeros((3, 4), dtype="<u8")[:, ::2], text),
+            (words, np.zeros((3, 142), dtype=np.uint8)[:, ::2]), (words, text.ravel()),
+            (words, text[:, :1]),
+        ):
+            for call in (lambda: kernels.format(bad_words, bad_text),
+                         lambda: kernels.parse(bad_text, bad_words)):
+                with pytest.raises(ValueError, match="kernel buffer"):
+                    call()
+        locked_words, locked_text = words.copy(), text.copy()
+        locked_words.flags.writeable = locked_text.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            kernels.format(words, locked_text)
+        with pytest.raises(ValueError, match="read-only"):
+            kernels.parse(text, locked_words)
+        # only the buffer a call writes must be writable
+        kernels.format(locked_words, text)
+        assert kernels.parse(locked_text, words) == 3
 
 
 @pytest.mark.parametrize(
@@ -434,20 +515,25 @@ def test_content_after_blank_line_is_refused(text, lineno):
         "dilute-cw-graph v1 N=2\n01\n11",
         "dilute-cw-graph v1 N=2\n01\n11\n\n \n\t\n",
         "dilute-cw-graph v1 N=2\r\n01\r\n11\r\n\r\n",
+        "dilute-cw-graph v1 N=2\r01\r11\r",
     ],
 )
 def test_accepted_variants_from_a_file(text, tmp_path):
+    # the text reader's universal newlines hand the parse kernel LF lines
     path = tmp_path / "g.txt"
     path.write_bytes(text.encode("ascii"))
-    assert read_graph(path) == DisorderGraph.from_matrix([[0, 1], [1, 1]])
+    for kernels in kernel_sets():
+        with kernels_in_use(kernels):
+            assert read_graph(path) == DisorderGraph.from_matrix([[0, 1], [1, 1]])
 
 
 def test_non_ascii_byte_is_a_cell_error(tmp_path):
     path = tmp_path / "g.txt"
     path.write_bytes(b"dilute-cw-graph v1 N=2\n01\n1\xc3\n")
-    with pytest.raises(GraphFormatError, match="row contains") as err:
-        read_graph(path)
-    assert err.value.line == 3
+    for kernels in kernel_sets():
+        with kernels_in_use(kernels), pytest.raises(GraphFormatError, match="row contains") as err:
+            read_graph(path)
+        assert err.value.line == 3
 
 
 def _declared_size(text: str, default: int) -> int:

@@ -237,6 +237,19 @@ def test_mask_builder_rejects_mismatched_rows():
             library.masks(bad)
 
 
+@pytest.mark.parametrize("path", _csweep.PATHS)
+def test_every_mask_builder_path_matches_numpy_builder(path):
+    # the library binds build_masks_<path> of its sweep path only; this loads
+    # every one this CPU runs from the same file
+    _host_path(path)
+    masks = _csweep._bind_masks(getattr(ctypes.CDLL(str(_csweep.library_path())),
+                                        f"build_masks_{path}"))
+    for kind in ("complete", "loops", "p=0.3", "p=0.5"):
+        for n in (1, 63, 64, 65, 129, 1000):
+            g = _mask_graph(kind, n)
+            _assert_same_tables(masks(g.words), _twins._numpy_masks(g.words))
+
+
 @pytest.mark.parametrize("n", [1, 7, 64, 1024, 4096])
 def test_compiled_flip_table_matches_python_loop(n):
     library = _library()
