@@ -4,7 +4,7 @@ KS distances to a Gaussian as one set of kernels: compiled to C on first use,
 or their numpy and Python twins.
 
 ``library()`` is the one place that chooses.  It returns a ``_Library`` of
-eleven kernels with fixed signatures, and every caller calls them without
+twelve kernels with fixed signatures, and every caller calls them without
 asking which set it got:
 
 * ``sample(n, seed, threshold, start, out)`` writes rows start ..
@@ -12,6 +12,8 @@ asking which set it got:
   (see ``graph.sample_graph``);
 * ``masks(out_rows) -> (w1, w2, base)`` turns the out-edge rows into the
   symmetric weight-1 and weight-2 masks and the all-down field ``base``;
+* ``count(words) -> int`` is the number of set bits in rows of mask words,
+  a graph's edge count (see ``model.DisorderGraph.edge_count``);
 * ``plus(n, rate) -> table`` fills P(spin up) = 1 / (1 + exp(-rate S)),
   indexed by S + 2n;
 * ``sweep(w1, w2, base, plus, states, rngs, sweeps) -> counts`` runs a group
@@ -88,6 +90,11 @@ bit-identical to its twin:
   bit transpose whose six rounds shift by constants.  It is compiled once
   for each path of ``PATHS``, so that its popcounts are an instruction
   wherever the sweep's are, and ``masks`` is the one of ``path``.
+* ``count_bits_<path>`` (twin ``_count_rows``) sums the popcounts of the
+  words, compiled and bound the same way: at n = 4096 the plain body takes
+  about 1 ms, calling libgcc for each word, the ``popcnt`` one 0.21 ms and
+  the ``avx512vpopcntdq`` one 0.07 ms, against 1.7-2.8 ms for the twin.
+  ``edge_count`` and the histogram's edge count both come from it.
 * ``plus_table`` (twin ``_plus_loop``) calls libm ``exp``, the function
   ``math.exp`` calls, so every entry is the same double.
 
@@ -162,8 +169,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-from .model import _row_bits
 
 # The paths of the sweep (sweep_block_<path> in SOURCE), fastest first, each
 # with the CPU features it needs; the library runs the first one whose
@@ -407,6 +412,28 @@ void build_masks_popcnt(MASK_ARGS) { masks_body(MASK_PASS); }
 #endif
 
 void build_masks_generic(MASK_ARGS) { masks_body(MASK_PASS); }
+
+#define COUNT_ARGS int64_t count, const uint64_t *words
+
+/* The set bits of count mask words, one body per path as build_masks: the
+   plain one calls libgcc for each popcount. */
+static inline __attribute__((always_inline)) int64_t count_body(COUNT_ARGS)
+{
+    int64_t total = 0;
+    for (int64_t k = 0; k < count; k++)
+        total += __builtin_popcountll(words[k]);
+    return total;
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx512f,avx512vpopcntdq")))
+int64_t count_bits_avx512vpopcntdq(COUNT_ARGS) { return count_body(count, words); }
+
+__attribute__((target("popcnt")))
+int64_t count_bits_popcnt(COUNT_ARGS) { return count_body(count, words); }
+#endif
+
+int64_t count_bits_generic(COUNT_ARGS) { return count_body(count, words); }
 
 /* Rows of mask words as text: the n cells of each row as '0' / '1' bytes,
    then '\n', row r at text + r (n + 1).  spread[b] is the eight bytes of the
@@ -789,6 +816,7 @@ class _Library(NamedTuple):
     sample_path: str | None
     sample_paths: dict  # as ``paths``, for the sampler
     masks: Callable  # build_masks
+    count: Callable  # count_bits
     plus: Callable  # plus_table
     histogram: Callable  # interaction_histogram
     pair_sum: Callable  # pair_sum
@@ -874,7 +902,15 @@ def _histogram_shape(out_rows: np.ndarray) -> tuple[int, int]:
     if not 1 <= n <= 64:
         raise ValueError(f"the histogram takes 1 to 64 sites, one mask word a row, got {n}")
     _check((out_rows, "<u8", (n, 1)))
-    return n, int(_row_bits(out_rows).sum())
+    return n, library().count(out_rows)
+
+
+def _count_shape(words: np.ndarray) -> None:
+    """The check both kernel sets make on the words of a count: rows of mask
+    words, a C-contiguous 2-D little-endian uint64 array."""
+    if words.ndim != 2 or words.shape[1] < 1:
+        raise ValueError(f"kernel buffer {words.dtype} {words.shape} is not rows of mask words")
+    _check((words, "<u8", words.shape))
 
 
 def _pair_shape(n, log_g: np.ndarray, log_counts: np.ndarray) -> np.ndarray:
@@ -1006,6 +1042,19 @@ def _bind_masks(fn):
         return w1, w2, base
 
     return masks
+
+
+def _bind_count(fn):
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p]
+
+    def count(words: np.ndarray) -> int:
+        """The set bits of the rows of mask words ``words`` (see
+        ``_twins._count_rows``)."""
+        _count_shape(words)
+        return fn(words.size, words.ctypes.data)
+
+    return count
 
 
 def _bind_plus(fn):
@@ -1161,6 +1210,7 @@ def _open() -> _Library:
         sample_path=sample_path,
         sample_paths=sample_paths,
         masks=_bind_masks(getattr(lib, f"build_masks_{path}")),
+        count=_bind_count(getattr(lib, f"count_bits_{path}")),
         plus=_bind_plus(lib.plus_table),
         histogram=_bind_histogram(lib.interaction_histogram),
         pair_sum=_bind_pair_sum(lib.pair_sum),
@@ -1183,8 +1233,9 @@ def library() -> _Library:
                 from ._twins import _TWINS as loaded
 
                 print(f"note: compiled kernels unavailable ({err}); "
-                      "sampling, masks, sweeps, graph text, enumeration, the second "
-                      "moment's sum and the Levy and KS distances run in numpy and Python",
+                      "sampling, masks, edge counts, sweeps, graph text, enumeration, "
+                      "the second moment's sum and the Levy and KS distances run in "
+                      "numpy and Python",
                       file=sys.stderr, flush=True)
             _loaded.append(loaded)
         return _loaded[0]

@@ -2,18 +2,19 @@
 
 Each twin does what its kernel does, bit for bit: ``_sample_rows`` for
 ``sample_rows_<path>``, ``_numpy_masks`` for ``build_masks_<path>``,
-``_plus_loop`` for ``plus_table``, ``_python_sweeps`` for
-``sweep_block_<path>``, ``_numpy_histogram`` for ``interaction_histogram``,
-``_numpy_pair_sum`` for ``pair_sum``, ``_fsum`` for ``exact_sum``,
-``_levy_loop`` and ``_ks_loop`` for ``levy_normal`` and ``ks_normal``, and
-``_numpy_format`` and ``_numpy_parse`` for ``format_text`` and
-``parse_text``.  ``_numpy_histogram`` enumerates every configuration, where
-its kernel counts one of each global-flip pair.  The sweep, histogram, sum,
-distance and text twins refuse the calls their kernels refuse, through the
-same checks in ``_csweep``.  They are the test oracles of
-the kernels and, as ``_TWINS``, the kernel set that ``_csweep.library()``
-returns when nothing compiles or loads.  They live apart from the loader so
-that a process on the compiled kernels never compiles or runs their code.
+``_count_rows`` for ``count_bits_<path>``, ``_plus_loop`` for
+``plus_table``, ``_python_sweeps`` for ``sweep_block_<path>``,
+``_numpy_histogram`` for ``interaction_histogram``, ``_numpy_pair_sum`` for
+``pair_sum``, ``_fsum`` for ``exact_sum``, ``_levy_loop`` and ``_ks_loop``
+for ``levy_normal`` and ``ks_normal``, and ``_numpy_format`` and
+``_numpy_parse`` for ``format_text`` and ``parse_text``.
+``_numpy_histogram`` enumerates every configuration, where its kernel counts
+one of each global-flip pair.  The sweep, count, histogram, sum, distance
+and text twins refuse the calls their kernels refuse, through the same
+checks in ``_csweep``.  They are the test oracles of the kernels and, as
+``_TWINS``, the kernel set that ``_csweep.library()`` returns when nothing
+compiles or loads.  They live apart from the loader so that a process on
+the compiled kernels never compiles or runs their code.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import splitmix
 from ._csweep import (
+    _count_shape,
     _distance_shape,
     _histogram_shape,
     _levy_shape,
@@ -34,7 +36,7 @@ from ._csweep import (
     _sweep_shape,
     _text_shape,
 )
-from .model import _WORD, _pack_rows, _row_bits
+from .model import _WORD, _pack_rows
 from .stats import _normal_cdf
 
 
@@ -64,6 +66,33 @@ def _sample_rows(n: int, seed: int, threshold: int, start: int, out: np.ndarray)
         # the top 53 bits decide the edge
         np.right_shift(z, 11, out=shifted)
         _pack_rows(shifted < np.uint64(threshold), block)
+
+
+# Set bits of each 16-bit value (numpy before 2.0 has no bitwise_count).
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+_PAIR_BITS = (_BYTE_BITS[:, None] + _BYTE_BITS).ravel()
+
+# _row_bits looks up blocks of rows holding about this many bits at a time:
+# np.take first copies its uint16 indices to intp, and a block's copy (512 KiB)
+# stays in cache, where a whole n = 4096 graph's (8 MiB) is faulted in afresh.
+_COUNT_CELLS = 1 << 20
+
+
+def _row_bits(words: np.ndarray) -> np.ndarray:
+    """The set bits of each row of a C-contiguous 2-D ``uint64`` array, as int64."""
+    halves = words.view(np.uint16)
+    counts = np.empty(len(words), dtype=np.int64)
+    step = max(1, _COUNT_CELLS // (64 * words.shape[1]))
+    for at in range(0, len(words), step):
+        counts[at:at + step] = np.take(_PAIR_BITS, halves[at:at + step]).sum(axis=1,
+                                                                             dtype=np.int64)
+    return counts
+
+
+def _count_rows(words: np.ndarray) -> int:
+    """The numpy twin of ``count_bits_<path>``: the set bits of rows of mask words."""
+    _count_shape(words)
+    return int(_row_bits(words).sum())
 
 
 # Hacker's Delight's 64 x 64 bit-matrix transpose: six rounds, each swapping
@@ -358,6 +387,7 @@ _TWINS = _Library(
     sample_path=None,
     sample_paths={},
     masks=_numpy_masks,
+    count=_count_rows,
     plus=_plus_loop,
     histogram=_numpy_histogram,
     pair_sum=_numpy_pair_sum,

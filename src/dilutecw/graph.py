@@ -18,10 +18,11 @@ The text format is deliberately dumb so other tools can read it:
     ...
     <row n-1>
 
-The size <n> is ASCII digits and nothing else.  Character j of row i is the
-indicator of edge (i, j).  A path is read with universal newlines, so a CRLF
-file reads as an LF one.  The last row may lack its newline, and only
-whitespace may follow it.
+The size <n> is ASCII digits and nothing else, and the header line is at
+most 80 characters long.  Character j of row i is the indicator of edge
+(i, j).  A path is read with universal newlines, so a CRLF or lone-CR file
+reads as an LF one.  The last row may lack its newline, and only whitespace
+may follow it.
 
 Sampling is one call of ``_csweep.library().sample``, the compiled sampler or
 its numpy twin, which give the same graph bit for bit, over the graph's
@@ -32,13 +33,16 @@ no n-by-n buffer of text is ever held:
   cells) into lines of '0' / '1' bytes in one reused buffer.  A path is
   opened in binary mode and gets those bytes as they are; a text stream
   (``graph-sample`` to stdout) gets their ASCII decoding, the same text.
-* reading: ``library().parse`` checks a block of encoded lines
-  (``_READ_CELLS`` cells) and packs them into the rows.  The lines still come
-  from a latin-1 text reader, not from the raw bytes: its universal newlines
-  make a CRLF or lone-CR file read as an LF one, and latin-1 gives every
-  byte one character, so a non-ASCII byte fails the cell check with its line
-  number.  When a block fails, only its first bad row is parsed again as a
-  line, for the error message and line number.
+* reading: a path is opened in binary mode, and each block of lines
+  (``_READ_CELLS`` cells) is read into one reused buffer, which
+  ``library().parse`` checks and packs into the rows where it lies.  No
+  ``str`` of the body is made.  Universal newlines are a byte step that
+  runs only on a read holding a CR, or starting right after one.  A text
+  stream gives its characters untranslated, as their latin-1 encoding, to
+  the same loop.  Either way a non-ASCII byte or character fails the cell
+  check with its line number.  When a block fails, only its first bad row
+  is decoded and parsed again as a line, for the error message and line
+  number.
 """
 
 from __future__ import annotations
@@ -59,12 +63,21 @@ BIT_LIMIT = 1 << 33
 
 _HEADER_PREFIX = "dilute-cw-graph v1 N="
 
+# The header line is read to at most this many characters, the prefix and
+# up to 59 size digits; a longer one is refused, and an error quotes at
+# most this much of it.
+_HEADER_CHARS = 80
+
 # Text I/O works on blocks of whole rows holding about this many cells.  At
 # n = 4096 on a 2-core Xeon, writes were fastest from 2^19 to 2^21 cells
-# (2^17: 1.3 times slower), reads at 2^17 and 2^18 (2^16 and 2^19: 1.2 and
-# 1.4 times slower).
+# (2^17: 1.3 times slower), reads at 2^19 and 2^20 (2^17 and 2^21: 1.25
+# and 1.15 times slower).
 _WRITE_CELLS = 1 << 20
-_READ_CELLS = 1 << 17
+_READ_CELLS = 1 << 19
+
+# The read buffer holds at least this many bytes, so that the rest of a bad
+# row and the text after the last row are read in pieces this large at any n.
+_READ_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -135,24 +148,98 @@ def write_graph(g: DisorderGraph, destination) -> None:
         destination.write(str(block, "ascii"))
 
 
-def _read_header(source) -> int:
-    header = source.readline()
-    if header == "":
+class _FileText:
+    """A binary file's bytes, read into a caller's buffer with universal
+    newlines: CRLF and lone CR become LF, as a text reader would give them.
+    Only a read that holds a CR, or that starts right after one, is
+    rewritten; ``chars`` decodes bytes as latin-1, one character each."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._cr = False  # the last byte read was a CR, so an LF next is its pair
+
+    def fill(self, buffer: bytearray, size: int) -> int:
+        """Read the next ``size`` bytes into ``buffer``, fewer only at the end
+        of the file; return how many."""
+        view = memoryview(buffer)
+        got = 0
+        while got < size:
+            read = self._fh.readinto(view[got:size])
+            if not read:
+                break
+            end = got + read
+            if self._cr or buffer.find(b"\r", got, end) >= 0:
+                end = self._newlines(buffer, got, end)
+            got = end
+        return got
+
+    def _newlines(self, buffer: bytearray, start: int, end: int) -> int:
+        """Translate the newlines of buffer[start:end] in place; return its new end."""
+        part = buffer[start:end]
+        if self._cr and part.startswith(b"\n"):
+            part = part[1:]
+        self._cr = part.endswith(b"\r")
+        part = part.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        buffer[start:start + len(part)] = part
+        return start + len(part)
+
+    @staticmethod
+    def chars(buffer: bytearray, start: int, stop: int) -> str:
+        """The characters of buffer[start:stop], one per byte."""
+        return buffer[start:stop].decode("latin-1")
+
+
+class _StreamText:
+    """A text stream's characters, untranslated, read into a caller's buffer
+    as their latin-1 encoding; a character above U+00FF becomes '?', which
+    fails the cell check, and ``chars`` gives back the characters read."""
+
+    def __init__(self, source):
+        self._source = source
+        self._chunk = ""
+
+    def fill(self, buffer: bytearray, size: int) -> int:
+        """Read the next ``size`` characters into ``buffer``, fewer only at
+        the end of the stream; return how many."""
+        self._chunk = self._source.read(size)
+        buffer[:len(self._chunk)] = self._chunk.encode("latin-1", "replace")
+        return len(self._chunk)
+
+    def chars(self, buffer: bytearray, start: int, stop: int) -> str:
+        """The characters of the last fill's buffer[start:stop]."""
+        return self._chunk[start:stop]
+
+
+def _quoted(text: str, limit: int) -> str:
+    """``text`` quoted, cut after ``limit`` characters."""
+    return repr(text[:limit]) + ("..." if len(text) > limit else "")
+
+
+def _read_header(text) -> int:
+    """The size that line 1 declares, read a character at a time and at most
+    ``_HEADER_CHARS`` + 1 of them, so the body starts at the next one."""
+    one = bytearray(1)
+    header, ended = "", False
+    while len(header) <= _HEADER_CHARS and text.fill(one, 1):
+        char = text.chars(one, 0, 1)
+        ended = char == "\n"
+        if ended:
+            break
+        header += char
+    if not (header or ended):
         raise GraphFormatError("empty input, expected header", line=1)
-    header = header.rstrip("\n")
     if not header.startswith(_HEADER_PREFIX):
         raise GraphFormatError(
-            f"bad header {header!r}, expected '{_HEADER_PREFIX}<n>'", line=1
+            f"bad header {_quoted(header, _HEADER_CHARS)}, expected '{_HEADER_PREFIX}<n>'",
+            line=1,
         )
     size_text = header[len(_HEADER_PREFIX):]
-    try:
-        # ASCII digits only: int() alone also takes a sign, spaces, digit
-        # underscores and the digits of other scripts
-        if not (size_text.isascii() and size_text.isdigit()):
-            raise ValueError
-        n = int(size_text)
-    except ValueError:
-        raise GraphFormatError(f"bad size field {size_text!r} in header", line=1) from None
+    # ASCII digits only: int() alone also takes a sign, spaces, digit
+    # underscores and the digits of other scripts
+    if len(header) > _HEADER_CHARS or not (size_text.isascii() and size_text.isdigit()):
+        shown = _quoted(size_text, _HEADER_CHARS - len(_HEADER_PREFIX))
+        raise GraphFormatError(f"bad size field {shown} in header", line=1)
+    n = int(size_text)
     if n < 1:
         raise GraphFormatError(f"declared size must be positive, got {n}", line=1)
     if n * n > BIT_LIMIT:
@@ -180,6 +267,36 @@ def _parse_row(line: str, i: int, n: int) -> np.ndarray:
     return np.frombuffer(line.encode("ascii"), dtype=np.uint8) & 1
 
 
+def _line_from(text, buffer: bytearray, start: int, got: int) -> str:
+    """The line that starts at ``start`` of the ``got`` characters in
+    ``buffer``, through its newline, read on past them where it runs on; what
+    follows the newline is read no more."""
+    parts = []
+    while True:
+        chunk = text.chars(buffer, start, got)
+        end = chunk.find("\n")
+        if end >= 0:
+            parts.append(chunk[:end + 1])
+            break
+        parts.append(chunk)
+        start, got = 0, text.fill(buffer, len(buffer))
+        if not got:
+            break
+    return "".join(parts)
+
+
+def _check_trailing(text, buffer: bytearray, lineno: int) -> None:
+    """Refuse any content but whitespace from line ``lineno`` on, a block at
+    a time, at the line of its first character."""
+    while got := text.fill(buffer, len(buffer)):
+        chunk = text.chars(buffer, 0, got)
+        if not chunk.isspace():
+            first = len(chunk) - len(chunk.lstrip())
+            raise GraphFormatError("unexpected content after last row",
+                                   line=lineno + chunk.count("\n", 0, first))
+        lineno += chunk.count("\n")
+
+
 def read_graph(source) -> DisorderGraph:
     """Parse the v1 text format from a path or a text file object.
 
@@ -189,38 +306,37 @@ def read_graph(source) -> DisorderGraph:
     whitespace may follow.
     """
     if isinstance(source, (str, os.PathLike)):
-        # latin-1 gives every byte one character, so a non-ASCII byte reaches
-        # the cell check and is reported with its line number.
-        with open(source, "r", encoding="latin-1") as fh:
-            return read_graph(fh)
+        with open(source, "rb") as fh:
+            return _read_text(_FileText(fh))
+    return _read_text(_StreamText(source))
 
-    n = _read_header(source)
+
+def _read_text(text) -> DisorderGraph:
+    """The graph of a ``_FileText`` or ``_StreamText``, a block of
+    ``_READ_CELLS`` cells of whole rows at a time into one buffer."""
+    n = _read_header(text)
     from ._csweep import library
 
     parse_rows = library().parse
     width = n + 1
     step = _block_rows(n, _READ_CELLS)
+    buffer = bytearray(max(min(step, n) * width, _READ_BYTES))
+    cells = np.frombuffer(buffer, dtype=np.uint8)
     words = np.empty((n, (n + 63) // 64), dtype=_WORD)
     for start in range(0, n, step):
         want = min(step, n - start)
-        chunk = source.read(want * width)
-        whole = len(chunk) // width
-        # characters above U+00FF become '?', which fails the cell check
-        lines = np.frombuffer(chunk.encode("latin-1", "replace"), dtype=np.uint8)
-        good = parse_rows(lines[: whole * width].reshape(whole, width),
+        got = text.fill(buffer, want * width)
+        whole = got // width
+        good = parse_rows(cells[: whole * width].reshape(whole, width),
                           words[start:start + whole])
         if good < want:
             # Row i is malformed or cut short.  Rows before it were whole
             # lines, so its line starts here and runs to the next newline.
             i = start + good
-            rest = chunk[good * width:]
-            end = rest.find("\n")
-            line = rest[: end + 1] if end >= 0 else rest + source.readline()
+            line = _line_from(text, buffer, good * width, got)
             _pack_rows(_parse_row(line, i, n)[None], words[i:i + 1])
             # A row passes here only as the file's last text, without newline.
             if i + 1 < n:
                 raise GraphFormatError(f"file ends after {i + 1} of {n} rows", line=i + 3)
-    for lineno, line in enumerate(iter(source.readline, ""), start=n + 2):
-        if line.strip():
-            raise GraphFormatError("unexpected content after last row", line=lineno)
+    _check_trailing(text, buffer, n + 2)
     return DisorderGraph(n, words)

@@ -72,27 +72,6 @@ class ModelParams:
 # Graph rows and masks are bitsets over the sites, packed into little-endian 64-bit words.
 _WORD = np.dtype("<u8")
 
-# Set bits of each 16-bit value (numpy before 2.0 has no bitwise_count).
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-_PAIR_BITS = (_BYTE_BITS[:, None] + _BYTE_BITS).ravel()
-
-# _row_bits looks up blocks of rows holding about this many bits at a time:
-# np.take first copies its uint16 indices to intp, and a block's copy (512 KiB)
-# stays in cache, where a whole n = 4096 graph's (8 MiB) is faulted in afresh.
-_COUNT_CELLS = 1 << 20
-
-
-def _row_bits(words: np.ndarray) -> np.ndarray:
-    """The set bits of each row of a C-contiguous 2-D ``uint64`` array, as int64."""
-    halves = words.view(np.uint16)
-    counts = np.empty(len(words), dtype=np.int64)
-    step = max(1, _COUNT_CELLS // (64 * words.shape[1]))
-    for at in range(0, len(words), step):
-        counts[at:at + step] = np.take(_PAIR_BITS, halves[at:at + step]).sum(axis=1,
-                                                                             dtype=np.int64)
-    return counts
-
-
 def _pack_rows(cells: np.ndarray, out: np.ndarray) -> None:
     """Pack the cells of k graph rows, a (k, n) array where nonzero means an
     edge, into ``out``, their (k, ceil(n / 64)) words."""
@@ -171,7 +150,10 @@ class DisorderGraph:
         return cls(n, words)
 
     def edge_count(self) -> int:
-        return int(_row_bits(self.words).sum())
+        """The number of edges, loops included: one ``library().count`` call."""
+        from ._csweep import library
+
+        return library().count(self.words)
 
     def _cells(self) -> np.ndarray:
         """The adjacency matrix as an (n, n) array of 0/1 bytes."""

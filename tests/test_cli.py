@@ -56,7 +56,7 @@ def test_graph_sample_stdout_and_file(tmp_path, capsys):
                 code, out, err = run_cli(capsys, *argv)
                 assert code == 0
                 assert out.startswith(f"dilute-cw-graph v1 N={n}\n")
-                assert "edges=" in err
+                assert f"sampled graph n={n} edges={int(want._cells().sum())}\n" in err
 
                 path = tmp_path / f"g{n}.txt"
                 code, out2, _ = run_cli(capsys, *argv, "--out", str(path))
@@ -157,6 +157,23 @@ def test_exact_partition_non_ascii_byte_exit_4(tmp_path, capsys):
     assert "line 3" in err
     assert "row contains" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [b"1" * 2**20, b"dilute-cw-graph v1 N=" + b"2" * 2**20])
+def test_mcmc_run_newline_free_file_exit_4_in_one_short_line(text, tmp_path, capsys,
+                                                            monkeypatch):
+    # the header is read to 80 characters and quoted to as many, so a
+    # megabyte without a newline neither fills memory nor stderr
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_bytes(text)
+    code, out, err = run_cli(
+        capsys, "mcmc-run", "--n", "2", "--p", "0.5", "--beta", "0.5", "--graph", "g.txt",
+        "--sweeps", "10",
+    )
+    assert code == 4
+    assert out == ""
+    assert len(err.encode()) < 300
+    assert "line 1: bad" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("size", [" +2 ", "+2", "0_2", "2 "])

@@ -143,6 +143,18 @@ def test_read_capacity_cap(monkeypatch):
         read_graph(io.StringIO("dilute-cw-graph v1 N=5\n"))
 
 
+# A header line longer than this is refused, and a message quotes at most
+# this much of it.
+_HEADER_CHARS = 80
+_PREFIX = "dilute-cw-graph v1 N="
+
+
+def _quoted(text: str, limit: int) -> str:
+    """Bad header text as a message quotes it: its first ``limit``
+    characters, and '...' after the quote where it runs on."""
+    return repr(text[:limit]) + ("..." if len(text) > limit else "")
+
+
 def _oracle_read_graph(source) -> DisorderGraph:
     """The line-by-line v1 reader that the block reader replaced, kept as the
     reference: one readline, length check and character check per row."""
@@ -150,14 +162,17 @@ def _oracle_read_graph(source) -> DisorderGraph:
     if header == "":
         raise GraphFormatError("empty input, expected header", line=1)
     header = header.rstrip("\n")
-    prefix = "dilute-cw-graph v1 N="
+    prefix = _PREFIX
     if not header.startswith(prefix):
-        raise GraphFormatError(f"bad header {header!r}, expected '{prefix}<n>'", line=1)
+        raise GraphFormatError(
+            f"bad header {_quoted(header, _HEADER_CHARS)}, expected '{prefix}<n>'", line=1
+        )
     size_text = header[len(prefix):]
     try:
         n = int(size_text)
     except ValueError:
-        raise GraphFormatError(f"bad size field {size_text!r} in header", line=1) from None
+        shown = _quoted(size_text, _HEADER_CHARS - len(prefix))
+        raise GraphFormatError(f"bad size field {shown} in header", line=1) from None
     if n < 1:
         raise GraphFormatError(f"declared size must be positive, got {n}", line=1)
     if n * n > BIT_LIMIT:
@@ -193,15 +208,19 @@ def _outcome(read, source):
 
 
 def _expected(text: str):
-    """The oracle's outcome, plus the two rules the block reader adds: the
+    """The oracle's outcome, plus the three rules the block reader adds: the
     header's size field is ASCII digits only, where the oracle's int() also
-    takes a sign, spaces and underscores, and any non-whitespace line after
-    the last row is refused, not only the first."""
-    prefix = "dilute-cw-graph v1 N="
+    takes a sign, spaces and underscores; a header line of more than
+    ``_HEADER_CHARS`` characters is a bad size field; and any non-whitespace
+    line after the last row is refused, not only the first."""
+    prefix = _PREFIX
     header = text.split("\n", 1)[0]
     size_text = header.removeprefix(prefix)
-    if header.startswith(prefix) and not (size_text.isascii() and size_text.isdigit()):
-        message = f"line 1: bad size field {size_text!r} in header"
+    if header.startswith(prefix) and (
+        len(header) > _HEADER_CHARS or not (size_text.isascii() and size_text.isdigit())
+    ):
+        shown = _quoted(size_text, _HEADER_CHARS - len(prefix))
+        message = f"line 1: bad size field {shown} in header"
         return "GraphFormatError", 1, message
     source = io.StringIO(text)
     result = _outcome(_oracle_read_graph, source)
@@ -503,10 +522,25 @@ def test_text_kernels_refuse_bad_buffers():
         ("dilute-cw-graph v1 N=2\n01\n11\n\n\n\nx", 7),
     ],
 )
-def test_content_after_blank_line_is_refused(text, lineno):
-    with pytest.raises(GraphFormatError, match="after last row") as err:
-        read_graph(io.StringIO(text))
-    assert err.value.line == lineno
+def test_content_after_blank_line_is_refused(text, lineno, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("ascii"))
+    for source in (io.StringIO(text), path):
+        with pytest.raises(GraphFormatError, match="after last row") as err:
+            read_graph(source)
+        assert err.value.line == lineno
+
+
+def test_content_after_more_whitespace_than_one_read(tmp_path):
+    # the text after the rows is checked a read at a time, and its lines
+    # are counted across reads
+    text = "dilute-cw-graph v1 N=2\n01\n11\n" + " \r\n" * 40000 + "\tx\n"
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("ascii"))
+    for source in (io.StringIO(text), path):
+        with pytest.raises(GraphFormatError, match="after last row") as err:
+            read_graph(source)
+        assert err.value.line == 40004
 
 
 @pytest.mark.parametrize(
@@ -516,12 +550,18 @@ def test_content_after_blank_line_is_refused(text, lineno):
         "dilute-cw-graph v1 N=2\n01\n11\n\n \n\t\n",
         "dilute-cw-graph v1 N=2\r\n01\r\n11\r\n\r\n",
         "dilute-cw-graph v1 N=2\r01\r11\r",
+        "dilute-cw-graph v1 N=2\r01\n11\n",
+        # latin-1 whitespace: str.strip() takes each of these
+        "dilute-cw-graph v1 N=2\n01\n11\n\x85",
+        "dilute-cw-graph v1 N=2\n01\n11\n\xa0\n",
+        "dilute-cw-graph v1 N=2\n01\n11\n\x1c\r\n",
     ],
 )
 def test_accepted_variants_from_a_file(text, tmp_path):
-    # the text reader's universal newlines hand the parse kernel LF lines
+    # universal newlines hand the parse kernel LF lines, and every byte is
+    # one latin-1 character
     path = tmp_path / "g.txt"
-    path.write_bytes(text.encode("ascii"))
+    path.write_bytes(text.encode("latin-1"))
     for kernels in kernel_sets():
         with kernels_in_use(kernels):
             assert read_graph(path) == DisorderGraph.from_matrix([[0, 1], [1, 1]])
@@ -531,9 +571,65 @@ def test_non_ascii_byte_is_a_cell_error(tmp_path):
     path = tmp_path / "g.txt"
     path.write_bytes(b"dilute-cw-graph v1 N=2\n01\n1\xc3\n")
     for kernels in kernel_sets():
-        with kernels_in_use(kernels), pytest.raises(GraphFormatError, match="row contains") as err:
+        with kernels_in_use(kernels), pytest.raises(GraphFormatError) as err:
             read_graph(path)
         assert err.value.line == 3
+        assert str(err.value) == "line 3: row contains ['\xc3'], expected only '0'/'1'"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("x" * 100 + "\n01\n", f"bad header {'x' * 80!r}..., expected '{_PREFIX}<n>'"),
+        ("x" * 80 + "\n01\n", f"bad header {'x' * 80!r}, expected '{_PREFIX}<n>'"),
+        (_PREFIX + "0" * 58 + "2\n01\n11\n", None),
+        (_PREFIX + "0" * 59 + "2\n01\n11\n", f"bad size field {'0' * 59!r}... in header"),
+        (_PREFIX + "1" * 10**6, f"bad size field {'1' * 59!r}... in header"),
+    ],
+    ids=["100-characters", "80-characters", "59-digits", "60-digits", "million-digits"],
+)
+def test_header_is_read_to_eighty_characters(text, message, tmp_path):
+    # a longer header line is a bad header or a bad size field, quoted to
+    # its first 80 characters, from a stream and from a file
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("ascii"))
+    for source in (io.StringIO(text), path):
+        if message is None:
+            assert read_graph(source) == DisorderGraph.from_matrix([[0, 1], [1, 1]])
+            continue
+        with pytest.raises(GraphFormatError) as err:
+            read_graph(source)
+        assert str(err.value) == f"line 1: {message}"
+
+
+def test_empty_input_and_empty_header_are_told_apart(tmp_path):
+    path = tmp_path / "g.txt"
+    for text, message in (("", "empty input, expected header"),
+                          ("\n01\n", f"bad header '', expected '{_PREFIX}<n>'")):
+        path.write_bytes(text.encode("ascii"))
+        for source in (io.StringIO(text), path):
+            with pytest.raises(GraphFormatError) as err:
+                read_graph(source)
+            assert str(err.value) == f"line 1: {message}"
+
+
+def test_long_bad_row_is_read_in_large_pieces(tmp_path, monkeypatch):
+    # at n = 2 a block is two rows, but the rest of a bad row, here a
+    # megabyte long, is read in pieces of _READ_BYTES
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"dilute-cw-graph v1 N=2\n01\n" + b"1" * 2**20 + b"\n")
+    reads = []
+    fill = graph_module._FileText.fill
+
+    def counted(self, buffer, size):
+        reads.append(size)
+        return fill(self, buffer, size)
+
+    monkeypatch.setattr(graph_module._FileText, "fill", counted)
+    with pytest.raises(GraphFormatError, match="row has 1048576 characters, expected 2") as err:
+        read_graph(path)
+    assert err.value.line == 3
+    assert len(reads) < 30 + 2**20 // graph_module._READ_BYTES
 
 
 def _declared_size(text: str, default: int) -> int:

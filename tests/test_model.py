@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilutecw import model
+from dilutecw import _twins
 from dilutecw.model import DisorderGraph, ModelParams
-from helpers import SpinConfig, gibbs_log_weight, interaction_sum
+from helpers import SpinConfig, gibbs_log_weight, interaction_sum, kernel_sets, kernels_in_use
 
 
 def naive_hamiltonian(matrix, signs, n, p):
@@ -114,8 +114,8 @@ def test_graph_words_match_nested_matrix(data):
                for i in range(n) for j in range(n))
     assert g.edge_count() == sum(map(sum, matrix))
     # the row counts in blocks of one or two rows, as in whole
-    with mock.patch.object(model, "_COUNT_CELLS", 128):
-        assert model._row_bits(g.words).tolist() == [sum(row) for row in matrix]
+    with mock.patch.object(_twins, "_COUNT_CELLS", 128):
+        assert _twins._row_bits(g.words).tolist() == [sum(row) for row in matrix]
     signs = SpinConfig(n=n, bits=bits).to_signs()
     want = sum(matrix[i][j] * signs[i] * signs[j] for i in range(n) for j in range(n))
     assert interaction_sum(g, SpinConfig(n=n, bits=bits)) == want
@@ -230,3 +230,39 @@ def test_interaction_sum_matches_double_loop(data):
     signs = sigma.to_signs()
     want = sum(matrix[i][j] * signs[i] * signs[j] for i in range(n) for j in range(n))
     assert interaction_sum(g, sigma) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from([63, 64, 65, 127, 128, 129]), st.integers(1, 200)),
+    density=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_count_kernel_is_the_same_on_every_kernel_set(n, density, seed):
+    # the sum of the rows' popcounts, on every kernel set, for a drawn graph
+    # and for the empty and complete graphs of the same size
+    matrix = np.random.default_rng(seed).random((n, n)) < density
+    for g in (DisorderGraph.from_matrix(matrix), DisorderGraph.empty(n),
+              DisorderGraph.complete(n)):
+        want = int(_twins._row_bits(g.words).sum())
+        assert want == int(g._cells().sum())
+        for kernels in kernel_sets():
+            assert kernels.count(g.words) == want
+            with kernels_in_use(kernels):
+                assert g.edge_count() == want
+
+
+def test_count_kernel_refuses_bad_buffers():
+    # the compiled kernel trusts the length; the twin refuses the same calls
+    words = np.full((3, 2), np.iinfo(np.uint64).max, dtype="<u8")
+    for kernels in kernel_sets():
+        assert kernels.count(words) == 384
+        for bad in (words.astype(np.int64), words.astype(">u8"), words.astype(np.uint32),
+                    np.zeros((3, 4), dtype="<u8")[:, ::2], words.ravel(), words[None],
+                    words[:, :0]):
+            with pytest.raises(ValueError, match="kernel buffer"):
+                kernels.count(bad)
+        # the words of a graph are read-only, which a count accepts
+        locked = words.copy()
+        locked.flags.writeable = False
+        assert kernels.count(locked) == 384
