@@ -20,7 +20,7 @@ The text format is deliberately dumb so other tools can read it:
 
 The size <n> is ASCII digits and nothing else, and the header line is at
 most 80 characters long.  Character j of row i is the indicator of edge
-(i, j).  A path is read with universal newlines, so a CRLF or lone-CR file
+(i, j).  A file is read with universal newlines, so a CRLF or lone-CR file
 reads as an LF one.  The last row may lack its newline, and only whitespace
 may follow it.
 
@@ -33,16 +33,16 @@ no n-by-n buffer of text is ever held:
   cells) into lines of '0' / '1' bytes in one reused buffer.  A path is
   opened in binary mode and gets those bytes as they are; a text stream
   (``graph-sample`` to stdout) gets their ASCII decoding, the same text.
-* reading: a path is opened in binary mode, and each block of lines
-  (``_READ_CELLS`` cells) is read into one reused buffer, which
-  ``library().parse`` checks and packs into the rows where it lies.  No
-  ``str`` of the body is made.  Universal newlines are a byte step that
-  runs only on a read holding a CR, or starting right after one.  A text
-  stream gives its characters untranslated, as their latin-1 encoding, to
-  the same loop.  Either way a non-ASCII byte or character fails the cell
-  check with its line number.  When a block fails, only its first bad row
-  is decoded and parsed again as a line, for the error message and line
-  number.
+* reading: a path, or a binary file object, is read as bytes, and each
+  block of lines (``_READ_CELLS`` cells) is read into one reused buffer,
+  which ``library().parse`` checks and packs into the rows where it lies.
+  No ``str`` of the body is made.  Universal newlines are a byte step that
+  runs only on a read holding a CR, or starting right after one.  A file
+  whose last row lacks its newline is given one at its end, so the kernel
+  packs that row like any other.  A non-ASCII byte fails the cell check
+  with its line number.  When a block fails, only its first bad row is
+  scanned in Python, a buffer at a time up to its newline, for the error
+  message and line number.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, GraphFormatError
-from .model import _WORD, DisorderGraph, ModelParams, _pack_rows
+from .model import _WORD, DisorderGraph, ModelParams
 
 __all__ = ["GraphSeed", "sample_graph", "write_graph", "read_graph", "BIT_LIMIT"]
 
@@ -152,11 +152,13 @@ class _FileText:
     """A binary file's bytes, read into a caller's buffer with universal
     newlines: CRLF and lone CR become LF, as a text reader would give them.
     Only a read that holds a CR, or that starts right after one, is
-    rewritten; ``chars`` decodes bytes as latin-1, one character each."""
+    rewritten.  A file whose last byte is not a newline is given one at its
+    end, so its last line is whole."""
 
     def __init__(self, fh):
         self._fh = fh
         self._cr = False  # the last byte read was a CR, so an LF next is its pair
+        self._open = False  # the last byte given was not a newline
 
     def fill(self, buffer: bytearray, size: int) -> int:
         """Read the next ``size`` bytes into ``buffer``, fewer only at the end
@@ -166,10 +168,16 @@ class _FileText:
         while got < size:
             read = self._fh.readinto(view[got:size])
             if not read:
+                if self._open:
+                    buffer[got] = ord("\n")
+                    got += 1
+                    self._open = False
                 break
             end = got + read
             if self._cr or buffer.find(b"\r", got, end) >= 0:
                 end = self._newlines(buffer, got, end)
+            if end > got:
+                self._open = buffer[end - 1] != ord("\n")
             got = end
         return got
 
@@ -183,32 +191,6 @@ class _FileText:
         buffer[start:start + len(part)] = part
         return start + len(part)
 
-    @staticmethod
-    def chars(buffer: bytearray, start: int, stop: int) -> str:
-        """The characters of buffer[start:stop], one per byte."""
-        return buffer[start:stop].decode("latin-1")
-
-
-class _StreamText:
-    """A text stream's characters, untranslated, read into a caller's buffer
-    as their latin-1 encoding; a character above U+00FF becomes '?', which
-    fails the cell check, and ``chars`` gives back the characters read."""
-
-    def __init__(self, source):
-        self._source = source
-        self._chunk = ""
-
-    def fill(self, buffer: bytearray, size: int) -> int:
-        """Read the next ``size`` characters into ``buffer``, fewer only at
-        the end of the stream; return how many."""
-        self._chunk = self._source.read(size)
-        buffer[:len(self._chunk)] = self._chunk.encode("latin-1", "replace")
-        return len(self._chunk)
-
-    def chars(self, buffer: bytearray, start: int, stop: int) -> str:
-        """The characters of the last fill's buffer[start:stop]."""
-        return self._chunk[start:stop]
-
 
 def _quoted(text: str, limit: int) -> str:
     """``text`` quoted, cut after ``limit`` characters."""
@@ -216,16 +198,15 @@ def _quoted(text: str, limit: int) -> str:
 
 
 def _read_header(text) -> int:
-    """The size that line 1 declares, read a character at a time and at most
+    """The size that line 1 declares, read a byte at a time and at most
     ``_HEADER_CHARS`` + 1 of them, so the body starts at the next one."""
-    one = bytearray(1)
-    header, ended = "", False
-    while len(header) <= _HEADER_CHARS and text.fill(one, 1):
-        char = text.chars(one, 0, 1)
-        ended = char == "\n"
+    one, line, ended = bytearray(1), bytearray(), False
+    while len(line) <= _HEADER_CHARS and text.fill(one, 1):
+        ended = one == b"\n"
         if ended:
             break
-        header += char
+        line += one
+    header = line.decode("latin-1")
     if not (header or ended):
         raise GraphFormatError("empty input, expected header", line=1)
     if not header.startswith(_HEADER_PREFIX):
@@ -249,47 +230,32 @@ def _read_header(text) -> int:
     return n
 
 
-def _parse_row(line: str, i: int, n: int) -> np.ndarray:
-    """Row i's 0/1 cells from its text line, newline included; raises on a malformed line."""
+def _row_error(text, buffer: bytearray, start: int, got: int, i: int, n: int) -> GraphFormatError:
+    """The error of row i, which failed the parse and starts at ``start`` of
+    the ``got`` bytes in ``buffer``.  Its length is counted a buffer at a
+    time up to its newline, and what follows the newline is read no more."""
     lineno = i + 2
-    if line == "":
-        raise GraphFormatError(f"file ends after {i} of {n} rows", line=lineno)
-    line = line.rstrip("\n")
-    if len(line) != n:
-        raise GraphFormatError(
-            f"row has {len(line)} characters, expected {n}", line=lineno
-        )
-    bad = set(line) - {"0", "1"}
-    if bad:
-        raise GraphFormatError(
-            f"row contains {sorted(bad)!r}, expected only '0'/'1'", line=lineno
-        )
-    return np.frombuffer(line.encode("ascii"), dtype=np.uint8) & 1
-
-
-def _line_from(text, buffer: bytearray, start: int, got: int) -> str:
-    """The line that starts at ``start`` of the ``got`` characters in
-    ``buffer``, through its newline, read on past them where it runs on; what
-    follows the newline is read no more."""
-    parts = []
-    while True:
-        chunk = text.chars(buffer, start, got)
-        end = chunk.find("\n")
-        if end >= 0:
-            parts.append(chunk[:end + 1])
-            break
-        parts.append(chunk)
+    length = 0
+    while (end := buffer.find(b"\n", start, got)) < 0:
+        length += got - start
         start, got = 0, text.fill(buffer, len(buffer))
         if not got:
-            break
-    return "".join(parts)
+            # fill closes a last line, so only a row with no text ends here
+            return GraphFormatError(f"file ends after {i} of {n} rows", line=lineno)
+    length += end - start
+    if length != n:
+        return GraphFormatError(f"row has {length} characters, expected {n}", line=lineno)
+    # A block read holds each row it starts in full, or reaches the end of
+    # the file, so a row of n characters lies whole in this buffer.
+    bad = set(buffer[start:end].translate(None, b"01").decode("latin-1"))
+    return GraphFormatError(f"row contains {sorted(bad)!r}, expected only '0'/'1'", line=lineno)
 
 
 def _check_trailing(text, buffer: bytearray, lineno: int) -> None:
     """Refuse any content but whitespace from line ``lineno`` on, a block at
     a time, at the line of its first character."""
     while got := text.fill(buffer, len(buffer)):
-        chunk = text.chars(buffer, 0, got)
+        chunk = buffer[:got].decode("latin-1")
         if not chunk.isspace():
             first = len(chunk) - len(chunk.lstrip())
             raise GraphFormatError("unexpected content after last row",
@@ -298,7 +264,7 @@ def _check_trailing(text, buffer: bytearray, lineno: int) -> None:
 
 
 def read_graph(source) -> DisorderGraph:
-    """Parse the v1 text format from a path or a text file object.
+    """Parse the v1 text format from a path or a binary file object.
 
     Raises GraphFormatError with a 1-based line number on malformed input
     (the header is line 1) and CapacityError when the declared size exceeds
@@ -308,12 +274,12 @@ def read_graph(source) -> DisorderGraph:
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             return _read_text(_FileText(fh))
-    return _read_text(_StreamText(source))
+    return _read_text(_FileText(source))
 
 
-def _read_text(text) -> DisorderGraph:
-    """The graph of a ``_FileText`` or ``_StreamText``, a block of
-    ``_READ_CELLS`` cells of whole rows at a time into one buffer."""
+def _read_text(text: _FileText) -> DisorderGraph:
+    """The graph of ``text``, a block of ``_READ_CELLS`` cells of whole rows
+    at a time into one buffer."""
     n = _read_header(text)
     from ._csweep import library
 
@@ -330,13 +296,8 @@ def _read_text(text) -> DisorderGraph:
         good = parse_rows(cells[: whole * width].reshape(whole, width),
                           words[start:start + whole])
         if good < want:
-            # Row i is malformed or cut short.  Rows before it were whole
-            # lines, so its line starts here and runs to the next newline.
-            i = start + good
-            line = _line_from(text, buffer, good * width, got)
-            _pack_rows(_parse_row(line, i, n)[None], words[i:i + 1])
-            # A row passes here only as the file's last text, without newline.
-            if i + 1 < n:
-                raise GraphFormatError(f"file ends after {i + 1} of {n} rows", line=i + 3)
+            # Rows before the failed one were whole lines, so its line
+            # starts here and runs to the next newline.
+            raise _row_error(text, buffer, good * width, got, start + good, n)
     _check_trailing(text, buffer, n + 2)
     return DisorderGraph(n, words)

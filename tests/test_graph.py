@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ def test_roundtrip_through_buffer():
     write_graph(g, buf)
     text = buf.getvalue()
     assert text == "dilute-cw-graph v1 N=2\n01\n11\n"
-    assert read_graph(io.StringIO(text)) == g
+    assert read_graph(io.BytesIO(text.encode("ascii"))) == g
 
 
 def test_text_format_orientation():
@@ -125,12 +126,12 @@ def test_text_format_orientation():
         ("dilute-cw-graph v1 N=2\n01\n11\n10\n", 4),
         # int() alone reads each of these sizes as 2
         *((f"dilute-cw-graph v1 N={size}\n01\n11\n", 1)
-          for size in ("\u0662", " 2", "+2", "0_2", "2 ", "2\r")),
+          for size in ("\u0662", " 2", "+2", "0_2", "2 ")),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno):
     with pytest.raises(GraphFormatError) as err:
-        read_graph(io.StringIO(text))
+        read_graph(io.BytesIO(text.encode("latin-1", "replace")))
     assert err.value.line == lineno
 
 
@@ -138,9 +139,9 @@ def test_read_capacity_cap(monkeypatch):
     # with the cap at 16 bits, n = 4 reads and n = 5 is refused at the header:
     # its missing rows would otherwise be a GraphFormatError
     monkeypatch.setattr(graph_module, "BIT_LIMIT", 16)
-    assert read_graph(io.StringIO("dilute-cw-graph v1 N=4\n" + "0110\n" * 4)).n == 4
+    assert read_graph(io.BytesIO(b"dilute-cw-graph v1 N=4\n" + b"0110\n" * 4)).n == 4
     with pytest.raises(CapacityError, match="n=5 needs 25 bits, above the cap of 16"):
-        read_graph(io.StringIO("dilute-cw-graph v1 N=5\n"))
+        read_graph(io.BytesIO(b"dilute-cw-graph v1 N=5\n"))
 
 
 # A header line longer than this is refused, and a message quotes at most
@@ -293,11 +294,19 @@ def graph_texts(draw, max_n=300):
     return text
 
 
+def _translated(data: bytes) -> str:
+    """``data`` as a latin-1 text reader gives it, with universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="latin-1").read()
+
+
 @settings(max_examples=300, deadline=None)
 @given(graph_texts(), st.sampled_from([1, 7, 500, 1 << 16]))
 def test_block_reader_matches_line_oracle(text, cells):
+    # Through a binary file object, as through a path: universal newlines
+    # turn CRLF and lone CR into LF, and each byte is a latin-1 character.
+    data = text.encode("latin-1", "replace")
     with _block_cells(cells):
-        assert _outcome(read_graph, io.StringIO(text)) == _expected(text)
+        assert _outcome(read_graph, io.BytesIO(data)) == _expected(_translated(data))
 
 
 @settings(max_examples=100, deadline=None)
@@ -525,7 +534,7 @@ def test_text_kernels_refuse_bad_buffers():
 def test_content_after_blank_line_is_refused(text, lineno, tmp_path):
     path = tmp_path / "g.txt"
     path.write_bytes(text.encode("ascii"))
-    for source in (io.StringIO(text), path):
+    for source in (io.BytesIO(text.encode("ascii")), path):
         with pytest.raises(GraphFormatError, match="after last row") as err:
             read_graph(source)
         assert err.value.line == lineno
@@ -537,7 +546,7 @@ def test_content_after_more_whitespace_than_one_read(tmp_path):
     text = "dilute-cw-graph v1 N=2\n01\n11\n" + " \r\n" * 40000 + "\tx\n"
     path = tmp_path / "g.txt"
     path.write_bytes(text.encode("ascii"))
-    for source in (io.StringIO(text), path):
+    for source in (io.BytesIO(text.encode("ascii")), path):
         with pytest.raises(GraphFormatError, match="after last row") as err:
             read_graph(source)
         assert err.value.line == 40004
@@ -590,10 +599,10 @@ def test_non_ascii_byte_is_a_cell_error(tmp_path):
 )
 def test_header_is_read_to_eighty_characters(text, message, tmp_path):
     # a longer header line is a bad header or a bad size field, quoted to
-    # its first 80 characters, from a stream and from a file
+    # its first 80 characters, from a binary file object and from a path
     path = tmp_path / "g.txt"
     path.write_bytes(text.encode("ascii"))
-    for source in (io.StringIO(text), path):
+    for source in (io.BytesIO(text.encode("ascii")), path):
         if message is None:
             assert read_graph(source) == DisorderGraph.from_matrix([[0, 1], [1, 1]])
             continue
@@ -607,7 +616,7 @@ def test_empty_input_and_empty_header_are_told_apart(tmp_path):
     for text, message in (("", "empty input, expected header"),
                           ("\n01\n", f"bad header '', expected '{_PREFIX}<n>'")):
         path.write_bytes(text.encode("ascii"))
-        for source in (io.StringIO(text), path):
+        for source in (io.BytesIO(text.encode("ascii")), path):
             with pytest.raises(GraphFormatError) as err:
                 read_graph(source)
             assert str(err.value) == f"line 1: {message}"
@@ -630,6 +639,42 @@ def test_long_bad_row_is_read_in_large_pieces(tmp_path, monkeypatch):
         read_graph(path)
     assert err.value.line == 3
     assert len(reads) < 30 + 2**20 // graph_module._READ_BYTES
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (b"dilute-cw-graph v1 N=\xb2\n01\n11\n", "line 1: bad size field '\xb2' in header"),
+        (b"dilute-cw-graph v1 N=4\n0101\nx\xc3 x\n",
+         "line 3: row contains [' ', 'x', '\xc3'], expected only '0'/'1'"),
+    ],
+)
+def test_bad_bytes_are_quoted_as_latin_1(data, message, tmp_path):
+    # each byte is one latin-1 character, and a bad row names each of its
+    # bad characters once, in order
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    for kernels in kernel_sets():
+        with kernels_in_use(kernels), pytest.raises(GraphFormatError) as err:
+            read_graph(path)
+        assert str(err.value) == message
+
+
+def test_bad_row_is_scanned_in_bounded_memory(tmp_path):
+    # a bad last row of 16 MiB without a newline is measured a buffer at a
+    # time, never held whole
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"dilute-cw-graph v1 N=2\n01\n" + b"1" * 2**24)
+    _csweep.library()  # loaded before the trace, which measures the read alone
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError) as err:
+            read_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "line 3: row has 16777216 characters, expected 2"
+    assert peak < 2**20
 
 
 def _declared_size(text: str, default: int) -> int:

@@ -213,8 +213,7 @@ def _mask_graph(kind, n):
         return g
     buf = io.StringIO()
     write_graph(g, buf)
-    buf.seek(0)
-    return read_graph(buf)
+    return read_graph(io.BytesIO(buf.getvalue().encode("ascii")))
 
 
 @pytest.mark.parametrize(

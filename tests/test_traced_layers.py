@@ -61,7 +61,7 @@ def test_work_counters_read_real_calls():
     g = sample_graph(params, GraphSeed(3))
     text = io.StringIO()
     write_graph(g, text)
-    text.seek(0)
+    text = io.BytesIO(text.getvalue().encode("ascii"))
     cfg = ChainConfig(sweeps=20, burn_in=5, replicas=2)
     calls = {
         "graph.sample_graph": (params, GraphSeed(3)),
