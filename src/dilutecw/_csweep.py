@@ -5,7 +5,14 @@ or their numpy and Python twins.
 
 ``library()`` is the one place that chooses.  It returns a ``_Library`` of
 twelve kernels with fixed signatures, and every caller calls them without
-asking which set it got:
+asking which set it got.  They take plain buffers: a ``bytearray`` under a
+``memoryview`` cast to ``Q``, ``q``, ``d`` or ``B`` with a shape (``_new``
+makes the 8-byte ones), an ``array.array``, or any other C-contiguous buffer of the
+right item size and kind, numpy arrays included, and the compiled set
+returns memoryviews and lists.  ``_address`` is the one check of every
+buffer of a call, through ``memoryview``, and gives its address to the C
+function, so no command of the package imports numpy while the compiled set
+is loaded.
 
 * ``sample(n, seed, threshold, start, out)`` writes rows start ..
   start + len(out) - 1 of the graph as mask words, one SplitMix64 mix per cell
@@ -14,16 +21,17 @@ asking which set it got:
   symmetric weight-1 and weight-2 masks and the all-down field ``base``;
 * ``count(words) -> int`` is the number of set bits in rows of mask words,
   a graph's edge count (see ``model.DisorderGraph.edge_count``);
-* ``plus(n, rate) -> table`` fills P(spin up) = 1 / (1 + exp(-rate S)),
+* ``plus(n, rate) -> table`` fills a vector of P(spin up) = 1 / (1 + exp(-rate S)),
   indexed by S + 2n;
 * ``sweep(w1, w2, base, plus, states, rngs, sweeps) -> counts`` runs a group
   of r = 1 .. ``GROUP`` replicas: ``sweeps`` heat-bath sweeps on each row of
   the packed (r, words) ``states`` in place, row g drawing its uniforms from
-  the PCG64 in row g of the (r, 4) ``uint64`` ``rngs`` (see ``rng_row``) and
+  the PCG64 in row g of the (r, 4) 64-bit ``rngs`` (see ``rng_row``) and
   leaving it advanced by sweeps n draws, and returns the up-spin count after
   each sweep, one list per row;
-* ``histogram(out_rows) -> counts`` counts the configurations of a graph of
-  at most 64 sites by (s, class) (see ``exact.enumerate_partition``);
+* ``histogram(out_rows) -> (keys, counts)`` counts the configurations of a
+  graph of at most 64 sites by (s, class), returning the keys that count
+  any, increasing, and their counts (see ``exact.enumerate_partition``);
 * ``pair_sum(n, base, b1, b0, log_g, log_counts) -> float`` is the log of
   the sum of exp over the O(n^3) terms of the annealed pair sum (see
   ``exact.second_moment_log``);
@@ -104,9 +112,10 @@ its W = eps + eps^T from ``build_masks_generic`` (the twin from
 ``_numpy_masks``), the one place each set derives it.  It is compiled once,
 plainly: its inner loop is table loads and increments, with no popcount in
 it.  A global flip keeps s and maps class c to n - c, so from n = 2 on the
-kernel counts only the configurations with site 0 down, and its binder adds
-the class-reversed copy of that (s, class) table; the twin counts every
-configuration.
+kernel counts only the configurations with site 0 down, then adds the
+class-reversed copy of that (s, class) table itself and moves the keys that
+count any configuration to the front, so Python visits only those; the twin
+counts every configuration.
 
 The text kernels ``format_text`` and ``parse_text`` (twins ``_numpy_format``
 and ``_numpy_parse``) take eight cells a step: a 256-entry table spreads a
@@ -123,8 +132,8 @@ each returns the twin's double.  Where the twin takes Python's ``max``, the
 kernel keeps the earlier of two values unless the later compares greater, as
 ``max`` does.
 
-The second moment's ``pair_sum`` (twin ``_numpy_pair_sum``) builds every term
-in the twin's IEEE operation order, finds the peak in a first pass and in a
+The second moment's ``pair_sum`` (twin ``_numpy_pair_sum``) builds the index
+of its table of log counts, then every term in the twin's IEEE operation order, finds the peak in a first pass and in a
 second calls libm ``exp`` of each term less the peak.  It adds those doubles
 exactly: the 53-bit integer mantissa of each goes into a 128-bit bucket for
 its exponent, and the buckets fold into one integer, the exact sum times
@@ -145,7 +154,10 @@ process makes compiles the source with the system C compiler (``COMMAND``)
 into ``${XDG_CACHE_HOME:-~/.cache}/dilutecw/sweep-<hash>.so``, where the hash
 covers the source, the command and the machine architecture: an edit to
 the source or the command builds a new library, and a cache shared by hosts
-of two architectures holds one library for each.
+of two architectures holds one library for each.  The hash is
+``importlib.util.source_hash``, CPython's 64-bit SipHash of hash-based
+``.pyc`` files, and the architecture ``os.uname().machine``, so a load
+imports neither ``hashlib`` nor ``platform``.
 The library is written to a temporary file and renamed into place, which
 makes concurrent first runs safe.  Later runs only load it.
 When there is no compiler, the cache cannot be written, or the library does
@@ -159,16 +171,13 @@ a cached library never pays for them.
 from __future__ import annotations
 
 import ctypes
-import hashlib
+import importlib.util
 import math
 import os
-import platform
 import sys
 import threading
 from pathlib import Path
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 # The paths of the sweep (sweep_block_<path> in SOURCE), fastest first, each
 # with the CPU features it needs; the library runs the first one whose
@@ -553,9 +562,13 @@ static int64_t inner(const uint64_t *w1, const uint64_t *w2, const int64_t *deg,
    configuration costs two table loads and one increment.  Successive
    configurations count into successive ones of the four copies of the
    histogram (each size entries, zeroed by the caller), so repeated keys do
-   not wait on each other's store. */
-void interaction_histogram(int64_t n, const uint64_t *rows, int64_t edges, int64_t size,
-                           int64_t *hkey, int64_t *quarter, int64_t *copies)
+   not wait on each other's store.  The copies are then summed into the
+   first, and from n = 2 on the class-reversed copy of each s row is added:
+   class c takes the count of c and of n - c.  Last, the keys that count any
+   configuration move to the front of the second copy, in order, and their
+   counts to the front of the first; the number of them is returned. */
+int64_t interaction_histogram(int64_t n, const uint64_t *rows, int64_t edges, int64_t size,
+                              int64_t *hkey, int64_t *quarter, int64_t *copies)
 {
     uint64_t w1[64], w2[64];
     int64_t deg_low[64], deg_high[64], trace = 0, width = n + 1;
@@ -606,6 +619,19 @@ void interaction_histogram(int64_t n, const uint64_t *rows, int64_t edges, int64
                 c0[base + first[u] + keys[u]]++;
         }
     }
+    for (int64_t k = 0; k < size; k++)
+        c0[k] += c1[k] + c2[k] + c3[k];
+    if (n > 1)
+        for (int64_t row = 0; row < size; row += width)
+            for (int64_t c = 0; 2 * c <= n; c++)
+                c0[row + c] = c0[row + n - c] = c0[row + c] + c0[row + n - c];
+    int64_t found = 0;
+    for (int64_t k = 0; k < size; k++)
+        if (c0[k]) {
+            c1[found] = k;
+            c0[found++] = c0[k];
+        }
+    return found;
 }
 
 /* Exact sums of nonnegative doubles.  A double x is M 2^(e - 1075), M its
@@ -711,11 +737,21 @@ static double pair_terms(int64_t n, double base, double b1, double b0,
 
 /* The pair sum as peak + log(sum of exp(t - peak)): the largest term into
    *peak and the sum into limbs (see fold_buckets).  Returns the number of
-   terms, or -1 when an exp is NaN, as it is when a term is NaN or +inf. */
+   terms, or -1 when an exp is NaN, as it is when a term is NaN or +inf.
+   offsets, (n + 1)^2 entries, is filled first: row (a, b) of log_counts
+   holds the c from b to (n - a - b) / 2, so it is empty unless a <= b and
+   a + 3 b <= n, and it starts at offsets[a (n + 1) + b], 0 where empty. */
 int64_t pair_sum(int64_t n, double base, double b1, double b0, const double *log_g,
-                 const int64_t *offsets, const double *log_counts, double *peak, uint64_t *limbs)
+                 int64_t *offsets, const double *log_counts, double *peak, uint64_t *limbs)
 {
     unsigned __int128 bucket[BUCKETS] = {0};
+    int64_t start = 0;
+    for (int64_t a = 0; a <= n; a++)
+        for (int64_t b = 0; b <= n; b++) {
+            int64_t rows = a <= b && a + 3 * b <= n ? (n - a - b) / 2 - b + 1 : 0;
+            offsets[a * (n + 1) + b] = rows ? start : 0;
+            start += rows;
+        }
     int64_t terms = 0;
     *peak = pair_terms(n, base, b1, b0, log_g, offsets, log_counts, 0.0, NULL, &terms);
     double nan = pair_terms(n, base, b1, b0, log_g, offsets, log_counts, *peak, bucket, NULL);
@@ -834,11 +870,12 @@ _loaded: list = []  # holds the _Library of the first load, compiled or the twin
 def library_path() -> Path:
     """Where the compiled library of this source and command is cached, for
     this machine's architecture: a cache shared with a host of another one
-    must not hand either a library it cannot load."""
+    must not hand either a library it cannot load.  The key is the 64-bit
+    hash CPython gives hash-based ``.pyc`` files (``importlib.util.source_hash``,
+    already loaded at start-up), so a warm load imports no hash module."""
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    key = (SOURCE, *COMMAND, platform.machine())
-    digest = hashlib.sha256("\0".join(key).encode()).hexdigest()
-    return Path(cache) / "dilutecw" / f"sweep-{digest}.so"
+    key = "\0".join((SOURCE, *COMMAND, os.uname().machine)).encode()
+    return Path(cache) / "dilutecw" / f"sweep-{importlib.util.source_hash(key).hex()}.so"
 
 
 def _build(path: Path) -> None:
@@ -862,103 +899,145 @@ def _build(path: Path) -> None:
             os.remove(tmp)
 
 
-def _check(*buffers) -> None:
-    """The kernel trusts every length, so every buffer is checked before a call:
-    each (array, dtype, shape) must match and be contiguous."""
-    for array, dtype, shape in buffers:
-        if array.dtype != dtype or array.shape != shape or not array.flags.c_contiguous:
-            raise ValueError(f"kernel buffer {array.dtype} {array.shape} is not {dtype} {shape}")
+# The kind of each struct letter a buffer may export: integer or float.
+_KINDS = {**dict.fromkeys("bBhHiIlLqQnN", "i"), **dict.fromkeys("efd", "f")}
 
 
-def _sweep_shape(w1, w2, base, plus, states, rngs, sweeps) -> int:
-    """The replicas r of a sweep call, once its arguments pass the checks that
-    both kernel sets make, so that they refuse the same calls.  Masks and
-    ``base`` as ``masks`` returns them, ``plus`` indexed by S_i + 2n, ``states``
-    an (r, words) array of mask words with 1 <= r <= GROUP, ``rngs`` (r, 4)
-    rows of ``rng_row``, ``sweeps`` an integer >= 0."""
-    n, words = w1.shape
+def _view(buffer, kind: str, shape: tuple, out: bool = False) -> memoryview:
+    """``buffer`` as a memoryview, once it passes the checks of every kernel
+    buffer: ``kind`` names the items as "i8" (64-bit integers), "f8" (doubles)
+    or "i1" (bytes), and the buffer must have ``shape``, native byte order and
+    C-contiguous items, and, if it is an output (``out``), be writable.  Signedness
+    is not checked, since numpy exports uint64 as "L" and int64 as "l", so
+    numpy arrays pass as plain buffers do."""
+    view = memoryview(buffer)
+    fmt = view.format
+    letter = fmt[-1] if fmt[:-1] in ("", "@", "=", "<") else ""
+    if (_KINDS.get(letter) != kind[0] or view.itemsize != int(kind[1:])
+            or view.shape != shape or not view.c_contiguous):
+        raise ValueError(f"kernel buffer {fmt} {view.shape} is not {kind} {shape}")
+    if out and view.readonly:
+        raise ValueError("kernel output is read-only")
+    return view
+
+
+def _address(buffer, kind: str, shape: tuple, out: bool = False) -> int:
+    """The address of ``buffer``'s memory, once it passes ``_view``'s checks.
+    The kernel trusts every length, so every buffer of a call comes here; a
+    read-only one too, which ctypes' ``from_buffer`` refuses, so the address
+    is the first word of the buffer's Py_buffer, which has at most 11
+    pointer-sized fields on any platform."""
+    view = _view(buffer, kind, shape, out)
+    exported = (ctypes.c_void_p * 11)()
+    # PyBUF_SIMPLE asks for C-contiguous bytes, as _view has checked
+    ctypes.pythonapi.PyObject_GetBuffer(ctypes.py_object(view), exported, 0)
+    try:
+        return exported[0] or 0
+    finally:
+        ctypes.pythonapi.PyBuffer_Release(exported)
+
+
+def _new(fmt: str, shape: tuple) -> memoryview:
+    """A zeroed buffer of ``fmt`` items ("Q", "q" or "d", 8 bytes each) in
+    ``shape``; a 2-D shape must have no zero in it."""
+    data = memoryview(bytearray(8 * math.prod(shape)))
+    return data.cast(fmt) if len(shape) == 1 else data.cast(fmt, shape)
+
+
+def _is_count(value, least: int) -> bool:
+    """Whether ``value`` is an integer (not a bool) of at least ``least``."""
+    return not isinstance(value, bool) and hasattr(value, "__index__") and value >= least
+
+
+def _sweep_shape(w1, w2, base, plus, states, rngs, sweeps) -> tuple:
+    """(r, addresses of w1, w2, base, plus, rngs and states) of a sweep call,
+    once its arguments pass the checks that both kernel sets make, so that
+    they refuse the same calls.  Masks and ``base`` as ``masks`` returns
+    them, ``plus`` indexed by S_i + 2n, ``states`` an (r, words) buffer of
+    mask words with 1 <= r <= GROUP, ``rngs`` (r, 4) rows of ``rng_row``,
+    ``sweeps`` an integer >= 0."""
+    n, words = memoryview(w1).shape
     r = len(states)
     if not 1 <= r <= GROUP:
         raise ValueError(f"a sweep runs 1 to {GROUP} replicas together, got {r}")
-    if isinstance(sweeps, bool) or not isinstance(sweeps, (int, np.integer)) or sweeps < 0:
+    if not _is_count(sweeps, 0):
         raise ValueError(f"sweeps must be an integer >= 0, got {sweeps!r}")
-    _check(
-        (w1, "<u8", (n, (n + 63) // 64)),
-        (w2, "<u8", (n, words)),
-        (base, np.int64, (n,)),
-        (plus, np.float64, (4 * n + 1,)),
-        (states, "<u8", (r, words)),
-        (rngs, "<u8", (r, 4)),
+    return r, (
+        _address(w1, "i8", (n, (n + 63) // 64)),
+        _address(w2, "i8", (n, words)),
+        _address(base, "i8", (n,)),
+        _address(plus, "f8", (4 * n + 1,)),
+        _address(rngs, "i8", (r, 4), out=True),
+        _address(states, "i8", (r, words), out=True),
     )
-    if not (states.flags.writeable and rngs.flags.writeable):
-        raise ValueError("kernel state is read-only")
-    return r
 
 
-def _histogram_shape(out_rows: np.ndarray) -> tuple[int, int]:
-    """(n, edges) of a histogram call, once ``out_rows`` passes the checks that
-    both kernel sets make: the (n, 1) mask words of a graph of 1 to 64 sites."""
+def _histogram_shape(out_rows) -> tuple[int, int, int]:
+    """(n, edges, address of ``out_rows``) of a histogram call, once
+    ``out_rows`` passes the checks that both kernel sets make: the (n, 1) mask
+    words of a graph of 1 to 64 sites."""
     n = len(out_rows)
     if not 1 <= n <= 64:
         raise ValueError(f"the histogram takes 1 to 64 sites, one mask word a row, got {n}")
-    _check((out_rows, "<u8", (n, 1)))
-    return n, library().count(out_rows)
+    rows = _address(out_rows, "i8", (n, 1))
+    return n, library().count(out_rows), rows
 
 
-def _count_shape(words: np.ndarray) -> None:
-    """The check both kernel sets make on the words of a count: rows of mask
-    words, a C-contiguous 2-D little-endian uint64 array."""
-    if words.ndim != 2 or words.shape[1] < 1:
-        raise ValueError(f"kernel buffer {words.dtype} {words.shape} is not rows of mask words")
-    _check((words, "<u8", words.shape))
+def _count_shape(words) -> int:
+    """The address of the words of a count, once they pass the check both
+    kernel sets make: rows of mask words, C-contiguous 64-bit integers."""
+    shape = memoryview(words).shape
+    if len(shape) != 2 or shape[1] < 1:
+        raise ValueError(f"kernel buffer {shape} is not rows of mask words")
+    return _address(words, "i8", shape)
 
 
-def _pair_shape(n, log_g: np.ndarray, log_counts: np.ndarray) -> np.ndarray:
-    """The (n + 1, n + 1) index of a pair sum's table of log counts, once its
+def _pair_shape(n, log_g, log_counts) -> tuple[int, int]:
+    """The addresses of ``log_g`` and ``log_counts`` in a pair sum, once its
     arguments pass the checks that both kernel sets make: ``log_g`` the n + 1
     class log weights, ``log_counts`` one log count per partition a <= b <=
-    c <= d of n, ordered by a, then b, then c.  Row (a, b) of that table
-    starts at the index's entry (a, b), which is 0 where the row is empty."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    c <= d of n, ordered by a, then b, then c.  Row (a, b) holds the c from b
+    to (n - a - b) // 2, so it is empty unless a <= b and a + 3 b <= n."""
+    if not _is_count(n, 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    a, b = np.ogrid[:n + 1, :n + 1]
-    rows = np.where(a <= b, np.maximum((n - a - b) // 2 - b + 1, 0), 0)
-    ends = np.cumsum(rows).reshape(rows.shape)
-    _check((log_g, np.float64, (n + 1,)), (log_counts, np.float64, (int(ends[-1, -1]),)))
-    return np.where(rows > 0, ends - rows, 0)
+    partitions = sum((n - a - b) // 2 - b + 1
+                     for a in range(n // 4 + 1) for b in range(a, (n - a) // 3 + 1))
+    return _address(log_g, "f8", (n + 1,)), _address(log_counts, "f8", (partitions,))
 
 
-def _sum_shape(values: np.ndarray) -> None:
-    """The check both kernel sets make on the values of an exact sum: a
-    float64 vector of finite doubles, none with its sign bit set."""
-    _check((values, np.float64, (values.size,)))
-    if not np.isfinite(values).all() or np.signbit(values).any():
+def _sum_shape(values) -> int:
+    """The address of the values of an exact sum, once they pass the check
+    both kernel sets make: a vector of finite doubles, none with its sign bit
+    set."""
+    view = memoryview(values)
+    at = _address(view, "f8", (view.nbytes // view.itemsize,))
+    if not all(math.isfinite(x) and math.copysign(1.0, x) > 0 for x in view.tolist()):
         raise ValueError("an exact sum takes finite doubles of positive sign")
+    return at
 
 
-def _distance_shape(locations: np.ndarray, cum: np.ndarray) -> int:
-    """The atoms k of a distance call, once its arguments pass the checks that
-    both kernel sets make: ``locations`` and their cumulative weights ``cum``
-    two float64 vectors of k >= 1 entries."""
+def _distance_shape(locations, cum) -> tuple[int, int, int]:
+    """(k, addresses of ``locations`` and ``cum``) of a distance call, once its
+    arguments pass the checks that both kernel sets make: ``locations`` and
+    their cumulative weights ``cum`` two vectors of k >= 1 doubles."""
     k = len(locations)
     if k < 1:
         raise ValueError("a distance takes at least one atom")
-    _check((locations, np.float64, (k,)), (cum, np.float64, (k,)))
-    return k
+    return k, _address(locations, "f8", (k,)), _address(cum, "f8", (k,))
 
 
-def _text_shape(words: np.ndarray, text: np.ndarray, out: np.ndarray) -> tuple[int, int]:
-    """(k, n) of a format or parse call, once its arguments pass the checks
-    that both kernel sets make: ``text`` k lines of n + 1 bytes, n >= 1, as a
-    (k, n + 1) uint8 array, ``words`` their (k, ceil(n / 64)) mask words, and
-    ``out``, the one of them the call writes, writable."""
-    if text.ndim != 2 or text.shape[1] < 2:
-        raise ValueError(f"kernel buffer {text.dtype} {text.shape} is not k lines of n + 1 bytes")
-    k, n = text.shape[0], text.shape[1] - 1
-    _check((text, np.uint8, (k, n + 1)), (words, "<u8", (k, (n + 63) // 64)))
-    if not out.flags.writeable:
-        raise ValueError("kernel output is read-only")
-    return k, n
+def _text_shape(words, text, out) -> tuple[int, int, int, int]:
+    """(k, n, addresses of ``words`` and ``text``) of a format or parse call,
+    once its arguments pass the checks that both kernel sets make: ``text`` k
+    lines of n + 1 bytes, n >= 1, as a (k, n + 1) byte buffer, ``words`` their
+    (k, ceil(n / 64)) mask words, and ``out``, the one of them the call
+    writes, writable."""
+    shape = memoryview(text).shape
+    if len(shape) != 2 or shape[1] < 2:
+        raise ValueError(f"kernel buffer {shape} is not k lines of n + 1 bytes")
+    k, n = shape[0], shape[1] - 1
+    return (k, n, _address(words, "i8", (k, (n + 63) // 64), out=out is words),
+            _address(text, "i1", (k, n + 1), out=out is text))
 
 
 # The least bisection width of a Levy distance: from 2^-52 on, two adjacent
@@ -966,7 +1045,7 @@ def _text_shape(words: np.ndarray, text: np.ndarray, out: np.ndarray) -> tuple[i
 _LEAST_TOL = 2.0 ** -52
 
 
-def _levy_shape(locations: np.ndarray, cum: np.ndarray, tol: float) -> int:
+def _levy_shape(locations, cum, tol: float) -> tuple[int, int, int]:
     """As ``_distance_shape``, with the check of the bisection's width."""
     if not tol >= _LEAST_TOL:
         raise ValueError(f"the bisection width must be at least 2^-52, got {tol!r}")
@@ -979,7 +1058,7 @@ _LIMBS = 36
 _SUM_SCALE = 1074
 
 
-def _rounded(limbs: np.ndarray) -> float:
+def _rounded(limbs: memoryview) -> float:
     """The exact sum held in ``limbs``, correctly rounded to a double: CPython's
     int / int true division rounds once, half to even, as math.fsum does."""
     return int.from_bytes(limbs.tobytes(), "little") / (1 << _SUM_SCALE)
@@ -996,12 +1075,14 @@ def _bind(fn):
         drawing on the PCG64 of row g of ``rngs`` and advancing it; per row,
         the up-spin count after each sweep.  The arguments as in
         ``_sweep_shape``."""
-        r = _sweep_shape(w1, w2, base, plus, states, rngs, sweeps)
-        n, words = w1.shape
-        up = np.empty((r, sweeps), dtype=np.int64)
-        fn(n, words, r, w1.ctypes.data, w2.ctypes.data, base.ctypes.data, plus.ctypes.data,
-           rngs.ctypes.data, sweeps, states.ctypes.data, up.ctypes.data)
-        return up.tolist()
+        r, (one, two, base_at, plus_at, rngs_at, states_at) = _sweep_shape(
+            w1, w2, base, plus, states, rngs, sweeps)
+        n, words = memoryview(w1).shape
+        sweeps = int(sweeps)
+        up = _new("q", (r * sweeps,))
+        fn(n, words, r, one, two, base_at, plus_at, rngs_at, sweeps, states_at,
+           _address(up, "i8", up.shape, out=True))
+        return [up[g * sweeps:(g + 1) * sweeps].tolist() for g in range(r)]
 
     return sweep
 
@@ -1012,17 +1093,15 @@ def _bind_sample(fn):
     fn.argtypes = [ctypes.c_int64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64,
                    ctypes.c_int64, ctypes.c_void_p]
 
-    def sample(n: int, seed: int, threshold: int, start: int, out: np.ndarray) -> None:
+    def sample(n: int, seed: int, threshold: int, start: int, out) -> None:
         """Write rows start .. start + len(out) - 1 of the n-site graph of
         (seed, threshold) into ``out`` as mask words (see graph.sample_graph)."""
-        rows = out.shape[0]
-        _check((out, "<u8", (rows, (n + 63) // 64)))
-        if not out.flags.writeable:
-            raise ValueError("kernel output is read-only")
+        rows = len(out)
+        at = _address(out, "i8", (rows, (n + 63) // 64), out=True)
         if not (0 <= start <= start + rows <= n and 0 <= seed < 1 << 64
                 and 0 <= threshold <= 1 << 53):
             raise ValueError(f"rows {start}+{rows} of n={n}, seed {seed}, threshold {threshold}")
-        fn(n, seed, threshold, start, rows, out.ctypes.data)
+        fn(n, seed, threshold, start, rows, at)
 
     return sample
 
@@ -1031,15 +1110,17 @@ def _bind_masks(fn):
     fn.restype = None
     fn.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 4]
 
-    def masks(out_rows: np.ndarray):
+    def masks(out_rows):
         """The symmetric masks (w1, w2) and the all-down field ``base`` of the
-        out-edge rows, an (n, ceil(n / 64)) array of mask words."""
-        n = out_rows.shape[0]
-        _check((out_rows, "<u8", (n, (n + 63) // 64)))
-        w1, w2 = np.empty_like(out_rows), np.empty_like(out_rows)
-        base = np.empty(n, dtype=np.int64)
-        fn(n, out_rows.ctypes.data, w1.ctypes.data, w2.ctypes.data, base.ctypes.data)
-        return w1, w2, base
+        out-edge rows, an (n, ceil(n / 64)) buffer of mask words, n >= 1."""
+        n = len(out_rows)
+        shape = (n, (n + 63) // 64)
+        rows = _address(out_rows, "i8", shape)
+        if n < 1:
+            raise ValueError("kernel buffer of no rows is not the out-edge rows of a graph")
+        tables = _new("Q", shape), _new("Q", shape), _new("q", (n,))
+        fn(n, rows, *(_address(table, "i8", table.shape, out=True) for table in tables))
+        return tables
 
     return masks
 
@@ -1048,11 +1129,11 @@ def _bind_count(fn):
     fn.restype = ctypes.c_int64
     fn.argtypes = [ctypes.c_int64, ctypes.c_void_p]
 
-    def count(words: np.ndarray) -> int:
+    def count(words) -> int:
         """The set bits of the rows of mask words ``words`` (see
         ``_twins._count_rows``)."""
-        _count_shape(words)
-        return fn(words.size, words.ctypes.data)
+        at = _count_shape(words)
+        return fn(memoryview(words).nbytes // 8, at)
 
     return count
 
@@ -1061,36 +1142,33 @@ def _bind_plus(fn):
     fn.restype = None
     fn.argtypes = [ctypes.c_int64, ctypes.c_double, ctypes.c_void_p]
 
-    def plus(n: int, rate: float) -> np.ndarray:
+    def plus(n: int, rate: float) -> memoryview:
         """P(spin up) = 1 / (1 + exp(-rate S)), S indexed by S + 2n."""
-        table = np.empty(4 * n + 1, dtype=np.float64)
-        fn(n, rate, table.ctypes.data)
+        table = _new("d", (4 * n + 1,))
+        fn(n, rate, _address(table, "f8", table.shape, out=True))
         return table
 
     return plus
 
 
 def _bind_histogram(fn):
-    fn.restype = None
+    fn.restype = ctypes.c_int64
     fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
                    *[ctypes.c_void_p] * 3]
 
-    def histogram(out_rows: np.ndarray) -> np.ndarray:
-        """The count of configurations at (s + edges) (n + 1) + class, from
-        the (n, 1) mask words of the graph (see ``_twins._numpy_histogram``)."""
-        n, edges = _histogram_shape(out_rows)
+    def histogram(out_rows) -> tuple[list[int], list[int]]:
+        """The keys (s + edges) (n + 1) + class that count any configuration,
+        increasing, and their counts, from the (n, 1) mask words of the graph
+        (see ``_twins._numpy_histogram``)."""
+        n, edges, rows = _histogram_shape(out_rows)
         high = n - n // 2
         size = (2 * edges + 1) * (n + 1)
-        hkey = np.empty(1 << high, dtype=np.int64)
-        quarter = np.empty((1 << high // 2) + (1 << (high - high // 2)), dtype=np.int64)
-        copies = np.zeros((4, size), dtype=np.int64)
-        fn(n, out_rows.ctypes.data, edges, size, hkey.ctypes.data, quarter.ctypes.data,
-           copies.ctypes.data)
-        counts = copies.sum(axis=0).reshape(2 * edges + 1, n + 1)
-        if n > 1:
-            # the kernel counted one configuration of each global-flip pair
-            counts = counts + counts[:, ::-1]
-        return counts.ravel()
+        hkey = _new("q", (1 << high,))
+        quarter = _new("q", ((1 << high // 2) + (1 << (high - high // 2)),))
+        copies = _new("q", (4 * size,))
+        found = fn(n, rows, edges, size, *(_address(buffer, "i8", buffer.shape, out=True)
+                                           for buffer in (hkey, quarter, copies)))
+        return copies[size:size + found].tolist(), copies[:found].tolist()
 
     return histogram
 
@@ -1099,19 +1177,20 @@ def _bind_pair_sum(fn):
     fn.restype = ctypes.c_int64
     fn.argtypes = [ctypes.c_int64, *[ctypes.c_double] * 3, *[ctypes.c_void_p] * 5]
 
-    def pair_sum(n, base, b1, b0, log_g: np.ndarray, log_counts: np.ndarray) -> float:
+    def pair_sum(n, base, b1, b0, log_g, log_counts) -> float:
         """log of the sum of exp over every term of the annealed pair sum
         (see ``_twins._numpy_pair_sum``); -inf when there is none."""
-        offsets = _pair_shape(n, log_g, log_counts)
-        peak = np.empty(1)
-        limbs = np.empty(_LIMBS, dtype=np.uint64)
-        terms = fn(n, base, b1, b0, log_g.ctypes.data, offsets.ctypes.data,
-                   log_counts.ctypes.data, peak.ctypes.data, limbs.ctypes.data)
+        g_at, counts_at = _pair_shape(n, log_g, log_counts)
+        offsets = _new("q", ((n + 1) ** 2,))
+        peak, limbs = _new("d", (1,)), _new("Q", (_LIMBS,))
+        terms = fn(n, base, b1, b0, g_at, _address(offsets, "i8", offsets.shape, out=True),
+                   counts_at, _address(peak, "f8", peak.shape, out=True),
+                   _address(limbs, "i8", limbs.shape, out=True))
         if terms == 0:
             return -math.inf
         if terms < 0:
             return math.nan
-        return float(peak[0]) + math.log(_rounded(limbs))
+        return peak[0] + math.log(_rounded(limbs))
 
     return pair_sum
 
@@ -1120,11 +1199,11 @@ def _bind_exact_sum(fn):
     fn.restype = None
     fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
 
-    def exact_sum(values: np.ndarray) -> float:
+    def exact_sum(values) -> float:
         """The sum of ``values``, correctly rounded: the float math.fsum gives."""
-        _sum_shape(values)
-        limbs = np.empty(_LIMBS, dtype=np.uint64)
-        fn(len(values), values.ctypes.data, limbs.ctypes.data)
+        at = _sum_shape(values)
+        limbs = _new("Q", (_LIMBS,))
+        fn(len(memoryview(values)), at, _address(limbs, "i8", limbs.shape, out=True))
         return _rounded(limbs)
 
     return exact_sum
@@ -1136,18 +1215,16 @@ def _bind_distances(levy_fn, ks_fn):
     ks_fn.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 2, *[ctypes.c_double] * 2]
     levy_fn.argtypes = [*ks_fn.argtypes, ctypes.c_double]
 
-    def levy(locations: np.ndarray, cum: np.ndarray, mean: float, sd: float, tol: float) -> float:
+    def levy(locations, cum, mean: float, sd: float, tol: float) -> float:
         """The Levy distance of the atoms at ``locations``, cumulative weights
         ``cum``, to N(mean, sd^2), bisected to width ``tol`` (see
         ``_twins._levy_loop``)."""
-        k = _levy_shape(locations, cum, tol)
-        return levy_fn(k, locations.ctypes.data, cum.ctypes.data, mean, sd, tol)
+        return levy_fn(*_levy_shape(locations, cum, tol), mean, sd, tol)
 
-    def ks(locations: np.ndarray, cum: np.ndarray, mean: float, sd: float) -> float:
+    def ks(locations, cum, mean: float, sd: float) -> float:
         """The Kolmogorov-Smirnov distance of the same atoms to N(mean, sd^2)
         (see ``_twins._ks_loop``)."""
-        k = _distance_shape(locations, cum)
-        return ks_fn(k, locations.ctypes.data, cum.ctypes.data, mean, sd)
+        return ks_fn(*_distance_shape(locations, cum), mean, sd)
 
     return levy, ks
 
@@ -1159,18 +1236,18 @@ def _bind_text(format_fn, parse_fn):
     format_fn.argtypes = parse_fn.argtypes = [ctypes.c_int64, ctypes.c_int64,
                                               *[ctypes.c_void_p] * 2]
 
-    def format(words: np.ndarray, text: np.ndarray) -> None:
+    def format(words, text) -> None:
         """Write the k rows of mask words ``words`` into ``text`` as k lines of
         n '0' / '1' bytes and a newline (see ``_twins._numpy_format``)."""
-        k, n = _text_shape(words, text, text)
-        format_fn(n, k, words.ctypes.data, text.ctypes.data)
+        k, n, words_at, text_at = _text_shape(words, text, text)
+        format_fn(n, k, words_at, text_at)
 
-    def parse(text: np.ndarray, words: np.ndarray) -> int:
+    def parse(text, words) -> int:
         """Check the k lines of ``text`` and pack them into ``words``; the
         first line that is not n '0' / '1' bytes and a newline, or k (see
         ``_twins._numpy_parse``)."""
-        k, n = _text_shape(words, text, words)
-        return parse_fn(n, k, text.ctypes.data, words.ctypes.data)
+        k, n, words_at, text_at = _text_shape(words, text, words)
+        return parse_fn(n, k, text_at, words_at)
 
     return format, parse
 
@@ -1179,8 +1256,6 @@ def _runnable(table: dict, features: set) -> list[str]:
     """The paths of ``table`` (PATHS or SAMPLE_PATHS) that a CPU with
     ``features`` runs, fastest first."""
     return [name for name, needs in table.items() if needs <= features]
-
-
 def _open() -> _Library:
     if sys.byteorder != "little":
         raise OSError("the kernel reads the masks as little-endian words")

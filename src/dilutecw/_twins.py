@@ -11,10 +11,13 @@ for ``levy_normal`` and ``ks_normal``, and ``_numpy_format`` and
 ``_numpy_histogram`` enumerates every configuration, where its kernel counts
 one of each global-flip pair.  The sweep, count, histogram, sum, distance
 and text twins refuse the calls their kernels refuse, through the same
-checks in ``_csweep``.  They are the test oracles of the kernels and, as
-``_TWINS``, the kernel set that ``_csweep.library()`` returns when nothing
-compiles or loads.  They live apart from the loader so that a process on
-the compiled kernels never compiles or runs their code.
+checks in ``_csweep``, and take the same plain buffers, which they read as
+numpy arrays over the same memory.  They are the test oracles of the
+kernels and, as ``_TWINS``, the kernel set that ``_csweep.library()``
+returns when nothing compiles or loads.  They live apart from the loader so
+that a process on the compiled kernels never compiles or runs their code,
+and this is the one module of the package, with the numpy helpers of
+``model.DisorderGraph``, that imports numpy.
 """
 
 from __future__ import annotations
@@ -36,8 +39,30 @@ from ._csweep import (
     _sweep_shape,
     _text_shape,
 )
-from .model import _WORD, _pack_rows
+from .model import _pack_rows
 from .stats import _normal_cdf
+
+# Graph rows and masks as numpy sees them: little-endian 64-bit words.
+_WORD = np.dtype("<u8")
+
+_MIX1 = np.uint64(splitmix.MIX1)
+_MIX2 = np.uint64(splitmix.MIX2)
+
+
+def finalize_array(z: np.ndarray, shifted: np.ndarray) -> None:
+    """Apply the SplitMix64 finalizer to a ``uint64`` array in place.
+
+    ``shifted`` is a ``uint64`` array of the same shape whose contents are
+    overwritten; array arithmetic wraps modulo 2^64 as the finalizer needs.
+    """
+    np.right_shift(z, 30, out=shifted)
+    z ^= shifted
+    z *= _MIX1
+    np.right_shift(z, 27, out=shifted)
+    z ^= shifted
+    z *= _MIX2
+    np.right_shift(z, 31, out=shifted)
+    z ^= shifted
 
 
 # The numpy twin of the sampler mixes a block of whole rows holding about this
@@ -47,9 +72,10 @@ from .stats import _normal_cdf
 _SAMPLE_CELLS = 1 << 16
 
 
-def _sample_rows(n: int, seed: int, threshold: int, start: int, out: np.ndarray) -> None:
+def _sample_rows(n: int, seed: int, threshold: int, start: int, out) -> None:
     """The numpy twin of ``sample_rows_<path>``: rows start .. start + len(out) - 1
     into ``out`` as ``uint64`` mask words, a block of rows at a time."""
+    out = np.asarray(out).view(_WORD)
     gamma = np.uint64(splitmix.GAMMA)
     step = max(1, _SAMPLE_CELLS // n)
     for at in range(0, out.shape[0], step):
@@ -62,7 +88,7 @@ def _sample_rows(n: int, seed: int, threshold: int, start: int, out: np.ndarray)
         row_base = counters * gamma + np.uint64(seed)
         z = row_base[:, None] + np.arange(n, dtype=np.uint64) * gamma
         shifted = np.empty_like(z)
-        splitmix.finalize_array(z, shifted)
+        finalize_array(z, shifted)
         # the top 53 bits decide the edge
         np.right_shift(z, 11, out=shifted)
         _pack_rows(shifted < np.uint64(threshold), block)
@@ -78,8 +104,9 @@ _PAIR_BITS = (_BYTE_BITS[:, None] + _BYTE_BITS).ravel()
 _COUNT_CELLS = 1 << 20
 
 
-def _row_bits(words: np.ndarray) -> np.ndarray:
-    """The set bits of each row of a C-contiguous 2-D ``uint64`` array, as int64."""
+def _row_bits(words) -> np.ndarray:
+    """The set bits of each row of C-contiguous 2-D 64-bit words, as int64."""
+    words = np.asarray(words)
     halves = words.view(np.uint16)
     counts = np.empty(len(words), dtype=np.int64)
     step = max(1, _COUNT_CELLS // (64 * words.shape[1]))
@@ -127,9 +154,10 @@ def _transpose_bits(rows: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1).reshape(64 * w, w)
 
 
-def _numpy_masks(out_rows: np.ndarray):
+def _numpy_masks(out_rows):
     """The numpy twin of ``build_masks``: (w1, w2, base) from the (n, words)
     out-edge rows."""
+    out_rows = np.asarray(out_rows).view(_WORD)
     n, words = out_rows.shape
     padded = np.zeros((64 * words, words), dtype=_WORD)
     padded[:n] = out_rows
@@ -162,9 +190,9 @@ def _spin_matrix(k: int) -> np.ndarray:
     return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) * 2.0 - 1.0
 
 
-def _numpy_histogram(out_rows: np.ndarray) -> np.ndarray:
-    """The numpy twin of ``interaction_histogram``: the count of configurations
-    at (s + edges) (n + 1) + class, as an int64 array of (2 edges + 1) (n + 1).
+def _numpy_histogram(out_rows) -> tuple[list[int], list[int]]:
+    """The numpy twin of ``interaction_histogram``: the keys (s + edges) (n +
+    1) + class that count any configuration, increasing, and their counts.
 
     The same split sum, with the cross term of a block of high configurations
     as one float64 matrix product of the low rows [(n+1) sigma_L^T W_LH, low
@@ -172,7 +200,7 @@ def _numpy_histogram(out_rows: np.ndarray) -> np.ndarray:
     with a bincount.  Every product and partial sum is an integer below
     (2 n^2 + 1)(n + 1) in size, far under 2^53, so the float64 arithmetic is
     exact whatever order the product sums in."""
-    n, edges = _histogram_shape(out_rows)
+    n, edges, _ = _histogram_shape(out_rows)
     width = n + 1
     w1, w2, base = _numpy_masks(out_rows)
     w1, w2 = (np.unpackbits(m.view(np.uint8), axis=1, count=n, bitorder="little")
@@ -207,15 +235,28 @@ def _numpy_histogram(out_rows: np.ndarray) -> np.ndarray:
         keys[...] = block
         part = np.bincount(keys.ravel())
         counts[: part.size] += part
-    return counts
+    found = np.flatnonzero(counts)
+    return found.tolist(), counts[found].tolist()
 
 
-def _numpy_pair_sum(n, base, b1, b0, log_g: np.ndarray, log_counts: np.ndarray) -> float:
+def _pair_offsets(n: int) -> np.ndarray:
+    """The (n + 1, n + 1) index of a pair sum's table of log counts: row (a,
+    b) of the table holds the c from b to (n - a - b) // 2 and starts at
+    entry (a, b) of the index, which is 0 where the row is empty."""
+    a, b = np.ogrid[:n + 1, :n + 1]
+    rows = np.where(a <= b, np.maximum((n - a - b) // 2 - b + 1, 0), 0)
+    ends = np.cumsum(rows).reshape(rows.shape)
+    return np.where(rows > 0, ends - rows, 0)
+
+
+def _numpy_pair_sum(n, base, b1, b0, log_g, log_counts) -> float:
     """The numpy twin of ``pair_sum``: every term of the annealed pair sum in
     the kernel's operation order, a class of the first copy at a time, then
     peak + log(fsum of exp(t - peak)) through math.exp, which calls libm's exp.
     Each float is the kernel's, and both sums round once, correctly."""
-    offsets = _pair_shape(n, log_g, log_counts)
+    _pair_shape(n, log_g, log_counts)
+    offsets = _pair_offsets(n)
+    log_g, log_counts = np.asarray(log_g), np.asarray(log_counts)
     # classes cl of the second copy where g does not vanish, against n1, the
     # number of sites up in both copies
     live = np.flatnonzero(log_g != -math.inf)
@@ -247,19 +288,19 @@ def _numpy_pair_sum(n, base, b1, b0, log_g: np.ndarray, log_counts: np.ndarray) 
     return peak + math.log(math.fsum(itertools.chain.from_iterable(exps)))
 
 
-def _fsum(values: np.ndarray) -> float:
+def _fsum(values) -> float:
     """The twin of ``exact_sum``: math.fsum, which rounds the exact sum once."""
     _sum_shape(values)
-    return math.fsum(values.tolist())
+    return math.fsum(memoryview(values).tolist())
 
 
-def _ks_loop(locations: np.ndarray, cum: np.ndarray, mean: float, sd: float) -> float:
+def _ks_loop(locations, cum, mean: float, sd: float) -> float:
     """The Python twin of ``ks_normal``: both one-sided gaps to N(mean, sd^2)
     at every atom."""
     _distance_shape(locations, cum)
     worst = 0.0
     prev = 0.0
-    for loc, c in zip(locations.tolist(), cum.tolist()):
+    for loc, c in zip(memoryview(locations).tolist(), memoryview(cum).tolist()):
         f = _normal_cdf(loc, mean, sd)
         worst = max(worst, abs(c - f), abs(prev - f))
         prev = c
@@ -277,12 +318,12 @@ def _levy_holds(locations: list, cum: list, mean: float, sd: float, eps: float) 
     return True
 
 
-def _levy_loop(locations: np.ndarray, cum: np.ndarray, mean: float, sd: float, tol: float) -> float:
+def _levy_loop(locations, cum, mean: float, sd: float, tol: float) -> float:
     """The Python twin of ``levy_normal``: the bisection of [0, 1] to width
     ``tol``, returning the upper end of the last bracket (see
     ``stats.levy_distance``)."""
     _levy_shape(locations, cum, tol)
-    locations, cum = locations.tolist(), cum.tolist()
+    locations, cum = memoryview(locations).tolist(), memoryview(cum).tolist()
     lo, hi = 0.0, 1.0
     if _levy_holds(locations, cum, mean, sd, lo):
         return 0.0
@@ -295,19 +336,21 @@ def _levy_loop(locations: np.ndarray, cum: np.ndarray, mean: float, sd: float, t
     return hi
 
 
-def _numpy_format(words: np.ndarray, text: np.ndarray) -> None:
+def _numpy_format(words, text) -> None:
     """The numpy twin of ``format_text``: each row's cells unpacked and added
     to '0', then the newline."""
-    _, n = _text_shape(words, text, text)
+    _, n, _, _ = _text_shape(words, text, text)
+    words, text = np.asarray(words), np.asarray(text)
     bits = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
     np.add(bits, ord("0"), out=text[:, :n])
     text[:, n] = ord("\n")
 
 
-def _numpy_parse(text: np.ndarray, words: np.ndarray) -> int:
+def _numpy_parse(text, words) -> int:
     """The numpy twin of ``parse_text``: the first line with a cell c where
     (c | 1) != '1' or without its newline, or k; the lines before it packed."""
-    k, n = _text_shape(words, text, words)
+    k, n, _, _ = _text_shape(words, text, words)
+    text, words = np.asarray(text), np.asarray(words)
     cells = text[:, :n]
     bad = (text[:, n] != ord("\n")) | ((cells | 1) != ord("1")).any(axis=1)
     good = int(bad.argmax()) if bad.any() else k
@@ -315,9 +358,9 @@ def _numpy_parse(text: np.ndarray, words: np.ndarray) -> int:
     return good
 
 
-def _mask_ints(masks: np.ndarray) -> list[int]:
-    """The rows of a packed mask array as Python integers."""
-    return [int.from_bytes(row.tobytes(), "little") for row in masks]
+def _mask_ints(masks) -> list[int]:
+    """The rows of packed masks as Python integers."""
+    return [int.from_bytes(row.tobytes(), "little") for row in np.asarray(masks)]
 
 
 def rng_row(bit_generator: np.random.PCG64) -> list[int]:
@@ -359,10 +402,11 @@ def _python_sweeps(w1, w2, base, plus, states, rngs, sweeps) -> list[list[int]]:
     row of ``states``, drawing on the same row of ``rngs`` through numpy's own
     PCG64 and ``Generator.random``."""
     _sweep_shape(w1, w2, base, plus, states, rngs, sweeps)
-    n = w1.shape[0]
-    plus = plus.tolist()
+    n = len(w1)
+    plus = memoryview(plus).tolist()
     w1, w2 = _mask_ints(w1), _mask_ints(w2)
-    base = base.tolist()
+    base = memoryview(base).tolist()
+    states, rngs = np.asarray(states).view(_WORD), np.asarray(rngs).view(_WORD)
     offset = 2 * n
     counts = []
     for state, row in zip(states, rngs):

@@ -68,10 +68,10 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DomainError
 from .model import ModelParams
@@ -175,19 +175,82 @@ def cosh_shorthand(params: ModelParams, which: str) -> float:
     return value
 
 
-# Nodes of each Gauss rule in gaussian_expectation.  The rules are built on
-# first use, since hermgauss(128) alone takes tens of milliseconds.
+# The 128-node Gauss-Hermite and Gauss-Legendre rules of gaussian_expectation,
+# as numpy's hermgauss(128) and leggauss(128) give them.  Both are exactly
+# symmetric, so each is stored as the little-endian doubles of its 64 positive
+# nodes, increasing, then their weights, in hex: 512 float literals would take
+# milliseconds to compile at every import, and building the rules takes tens.
 _NODES = 128
 
+_HERMITE_HALF = (
+    "345bd6be7715b93f77d0773b57d0d23f2a8dd1ea085cdf3f6a68732877f4e53f8a164badc13bec3f4d1f4c331142f13f"
+    "40b69b21ec66f43f94f9816f918cf73f36a2525221b3fa3fd4824a78bcdafd3f6feb650dc2810040637fb908cd160240"
+    "50c1127390ac0340f03020f51d430540df3987a687da064011fed919e072084021dc60693a0c0a4016d1d344aaa60b40"
+    "d254230044420d40836874a31cdf0e40552d3cfea43e10403033a758710e11408cfa912affde1140b90e68bf5ab01240"
+    "e31ed8f0908213400c498b34af551440686254abc32915400b170e32ddfe1540682b68740bd516403190ef015fac1740"
+    "56cdaa65e98418402526b540bd5e1940d9855768ee391a406fc3370892161b40286e56c9bef41b40a6d5bafe8cd41c40"
+    "e5added816b61d40dc9c29a178991e4037581dffd07e1f4094369da4203320400f1b16f2f6a72040a06dbd59ff1d2140"
+    "fd03f6cf4f95214097417a9c000e22406b3823bc2c882240f5c76858f2032340ad20de5a738123403cf23125d6002440"
+    "96e57e7946822440e2238aa3f605254075c7cdfa208c254081545ce009152640567d676d02a126408e433e246c302740"
+    "4206e326bec3274011d6accd8c5b28409cbe071b95f82840128310cbce9b29408d95c16a8a462a40e6865b23a7fa2a40"
+    "4631ed68fcba2b40ee8e0f47478c2c40acf66033ba772d40e92c866669952e40030f98c730d8c83f45e30aeecd02c73f"
+    "3b7827e42abdc33f4196e4df5f5cbf3ff96eb6c25c11b73fc24ff223ac6aaf3ff3c13c9612cda33f2cf537227a18973f"
+    "a087ed34f8ea883f349afcd8a9db783fb2e456977eeb663fd8e54ee7c785533f455d0888fdb43e3ff183dce5b948263f"
+    "069eed784dd30d3f785f59027d64f23e6d3d753b27e3d43eca637174aad2b53e4d096c100ef5943eb36bc3510c7b723e"
+    "2012ee3ea6e54d3e3e54d78c2728263ed640612e640dfe3d45df641908a0d23d4646901d3d11a53d1f1d436c68b6753d"
+    "a4e09bf1035b443d3fd07b420254113dec82d039c6bcda3c2d78e92a0aa8a23cbcf3075db87e673c9834c7d432a32a3c"
+    "0a6790a3441eeb3be519abc59fb8a83bd62d20dd7a1e643b92df9b91ce231d3b2bab273d24b6d23ac5275146ad39853a"
+    "7f39a34a552d353a06f2a77cba7fe2393e18130256278c39c202681c2a8f3239e79e54e66611d538492c097ad5737438"
+    "3087f53819da10388dfc3659475fa737067af1c509063b372a97bb6a3fc5c9361b3f6546fb0554361a810e27f3ffd835"
+    "3ce8a0c2dcac583542d2c4d9a0e4d23487f8b7abb7f24534aca3e06a3dd5b2337ba49c7e4e1c17338c454c592e7b7332"
+    "6aba433dcf71c531615ee9e07bdb0c31f049d186d2b7453088d0bc38aa21702fd0084e49fd99832eda2b9076319d7c2d"
+    "b8c7ffa1e8da4b2c757d10c4271ed02a"
+)
+
+_LEGENDRE_HALF = (
+    "240b2d1abd08893f3ef150ae98c5a23f5e6ca6cb2246af3f61c8f6f4f1e0b53fe891fb87791bbc3f82f5b412da28c13f"
+    "42491f3e5741c43f34ac9204bb56c73ffd27ca9d8c68ca3fe7ed60cd5376cd3ffdfa9b7acc3fd03f4fb3e193f2c1d13f"
+    "df7b1e1d6141d33f6d445c6bddbdd43fd1120c472d37d63f005deef416add73fdd5de83e611fd93fcd0ac57cd38dda3f"
+    "3d53e09c35f8db3f7756bb2c505edd3fd13f7861ecbfde3f693e1e106a0ee03f82023c0369bae03f873708b9d863e13f"
+    "a849b7449f0ae23f2bc0b621a3aee23f54c59437cb4fe33feb22d7ddfeede33f0f1dc1df2589e43f8b9707802821e53f"
+    "91f4727cefb5e53fa71e6e116447e63f4d3282fd6fd5e63f0b3fbe84fd5fe73f6c9a0a74f7e6e73fbe426724496ae83f"
+    "81d2147edee9e83fd388a7fba365e93f66ee03ad86dde93f26a2443a7451ea3f0bdc88e65ac1ea3f5e38ab92292deb3f"
+    "3261e0bfcf94eb3fb82f3d923df8eb3ff1e223d36357ec3f200d98f333b2ec3f91dd780ea008ed3fb370a1ea9a5aed3f"
+    "fed4eefc17a8ed3f7a782b6a0bf1ed3fc0b8df086a35ee3f235707632975ee3fb39dabb73fb0ee3f961362fca3e6ee3f"
+    "60bfafde4d18ef3f703751c53545ef3f385468d1546def3f9eca91dfa490ef3fb204e98820afef3f1ba00d24c3c8ef3f"
+    "370b70c688ddef3f374f1f476eedef3f28c1184b71f8ef3fa6b66ec390feef3fc6fdd1616b08993f4f980fd99604993f"
+    "aa2b925deefc983fbe7f511b73f1983f74e007d426e2983f074eedde0bcf983f83cd5b2825b8983f14e85c31769d983f"
+    "646a200f037f983f74785c6ad05c983fce0f977ee336983f13125919420d983f6af94a99f2df973f9b573bedfbae973f"
+    "04470f93657a973fb2f79c963742973f0a8370907a06973fac397ba437c7963fc19bad807884963fe6347c5b473e963f"
+    "25944ff2aef4953f0c9fdf87baa7953ff87c7ae27557953fcb62374aed03953f3f8015872dad943f815e07df4353943f"
+    "25f5ea133ef6933fc9cd6e612a96933fe980e47a1733933f79e6008914cd923f49508a273164923f7128f5627df8913f"
+    "d754efb5098a913f87b9da06e718913fb34537a526a5903f8ce7fc46da2e903f65adcb0b286c8f3f333153b9cc758e3f"
+    "cd675248c87a8d3f50f41921417b8c3f82bca85c5e778b3f2495b0be476f8a3f15dc80af2563893f34fad7352153883f"
+    "d9b39cf0633f873f4e6080101828863f71188b51680d853f74d892f47fef833f54fb9eb88ace823f6a5739d4b4aa813f"
+    "cbabaeee2a84803f716e813234b67e3f968f9a905f5f7c3f8d38e09833047a3f971355970ca5773f241351754742753f"
+    "f91eb5ac41dc723fabc0eb3c5973703f8861274ad90f6c3f73fdaeddb534673ff91e85f30756623feea3eb2f28e95a3f"
+    "e7325ad07422513f9e3426875c733d3f"
+)
+
+
+def _rule(half: str) -> tuple[list[float], list[float]]:
+    """The nodes, increasing, and the weights of a symmetric rule stored as
+    ``half``."""
+    table = array("d", bytes.fromhex(half))
+    if sys.byteorder == "big":
+        table.byteswap()
+    nodes, weights = table[:_NODES // 2].tolist(), table[_NODES // 2:].tolist()
+    return [-x for x in reversed(nodes)] + nodes, weights[::-1] + weights
+
 
 @functools.cache
-def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.hermite.hermgauss(_NODES)
+def _hermite_rule() -> tuple[list[float], list[float]]:
+    return _rule(_HERMITE_HALF)
 
 
 @functools.cache
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(_NODES)
+def _legendre_rule() -> tuple[list[float], list[float]]:
+    return _rule(_LEGENDRE_HALF)
 
 
 # exp(-x^2 / 2) underflows to 0 beyond |x| = 38.6, and on a panel of 8 sigma

@@ -21,10 +21,12 @@ CLI's own is on its output: ``series-check`` refuses a coefficient whose
 numerator or denominator has more decimal digits than Python converts to
 text (``sys.get_int_max_str_digits``).
 
-A process builds its parser once (``build_parser`` is cached) and every
-``main`` call reads that one parser: parsing does not change it, and the
+A process builds each parser once (``build_parser`` is cached) and every
+``main`` call reads one of them: parsing does not change it, and the
 handlers it dispatches to look up the library's functions by module name at
-call time.
+call time.  ``main`` builds the parser of its command alone, since adding
+all eight commands' flags costs milliseconds a process; ``--help``,
+``--version`` and a bad or missing command get the full parser.
 """
 
 from __future__ import annotations
@@ -343,53 +345,46 @@ def _add_chain_flags(sub):
     sub.add_argument("--replicas", type=int, default=1, help="independent replicas")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The process's one parser of the eight commands, built on the first call
-    and only read after it."""
-    parser = argparse.ArgumentParser(
-        prog="dilutecw",
-        description="Dilute mean-field Ising on directed random graphs: "
-        "exact thermodynamics, asymptotics, Monte Carlo.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("graph-sample", help="sample a disorder graph to the text format")
+def _graph_sample_flags(sub) -> None:
     _add_model_flags(sub, beta=False)
     sub.set_defaults(beta=0.0)
     sub.add_argument("--seed", type=_seed, default=0, help="64-bit master seed")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.set_defaults(func=_cmd_graph_sample)
 
-    sub = commands.add_parser("exact-partition", help="enumerate one graph's partition sum and law")
+
+def _exact_partition_flags(sub) -> None:
     _add_model_flags(sub)
     sub.add_argument("--seed", type=_seed, default=0, help="master seed when sampling the graph")
     sub.add_argument("--graph", default=None, help="read the graph from this file instead")
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=_cmd_exact_partition)
 
-    sub = commands.add_parser("exact-moments", help="closed-form annealed moments")
+
+def _exact_moments_flags(sub) -> None:
     _add_model_flags(sub)
     sub.add_argument("--g", default="one", help="test function (one, gauss, cosine, bump:c,w)")
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=_cmd_exact_moments)
 
-    sub = commands.add_parser("exact-oracle", help="brute-force disorder average (tiny n)")
+
+def _exact_oracle_flags(sub) -> None:
     _add_model_flags(sub)
     sub.add_argument("--g", default="one")
     sub.add_argument("--moment", choices=("first", "second"), required=True)
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=_cmd_exact_oracle)
 
-    sub = commands.add_parser("asym-predict", help="asymptotic log partition prediction")
+
+def _asym_predict_flags(sub) -> None:
     _add_model_flags(sub)
     sub.add_argument("--g", default="one")
     sub.add_argument("--variant", choices=("a", "b", "c"), required=True)
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=_cmd_asym_predict)
 
-    sub = commands.add_parser("series-check", help="Taylor coefficients and remainders of the edge function")
+
+def _series_check_flags(sub) -> None:
     sub.add_argument(
         "--p",
         type=_rational,
@@ -400,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=_cmd_series_check)
 
-    sub = commands.add_parser("mcmc-run", help="Glauber chain samples as CSV")
+
+def _mcmc_run_flags(sub) -> None:
     _add_model_flags(sub)
     sub.add_argument("--seed", type=_seed, default=0, help="master seed (graph + chains)")
     sub.add_argument("--graph", default=None, help="read the graph from this file instead")
@@ -408,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=_cmd_mcmc_run)
 
-    sub = commands.add_parser("clt-experiment", help="multi-graph comparison to the Gaussian law")
+
+def _clt_experiment_flags(sub) -> None:
     _add_model_flags(sub)
     sub.add_argument("--graphs", type=int, required=True, help="number of disorder graphs")
     _add_chain_flags(sub)
@@ -418,11 +415,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=_cmd_clt_experiment)
 
+
+# Each command: its help line and the function that adds its flags.
+_COMMANDS = {
+    "graph-sample": ("sample a disorder graph to the text format", _graph_sample_flags),
+    "exact-partition": ("enumerate one graph's partition sum and law", _exact_partition_flags),
+    "exact-moments": ("closed-form annealed moments", _exact_moments_flags),
+    "exact-oracle": ("brute-force disorder average (tiny n)", _exact_oracle_flags),
+    "asym-predict": ("asymptotic log partition prediction", _asym_predict_flags),
+    "series-check": ("Taylor coefficients and remainders of the edge function",
+                     _series_check_flags),
+    "mcmc-run": ("Glauber chain samples as CSV", _mcmc_run_flags),
+    "clt-experiment": ("multi-graph comparison to the Gaussian law", _clt_experiment_flags),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The process's parser of ``command`` alone, or of all eight commands
+    when it is None, built on the first call and only read after it.  A
+    parser of one command parses that command's arguments as the full one
+    does, so ``main`` builds only the one it is called for."""
+    parser = argparse.ArgumentParser(
+        prog="dilutecw",
+        description="Dilute mean-field Ising on directed random graphs: "
+        "exact thermodynamics, asymptotics, Monte Carlo.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags) in _COMMANDS.items():
+        if command in (None, name):
+            add_flags(commands.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # --help, --version, a bad command or none at all go to the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exit_:

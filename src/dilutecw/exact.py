@@ -77,9 +77,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 from .asymptotics import eval_F
 from .errors import CapacityError, DomainError
@@ -244,10 +243,10 @@ _TABLES_KEPT = 8
 
 
 @functools.lru_cache(maxsize=_TABLES_KEPT)
-def _log_multinomial_table(n: int) -> np.ndarray:
+def _log_multinomial_table(n: int) -> memoryview:
     """log(n! / (a! b! c! d!)) for every partition a <= b <= c <= d of n,
-    ordered by a, then b, then c, the order that ``_csweep._pair_shape``
-    indexes.
+    ordered by a, then b, then c, the order that the ``pair_sum`` kernel
+    indexes, as a read-only vector of doubles.
 
     Each count comes from the one before it by an exact integer step, and
     each log is math.log of that exact integer, so it is the same float as
@@ -270,9 +269,7 @@ def _log_multinomial_table(n: int) -> np.ndarray:
             for c in range(b + 1, (n - a - b) // 2 + 1):
                 count = count * (n - a - b - c + 1) // c
                 logs.append(math.log(count))
-    table = np.array(logs)
-    table.flags.writeable = False
-    return table
+    return memoryview(array("d", logs)).toreadonly()
 
 
 def second_moment_log(params: ModelParams, g: TestFunction) -> float:
@@ -292,7 +289,7 @@ def second_moment_log(params: ModelParams, g: TestFunction) -> float:
     from ._csweep import library
 
     c = moment_coefficients(params)
-    log_g = np.array(_class_log_weights(n, g))
+    log_g = array("d", _class_log_weights(n, g))
     return library().pair_sum(n, n * n * c.b0, c.b1, c.b0, log_g, _log_multinomial_table(n))
 
 
@@ -381,12 +378,11 @@ def enumerate_partition(g: DisorderGraph, params: ModelParams) -> QuenchedSummar
 
     gamma = params.gamma
     width = n + 1
-    counts = library().histogram(g.words)
+    keys, counts = library().histogram(g.words)
     shift = g.edge_count() * width
 
     class_terms: list[list[float]] = [[] for _ in range(n + 1)]
-    keys = np.flatnonzero(counts)
-    for key, count in zip(keys.tolist(), counts[keys].tolist()):
+    for key, count in zip(keys, counts):
         s_val, cls = divmod(key - shift, width)
         class_terms[cls].append(math.log(count) + gamma * s_val)
     class_logs = [_logsumexp(terms) for terms in class_terms]

@@ -50,10 +50,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CapacityError, DomainError, GraphFormatError
-from .model import _WORD, DisorderGraph, ModelParams
+from .model import DisorderGraph, ModelParams
 
 __all__ = ["GraphSeed", "sample_graph", "write_graph", "read_graph", "BIT_LIMIT"]
 
@@ -103,6 +101,13 @@ def _block_rows(n: int, cells: int) -> int:
     return max(1, cells // n)
 
 
+def _rows(words: memoryview, start: int, stop: int) -> memoryview:
+    """Rows start .. stop - 1 of an (n, w) ``Q`` memoryview, start < stop, as
+    a (stop - start, w) one over the same memory."""
+    width = words.shape[1]
+    return words.cast("B")[8 * width * start:8 * width * stop].cast("Q", (stop - start, width))
+
+
 def sample_graph(params: ModelParams, seed: GraphSeed) -> DisorderGraph:
     """Sample a directed Bernoulli(p) graph with loops, deterministically in the seed.
 
@@ -110,9 +115,9 @@ def sample_graph(params: ModelParams, seed: GraphSeed) -> DisorderGraph:
     n = params.n
     if n * n > BIT_LIMIT:
         raise CapacityError(f"adjacency matrix needs {n * n} bits, above the cap of {BIT_LIMIT}")
-    from ._csweep import library
+    from ._csweep import _new, library
 
-    words = np.empty((n, (n + 63) // 64), dtype=_WORD)
+    words = _new("Q", (n, (n + 63) // 64))
     library().sample(n, seed.master_seed, bernoulli_threshold(params.p), 0, words)
     return DisorderGraph(n, words)
 
@@ -127,10 +132,11 @@ def _text_blocks(g: DisorderGraph):
     n = g.n
     yield f"{_HEADER_PREFIX}{n}\n".encode("ascii")
     step = _block_rows(n, _WRITE_CELLS)
-    text = np.empty((min(step, n), n + 1), dtype=np.uint8)
+    text = memoryview(bytearray(min(step, n) * (n + 1)))
     for start in range(0, n, step):
-        lines = text[:min(step, n - start)]
-        format_rows(g.words[start:start + step], lines)
+        stop = min(start + step, n)
+        lines = text[:(stop - start) * (n + 1)]
+        format_rows(_rows(g.words, start, stop), lines.cast("B", (stop - start, n + 1)))
         yield lines
 
 
@@ -281,20 +287,20 @@ def _read_text(text: _FileText) -> DisorderGraph:
     """The graph of ``text``, a block of ``_READ_CELLS`` cells of whole rows
     at a time into one buffer."""
     n = _read_header(text)
-    from ._csweep import library
+    from ._csweep import _new, library
 
     parse_rows = library().parse
     width = n + 1
     step = _block_rows(n, _READ_CELLS)
     buffer = bytearray(max(min(step, n) * width, _READ_BYTES))
-    cells = np.frombuffer(buffer, dtype=np.uint8)
-    words = np.empty((n, (n + 63) // 64), dtype=_WORD)
+    cells = memoryview(buffer)
+    words = _new("Q", (n, (n + 63) // 64))
     for start in range(0, n, step):
         want = min(step, n - start)
         got = text.fill(buffer, want * width)
         whole = got // width
-        good = parse_rows(cells[: whole * width].reshape(whole, width),
-                          words[start:start + whole])
+        good = whole and parse_rows(cells[:whole * width].cast("B", (whole, width)),
+                                    _rows(words, start, start + whole))
         if good < want:
             # Rows before the failed one were whole lines, so its line
             # starts here and runs to the next newline.

@@ -36,9 +36,10 @@ outputs, read low byte first, is set: numpy's ``default_rng(seed).integers(0,
 double of the second stream, one stream per replica whatever group it sweeps
 in: the kernel steps that PCG64 itself, bit for bit as numpy's
 ``Generator.random`` would.  ``pcg64`` does the seeding and the spin rule in
-integer arithmetic, so a chain on the compiled kernels never imports
-``numpy.random``; numpy is the test oracle, and the kernels' twins draw
-through numpy's own ``PCG64``.  Replicas are therefore independent of each
+integer arithmetic and packs the spins into the state words, and the
+kernels take plain buffers, so a chain on the compiled kernels never imports
+numpy; numpy is the test oracle, and the kernels' twins draw through numpy's
+own ``PCG64``.  Replicas are therefore independent of each
 other and of how many run, and rerunning any subset reproduces it bit for
 bit.
 """
@@ -51,12 +52,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import pcg64, splitmix
 from .graph import GraphSeed, sample_graph
 from .errors import CapacityError, DomainError
-from .model import _WORD, DisorderGraph, ModelParams
+from .model import DisorderGraph, ModelParams
 from .stats import EmpiricalMeasure, NormalRef, SampleSummary, ks_distance, levy_distance, summarize
 
 __all__ = [
@@ -135,7 +134,7 @@ class ChainConfig:
         return max(kept, 0)
 
 
-def build_update_tables(g: DisorderGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def build_update_tables(g: DisorderGraph) -> tuple:
     """The neighbor masks (w1, w2) and field offsets ``base`` of the heat-bath field.
 
     Row i of ``w1`` and ``w2`` (shape (n, ceil(n / 64)), 64-bit words, bit j
@@ -200,7 +199,7 @@ def run_chain(
             f"burn_in={cfg.resolved_burn_in(g.n)}, thin={cfg.thin}"
         )
     check_chain_work(g.n, cfg, 1)
-    from ._csweep import GROUP, library
+    from ._csweep import GROUP, _new, library
 
     n = g.n
     w1, w2, base = build_update_tables(g)
@@ -209,23 +208,21 @@ def run_chain(
     sweep_block = functools.partial(library().sweep, w1, w2, base, plus)
     burn_in = cfg.resolved_burn_in(n)
     root = math.sqrt(n)
-    # the largest group sets the block length and the state buffer that
-    # every group reuses
+    # the largest group sets the block length
     most = min(GROUP, cfg.replicas)
     block = min(cfg.sweeps, max(1, _BLOCK_SITE_UPDATES // (most * n)))
-    all_states = np.empty((most, w1.shape[1]), dtype=_WORD)
+    words = (n + 63) // 64
     samples = []
     for first in range(0, cfg.replicas, GROUP):
         ids = range(first, min(first + GROUP, cfg.replicas))
-        states = all_states[: len(ids)]
-        states.fill(0)
-        for state, replica_id in zip(states, ids):
-            spins = pcg64.bit_spins(derive_seed(cfg.chain_seed, replica_id, 0), n)
-            state.view(np.uint8)[: (n + 7) // 8] = np.packbits(spins, bitorder="little")
-        # the PCG64 of derive_seed(chain_seed, id, 1), one row a replica
-        rngs = np.array(
-            [pcg64.seed_row(derive_seed(cfg.chain_seed, i, 1)) for i in ids], dtype=_WORD
-        )
+        # each replica's initial spins in its row of state words, and the
+        # PCG64 of derive_seed(chain_seed, id, 1) in its rng row
+        states, rngs = _new("Q", (len(ids), words)), _new("Q", (len(ids), 4))
+        for row, replica_id in enumerate(ids):
+            spins = pcg64.packed_spins(derive_seed(cfg.chain_seed, replica_id, 0), n)
+            states.cast("B")[8 * words * row:][:len(spins)] = spins
+            for k, value in enumerate(pcg64.seed_row(derive_seed(cfg.chain_seed, replica_id, 1))):
+                rngs[row, k] = value
         values = [[] for _ in ids]
         sweep = 0
         while sweep < cfg.sweeps:

@@ -13,18 +13,19 @@ configuration is evaluated one at a time: the exact enumeration counts them
 all by energy and class, and the chains work on packed spin words.
 
 Representation choices are geared towards popcount arithmetic: a graph is an
-(n, ceil(n / 64)) array of little-endian 64-bit words, one row of words per
+(n, ceil(n / 64)) buffer of little-endian 64-bit words, one row of words per
 site holding that site's out-edges.  That is the layout the
 graph sampler writes, the text format is packed from and the neighbour-mask
-builder reads, so a graph passes between them without conversion.
+builder reads, so a graph passes between them without conversion.  The
+buffers are plain ``bytearray`` memory under a ``memoryview``, so this module
+imports no numpy; only ``DisorderGraph.from_matrix``, ``DisorderGraph._cells``
+and ``_pack_rows``, which the numpy twins and the tests use, import it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -69,14 +70,13 @@ class ModelParams:
         return self.beta / (2.0 * self.n * self.p)
 
 
-# Graph rows and masks are bitsets over the sites, packed into little-endian 64-bit words.
-_WORD = np.dtype("<u8")
+def _pack_rows(cells, out) -> None:
+    """Pack the cells of k graph rows, a (k, n) numpy array where nonzero means
+    an edge, into ``out``, their (k, ceil(n / 64)) words."""
+    import numpy as np
 
-def _pack_rows(cells: np.ndarray, out: np.ndarray) -> None:
-    """Pack the cells of k graph rows, a (k, n) array where nonzero means an
-    edge, into ``out``, their (k, ceil(n / 64)) words."""
     packed = np.packbits(cells, axis=1, bitorder="little")
-    view = out.view(np.uint8)
+    view = np.asarray(out).view(np.uint8)
     view[:, :packed.shape[1]] = packed
     view[:, packed.shape[1]:] = 0
 
@@ -85,56 +85,61 @@ def _pack_rows(cells: np.ndarray, out: np.ndarray) -> None:
 class DisorderGraph:
     """Directed graph on n sites with loops, one row of 64-bit words per site.
 
-    ``words`` is a C-contiguous little-endian ``uint64`` array of shape
-    (n, ceil(n / 64)): the edge (i, j) is present iff bit j % 64 of
-    ``words[i, j // 64]`` is set, and no bit past column n - 1 is.  The
-    graph keeps a read-only view of the array it is given, without a copy.
-    Two graphs are equal when they have the same n and the same edges.
+    ``words`` is a read-only (n, ceil(n / 64)) memoryview of ``Q`` items: the
+    edge (i, j) is present iff bit j % 64 of ``words[i, j // 64]`` is set,
+    and no bit past column n - 1 is.  The constructor takes any C-contiguous
+    buffer of native 64-bit integers in that shape, numpy arrays included, and
+    keeps a read-only view of it, without a copy.  Two graphs are equal when
+    they have the same n and the same edges.
     """
 
     n: int
-    words: np.ndarray
+    words: memoryview
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
-        words, shape = self.words, (self.n, (self.n + 63) // 64)
-        if not (isinstance(words, np.ndarray) and words.dtype == _WORD
-                and words.shape == shape and words.flags.c_contiguous):
-            got = f"{getattr(words, 'dtype', type(words).__name__)} {getattr(words, 'shape', '')}"
-            raise ValueError(f"words must be a C-contiguous {_WORD.str} array of shape {shape}, "
-                             f"not {got}")
+        from ._csweep import _view
+
+        shape = (self.n, (self.n + 63) // 64)
+        try:
+            view = _view(self.words, "i8", shape)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"words must be a C-contiguous buffer of 64-bit words of shape "
+                             f"{shape}: {err}") from None
+        words = view.cast("B").cast("Q", shape).toreadonly()
         if self.n % 64:
-            spill = words[:, -1] >> np.uint64(self.n % 64)
-            if spill.any():
-                raise ValueError(f"row {int(spill.argmax())} has bits beyond column {self.n - 1}")
-        frozen = words.view()
-        frozen.flags.writeable = False
-        object.__setattr__(self, "words", frozen)
+            last, shift = shape[1] - 1, self.n % 64
+            for i in range(self.n):
+                if words[i, last] >> shift:
+                    raise ValueError(f"row {i} has bits beyond column {self.n - 1}")
+        object.__setattr__(self, "words", words)
 
     def __eq__(self, other):
         if not isinstance(other, DisorderGraph):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.words, other.words)
+        return self.n == other.n and self.words == other.words
 
     def __hash__(self):
         return hash((self.n, self.words.tobytes()))
 
     @classmethod
     def empty(cls, n: int) -> "DisorderGraph":
-        return cls(n, np.zeros((n, (n + 63) // 64), dtype=_WORD))
+        return cls(n, memoryview(bytearray(8 * n * ((n + 63) // 64))).cast("Q", (n, (n + 63) // 64)))
 
     @classmethod
     def complete(cls, n: int) -> "DisorderGraph":
         """All n^2 edges present, loops included."""
-        words = np.full((n, (n + 63) // 64), np.iinfo(np.uint64).max, dtype=_WORD)
-        words[:, -1] >>= np.uint64(-n % 64)
-        return cls(n, words)
+        words = (n + 63) // 64
+        row = b"\xff" * (8 * words - 8) + ((1 << (n - 64 * words + 64)) - 1).to_bytes(8, "little")
+        return cls(n, memoryview(bytearray(row * n)).cast("Q", (n, words)))
 
     @classmethod
     def from_matrix(cls, matrix) -> "DisorderGraph":
         """Build from a square matrix (nested sequences or ndarray) whose every
         entry is 0 or 1; booleans count as 0 and 1."""
+        import numpy as np
+
         cells = np.asarray(matrix)
         if cells.ndim != 2 or cells.shape[0] != cells.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {cells.shape}")
@@ -145,7 +150,7 @@ class DisorderGraph:
             i, j = np.argwhere(bad)[0]
             raise ValueError(f"entry ({i}, {j}) is {cells[i, j].item()!r}, expected 0 or 1")
         n = cells.shape[0]
-        words = np.empty((n, (n + 63) // 64), dtype=_WORD)
+        words = np.empty((n, (n + 63) // 64), dtype="<u8")
         _pack_rows(cells == 1, words)
         return cls(n, words)
 
@@ -155,6 +160,9 @@ class DisorderGraph:
 
         return library().count(self.words)
 
-    def _cells(self) -> np.ndarray:
-        """The adjacency matrix as an (n, n) array of 0/1 bytes."""
-        return np.unpackbits(self.words.view(np.uint8), axis=1, count=self.n, bitorder="little")
+    def _cells(self):
+        """The adjacency matrix as an (n, n) numpy array of 0/1 bytes."""
+        import numpy as np
+
+        return np.unpackbits(np.asarray(self.words).view(np.uint8), axis=1, count=self.n,
+                             bitorder="little")

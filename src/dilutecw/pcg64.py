@@ -10,23 +10,28 @@ change.
 
 * ``seed_row(seed)`` is the state of ``PCG64(seed)`` as the sweep kernel holds
   it (``_twins.rng_row``): state lo, state hi, inc lo, inc hi.
-* ``bit_spins(seed, n)`` equals ``default_rng(seed).integers(0, 2, size=n,
-  dtype=np.uint8)``.  For a range of two, Lemire's method never rejects and
-  keeps the top bit of each byte, and numpy takes the bytes of each 32-bit
-  half of a 64-bit output low byte first.  So spin k is bit 7 of byte k of the
-  stream's outputs, each written little-endian.
+* ``packed_spins(seed, n)`` is ``default_rng(seed).integers(0, 2, size=n,
+  dtype=np.uint8)`` packed eight spins to a byte, spin k in bit k % 8 of byte
+  k // 8, the bits past spin n - 1 clear.  For a range of two, Lemire's
+  method never rejects and keeps the top bit of each byte, and numpy takes
+  the bytes of each 32-bit half of a 64-bit output low byte first.  So spin k
+  is bit 7 of byte k of the stream's outputs, each written little-endian, and
+  each output gives one packed byte.
 
-numpy stays the oracle: the tests compare both functions with it.
+Neither imports numpy, which stays the oracle: the tests compare both
+functions with it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 MULT = 0x2360ED051FC65DA44385DF649FCCF645
 MASK128 = (1 << 128) - 1
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
+# Bit 0 of each byte of a word, and the multiply that gathers those eight
+# bits into bits 56 .. 63, lane i to bit 56 + i.
+_LANES = 0x0101010101010101
+_GATHER = 0x0102040810204080
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx), pool of 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -82,13 +87,17 @@ def seed_row(seed: int) -> list[int]:
     return [state & _MASK64, state >> 64, inc & _MASK64, inc >> 64]
 
 
-def bit_spins(seed: int, n: int) -> np.ndarray:
-    """``default_rng(seed).integers(0, 2, size=n, dtype=np.uint8)``: bit 7 of
-    each byte of the stream's first ceil(n / 8) XSL-RR outputs."""
+def packed_spins(seed: int, n: int) -> bytes:
+    """``default_rng(seed).integers(0, 2, size=n, dtype=np.uint8)`` packed, spin
+    k in bit k % 8 of byte k // 8: per XSL-RR output of the stream, its eight
+    bytes' top bits gathered into one byte by a shift, a mask and a multiply."""
     state, inc = _seeded(seed)
     out = bytearray()
     for _ in range((n + 7) // 8):
         state = (state * MULT + inc) & MASK128
         x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
-        out += ((x >> rot | x << (64 - rot)) & _MASK64).to_bytes(8, "little")
-    return np.frombuffer(out, dtype=np.uint8, count=n) >> 7
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        out.append((x >> 7 & _LANES) * _GATHER >> 56 & 0xFF)
+    if n % 8:
+        out[-1] &= (1 << n % 8) - 1
+    return bytes(out)

@@ -34,9 +34,11 @@ the chains and graph sampling of another thread.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 __all__ = [
     "EmpiricalMeasure",
@@ -53,54 +55,60 @@ class EmpiricalMeasure:
     """A probability measure on finitely many real atoms.
 
     ``locations`` are strictly increasing; ``weights`` are positive and sum
-    to 1 within 1e-12 (zero-weight atoms are dropped on construction).
+    to 1 within 1e-12 (zero-weight atoms are dropped on construction).  Both
+    are ``array('d')`` vectors, as is the running sum ``_cum`` of the weights,
+    added left to right, the order of ``numpy.cumsum``; the distance kernels
+    read ``locations`` and ``_cum`` as they are.
     """
 
     __slots__ = ("locations", "weights", "_cum")
 
     def __init__(self, locations, weights):
-        loc = np.asarray(locations, dtype=float)
-        w = np.asarray(weights, dtype=float)
-        if loc.ndim != 1 or w.ndim != 1 or loc.size != w.size:
+        try:
+            loc, w = array("d", locations), array("d", weights)
+        except TypeError:
+            raise ValueError("locations and weights must be 1-d arrays of equal length") from None
+        if len(loc) != len(w):
             raise ValueError("locations and weights must be 1-d arrays of equal length")
-        if loc.size == 0:
+        if not loc:
             raise ValueError("measure needs at least one atom")
-        if np.any(w < 0):
+        if any(x < 0 for x in w):
             raise ValueError("weights must be nonnegative")
-        keep = w > 0
-        loc, w = loc[keep], w[keep]
-        if loc.size == 0:
+        kept = [(x, y) for x, y in zip(loc, w) if y > 0]
+        if not kept:
             raise ValueError("all weights are zero")
-        if not np.all(np.diff(loc) > 0):
+        loc, w = array("d", [x for x, _ in kept]), array("d", [y for _, y in kept])
+        if not all(b > a for a, b in zip(loc, loc[1:])):
             raise ValueError("locations must be strictly increasing")
-        total = float(w.sum())
+        total = math.fsum(w)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total!r}, expected 1 within 1e-12")
         self.locations = loc
         self.weights = w
-        self._cum = np.cumsum(w)
+        self._cum = array("d", accumulate(w))
         # guard against rounding drift in the last cumulative value
         self._cum[-1] = min(self._cum[-1], 1.0)
 
     @classmethod
     def from_samples(cls, values) -> "EmpiricalMeasure":
-        vals = np.asarray(values, dtype=float)
-        if vals.size == 0:
+        counts = Counter(map(float, values))
+        if not counts:
             raise ValueError("no samples")
-        loc, counts = np.unique(vals, return_counts=True)
-        return cls(loc, counts / vals.size)
+        size = sum(counts.values())
+        loc = sorted(counts)
+        return cls(loc, [counts[x] / size for x in loc])
 
     def cdf(self, t: float) -> float:
         """Right-continuous distribution function P(X <= t)."""
-        idx = int(np.searchsorted(self.locations, t, side="right"))
-        return 0.0 if idx == 0 else float(self._cum[idx - 1])
+        idx = bisect_right(self.locations, t)
+        return 0.0 if idx == 0 else self._cum[idx - 1]
 
     def mean(self) -> float:
-        return float(np.dot(self.locations, self.weights))
+        return math.fsum(x * w for x, w in zip(self.locations, self.weights))
 
     def variance(self) -> float:
         mu = self.mean()
-        return float(np.dot((self.locations - mu) ** 2, self.weights))
+        return math.fsum((x - mu) ** 2 * w for x, w in zip(self.locations, self.weights))
 
 
 @dataclass(frozen=True)

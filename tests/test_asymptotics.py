@@ -5,8 +5,11 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from scipy import integrate
+
+from dilutecw import asymptotics
 
 from dilutecw.asymptotics import (
     MAX_TAYLOR_ORDER,
@@ -284,3 +287,19 @@ def test_remainder_check_validation():
         remainder_check(0.0, 0.1, "even")
     with pytest.raises(ValueError):
         remainder_check(0.5, 0.1, "both")
+
+
+@pytest.mark.parametrize("stored, numpy_rule", [
+    (asymptotics._hermite_rule, np.polynomial.hermite.hermgauss),
+    (asymptotics._legendre_rule, np.polynomial.legendre.leggauss),
+])
+def test_stored_gauss_rules_are_numpys_and_symmetric(stored, numpy_rule):
+    # the rules are stored as tables rather than built at run time; they are
+    # the rules numpy builds to a few ulps, with increasing nodes
+    nodes, weights = stored()
+    assert len(nodes) == len(weights) == asymptotics._NODES
+    assert nodes == [-x for x in reversed(nodes)] and weights == weights[::-1]
+    assert all(a < b for a, b in zip(nodes, nodes[1:])) and min(weights) > 0
+    want_nodes, want_weights = numpy_rule(asymptotics._NODES)
+    for got, want in ((nodes, want_nodes), (weights, want_weights)):
+        np.testing.assert_array_max_ulp(np.array(got), want, maxulp=4)

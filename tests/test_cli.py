@@ -392,7 +392,7 @@ print(json.dumps([results, cli.build_parser.cache_info().misses]))
 
 def test_one_parser_serves_every_call_of_a_process(tmp_path):
     # each call's output equals a fresh process's, with usage errors, --help
-    # and --version in between; the process builds its parser once
+    # and --version in between; the process builds each parser once
     graph = tmp_path / "g.txt"
     graph.write_text("dilute-cw-graph v1 N=3\n011\n000\n101\n")
     model = ["--p", "0.5", "--beta", "0.5"]
@@ -413,13 +413,63 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path):
         moments,
     ]
     results, parsers = json.loads(_in_fresh_process(_CALLS_IN_ONE_PROCESS, json.dumps(calls)))
-    assert parsers == 1
+    # one parser per distinct command; --help, --version and no command
+    # share the full one
+    assert parsers == len({argv[0] if argv and not argv[0].startswith("-") else None
+                           for argv in calls})
     assert [code for code, _ in results] == [0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0]
     assert results[0] == results[2] == results[-1]
     # the first and last calls repeat the third
     for argv, result in zip(calls[1:-1], results[1:-1]):
         alone, _ = json.loads(_in_fresh_process(_CALLS_IN_ONE_PROCESS, json.dumps([argv])))
         assert alone == [result], argv
+
+
+# Every command at a small size, each through main in one process: the
+# compiled kernels take plain buffers, so none of them imports numpy.
+_NO_NUMPY = """
+import contextlib, io, json, sys
+import dilutecw.cli as cli
+seen = ['numpy' in sys.modules]
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        results.append([cli.main(argv), out.getvalue()])
+    seen.append('numpy' in sys.modules)
+print(json.dumps([seen, results]))
+"""
+
+
+def test_no_command_imports_numpy(tmp_path):
+    if _csweep.library() is _twins._TWINS:
+        pytest.skip("no compiled kernels on this host")
+    graph, small = tmp_path / "g.txt", tmp_path / "s.txt"
+    model = ["--p", "0.5", "--beta", "0.5"]
+    chain = ["--sweeps", "30", "--burnin", "5"]
+    calls = [
+        ["graph-sample", "--n", "70", "--p", "0.5", "--seed", "2", "--out", str(graph)],
+        ["graph-sample", "--n", "9", "--p", "0.5", "--out", str(small)],
+        ["graph-sample", "--n", "9", "--p", "0.5"],
+        ["exact-partition", "--n", "9", *model],
+        ["exact-partition", "--n", "9", *model, "--graph", str(small)],
+        ["exact-moments", "--n", "12", *model, "--g", "gauss"],
+        ["exact-oracle", "--n", "2", *model, "--moment", "second"],
+        ["asym-predict", "--n", "50", *model, "--variant", "b"],
+        ["asym-predict", "--n", "50", *model, "--variant", "a", "--g", "bump:0.3,0.5"],
+        ["series-check", "--p", "1/3", "--max-order", "4"],
+        ["mcmc-run", "--n", "70", *model, *chain, "--replicas", "5", "--graph", str(graph)],
+        ["clt-experiment", "--n", "16", *model, *chain, "--graphs", "2", "--threads", "2"],
+    ]
+    seen, compiled = json.loads(_in_fresh_process(_NO_NUMPY, json.dumps(calls)))
+    assert seen == [False] * (len(calls) + 1)
+    assert [code for code, _ in compiled] == [0] * len(calls)
+    # the numpy and Python twins print the same
+    env = dict(os.environ, XDG_CACHE_HOME="/dev/null", PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY, json.dumps(calls)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)[1] == compiled
 
 
 def test_only_series_check_imports_mpmath(tmp_path):

@@ -428,7 +428,8 @@ def test_sampler_rejects_bad_arguments():
         (70, -1, 1 << 52, 0, out),
         (70, 0, (1 << 53) + 1, 0, out),
         (70, 0, 1 << 52, 0, np.zeros((4, 1), dtype="<u8")),
-        (70, 0, 1 << 52, 0, np.zeros((4, 2), dtype=np.int64)),
+        (70, 0, 1 << 52, 0, np.zeros((4, 2), dtype=np.float64)),
+        (70, 0, 1 << 52, 0, np.zeros((4, 2), dtype=np.uint32)),
         (70, 0, 1 << 52, 0, np.zeros((4, 4), dtype="<u8")[:, ::2]),
     ):
         with pytest.raises(ValueError):
@@ -502,8 +503,8 @@ def test_text_kernels_refuse_bad_buffers():
         kernels.format(words, text)
         assert kernels.parse(text, words) == 3
         for bad_words, bad_text in (
-            (words.astype(np.int64), text), (words.astype(">u8"), text),
-            (words, text.astype(np.int8)), (words[:2], text), (words[:, :1], text),
+            (words.astype(np.float64), text), (words.astype(">u8"), text),
+            (words, text.astype(np.uint16)), (words[:2], text), (words[:, :1], text),
             (words, text[:, :65]), (np.zeros((3, 4), dtype="<u8")[:, ::2], text),
             (words, np.zeros((3, 142), dtype=np.uint8)[:, ::2]), (words, text.ravel()),
             (words, text[:, :1]),

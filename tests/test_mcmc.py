@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -31,6 +32,9 @@ from dilutecw.mcmc import (
 from dilutecw.model import DisorderGraph, ModelParams
 from dilutecw.stats import EmpiricalMeasure
 from helpers import SpinConfig, kernel_sets, total_variation
+
+# Graph rows, masks, states and rng rows as numpy holds them.
+_WORD = np.dtype("<u8")
 
 
 def test_update_tables_match_matrix_masks():
@@ -72,7 +76,7 @@ def _plus(params):
 
 def _rng_rows(*seeds):
     """Kernel rng rows of the PCG64 of default_rng(seed), one per seed."""
-    return np.array([_twins.rng_row(np.random.PCG64(seed)) for seed in seeds], dtype=mcmc._WORD)
+    return np.array([_twins.rng_row(np.random.PCG64(seed)) for seed in seeds], dtype=_WORD)
 
 
 def _one_sweep_each(sigma, g, params, seed):
@@ -83,7 +87,7 @@ def _one_sweep_each(sigma, g, params, seed):
         w1, w2, base = kernels.masks(g.words)
         plus = kernels.plus(g.n, params.beta / (params.n * params.p))
         words = w1.shape[1]
-        state = np.frombuffer(sigma.bits.to_bytes(8 * words, "little"), dtype=mcmc._WORD).copy()
+        state = np.frombuffer(sigma.bits.to_bytes(8 * words, "little"), dtype=_WORD).copy()
         up = kernels.sweep(w1, w2, base, plus, state[None], _rng_rows(seed), 1)
         bits = int.from_bytes(state.tobytes(), "little")
         assert up == [[bits.bit_count()]]
@@ -116,7 +120,7 @@ def test_sweep_is_pure():
     g = sample_graph(params, GraphSeed(4))
     sigma = SpinConfig(n=8, bits=0b10110001)
     tables = build_update_tables(g)
-    before = tuple(table.copy() for table in tables)
+    before = tuple(np.array(table) for table in tables)
     a = _one_sweep_each(sigma, g, params, 5)
     b = _one_sweep_each(sigma, g, params, 5)
     assert a == b
@@ -125,7 +129,7 @@ def test_sweep_is_pure():
     # neither sweep writes to the shared tables
     plus = _plus(params)
     for kernels in kernel_sets():
-        states = np.zeros((1, 1), dtype=mcmc._WORD)
+        states = np.zeros((1, 1), dtype=_WORD)
         kernels.sweep(*tables, plus, states, _rng_rows(5), 3)
     for after, want in zip(tables, before):
         assert np.array_equal(after, want)
@@ -194,8 +198,10 @@ def test_loader_failure_falls_back_to_identical_output(breakage, tmp_path, monke
 
 
 def _assert_same_tables(got, want):
+    # the compiled tables are Q and q memoryviews, the twin's numpy arrays
     assert len(got) == len(want) == 3
     for name, a, b in zip(("w1", "w2", "base"), got, want):
+        a, b = np.asarray(a), np.asarray(b)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
@@ -230,8 +236,8 @@ def test_compiled_masks_match_numpy_builder(kind, n):
 
 def test_mask_builder_rejects_mismatched_rows():
     library = _library()
-    for bad in (np.zeros((70, 1), dtype=mcmc._WORD), np.zeros((70, 2), dtype=np.int64),
-                np.zeros((70, 4), dtype=mcmc._WORD)[:, ::2]):
+    for bad in (np.zeros((70, 1), dtype=_WORD), np.zeros((70, 2), dtype=np.float64),
+                np.zeros((70, 4), dtype=_WORD)[:, ::2]):
         with pytest.raises(ValueError, match="kernel buffer"):
             library.masks(bad)
 
@@ -274,11 +280,11 @@ def test_compiled_library_is_cached(tmp_path, monkeypatch):
 
 
 def test_cli_import_builds_no_kernel(tmp_path):
-    # numpy imports ctypes by itself, so the check is on the kernel module,
-    # the compiler subprocess and the cache directory
+    # the kernel module, ctypes, the compiler subprocess and numpy stay
+    # unloaded, and the cache directory untouched
     code = (
-        "import sys, dilutecw.cli as cli; cli.build_parser(); "
-        "print(sorted(m for m in ('dilutecw._csweep', 'subprocess') if m in sys.modules))"
+        "import sys, dilutecw.cli as cli; cli.build_parser(); print(sorted(m for m in "
+        "('dilutecw._csweep', 'ctypes', 'subprocess', 'numpy') if m in sys.modules))"
     )
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
@@ -289,14 +295,16 @@ def test_cli_import_builds_no_kernel(tmp_path):
 
 def test_warm_library_load_imports_no_subprocess(tmp_path):
     # only a cache miss compiles, so loading a cached library imports neither
-    # the compiler's subprocess module nor tempfile; and only the fallback
-    # imports the twins
+    # the compiler's subprocess module nor tempfile; the cache key needs
+    # neither hashlib nor platform; only the fallback imports the twins, and
+    # nothing imports numpy
     _compiled()
     assert _csweep.library_path().exists()
     code = (
-        "import sys, numpy; before = set(sys.modules); "
+        "import sys; before = set(sys.modules); "
         "from dilutecw._csweep import library; assert library().path is not None; "
-        "print(sorted({'subprocess', 'tempfile', 'dilutecw._twins'} & (set(sys.modules) - before)))"
+        "print(sorted({'subprocess', 'tempfile', 'dilutecw._twins', 'hashlib', 'platform', "
+        "'numpy'} & (set(sys.modules) - before)))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
@@ -516,7 +524,7 @@ def _path_case(n, graph, beta):
     plus = _plus(ModelParams(n=n, p=p, beta=beta))
     rng = np.random.default_rng(n)
     words = tables[0].shape[1]
-    states = np.frombuffer(rng.bytes(8 * words * _csweep.GROUP), dtype=mcmc._WORD)
+    states = np.frombuffer(rng.bytes(8 * words * _csweep.GROUP), dtype=_WORD)
     states = states.reshape(_csweep.GROUP, words).copy()
     states[:, -1] &= np.uint64((1 << (n - 64 * (words - 1))) - 1)
     rngs = _rng_rows(*([n, g] for g in range(_csweep.GROUP)))
@@ -559,7 +567,7 @@ def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
     plus = _plus(params)
     rng = np.random.default_rng(seed)
     spins = rng.integers(0, 2, size=(_csweep.GROUP, n), dtype=np.uint8)
-    states = np.zeros((_csweep.GROUP, tables[0].shape[1]), dtype=mcmc._WORD)
+    states = np.zeros((_csweep.GROUP, tables[0].shape[1]), dtype=_WORD)
     states.view(np.uint8)[:, : (n + 7) // 8] = np.packbits(spins, axis=1, bitorder="little")
     rngs = _rng_rows(*([seed, g] for g in range(_csweep.GROUP)))
     want = _one_at_a_time(tables, plus, states, rngs, sweeps)
@@ -602,8 +610,7 @@ def _copy(bit_generator):
 def _assert_seeds_as_numpy(seed, n):
     assert pcg64.seed_row(seed) == _twins.rng_row(np.random.PCG64(seed))
     want = np.random.default_rng(seed).integers(0, 2, size=n, dtype=np.uint8)
-    got = pcg64.bit_spins(seed, n)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert pcg64.packed_spins(seed, n) == np.packbits(want, bitorder="little").tobytes()
 
 
 # one entropy word for seeds below 2^32, two from 2^32 on
@@ -644,7 +651,7 @@ print(codes, sorted({"numpy.random"} & (set(sys.modules) - before)))
 @pytest.mark.parametrize("case", range(5))
 def test_kernel_replays_numpy_pcg64(case):
     bit_generator = _replay_cases()[case]
-    row = np.array([_twins.rng_row(bit_generator)], dtype=mcmc._WORD)
+    row = np.array([_twins.rng_row(bit_generator)], dtype=_WORD)
     sweeps = 3
     # each of the first eight doubles, one sweep at n = 1 apiece, through a
     # field-independent table: u < u is false and u < nextafter(u, 2) is
@@ -653,9 +660,9 @@ def test_kernel_replays_numpy_pcg64(case):
     lone = build_update_tables(DisorderGraph.empty(1))
     for sweep in (*_csweep.library().paths.values(), _twins._TWINS.sweep):
         for k, u in enumerate(draws):
-            at = np.array([_twins.rng_row(_copy(bit_generator).advance(k))], dtype=mcmc._WORD)
+            at = np.array([_twins.rng_row(_copy(bit_generator).advance(k))], dtype=_WORD)
             for plus, want in ((u, 0), (np.nextafter(u, 2.0), 1)):
-                state, rng = np.zeros((1, 1), dtype=mcmc._WORD), at.copy()
+                state, rng = np.zeros((1, 1), dtype=_WORD), at.copy()
                 assert sweep(*lone, np.full(5, plus), state, rng, 1) == [
                     [want]
                 ], k
@@ -664,7 +671,7 @@ def test_kernel_replays_numpy_pcg64(case):
             params = ModelParams(n=n, p=0.5, beta=0.9)
             tables = build_update_tables(sample_graph(params, GraphSeed(n)))
             plus = _plus(params)
-            state = np.zeros((1, tables[0].shape[1]), dtype=mcmc._WORD)
+            state = np.zeros((1, tables[0].shape[1]), dtype=_WORD)
             rng = row.copy()
             sweep(*tables, plus, state, rng, sweeps)
             advanced = _copy(bit_generator).advance(sweeps * n)
@@ -689,11 +696,11 @@ def test_group_calls_match_rows_one_at_a_time_on_any_pcg64_state(n, generators, 
     tables = build_update_tables(sample_graph(params, GraphSeed(seed)))
     plus = _plus(params)
     spins = np.random.default_rng(seed).integers(0, 2, size=(r, n), dtype=np.uint8)
-    states = np.zeros((r, tables[0].shape[1]), dtype=mcmc._WORD)
+    states = np.zeros((r, tables[0].shape[1]), dtype=_WORD)
     states.view(np.uint8)[:, : (n + 7) // 8] = np.packbits(spins, axis=1, bitorder="little")
     rngs = np.array(
         [[s & (2**64 - 1), s >> 64, i & (2**64 - 1), i >> 64] for s, i in generators],
-        dtype=mcmc._WORD,
+        dtype=_WORD,
     )
     want = _one_at_a_time(tables, plus, states, rngs, sweeps)
     for sweep in (*_csweep.library().paths.values(), _twins._TWINS.sweep):
@@ -744,9 +751,22 @@ def test_paths_follow_the_table_on_any_cpu():
 def test_cache_key_covers_the_machine(monkeypatch):
     # hosts of two architectures that share a cache each build their own library
     here = _csweep.library_path()
-    monkeypatch.setattr(_csweep.platform, "machine", lambda: "some-other-machine")
+    machine = types.SimpleNamespace(machine="some-other-machine")
+    monkeypatch.setattr(_csweep.os, "uname", lambda: machine)
     there = _csweep.library_path()
     assert there != here and there.parent == here.parent
+
+
+def test_cache_key_covers_the_source_and_the_command(monkeypatch):
+    # an edit to the source or to the compiler command builds a new library
+    here = _csweep.library_path()
+    monkeypatch.setattr(_csweep, "SOURCE", _csweep.SOURCE + "\n")
+    edited = _csweep.library_path()
+    monkeypatch.undo()
+    monkeypatch.setattr(_csweep, "COMMAND", (*_csweep.COMMAND, "-g"))
+    rebuilt = _csweep.library_path()
+    assert len({here, edited, rebuilt}) == 3
+    assert here.parent == edited.parent == rebuilt.parent
 
 
 def test_kernel_rejects_mismatched_buffers():
@@ -754,18 +774,18 @@ def test_kernel_rejects_mismatched_buffers():
     w1, w2, base = build_update_tables(DisorderGraph.complete(70))
     params = ModelParams(n=70, p=1.0, beta=0.5)
     plus = np.array(_plus(params))
-    states = np.zeros((2, 2), dtype=mcmc._WORD)
+    states = np.zeros((2, 2), dtype=_WORD)
     rngs = _rng_rows(1, 2)
     good = (w1, w2, base, plus, states, rngs, 2)
     for sweep in (*_csweep.library().paths.values(), _twins._TWINS.sweep):
         assert [len(up) for up in sweep(*good)] == [2, 2]
         for k, bad in (
-            (0, w1[:, :1]), (1, w2[:69]), (2, base[:-1]), (3, plus[:-1]),
-            (4, np.zeros((2, 1), dtype=mcmc._WORD)), (4, np.zeros(2, dtype=mcmc._WORD)),
-            (4, np.zeros((2, 2), dtype=mcmc._WORD).T),
-            (5, np.zeros((2, 3), dtype=mcmc._WORD)), (5, np.zeros((3, 4), dtype=mcmc._WORD)),
-            (5, rngs.astype(np.int64)), (5, rngs.astype(">u8")),
-            (5, np.zeros((2, 8), dtype=mcmc._WORD)[:, ::2]),
+            (0, np.asarray(w1)[:, :1]), (1, np.asarray(w2)[:69]), (2, base[:-1]), (3, plus[:-1]),
+            (4, np.zeros((2, 1), dtype=_WORD)), (4, np.zeros(2, dtype=_WORD)),
+            (4, np.zeros((2, 2), dtype=_WORD).T),
+            (5, np.zeros((2, 3), dtype=_WORD)), (5, np.zeros((3, 4), dtype=_WORD)),
+            (5, rngs.astype(np.float64)), (5, rngs.astype(">u8")), (5, rngs.astype(np.uint32)),
+            (5, np.zeros((2, 8), dtype=_WORD)[:, ::2]),
         ):
             args = list(good)
             args[k] = bad
@@ -783,7 +803,7 @@ def test_kernel_rejects_mismatched_buffers():
         # a group is 1 to GROUP replicas
         for r in (0, _csweep.GROUP + 1):
             args = list(good)
-            args[4:6] = np.zeros((r, 2), dtype=mcmc._WORD), np.zeros((r, 4), dtype=mcmc._WORD)
+            args[4:6] = np.zeros((r, 2), dtype=_WORD), np.zeros((r, 4), dtype=_WORD)
             with pytest.raises(ValueError, match="replicas together"):
                 sweep(*args)
 

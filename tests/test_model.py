@@ -106,7 +106,7 @@ def test_graph_words_match_nested_matrix(data):
     n = len(matrix)
     g = DisorderGraph.from_matrix(matrix)
     words = (n + 63) // 64
-    assert g.words.shape == (n, words) and g.words.dtype == np.dtype("<u8")
+    assert g.words.shape == (n, words) and g.words.format == "Q" and g.words.readonly
     assert g._cells().tolist() == matrix
     assert DisorderGraph.from_matrix(g._cells()) == g
     # edge (i, j) is bit j % 64 of word j // 64 of row i
@@ -120,11 +120,12 @@ def test_graph_words_match_nested_matrix(data):
     want = sum(matrix[i][j] * signs[i] * signs[j] for i in range(n) for j in range(n))
     assert interaction_sum(g, SpinConfig(n=n, bits=bits)) == want
 
-    assert not g.words.flags.writeable
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="read-only"):
         g.words[0, 0] = 1
-    copy = g.words.copy()
+    # a numpy array is taken as it is, without a copy
+    copy = np.array(g.words)
     assert DisorderGraph(n, copy) == g and hash(DisorderGraph(n, copy)) == hash(g)
+    assert np.shares_memory(np.asarray(DisorderGraph(n, copy).words), copy)
     if n % 64:
         copy[n - 1, -1] |= np.uint64(1 << (n % 64))
         with pytest.raises(ValueError, match="beyond column"):
@@ -133,7 +134,8 @@ def test_graph_words_match_nested_matrix(data):
         np.zeros((n, words + 1), dtype="<u8"),
         np.zeros((n + 1, words), dtype="<u8"),
         np.zeros(n * words, dtype="<u8"),
-        np.zeros((n, words), dtype=np.int64),
+        np.zeros((n, words), dtype=np.float64),
+        np.zeros((n, words), dtype=np.uint32),
         np.zeros((n, words), dtype=">u8"),
         [[0] * words] * n,
     ]
@@ -257,7 +259,7 @@ def test_count_kernel_refuses_bad_buffers():
     words = np.full((3, 2), np.iinfo(np.uint64).max, dtype="<u8")
     for kernels in kernel_sets():
         assert kernels.count(words) == 384
-        for bad in (words.astype(np.int64), words.astype(">u8"), words.astype(np.uint32),
+        for bad in (words.astype(np.float64), words.astype(">u8"), words.astype(np.uint32),
                     np.zeros((3, 4), dtype="<u8")[:, ::2], words.ravel(), words[None],
                     words[:, :0]):
             with pytest.raises(ValueError, match="kernel buffer"):

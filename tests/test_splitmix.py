@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dilutecw import splitmix
+from dilutecw import _twins, splitmix
 from dilutecw.mcmc import derive_seed
 
 
@@ -11,7 +11,7 @@ def test_scalar_and_vector_finalizers_agree():
     values = rng.integers(0, 1 << 64, size=4096, dtype=np.uint64, endpoint=False)
     values[:4] = [0, 1, (1 << 63), splitmix.MASK64]
     z = values.copy()
-    splitmix.finalize_array(z, np.empty_like(z))
+    _twins.finalize_array(z, np.empty_like(z))
     assert [int(v) for v in z] == [splitmix.finalize(int(v)) for v in values]
 
 
