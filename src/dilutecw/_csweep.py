@@ -4,15 +4,12 @@ KS distances to a Gaussian as one set of kernels: compiled to C on first use,
 or their numpy and Python twins.
 
 ``library()`` is the one place that chooses.  It returns a ``_Library`` of
-twelve kernels with fixed signatures, and every caller calls them without
+eleven kernels with fixed signatures, and every caller calls them without
 asking which set it got.  They take plain buffers: a ``bytearray`` under a
 ``memoryview`` cast to ``Q``, ``q``, ``d`` or ``B`` with a shape (``_new``
-makes the 8-byte ones), an ``array.array``, or any other C-contiguous buffer of the
-right item size and kind, numpy arrays included, and the compiled set
-returns memoryviews and lists.  ``_address`` is the one check of every
-buffer of a call, through ``memoryview``, and gives its address to the C
-function, so no command of the package imports numpy while the compiled set
-is loaded.
+makes the 8-byte ones), an ``array.array``, or any other C-contiguous buffer
+of the right item size and kind, numpy arrays included, and return
+memoryviews and lists.
 
 * ``sample(n, seed, threshold, start, out)`` writes rows start ..
   start + len(out) - 1 of the graph as mask words, one SplitMix64 mix per cell
@@ -35,8 +32,6 @@ is loaded.
 * ``pair_sum(n, base, b1, b0, log_g, log_counts) -> float`` is the log of
   the sum of exp over the O(n^3) terms of the annealed pair sum (see
   ``exact.second_moment_log``);
-* ``exact_sum(values) -> float`` sums nonnegative doubles, rounding once, to
-  the float ``math.fsum`` gives;
 * ``levy(locations, cum, mean, sd, tol) -> float`` and
   ``ks(locations, cum, mean, sd) -> float`` are the Levy and
   Kolmogorov-Smirnov distances of the atoms at ``locations``, with cumulative
@@ -46,6 +41,20 @@ is loaded.
   ``parse(text, words) -> int`` packs such lines into ``words``, returning
   the first line that is not n cells and a newline, or k (see
   ``graph.write_graph`` and ``graph.read_graph``).
+
+Each kernel is one entry here over one raw function.  The entry (``_sweep``,
+``_sample``, ``_masks`` and so on) checks the call's arguments, every buffer
+through ``_view``, makes the outputs and shapes the result; the raw function
+only computes.  The raw functions of a set are the C functions of ``SOURCE``
+or their twins in ``_twins``, one per C function and named after it, which
+take the same parameters in the same order and write into the buffers they
+are given, as the C function does.  ``_kernels`` makes the entries of either
+set, so both refuse the same calls, before any raw function runs, and return
+the same types.  ``_SIGNATURES`` is the one table of the C parameter lists:
+``_function`` gives each compiled function its ctypes signature from it, and
+its buffer type, ``_Buffer``, hands C the address of a buffer that has passed
+the checks (``_address``), a read-only one too, so no command of the package
+imports numpy while the compiled set is loaded.
 
 The compiled set is ``SOURCE`` below.  Its sweep does to each replica
 exactly what the Python twin ``_twins._sweep_bits`` does, one sweep after
@@ -90,62 +99,60 @@ first of them is ``path``, the one ``sweep`` runs.
 The same library holds the setup of every sampled graph, each function
 bit-identical to its twin:
 
-* ``sample_rows_<path>`` (twin ``_sample_rows``) is compiled with AVX-512 DQ,
-  where GCC mixes a word's 64 cells in vector lanes with ``vpmullq``, and
-  plainly.  ``SAMPLE_PATHS`` is its table, read against the same probe:
-  VPOPCNTDQ does not imply DQ.
-* ``build_masks_<path>`` (twin ``_numpy_masks``) works by a 64 x 64 block
-  bit transpose whose six rounds shift by constants.  It is compiled once
-  for each path of ``PATHS``, so that its popcounts are an instruction
-  wherever the sweep's are, and ``masks`` is the one of ``path``.
-* ``count_bits_<path>`` (twin ``_count_rows``) sums the popcounts of the
-  words, compiled and bound the same way: at n = 4096 the plain body takes
-  about 1 ms, calling libgcc for each word, the ``popcnt`` one 0.21 ms and
-  the ``avx512vpopcntdq`` one 0.07 ms, against 1.7-2.8 ms for the twin.
-  ``edge_count`` and the histogram's edge count both come from it.
-* ``plus_table`` (twin ``_plus_loop``) calls libm ``exp``, the function
-  ``math.exp`` calls, so every entry is the same double.
+* ``sample_rows_<path>`` is compiled with AVX-512 DQ, where GCC mixes a
+  word's 64 cells in vector lanes with ``vpmullq``, and plainly.
+  ``SAMPLE_PATHS`` is its table, read against the same probe: VPOPCNTDQ does
+  not imply DQ.
+* ``build_masks_<path>`` works by a 64 x 64 block bit transpose whose six
+  rounds shift by constants.  It is compiled once for each path of
+  ``PATHS``, so that its popcounts are an instruction wherever the sweep's
+  are, and ``masks`` is the one of ``path``.
+* ``count_bits_<path>`` sums the popcounts of the words, compiled and bound
+  the same way: at n = 4096 the plain body takes about 1 ms, calling libgcc
+  for each word, the ``popcnt`` one 0.21 ms and the ``avx512vpopcntdq`` one
+  0.07 ms, against 1.7-2.8 ms for the twin.  ``edge_count`` and the
+  histogram's edge count both come from it.
+* ``plus_table`` calls libm ``exp``, the function ``math.exp`` calls, so
+  every entry is the same double.
 
-So does the enumeration's ``interaction_histogram`` (twin
-``_numpy_histogram``), whose counts are exact integers either way.  It takes
-its W = eps + eps^T from ``build_masks_generic`` (the twin from
-``_numpy_masks``), the one place each set derives it.  It is compiled once,
-plainly: its inner loop is table loads and increments, with no popcount in
-it.  A global flip keeps s and maps class c to n - c, so from n = 2 on the
-kernel counts only the configurations with site 0 down, then adds the
-class-reversed copy of that (s, class) table itself and moves the keys that
-count any configuration to the front, so Python visits only those; the twin
-counts every configuration.
+So does the enumeration's ``interaction_histogram``, whose counts are exact
+integers either way.  It takes its W = eps + eps^T from
+``build_masks_generic`` (the twin from ``_twins._masks``), the one place each
+set derives it.  It is compiled once, plainly: its inner loop is table loads
+and increments, with no popcount in it.  A global flip keeps s and maps class
+c to n - c, so from n = 2 on the kernel counts only the configurations with
+site 0 down, then adds the class-reversed copy of that (s, class) table
+itself and moves the keys that count any configuration to the front, so
+Python visits only those; the twin counts every configuration.
 
-The text kernels ``format_text`` and ``parse_text`` (twins ``_numpy_format``
-and ``_numpy_parse``) take eight cells a step: a 256-entry table spreads a
-byte of a word into eight bytes, and one multiply gathers the low bits of
-eight bytes into one.  ``parse_text`` refuses a line exactly where its twin
-does, at a cell c with (c | 1) != '1' or a byte n other than '\n', and clears
-every bit past column n - 1.  It may write the words of the line it refuses;
-the twin leaves them as they were, and no caller reads them.
+The text kernels ``format_text`` and ``parse_text`` take eight cells a step:
+a 256-entry table spreads a byte of a word into eight bytes, and one multiply
+gathers the low bits of eight bytes into one.  ``parse_text`` refuses a line
+exactly where its twin does, at a cell c with (c | 1) != '1' or a byte n
+other than '\n', and clears every bit past column n - 1.  It may write the
+words of the line it refuses; the twin leaves them as they were, and no
+caller reads them.
 
-The distances ``levy_normal`` and ``ks_normal`` (twins ``_levy_loop`` and
-``_ks_loop``) do the twins' IEEE operations in the twins' order and call libm
-``erfc`` and ``sqrt``, the functions ``math.erfc`` and ``math.sqrt`` call, so
-each returns the twin's double.  Where the twin takes Python's ``max``, the
-kernel keeps the earlier of two values unless the later compares greater, as
-``max`` does.
+The distances ``levy_normal`` and ``ks_normal`` do the twins' IEEE operations
+in the twins' order and call libm ``erfc`` and ``sqrt``, the functions
+``math.erfc`` and ``math.sqrt`` call, so each returns the twin's double.
+Where the twin takes Python's ``max``, the kernel keeps the earlier of two
+values unless the later compares greater, as ``max`` does.
 
-The second moment's ``pair_sum`` (twin ``_numpy_pair_sum``) builds the index
-of its table of log counts, then every term in the twin's IEEE operation order, finds the peak in a first pass and in a
-second calls libm ``exp`` of each term less the peak.  It adds those doubles
-exactly: the 53-bit integer mantissa of each goes into a 128-bit bucket for
-its exponent, and the buckets fold into one integer, the exact sum times
-2^1074.  Python rounds that integer once by an int / int true division, which
-CPython rounds correctly, half to even, as ``math.fsum`` does for the twin; so
-both give the same float.  ``exact_sum`` (twin ``_fsum``) is that exact sum
-alone.  ``COMMAND`` passes ``-ffp-contract=off``: where the target has fused
-multiply-add in its baseline (aarch64), GCC's default would fuse x + (b m) m
-into one rounding where Python rounds twice.
+The second moment's ``pair_sum`` builds the index of its table of log
+counts, then every term in the twin's IEEE operation order, finds the peak in
+a first pass and in a second calls libm ``exp`` of each term less the peak.
+It adds those doubles exactly: the 53-bit integer mantissa of each goes into
+a 128-bit bucket for its exponent, and the buckets fold into one integer, the
+exact sum times 2^1074.  Python rounds that integer once by an int / int true
+division, which CPython rounds correctly, half to even, as ``math.fsum`` does
+for the twin; so both give the same float.  ``COMMAND`` passes
+``-ffp-contract=off``: where the target has fused multiply-add in its
+baseline (aarch64), GCC's default would fuse x + (b m) m into one rounding
+where Python rounds twice.
 
-The twins, in ``_twins``, are the test oracles of the compiled kernels and,
-as ``_twins._TWINS``, the set ``library()`` returns when nothing compiles or
+The twins are the test oracles of the compiled kernels and, as
+``_twins._TWINS``, the set ``library()`` returns when nothing compiles or
 loads; its ``path`` and ``sample_path`` are None and its ``paths`` and
 ``sample_paths`` empty.  Only that fallback imports them.
 
@@ -176,6 +183,7 @@ import math
 import os
 import sys
 import threading
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -676,16 +684,6 @@ static void fold_buckets(const unsigned __int128 *bucket, uint64_t *limbs)
     }
 }
 
-/* The count doubles of x, each nonnegative and finite, summed exactly into
-   limbs (see fold_buckets). */
-void exact_sum(int64_t count, const double *x, uint64_t *limbs)
-{
-    unsigned __int128 bucket[BUCKETS] = {0};
-    for (int64_t i = 0; i < count; i++)
-        bucket_add(bucket, x[i]);
-    fold_buckets(bucket, limbs);
-}
-
 /* Every term of the annealed pair sum (see exact.second_moment_log), visited
    as (class ck, class cl, n1) with the four category counts n1, ck - n1,
    cl - n1, n - ck - cl + n1 nonnegative, and built in the same IEEE order as
@@ -836,6 +834,7 @@ int64_t cpu_features(void)
     for k, name in enumerate(FEATURES)
 ))
 
+
 COMMAND = ("cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 # The most replicas one sweep call runs together (GROUP in SOURCE).  Each mask
@@ -856,7 +855,6 @@ class _Library(NamedTuple):
     plus: Callable  # plus_table
     histogram: Callable  # interaction_histogram
     pair_sum: Callable  # pair_sum
-    exact_sum: Callable  # exact_sum
     levy: Callable  # levy_normal
     ks: Callable  # ks_normal
     format: Callable  # format_text
@@ -921,13 +919,12 @@ def _view(buffer, kind: str, shape: tuple, out: bool = False) -> memoryview:
     return view
 
 
-def _address(buffer, kind: str, shape: tuple, out: bool = False) -> int:
-    """The address of ``buffer``'s memory, once it passes ``_view``'s checks.
-    The kernel trusts every length, so every buffer of a call comes here; a
-    read-only one too, which ctypes' ``from_buffer`` refuses, so the address
-    is the first word of the buffer's Py_buffer, which has at most 11
-    pointer-sized fields on any platform."""
-    view = _view(buffer, kind, shape, out)
+def _address(view) -> int:
+    """The address of the memory of ``view``, a buffer that has passed
+    ``_view``'s checks or that an entry made.  A read-only one too, which
+    ctypes' ``from_buffer`` refuses, so the address is the first word of the
+    buffer's Py_buffer, which has at most 11 pointer-sized fields on any
+    platform."""
     exported = (ctypes.c_void_p * 11)()
     # PyBUF_SIMPLE asks for C-contiguous bytes, as _view has checked
     ctypes.pythonapi.PyObject_GetBuffer(ctypes.py_object(view), exported, 0)
@@ -935,6 +932,48 @@ def _address(buffer, kind: str, shape: tuple, out: bool = False) -> int:
         return exported[0] or 0
     finally:
         ctypes.pythonapi.PyBuffer_Release(exported)
+
+
+class _Buffer:
+    """The ctypes type of a buffer parameter: the C function gets the address
+    of the buffer's memory.  The kernel trusts every length, so only the
+    entries below pass one, once it has passed their checks."""
+
+    @staticmethod
+    def from_param(view) -> ctypes.c_void_p:
+        return ctypes.c_void_p(_address(view))
+
+
+# The C signature of each function of SOURCE that Python calls, without its
+# path suffix: the return type, a colon, then one letter per parameter in the
+# order of the C parameter list, which each function's twin shares.  "i" is
+# int64_t, "u" uint64_t, "d" double, "p" a pointer to a buffer and "v" void.
+_SIGNATURES = {
+    "sweep_block": "v:iiipppppipp",
+    "sample_rows": "v:iuuiip",
+    "build_masks": "v:ipppp",
+    "count_bits": "i:ip",
+    "plus_table": "v:idp",
+    "interaction_histogram": "i:ipiippp",
+    "pair_sum": "i:idddppppp",
+    "levy_normal": "d:ippddd",
+    "ks_normal": "d:ippdd",
+    "format_text": "v:iipp",
+    "parse_text": "i:iipp",
+    "cpu_features": "i:",
+}
+_CTYPES = {"i": ctypes.c_int64, "u": ctypes.c_uint64, "d": ctypes.c_double, "p": _Buffer,
+           "v": None}
+
+
+def _function(lib, name: str, path: str | None = None):
+    """The function ``name`` of ``lib`` (``name_path`` when ``path`` is
+    given), with its signature from ``_SIGNATURES``."""
+    fn = getattr(lib, f"{name}_{path}" if path else name)
+    result, params = _SIGNATURES[name].split(":")
+    fn.restype = _CTYPES[result]
+    fn.argtypes = [_CTYPES[kind] for kind in params]
+    return fn
 
 
 def _new(fmt: str, shape: tuple) -> memoryview:
@@ -949,12 +988,17 @@ def _is_count(value, least: int) -> bool:
     return not isinstance(value, bool) and hasattr(value, "__index__") and value >= least
 
 
-def _sweep_shape(w1, w2, base, plus, states, rngs, sweeps) -> tuple:
-    """(r, addresses of w1, w2, base, plus, rngs and states) of a sweep call,
-    once its arguments pass the checks that both kernel sets make, so that
-    they refuse the same calls.  Masks and ``base`` as ``masks`` returns
-    them, ``plus`` indexed by S_i + 2n, ``states`` an (r, words) buffer of
-    mask words with 1 <= r <= GROUP, ``rngs`` (r, 4) rows of ``rng_row``,
+# The entries of the kernels: each checks its arguments, makes its outputs,
+# calls the raw function of its set, its first argument, and shapes the
+# result, whichever set runs.
+
+
+def _sweep(block, w1, w2, base, plus, states, rngs, sweeps) -> list[list[int]]:
+    """Run ``sweeps`` sweeps on each row of ``states`` in place, row g drawing
+    on the PCG64 of row g of ``rngs`` and advancing it; per row, the up-spin
+    count after each sweep.  Masks and ``base`` as ``masks`` returns them,
+    ``plus`` indexed by S_i + 2n, ``states`` an (r, words) buffer of mask
+    words with 1 <= r <= GROUP, ``rngs`` (r, 4) rows of ``rng_row``,
     ``sweeps`` an integer >= 0."""
     n, words = memoryview(w1).shape
     r = len(states)
@@ -962,82 +1006,103 @@ def _sweep_shape(w1, w2, base, plus, states, rngs, sweeps) -> tuple:
         raise ValueError(f"a sweep runs 1 to {GROUP} replicas together, got {r}")
     if not _is_count(sweeps, 0):
         raise ValueError(f"sweeps must be an integer >= 0, got {sweeps!r}")
-    return r, (
-        _address(w1, "i8", (n, (n + 63) // 64)),
-        _address(w2, "i8", (n, words)),
-        _address(base, "i8", (n,)),
-        _address(plus, "f8", (4 * n + 1,)),
-        _address(rngs, "i8", (r, 4), out=True),
-        _address(states, "i8", (r, words), out=True),
-    )
+    sweeps = int(sweeps)
+    up = _new("q", (r * sweeps,))
+    block(n, words, r, _view(w1, "i8", (n, (n + 63) // 64)), _view(w2, "i8", (n, words)),
+          _view(base, "i8", (n,)), _view(plus, "f8", (4 * n + 1,)),
+          _view(rngs, "i8", (r, 4), out=True), sweeps,
+          _view(states, "i8", (r, words), out=True), up)
+    return [up[g * sweeps:(g + 1) * sweeps].tolist() for g in range(r)]
 
 
-def _histogram_shape(out_rows) -> tuple[int, int, int]:
-    """(n, edges, address of ``out_rows``) of a histogram call, once
-    ``out_rows`` passes the checks that both kernel sets make: the (n, 1) mask
-    words of a graph of 1 to 64 sites."""
+def _sample(sample_rows, n: int, seed: int, threshold: int, start: int, out) -> None:
+    """Write rows start .. start + len(out) - 1 of the n-site graph of
+    (seed, threshold) into ``out`` as mask words (see graph.sample_graph)."""
+    rows = len(out)
+    view = _view(out, "i8", (rows, (n + 63) // 64), out=True)
+    if not (0 <= start <= start + rows <= n and 0 <= seed < 1 << 64
+            and 0 <= threshold <= 1 << 53):
+        raise ValueError(f"rows {start}+{rows} of n={n}, seed {seed}, threshold {threshold}")
+    sample_rows(n, seed, threshold, start, rows, view)
+
+
+def _masks(build_masks, out_rows) -> tuple[memoryview, memoryview, memoryview]:
+    """The symmetric masks (w1, w2) and the all-down field ``base`` of the
+    out-edge rows, an (n, ceil(n / 64)) buffer of mask words, n >= 1."""
     n = len(out_rows)
-    if not 1 <= n <= 64:
-        raise ValueError(f"the histogram takes 1 to 64 sites, one mask word a row, got {n}")
-    rows = _address(out_rows, "i8", (n, 1))
-    return n, library().count(out_rows), rows
+    shape = (n, (n + 63) // 64)
+    rows = _view(out_rows, "i8", shape)
+    if n < 1:
+        raise ValueError("kernel buffer of no rows is not the out-edge rows of a graph")
+    tables = _new("Q", shape), _new("Q", shape), _new("q", (n,))
+    build_masks(n, rows, *tables)
+    return tables
 
 
-def _count_shape(words) -> int:
-    """The address of the words of a count, once they pass the check both
-    kernel sets make: rows of mask words, C-contiguous 64-bit integers."""
+def _count(count_bits, words) -> int:
+    """The set bits of ``words``, rows of mask words."""
     shape = memoryview(words).shape
     if len(shape) != 2 or shape[1] < 1:
         raise ValueError(f"kernel buffer {shape} is not rows of mask words")
-    return _address(words, "i8", shape)
+    view = _view(words, "i8", shape)
+    return count_bits(view.nbytes // 8, view)
 
 
-def _pair_shape(n, log_g, log_counts) -> tuple[int, int]:
-    """The addresses of ``log_g`` and ``log_counts`` in a pair sum, once its
-    arguments pass the checks that both kernel sets make: ``log_g`` the n + 1
-    class log weights, ``log_counts`` one log count per partition a <= b <=
-    c <= d of n, ordered by a, then b, then c.  Row (a, b) holds the c from b
-    to (n - a - b) // 2, so it is empty unless a <= b and a + 3 b <= n."""
+def _plus(plus_table, n: int, rate: float) -> memoryview:
+    """P(spin up) = 1 / (1 + exp(-rate S)), S indexed by S + 2n."""
+    table = _new("d", (4 * n + 1,))
+    plus_table(n, rate, table)
+    return table
+
+
+def _histogram(interaction_histogram, count_bits, out_rows) -> tuple[list[int], list[int]]:
+    """The keys (s + edges) (n + 1) + class that count any configuration,
+    increasing, and their counts, from ``out_rows``, the (n, 1) mask words of
+    a graph of 1 to 64 sites.  ``count_bits`` of the same set counts the
+    edges."""
+    n = len(out_rows)
+    if not 1 <= n <= 64:
+        raise ValueError(f"the histogram takes 1 to 64 sites, one mask word a row, got {n}")
+    rows = _view(out_rows, "i8", (n, 1))
+    edges = count_bits(n, rows)
+    high = n - n // 2
+    size = (2 * edges + 1) * (n + 1)
+    hkey = _new("q", (1 << high,))
+    quarter = _new("q", ((1 << high // 2) + (1 << (high - high // 2)),))
+    copies = _new("q", (4 * size,))
+    found = interaction_histogram(n, rows, edges, size, hkey, quarter, copies)
+    return copies[size:size + found].tolist(), copies[:found].tolist()
+
+
+# The words of a pair sum's integer, as the C kernel's LIMBS: the sum times
+# 2^_SUM_SCALE.
+_LIMBS = 36
+_SUM_SCALE = 1074
+
+
+def _pair_sum(pair_sum, n, base, b1, b0, log_g, log_counts) -> float:
+    """log of the sum of exp over every term of the annealed pair sum (see
+    ``exact.second_moment_log``); -inf when there is none, NaN when a term
+    is NaN or +inf.  ``log_g`` holds the n + 1 class log weights,
+    ``log_counts`` one log count per partition a <= b <= c <= d of n, ordered
+    by a, then b, then c.  Row (a, b) holds the c from b to (n - a - b) // 2,
+    so it is empty unless a <= b and a + 3 b <= n.  The raw function leaves
+    the sum times 2^_SUM_SCALE in ``limbs`` (the C function exactly, its twin
+    rounded by math.fsum), and CPython's int / int true division rounds it
+    once, half to even, as math.fsum does."""
     if not _is_count(n, 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     partitions = sum((n - a - b) // 2 - b + 1
                      for a in range(n // 4 + 1) for b in range(a, (n - a) // 3 + 1))
-    return _address(log_g, "f8", (n + 1,)), _address(log_counts, "f8", (partitions,))
-
-
-def _sum_shape(values) -> int:
-    """The address of the values of an exact sum, once they pass the check
-    both kernel sets make: a vector of finite doubles, none with its sign bit
-    set."""
-    view = memoryview(values)
-    at = _address(view, "f8", (view.nbytes // view.itemsize,))
-    if not all(math.isfinite(x) and math.copysign(1.0, x) > 0 for x in view.tolist()):
-        raise ValueError("an exact sum takes finite doubles of positive sign")
-    return at
-
-
-def _distance_shape(locations, cum) -> tuple[int, int, int]:
-    """(k, addresses of ``locations`` and ``cum``) of a distance call, once its
-    arguments pass the checks that both kernel sets make: ``locations`` and
-    their cumulative weights ``cum`` two vectors of k >= 1 doubles."""
-    k = len(locations)
-    if k < 1:
-        raise ValueError("a distance takes at least one atom")
-    return k, _address(locations, "f8", (k,)), _address(cum, "f8", (k,))
-
-
-def _text_shape(words, text, out) -> tuple[int, int, int, int]:
-    """(k, n, addresses of ``words`` and ``text``) of a format or parse call,
-    once its arguments pass the checks that both kernel sets make: ``text`` k
-    lines of n + 1 bytes, n >= 1, as a (k, n + 1) byte buffer, ``words`` their
-    (k, ceil(n / 64)) mask words, and ``out``, the one of them the call
-    writes, writable."""
-    shape = memoryview(text).shape
-    if len(shape) != 2 or shape[1] < 2:
-        raise ValueError(f"kernel buffer {shape} is not k lines of n + 1 bytes")
-    k, n = shape[0], shape[1] - 1
-    return (k, n, _address(words, "i8", (k, (n + 63) // 64), out=out is words),
-            _address(text, "i1", (k, n + 1), out=out is text))
+    log_g = _view(log_g, "f8", (n + 1,))
+    log_counts = _view(log_counts, "f8", (partitions,))
+    peak, limbs = _new("d", (1,)), _new("Q", (_LIMBS,))
+    terms = pair_sum(n, base, b1, b0, log_g, _new("q", ((n + 1) ** 2,)), log_counts, peak, limbs)
+    if terms == 0:
+        return -math.inf
+    if terms < 0:
+        return math.nan
+    return peak[0] + math.log(int.from_bytes(limbs, "little") / (1 << _SUM_SCALE))
 
 
 # The least bisection width of a Levy distance: from 2^-52 on, two adjacent
@@ -1045,256 +1110,96 @@ def _text_shape(words, text, out) -> tuple[int, int, int, int]:
 _LEAST_TOL = 2.0 ** -52
 
 
-def _levy_shape(locations, cum, tol: float) -> tuple[int, int, int]:
-    """As ``_distance_shape``, with the check of the bisection's width."""
-    if not tol >= _LEAST_TOL:
-        raise ValueError(f"the bisection width must be at least 2^-52, got {tol!r}")
-    return _distance_shape(locations, cum)
+def _distance(distance, locations, cum, mean: float, sd: float, *tol: float) -> float:
+    """The Kolmogorov-Smirnov distance (``ks_normal``) or, given the
+    bisection width ``tol``, the Levy distance (``levy_normal``) of the atoms
+    at ``locations``, with cumulative weights ``cum``, to N(mean, sd^2).
+    ``locations`` and ``cum`` are two vectors of k >= 1 doubles."""
+    if tol and not tol[0] >= _LEAST_TOL:
+        raise ValueError(f"the bisection width must be at least 2^-52, got {tol[0]!r}")
+    k = len(locations)
+    if k < 1:
+        raise ValueError("a distance takes at least one atom")
+    return distance(k, _view(locations, "f8", (k,)), _view(cum, "f8", (k,)), mean, sd, *tol)
 
 
-# The words of an exact sum's integer, as the C kernel's LIMBS: the sum times
-# 2^_SUM_SCALE.
-_LIMBS = 36
-_SUM_SCALE = 1074
+def _lines(text) -> tuple[int, int]:
+    """(k, n) of ``text``, k lines of n + 1 bytes as a (k, n + 1) byte buffer,
+    n >= 1."""
+    shape = memoryview(text).shape
+    if len(shape) != 2 or shape[1] < 2:
+        raise ValueError(f"kernel buffer {shape} is not k lines of n + 1 bytes")
+    return shape[0], shape[1] - 1
 
 
-def _rounded(limbs: memoryview) -> float:
-    """The exact sum held in ``limbs``, correctly rounded to a double: CPython's
-    int / int true division rounds once, half to even, as math.fsum does."""
-    return int.from_bytes(limbs.tobytes(), "little") / (1 << _SUM_SCALE)
+def _format(format_text, words, text) -> None:
+    """Write the k rows of mask words ``words`` into ``text``, a (k, n + 1)
+    byte buffer, as k lines of n '0' / '1' bytes and a newline."""
+    k, n = _lines(text)
+    words = _view(words, "i8", (k, (n + 63) // 64))
+    format_text(n, k, words, _view(text, "i1", (k, n + 1), out=True))
 
 
-def _bind(fn):
-    """The checked Python entry to one kernel function of the SWEEP_ARGS signature."""
-    fn.restype = None
-    fn.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 5,
-                   ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
-
-    def sweep(w1, w2, base, plus, states, rngs, sweeps) -> list[list[int]]:
-        """Run ``sweeps`` sweeps on each row of ``states`` in place, row g
-        drawing on the PCG64 of row g of ``rngs`` and advancing it; per row,
-        the up-spin count after each sweep.  The arguments as in
-        ``_sweep_shape``."""
-        r, (one, two, base_at, plus_at, rngs_at, states_at) = _sweep_shape(
-            w1, w2, base, plus, states, rngs, sweeps)
-        n, words = memoryview(w1).shape
-        sweeps = int(sweeps)
-        up = _new("q", (r * sweeps,))
-        fn(n, words, r, one, two, base_at, plus_at, rngs_at, sweeps, states_at,
-           _address(up, "i8", up.shape, out=True))
-        return [up[g * sweeps:(g + 1) * sweeps].tolist() for g in range(r)]
-
-    return sweep
+def _parse(parse_text, text, words) -> int:
+    """Check the k lines of ``text`` and pack them into ``words``, their rows
+    of mask words; the first line that is not n '0' / '1' bytes and a
+    newline, or k."""
+    k, n = _lines(text)
+    words = _view(words, "i8", (k, (n + 63) // 64), out=True)
+    return parse_text(n, k, _view(text, "i1", (k, n + 1)), words)
 
 
-def _bind_sample(fn):
-    """The checked Python entry to one kernel function of the SAMPLE_ARGS signature."""
-    fn.restype = None
-    fn.argtypes = [ctypes.c_int64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64,
-                   ctypes.c_int64, ctypes.c_void_p]
-
-    def sample(n: int, seed: int, threshold: int, start: int, out) -> None:
-        """Write rows start .. start + len(out) - 1 of the n-site graph of
-        (seed, threshold) into ``out`` as mask words (see graph.sample_graph)."""
-        rows = len(out)
-        at = _address(out, "i8", (rows, (n + 63) // 64), out=True)
-        if not (0 <= start <= start + rows <= n and 0 <= seed < 1 << 64
-                and 0 <= threshold <= 1 << 53):
-            raise ValueError(f"rows {start}+{rows} of n={n}, seed {seed}, threshold {threshold}")
-        fn(n, seed, threshold, start, rows, at)
-
-    return sample
-
-
-def _bind_masks(fn):
-    fn.restype = None
-    fn.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 4]
-
-    def masks(out_rows):
-        """The symmetric masks (w1, w2) and the all-down field ``base`` of the
-        out-edge rows, an (n, ceil(n / 64)) buffer of mask words, n >= 1."""
-        n = len(out_rows)
-        shape = (n, (n + 63) // 64)
-        rows = _address(out_rows, "i8", shape)
-        if n < 1:
-            raise ValueError("kernel buffer of no rows is not the out-edge rows of a graph")
-        tables = _new("Q", shape), _new("Q", shape), _new("q", (n,))
-        fn(n, rows, *(_address(table, "i8", table.shape, out=True) for table in tables))
-        return tables
-
-    return masks
-
-
-def _bind_count(fn):
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p]
-
-    def count(words) -> int:
-        """The set bits of the rows of mask words ``words`` (see
-        ``_twins._count_rows``)."""
-        at = _count_shape(words)
-        return fn(memoryview(words).nbytes // 8, at)
-
-    return count
-
-
-def _bind_plus(fn):
-    fn.restype = None
-    fn.argtypes = [ctypes.c_int64, ctypes.c_double, ctypes.c_void_p]
-
-    def plus(n: int, rate: float) -> memoryview:
-        """P(spin up) = 1 / (1 + exp(-rate S)), S indexed by S + 2n."""
-        table = _new("d", (4 * n + 1,))
-        fn(n, rate, _address(table, "f8", table.shape, out=True))
-        return table
-
-    return plus
-
-
-def _bind_histogram(fn):
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                   *[ctypes.c_void_p] * 3]
-
-    def histogram(out_rows) -> tuple[list[int], list[int]]:
-        """The keys (s + edges) (n + 1) + class that count any configuration,
-        increasing, and their counts, from the (n, 1) mask words of the graph
-        (see ``_twins._numpy_histogram``)."""
-        n, edges, rows = _histogram_shape(out_rows)
-        high = n - n // 2
-        size = (2 * edges + 1) * (n + 1)
-        hkey = _new("q", (1 << high,))
-        quarter = _new("q", ((1 << high // 2) + (1 << (high - high // 2)),))
-        copies = _new("q", (4 * size,))
-        found = fn(n, rows, edges, size, *(_address(buffer, "i8", buffer.shape, out=True)
-                                           for buffer in (hkey, quarter, copies)))
-        return copies[size:size + found].tolist(), copies[:found].tolist()
-
-    return histogram
-
-
-def _bind_pair_sum(fn):
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64, *[ctypes.c_double] * 3, *[ctypes.c_void_p] * 5]
-
-    def pair_sum(n, base, b1, b0, log_g, log_counts) -> float:
-        """log of the sum of exp over every term of the annealed pair sum
-        (see ``_twins._numpy_pair_sum``); -inf when there is none."""
-        g_at, counts_at = _pair_shape(n, log_g, log_counts)
-        offsets = _new("q", ((n + 1) ** 2,))
-        peak, limbs = _new("d", (1,)), _new("Q", (_LIMBS,))
-        terms = fn(n, base, b1, b0, g_at, _address(offsets, "i8", offsets.shape, out=True),
-                   counts_at, _address(peak, "f8", peak.shape, out=True),
-                   _address(limbs, "i8", limbs.shape, out=True))
-        if terms == 0:
-            return -math.inf
-        if terms < 0:
-            return math.nan
-        return peak[0] + math.log(_rounded(limbs))
-
-    return pair_sum
-
-
-def _bind_exact_sum(fn):
-    fn.restype = None
-    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
-
-    def exact_sum(values) -> float:
-        """The sum of ``values``, correctly rounded: the float math.fsum gives."""
-        at = _sum_shape(values)
-        limbs = _new("Q", (_LIMBS,))
-        fn(len(memoryview(values)), at, _address(limbs, "i8", limbs.shape, out=True))
-        return _rounded(limbs)
-
-    return exact_sum
-
-
-def _bind_distances(levy_fn, ks_fn):
-    """The checked Python entries to ``levy_normal`` and ``ks_normal``."""
-    levy_fn.restype = ks_fn.restype = ctypes.c_double
-    ks_fn.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 2, *[ctypes.c_double] * 2]
-    levy_fn.argtypes = [*ks_fn.argtypes, ctypes.c_double]
-
-    def levy(locations, cum, mean: float, sd: float, tol: float) -> float:
-        """The Levy distance of the atoms at ``locations``, cumulative weights
-        ``cum``, to N(mean, sd^2), bisected to width ``tol`` (see
-        ``_twins._levy_loop``)."""
-        return levy_fn(*_levy_shape(locations, cum, tol), mean, sd, tol)
-
-    def ks(locations, cum, mean: float, sd: float) -> float:
-        """The Kolmogorov-Smirnov distance of the same atoms to N(mean, sd^2)
-        (see ``_twins._ks_loop``)."""
-        return ks_fn(*_distance_shape(locations, cum), mean, sd)
-
-    return levy, ks
-
-
-def _bind_text(format_fn, parse_fn):
-    """The checked Python entries to ``format_text`` and ``parse_text``."""
-    format_fn.restype = None
-    parse_fn.restype = ctypes.c_int64
-    format_fn.argtypes = parse_fn.argtypes = [ctypes.c_int64, ctypes.c_int64,
-                                              *[ctypes.c_void_p] * 2]
-
-    def format(words, text) -> None:
-        """Write the k rows of mask words ``words`` into ``text`` as k lines of
-        n '0' / '1' bytes and a newline (see ``_twins._numpy_format``)."""
-        k, n, words_at, text_at = _text_shape(words, text, text)
-        format_fn(n, k, words_at, text_at)
-
-    def parse(text, words) -> int:
-        """Check the k lines of ``text`` and pack them into ``words``; the
-        first line that is not n '0' / '1' bytes and a newline, or k (see
-        ``_twins._numpy_parse``)."""
-        k, n, words_at, text_at = _text_shape(words, text, words)
-        return parse_fn(n, k, text_at, words_at)
-
-    return format, parse
+def _kernels(raw: dict, paths: dict, sample_paths: dict) -> _Library:
+    """The kernel set of the raw functions ``raw``, which maps the name of
+    each kernel function of ``_SIGNATURES`` to its own.  ``paths`` and
+    ``sample_paths`` map each sweep and sampler path, fastest first, to its
+    raw function; the twins have none."""
+    sweeps = {name: partial(_sweep, fn) for name, fn in paths.items()}
+    samplers = {name: partial(_sample, fn) for name, fn in sample_paths.items()}
+    path, sample_path = next(iter(sweeps), None), next(iter(samplers), None)
+    return _Library(
+        sweep=sweeps[path] if sweeps else partial(_sweep, raw["sweep_block"]),
+        path=path,
+        paths=sweeps,
+        sample=samplers[sample_path] if samplers else partial(_sample, raw["sample_rows"]),
+        sample_path=sample_path,
+        sample_paths=samplers,
+        masks=partial(_masks, raw["build_masks"]),
+        count=partial(_count, raw["count_bits"]),
+        plus=partial(_plus, raw["plus_table"]),
+        histogram=partial(_histogram, raw["interaction_histogram"], raw["count_bits"]),
+        pair_sum=partial(_pair_sum, raw["pair_sum"]),
+        levy=partial(_distance, raw["levy_normal"]),
+        ks=partial(_distance, raw["ks_normal"]),
+        format=partial(_format, raw["format_text"]),
+        parse=partial(_parse, raw["parse_text"]),
+    )
 
 
 def _runnable(table: dict, features: set) -> list[str]:
     """The paths of ``table`` (PATHS or SAMPLE_PATHS) that a CPU with
     ``features`` runs, fastest first."""
     return [name for name, needs in table.items() if needs <= features]
+
+
 def _open() -> _Library:
     if sys.byteorder != "little":
         raise OSError("the kernel reads the masks as little-endian words")
-    path = library_path()
-    if not path.exists():
-        _build(path)
-    lib = ctypes.CDLL(str(path))
-    lib.cpu_features.restype = ctypes.c_int64
-    lib.cpu_features.argtypes = []
-    bits = lib.cpu_features()
+    file = library_path()
+    if not file.exists():
+        _build(file)
+    lib = ctypes.CDLL(str(file))
+    bits = _function(lib, "cpu_features")()
     features = {name for k, name in enumerate(FEATURES) if bits >> k & 1}
-    paths = {
-        name: _bind(getattr(lib, f"sweep_block_{name}")) for name in _runnable(PATHS, features)
-    }
-    sample_paths = {
-        name: _bind_sample(getattr(lib, f"sample_rows_{name}"))
-        for name in _runnable(SAMPLE_PATHS, features)
-    }
+    paths = {name: _function(lib, "sweep_block", name) for name in _runnable(PATHS, features)}
+    sample_paths = {name: _function(lib, "sample_rows", name)
+                    for name in _runnable(SAMPLE_PATHS, features)}
     path, sample_path = next(iter(paths)), next(iter(sample_paths))
-    levy, ks = _bind_distances(lib.levy_normal, lib.ks_normal)
-    format_text, parse_text = _bind_text(lib.format_text, lib.parse_text)
-    return _Library(
-        sweep=paths[path],
-        path=path,
-        paths=paths,
-        sample=sample_paths[sample_path],
-        sample_path=sample_path,
-        sample_paths=sample_paths,
-        masks=_bind_masks(getattr(lib, f"build_masks_{path}")),
-        count=_bind_count(getattr(lib, f"count_bits_{path}")),
-        plus=_bind_plus(lib.plus_table),
-        histogram=_bind_histogram(lib.interaction_histogram),
-        pair_sum=_bind_pair_sum(lib.pair_sum),
-        exact_sum=_bind_exact_sum(lib.exact_sum),
-        levy=levy,
-        ks=ks,
-        format=format_text,
-        parse=parse_text,
-    )
+    # the sweep's path is the mask builder's and the edge count's too
+    suffix = {"sweep_block": path, "build_masks": path, "count_bits": path,
+              "sample_rows": sample_path}
+    raw = {name: _function(lib, name, suffix.get(name)) for name in _SIGNATURES}
+    return _kernels(raw, paths, sample_paths)
 
 
 def library() -> _Library:

@@ -1,22 +1,24 @@
 """The numpy and Python twins of the compiled kernels in ``_csweep``.
 
-Each twin does what its kernel does, bit for bit: ``_sample_rows`` for
-``sample_rows_<path>``, ``_numpy_masks`` for ``build_masks_<path>``,
-``_count_rows`` for ``count_bits_<path>``, ``_plus_loop`` for
-``plus_table``, ``_python_sweeps`` for ``sweep_block_<path>``,
-``_numpy_histogram`` for ``interaction_histogram``, ``_numpy_pair_sum`` for
-``pair_sum``, ``_fsum`` for ``exact_sum``, ``_levy_loop`` and ``_ks_loop``
-for ``levy_normal`` and ``ks_normal``, and ``_numpy_format`` and
-``_numpy_parse`` for ``format_text`` and ``parse_text``.
-``_numpy_histogram`` enumerates every configuration, where its kernel counts
-one of each global-flip pair.  The sweep, count, histogram, sum, distance
-and text twins refuse the calls their kernels refuse, through the same
-checks in ``_csweep``, and take the same plain buffers, which they read as
-numpy arrays over the same memory.  They are the test oracles of the
-kernels and, as ``_TWINS``, the kernel set that ``_csweep.library()``
-returns when nothing compiles or loads.  They live apart from the loader so
-that a process on the compiled kernels never compiles or runs their code,
-and this is the one module of the package, with the numpy helpers of
+Each twin is the raw function of one C function of ``_csweep.SOURCE``, named
+after it: ``_sample_rows`` for ``sample_rows_<path>``, ``_build_masks`` for
+``build_masks_<path>``, ``_count_bits`` for ``count_bits_<path>``,
+``_sweep_block`` for ``sweep_block_<path>``, and ``_plus_table``,
+``_interaction_histogram``, ``_pair_sum``, ``_levy_normal``, ``_ks_normal``,
+``_format_text`` and ``_parse_text``.  It takes the C function's parameters
+in their order, reads its input buffers as numpy arrays or lists over the
+same memory, writes its outputs into the buffers it is given, and returns
+what the C function returns, bit for bit; only ``_interaction_histogram``
+enumerates every configuration where its kernel counts one of each
+global-flip pair, and ``_pair_sum`` writes math.fsum's correctly rounded sum
+into ``limbs`` where its kernel writes the exact one, which rounds to the same
+double.  The twins check nothing: ``_csweep``'s entries check every call
+before either set runs, allocate the outputs and shape the results, and
+``_TWINS`` is the kernel set of those entries over the twins.  They are the
+test oracles of the kernels and the set that ``_csweep.library()`` returns
+when nothing compiles or loads.  They live apart from the loader so that a
+process on the compiled kernels never compiles or runs their code, and this
+is the one module of the package, with the numpy helpers of
 ``model.DisorderGraph``, that imports numpy.
 """
 
@@ -28,17 +30,7 @@ import math
 import numpy as np
 
 from . import splitmix
-from ._csweep import (
-    _count_shape,
-    _distance_shape,
-    _histogram_shape,
-    _levy_shape,
-    _Library,
-    _pair_shape,
-    _sum_shape,
-    _sweep_shape,
-    _text_shape,
-)
+from ._csweep import _SUM_SCALE, _kernels
 from .model import _pack_rows
 from .stats import _normal_cdf
 
@@ -72,13 +64,13 @@ def finalize_array(z: np.ndarray, shifted: np.ndarray) -> None:
 _SAMPLE_CELLS = 1 << 16
 
 
-def _sample_rows(n: int, seed: int, threshold: int, start: int, out) -> None:
-    """The numpy twin of ``sample_rows_<path>``: rows start .. start + len(out) - 1
+def _sample_rows(n: int, seed: int, threshold: int, start: int, rows: int, out) -> None:
+    """The numpy twin of ``sample_rows_<path>``: rows start .. start + rows - 1
     into ``out`` as ``uint64`` mask words, a block of rows at a time."""
     out = np.asarray(out).view(_WORD)
     gamma = np.uint64(splitmix.GAMMA)
     step = max(1, _SAMPLE_CELLS // n)
-    for at in range(0, out.shape[0], step):
+    for at in range(0, rows, step):
         block = out[at:at + step]
         # Edge (i, j) mixes seed + (i*n + j + 1) * gamma, where the +1 keeps
         # counter 0 from collapsing to the bare seed.  Split as
@@ -116,9 +108,9 @@ def _row_bits(words) -> np.ndarray:
     return counts
 
 
-def _count_rows(words: np.ndarray) -> int:
-    """The numpy twin of ``count_bits_<path>``: the set bits of rows of mask words."""
-    _count_shape(words)
+def _count_bits(count: int, words) -> int:
+    """The numpy twin of ``count_bits_<path>``: the set bits of the ``count``
+    words of ``words``, its rows of mask words."""
     return int(_row_bits(words).sum())
 
 
@@ -154,9 +146,8 @@ def _transpose_bits(rows: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1).reshape(64 * w, w)
 
 
-def _numpy_masks(out_rows):
-    """The numpy twin of ``build_masks``: (w1, w2, base) from the (n, words)
-    out-edge rows."""
+def _masks(out_rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w1, w2, base) of the (n, words) out-edge rows, as numpy arrays."""
     out_rows = np.asarray(out_rows).view(_WORD)
     n, words = out_rows.shape
     padded = np.zeros((64 * words, words), dtype=_WORD)
@@ -171,13 +162,18 @@ def _numpy_masks(out_rows):
     return w1, w2, _row_bits(w1) + 2 * _row_bits(w2)
 
 
-def _plus_loop(n: int, rate: float) -> np.ndarray:
+def _build_masks(n: int, out, w1, w2, base) -> None:
+    """The numpy twin of ``build_masks_<path>``: the masks of ``out``'s n rows
+    into ``w1``, ``w2`` and ``base``."""
+    for table, value in zip((w1, w2, base), _masks(out)):
+        np.asarray(table)[...] = value
+
+
+def _plus_table(n: int, rate: float, plus) -> None:
     """The Python twin of ``plus_table``."""
-    table = []
     for s in range(-2 * n, 2 * n + 1):
         exponent = min(max(-rate * s, -700.0), 700.0)
-        table.append(1.0 / (1.0 + math.exp(exponent)))
-    return np.array(table)
+        plus[s + 2 * n] = 1.0 / (1.0 + math.exp(exponent))
 
 
 # Keys per block of the numpy split sum: 2^14 float64 and int64 entries, 128 KB each.
@@ -190,9 +186,11 @@ def _spin_matrix(k: int) -> np.ndarray:
     return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) * 2.0 - 1.0
 
 
-def _numpy_histogram(out_rows) -> tuple[list[int], list[int]]:
+def _interaction_histogram(n: int, rows, edges: int, size: int, hkey, quarter, copies) -> int:
     """The numpy twin of ``interaction_histogram``: the keys (s + edges) (n +
-    1) + class that count any configuration, increasing, and their counts.
+    1) + class that count any configuration, increasing, to the front of
+    copies[size:], their counts to the front of ``copies``, and the number of
+    them.  ``hkey`` and ``quarter`` are the kernel's own tables, unused here.
 
     The same split sum, with the cross term of a block of high configurations
     as one float64 matrix product of the low rows [(n+1) sigma_L^T W_LH, low
@@ -200,9 +198,8 @@ def _numpy_histogram(out_rows) -> tuple[list[int], list[int]]:
     with a bincount.  Every product and partial sum is an integer below
     (2 n^2 + 1)(n + 1) in size, far under 2^53, so the float64 arithmetic is
     exact whatever order the product sums in."""
-    n, edges, _ = _histogram_shape(out_rows)
     width = n + 1
-    w1, w2, base = _numpy_masks(out_rows)
+    w1, w2, base = _masks(rows)
     w1, w2 = (np.unpackbits(m.view(np.uint8), axis=1, count=n, bitorder="little")
               for m in (w1, w2))
     w = w1 + 2.0 * w2
@@ -229,14 +226,17 @@ def _numpy_histogram(out_rows) -> tuple[list[int], list[int]]:
     step = max(1, min(right.shape[0], _BLOCK_KEYS // left.shape[0]))
     block = np.empty((left.shape[0], step))
     keys = np.empty(block.shape, dtype=np.int64)
-    counts = np.zeros((2 * edges + 1) * width, dtype=np.int64)
+    counts = np.zeros(size, dtype=np.int64)
     for start in range(0, right.shape[0], step):
         np.matmul(left, right[start : start + step].T, out=block)
         keys[...] = block
         part = np.bincount(keys.ravel())
         counts[: part.size] += part
     found = np.flatnonzero(counts)
-    return found.tolist(), counts[found].tolist()
+    copies = np.asarray(copies)
+    copies[:found.size] = counts[found]
+    copies[size:size + found.size] = found
+    return found.size
 
 
 def _pair_offsets(n: int) -> np.ndarray:
@@ -249,13 +249,16 @@ def _pair_offsets(n: int) -> np.ndarray:
     return np.where(rows > 0, ends - rows, 0)
 
 
-def _numpy_pair_sum(n, base, b1, b0, log_g, log_counts) -> float:
+def _pair_sum(n: int, base: float, b1: float, b0: float, log_g, offsets, log_counts, peak,
+              limbs) -> int:
     """The numpy twin of ``pair_sum``: every term of the annealed pair sum in
-    the kernel's operation order, a class of the first copy at a time, then
-    peak + log(fsum of exp(t - peak)) through math.exp, which calls libm's exp.
-    Each float is the kernel's, and both sums round once, correctly."""
-    _pair_shape(n, log_g, log_counts)
-    offsets = _pair_offsets(n)
+    the kernel's operation order, a class of the first copy at a time, the
+    largest into ``peak`` and the fsum of exp(t - peak) through math.exp,
+    which calls libm's exp, into ``limbs``; the number of terms, or -1 when
+    an exp is NaN.  Each float is the kernel's, and fsum rounds the sum once,
+    correctly, so it rounds to the double of the kernel's exact one."""
+    offsets = np.asarray(offsets).reshape(n + 1, n + 1)
+    offsets[...] = _pair_offsets(n)
     log_g, log_counts = np.asarray(log_g), np.asarray(log_counts)
     # classes cl of the second copy where g does not vanish, against n1, the
     # number of sites up in both copies
@@ -282,25 +285,24 @@ def _numpy_pair_sum(n, base, b1, b0, log_g, log_counts) -> float:
         m = (4 * cols + n - 2 * ck - 2 * live[rows]).astype(np.float64)
         slabs.append(((base + partial_kl[rows]) + log_count) + (b0 * m) * m)
     if not slabs:
-        return -math.inf
-    peak = max(float(slab.max()) for slab in slabs)
-    exps = (map(math.exp, (slab - peak).tolist()) for slab in slabs)
-    return peak + math.log(math.fsum(itertools.chain.from_iterable(exps)))
+        return 0
+    top = max(float(slab.max()) for slab in slabs)
+    exps = (map(math.exp, (slab - top).tolist()) for slab in slabs)
+    total = math.fsum(itertools.chain.from_iterable(exps))
+    if math.isnan(total):
+        return -1
+    peak[0] = top
+    num, den = total.as_integer_ratio()
+    limbs.cast("B")[:] = (num * (1 << _SUM_SCALE) // den).to_bytes(limbs.nbytes, "little")
+    return sum(slab.size for slab in slabs)
 
 
-def _fsum(values) -> float:
-    """The twin of ``exact_sum``: math.fsum, which rounds the exact sum once."""
-    _sum_shape(values)
-    return math.fsum(memoryview(values).tolist())
-
-
-def _ks_loop(locations, cum, mean: float, sd: float) -> float:
+def _ks_normal(k: int, locations, cum, mean: float, sd: float) -> float:
     """The Python twin of ``ks_normal``: both one-sided gaps to N(mean, sd^2)
     at every atom."""
-    _distance_shape(locations, cum)
     worst = 0.0
     prev = 0.0
-    for loc, c in zip(memoryview(locations).tolist(), memoryview(cum).tolist()):
+    for loc, c in zip(locations.tolist(), cum.tolist()):
         f = _normal_cdf(loc, mean, sd)
         worst = max(worst, abs(c - f), abs(prev - f))
         prev = c
@@ -318,12 +320,11 @@ def _levy_holds(locations: list, cum: list, mean: float, sd: float, eps: float) 
     return True
 
 
-def _levy_loop(locations, cum, mean: float, sd: float, tol: float) -> float:
+def _levy_normal(k: int, locations, cum, mean: float, sd: float, tol: float) -> float:
     """The Python twin of ``levy_normal``: the bisection of [0, 1] to width
     ``tol``, returning the upper end of the last bracket (see
     ``stats.levy_distance``)."""
-    _levy_shape(locations, cum, tol)
-    locations, cum = memoryview(locations).tolist(), memoryview(cum).tolist()
+    locations, cum = locations.tolist(), cum.tolist()
     lo, hi = 0.0, 1.0
     if _levy_holds(locations, cum, mean, sd, lo):
         return 0.0
@@ -336,24 +337,23 @@ def _levy_loop(locations, cum, mean: float, sd: float, tol: float) -> float:
     return hi
 
 
-def _numpy_format(words, text) -> None:
+def _format_text(n: int, rows: int, words, text) -> None:
     """The numpy twin of ``format_text``: each row's cells unpacked and added
     to '0', then the newline."""
-    _, n, _, _ = _text_shape(words, text, text)
     words, text = np.asarray(words), np.asarray(text)
     bits = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
     np.add(bits, ord("0"), out=text[:, :n])
     text[:, n] = ord("\n")
 
 
-def _numpy_parse(text, words) -> int:
-    """The numpy twin of ``parse_text``: the first line with a cell c where
-    (c | 1) != '1' or without its newline, or k; the lines before it packed."""
-    k, n, _, _ = _text_shape(words, text, words)
+def _parse_text(n: int, rows: int, text, words) -> int:
+    """The numpy twin of ``parse_text``: the first of the ``rows`` lines with
+    a cell c where (c | 1) != '1' or without its newline, or ``rows``; the
+    lines before it packed."""
     text, words = np.asarray(text), np.asarray(words)
     cells = text[:, :n]
     bad = (text[:, n] != ord("\n")) | ((cells | 1) != ord("1")).any(axis=1)
-    good = int(bad.argmax()) if bad.any() else k
+    good = int(bad.argmax()) if bad.any() else rows
     _pack_rows(cells[:good] & 1, words[:good])
     return good
 
@@ -397,47 +397,42 @@ def _sweep_bits(bits, n, w1, w2, base, plus, offset, uniforms):
     return bits
 
 
-def _python_sweeps(w1, w2, base, plus, states, rngs, sweeps) -> list[list[int]]:
-    """The Python twin of ``sweep_block_<path>``: ``sweeps`` _sweep_bits on each
-    row of ``states``, drawing on the same row of ``rngs`` through numpy's own
-    PCG64 and ``Generator.random``."""
-    _sweep_shape(w1, w2, base, plus, states, rngs, sweeps)
-    n = len(w1)
-    plus = memoryview(plus).tolist()
+def _sweep_block(n: int, words: int, r: int, w1, w2, base, plus, rng, sweeps: int, bits,
+                 up) -> None:
+    """The Python twin of ``sweep_block_<path>``: ``sweeps`` _sweep_bits on
+    each of the r rows of ``bits``, drawing on the same row of ``rng``
+    through numpy's own PCG64 and ``Generator.random``, with the up-spin
+    count after sweep t of row g into up[g sweeps + t]."""
+    plus = plus.tolist()
     w1, w2 = _mask_ints(w1), _mask_ints(w2)
-    base = memoryview(base).tolist()
-    states, rngs = np.asarray(states).view(_WORD), np.asarray(rngs).view(_WORD)
+    base = base.tolist()
+    bits, rng = np.asarray(bits).view(_WORD), np.asarray(rng).view(_WORD)
     offset = 2 * n
-    counts = []
-    for state, row in zip(states, rngs):
+    for g, (state, row) in enumerate(zip(bits, rng)):
         bit_generator = _pcg64(row)
         draw = np.random.Generator(bit_generator).random
-        bits = int.from_bytes(state.tobytes(), "little")
-        up = []
-        for _ in range(sweeps):
-            bits = _sweep_bits(bits, n, w1, w2, base, plus, offset, draw(n).tolist())
-            up.append(bits.bit_count())
-        state[:] = np.frombuffer(bits.to_bytes(state.nbytes, "little"), dtype=_WORD)
+        spins = int.from_bytes(state.tobytes(), "little")
+        for t in range(sweeps):
+            spins = _sweep_bits(spins, n, w1, w2, base, plus, offset, draw(n).tolist())
+            up[g * sweeps + t] = spins.bit_count()
+        state[:] = np.frombuffer(spins.to_bytes(state.nbytes, "little"), dtype=_WORD)
         row[:] = rng_row(bit_generator)
-        counts.append(up)
-    return counts
 
 
-_TWINS = _Library(
-    sweep=_python_sweeps,
-    path=None,
+_TWINS = _kernels(
+    {
+        "sweep_block": _sweep_block,
+        "sample_rows": _sample_rows,
+        "build_masks": _build_masks,
+        "count_bits": _count_bits,
+        "plus_table": _plus_table,
+        "interaction_histogram": _interaction_histogram,
+        "pair_sum": _pair_sum,
+        "levy_normal": _levy_normal,
+        "ks_normal": _ks_normal,
+        "format_text": _format_text,
+        "parse_text": _parse_text,
+    },
     paths={},
-    sample=_sample_rows,
-    sample_path=None,
     sample_paths={},
-    masks=_numpy_masks,
-    count=_count_rows,
-    plus=_plus_loop,
-    histogram=_numpy_histogram,
-    pair_sum=_numpy_pair_sum,
-    exact_sum=_fsum,
-    levy=_levy_loop,
-    ks=_ks_loop,
-    format=_numpy_format,
-    parse=_numpy_parse,
 )

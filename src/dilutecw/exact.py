@@ -69,7 +69,7 @@ more over two quarters of the high half, so that a configuration costs two
 table loads and one integer increment, or its numpy twin, which takes the
 cross term of a block of configurations as one exact float64 matrix product.
 Both give the same integer counts, and both take W from the chain's mask
-builder (``build_masks``, or the twin ``_numpy_masks``).
+builder (``build_masks``, or the twin's ``_masks``).
 """
 
 from __future__ import annotations

@@ -356,8 +356,8 @@ def test_sampling_matches_scalar_mix():
 
 
 def _sampled_words(sample, n, p, seed, start=0, stop=None):
-    """Rows start .. stop - 1 of a graph as mask words, by ``sample`` (the
-    signature of _twins._sample_rows), one row block at a time."""
+    """Rows start .. stop - 1 of a graph as mask words, by ``sample`` (a
+    kernel set's ``sample``), one row block at a time."""
     stop = n if stop is None else stop
     out = np.empty((stop - start, (n + 63) // 64), dtype="<u8")
     step = graph_module._block_rows(n, 1 << 16)
@@ -385,7 +385,7 @@ def test_every_sampler_path_matches_numpy_sampler(path, n):
     sample = _sampler_path(path)
     for p in (1e-3, 0.3, 0.5, 1.0):
         for seed in (0, 7, (1 << 64) - 1):
-            want = _sampled_words(_twins._sample_rows, n, p, seed)
+            want = _sampled_words(_twins._TWINS.sample, n, p, seed)
             assert _sampled_words(sample, n, p, seed).tobytes() == want.tobytes(), (p, seed)
 
 
@@ -403,7 +403,7 @@ def test_sampler_paths_match_numpy_sampler_property(n, p, seed, data):
     # any run of rows regenerates on its own
     start = data.draw(st.integers(0, n - 1))
     stop = data.draw(st.integers(start + 1, n))
-    want = _sampled_words(_twins._sample_rows, n, p, seed, start, stop).tobytes()
+    want = _sampled_words(_twins._TWINS.sample, n, p, seed, start, stop).tobytes()
     for name, sample in library.sample_paths.items():
         assert _sampled_words(sample, n, p, seed, start, stop).tobytes() == want, name
 
@@ -417,23 +417,21 @@ def test_sample_graph_matches_numpy_fallback(monkeypatch):
 
 
 def test_sampler_rejects_bad_arguments():
-    library = _csweep.library()
-    if library is _twins._TWINS:
-        pytest.skip("no compiled kernels on this host")
     out = np.zeros((4, 2), dtype="<u8")
-    library.sample(70, 0, 1 << 52, 66, out)
-    for n, seed, threshold, start, bad in (
-        (70, 0, 1 << 52, 67, out),  # rows past n
-        (70, 0, 1 << 52, -1, out),
-        (70, -1, 1 << 52, 0, out),
-        (70, 0, (1 << 53) + 1, 0, out),
-        (70, 0, 1 << 52, 0, np.zeros((4, 1), dtype="<u8")),
-        (70, 0, 1 << 52, 0, np.zeros((4, 2), dtype=np.float64)),
-        (70, 0, 1 << 52, 0, np.zeros((4, 2), dtype=np.uint32)),
-        (70, 0, 1 << 52, 0, np.zeros((4, 4), dtype="<u8")[:, ::2]),
-    ):
-        with pytest.raises(ValueError):
-            library.sample(n, seed, threshold, start, bad)
+    for library in kernel_sets():
+        library.sample(70, 0, 1 << 52, 66, out)
+        for n, seed, threshold, start, bad in (
+            (70, 0, 1 << 52, 67, out),  # rows past n
+            (70, 0, 1 << 52, -1, out),
+            (70, -1, 1 << 52, 0, out),
+            (70, 0, (1 << 53) + 1, 0, out),
+            (70, 0, 1 << 52, 0, np.zeros((4, 1), dtype="<u8")),
+            (70, 0, 1 << 52, 0, np.zeros((4, 2), dtype=np.float64)),
+            (70, 0, 1 << 52, 0, np.zeros((4, 2), dtype=np.uint32)),
+            (70, 0, 1 << 52, 0, np.zeros((4, 4), dtype="<u8")[:, ::2]),
+        ):
+            with pytest.raises(ValueError):
+                library.sample(n, seed, threshold, start, bad)
 
 
 def test_write_matches_row_formatting(tmp_path):

@@ -198,7 +198,7 @@ def test_loader_failure_falls_back_to_identical_output(breakage, tmp_path, monke
 
 
 def _assert_same_tables(got, want):
-    # the compiled tables are Q and q memoryviews, the twin's numpy arrays
+    # Q and q memoryviews from either kernel set
     assert len(got) == len(want) == 3
     for name, a, b in zip(("w1", "w2", "base"), got, want):
         a, b = np.asarray(a), np.asarray(b)
@@ -230,16 +230,16 @@ def test_compiled_masks_match_numpy_builder(kind, n):
     library = _library()
     g = _mask_graph(kind, n)
     got = library.masks(g.words)
-    _assert_same_tables(got, _twins._numpy_masks(g.words))
+    _assert_same_tables(got, _twins._TWINS.masks(g.words))
     _assert_same_tables(build_update_tables(g), got)
 
 
 def test_mask_builder_rejects_mismatched_rows():
-    library = _library()
-    for bad in (np.zeros((70, 1), dtype=_WORD), np.zeros((70, 2), dtype=np.float64),
-                np.zeros((70, 4), dtype=_WORD)[:, ::2]):
-        with pytest.raises(ValueError, match="kernel buffer"):
-            library.masks(bad)
+    for library in kernel_sets():
+        for bad in (np.zeros((70, 1), dtype=_WORD), np.zeros((70, 2), dtype=np.float64),
+                    np.zeros((70, 4), dtype=_WORD)[:, ::2]):
+            with pytest.raises(ValueError, match="kernel buffer"):
+                library.masks(bad)
 
 
 @pytest.mark.parametrize("path", _csweep.PATHS)
@@ -247,12 +247,12 @@ def test_every_mask_builder_path_matches_numpy_builder(path):
     # the library binds build_masks_<path> of its sweep path only; this loads
     # every one this CPU runs from the same file
     _host_path(path)
-    masks = _csweep._bind_masks(getattr(ctypes.CDLL(str(_csweep.library_path())),
-                                        f"build_masks_{path}"))
+    lib = ctypes.CDLL(str(_csweep.library_path()))
+    masks = functools.partial(_csweep._masks, _csweep._function(lib, "build_masks", path))
     for kind in ("complete", "loops", "p=0.3", "p=0.5"):
         for n in (1, 63, 64, 65, 129, 1000):
             g = _mask_graph(kind, n)
-            _assert_same_tables(masks(g.words), _twins._numpy_masks(g.words))
+            _assert_same_tables(masks(g.words), _twins._TWINS.masks(g.words))
 
 
 @pytest.mark.parametrize("n", [1, 7, 64, 1024, 4096])
@@ -261,7 +261,7 @@ def test_compiled_flip_table_matches_python_loop(n):
     for p in (1e-3, 0.3, 0.5, 1.0):
         for beta in (0.0, 0.5, 1.5, 1e3, 1e6):
             rate = beta / (n * p)
-            want = _twins._plus_loop(n, rate)
+            want = _twins._TWINS.plus(n, rate)
             assert library.plus(n, rate).tobytes() == want.tobytes(), (p, beta)
 
 
@@ -491,7 +491,7 @@ def _one_at_a_time(tables, plus, states, rngs, sweeps):
     finals, draws, counts = [], [], []
     for state, row in zip(states, rngs):
         final, rng = state[None].copy(), row[None].copy()
-        counts += _twins._python_sweeps(*tables, plus, final, rng, sweeps)
+        counts += _twins._TWINS.sweep(*tables, plus, final, rng, sweeps)
         finals.append(final[0].tobytes())
         draws.append(rng[0].tobytes())
     return finals, draws, counts
@@ -529,7 +529,7 @@ def _path_case(n, graph, beta):
     states[:, -1] &= np.uint64((1 << (n - 64 * (words - 1))) - 1)
     rngs = _rng_rows(*([n, g] for g in range(_csweep.GROUP)))
     want = _one_at_a_time(tables, plus, states, rngs, 3)
-    _assert_groups_match(_twins._python_sweeps, tables, plus, states, rngs, 3, want)
+    _assert_groups_match(_twins._TWINS.sweep, tables, plus, states, rngs, 3, want)
     return tables, plus, states, rngs, 3, want
 
 
@@ -571,7 +571,7 @@ def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
     states.view(np.uint8)[:, : (n + 7) // 8] = np.packbits(spins, axis=1, bitorder="little")
     rngs = _rng_rows(*([seed, g] for g in range(_csweep.GROUP)))
     want = _one_at_a_time(tables, plus, states, rngs, sweeps)
-    _assert_groups_match(_twins._python_sweeps, tables, plus, states, rngs, sweeps, want)
+    _assert_groups_match(_twins._TWINS.sweep, tables, plus, states, rngs, sweeps, want)
     for name, sweep in library.paths.items():
         _assert_groups_match(sweep, tables, plus, states, rngs, sweeps, want)
 
