@@ -264,13 +264,7 @@ def _cmd_series_check(args) -> int:
 
 
 def _chain_config(args, chain_seed: int) -> ChainConfig:
-    return ChainConfig(
-        sweeps=args.sweeps,
-        burn_in=args.burnin,
-        thin=args.thin,
-        replicas=args.replicas,
-        chain_seed=chain_seed,
-    )
+    return ChainConfig(args.sweeps, args.burnin, args.thin, args.replicas, chain_seed)
 
 
 def _kernel_meta(swept: bool, sampled: bool) -> dict:
@@ -319,14 +313,8 @@ def _cmd_clt_experiment(args) -> int:
     cfg = _chain_config(args, 0)
     started = time.perf_counter()
     _log(f"{args.graphs} graphs at n={params.n}, {cfg.replicas} replica(s) each")
-    record = quenched_experiment(
-        params,
-        cfg,
-        args.graphs,
-        master_seed=args.seed,
-        epsilon=args.epsilon,
-        threads=args.threads,
-    )
+    record = quenched_experiment(params, cfg, args.graphs, master_seed=args.seed,
+                                 epsilon=args.epsilon, threads=args.threads)
     _emit_json(args, asdict(record), started, _kernel_meta(True, True))
     return 0
 

@@ -10,21 +10,17 @@ s_i = +1 with probability 1 / (1 + exp(-beta * S_i / (n p))) regardless of
 the current value.  S_i is an AND-and-popcount against two per-site masks
 (weight-1 and weight-2 symmetric neighbors), and since S_i only takes the
 integer values -2n .. 2n, the acceptance probabilities come from one
-precomputed table per (graph shape, beta).  That keeps the inner loop at two
-masked popcounts, one table lookup, and one comparison per site.  The masks,
-the table and the sweep are kernels of ``_csweep.library()``: compiled where a
-C compiler is at hand (``build_masks``, ``plus_table``, ``sweep_block_<path>``),
-their numpy and Python twins otherwise, bit for bit the same.  The library
-probes the CPU once at load and sweeps on the fastest path of
-``_csweep.PATHS`` that the CPU runs.  The compiled sweep counts each block of
-64 sites' field over the other state words first, then updates the block in
-order against its own word, drawing each uniform from the replica's PCG64
-right before its comparison.  ``run_chain`` sweeps its replicas in groups of
-up to four (``_csweep.GROUP``) that share each pass over the masks, and hands
-the kernel each replica's generator state, not a buffer of uniforms.  The
-mask builders read ``DisorderGraph.words`` as they are.  ``run_chain``
-returns only what it computes, a tuple of retained values per replica: the
-caller knows each value's graph, replica and sweep from its own arguments.
+precomputed table per (graph shape, beta).  The masks, the table and the
+sweep are kernels of ``_csweep.library()``, compiled or their twins, bit for
+bit the same; ``_csweep``'s docstring says how the sweep runs.
+
+``GraphChain(g, params)`` is the chain of one fixed graph: it builds the
+masks and the table once and binds the sweep to them.  ``start`` seeds the
+rows of up to ``_csweep.GROUP`` replicas, and ``run`` sweeps them in kernel
+blocks, checking a ``stop`` event before each, and yields each row's up-spin
+counts.  ``run_chain`` is a loop over it that keeps every ``thin``-th value
+past burn-in and returns only that, a tuple per replica: the caller knows
+each value's graph, replica and sweep from its own arguments.
 
 Randomness is replayable by construction.  A chain seed plus replica index
 derives two 64-bit seeds (initial state, dynamics) through repeated
@@ -33,15 +29,11 @@ SplitMix64 finalizer application, and each seeds a PCG64 exactly as numpy's
 initial state is up when bit 7 of byte k of the first stream's 64-bit
 outputs, read low byte first, is set: numpy's ``default_rng(seed).integers(0,
 2, size=n, dtype=np.uint8)``.  Every uniform of the dynamics is the next
-double of the second stream, one stream per replica whatever group it sweeps
-in: the kernel steps that PCG64 itself, bit for bit as numpy's
-``Generator.random`` would.  ``pcg64`` does the seeding and the spin rule in
-integer arithmetic and packs the spins into the state words, and the
-kernels take plain buffers, so a chain on the compiled kernels never imports
-numpy; numpy is the test oracle, and the kernels' twins draw through numpy's
-own ``PCG64``.  Replicas are therefore independent of each
-other and of how many run, and rerunning any subset reproduces it bit for
-bit.
+double of the second stream, as numpy's ``Generator.random`` draws it, one
+stream per replica whatever group it sweeps in.  ``pcg64`` does the seeding
+in integer arithmetic, so a chain on the compiled kernels never imports
+numpy.  Replicas are therefore independent of each other and of how many
+run, and rerunning any subset reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -49,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -60,6 +53,7 @@ from .stats import EmpiricalMeasure, NormalRef, SampleSummary, ks_distance, levy
 
 __all__ = [
     "ChainConfig",
+    "GraphChain",
     "build_update_tables",
     "check_chain_work",
     "default_burn_in",
@@ -150,9 +144,11 @@ def build_update_tables(g: DisorderGraph) -> tuple:
 
 # Caps on the chain work of one run_chain or quenched_experiment call.  2^40
 # site updates take hours at about 20 ns each; 2^24 retained values take about
-# 2 GB as Python floats plus their CSV text.
+# 2 GB as Python floats plus their CSV text.  A pool starts one OS thread per
+# graph up to its size, so ``threads`` has a cap too, the same on every host.
 MAX_SITE_UPDATES = 1 << 40
 MAX_RETAINED = 1 << 24
+MAX_THREADS = 256
 
 
 def check_chain_work(n: int, cfg: ChainConfig, graphs: int) -> None:
@@ -169,11 +165,49 @@ def check_chain_work(n: int, cfg: ChainConfig, graphs: int) -> None:
         raise CapacityError(f"chains retain {retained} values, above the cap of {MAX_RETAINED}")
 
 
-# Each kernel call runs about this many site updates for the largest group
-# (whole sweeps, at least one).  That amortizes the call and still bounds
-# it: Python sees Ctrl-C, and run_chain its ``stop``, only between ctypes
-# calls.  Block size does not change the stream.
+# Each kernel call runs about this many site updates (whole sweeps, at least
+# one): that amortizes the call, and Python sees Ctrl-C and ``stop`` only
+# between calls.  Block size does not change the stream.
 _BLOCK_SITE_UPDATES = 1 << 20
+
+
+class GraphChain:
+    """The chain of one fixed graph: its masks ``w1``, ``w2``, ``base``, its
+    table ``plus`` of P(new spin = +1) by S_i + 2n, and the sweep bound to
+    them.  ``start`` makes the rows of replicas, and ``run`` sweeps them."""
+
+    def __init__(self, g: DisorderGraph, params: ModelParams):
+        if g.n != params.n:
+            raise DomainError(f"incompatible sizes: graph n={g.n}, params n={params.n}")
+        from ._csweep import library
+
+        self.n = g.n
+        self.w1, self.w2, self.base = build_update_tables(g)
+        self.plus = library().plus(g.n, params.beta / (g.n * params.p))
+        self.sweep = functools.partial(library().sweep, self.w1, self.w2, self.base, self.plus)
+
+    def start(self, chain_seed: int, ids: range) -> tuple[memoryview, memoryview]:
+        """The (states, rngs) rows of replicas ``ids``, at most ``_csweep.GROUP``:
+        replica i's initial spins, drawn by the PCG64 of derive_seed(chain_seed,
+        i, 0), and the PCG64 of derive_seed(chain_seed, i, 1), which drives it."""
+        size = 8 * ((self.n + 63) // 64)
+        spins = b"".join(
+            pcg64.packed_spins(derive_seed(chain_seed, i, 0), self.n).ljust(size, b"\0") for i in ids
+        )
+        rngs = array("Q", [v for i in ids for v in pcg64.seed_row(derive_seed(chain_seed, i, 1))])
+        return (memoryview(bytearray(spins)).cast("Q", (len(ids), size // 8)),
+                memoryview(rngs).cast("B").cast("Q", (len(ids), 4)))
+
+    def run(self, states, rngs, sweeps: int, stop: threading.Event | None = None):
+        """Sweep the rows ``sweeps`` times in place, in kernel blocks of about
+        ``_BLOCK_SITE_UPDATES`` site updates, raising KeyboardInterrupt before a
+        block once ``stop`` is set.  Yields, per block, the sweeps done before
+        it and each row's up-spin count after each of its sweeps."""
+        block = max(1, _BLOCK_SITE_UPDATES // (len(states) * self.n))
+        for done in range(0, sweeps, block):
+            if stop is not None and stop.is_set():
+                raise KeyboardInterrupt
+            yield done, self.sweep(states, rngs, min(block, sweeps - done))
 
 
 def run_chain(
@@ -183,57 +217,31 @@ def run_chain(
 
     Returns the retained scaled magnetizations of each replica, one tuple per
     replica in replica order: value j was recorded after sweep
-    burn_in + (j + 1) thin.  The replica streams are derived from
-    cfg.chain_seed, so the result is a pure function of (graph, params, cfg).
-    Replicas are swept in groups of up to ``_csweep.GROUP``, which share each
-    pass over the masks; a replica's values do not depend on the group it ran
-    in.  When ``stop`` is set, the chain raises KeyboardInterrupt before its
-    next kernel block: that is how a worker thread, which never sees Ctrl-C
+    burn_in + (j + 1) thin.  The result is a pure function of (graph, params,
+    cfg), whatever group of ``_csweep.GROUP`` replicas each replica ran in.
+    When ``stop`` is set, the chain raises KeyboardInterrupt before its next
+    kernel block: that is how a worker thread, which never sees Ctrl-C
     itself, is ended.
     """
-    if g.n != params.n:
-        raise DomainError(f"incompatible sizes: graph n={g.n}, params n={params.n}")
     if cfg.retained(g.n) < 1:
         raise DomainError(
             f"no samples retained: sweeps={cfg.sweeps}, "
             f"burn_in={cfg.resolved_burn_in(g.n)}, thin={cfg.thin}"
         )
     check_chain_work(g.n, cfg, 1)
-    from ._csweep import GROUP, _new, library
+    from ._csweep import GROUP
 
-    n = g.n
-    w1, w2, base = build_update_tables(g)
-    # P(new spin = +1) indexed by S_i + 2n, S_i in [-2n, 2n]
-    plus = library().plus(n, params.beta / (n * params.p))
-    sweep_block = functools.partial(library().sweep, w1, w2, base, plus)
-    burn_in = cfg.resolved_burn_in(n)
-    root = math.sqrt(n)
-    # the largest group sets the block length
-    most = min(GROUP, cfg.replicas)
-    block = min(cfg.sweeps, max(1, _BLOCK_SITE_UPDATES // (most * n)))
-    words = (n + 63) // 64
+    chain = GraphChain(g, params)
+    n, burn_in, thin, root = g.n, cfg.resolved_burn_in(g.n), cfg.thin, math.sqrt(g.n)
     samples = []
     for first in range(0, cfg.replicas, GROUP):
-        ids = range(first, min(first + GROUP, cfg.replicas))
-        # each replica's initial spins in its row of state words, and the
-        # PCG64 of derive_seed(chain_seed, id, 1) in its rng row
-        states, rngs = _new("Q", (len(ids), words)), _new("Q", (len(ids), 4))
-        for row, replica_id in enumerate(ids):
-            spins = pcg64.packed_spins(derive_seed(cfg.chain_seed, replica_id, 0), n)
-            states.cast("B")[8 * words * row:][:len(spins)] = spins
-            for k, value in enumerate(pcg64.seed_row(derive_seed(cfg.chain_seed, replica_id, 1))):
-                rngs[row, k] = value
-        values = [[] for _ in ids]
-        sweep = 0
-        while sweep < cfg.sweeps:
-            if stop is not None and stop.is_set():
-                raise KeyboardInterrupt
-            step = min(block, cfg.sweeps - sweep)
-            for kept, counts in zip(values, sweep_block(states, rngs, step)):
-                for t, up in enumerate(counts, sweep + 1):
-                    if t > burn_in and (t - burn_in) % cfg.thin == 0:
-                        kept.append((2 * up - n) / root)
-            sweep += step
+        states, rngs = chain.start(cfg.chain_seed, range(first, min(first + GROUP, cfg.replicas)))
+        values = [[] for _ in range(len(states))]
+        for done, counts in chain.run(states, rngs, cfg.sweeps, stop):
+            # sweep done + j + 1 is kept when it is burn_in + k thin, k >= 1
+            skip = burn_in - done - 1
+            for kept, row in zip(values, counts):
+                kept.extend((2 * up - n) / root for up in row[max(skip + thin, skip % thin)::thin])
         samples.extend(map(tuple, values))
     return samples
 
@@ -280,10 +288,10 @@ def quenched_experiment(
     requires beta < 1.  Graph seeds and chain seeds both derive from
     ``master_seed``, an integer in [0, 2^64), so the whole experiment replays
     from one integer.
-    Whole graphs go to a pool of ``threads`` worker threads; results are
-    identical to the sequential order at any thread count.  Any exception in
-    the calling thread, Ctrl-C included, stops every running chain before
-    its next kernel block.
+    Whole graphs go to a pool of ``threads`` worker threads, at most
+    ``MAX_THREADS``; results are identical to the sequential order at any
+    thread count.  Any exception in the calling thread, Ctrl-C included,
+    stops every running chain before its next kernel block.
     """
     if not params.beta < 1.0:
         raise DomainError(f"Gaussian reference requires beta < 1, got {params.beta}")
@@ -293,6 +301,8 @@ def quenched_experiment(
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if threads < 1:
         raise DomainError(f"threads must be positive, got {threads}")
+    if threads > MAX_THREADS:
+        raise CapacityError(f"{threads} threads, above the cap of {MAX_THREADS}")
     pooled = n_graphs * cfg.replicas * cfg.retained(params.n)
     if pooled < 2:
         raise DomainError(f"the pooled variance needs at least 2 retained samples, got {pooled}")

@@ -176,6 +176,7 @@ _FAILURES = [
      "--sweeps", "30"],
     ["clt-experiment", "--n", "4", *MODEL, "--graphs", "0", "--sweeps", "30"],
     ["clt-experiment", "--n", "4", *MODEL, "--graphs", "1", "--sweeps", "30", "--threads", "0"],
+    ["clt-experiment", "--n", "4", *MODEL, "--graphs", "1", "--sweeps", "30", "--threads", "257"],
     ["clt-experiment", "--n", "4", *MODEL, "--graphs", "1", "--sweeps", "30",
      "--epsilon", "nan"],
     ["clt-experiment", "--n", "4", *MODEL, "--graphs", "1", "--sweeps", "11", "--burnin", "10"],

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dilutecw import DomainError
+from dilutecw import CapacityError, DomainError, mcmc
 from dilutecw._csweep import library
 from dilutecw.asymptotics import (
     cosh_shorthand,
@@ -17,7 +17,7 @@ from dilutecw.asymptotics import (
 )
 from dilutecw.exact import disorder_oracle, enumerate_partition, variance_ratio_from_logs
 from dilutecw.graph import GraphSeed
-from dilutecw.mcmc import ChainConfig, derive_seed, quenched_experiment, run_chain
+from dilutecw.mcmc import MAX_THREADS, ChainConfig, derive_seed, quenched_experiment, run_chain
 from dilutecw.model import DisorderGraph, ModelParams
 from dilutecw.testfunctions import make_test_function, parse_test_function
 
@@ -103,3 +103,15 @@ def test_internal_and_numeric_failures_stay_plain_value_error(call):
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is ValueError
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a pool was made")
+
+
+@pytest.mark.parametrize("threads", [MAX_THREADS + 1, 10**6])
+def test_thread_counts_above_the_cap_are_refused_before_any_pool(threads, monkeypatch):
+    # a pool of that size would start up to one OS thread per graph
+    monkeypatch.setattr(mcmc, "ThreadPoolExecutor", _no_pool)
+    with pytest.raises(CapacityError, match=f"{threads} threads, above the cap of {MAX_THREADS}"):
+        quenched_experiment(HALF, CFG, 10**5, master_seed=0, threads=threads)

@@ -4,7 +4,13 @@ loads (the compiled kernels, or the twins under ``XDG_CACHE_HOME=/dev/null``).
 ``golden/record.py`` records it."""
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+from dilutecw import _csweep, _twins
 from golden.record import CORPUS, replay
 
 
@@ -14,3 +20,24 @@ def test_corpus_replays_byte_identical():
     got = replay(corpus["files"], [entry["argv"] for entry in want])
     moved = [" ".join(entry["argv"]) for entry, now in zip(want, got) if entry != now]
     assert not moved, f"{len(moved)} of {len(want)} calls moved: {moved[:10]}"
+
+
+def test_corpus_imports_no_numpy_on_the_compiled_kernels():
+    """Every call of the corpus, in one fresh interpreter on the compiled
+    kernels, leaves numpy unimported: no command needs it there.  The twins
+    are numpy code, so they skip this."""
+    if _csweep.library() is _twins._TWINS:
+        pytest.skip("no compiled kernels on this host")
+    code = """
+import json, sys
+from golden.record import CORPUS, replay
+corpus = json.loads(CORPUS.read_text())
+calls = corpus["calls"]
+got = replay(corpus["files"], [entry["argv"] for entry in calls])
+from dilutecw._csweep import library
+print(library().path is not None, sum(a != b for a, b in zip(calls, got)), "numpy" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "0", "False"]

@@ -13,7 +13,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dilutecw import _csweep, _twins, mcmc, pcg64
@@ -22,6 +22,7 @@ from dilutecw.exact import enumerate_partition
 from dilutecw.graph import GraphSeed, read_graph, sample_graph, write_graph
 from dilutecw.mcmc import (
     ChainConfig,
+    GraphChain,
     build_update_tables,
     check_chain_work,
     default_burn_in,
@@ -146,7 +147,7 @@ def test_compiled_chain_is_bit_identical_to_python(n, beta, monkeypatch):
     params = ModelParams(n=n, p=0.5, beta=beta)
     g = sample_graph(params, GraphSeed(n))
     cfg = ChainConfig(sweeps=40, burn_in=3, thin=3, replicas=6, chain_seed=n)
-    # groups of 4 and 2 replicas, each in blocks of 7 sweeps, so the run
+    # groups of 4 and 2 replicas, in blocks of 7 and 14 sweeps, so the run
     # crosses a group boundary and several block boundaries
     monkeypatch.setattr(mcmc, "_BLOCK_SITE_UPDATES", _csweep.GROUP * 7 * n + 3)
     compiled = run_chain(g, params, cfg)
@@ -164,6 +165,60 @@ def test_block_size_does_not_change_the_chain(monkeypatch):
     whole = run_chain(g, params, cfg)
     monkeypatch.setattr(mcmc, "_BLOCK_SITE_UPDATES", 1)
     assert run_chain(g, params, cfg) == whole
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 70),
+    replicas=st.integers(1, 5),
+    sweeps=st.integers(1, 60),
+    burn_in=st.integers(0, 60),
+    thin=st.integers(1, 9),
+    block_updates=st.integers(1, 2000),
+)
+def test_retention_slices_keep_the_sweeps_of_the_rule(n, replicas, sweeps, burn_in, thin,
+                                                       block_updates):
+    cfg = ChainConfig(sweeps=sweeps, burn_in=burn_in, thin=thin, replicas=replicas, chain_seed=n)
+    assume(cfg.retained(n) >= 1)
+    params = ModelParams(n=n, p=0.5, beta=0.8)
+    g = sample_graph(params, GraphSeed(sweeps))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mcmc, "_BLOCK_SITE_UPDATES", 1 << 40)
+        whole = run_chain(g, params, cfg)
+        patch.setattr(mcmc, "_BLOCK_SITE_UPDATES", block_updates)
+        assert run_chain(g, params, cfg) == whole
+        # each row's up-count replaced by its sweep's number, t = done + j + 1
+        run = mcmc.GraphChain.run
+
+        def numbered(self, *args):
+            for done, counts in run(self, *args):
+                yield done, [range(done + 1, done + 1 + len(row)) for row in counts]
+
+        patch.setattr(mcmc.GraphChain, "run", numbered)
+        kept = run_chain(g, params, cfg)
+    rule = [t for t in range(1, sweeps + 1) if t > burn_in and (t - burn_in) % thin == 0]
+    assert [[round((v * math.sqrt(n) + n) / 2) for v in values] for values in kept] == [rule] * replicas
+
+
+def test_one_graph_chain_restarts_as_run_chain_calls_do(monkeypatch):
+    params = ModelParams(n=70, p=0.5, beta=0.8)
+    g = sample_graph(params, GraphSeed(6))
+    cfg = ChainConfig(sweeps=30, burn_in=0, replicas=3, chain_seed=12)
+    monkeypatch.setattr(mcmc, "_BLOCK_SITE_UPDATES", 3 * 7 * 70)
+    chain = GraphChain(g, params)
+
+    def counts():
+        states, rngs = chain.start(cfg.chain_seed, range(cfg.replicas))
+        rows = [[] for _ in range(cfg.replicas)]
+        for _, block in chain.run(states, rngs, cfg.sweeps):
+            for row, up in zip(rows, block):
+                row.extend(up)
+        return rows
+
+    first = counts()
+    assert counts() == first
+    values = [tuple((2 * up - 70) / math.sqrt(70) for up in row) for row in first]
+    assert run_chain(g, params, cfg) == values == run_chain(g, params, cfg)
 
 
 @pytest.mark.parametrize("breakage", ["no compiler", "cache not writable", "library not loadable"])
