@@ -348,18 +348,17 @@ def predict_log_partition(
     return AsymptoticPrediction(log_value=lead + nlog2 + math.log(factor), gaussian_factor=factor)
 
 
-def remainder_check(p: float, z: float, which: str) -> float:
-    """Normalized Taylor remainder of F, in 50-digit arithmetic.
+def remainder_check(p: float, z: float) -> dict[str, float]:
+    """Normalized Taylor remainders of F, in 50-digit arithmetic, from one
+    evaluation of F(z) and F(-z):
 
-    which = 'odd':  [ (F(z) - F(-z))/2 - p z ] / (p z^3)
-    which = 'even': [ (F(z) + F(-z))/2 - p (cosh z - 1) + p^2 z^2 / 2 ] / (p^2 z^4)
+    "odd":  [ (F(z) - F(-z))/2 - p z ] / (p z^3)
+    "even": [ (F(z) + F(-z))/2 - p (cosh z - 1) + p^2 z^2 / 2 ] / (p^2 z^4)
 
     Both have finite limits as z -> 0 (the next coefficient of the relevant
     parity).  The subtraction is hopeless in double precision for small z,
     hence the extended working precision; p=1 and |z| up to 0.25 are in scope.
     """
-    if which not in ("odd", "even"):
-        raise DomainError(f"which must be 'odd' or 'even', got {which!r}")
     if not 0.0 < p <= 1.0:
         raise DomainError(f"p must lie in (0, 1], got {p!r}")
     if not 0.0 < abs(z) <= 0.25:
@@ -373,10 +372,6 @@ def remainder_check(p: float, z: float, which: str) -> float:
         zm = mp.mpf(z)
         fp = mp.log(1 - pm + pm * mp.e**zm)
         fm = mp.log(1 - pm + pm * mp.e**(-zm))
-        if which == "odd":
-            value = ((fp - fm) / 2 - pm * zm) / (pm * zm**3)
-        else:
-            value = ((fp + fm) / 2 - pm * (mp.cosh(zm) - 1) + pm**2 * zm**2 / 2) / (
-                pm**2 * zm**4
-            )
-        return float(value)
+        odd = ((fp - fm) / 2 - pm * zm) / (pm * zm**3)
+        even = ((fp + fm) / 2 - pm * (mp.cosh(zm) - 1) + pm**2 * zm**2 / 2) / (pm**2 * zm**4)
+        return {"odd": float(odd), "even": float(even)}

@@ -250,10 +250,8 @@ def _cmd_series_check(args) -> int:
     # the exact coefficients check p in (0, 1] before it is rounded to a float
     exact = taylor_coefficients_exact(args.p, args.max_order)
     _check_printable(exact)
-    remainders = {
-        which: {repr(z): remainder_check(float(args.p), z, which) for z in _REMAINDER_GRID}
-        for which in ("odd", "even")
-    }
+    pairs = {repr(z): remainder_check(float(args.p), z) for z in _REMAINDER_GRID}
+    remainders = {which: {z: r[which] for z, r in pairs.items()} for which in ("odd", "even")}
     fields = {
         "coefficients": [float(c) for c in exact],
         "coefficients_exact": exact,

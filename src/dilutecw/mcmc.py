@@ -21,6 +21,7 @@ blocks, checking a ``stop`` event before each, and yields each row's up-spin
 counts.  ``run_chain`` is a loop over it that keeps every ``thin``-th value
 past burn-in and returns only that, a tuple per replica: the caller knows
 each value's graph, replica and sweep from its own arguments.
+``check_chain_work`` refuses a chain's settings, before its graph exists.
 
 Randomness is replayable by construction.  A chain seed plus replica index
 derives two 64-bit seeds (initial state, dynamics) through repeated
@@ -152,17 +153,23 @@ MAX_THREADS = 256
 
 
 def check_chain_work(n: int, cfg: ChainConfig, graphs: int) -> None:
-    """Refuse, with CapacityError, chains on ``graphs`` graphs of n sites that
-    would make more than ``MAX_SITE_UPDATES`` site updates or retain more than
-    ``MAX_RETAINED`` values; callers check before any graph is sampled or swept."""
+    """The one check of chains on ``graphs`` graphs of n sites, made before any
+    graph is sampled or read: CapacityError past ``MAX_SITE_UPDATES`` site
+    updates or ``MAX_RETAINED`` values, then DomainError if a chain keeps none."""
     updates = graphs * cfg.replicas * cfg.sweeps * n
     if updates > MAX_SITE_UPDATES:
         raise CapacityError(
             f"chains need {updates} site updates, above the cap of {MAX_SITE_UPDATES}"
         )
-    retained = graphs * cfg.replicas * cfg.retained(n)
+    kept = cfg.retained(n)
+    retained = graphs * cfg.replicas * kept
     if retained > MAX_RETAINED:
         raise CapacityError(f"chains retain {retained} values, above the cap of {MAX_RETAINED}")
+    if kept < 1:
+        raise DomainError(
+            f"no samples retained: sweeps={cfg.sweeps}, "
+            f"burn_in={cfg.resolved_burn_in(n)}, thin={cfg.thin}"
+        )
 
 
 # Each kernel call runs about this many site updates (whole sweeps, at least
@@ -221,13 +228,9 @@ def run_chain(
     cfg), whatever group of ``_csweep.GROUP`` replicas each replica ran in.
     When ``stop`` is set, the chain raises KeyboardInterrupt before its next
     kernel block: that is how a worker thread, which never sees Ctrl-C
-    itself, is ended.
+    itself, is ended.  ``check_chain_work`` refuses the configuration, and
+    ``GraphChain`` a graph of another size.
     """
-    if cfg.retained(g.n) < 1:
-        raise DomainError(
-            f"no samples retained: sweeps={cfg.sweeps}, "
-            f"burn_in={cfg.resolved_burn_in(g.n)}, thin={cfg.thin}"
-        )
     check_chain_work(g.n, cfg, 1)
     from ._csweep import GROUP
 
@@ -303,6 +306,7 @@ def quenched_experiment(
         raise DomainError(f"threads must be positive, got {threads}")
     if threads > MAX_THREADS:
         raise CapacityError(f"{threads} threads, above the cap of {MAX_THREADS}")
+    derive_seed(master_seed)  # refuses a seed outside [0, 2^64) here, not in each worker
     pooled = n_graphs * cfg.replicas * cfg.retained(params.n)
     if pooled < 2:
         raise DomainError(f"the pooled variance needs at least 2 retained samples, got {pooled}")

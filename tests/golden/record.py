@@ -28,6 +28,7 @@ CORPUS = Path(__file__).with_name("corpus.json")
 
 MODEL = ["--p", "0.5", "--beta", "0.5"]
 CHAIN = ["--sweeps", "20", "--burnin", "0"]
+LONG_CHAIN = ["--p", "0.5", "--sweeps", "24", "--burnin", "4", "--seed", "11"]
 
 _ROWS = "dilute-cw-graph v1 N=3\n011\n101\n110\n"
 
@@ -57,6 +58,11 @@ def _graph_sample():
             yield ["graph-sample", "--n", str(n), "--p", p, "--seed", seed]
     for n in (3, 9, 65, 130):
         yield ["graph-sample", "--n", str(n), "--p", "0.5", "--seed", "5", "--out", f"g{n}.txt"]
+    # the row-by-row sampler and writer's outputs, pinned before the corpus
+    for n in (1, 7, 63, 64, 65, 1000, 1500):
+        for p in ("0.001", "0.5", "1.0"):
+            for seed in ("7", "18446744073709551615"):
+                yield ["graph-sample", "--n", str(n), "--p", p, "--seed", seed]
 
 
 def _exact_partition():
@@ -64,6 +70,8 @@ def _exact_partition():
         for p, beta, seed in (("0.5", "0.5", "3"), ("0.2", "1.3", "7"), ("1.0", "0.9", "0")):
             yield ["exact-partition", "--n", str(n), "--p", p, "--beta", beta, "--seed", seed]
     yield ["exact-partition", "--n", "22", *MODEL, "--seed", "20260818"]
+    # the Gray-code walk's law, pinned before the corpus
+    yield ["exact-partition", "--n", "18", "--p", "0.5", "--beta", "0.7", "--seed", "20260818"]
     for n in (3, 9):
         yield ["exact-partition", "--n", str(n), *MODEL, "--graph", f"g{n}.txt"]
     for name in ("lf", "crlf", "cr", "open"):
@@ -79,7 +87,8 @@ def _exact_moments():
                     yield ["exact-moments", "--n", str(n), "--p", p, "--beta", beta, "--g", g]
     for g in ("cosine", "bump:0.3,0.5", "bump:50,0.1"):
         yield ["exact-moments", "--n", "12", "--p", "0.6", "--beta", "0.9", "--g", g]
-    for n in (150, 200):
+    # n = 64 is the term-by-term second moment's output, pinned before the corpus
+    for n in (64, 150, 200):
         yield ["exact-moments", "--n", str(n), "--p", "0.5", "--beta", "0.307", "--g", "gauss"]
     yield ["exact-moments", "--n", "4", *MODEL, "--out", "moments.json"]
 
@@ -122,6 +131,10 @@ def _mcmc_run():
     for name in ("lf", "crlf", "cr", "open"):
         yield ["mcmc-run", "--n", "3", *MODEL, *CHAIN, "--graph", f"{name}.txt"]
     yield ["mcmc-run", "--n", "16", *MODEL, *CHAIN, "--replicas", "4", "--out", "chain.csv"]
+    # the one-site-at-a-time sweep's chains, pinned before the corpus
+    for n in (65, 1024, 4100):
+        yield ["mcmc-run", "--n", str(n), "--beta", "1.5", "--replicas", "2", *LONG_CHAIN,
+               "--out", f"chain{n}.csv"]
 
 
 def _clt_experiment():
@@ -137,6 +150,8 @@ def _clt_experiment():
            "--sweeps", "30", "--burnin", "10", "--replicas", "4"]
     yield ["clt-experiment", "--n", "16", *MODEL, "--graphs", "2", "--sweeps", "40",
            "--burnin", "10", "--out", "clt.json"]
+    for n in (65, 1024, 4100):
+        yield ["clt-experiment", "--n", str(n), "--beta", "0.5", "--graphs", "2", *LONG_CHAIN]
 
 
 # Calls that fail: exit 2 for an argument out of domain, 3 for a size above

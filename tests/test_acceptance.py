@@ -121,6 +121,23 @@ def test_c03_enumeration_agrees_with_direct_sum_and_scales():
 
 
 def test_c04_subcritical_clt_at_four_thousand_sites():
+    """Ten fresh graphs at n = 4096, p = 0.5, beta = 0.5, one chain of 5000
+    retained sweeps each, against the Gaussian N(0, 2): per graph, sample
+    variance in [1.8, 2.2], Levy <= 0.1 and KS <= 0.05.
+
+    False-fail rate.  Measured on this test's ten chains as in c10, tau_int is
+    at most 1.14 for the magnetization, 0.90 for its indicators at five
+    quantiles from 0.1 to 0.9 and 0.68 for its centred square, so each chain's
+    5000 values count as N_eff >= 2190.  A 4096-site magnetization lies on a
+    lattice of spacing 1/32, so even its exact law is half an atom (0.0044)
+    from the Gaussian in KS, and a variance off by 0.05 adds 0.003: allow 0.01.
+    DKW then bounds a graph's KS fail by 2 e^(-2 N_eff 0.04^2) = 1.8e-3 and,
+    as Levy <= KS, its Levy fail by 2 e^(-2 N_eff 0.09^2) = 7e-16.  The
+    variance window is 4.1 standard errors (0.049, from the square's tau_int)
+    about 2, a 4e-5 fail under the normal approximation.  Over ten graphs the
+    rate is below 2e-2, nearly all of it the KS gate.  Measured: variances
+    1.968 to 2.056, Levy at most 0.019, KS at most 0.022.
+    """
     started = time.perf_counter()
     params = ModelParams(n=4096, p=0.5, beta=0.5)
     cfg = ChainConfig(sweeps=5640, burn_in=640, thin=1, replicas=1)
@@ -229,8 +246,9 @@ def test_c08_taylor_coefficients_closed_forms_and_remainders():
     for tenths in range(1, 11):
         p = tenths / 10.0
         for z in z_grid:
-            worst_even = max(worst_even, abs(remainder_check(p, z, "even")))
-            worst_odd = max(worst_odd, abs(remainder_check(p, z, "odd")))
+            remainders = remainder_check(p, z)
+            worst_even = max(worst_even, abs(remainders["even"]))
+            worst_odd = max(worst_odd, abs(remainders["odd"]))
     assert worst_even <= 1.0
     assert worst_odd <= 0.15
 
@@ -249,6 +267,17 @@ def test_c08_taylor_coefficients_closed_forms_and_remainders():
 
 
 def test_c09_supercritical_magnetization_plateau():
+    """One graph at n = 2048, p = 0.5, beta = 1.5, four replicas of 700
+    retained sweeps: each replica's time average of |m| per site lies within
+    0.05 of m_+(1.5) = 0.8586.
+
+    False-fail rate.  Measured on this test's four chains as in c10, tau_int
+    of |m| per site is at most 0.79, so N_eff >= 443, and its standard
+    deviation is at most 0.0148.  The time averages sit 0.0005 to 0.0008 below
+    m_+, a finite-n shift.  Bernstein's inequality for values in [0, 1],
+    2 exp(-N_eff t^2 / (2 sd^2 + 2t/3)) at t = 0.0492, bounds a replica's
+    fail by 2e-14, so the four fail by chance with probability below 1e-13.
+    """
     started = time.perf_counter()
     params = ModelParams(n=2048, p=0.5, beta=1.5)
     graph = sample_graph(params, GraphSeed(derive_seed(777, 1, 0)))

@@ -266,27 +266,26 @@ def test_remainder_check_limits():
     for p in (0.2, 0.5, 1.0):
         odd_limit = (2 * p * p - 3 * p + 1) / 6
         even_limit = -(6 * p * p - 12 * p + 7) / 24
-        assert remainder_check(p, 0.001, "odd") == pytest.approx(odd_limit, abs=1e-5)
-        assert remainder_check(p, 0.001, "even") == pytest.approx(even_limit, abs=1e-5)
+        remainders = remainder_check(p, 0.001)
+        assert remainders["odd"] == pytest.approx(odd_limit, abs=1e-5)
+        assert remainders["even"] == pytest.approx(even_limit, abs=1e-5)
 
 
 def test_remainder_check_sign_flip():
     # odd-part remainder is odd in z once normalized by z^3: flipping z
     # flips nothing
-    a = remainder_check(0.4, 0.1, "odd")
-    b = remainder_check(0.4, -0.1, "odd")
+    a = remainder_check(0.4, 0.1)["odd"]
+    b = remainder_check(0.4, -0.1)["odd"]
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_remainder_check_validation():
     with pytest.raises(ValueError):
-        remainder_check(0.5, 0.0, "odd")
+        remainder_check(0.5, 0.0)
     with pytest.raises(ValueError):
-        remainder_check(0.5, 0.3, "odd")
+        remainder_check(0.5, 0.3)
     with pytest.raises(ValueError):
-        remainder_check(0.0, 0.1, "even")
-    with pytest.raises(ValueError):
-        remainder_check(0.5, 0.1, "both")
+        remainder_check(0.0, 0.1)
 
 
 @pytest.mark.parametrize("stored, numpy_rule", [

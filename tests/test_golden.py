@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from dilutecw import _csweep, _twins
+from dilutecw import _csweep, _twins, cli, mcmc
 from golden.record import CORPUS, replay
 
 
@@ -20,6 +20,26 @@ def test_corpus_replays_byte_identical():
     got = replay(corpus["files"], [entry["argv"] for entry in want])
     moved = [" ".join(entry["argv"]) for entry, now in zip(want, got) if entry != now]
     assert not moved, f"{len(moved)} of {len(want)} calls moved: {moved[:10]}"
+
+
+def test_chain_refusals_come_before_the_graph(monkeypatch):
+    """Every call of the corpus to ``mcmc-run`` or ``clt-experiment`` that
+    exits 2 or 3 without --graph exits the same way with graphs impossible to
+    sample or read: a graph built would end the call with exit 4."""
+
+    def no_graph(*args, **kwargs):
+        raise OSError("a graph was built")
+
+    for module, name in ((cli, "sample_graph"), (cli, "read_graph"), (mcmc, "sample_graph")):
+        monkeypatch.setattr(module, name, no_graph)
+    corpus = json.loads(CORPUS.read_text())
+    want = [entry for entry in corpus["calls"]
+            if entry["argv"][0] in ("mcmc-run", "clt-experiment")
+            and entry["exit"] in (2, 3) and "--graph" not in entry["argv"]]
+    got = replay(corpus["files"], [entry["argv"] for entry in want])
+    moved = [" ".join(entry["argv"]) for entry, now in zip(want, got) if entry != now]
+    assert len(want) >= 10
+    assert not moved, moved
 
 
 def test_corpus_imports_no_numpy_on_the_compiled_kernels():
