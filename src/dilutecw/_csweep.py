@@ -85,38 +85,35 @@ n = 4096 (p = 0.5, beta = 1.5) the ``avx512vpopcntdq`` path takes 53-57 ns
 per site update at r = 1 and 36-38 ns per replica-site at r = 2, against
 53-57 for two one-replica calls.
 
-One body is compiled three ways, each exported as ``sweep_block_<path>``:
-with AVX-512 VPOPCNTDQ, where GCC turns the counting loop into ``vpopcntq``
-at ``-O3``; with the scalar ``popcnt`` instruction; and plain.  The first two
-exist only on x86-64.  No ``-march`` flag is passed, so the one library runs
-on any host of its architecture.  ``PATHS`` is the one table of them: each
-path, fastest first, with the CPU features it needs.  The library exports a
-single probe, ``cpu_features``, which sets one bit per entry of ``FEATURES``
-with ``__builtin_cpu_supports``.  ``library()`` reads it once at load and
-binds every path of the table whose features the CPU has (``paths``); the
-first of them is ``path``, the one ``sweep`` runs.
+``FAMILIES`` is the one table of the functions compiled once per CPU path,
+each with its table of paths, fastest first, and the CPU features each path
+needs.  ``SOURCE`` holds one body per family and writes out its exports,
+``<family>_<path>``, from the table: a path with features exists only on
+x86-64 and builds the body with them as its ``target``; ``generic`` builds it
+plainly.  No ``-march`` flag is passed, so the one library runs on any host
+of its architecture.  The library exports a single probe, ``cpu_features``,
+which sets one bit per entry of ``FEATURES`` with ``__builtin_cpu_supports``.
+``library()`` reads it once at load and binds each family to the first path
+of its table that the CPU has every feature of.
 
-The same library holds the setup of every sampled graph, each function
-bit-identical to its twin:
+* ``PATHS`` serves the sweep, the mask builder and the edge count: AVX-512
+  VPOPCNTDQ, where GCC turns the counting loop into ``vpopcntq`` at ``-O3``;
+  the scalar ``popcnt`` instruction; and plain, where each popcount calls
+  libgcc.  ``paths`` holds the sweep on every path the CPU runs, and ``path``
+  is the one ``sweep``, ``masks`` and ``count`` run.  At n = 4096 the edge
+  count takes about 1 ms plainly, 0.21 ms on ``popcnt`` and 0.07 ms on
+  ``avx512vpopcntdq``, against 1.7-2.8 ms for the twin.
+* ``SAMPLE_PATHS`` serves the graph sampler, read against the same probe,
+  since VPOPCNTDQ does not imply DQ: AVX-512 DQ, where GCC mixes a word's 64
+  cells in vector lanes with ``vpmullq``, and plain (``sample_paths`` and
+  ``sample_path``).
 
-* ``sample_rows_<path>`` is compiled with AVX-512 DQ, where GCC mixes a
-  word's 64 cells in vector lanes with ``vpmullq``, and plainly.
-  ``SAMPLE_PATHS`` is its table, read against the same probe: VPOPCNTDQ does
-  not imply DQ.
-* ``build_masks_<path>`` works by a 64 x 64 block bit transpose whose six
-  rounds shift by constants.  It is compiled once for each path of
-  ``PATHS``, so that its popcounts are an instruction wherever the sweep's
-  are, and ``masks`` is the one of ``path``.
-* ``count_bits_<path>`` sums the popcounts of the words, compiled and bound
-  the same way: at n = 4096 the plain body takes about 1 ms, calling libgcc
-  for each word, the ``popcnt`` one 0.21 ms and the ``avx512vpopcntdq`` one
-  0.07 ms, against 1.7-2.8 ms for the twin.  ``edge_count`` and the
-  histogram's edge count both come from it.
-* ``plus_table`` calls libm ``exp``, the function ``math.exp`` calls, so
-  every entry is the same double.
-
-So does the enumeration's ``interaction_histogram``, whose counts are exact
-integers either way.  It takes its W = eps + eps^T from
+Each of them is bit-identical to its twin.  The mask builder works by a 64 x 64
+block bit transpose whose six rounds shift by constants, and ``edge_count``
+and the histogram's edge count both come from ``count``.  ``plus_table``
+calls libm ``exp``, the function ``math.exp`` calls, so every entry is the
+same double.  The enumeration's ``interaction_histogram`` is exact too: its
+counts are integers either way.  It takes its W = eps + eps^T from
 ``build_masks_generic`` (the twin from ``_twins._masks``), the one place each
 set derives it.  It is compiled once, plainly: its inner loop is table loads
 and increments, with no popcount in it.  A global flip keeps s and maps class
@@ -187,32 +184,67 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-# The paths of the sweep (sweep_block_<path> in SOURCE), fastest first, each
-# with the CPU features it needs; the library runs the first one whose
-# features the CPU has.
+# The paths of the sweep, the mask builder and the edge count, fastest first,
+# each with the CPU features it needs.
 PATHS = {
     "avx512vpopcntdq": {"avx512f", "avx512vpopcntdq"},
     "popcnt": {"popcnt"},
     "generic": set(),
 }
 
-# The paths of the graph sampler (sample_rows_<path>), in the same form.
+# The paths of the graph sampler, in the same form.
 SAMPLE_PATHS = {"avx512dq": {"avx512f", "avx512dq"}, "generic": set()}
+
+# The functions of SOURCE compiled once per path, each with its table: SOURCE
+# exports <family>_<path> for every path of the table, and the library runs
+# the first one whose features the CPU has.  The mask builder and the edge
+# count follow the sweep, so their popcounts are an instruction wherever the
+# sweep's are.
+FAMILIES = {"sweep_block": PATHS, "build_masks": PATHS, "count_bits": PATHS,
+            "sample_rows": SAMPLE_PATHS}
 
 # Bit k of the probe cpu_features() is set when the CPU has FEATURES[k].
 FEATURES = tuple(sorted(set().union(*PATHS.values(), *SAMPLE_PATHS.values())))
 
-SOURCE = r"""
+# The most replicas one sweep call runs together.  Each mask word the counting
+# loop loads serves every replica of the group, and the group's counts and
+# state words stay in registers up to this size.
+GROUP = 4
+
+# The words of a pair sum's integer, the sum times 2^_SUM_SCALE.
+_LIMBS = 36
+_SUM_SCALE = 1074
+
+# The C signature of each function of SOURCE that Python calls, without its
+# path suffix: the return type, a colon, then one letter per parameter in the
+# order of the C parameter list, which each function's twin shares.  "i" is
+# int64_t, "u" uint64_t, "d" double, "p" a pointer to a buffer and "v" void.
+_SIGNATURES = {
+    "sweep_block": "v:iiipppppipp",
+    "sample_rows": "v:iuuiip",
+    "build_masks": "v:ipppp",
+    "count_bits": "i:ip",
+    "plus_table": "v:idp",
+    "interaction_histogram": "i:ipiippp",
+    "pair_sum": "i:idddppppp",
+    "levy_normal": "d:ippddd",
+    "ks_normal": "d:ippdd",
+    "format_text": "v:iipp",
+    "parse_text": "i:iipp",
+    "cpu_features": "i:",
+}
+
+_TEMPLATE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
-/* The most replicas one call sweeps together; GROUP in _csweep.py. */
-#define GROUP 4
+/* The most replicas one call sweeps together. */
+#define GROUP @GROUP@
 
-#define SWEEP_ARGS int64_t n, int64_t words, int64_t r, const uint64_t *w1, \
-                   const uint64_t *w2, const int64_t *base, const double *plus, \
-                   uint64_t *rng, int64_t sweeps, uint64_t *bits, int64_t *up
+#define SWEEP_BLOCK_ARGS int64_t n, int64_t words, int64_t r, const uint64_t *w1, \
+                         const uint64_t *w2, const int64_t *base, const double *plus, \
+                         uint64_t *rng, int64_t sweeps, uint64_t *bits, int64_t *up
 #define SWEEP_PASS(group) n, words, group, w1, w2, base, plus, rng, sweeps, bits, up
 
 /* The next double of numpy's Generator.random on a PCG64: the 128-bit LCG
@@ -241,7 +273,7 @@ static inline __attribute__((always_inline)) double pcg64_random(__uint128_t *st
    loops over the group unroll, and r = 1 is the one-replica loop.  Row g of
    rng is replica g's PCG64 as state lo, state hi, inc lo, inc hi; its state
    is written back on return. */
-static inline __attribute__((always_inline)) void sweep_body(SWEEP_ARGS)
+static inline __attribute__((always_inline)) void sweep_body(SWEEP_BLOCK_ARGS)
 {
     int64_t outer[GROUP][64];
     __uint128_t state[GROUP], inc[GROUP];
@@ -303,7 +335,8 @@ static inline __attribute__((always_inline)) void sweep_body(SWEEP_ARGS)
 
 /* One body per group size, each with its r a literal; the caller checks
    that 1 <= r <= GROUP. */
-#define SWEEP_GROUPS                          \
+_Static_assert(GROUP == 4, "the group switch covers r = 1 .. GROUP");
+#define SWEEP_BLOCK_BODY                      \
     switch (r) {                              \
     case 1: sweep_body(SWEEP_PASS(1)); break; \
     case 2: sweep_body(SWEEP_PASS(2)); break; \
@@ -311,19 +344,9 @@ static inline __attribute__((always_inline)) void sweep_body(SWEEP_ARGS)
     default: sweep_body(SWEEP_PASS(4));       \
     }
 
-#if defined(__x86_64__)
-__attribute__((target("avx512f,avx512vpopcntdq")))
-void sweep_block_avx512vpopcntdq(SWEEP_ARGS) { SWEEP_GROUPS }
-
-__attribute__((target("popcnt")))
-void sweep_block_popcnt(SWEEP_ARGS) { SWEEP_GROUPS }
-#endif
-
-void sweep_block_generic(SWEEP_ARGS) { SWEEP_GROUPS }
-
-#define SAMPLE_ARGS int64_t n, uint64_t seed, uint64_t threshold, int64_t start, int64_t rows, \
-                    uint64_t *out
-#define SAMPLE_PASS n, seed, threshold, start, rows, out
+#define SAMPLE_ROWS_ARGS int64_t n, uint64_t seed, uint64_t threshold, int64_t start, \
+                         int64_t rows, uint64_t *out
+#define SAMPLE_ROWS_BODY sample_body(n, seed, threshold, start, rows, out);
 
 /* Rows start .. start+rows-1 of the graph as mask words: bit j of row i is
    set iff the SplitMix64 finalizer of seed + (i n + 1) gamma + j gamma, shifted
@@ -331,7 +354,7 @@ void sweep_block_generic(SWEEP_ARGS) { SWEEP_GROUPS }
    The 64 cells of a word are independent lanes, which GCC vectorises with
    vpmullq where AVX-512 DQ is on; it does so only while b and hit are 64-bit
    (an int b or a bool hit left the loop scalar at -O3 with GCC 12). */
-static inline __attribute__((always_inline)) void sample_body(SAMPLE_ARGS)
+static inline __attribute__((always_inline)) void sample_body(SAMPLE_ROWS_ARGS)
 {
     const uint64_t gamma = 0x9E3779B97F4A7C15u;
     int64_t words = (n + 63) / 64;
@@ -352,13 +375,6 @@ static inline __attribute__((always_inline)) void sample_body(SAMPLE_ARGS)
         }
     }
 }
-
-#if defined(__x86_64__)
-__attribute__((target("avx512f,avx512dq")))
-void sample_rows_avx512dq(SAMPLE_ARGS) { sample_body(SAMPLE_PASS); }
-#endif
-
-void sample_rows_generic(SAMPLE_ARGS) { sample_body(SAMPLE_PASS); }
 
 /* One round of Hacker's Delight's 64 x 64 bit-matrix transpose: swap the
    off-diagonal j x j sub-blocks that mask selects.  Every call passes j and
@@ -385,14 +401,14 @@ static inline __attribute__((always_inline)) void transpose64(uint64_t *a)
     transpose_round(a, 1, 0x5555555555555555u);
 }
 
-#define MASK_ARGS int64_t n, const uint64_t *out, uint64_t *w1, uint64_t *w2, int64_t *base
-#define MASK_PASS n, out, w1, w2, base
+#define BUILD_MASKS_ARGS int64_t n, const uint64_t *out, uint64_t *w1, uint64_t *w2, int64_t *base
+#define BUILD_MASKS_BODY masks_body(n, out, w1, w2, base);
 
 /* The symmetric masks of the out-edge rows: in-edge rows by block transpose
    (block (J, I) of the transpose is block (I, J) transposed, held in w2 until
    the second pass), then w1 = out ^ in, w2 = out & in, the diagonal cleared,
    and base[i] = popcount(w1[i]) + 2 popcount(w2[i]). */
-static inline __attribute__((always_inline)) void masks_body(MASK_ARGS)
+static inline __attribute__((always_inline)) void masks_body(BUILD_MASKS_ARGS)
 {
     int64_t words = (n + 63) / 64;
     uint64_t block[64];
@@ -418,23 +434,12 @@ static inline __attribute__((always_inline)) void masks_body(MASK_ARGS)
     }
 }
 
-/* One body per path of the sweep's table, so the popcounts of the second
-   pass are an instruction wherever the sweep's are. */
-#if defined(__x86_64__)
-__attribute__((target("avx512f,avx512vpopcntdq")))
-void build_masks_avx512vpopcntdq(MASK_ARGS) { masks_body(MASK_PASS); }
+#define COUNT_BITS_ARGS int64_t count, const uint64_t *words
+#define COUNT_BITS_BODY return count_body(count, words);
 
-__attribute__((target("popcnt")))
-void build_masks_popcnt(MASK_ARGS) { masks_body(MASK_PASS); }
-#endif
-
-void build_masks_generic(MASK_ARGS) { masks_body(MASK_PASS); }
-
-#define COUNT_ARGS int64_t count, const uint64_t *words
-
-/* The set bits of count mask words, one body per path as build_masks: the
-   plain one calls libgcc for each popcount. */
-static inline __attribute__((always_inline)) int64_t count_body(COUNT_ARGS)
+/* The set bits of count mask words: the plain body calls libgcc for each
+   popcount. */
+static inline __attribute__((always_inline)) int64_t count_body(COUNT_BITS_ARGS)
 {
     int64_t total = 0;
     for (int64_t k = 0; k < count; k++)
@@ -442,15 +447,8 @@ static inline __attribute__((always_inline)) int64_t count_body(COUNT_ARGS)
     return total;
 }
 
-#if defined(__x86_64__)
-__attribute__((target("avx512f,avx512vpopcntdq")))
-int64_t count_bits_avx512vpopcntdq(COUNT_ARGS) { return count_body(count, words); }
-
-__attribute__((target("popcnt")))
-int64_t count_bits_popcnt(COUNT_ARGS) { return count_body(count, words); }
-#endif
-
-int64_t count_bits_generic(COUNT_ARGS) { return count_body(count, words); }
+/* <family>_<path> for every path of each family's table */
+@EXPORTS@
 
 /* Rows of mask words as text: the n cells of each row as '0' / '1' bytes,
    then '\n', row r at text + r (n + 1).  spread[b] is the eight bytes of the
@@ -649,7 +647,7 @@ int64_t interaction_histogram(int64_t n, const uint64_t *rows, int64_t edges, in
    adds every bucket[e] 2^(e - 1) into one little-endian integer of LIMBS
    words, which is the exact sum times 2^1074; Python rounds it once. */
 #define BUCKETS 2047
-#define LIMBS 36
+#define LIMBS @LIMBS@
 
 static inline __attribute__((always_inline)) void bucket_add(unsigned __int128 *bucket, double x)
 {
@@ -829,18 +827,32 @@ int64_t cpu_features(void)
 #endif
     return bits;
 }
-""".replace("@FEATURE_TESTS@", "\n".join(
-    f'    bits |= (int64_t)(__builtin_cpu_supports("{name}") != 0) << {k};'
-    for k, name in enumerate(FEATURES)
-))
+"""
 
+
+def _export(family: str, path: str) -> str:
+    """The C definition of ``family``'s export on ``path``: its body, built
+    with the path's CPU features where it has any, which exist only on x86-64."""
+    result = {"v": "void", "i": "int64_t"}[_SIGNATURES[family][0]]
+    macro = family.upper()
+    text = f"{result} {family}_{path}({macro}_ARGS) {{ {macro}_BODY }}"
+    needs = ",".join(sorted(FAMILIES[family][path]))
+    return (f'#if defined(__x86_64__)\n__attribute__((target("{needs}")))\n{text}\n#endif'
+            if needs else text)
+
+
+# The template with the constants it shares with Python, every per-path export
+# and the probe's tests written out.
+SOURCE = (
+    _TEMPLATE.replace("@GROUP@", str(GROUP)).replace("@LIMBS@", str(_LIMBS))
+    .replace("@EXPORTS@", "\n".join(_export(family, path)
+                                    for family, table in FAMILIES.items() for path in table))
+    .replace("@FEATURE_TESTS@", "\n".join(
+        f'    bits |= (int64_t)(__builtin_cpu_supports("{name}") != 0) << {k};'
+        for k, name in enumerate(FEATURES)))
+)
 
 COMMAND = ("cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
-
-# The most replicas one sweep call runs together (GROUP in SOURCE).  Each mask
-# word the counting loop loads serves every replica of the group, and the
-# group's counts and state words stay in registers up to this size.
-GROUP = 4
 
 
 class _Library(NamedTuple):
@@ -944,24 +956,6 @@ class _Buffer:
         return ctypes.c_void_p(_address(view))
 
 
-# The C signature of each function of SOURCE that Python calls, without its
-# path suffix: the return type, a colon, then one letter per parameter in the
-# order of the C parameter list, which each function's twin shares.  "i" is
-# int64_t, "u" uint64_t, "d" double, "p" a pointer to a buffer and "v" void.
-_SIGNATURES = {
-    "sweep_block": "v:iiipppppipp",
-    "sample_rows": "v:iuuiip",
-    "build_masks": "v:ipppp",
-    "count_bits": "i:ip",
-    "plus_table": "v:idp",
-    "interaction_histogram": "i:ipiippp",
-    "pair_sum": "i:idddppppp",
-    "levy_normal": "d:ippddd",
-    "ks_normal": "d:ippdd",
-    "format_text": "v:iipp",
-    "parse_text": "i:iipp",
-    "cpu_features": "i:",
-}
 _CTYPES = {"i": ctypes.c_int64, "u": ctypes.c_uint64, "d": ctypes.c_double, "p": _Buffer,
            "v": None}
 
@@ -1074,12 +1068,6 @@ def _histogram(interaction_histogram, count_bits, out_rows) -> tuple[list[int], 
     return copies[size:size + found].tolist(), copies[:found].tolist()
 
 
-# The words of a pair sum's integer, as the C kernel's LIMBS: the sum times
-# 2^_SUM_SCALE.
-_LIMBS = 36
-_SUM_SCALE = 1074
-
-
 def _pair_sum(pair_sum, n, base, b1, b0, log_g, log_counts) -> float:
     """log of the sum of exp over every term of the annealed pair sum (see
     ``exact.second_moment_log``); -inf when there is none, NaN when a term
@@ -1149,19 +1137,20 @@ def _parse(parse_text, text, words) -> int:
     return parse_text(n, k, _view(text, "i1", (k, n + 1)), words)
 
 
-def _kernels(raw: dict, paths: dict, sample_paths: dict) -> _Library:
+def _kernels(raw: dict, path: str | None, paths: dict, sample_path: str | None,
+             sample_paths: dict) -> _Library:
     """The kernel set of the raw functions ``raw``, which maps the name of
     each kernel function of ``_SIGNATURES`` to its own.  ``paths`` and
-    ``sample_paths`` map each sweep and sampler path, fastest first, to its
-    raw function; the twins have none."""
+    ``sample_paths`` map each sweep and sampler path that the CPU runs,
+    fastest first, to its raw function, and ``sweep`` and ``sample`` run
+    ``path`` and ``sample_path`` of them; the twins have none."""
     sweeps = {name: partial(_sweep, fn) for name, fn in paths.items()}
     samplers = {name: partial(_sample, fn) for name, fn in sample_paths.items()}
-    path, sample_path = next(iter(sweeps), None), next(iter(samplers), None)
     return _Library(
-        sweep=sweeps[path] if sweeps else partial(_sweep, raw["sweep_block"]),
+        sweep=sweeps[path] if path else partial(_sweep, raw["sweep_block"]),
         path=path,
         paths=sweeps,
-        sample=samplers[sample_path] if samplers else partial(_sample, raw["sample_rows"]),
+        sample=samplers[sample_path] if sample_path else partial(_sample, raw["sample_rows"]),
         sample_path=sample_path,
         sample_paths=samplers,
         masks=partial(_masks, raw["build_masks"]),
@@ -1177,7 +1166,7 @@ def _kernels(raw: dict, paths: dict, sample_paths: dict) -> _Library:
 
 
 def _runnable(table: dict, features: set) -> list[str]:
-    """The paths of ``table`` (PATHS or SAMPLE_PATHS) that a CPU with
+    """The paths of ``table``, a table of ``FAMILIES``, that a CPU with
     ``features`` runs, fastest first."""
     return [name for name, needs in table.items() if needs <= features]
 
@@ -1191,15 +1180,13 @@ def _open() -> _Library:
     lib = ctypes.CDLL(str(file))
     bits = _function(lib, "cpu_features")()
     features = {name for k, name in enumerate(FEATURES) if bits >> k & 1}
-    paths = {name: _function(lib, "sweep_block", name) for name in _runnable(PATHS, features)}
-    sample_paths = {name: _function(lib, "sample_rows", name)
-                    for name in _runnable(SAMPLE_PATHS, features)}
-    path, sample_path = next(iter(paths)), next(iter(sample_paths))
-    # the sweep's path is the mask builder's and the edge count's too
-    suffix = {"sweep_block": path, "build_masks": path, "count_bits": path,
-              "sample_rows": sample_path}
-    raw = {name: _function(lib, name, suffix.get(name)) for name in _SIGNATURES}
-    return _kernels(raw, paths, sample_paths)
+    # each family on every path of its table that this CPU runs, bound to the first
+    runs = {family: {path: _function(lib, family, path) for path in _runnable(table, features)}
+            for family, table in FAMILIES.items()}
+    bound = {family: next(iter(fns)) for family, fns in runs.items()}
+    raw = {name: _function(lib, name, bound.get(name)) for name in _SIGNATURES}
+    return _kernels(raw, bound["sweep_block"], runs["sweep_block"],
+                    bound["sample_rows"], runs["sample_rows"])
 
 
 def library() -> _Library:

@@ -433,6 +433,8 @@ _TWINS = _kernels(
         "format_text": _format_text,
         "parse_text": _parse_text,
     },
+    path=None,
     paths={},
+    sample_path=None,
     sample_paths={},
 )

@@ -156,7 +156,7 @@ def test_bad_buffers_are_refused_before_any_raw_function_runs():
     def untouched(*args):
         raise AssertionError("a raw function ran")
 
-    stub = _csweep._kernels(dict.fromkeys(_csweep._SIGNATURES, untouched), {}, {})
+    stub = _csweep._kernels(dict.fromkeys(_csweep._SIGNATURES, untouched), None, {}, None, {})
     with pytest.raises(AssertionError, match="raw function ran"):
         _kernel_calls()["count"](stub)
     w1, w2, base = _twins._TWINS.masks(np.zeros((9, 1), dtype="<u8"))

@@ -795,12 +795,37 @@ def test_paths_follow_the_table_on_any_cpu():
     assert runnable(_csweep.PATHS, set(_csweep.FEATURES)) == list(_csweep.PATHS)
     assert runnable(_csweep.SAMPLE_PATHS, {"avx512f", "avx512vpopcntdq", "popcnt"}) == ["generic"]
     assert runnable(_csweep.SAMPLE_PATHS, set()) == ["generic"]
-    # every feature a path needs is probed, and every path is exported
-    for table, prefix in ((_csweep.PATHS, "sweep_block_"), (_csweep.SAMPLE_PATHS, "sample_rows_")):
+    # every feature a path needs is probed, and every family is exported on
+    # every path of its table, with the C return type of its signature
+    exports = {"sweep_block": "void", "build_masks": "void", "count_bits": "int64_t",
+               "sample_rows": "void"}
+    assert _csweep.FAMILIES == {"sweep_block": _csweep.PATHS, "build_masks": _csweep.PATHS,
+                                "count_bits": _csweep.PATHS, "sample_rows": _csweep.SAMPLE_PATHS}
+    for family, table in _csweep.FAMILIES.items():
         assert list(table)[-1] == "generic" and not table["generic"]
         for name, needs in table.items():
             assert needs <= set(_csweep.FEATURES)
-            assert f"void {prefix}{name}(" in _csweep.SOURCE
+            assert f"\n{exports[family]} {family}_{name}(" in _csweep.SOURCE
+
+
+def test_each_family_runs_the_fastest_path_the_cpu_runs():
+    # the raw function behind each compiled entry is <family>_<path>, and the
+    # library exports every path of every family's table
+    library = _library()
+    features = _probed_features()
+    entries = {"sweep_block": (library.sweep, library.path),
+               "build_masks": (library.masks, library.path),
+               "count_bits": (library.count, library.path),
+               "sample_rows": (library.sample, library.sample_path)}
+    assert set(entries) == set(_csweep.FAMILIES)
+    for family, (entry, path) in entries.items():
+        fastest = next(name for name, needs in _csweep.FAMILIES[family].items() if needs <= features)
+        assert path == fastest and entry.args[0].__name__ == f"{family}_{fastest}"
+    assert library.histogram.args[1].__name__ == f"count_bits_{library.path}"
+    lib = ctypes.CDLL(str(_csweep.library_path()))
+    for family, table in _csweep.FAMILIES.items():
+        for name, needs in table.items():
+            assert hasattr(lib, f"{family}_{name}") == (not needs or os.uname().machine == "x86_64")
 
 
 def test_cache_key_covers_the_machine(monkeypatch):
