@@ -93,20 +93,19 @@ x86-64 and builds the body with them as its ``target``; ``generic`` builds it
 plainly.  No ``-march`` flag is passed, so the one library runs on any host
 of its architecture.  The library exports a single probe, ``cpu_features``,
 which sets one bit per entry of ``FEATURES`` with ``__builtin_cpu_supports``.
-``library()`` reads it once at load and binds each family to the first path
-of its table that the CPU has every feature of.
+``library()`` reads it once at load, binds each family to the first path of
+its table that the CPU has every feature of and records that path in its
+``paths``; a test binds any other path through ``_bind``.
 
 * ``PATHS`` serves the sweep, the mask builder and the edge count: AVX-512
   VPOPCNTDQ, where GCC turns the counting loop into ``vpopcntq`` at ``-O3``;
   the scalar ``popcnt`` instruction; and plain, where each popcount calls
-  libgcc.  ``paths`` holds the sweep on every path the CPU runs, and ``path``
-  is the one ``sweep``, ``masks`` and ``count`` run.  At n = 4096 the edge
-  count takes about 1 ms plainly, 0.21 ms on ``popcnt`` and 0.07 ms on
-  ``avx512vpopcntdq``, against 1.7-2.8 ms for the twin.
+  libgcc.  At n = 4096 the edge count takes about 1 ms plainly, 0.21 ms on
+  ``popcnt`` and 0.07 ms on ``avx512vpopcntdq``, against 1.7-2.8 ms for the
+  twin.
 * ``SAMPLE_PATHS`` serves the graph sampler, read against the same probe,
   since VPOPCNTDQ does not imply DQ: AVX-512 DQ, where GCC mixes a word's 64
-  cells in vector lanes with ``vpmullq``, and plain (``sample_paths`` and
-  ``sample_path``).
+  cells in vector lanes with ``vpmullq``, and plain.
 
 Each of them is bit-identical to its twin.  The mask builder works by a 64 x 64
 block bit transpose whose six rounds shift by constants, and ``edge_count``
@@ -150,8 +149,7 @@ where Python rounds twice.
 
 The twins are the test oracles of the compiled kernels and, as
 ``_twins._TWINS``, the set ``library()`` returns when nothing compiles or
-loads; its ``path`` and ``sample_path`` are None and its ``paths`` and
-``sample_paths`` empty.  Only that fallback imports them.
+loads; its ``paths`` is empty.  Only that fallback imports them.
 
 The first graph, graph file, chain, enumeration, second moment or distance a
 process makes compiles the source with the system C compiler (``COMMAND``)
@@ -856,12 +854,8 @@ COMMAND = ("cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 class _Library(NamedTuple):
-    sweep: Callable  # paths[path]
-    path: str | None  # the first of ``paths``; None for the twins, as is sample_path
-    paths: dict  # name -> that path's own entry point, for every path this CPU runs
-    sample: Callable  # sample_paths[sample_path]
-    sample_path: str | None
-    sample_paths: dict  # as ``paths``, for the sampler
+    sweep: Callable  # sweep_block
+    sample: Callable  # sample_rows
     masks: Callable  # build_masks
     count: Callable  # count_bits
     plus: Callable  # plus_table
@@ -871,6 +865,7 @@ class _Library(NamedTuple):
     ks: Callable  # ks_normal
     format: Callable  # format_text
     parse: Callable  # parse_text
+    paths: dict  # each family of FAMILIES -> the path it runs; {} for the twins
 
 
 _lock = threading.Lock()
@@ -1137,22 +1132,13 @@ def _parse(parse_text, text, words) -> int:
     return parse_text(n, k, _view(text, "i1", (k, n + 1)), words)
 
 
-def _kernels(raw: dict, path: str | None, paths: dict, sample_path: str | None,
-             sample_paths: dict) -> _Library:
+def _kernels(raw: dict, paths: dict) -> _Library:
     """The kernel set of the raw functions ``raw``, which maps the name of
-    each kernel function of ``_SIGNATURES`` to its own.  ``paths`` and
-    ``sample_paths`` map each sweep and sampler path that the CPU runs,
-    fastest first, to its raw function, and ``sweep`` and ``sample`` run
-    ``path`` and ``sample_path`` of them; the twins have none."""
-    sweeps = {name: partial(_sweep, fn) for name, fn in paths.items()}
-    samplers = {name: partial(_sample, fn) for name, fn in sample_paths.items()}
+    each kernel function of ``_SIGNATURES`` to its own, a family's on the
+    path that ``paths`` names for it (the twins have no paths)."""
     return _Library(
-        sweep=sweeps[path] if path else partial(_sweep, raw["sweep_block"]),
-        path=path,
-        paths=sweeps,
-        sample=samplers[sample_path] if sample_path else partial(_sample, raw["sample_rows"]),
-        sample_path=sample_path,
-        sample_paths=samplers,
+        sweep=partial(_sweep, raw["sweep_block"]),
+        sample=partial(_sample, raw["sample_rows"]),
         masks=partial(_masks, raw["build_masks"]),
         count=partial(_count, raw["count_bits"]),
         plus=partial(_plus, raw["plus_table"]),
@@ -1162,6 +1148,7 @@ def _kernels(raw: dict, path: str | None, paths: dict, sample_path: str | None,
         ks=partial(_distance, raw["ks_normal"]),
         format=partial(_format, raw["format_text"]),
         parse=partial(_parse, raw["parse_text"]),
+        paths=paths,
     )
 
 
@@ -1169,6 +1156,12 @@ def _runnable(table: dict, features: set) -> list[str]:
     """The paths of ``table``, a table of ``FAMILIES``, that a CPU with
     ``features`` runs, fastest first."""
     return [name for name, needs in table.items() if needs <= features]
+
+
+def _bind(lib, paths: dict) -> _Library:
+    """The kernel set of ``lib``, each family of ``paths`` on the path it names."""
+    return _kernels({name: _function(lib, name, paths.get(name))
+                     for name in _SIGNATURES if name != "cpu_features"}, paths)
 
 
 def _open() -> _Library:
@@ -1180,13 +1173,7 @@ def _open() -> _Library:
     lib = ctypes.CDLL(str(file))
     bits = _function(lib, "cpu_features")()
     features = {name for k, name in enumerate(FEATURES) if bits >> k & 1}
-    # each family on every path of its table that this CPU runs, bound to the first
-    runs = {family: {path: _function(lib, family, path) for path in _runnable(table, features)}
-            for family, table in FAMILIES.items()}
-    bound = {family: next(iter(fns)) for family, fns in runs.items()}
-    raw = {name: _function(lib, name, bound.get(name)) for name in _SIGNATURES}
-    return _kernels(raw, bound["sweep_block"], runs["sweep_block"],
-                    bound["sample_rows"], runs["sample_rows"])
+    return _bind(lib, {family: _runnable(table, features)[0] for family, table in FAMILIES.items()})
 
 
 def library() -> _Library:

@@ -1,25 +1,23 @@
 """The numpy and Python twins of the compiled kernels in ``_csweep``.
 
 Each twin is the raw function of one C function of ``_csweep.SOURCE``, named
-after it: ``_sample_rows`` for ``sample_rows_<path>``, ``_build_masks`` for
-``build_masks_<path>``, ``_count_bits`` for ``count_bits_<path>``,
-``_sweep_block`` for ``sweep_block_<path>``, and ``_plus_table``,
-``_interaction_histogram``, ``_pair_sum``, ``_levy_normal``, ``_ks_normal``,
-``_format_text`` and ``_parse_text``.  It takes the C function's parameters
-in their order, reads its input buffers as numpy arrays or lists over the
-same memory, writes its outputs into the buffers it is given, and returns
-what the C function returns, bit for bit; only ``_interaction_histogram``
+after it: the function ``name`` of ``_csweep._SIGNATURES``, on every path of
+a family of ``_csweep.FAMILIES``, has the twin ``_<name>``, every name but
+the CPU probe ``cpu_features``.  It takes the C function's parameters in
+their order, reads its input buffers as numpy arrays or lists over the same
+memory, writes its outputs into the buffers it is given, and returns what
+the C function returns, bit for bit; only ``_interaction_histogram``
 enumerates every configuration where its kernel counts one of each
 global-flip pair, and ``_pair_sum`` writes math.fsum's correctly rounded sum
 into ``limbs`` where its kernel writes the exact one, which rounds to the same
 double.  The twins check nothing: ``_csweep``'s entries check every call
 before either set runs, allocate the outputs and shape the results, and
-``_TWINS`` is the kernel set of those entries over the twins.  They are the
-test oracles of the kernels and the set that ``_csweep.library()`` returns
-when nothing compiles or loads.  They live apart from the loader so that a
-process on the compiled kernels never compiles or runs their code, and this
-is the one module of the package, with the numpy helpers of
-``model.DisorderGraph``, that imports numpy.
+``_TWINS``, bound by that naming rule, is the kernel set of those entries over
+the twins.  They are the test oracles of the kernels and the set that
+``_csweep.library()`` returns when nothing compiles or loads.  They live
+apart from the loader so that a process on the compiled kernels never
+compiles or runs their code, and this is the one module of the package, with
+the numpy helpers of ``model.DisorderGraph``, that imports numpy.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import math
 import numpy as np
 
 from . import splitmix
-from ._csweep import _SUM_SCALE, _kernels
+from ._csweep import _SIGNATURES, _SUM_SCALE, _kernels
 from .model import _pack_rows
 from .stats import _normal_cdf
 
@@ -420,21 +418,4 @@ def _sweep_block(n: int, words: int, r: int, w1, w2, base, plus, rng, sweeps: in
 
 
 _TWINS = _kernels(
-    {
-        "sweep_block": _sweep_block,
-        "sample_rows": _sample_rows,
-        "build_masks": _build_masks,
-        "count_bits": _count_bits,
-        "plus_table": _plus_table,
-        "interaction_histogram": _interaction_histogram,
-        "pair_sum": _pair_sum,
-        "levy_normal": _levy_normal,
-        "ks_normal": _ks_normal,
-        "format_text": _format_text,
-        "parse_text": _parse_text,
-    },
-    path=None,
-    paths={},
-    sample_path=None,
-    sample_paths={},
-)
+    {name: globals()[f"_{name}"] for name in _SIGNATURES if name != "cpu_features"}, {})

@@ -272,13 +272,13 @@ def _kernel_meta(swept: bool, sampled: bool) -> dict:
     when they ran."""
     from ._csweep import library
 
-    kernels = library()
+    paths = library().paths
     record = {}
     if swept:
-        record["sweep_kernel"] = "c" if kernels.path else "python"
-        record["sweep_path"] = kernels.path
+        record["sweep_kernel"] = "c" if paths else "python"
+        record["sweep_path"] = paths.get("sweep_block")
     if sampled:
-        record["sample_path"] = kernels.sample_path
+        record["sample_path"] = paths.get("sample_rows")
     return {key: value for key, value in record.items() if value is not None}
 
 

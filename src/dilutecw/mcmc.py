@@ -145,17 +145,24 @@ def build_update_tables(g: DisorderGraph) -> tuple:
 
 # Caps on the chain work of one run_chain or quenched_experiment call.  2^40
 # site updates take hours at about 20 ns each; 2^24 retained values take about
-# 2 GB as Python floats plus their CSV text.  A pool starts one OS thread per
-# graph up to its size, so ``threads`` has a cap too, the same on every host.
+# 2 GB as Python floats plus their CSV text.  Each graph costs about 0.4 ms and
+# 2.7 KB even at n = 1 (60,000 graphs of 16 sweeps: 23.8 s, 177 MB and 13 MB
+# of JSON), so 2^19 graphs take about 3.5 min and 1.4 GB.  A pool starts one
+# OS thread per graph up to its size, so ``threads`` has a cap too, the same
+# on every host.
 MAX_SITE_UPDATES = 1 << 40
 MAX_RETAINED = 1 << 24
+MAX_GRAPHS = 1 << 19
 MAX_THREADS = 256
 
 
 def check_chain_work(n: int, cfg: ChainConfig, graphs: int) -> None:
     """The one check of chains on ``graphs`` graphs of n sites, made before any
-    graph is sampled or read: CapacityError past ``MAX_SITE_UPDATES`` site
-    updates or ``MAX_RETAINED`` values, then DomainError if a chain keeps none."""
+    graph is sampled or read: CapacityError past ``MAX_GRAPHS`` graphs,
+    ``MAX_SITE_UPDATES`` site updates or ``MAX_RETAINED`` values, then
+    DomainError if a chain keeps none."""
+    if graphs > MAX_GRAPHS:
+        raise CapacityError(f"{graphs} graphs, above the cap of {MAX_GRAPHS}")
     updates = graphs * cfg.replicas * cfg.sweeps * n
     if updates > MAX_SITE_UPDATES:
         raise CapacityError(
@@ -307,10 +314,10 @@ def quenched_experiment(
     if threads > MAX_THREADS:
         raise CapacityError(f"{threads} threads, above the cap of {MAX_THREADS}")
     derive_seed(master_seed)  # refuses a seed outside [0, 2^64) here, not in each worker
+    check_chain_work(params.n, cfg, n_graphs)
     pooled = n_graphs * cfg.replicas * cfg.retained(params.n)
     if pooled < 2:
         raise DomainError(f"the pooled variance needs at least 2 retained samples, got {pooled}")
-    check_chain_work(params.n, cfg, n_graphs)
     reference = NormalRef(mean=0.0, variance=1.0 / (1.0 - params.beta))
     stop = threading.Event()
 

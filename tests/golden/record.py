@@ -192,9 +192,14 @@ _FAILURES = [
     ["clt-experiment", "--n", "4", *MODEL, "--graphs", "0", "--sweeps", "30"],
     ["clt-experiment", "--n", "4", *MODEL, "--graphs", "1", "--sweeps", "30", "--threads", "0"],
     ["clt-experiment", "--n", "4", *MODEL, "--graphs", "1", "--sweeps", "30", "--threads", "257"],
+    ["clt-experiment", "--n", "1", *MODEL, "--graphs", "524289", "--sweeps", "16",
+     "--burnin", "0"],
     ["clt-experiment", "--n", "4", *MODEL, "--graphs", "1", "--sweeps", "30",
      "--epsilon", "nan"],
     ["clt-experiment", "--n", "4", *MODEL, "--graphs", "1", "--sweeps", "11", "--burnin", "10"],
+    # the site-update cap comes before the pooled variance's two samples, as in mcmc-run
+    ["clt-experiment", "--n", "1048576", *MODEL, "--graphs", "1", "--sweeps", "2000000",
+     "--burnin", "2000000"],
 ]
 
 CALLS = [

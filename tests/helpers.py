@@ -1,5 +1,5 @@
-"""Helpers of the tests: the kernel sets of this host, and per-configuration
-oracles.
+"""Helpers of the tests: the kernel sets of this host, each compiled family on
+every path its CPU runs, and per-configuration oracles.
 
 The package never evaluates one configuration at a time: the enumeration
 counts all of them by energy and class, and the chains work on packed spin
@@ -7,6 +7,7 @@ words.  These oracles do, straight from the graph's 0/1 matrix, so the tests
 can check both against them.
 """
 
+import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,27 @@ def kernel_sets():
     """Every kernel set this host has: the compiled one where it loads, and the twins."""
     library = _csweep.library()
     return [library] if library is _twins._TWINS else [library, _twins._TWINS]
+
+
+def probed_features():
+    """The features of ``_csweep.FEATURES`` that the compiled library's probe reports."""
+    lib = ctypes.CDLL(str(_csweep.library_path()))
+    lib.cpu_features.restype = ctypes.c_int64
+    bits = lib.cpu_features()
+    assert 0 <= bits < 1 << len(_csweep.FEATURES)
+    return {name for k, name in enumerate(_csweep.FEATURES) if bits >> k & 1}
+
+
+def path_sets(family):
+    """Each path of ``family``'s table that this CPU runs, fastest first, to
+    the compiled kernel set with ``family`` on that path and every other
+    family on the path ``library()`` runs; {} without compiled kernels."""
+    library = _csweep.library()
+    if not library.paths:
+        return {}
+    lib = ctypes.CDLL(str(_csweep.library_path()))
+    return {path: _csweep._bind(lib, {**library.paths, family: path})
+            for path in _csweep._runnable(_csweep.FAMILIES[family], probed_features())}
 
 
 @contextmanager

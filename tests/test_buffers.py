@@ -1,6 +1,7 @@
 """The kernels' one buffer check, plain buffers and numpy arrays alike, and
 the one entry of each kernel that both kernel sets run through."""
 
+import inspect
 import math
 import re
 from array import array
@@ -103,6 +104,20 @@ def test_signature_table_matches_source():
     assert matched == set(prototypes)
 
 
+def test_every_kernel_function_has_its_twin_by_name():
+    # the C function ``name`` has the twin ``_twins._<name>``, which takes one
+    # parameter per letter of its signature; the twins' set runs each of them
+    names = set(_csweep._SIGNATURES) - {"cpu_features"}
+    for name in names:
+        params = _csweep._SIGNATURES[name].split(":")[1]
+        assert len(inspect.signature(getattr(_twins, f"_{name}")).parameters) == len(params), name
+    assert {raw.__name__ for entry in _twins._TWINS[:-1] for raw in entry.args} == {
+        f"_{name}" for name in names}
+    # a set is one entry per kernel function and the paths its families run
+    assert _csweep._Library._fields[-1] == "paths" and len(_csweep._Library._fields) == 12
+    assert _twins._TWINS.paths == {}
+
+
 def _kernel_calls():
     """One valid call of every kernel of a set, by name."""
     g = sample_graph(ModelParams(n=9, p=0.5, beta=1.0), GraphSeed(9))
@@ -143,7 +158,7 @@ def _types(value):
 
 def test_every_kernel_set_returns_the_same_types():
     calls = _kernel_calls()
-    kernels = set(_csweep._Library._fields) - {"path", "paths", "sample_path", "sample_paths"}
+    kernels = set(_csweep._Library._fields) - {"paths"}
     assert set(calls) == kernels
     twins = {name: _types(call(_twins._TWINS)) for name, call in calls.items()}
     assert twins["masks"] == (tuple, ((memoryview, "Q", (9, 1)),) * 2 + ((memoryview, "q", (9,)),))
@@ -156,7 +171,7 @@ def test_bad_buffers_are_refused_before_any_raw_function_runs():
     def untouched(*args):
         raise AssertionError("a raw function ran")
 
-    stub = _csweep._kernels(dict.fromkeys(_csweep._SIGNATURES, untouched), None, {}, None, {})
+    stub = _csweep._kernels(dict.fromkeys(_csweep._SIGNATURES, untouched), {})
     with pytest.raises(AssertionError, match="raw function ran"):
         _kernel_calls()["count"](stub)
     w1, w2, base = _twins._TWINS.masks(np.zeros((9, 1), dtype="<u8"))

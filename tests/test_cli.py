@@ -1000,7 +1000,7 @@ def test_chain_sidecar_names_the_sweep_path(tmp_path, capsys, monkeypatch):
             code, _, _ = run_cli(capsys, command, *argv, *extra, "--out", str(out_path))
             assert code == 0
             meta = json.loads(out_path.with_name(out_path.name + ".meta.json").read_text())
-            assert meta.get("sweep_path") == _csweep.library().path
+            assert meta.get("sweep_path") == _csweep.library().paths.get("sweep_block")
             assert "sweep_path" not in out_path.read_text()
             if meta["sweep_kernel"] == "c":
                 assert meta["sweep_path"] in _csweep.PATHS
@@ -1030,8 +1030,8 @@ def test_sidecars_name_the_sample_path(tmp_path, capsys, monkeypatch):
             assert code == 0
             meta = json.loads(out_path.with_name(out_path.name + ".meta.json").read_text())
             assert "sample_path" not in out_path.read_text()
-            if sampled and _csweep.library().sample_path is not None:
-                assert meta["sample_path"] == _csweep.library().sample_path
+            if sampled and _csweep.library().paths:
+                assert meta["sample_path"] == _csweep.library().paths["sample_rows"]
                 assert meta["sample_path"] in _csweep.SAMPLE_PATHS
             else:
                 assert "sample_path" not in meta

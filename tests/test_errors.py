@@ -17,7 +17,14 @@ from dilutecw.asymptotics import (
 )
 from dilutecw.exact import disorder_oracle, enumerate_partition, variance_ratio_from_logs
 from dilutecw.graph import GraphSeed
-from dilutecw.mcmc import MAX_THREADS, ChainConfig, derive_seed, quenched_experiment, run_chain
+from dilutecw.mcmc import (
+    MAX_GRAPHS,
+    MAX_THREADS,
+    ChainConfig,
+    derive_seed,
+    quenched_experiment,
+    run_chain,
+)
 from dilutecw.model import DisorderGraph, ModelParams
 from dilutecw.testfunctions import make_test_function, parse_test_function
 
@@ -114,6 +121,35 @@ def test_thread_counts_above_the_cap_are_refused_before_any_pool(threads, monkey
     monkeypatch.setattr(mcmc, "ThreadPoolExecutor", _no_pool)
     with pytest.raises(CapacityError, match=f"{threads} threads, above the cap of {MAX_THREADS}"):
         quenched_experiment(HALF, CFG, 10**5, master_seed=0, threads=threads)
+
+
+def _no_graph(*args, **kwargs):
+    raise AssertionError("a graph was sampled")
+
+
+@pytest.mark.parametrize("graphs", [MAX_GRAPHS + 1, 1 << 24])
+def test_graph_counts_above_the_cap_are_refused_before_any_graph(graphs, monkeypatch):
+    # one sweep at n = 1 passes every other cap, even at 2^24 graphs, which
+    # would take about 1.8 h and 45 GB at 0.4 ms and 2.7 KB a graph
+    monkeypatch.setattr(mcmc, "ThreadPoolExecutor", _no_pool)
+    monkeypatch.setattr(mcmc, "sample_graph", _no_graph)
+    lone = ModelParams(n=1, p=0.5, beta=0.5)
+    with pytest.raises(CapacityError, match=f"{graphs} graphs, above the cap of {MAX_GRAPHS}"):
+        quenched_experiment(lone, ChainConfig(sweeps=1, burn_in=0), graphs, master_seed=0)
+
+
+def test_chain_refusals_come_in_the_order_of_run_chain(monkeypatch):
+    # the caps, then a chain that keeps nothing, then the pooled variance's
+    # two samples: the same settings exit alike from mcmc-run and clt-experiment
+    monkeypatch.setattr(mcmc, "ThreadPoolExecutor", _no_pool)
+    huge = ModelParams(n=1 << 20, p=0.5, beta=0.5)
+    with pytest.raises(CapacityError, match="site updates"):
+        quenched_experiment(huge, ChainConfig(sweeps=2 * 10**6, burn_in=2 * 10**6), 1,
+                            master_seed=0)
+    with pytest.raises(DomainError, match="no samples retained"):
+        quenched_experiment(HALF, ChainConfig(sweeps=10, burn_in=10), 1, master_seed=0)
+    with pytest.raises(DomainError, match="at least 2 retained samples, got 1"):
+        quenched_experiment(HALF, ChainConfig(sweeps=11, burn_in=10), 1, master_seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])

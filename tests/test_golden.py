@@ -55,7 +55,7 @@ corpus = json.loads(CORPUS.read_text())
 calls = corpus["calls"]
 got = replay(corpus["files"], [entry["argv"] for entry in calls])
 from dilutecw._csweep import library
-print(library().path is not None, sum(a != b for a, b in zip(calls, got)), "numpy" in sys.modules)
+print(bool(library().paths), sum(a != b for a, b in zip(calls, got)), "numpy" in sys.modules)
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

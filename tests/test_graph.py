@@ -17,7 +17,7 @@ from dilutecw.cli import main
 from dilutecw.errors import CapacityError, GraphFormatError
 from dilutecw.graph import BIT_LIMIT, GraphSeed, read_graph, sample_graph, write_graph
 from dilutecw.model import DisorderGraph, ModelParams, _pack_rows
-from helpers import kernel_sets, kernels_in_use
+from helpers import kernel_sets, kernels_in_use, path_sets
 
 
 def test_seed_validation():
@@ -369,13 +369,12 @@ def _sampled_words(sample, n, p, seed, start=0, stop=None):
 
 def _sampler_path(name):
     """The compiled sampler of one path, or skip when this host cannot run it."""
-    library = _csweep.library()
-    if library is _twins._TWINS:
+    if _csweep.library() is _twins._TWINS:
         pytest.skip("no compiled kernels on this host")
-    sample = library.sample_paths.get(name)
-    if sample is None:
+    kernels = path_sets("sample_rows").get(name)
+    if kernels is None:
         pytest.skip(f"this CPU does not run the {name} sampler")
-    return sample
+    return kernels.sample
 
 
 @pytest.mark.parametrize("path", _csweep.SAMPLE_PATHS)
@@ -397,22 +396,21 @@ def test_every_sampler_path_matches_numpy_sampler(path, n):
     data=st.data(),
 )
 def test_sampler_paths_match_numpy_sampler_property(n, p, seed, data):
-    library = _csweep.library()
-    if library is _twins._TWINS:
+    if _csweep.library() is _twins._TWINS:
         pytest.skip("no compiled kernels on this host")
     # any run of rows regenerates on its own
     start = data.draw(st.integers(0, n - 1))
     stop = data.draw(st.integers(start + 1, n))
     want = _sampled_words(_twins._TWINS.sample, n, p, seed, start, stop).tobytes()
-    for name, sample in library.sample_paths.items():
-        assert _sampled_words(sample, n, p, seed, start, stop).tobytes() == want, name
+    for name, kernels in path_sets("sample_rows").items():
+        assert _sampled_words(kernels.sample, n, p, seed, start, stop).tobytes() == want, name
 
 
 def test_sample_graph_matches_numpy_fallback(monkeypatch):
     params = ModelParams(n=1500, p=0.3, beta=1.0)
     compiled = sample_graph(params, GraphSeed(11))
     monkeypatch.setattr(_csweep, "_loaded", [_twins._TWINS])
-    assert _csweep.library().sample_path is None
+    assert _csweep.library().paths == {}
     assert sample_graph(params, GraphSeed(11)) == compiled
 
 

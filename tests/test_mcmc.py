@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from dilutecw import _csweep, _twins, mcmc, pcg64
 from dilutecw.errors import CapacityError
 from dilutecw.exact import enumerate_partition
-from dilutecw.graph import GraphSeed, read_graph, sample_graph, write_graph
+from dilutecw.graph import GraphSeed, bernoulli_threshold, read_graph, sample_graph, write_graph
 from dilutecw.mcmc import (
     ChainConfig,
     GraphChain,
@@ -32,7 +32,7 @@ from dilutecw.mcmc import (
 )
 from dilutecw.model import DisorderGraph, ModelParams
 from dilutecw.stats import EmpiricalMeasure
-from helpers import SpinConfig, kernel_sets, total_variation
+from helpers import SpinConfig, kernel_sets, path_sets, probed_features, total_variation
 
 # Graph rows, masks, states and rng rows as numpy holds them.
 _WORD = np.dtype("<u8")
@@ -249,7 +249,7 @@ def test_loader_failure_falls_back_to_identical_output(breakage, tmp_path, monke
     notes = capsys.readouterr().err.splitlines()
     assert len(notes) == 1 and notes[0].startswith("note: compiled kernels unavailable (")
     assert _csweep.library() is _twins._TWINS
-    assert _csweep.library().path is None and _csweep.library().sample_path is None
+    assert _csweep.library().paths == {}
 
 
 def _assert_same_tables(got, want):
@@ -299,11 +299,7 @@ def test_mask_builder_rejects_mismatched_rows():
 
 @pytest.mark.parametrize("path", _csweep.PATHS)
 def test_every_mask_builder_path_matches_numpy_builder(path):
-    # the library binds build_masks_<path> of its sweep path only; this loads
-    # every one this CPU runs from the same file
-    _host_path(path)
-    lib = ctypes.CDLL(str(_csweep.library_path()))
-    masks = functools.partial(_csweep._masks, _csweep._function(lib, "build_masks", path))
+    masks = _host_path("build_masks", path).masks
     for kind in ("complete", "loops", "p=0.3", "p=0.5"):
         for n in (1, 63, 64, 65, 129, 1000):
             g = _mask_graph(kind, n)
@@ -357,7 +353,7 @@ def test_warm_library_load_imports_no_subprocess(tmp_path):
     assert _csweep.library_path().exists()
     code = (
         "import sys; before = set(sys.modules); "
-        "from dilutecw._csweep import library; assert library().path is not None; "
+        "from dilutecw._csweep import library; assert library().paths; "
         "print(sorted({'subprocess', 'tempfile', 'dilutecw._twins', 'hashlib', 'platform', "
         "'numpy'} & (set(sys.modules) - before)))"
     )
@@ -588,12 +584,19 @@ def _path_case(n, graph, beta):
     return tables, plus, states, rngs, 3, want
 
 
-def _host_path(name):
-    """The compiled sweep of one kernel path, or skip when this host cannot run it."""
-    sweep = _library().paths.get(name)
-    if sweep is None:
+def _host_path(family, name):
+    """The compiled set with ``family`` on path ``name``, or skip when this
+    host cannot run it."""
+    _library()
+    kernels = path_sets(family).get(name)
+    if kernels is None:
         pytest.skip(f"this CPU does not run the {name} path")
-    return sweep
+    return kernels
+
+
+def _path_sweeps():
+    """The compiled sweep on every path this CPU runs, then the twin."""
+    return [*(kernels.sweep for kernels in path_sets("sweep_block").values()), _twins._TWINS.sweep]
 
 
 @pytest.mark.parametrize("path", _csweep.PATHS)
@@ -603,7 +606,7 @@ def _host_path(name):
     + [(n, graph, 1.5) for n in _PATH_SIZES for graph in ("complete", "empty")],
 )
 def test_every_kernel_path_matches_python_sweep(path, n, graph, beta):
-    sweep = _host_path(path)
+    sweep = _host_path("sweep_block", path).sweep
     _assert_groups_match(sweep, *_path_case(n, graph, beta))
 
 
@@ -616,7 +619,7 @@ def test_every_kernel_path_matches_python_sweep(path, n, graph, beta):
     sweeps=st.integers(1, 3),
 )
 def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
-    library = _library()
+    _library()
     params = ModelParams(n=n, p=p, beta=beta)
     tables = build_update_tables(sample_graph(params, GraphSeed(seed)))
     plus = _plus(params)
@@ -627,8 +630,8 @@ def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
     rngs = _rng_rows(*([seed, g] for g in range(_csweep.GROUP)))
     want = _one_at_a_time(tables, plus, states, rngs, sweeps)
     _assert_groups_match(_twins._TWINS.sweep, tables, plus, states, rngs, sweeps, want)
-    for name, sweep in library.paths.items():
-        _assert_groups_match(sweep, tables, plus, states, rngs, sweeps, want)
+    for kernels in path_sets("sweep_block").values():
+        _assert_groups_match(kernels.sweep, tables, plus, states, rngs, sweeps, want)
 
 
 def _pcg64_before(step_to: int, inc: int) -> np.random.PCG64:
@@ -713,7 +716,7 @@ def test_kernel_replays_numpy_pcg64(case):
     # true, so the two spins pin u to the bit
     draws = np.random.Generator(_copy(bit_generator)).random(8)
     lone = build_update_tables(DisorderGraph.empty(1))
-    for sweep in (*_csweep.library().paths.values(), _twins._TWINS.sweep):
+    for sweep in _path_sweeps():
         for k, u in enumerate(draws):
             at = np.array([_twins.rng_row(_copy(bit_generator).advance(k))], dtype=_WORD)
             for plus, want in ((u, 0), (np.nextafter(u, 2.0), 1)):
@@ -758,32 +761,21 @@ def test_group_calls_match_rows_one_at_a_time_on_any_pcg64_state(n, generators, 
         dtype=_WORD,
     )
     want = _one_at_a_time(tables, plus, states, rngs, sweeps)
-    for sweep in (*_csweep.library().paths.values(), _twins._TWINS.sweep):
+    for sweep in _path_sweeps():
         got, rng = states.copy(), rngs.copy()
         up = sweep(*tables, plus, got, rng, sweeps)
         assert ([row.tobytes() for row in got], [row.tobytes() for row in rng], up) == want
 
 
-def _probed_features():
-    """The features of ``_csweep.FEATURES`` that the loaded library's probe reports."""
-    lib = ctypes.CDLL(str(_csweep.library_path()))
-    lib.cpu_features.restype = ctypes.c_int64
-    bits = lib.cpu_features()
-    assert 0 <= bits < 1 << len(_csweep.FEATURES)
-    return {name for k, name in enumerate(_csweep.FEATURES) if bits >> k & 1}
-
-
 def test_sweep_path_is_the_fastest_path_the_cpu_runs():
+    # the compiled set names, for each family, the first path of its table
+    # that the CPU runs
     library = _library()
-    features = _probed_features()
-    for table, paths, path in (
-        (_csweep.PATHS, library.paths, library.path),
-        (_csweep.SAMPLE_PATHS, library.sample_paths, library.sample_path),
-    ):
-        want = [name for name, needs in table.items() if needs <= features]
-        assert list(paths) == want and path == want[0]
-    assert library.sweep is library.paths[library.path]
-    assert library.sample is library.sample_paths[library.sample_path]
+    features = probed_features()
+    assert library.paths == {family: _csweep._runnable(table, features)[0]
+                             for family, table in _csweep.FAMILIES.items()}
+    for family, table in _csweep.FAMILIES.items():
+        assert list(path_sets(family)) == _csweep._runnable(table, features)
 
 
 def test_paths_follow_the_table_on_any_cpu():
@@ -808,24 +800,55 @@ def test_paths_follow_the_table_on_any_cpu():
             assert f"\n{exports[family]} {family}_{name}(" in _csweep.SOURCE
 
 
+# The entry of each family of _csweep.FAMILIES in a kernel set.
+_FAMILY_ENTRIES = {"sweep_block": "sweep", "build_masks": "masks", "count_bits": "count",
+                   "sample_rows": "sample"}
+
+
 def test_each_family_runs_the_fastest_path_the_cpu_runs():
-    # the raw function behind each compiled entry is <family>_<path>, and the
-    # library exports every path of every family's table
+    # the raw function behind each compiled entry is <family>_<path> of the
+    # path the set names, and the library exports every path of every
+    # family's table
     library = _library()
-    features = _probed_features()
-    entries = {"sweep_block": (library.sweep, library.path),
-               "build_masks": (library.masks, library.path),
-               "count_bits": (library.count, library.path),
-               "sample_rows": (library.sample, library.sample_path)}
-    assert set(entries) == set(_csweep.FAMILIES)
-    for family, (entry, path) in entries.items():
-        fastest = next(name for name, needs in _csweep.FAMILIES[family].items() if needs <= features)
-        assert path == fastest and entry.args[0].__name__ == f"{family}_{fastest}"
-    assert library.histogram.args[1].__name__ == f"count_bits_{library.path}"
+    assert set(_FAMILY_ENTRIES) == set(_csweep.FAMILIES)
+    for family, entry in _FAMILY_ENTRIES.items():
+        assert getattr(library, entry).args[0].__name__ == f"{family}_{library.paths[family]}"
+        for path, kernels in path_sets(family).items():
+            assert getattr(kernels, entry).args[0].__name__ == f"{family}_{path}"
+            assert kernels.paths == {**library.paths, family: path}
+    assert library.histogram.args[1].__name__ == f"count_bits_{library.paths['count_bits']}"
     lib = ctypes.CDLL(str(_csweep.library_path()))
     for family, table in _csweep.FAMILIES.items():
         for name, needs in table.items():
             assert hasattr(lib, f"{family}_{name}") == (not needs or os.uname().machine == "x86_64")
+
+
+def _family_outputs(kernels):
+    """What the families compute on a few graphs: each graph's rows from the
+    sampler, its masks, its edge count, its histogram at n <= 9 and two
+    sweeps of two replicas."""
+    outputs = []
+    for n in (1, 9, 63, 64, 65, 130, 300):
+        for p, seed in ((0.3, n), (1.0, 0), (1e-3, (1 << 64) - 1)):
+            words = np.zeros((n, (n + 63) // 64), dtype=_WORD)
+            kernels.sample(n, seed, bernoulli_threshold(p), 0, words)
+            tables = kernels.masks(words)
+            plus = kernels.plus(n, 0.9 / (n * p))
+            states, rngs = np.zeros((2, words.shape[1]), dtype=_WORD), _rng_rows([seed], [n])
+            up = kernels.sweep(*tables, plus, states, rngs, 2)
+            outputs.append((words.tobytes(), *(table.tobytes() for table in tables),
+                            kernels.count(words), kernels.histogram(words) if n <= 9 else None,
+                            up, states.tobytes(), rngs.tobytes()))
+    return outputs
+
+
+@pytest.mark.parametrize("family, path", [(family, path) for family, table in
+                                          _csweep.FAMILIES.items() for path in table])
+def test_every_family_path_matches_the_twins(family, path):
+    # the whole set differs from library()'s in that one family's path, so it
+    # must compute what the twins compute
+    kernels = _host_path(family, path)
+    assert _family_outputs(kernels) == _family_outputs(_twins._TWINS)
 
 
 def test_cache_key_covers_the_machine(monkeypatch):
@@ -857,7 +880,7 @@ def test_kernel_rejects_mismatched_buffers():
     states = np.zeros((2, 2), dtype=_WORD)
     rngs = _rng_rows(1, 2)
     good = (w1, w2, base, plus, states, rngs, 2)
-    for sweep in (*_csweep.library().paths.values(), _twins._TWINS.sweep):
+    for sweep in _path_sweeps():
         assert [len(up) for up in sweep(*good)] == [2, 2]
         for k, bad in (
             (0, np.asarray(w1)[:, :1]), (1, np.asarray(w2)[:69]), (2, base[:-1]), (3, plus[:-1]),
