@@ -4,7 +4,7 @@ KS distances to a Gaussian as one set of kernels: compiled to C on first use,
 or their numpy and Python twins.
 
 ``library()`` is the one place that chooses.  It returns a ``_Library`` of
-eleven kernels with fixed signatures, and every caller calls them without
+ten kernels with fixed signatures, and every caller calls them without
 asking which set it got.  They take plain buffers: a ``bytearray`` under a
 ``memoryview`` cast to ``Q``, ``q``, ``d`` or ``B`` with a shape (``_new``
 makes the 8-byte ones), an ``array.array``, or any other C-contiguous buffer
@@ -18,17 +18,16 @@ memoryviews and lists.
   symmetric weight-1 and weight-2 masks and the all-down field ``base``;
 * ``count(words) -> int`` is the number of set bits in rows of mask words,
   a graph's edge count (see ``model.DisorderGraph.edge_count``);
-* ``plus(n, rate) -> table`` fills a vector of P(spin up) = 1 / (1 + exp(-rate S)),
-  indexed by S + 2n;
-* ``sweep(w1, w2, base, plus, states, rngs, sweeps) -> counts`` runs a group
-  of r = 1 .. ``GROUP`` replicas: ``sweeps`` heat-bath sweeps on each row of
-  the packed (r, words) ``states`` in place, row g drawing its uniforms from
-  the PCG64 in row g of the (r, 4) 64-bit ``rngs`` (see ``rng_row``) and
-  leaving it advanced by sweeps n draws, and returns the up-spin count after
-  each sweep, one list per row;
+* ``sweep(w1, w2, base, rate, states, rngs, sweeps) -> counts`` runs a group
+  of r = 1 .. ``GROUP`` replicas: ``sweeps`` heat-bath sweeps at the coupling
+  ``rate`` = beta / (n p) on each row of the packed (r, words) ``states`` in
+  place, row g drawing its uniforms from the PCG64 in row g of the (r, 4)
+  64-bit ``rngs`` (see ``rng_row``) and leaving it advanced by sweeps n
+  draws, and returns the up-spin count after each sweep, one list per row;
 * ``histogram(out_rows) -> (keys, counts)`` counts the configurations of a
-  graph of at most 64 sites by (s, class), returning the keys that count
-  any, increasing, and their counts (see ``exact.enumerate_partition``);
+  graph of at most 64 sites by (s, class), returning the keys
+  s (n + 1) + class that count any, increasing, and their counts (see
+  ``exact.enumerate_partition``);
 * ``pair_sum(n, base, b1, b0, log_g, log_counts) -> float`` is the log of
   the sum of exp over the O(n^3) terms of the annealed pair sum (see
   ``exact.second_moment_log``);
@@ -109,17 +108,19 @@ its table that the CPU has every feature of and records that path in its
 
 Each of them is bit-identical to its twin.  The mask builder works by a 64 x 64
 block bit transpose whose six rounds shift by constants, and ``edge_count``
-and the histogram's edge count both come from ``count``.  ``plus_table``
-calls libm ``exp``, the function ``math.exp`` calls, so every entry is the
-same double.  The enumeration's ``interaction_histogram`` is exact too: its
-counts are integers either way.  It takes its W = eps + eps^T from
-``build_masks_generic`` (the twin from ``_twins._masks``), the one place each
-set derives it.  It is compiled once, plainly: its inner loop is table loads
-and increments, with no popcount in it.  A global flip keeps s and maps class
-c to n - c, so from n = 2 on the kernel counts only the configurations with
-site 0 down, then adds the class-reversed copy of that (s, class) table
-itself and moves the keys that count any configuration to the front, so
-Python visits only those; the twin counts every configuration.
+and the histogram's edge count both come from ``count``.  The sweep's entry
+fills the table of P(spin up) = 1 / (1 + exp(-rate S)) by S + 2n on each
+call with ``plus_table``, which calls libm ``exp``, the function ``math.exp``
+calls, so every entry is the same double.  The enumeration's
+``interaction_histogram`` is exact too: its counts are integers either way.
+It takes its W = eps + eps^T from ``build_masks_generic`` (the twin from
+``_twins._masks``), the one place each set derives it.  It is compiled once,
+plainly: its inner loop is table loads and increments, with no popcount in
+it.  A global flip keeps s and maps class c to n - c, so from n = 2 on the
+kernel counts only the configurations with site 0 down, then adds the
+class-reversed copy of that (s, class) table itself and moves the keys that
+count any configuration to the front, so Python visits only those; the twin
+counts every configuration.
 
 The text kernels ``format_text`` and ``parse_text`` take eight cells a step:
 a 256-entry table spreads a byte of a word into eight bytes, and one multiply
@@ -568,9 +569,10 @@ static int64_t inner(const uint64_t *w1, const uint64_t *w2, const int64_t *deg,
    histogram (each size entries, zeroed by the caller), so repeated keys do
    not wait on each other's store.  The copies are then summed into the
    first, and from n = 2 on the class-reversed copy of each s row is added:
-   class c takes the count of c and of n - c.  Last, the keys that count any
-   configuration move to the front of the second copy, in order, and their
-   counts to the front of the first; the number of them is returned. */
+   class c takes the count of c and of n - c.  Last, the keys s (n + 1) +
+   class that count any configuration move to the front of the second copy,
+   in order, and their counts to the front of the first; the number of them
+   is returned. */
 int64_t interaction_histogram(int64_t n, const uint64_t *rows, int64_t edges, int64_t size,
                               int64_t *hkey, int64_t *quarter, int64_t *copies)
 {
@@ -632,7 +634,7 @@ int64_t interaction_histogram(int64_t n, const uint64_t *rows, int64_t edges, in
     int64_t found = 0;
     for (int64_t k = 0; k < size; k++)
         if (c0[k]) {
-            c1[found] = k;
+            c1[found] = k - edges * width;
             c0[found++] = c0[k];
         }
     return found;
@@ -858,7 +860,6 @@ class _Library(NamedTuple):
     sample: Callable  # sample_rows
     masks: Callable  # build_masks
     count: Callable  # count_bits
-    plus: Callable  # plus_table
     histogram: Callable  # interaction_histogram
     pair_sum: Callable  # pair_sum
     levy: Callable  # levy_normal
@@ -982,13 +983,14 @@ def _is_count(value, least: int) -> bool:
 # result, whichever set runs.
 
 
-def _sweep(block, w1, w2, base, plus, states, rngs, sweeps) -> list[list[int]]:
-    """Run ``sweeps`` sweeps on each row of ``states`` in place, row g drawing
-    on the PCG64 of row g of ``rngs`` and advancing it; per row, the up-spin
-    count after each sweep.  Masks and ``base`` as ``masks`` returns them,
-    ``plus`` indexed by S_i + 2n, ``states`` an (r, words) buffer of mask
-    words with 1 <= r <= GROUP, ``rngs`` (r, 4) rows of ``rng_row``,
-    ``sweeps`` an integer >= 0."""
+def _sweep(block, plus_table, w1, w2, base, rate, states, rngs, sweeps) -> list[list[int]]:
+    """Run ``sweeps`` sweeps at the coupling ``rate`` on each row of ``states``
+    in place, row g drawing on the PCG64 of row g of ``rngs`` and advancing it;
+    per row, the up-spin count after each sweep.  Masks and ``base`` as
+    ``masks`` returns them, ``rate`` a float, ``states`` an (r, words) buffer
+    of mask words with 1 <= r <= GROUP, ``rngs`` (r, 4) rows of ``rng_row``,
+    ``sweeps`` an integer >= 0.  The raw sweep reads P(spin up) from a table
+    indexed by S_i + 2n, which ``plus_table`` fills here."""
     n, words = memoryview(w1).shape
     r = len(states)
     if not 1 <= r <= GROUP:
@@ -996,11 +998,12 @@ def _sweep(block, w1, w2, base, plus, states, rngs, sweeps) -> list[list[int]]:
     if not _is_count(sweeps, 0):
         raise ValueError(f"sweeps must be an integer >= 0, got {sweeps!r}")
     sweeps = int(sweeps)
-    up = _new("q", (r * sweeps,))
-    block(n, words, r, _view(w1, "i8", (n, (n + 63) // 64)), _view(w2, "i8", (n, words)),
-          _view(base, "i8", (n,)), _view(plus, "f8", (4 * n + 1,)),
-          _view(rngs, "i8", (r, 4), out=True), sweeps,
-          _view(states, "i8", (r, words), out=True), up)
+    tables = (_view(w1, "i8", (n, (n + 63) // 64)), _view(w2, "i8", (n, words)),
+              _view(base, "i8", (n,)))
+    rngs, states = _view(rngs, "i8", (r, 4), out=True), _view(states, "i8", (r, words), out=True)
+    plus, up = _new("d", (4 * n + 1,)), _new("q", (r * sweeps,))
+    plus_table(n, rate, plus)
+    block(n, words, r, *tables, plus, rngs, sweeps, states, up)
     return [up[g * sweeps:(g + 1) * sweeps].tolist() for g in range(r)]
 
 
@@ -1037,18 +1040,11 @@ def _count(count_bits, words) -> int:
     return count_bits(view.nbytes // 8, view)
 
 
-def _plus(plus_table, n: int, rate: float) -> memoryview:
-    """P(spin up) = 1 / (1 + exp(-rate S)), S indexed by S + 2n."""
-    table = _new("d", (4 * n + 1,))
-    plus_table(n, rate, table)
-    return table
-
-
 def _histogram(interaction_histogram, count_bits, out_rows) -> tuple[list[int], list[int]]:
-    """The keys (s + edges) (n + 1) + class that count any configuration,
-    increasing, and their counts, from ``out_rows``, the (n, 1) mask words of
-    a graph of 1 to 64 sites.  ``count_bits`` of the same set counts the
-    edges."""
+    """The keys s (n + 1) + class that count any configuration, increasing,
+    and their counts, from ``out_rows``, the (n, 1) mask words of a graph of 1
+    to 64 sites.  ``count_bits`` of the same set counts the edges, which size
+    the kernel's table of s from -edges to edges."""
     n = len(out_rows)
     if not 1 <= n <= 64:
         raise ValueError(f"the histogram takes 1 to 64 sites, one mask word a row, got {n}")
@@ -1137,11 +1133,10 @@ def _kernels(raw: dict, paths: dict) -> _Library:
     each kernel function of ``_SIGNATURES`` to its own, a family's on the
     path that ``paths`` names for it (the twins have no paths)."""
     return _Library(
-        sweep=partial(_sweep, raw["sweep_block"]),
+        sweep=partial(_sweep, raw["sweep_block"], raw["plus_table"]),
         sample=partial(_sample, raw["sample_rows"]),
         masks=partial(_masks, raw["build_masks"]),
         count=partial(_count, raw["count_bits"]),
-        plus=partial(_plus, raw["plus_table"]),
         histogram=partial(_histogram, raw["interaction_histogram"], raw["count_bits"]),
         pair_sum=partial(_pair_sum, raw["pair_sum"]),
         levy=partial(_distance, raw["levy_normal"]),

@@ -185,8 +185,8 @@ def _spin_matrix(k: int) -> np.ndarray:
 
 
 def _interaction_histogram(n: int, rows, edges: int, size: int, hkey, quarter, copies) -> int:
-    """The numpy twin of ``interaction_histogram``: the keys (s + edges) (n +
-    1) + class that count any configuration, increasing, to the front of
+    """The numpy twin of ``interaction_histogram``: the keys s (n + 1) +
+    class that count any configuration, increasing, to the front of
     copies[size:], their counts to the front of ``copies``, and the number of
     them.  ``hkey`` and ``quarter`` are the kernel's own tables, unused here.
 
@@ -209,8 +209,8 @@ def _interaction_histogram(n: int, rows, edges: int, size: int, hkey, quarter, c
     inner_h = ((spins_h @ w[low:, low:]) * spins_h).sum(axis=1) / 2.0
     class_l = (spins_l.sum(axis=1) + low) / 2.0
     class_h = (spins_h.sum(axis=1) + n - low) / 2.0
-    # key = left row . right row, with s shifted by the edge count so the
-    # smallest possible key is 0
+    # index = left row . right row, with s shifted by the edge count so the
+    # smallest possible index is 0
     left = np.column_stack(
         (
             width * (spins_l @ w[:low, low:]),
@@ -233,7 +233,7 @@ def _interaction_histogram(n: int, rows, edges: int, size: int, hkey, quarter, c
     found = np.flatnonzero(counts)
     copies = np.asarray(copies)
     copies[:found.size] = counts[found]
-    copies[size:size + found.size] = found
+    copies[size:size + found.size] = found - edges * width
     return found.size
 
 

@@ -132,24 +132,21 @@ def _load_or_sample_graph(args, params: ModelParams):
     return sample_graph(params, GraphSeed(seed)), seed
 
 
-def _cmd_graph_sample(args) -> int:
+def _cmd_graph_sample(args, started: float) -> None:
     params = ModelParams(n=args.n, p=args.p, beta=args.beta)
-    started = time.perf_counter()
     g = sample_graph(params, GraphSeed(args.seed))
     _log(f"sampled graph n={g.n} edges={g.edge_count()}")
     # Straight to the destination, a block of rows at a time: the text of a
     # large graph is never held whole.
     if args.out is None:
         write_graph(g, sys.stdout)
-        return 0
+        return
     write_graph(g, args.out)
     _write_sidecar(args.out, started, _kernel_meta(False, True))
-    return 0
 
 
-def _cmd_exact_partition(args) -> int:
+def _cmd_exact_partition(args, started: float) -> None:
     params = ModelParams(n=args.n, p=args.p, beta=args.beta)
-    started = time.perf_counter()
     check_enumeration(params.n)
     g, graph_seed = _load_or_sample_graph(args, params)
     _log(f"enumerating 2^{params.n} configurations")
@@ -164,13 +161,11 @@ def _cmd_exact_partition(args) -> int:
         },
     }
     _emit_json(args, fields, started, {"configs": 1 << params.n})
-    return 0
 
 
-def _cmd_exact_moments(args) -> int:
+def _cmd_exact_moments(args, started: float) -> None:
     params = ModelParams(n=args.n, p=args.p, beta=args.beta)
     g = parse_test_function(args.g)
-    started = time.perf_counter()
     # second moment first: its capacity cap then refuses a huge n before the
     # first moment's bigint sum over n + 1 classes starts
     _log(f"second moment (n={params.n})")
@@ -188,26 +183,21 @@ def _cmd_exact_moments(args) -> int:
         "variance_ratio_clamped": clamped,
     }
     _emit_json(args, fields, started)
-    return 0
 
 
-def _cmd_exact_oracle(args) -> int:
+def _cmd_exact_oracle(args, started: float) -> None:
     params = ModelParams(n=args.n, p=args.p, beta=args.beta)
     g = parse_test_function(args.g)
-    started = time.perf_counter()
     _log(f"brute-force disorder average over 2^{params.n * params.n} graphs")
     value = disorder_oracle(params, g, args.moment)
     _emit_json(args, {"log_value": value}, started)
-    return 0
 
 
-def _cmd_asym_predict(args) -> int:
+def _cmd_asym_predict(args, started: float) -> None:
     params = ModelParams(n=args.n, p=args.p, beta=args.beta)
     g = parse_test_function(args.g)
-    started = time.perf_counter()
     prediction = predict_log_partition(params, g, args.variant)
     _emit_json(args, asdict(prediction), started)
-    return 0
 
 
 def _seed(text: str) -> int:
@@ -245,8 +235,7 @@ def _check_printable(coefficients: list[Fraction]) -> None:
             )
 
 
-def _cmd_series_check(args) -> int:
-    started = time.perf_counter()
+def _cmd_series_check(args, started: float) -> None:
     # the exact coefficients check p in (0, 1] before it is rounded to a float
     exact = taylor_coefficients_exact(args.p, args.max_order)
     _check_printable(exact)
@@ -258,7 +247,6 @@ def _cmd_series_check(args) -> int:
         "remainders": remainders,
     }
     _emit_json(args, fields, started)
-    return 0
 
 
 def _chain_config(args, chain_seed: int) -> ChainConfig:
@@ -282,10 +270,9 @@ def _kernel_meta(swept: bool, sampled: bool) -> dict:
     return {key: value for key, value in record.items() if value is not None}
 
 
-def _cmd_mcmc_run(args) -> int:
+def _cmd_mcmc_run(args, started: float) -> None:
     params = ModelParams(n=args.n, p=args.p, beta=args.beta)
     cfg = _chain_config(args, derive_seed(args.seed, 2))
-    started = time.perf_counter()
     check_chain_work(params.n, cfg, 1)
     g, graph_seed = _load_or_sample_graph(args, params)
     burn_in = cfg.resolved_burn_in(params.n)
@@ -303,18 +290,15 @@ def _cmd_mcmc_run(args) -> int:
             writer.writerow([seed_field, replica_id, burn_in + (j + 1) * cfg.thin, repr(value)])
     _log(f"retained {sum(map(len, replicas))} samples")
     _emit(buf.getvalue(), args.out, started, _kernel_meta(True, graph_seed is not None))
-    return 0
 
 
-def _cmd_clt_experiment(args) -> int:
+def _cmd_clt_experiment(args, started: float) -> None:
     params = ModelParams(n=args.n, p=args.p, beta=args.beta)
     cfg = _chain_config(args, 0)
-    started = time.perf_counter()
     _log(f"{args.graphs} graphs at n={params.n}, {cfg.replicas} replica(s) each")
     record = quenched_experiment(params, cfg, args.graphs, master_seed=args.seed,
                                  epsilon=args.epsilon, threads=args.threads)
     _emit_json(args, asdict(record), started, _kernel_meta(True, True))
-    return 0
 
 
 def _add_model_flags(sub, *, beta=True):
@@ -335,39 +319,29 @@ def _graph_sample_flags(sub) -> None:
     _add_model_flags(sub, beta=False)
     sub.set_defaults(beta=0.0)
     sub.add_argument("--seed", type=_seed, default=0, help="64-bit master seed")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.set_defaults(func=_cmd_graph_sample)
 
 
 def _exact_partition_flags(sub) -> None:
     _add_model_flags(sub)
     sub.add_argument("--seed", type=_seed, default=0, help="master seed when sampling the graph")
     sub.add_argument("--graph", default=None, help="read the graph from this file instead")
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=_cmd_exact_partition)
 
 
 def _exact_moments_flags(sub) -> None:
     _add_model_flags(sub)
     sub.add_argument("--g", default="one", help="test function (one, gauss, cosine, bump:c,w)")
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=_cmd_exact_moments)
 
 
 def _exact_oracle_flags(sub) -> None:
     _add_model_flags(sub)
     sub.add_argument("--g", default="one")
     sub.add_argument("--moment", choices=("first", "second"), required=True)
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=_cmd_exact_oracle)
 
 
 def _asym_predict_flags(sub) -> None:
     _add_model_flags(sub)
     sub.add_argument("--g", default="one")
     sub.add_argument("--variant", choices=("a", "b", "c"), required=True)
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=_cmd_asym_predict)
 
 
 def _series_check_flags(sub) -> None:
@@ -378,8 +352,6 @@ def _series_check_flags(sub) -> None:
         help="edge probability; fractions like 1/3 and decimals stay exact",
     )
     sub.add_argument("--max-order", type=int, default=8, dest="max_order")
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=_cmd_series_check)
 
 
 def _mcmc_run_flags(sub) -> None:
@@ -387,8 +359,6 @@ def _mcmc_run_flags(sub) -> None:
     sub.add_argument("--seed", type=_seed, default=0, help="master seed (graph + chains)")
     sub.add_argument("--graph", default=None, help="read the graph from this file instead")
     _add_chain_flags(sub)
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=_cmd_mcmc_run)
 
 
 def _clt_experiment_flags(sub) -> None:
@@ -398,21 +368,25 @@ def _clt_experiment_flags(sub) -> None:
     sub.add_argument("--epsilon", type=float, default=0.1, help="distance threshold")
     sub.add_argument("--seed", type=_seed, default=0, help="master seed")
     sub.add_argument("--threads", type=int, default=1, help="worker threads over graphs")
-    sub.add_argument("--out", default=None)
-    sub.set_defaults(func=_cmd_clt_experiment)
 
 
-# Each command: its help line and the function that adds its flags.
+# Each command: its help line, the function that adds its own flags and its
+# handler, which main calls with the parsed arguments and the start time.
 _COMMANDS = {
-    "graph-sample": ("sample a disorder graph to the text format", _graph_sample_flags),
-    "exact-partition": ("enumerate one graph's partition sum and law", _exact_partition_flags),
-    "exact-moments": ("closed-form annealed moments", _exact_moments_flags),
-    "exact-oracle": ("brute-force disorder average (tiny n)", _exact_oracle_flags),
-    "asym-predict": ("asymptotic log partition prediction", _asym_predict_flags),
+    "graph-sample": ("sample a disorder graph to the text format", _graph_sample_flags,
+                     _cmd_graph_sample),
+    "exact-partition": ("enumerate one graph's partition sum and law", _exact_partition_flags,
+                        _cmd_exact_partition),
+    "exact-moments": ("closed-form annealed moments", _exact_moments_flags, _cmd_exact_moments),
+    "exact-oracle": ("brute-force disorder average (tiny n)", _exact_oracle_flags,
+                     _cmd_exact_oracle),
+    "asym-predict": ("asymptotic log partition prediction", _asym_predict_flags,
+                     _cmd_asym_predict),
     "series-check": ("Taylor coefficients and remainders of the edge function",
-                     _series_check_flags),
-    "mcmc-run": ("Glauber chain samples as CSV", _mcmc_run_flags),
-    "clt-experiment": ("multi-graph comparison to the Gaussian law", _clt_experiment_flags),
+                     _series_check_flags, _cmd_series_check),
+    "mcmc-run": ("Glauber chain samples as CSV", _mcmc_run_flags, _cmd_mcmc_run),
+    "clt-experiment": ("multi-graph comparison to the Gaussian law", _clt_experiment_flags,
+                       _cmd_clt_experiment),
 }
 
 
@@ -429,9 +403,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_flags) in _COMMANDS.items():
+    for name, (help_line, add_flags, handler) in _COMMANDS.items():
         if command in (None, name):
-            add_flags(commands.add_parser(name, help=help_line))
+            sub = commands.add_parser(name, help=help_line)
+            add_flags(sub)
+            sub.add_argument("--out", default=None, help="output path (default stdout)")
+            sub.set_defaults(func=handler)
     return parser
 
 
@@ -444,7 +421,8 @@ def main(argv=None) -> int:
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:
-        return args.func(args)
+        args.func(args, time.perf_counter())
+        return 0
     except DomainError as err:
         _log(f"error: {err}")
         return 2

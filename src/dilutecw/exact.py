@@ -62,14 +62,15 @@ with a zero diagonal,
 
 where s_LL and s_HH are the inner forms (1/2) sigma^T W sigma of each half.
 Each half's inner forms and classes are tabulated once, and the key
-(s + edges) * (n+1) + class of every configuration is then a sum of table
-entries.  The histogram is one call of ``_csweep.library().histogram``: the
-compiled kernel ``interaction_histogram``, which splits the cross term once
-more over two quarters of the high half, so that a configuration costs two
-table loads and one integer increment, or its numpy twin, which takes the
-cross term of a block of configurations as one exact float64 matrix product.
-Both give the same integer counts, and both take W from the chain's mask
-builder (``build_masks``, or the twin's ``_masks``).
+s * (n+1) + class of every configuration is then a sum of table entries;
+``divmod(key, n + 1)`` gives back (s, class).  The histogram is one call of
+``_csweep.library().histogram``: the compiled kernel
+``interaction_histogram``, which splits the cross term once more over two
+quarters of the high half, so that a configuration costs two table loads and
+one integer increment, or its numpy twin, which takes the cross term of a
+block of configurations as one exact float64 matrix product.  Both give the
+same integer counts, and both take W from the chain's mask builder
+(``build_masks``, or the twin's ``_masks``).
 """
 
 from __future__ import annotations
@@ -377,13 +378,11 @@ def enumerate_partition(g: DisorderGraph, params: ModelParams) -> QuenchedSummar
     from ._csweep import library
 
     gamma = params.gamma
-    width = n + 1
     keys, counts = library().histogram(g.words)
-    shift = g.edge_count() * width
 
     class_terms: list[list[float]] = [[] for _ in range(n + 1)]
     for key, count in zip(keys, counts):
-        s_val, cls = divmod(key - shift, width)
+        s_val, cls = divmod(key, n + 1)
         class_terms[cls].append(math.log(count) + gamma * s_val)
     class_logs = [_logsumexp(terms) for terms in class_terms]
     log_z = _logsumexp(class_logs)

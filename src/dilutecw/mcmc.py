@@ -9,13 +9,14 @@ law given the rest depends only on the integer field
 s_i = +1 with probability 1 / (1 + exp(-beta * S_i / (n p))) regardless of
 the current value.  S_i is an AND-and-popcount against two per-site masks
 (weight-1 and weight-2 symmetric neighbors), and since S_i only takes the
-integer values -2n .. 2n, the acceptance probabilities come from one
-precomputed table per (graph shape, beta).  The masks, the table and the
-sweep are kernels of ``_csweep.library()``, compiled or their twins, bit for
-bit the same; ``_csweep``'s docstring says how the sweep runs.
+integer values -2n .. 2n, the sweep kernel tabulates the acceptance
+probabilities at the start of each call from the coupling beta / (n p) it is
+handed.  The masks and the sweep are kernels of ``_csweep.library()``,
+compiled or their twins, bit for bit the same; ``_csweep``'s docstring says
+how the sweep runs.
 
 ``GraphChain(g, params)`` is the chain of one fixed graph: it builds the
-masks and the table once and binds the sweep to them.  ``start`` seeds the
+masks once and binds the sweep to them and the coupling.  ``start`` seeds the
 rows of up to ``_csweep.GROUP`` replicas, and ``run`` sweeps them in kernel
 blocks, checking a ``stop`` event before each, and yields each row's up-spin
 counts.  ``run_chain`` is a loop over it that keeps every ``thin``-th value
@@ -186,9 +187,9 @@ _BLOCK_SITE_UPDATES = 1 << 20
 
 
 class GraphChain:
-    """The chain of one fixed graph: its masks ``w1``, ``w2``, ``base``, its
-    table ``plus`` of P(new spin = +1) by S_i + 2n, and the sweep bound to
-    them.  ``start`` makes the rows of replicas, and ``run`` sweeps them."""
+    """The chain of one fixed graph: its masks ``w1``, ``w2``, ``base`` and
+    the sweep bound to them and to the coupling beta / (n p).  ``start`` makes
+    the rows of replicas, and ``run`` sweeps them."""
 
     def __init__(self, g: DisorderGraph, params: ModelParams):
         if g.n != params.n:
@@ -197,8 +198,8 @@ class GraphChain:
 
         self.n = g.n
         self.w1, self.w2, self.base = build_update_tables(g)
-        self.plus = library().plus(g.n, params.beta / (g.n * params.p))
-        self.sweep = functools.partial(library().sweep, self.w1, self.w2, self.base, self.plus)
+        self.sweep = functools.partial(library().sweep, self.w1, self.w2, self.base,
+                                       params.beta / (g.n * params.p))
 
     def start(self, chain_seed: int, ids: range) -> tuple[memoryview, memoryview]:
         """The (states, rngs) rows of replicas ``ids``, at most ``_csweep.GROUP``:

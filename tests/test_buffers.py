@@ -113,8 +113,10 @@ def test_every_kernel_function_has_its_twin_by_name():
         assert len(inspect.signature(getattr(_twins, f"_{name}")).parameters) == len(params), name
     assert {raw.__name__ for entry in _twins._TWINS[:-1] for raw in entry.args} == {
         f"_{name}" for name in names}
-    # a set is one entry per kernel function and the paths its families run
-    assert _csweep._Library._fields[-1] == "paths" and len(_csweep._Library._fields) == 12
+    # a set is the ten kernels and the paths its families run; plus_table
+    # runs inside the sweep's entry
+    assert _csweep._Library._fields == ("sweep", "sample", "masks", "count", "histogram",
+                                        "pair_sum", "levy", "ks", "format", "parse", "paths")
     assert _twins._TWINS.paths == {}
 
 
@@ -122,20 +124,18 @@ def _kernel_calls():
     """One valid call of every kernel of a set, by name."""
     g = sample_graph(ModelParams(n=9, p=0.5, beta=1.0), GraphSeed(9))
     w1, w2, base = _twins._TWINS.masks(g.words)
-    plus = _twins._TWINS.plus(9, 0.1)
     locations, cum = array("d", [-1.0, 0.5]), array("d", [0.25, 1.0])
     text = memoryview(bytearray(b"0" * 90)).cast("B", (9, 10))
 
     def sweep(kernels):
         rngs = np.array([pcg64.seed_row(3)], dtype="<u8")
-        return kernels.sweep(w1, w2, base, plus, np.zeros((1, 1), dtype="<u8"), rngs, 2)
+        return kernels.sweep(w1, w2, base, 0.1, np.zeros((1, 1), dtype="<u8"), rngs, 2)
 
     return {
         "sweep": sweep,
         "sample": lambda k: k.sample(9, 4, 1 << 52, 0, np.zeros((9, 1), dtype="<u8")),
         "masks": lambda k: k.masks(g.words),
         "count": lambda k: k.count(g.words),
-        "plus": lambda k: k.plus(9, 0.1),
         "histogram": lambda k: k.histogram(g.words),
         "pair_sum": lambda k: k.pair_sum(4, 0.0, 0.1, 0.2, array("d", [0.0] * 5),
                                          array("d", [0.0] * 5)),
@@ -162,7 +162,6 @@ def test_every_kernel_set_returns_the_same_types():
     assert set(calls) == kernels
     twins = {name: _types(call(_twins._TWINS)) for name, call in calls.items()}
     assert twins["masks"] == (tuple, ((memoryview, "Q", (9, 1)),) * 2 + ((memoryview, "q", (9,)),))
-    assert twins["plus"] == (memoryview, "d", (37,))
     for library in kernel_sets():
         assert {name: _types(call(library)) for name, call in calls.items()} == twins
 
@@ -175,12 +174,12 @@ def test_bad_buffers_are_refused_before_any_raw_function_runs():
     with pytest.raises(AssertionError, match="raw function ran"):
         _kernel_calls()["count"](stub)
     w1, w2, base = _twins._TWINS.masks(np.zeros((9, 1), dtype="<u8"))
-    plus, words = _twins._TWINS.plus(9, 0.1), np.zeros((9, 1), dtype="<u8")
+    words = np.zeros((9, 1), dtype="<u8")
     read_only = memoryview(bytes(90)).cast("B", (9, 10))
     bad_calls = [
-        lambda k: k.sweep(w1, w2, base, plus[:-1], np.zeros((1, 1), dtype="<u8"),
+        lambda k: k.sweep(w1, w2, base[:-1], 0.1, np.zeros((1, 1), dtype="<u8"),
                           np.zeros((1, 4), dtype="<u8"), 1),
-        lambda k: k.sweep(w1, w2, base, plus, np.zeros((1, 1), dtype="<u8"),
+        lambda k: k.sweep(w1, w2, base, 0.1, np.zeros((1, 1), dtype="<u8"),
                           np.zeros((1, 4), dtype=np.float64), 1),
         lambda k: k.sample(9, 0, 1 << 52, 0, np.zeros((9, 2), dtype="<u8")),
         lambda k: k.sample(9, 0, 1 << 52, 0, words.astype(np.uint32)),

@@ -94,7 +94,7 @@ _NUMERIC_CASES = {
         np.zeros((1, 1), dtype="<u8"),
         np.zeros((1, 1), dtype="<u8"),
         np.zeros(1, dtype=np.int32),
-        np.zeros(5),
+        0.5,
         np.zeros((1, 1), dtype="<u8"),
         np.zeros((1, 4), dtype="<u8"),
         1,

@@ -45,11 +45,17 @@ def naive_histogram(g):
 
 
 def split_histogram(kernels, g):
-    """The histogram of one kernel set's split sum as {s * (n + 1) + class: count}."""
+    """The histogram of one kernel set's split sum as {s * (n + 1) + class: count},
+    each key checked to split by divmod into an s of at most the edge count
+    in size and a class."""
     keys, counts = kernels.histogram(g.words)
-    shift = g.edge_count() * (g.n + 1)
+    edges, width = g.edge_count(), g.n + 1
     assert keys == sorted(keys) and all(count > 0 for count in counts)
-    return {key - shift: count for key, count in zip(keys, counts)}
+    for key in keys:
+        s, cls = divmod(key, width)
+        assert -edges * width <= key < (edges + 1) * width and -edges <= s <= edges, key
+        assert 0 <= cls <= g.n
+    return dict(zip(keys, counts))
 
 
 def naive_class_logs(g, params):
@@ -366,7 +372,8 @@ def test_compiled_histogram_matches_numpy_twin(n, p):
     want = _twins._TWINS.histogram(g.words)
     assert got == want
     keys, counts = got
-    assert 0 <= keys[0] and keys[-1] < (2 * g.edge_count() + 1) * (n + 1)
+    edges = g.edge_count()
+    assert -edges * (n + 1) <= keys[0] and keys[-1] < (edges + 1) * (n + 1)
     assert sum(counts) == 1 << n
 
 

@@ -11,7 +11,15 @@ import sys
 import pytest
 
 from dilutecw import _csweep, _twins, cli, mcmc
-from golden.record import CORPUS, replay
+from golden.record import CALLS, CORPUS, FILES, replay
+
+
+def test_corpus_is_what_its_recorder_records():
+    """The corpus holds exactly the calls and files of ``record.py``, in its
+    order: a call added to the recorder but never recorded fails here."""
+    corpus = json.loads(CORPUS.read_text())
+    assert [entry["argv"] for entry in corpus["calls"]] == CALLS
+    assert corpus["files"] == FILES
 
 
 def test_corpus_replays_byte_identical():

@@ -70,9 +70,17 @@ def _compiled():
     return _library().sweep
 
 
-def _plus(params):
-    """The flip table run_chain sweeps with: P(new spin = +1) by field + 2n."""
-    return _csweep.library().plus(params.n, params.beta / (params.n * params.p))
+def _rate(params):
+    """The coupling run_chain sweeps at: beta / (n p)."""
+    return params.beta / (params.n * params.p)
+
+
+def _flip_table(plus_table, n, rate):
+    """The bytes of the table of P(new spin = +1) by field + 2n that the raw
+    function ``plus_table`` fills at ``rate``, as a sweep's entry fills it."""
+    table = _csweep._new("d", (4 * n + 1,))
+    plus_table(n, rate, table)
+    return table.tobytes()
 
 
 def _rng_rows(*seeds):
@@ -82,14 +90,13 @@ def _rng_rows(*seeds):
 
 def _one_sweep_each(sigma, g, params, seed):
     """One sweep from sigma with the stream of default_rng(seed), by each
-    kernel set's masks, flip table and sweep: the new bits from each."""
+    kernel set's masks and sweep: the new bits from each."""
     results = []
     for kernels in kernel_sets():
         w1, w2, base = kernels.masks(g.words)
-        plus = kernels.plus(g.n, params.beta / (params.n * params.p))
         words = w1.shape[1]
         state = np.frombuffer(sigma.bits.to_bytes(8 * words, "little"), dtype=_WORD).copy()
-        up = kernels.sweep(w1, w2, base, plus, state[None], _rng_rows(seed), 1)
+        up = kernels.sweep(w1, w2, base, _rate(params), state[None], _rng_rows(seed), 1)
         bits = int.from_bytes(state.tobytes(), "little")
         assert up == [[bits.bit_count()]]
         results.append(bits)
@@ -128,10 +135,9 @@ def test_sweep_is_pure():
     assert len(set(a)) == 1
     assert sigma.bits == 0b10110001
     # neither sweep writes to the shared tables
-    plus = _plus(params)
     for kernels in kernel_sets():
         states = np.zeros((1, 1), dtype=_WORD)
-        kernels.sweep(*tables, plus, states, _rng_rows(5), 3)
+        kernels.sweep(*tables, _rate(params), states, _rng_rows(5), 3)
     for after, want in zip(tables, before):
         assert np.array_equal(after, want)
 
@@ -226,7 +232,7 @@ def test_loader_failure_falls_back_to_identical_output(breakage, tmp_path, monke
     params = ModelParams(n=70, p=0.5, beta=0.7)
     g = sample_graph(params, GraphSeed(5))
     tables = build_update_tables(g)
-    plus = _plus(params)
+    plus = _flip_table(_csweep.library().sweep.args[1], params.n, _rate(params))
     cfg = ChainConfig(sweeps=60, burn_in=10, replicas=2, chain_seed=6)
     want = run_chain(g, params, cfg)
 
@@ -243,7 +249,7 @@ def test_loader_failure_falls_back_to_identical_output(breakage, tmp_path, monke
     capsys.readouterr()
     assert sample_graph(params, GraphSeed(5)) == g
     _assert_same_tables(build_update_tables(g), tables)
-    assert _plus(params).tobytes() == plus.tobytes()
+    assert _flip_table(_csweep.library().sweep.args[1], params.n, _rate(params)) == plus
     assert run_chain(g, params, cfg) == want
     assert run_chain(g, params, cfg) == want
     notes = capsys.readouterr().err.splitlines()
@@ -308,12 +314,14 @@ def test_every_mask_builder_path_matches_numpy_builder(path):
 
 @pytest.mark.parametrize("n", [1, 7, 64, 1024, 4096])
 def test_compiled_flip_table_matches_python_loop(n):
-    library = _library()
+    # the raw plus_table that the compiled sweep's entry fills its table with
+    plus_table = _library().sweep.args[1]
+    assert plus_table.__name__ == "plus_table"
     for p in (1e-3, 0.3, 0.5, 1.0):
         for beta in (0.0, 0.5, 1.5, 1e3, 1e6):
             rate = beta / (n * p)
-            want = _twins._TWINS.plus(n, rate)
-            assert library.plus(n, rate).tobytes() == want.tobytes(), (p, beta)
+            want = _flip_table(_twins._plus_table, n, rate)
+            assert _flip_table(plus_table, n, rate) == want, (p, beta)
 
 
 def test_compiled_library_is_cached(tmp_path, monkeypatch):
@@ -536,24 +544,24 @@ def test_supercritical_chain_magnetizes():
 _PATH_SIZES = [1, 2, 63, 64, 65, 127, 128, 129, 511, 512, 513, 1000, 1024, 4100]
 
 
-def _one_at_a_time(tables, plus, states, rngs, sweeps):
+def _one_at_a_time(tables, rate, states, rngs, sweeps):
     """The Python sweep of each row of ``states`` and ``rngs`` by a call of its
     own: (final states, final rng rows, up-spin counts), each a list of rows."""
     finals, draws, counts = [], [], []
     for state, row in zip(states, rngs):
         final, rng = state[None].copy(), row[None].copy()
-        counts += _twins._TWINS.sweep(*tables, plus, final, rng, sweeps)
+        counts += _twins._TWINS.sweep(*tables, rate, final, rng, sweeps)
         finals.append(final[0].tobytes())
         draws.append(rng[0].tobytes())
     return finals, draws, counts
 
 
-def _assert_groups_match(sweep, tables, plus, states, rngs, sweeps, want):
+def _assert_groups_match(sweep, tables, rate, states, rngs, sweeps, want):
     """The first r rows swept together, for r = 1 .. GROUP, give the first r
     rows of ``want``, the rows swept one at a time."""
     for r in range(1, _csweep.GROUP + 1):
         got, rng = states[:r].copy(), rngs[:r].copy()
-        up = sweep(*tables, plus, got, rng, sweeps)
+        up = sweep(*tables, rate, got, rng, sweeps)
         assert ([row.tobytes() for row in got], [row.tobytes() for row in rng], up) == tuple(
             rows[:r] for rows in want
         ), r
@@ -561,7 +569,7 @@ def _assert_groups_match(sweep, tables, plus, states, rngs, sweeps, want):
 
 @functools.lru_cache(maxsize=None)
 def _path_case(n, graph, beta):
-    """(tables, plus, GROUP initial states, their rng rows, three sweeps), and
+    """(tables, rate, GROUP initial states, their rng rows, three sweeps), and
     what the Python sweep makes of each state on its own, checked to be what
     it makes of them as groups."""
     if graph == "complete":
@@ -572,16 +580,16 @@ def _path_case(n, graph, beta):
         p = 0.5
         g = sample_graph(ModelParams(n=n, p=p, beta=0.0), GraphSeed(n))
     tables = build_update_tables(g)
-    plus = _plus(ModelParams(n=n, p=p, beta=beta))
+    rate = _rate(ModelParams(n=n, p=p, beta=beta))
     rng = np.random.default_rng(n)
     words = tables[0].shape[1]
     states = np.frombuffer(rng.bytes(8 * words * _csweep.GROUP), dtype=_WORD)
     states = states.reshape(_csweep.GROUP, words).copy()
     states[:, -1] &= np.uint64((1 << (n - 64 * (words - 1))) - 1)
     rngs = _rng_rows(*([n, g] for g in range(_csweep.GROUP)))
-    want = _one_at_a_time(tables, plus, states, rngs, 3)
-    _assert_groups_match(_twins._TWINS.sweep, tables, plus, states, rngs, 3, want)
-    return tables, plus, states, rngs, 3, want
+    want = _one_at_a_time(tables, rate, states, rngs, 3)
+    _assert_groups_match(_twins._TWINS.sweep, tables, rate, states, rngs, 3, want)
+    return tables, rate, states, rngs, 3, want
 
 
 def _host_path(family, name):
@@ -622,16 +630,16 @@ def test_kernel_paths_match_python_sweep_property(n, p, beta, seed, sweeps):
     _library()
     params = ModelParams(n=n, p=p, beta=beta)
     tables = build_update_tables(sample_graph(params, GraphSeed(seed)))
-    plus = _plus(params)
+    rate = _rate(params)
     rng = np.random.default_rng(seed)
     spins = rng.integers(0, 2, size=(_csweep.GROUP, n), dtype=np.uint8)
     states = np.zeros((_csweep.GROUP, tables[0].shape[1]), dtype=_WORD)
     states.view(np.uint8)[:, : (n + 7) // 8] = np.packbits(spins, axis=1, bitorder="little")
     rngs = _rng_rows(*([seed, g] for g in range(_csweep.GROUP)))
-    want = _one_at_a_time(tables, plus, states, rngs, sweeps)
-    _assert_groups_match(_twins._TWINS.sweep, tables, plus, states, rngs, sweeps, want)
+    want = _one_at_a_time(tables, rate, states, rngs, sweeps)
+    _assert_groups_match(_twins._TWINS.sweep, tables, rate, states, rngs, sweeps, want)
     for kernels in path_sets("sweep_block").values():
-        _assert_groups_match(kernels.sweep, tables, plus, states, rngs, sweeps, want)
+        _assert_groups_match(kernels.sweep, tables, rate, states, rngs, sweeps, want)
 
 
 def _pcg64_before(step_to: int, inc: int) -> np.random.PCG64:
@@ -711,27 +719,25 @@ def test_kernel_replays_numpy_pcg64(case):
     bit_generator = _replay_cases()[case]
     row = np.array([_twins.rng_row(bit_generator)], dtype=_WORD)
     sweeps = 3
-    # each of the first eight doubles, one sweep at n = 1 apiece, through a
-    # field-independent table: u < u is false and u < nextafter(u, 2) is
-    # true, so the two spins pin u to the bit
+    # each of the first eight doubles, one sweep at n = 1 apiece by the raw
+    # sweep through a field-independent table: u < u is false and
+    # u < nextafter(u, 2) is true, so the two spins pin u to the bit
     draws = np.random.Generator(_copy(bit_generator)).random(8)
     lone = build_update_tables(DisorderGraph.empty(1))
     for sweep in _path_sweeps():
         for k, u in enumerate(draws):
             at = np.array([_twins.rng_row(_copy(bit_generator).advance(k))], dtype=_WORD)
             for plus, want in ((u, 0), (np.nextafter(u, 2.0), 1)):
-                state, rng = np.zeros((1, 1), dtype=_WORD), at.copy()
-                assert sweep(*lone, np.full(5, plus), state, rng, 1) == [
-                    [want]
-                ], k
+                state, rng, up = np.zeros((1, 1), dtype=_WORD), at.copy(), np.zeros(1, np.int64)
+                sweep.args[0](1, 1, 1, *lone, np.full(5, plus), rng, 1, state, up)
+                assert up.tolist() == [want], k
         # the stream advances by exactly sweeps n draws, as numpy's advance
         for n in (1, 64, 130):
             params = ModelParams(n=n, p=0.5, beta=0.9)
             tables = build_update_tables(sample_graph(params, GraphSeed(n)))
-            plus = _plus(params)
             state = np.zeros((1, tables[0].shape[1]), dtype=_WORD)
             rng = row.copy()
-            sweep(*tables, plus, state, rng, sweeps)
+            sweep(*tables, _rate(params), state, rng, sweeps)
             advanced = _copy(bit_generator).advance(sweeps * n)
             lo, hi, inc_lo, inc_hi = (int(v) for v in rng[0])
             assert {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo} == advanced.state["state"]
@@ -752,7 +758,7 @@ def test_group_calls_match_rows_one_at_a_time_on_any_pcg64_state(n, generators, 
     r = len(generators)
     params = ModelParams(n=n, p=0.5, beta=0.9)
     tables = build_update_tables(sample_graph(params, GraphSeed(seed)))
-    plus = _plus(params)
+    rate = _rate(params)
     spins = np.random.default_rng(seed).integers(0, 2, size=(r, n), dtype=np.uint8)
     states = np.zeros((r, tables[0].shape[1]), dtype=_WORD)
     states.view(np.uint8)[:, : (n + 7) // 8] = np.packbits(spins, axis=1, bitorder="little")
@@ -760,10 +766,10 @@ def test_group_calls_match_rows_one_at_a_time_on_any_pcg64_state(n, generators, 
         [[s & (2**64 - 1), s >> 64, i & (2**64 - 1), i >> 64] for s, i in generators],
         dtype=_WORD,
     )
-    want = _one_at_a_time(tables, plus, states, rngs, sweeps)
+    want = _one_at_a_time(tables, rate, states, rngs, sweeps)
     for sweep in _path_sweeps():
         got, rng = states.copy(), rngs.copy()
-        up = sweep(*tables, plus, got, rng, sweeps)
+        up = sweep(*tables, rate, got, rng, sweeps)
         assert ([row.tobytes() for row in got], [row.tobytes() for row in rng], up) == want
 
 
@@ -833,9 +839,8 @@ def _family_outputs(kernels):
             words = np.zeros((n, (n + 63) // 64), dtype=_WORD)
             kernels.sample(n, seed, bernoulli_threshold(p), 0, words)
             tables = kernels.masks(words)
-            plus = kernels.plus(n, 0.9 / (n * p))
             states, rngs = np.zeros((2, words.shape[1]), dtype=_WORD), _rng_rows([seed], [n])
-            up = kernels.sweep(*tables, plus, states, rngs, 2)
+            up = kernels.sweep(*tables, 0.9 / (n * p), states, rngs, 2)
             outputs.append((words.tobytes(), *(table.tobytes() for table in tables),
                             kernels.count(words), kernels.histogram(words) if n <= 9 else None,
                             up, states.tobytes(), rngs.tobytes()))
@@ -876,14 +881,13 @@ def test_kernel_rejects_mismatched_buffers():
     # on every path and on the twin, which refuses what the kernel refuses
     w1, w2, base = build_update_tables(DisorderGraph.complete(70))
     params = ModelParams(n=70, p=1.0, beta=0.5)
-    plus = np.array(_plus(params))
     states = np.zeros((2, 2), dtype=_WORD)
     rngs = _rng_rows(1, 2)
-    good = (w1, w2, base, plus, states, rngs, 2)
+    good = (w1, w2, base, _rate(params), states, rngs, 2)
     for sweep in _path_sweeps():
         assert [len(up) for up in sweep(*good)] == [2, 2]
         for k, bad in (
-            (0, np.asarray(w1)[:, :1]), (1, np.asarray(w2)[:69]), (2, base[:-1]), (3, plus[:-1]),
+            (0, np.asarray(w1)[:, :1]), (1, np.asarray(w2)[:69]), (2, base[:-1]),
             (4, np.zeros((2, 1), dtype=_WORD)), (4, np.zeros(2, dtype=_WORD)),
             (4, np.zeros((2, 2), dtype=_WORD).T),
             (5, np.zeros((2, 3), dtype=_WORD)), (5, np.zeros((3, 4), dtype=_WORD)),
